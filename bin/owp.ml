@@ -9,8 +9,8 @@
      owp check       run the invariant checkers / interleaving explorer
      owp chaos       fuzz the stack with random fault schedules, shrink failures
      owp lint        static analysis over the .cmt typedtrees dune emits
-     owp experiment  regenerate a paper experiment table (E0..E27)
-     owp bench       experiments with the scale knobs: --jobs, --json, --gate
+     owp bench       regenerate experiment tables (E0..E28): --quick, --jobs,
+                     --json, --gate
      owp list        list available experiments
 
    Every stack-running subcommand (`run`, `serve`, `check`, `chaos`,
@@ -655,7 +655,7 @@ let check_cmd =
 (* the typedtree analyzer: reads the .cmt files dune already emitted,
    so a plain `dune build` is the only prerequisite *)
 let default_lint_roots =
-  [ "_build/default/lib"; "_build/default/bin"; "_build/default/bench" ]
+  [ "_build/default/lib"; "_build/default/bin" ]
 
 let lint_list () =
   print_listing
@@ -713,7 +713,7 @@ let lint_cmd =
       & info [] ~docv:"ROOT"
           ~doc:
             "Directories to scan for .cmt files; defaults to \
-             _build/default/{lib,bin,bench}.")
+             _build/default/{lib,bin}.")
   in
   Cmd.v
     (Cmd.info "lint"
@@ -871,35 +871,9 @@ let chaos_cmd =
     Term.(const chaos $ Owp_cli.term $ trials $ max_episodes $ horizon $ from_spec)
 
 (* ------------------------------------------------------------------ *)
-(* experiment                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let experiment quick ids =
-  let out = Format.std_formatter in
-  match ids with
-  | [] ->
-      Owp_bench.Experiments.run_all ~quick ~out ();
-      0
-  | ids ->
-      if List.for_all (Owp_bench.Experiments.run_one ~quick ~out) ids then 0
-      else begin
-        prerr_endline "unknown experiment id (see `owp list`)";
-        2
-      end
-
-let experiment_cmd =
-  let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Trimmed sweeps.") in
-  let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (E0..E27); all when omitted.") in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate a paper experiment table")
-    Term.(const experiment $ quick $ ids)
-
-(* ------------------------------------------------------------------ *)
 (* bench                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* `owp experiment` with the scale knobs: the worker-pool width, JSON
-   emission for trajectory tracking, and the CI smoke gate *)
 (* bench --deadline T: the anytime smoke gate.  A trimmed E25 preset —
    budgeted runs up to T must all certify (feasible + prefix of the
    full run) and satisfaction must be monotone in the budget on the
@@ -1116,7 +1090,6 @@ let main_cmd =
       check_cmd;
       chaos_cmd;
       lint_cmd;
-      experiment_cmd;
       bench_cmd;
       list_cmd;
     ]

@@ -93,20 +93,6 @@ let engine_conv =
   let print ppf e = Format.pp_print_string ppf (RC.engine_name e) in
   Arg.conv (parse, print)
 
-(* the historical --algo vocabulary, kept as a legacy spelling of
-   --engine *)
-let algo_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "lid" -> Ok RC.Lid
-    | "lic" -> Ok RC.Lic
-    | "greedy" -> Ok RC.Greedy
-    | "dynamics" -> Ok RC.Dynamics
-    | _ -> Error (`Msg "expected lid | lic | greedy | dynamics")
-  in
-  let print ppf e = Format.pp_print_string ppf (RC.engine_name e) in
-  Arg.conv (parse, print)
-
 let faults_conv =
   let parse s = Result.map_error (fun m -> `Msg m) (Faults.of_string s) in
   Arg.conv (parse, Faults.pp)
@@ -123,14 +109,8 @@ let engine_arg =
         ~doc:
           "Selection engine: lic (reference rescans), lic-indexed (per-node \
            max-weight edge indexes), lid, lid-reliable, lid-byzantine, greedy, \
-           dynamics.  Overrides $(b,--algo)/$(b,--reliable)/$(b,--byzantine) \
-           engine inference.")
-
-let algo_arg =
-  Arg.(
-    value & opt algo_conv RC.Lid
-    & info [ "algo" ] ~docv:"ALGO"
-        ~doc:"Legacy spelling of $(b,--engine): lid, lic, greedy or dynamics.")
+           dynamics.  Default: lid, or the LID variant $(b,--reliable)/\
+           $(b,--byzantine) infer.")
 
 let faults_arg =
   Arg.(
@@ -140,8 +120,7 @@ let faults_arg =
           "Fault environment as one spec: comma-separated $(i,drop=P), \
            $(i,dup=P), $(i,reorder=P), $(i,crash=F), $(i,patience=T) and the \
            bare flags $(i,unordered)/$(i,fifo); e.g. \
-           $(b,drop=0.2,dup=0.1,unordered).  The legacy per-fault flags \
-           override matching fields.")
+           $(b,drop=0.2,dup=0.1,unordered).")
 
 let schedule_arg =
   Arg.(
@@ -166,46 +145,7 @@ let reliable_arg =
         ~doc:
           "Run LID over the reliable transport (per-link sequence numbers, cumulative \
            ACKs, retransmission with backoff) so the protocol converges despite \
-           $(b,--drop)/$(b,--dup)/$(b,--reorder)/$(b,--crash).")
-
-let drop_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "drop" ] ~docv:"P" ~doc:"Per-message loss probability (mask it with --reliable).")
-
-let dup_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "dup" ] ~docv:"P" ~doc:"Per-message duplication probability (mask it with --reliable).")
-
-let reorder_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "reorder" ] ~docv:"P"
-        ~doc:"Per-message straggler probability — breaks FIFO even on FIFO links (mask it with --reliable).")
-
-let no_fifo_arg =
-  Arg.(
-    value & flag
-    & info [ "unordered" ]
-        ~doc:"Disable per-link FIFO delivery in the simulated network (non-FIFO regime).")
-
-let crash_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "crash" ] ~docv:"FRAC"
-        ~doc:
-          "Fraction of peers that fail-stop at a random early point (arms a \
-           default patience of 60 unless --patience is given).")
-
-let patience_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "patience" ] ~docv:"T"
-        ~doc:
-          "Protocol-level wait timeout for peers that fall silent after ACKing \
-           (virtual time; default: off, which preserves exactness under pure channel \
-           faults).")
+           the loss, duplication, reordering and crashes of $(b,--faults).")
 
 let deadline_arg =
   Arg.(
@@ -275,9 +215,8 @@ type t = {
   model : Owp_bench.Workloads.pref_model;
   graph_file : string option;
   engine_opt : RC.engine option;
-  algo : RC.engine;
   reliable : bool;
-  faults : Faults.t;  (* legacy per-fault flags already merged in *)
+  faults : Faults.t;
   schedule : Schedule.t;
   deadline : float option;
   max_rounds : int option;
@@ -286,22 +225,8 @@ type t = {
   sim_shards : int;
 }
 
-(* Every legacy fault flag simply overrides its field of the --faults
-   record, so both spellings (and any mix) land in the same
-   Owp_simnet.Faults.t. *)
-let merge_faults (f : Faults.t) ~drop ~dup ~reorder ~no_fifo ~crash ~patience =
-  {
-    Faults.drop = (if drop > 0.0 then drop else f.Faults.drop);
-    duplicate = (if dup > 0.0 then dup else f.duplicate);
-    reorder = (if reorder > 0.0 then reorder else f.reorder);
-    fifo = f.fifo && not no_fifo;
-    crash = (if crash > 0.0 then crash else f.crash);
-    patience = (match patience with Some _ -> patience | None -> f.patience);
-  }
-
-let make seed family n quota model graph_file engine_opt algo reliable faults_spec
-    schedule drop dup reorder no_fifo crash patience deadline max_rounds byzantine
-    guard sim_shards =
+let make seed family n quota model graph_file engine_opt reliable faults schedule
+    deadline max_rounds byzantine guard sim_shards =
   {
     seed;
     family;
@@ -310,9 +235,8 @@ let make seed family n quota model graph_file engine_opt algo reliable faults_sp
     model;
     graph_file;
     engine_opt;
-    algo;
     reliable;
-    faults = merge_faults faults_spec ~drop ~dup ~reorder ~no_fifo ~crash ~patience;
+    faults;
     schedule;
     deadline;
     max_rounds;
@@ -324,8 +248,7 @@ let make seed family n quota model graph_file engine_opt algo reliable faults_sp
 let term =
   Term.(
     const make $ seed_arg $ family_arg $ n_arg $ quota_arg $ model_arg $ graph_arg
-    $ engine_arg $ algo_arg $ reliable_arg $ faults_arg $ schedule_arg $ drop_arg
-    $ dup_arg $ reorder_arg $ no_fifo_arg $ crash_arg $ patience_arg $ deadline_arg
+    $ engine_arg $ reliable_arg $ faults_arg $ schedule_arg $ deadline_arg
     $ max_rounds_arg $ byzantine_arg $ guard_arg $ sim_shards_arg)
 
 (* the instance is rebuilt deterministically from
@@ -366,7 +289,7 @@ let instance t =
         ~n:t.n ~quota:t.quota
 
 (* --engine wins; otherwise the composition flags pick the LID variant
-   and --algo (legacy) supplies the base engine.  Since the drivers
+   and plain LID is the default.  Since the drivers
    collapsed into the layered stack, --reliable/--faults/--byzantine/
    --guard compose freely: they select middleware layers, not engines,
    so any subset rides whatever LID-family engine resolves here. *)
@@ -376,7 +299,7 @@ let engine t =
   | None ->
       if t.byzantine <> None then RC.Lid_byzantine
       else if t.reliable then RC.Lid_reliable
-      else t.algo
+      else RC.Lid
 
 let config ?(check = false) t =
   RC.validate

@@ -34,18 +34,18 @@ let () =
   let w = Weights.of_preference prefs in
   let capacity = Array.init n (Preference.quota prefs) in
 
-  let lid = Owp_core.Lid.run ~seed:3 w ~capacity in
-  let m = lid.Owp_core.Lid.matching in
+  let lid = Owp_core.Stack.run ~seed:3 w ~capacity in
+  let m = lid.Owp_core.Stack.matching in
   let opt = Owp_matching.Exact.max_weight_bipartite w ~capacity ~left:clients in
 
   Printf.printf "clients=%d servers=%d potential links=%d\n" clients servers
     (Graph.edge_count g);
   Printf.printf "LID assignments   : %d (messages %d, terminated %b)\n" (BM.size m)
-    (lid.Owp_core.Lid.prop_count + lid.Owp_core.Lid.rej_count)
-    lid.Owp_core.Lid.all_terminated;
+    (lid.Owp_core.Stack.prop_count + lid.Owp_core.Stack.rej_count)
+    lid.Owp_core.Stack.all_terminated;
   List.iter
     (fun v -> Printf.printf "  !! %s\n" (Owp_check.Violation.to_string v))
-    lid.Owp_core.Lid.quiescence;
+    lid.Owp_core.Stack.quiescence;
   Printf.printf "exact assignments : %d (min-cost flow)\n" (BM.size opt);
   Printf.printf "weight ratio      : %.4f (proven floor 0.5)\n"
     (BM.weight m w /. BM.weight opt w);

@@ -22,17 +22,17 @@ let () =
   let w = Weights.of_preference prefs in
   let capacity = Array.init n (Preference.quota prefs) in
 
-  let lid = Owp_core.Lid.run ~seed:6 w ~capacity in
-  let m = lid.Owp_core.Lid.matching in
+  let lid = Owp_core.Stack.run ~seed:6 w ~capacity in
+  let m = lid.Owp_core.Stack.matching in
   Printf.printf "swarm: %d peers (%d seeds), %d potential links\n" n
     (Array.fold_left (fun a b -> if b then a + 1 else a) 0 is_seed)
     (Graph.edge_count g);
   Printf.printf "LID: %d links, %d msgs, terminated=%b\n" (BM.size m)
-    (lid.Owp_core.Lid.prop_count + lid.Owp_core.Lid.rej_count)
-    lid.Owp_core.Lid.all_terminated;
+    (lid.Owp_core.Stack.prop_count + lid.Owp_core.Stack.rej_count)
+    lid.Owp_core.Stack.all_terminated;
   List.iter
     (fun v -> Printf.printf "  !! %s\n" (Owp_check.Violation.to_string v))
-    lid.Owp_core.Lid.quiescence;
+    lid.Owp_core.Stack.quiescence;
   print_newline ();
 
   let class_stats label keep =

@@ -48,11 +48,11 @@ let run ~quick =
                       ~capacity:inst.capacity
                   in
                   let lid =
-                    Owp_core.Lid.run ~seed:(seed * 31) ~delay inst.weights
+                    Owp_core.Stack.run ~seed:(seed * 31) ~delay inst.weights
                       ~capacity:inst.capacity
                   in
                   incr runs;
-                  let m = lid.Owp_core.Lid.matching in
+                  let m = lid.Owp_core.Stack.matching in
                   if BM.equal m lic && BM.equal lic lic_climb then incr equal;
                   maxdiff :=
                     Float.max !maxdiff

@@ -9,18 +9,18 @@ module Tbl = Owp_util.Tablefmt
 let row t (inst : Workloads.instance) b =
   let r = Exp_common.run_lid inst in
   let n = Graph.node_count inst.graph and m = Graph.edge_count inst.graph in
-  let total = r.Owp_core.Lid.prop_count + r.Owp_core.Lid.rej_count in
+  let total = r.Owp_core.Stack.prop_count + r.Owp_core.Stack.rej_count in
   Tbl.add_row t
     [
       Tbl.icell n;
       Tbl.icell m;
       Tbl.icell b;
-      Tbl.icell r.Owp_core.Lid.prop_count;
-      Tbl.icell r.Owp_core.Lid.rej_count;
+      Tbl.icell r.Owp_core.Stack.prop_count;
+      Tbl.icell r.Owp_core.Stack.rej_count;
       Tbl.fcell2 (float_of_int total /. float_of_int n);
       Tbl.fcell2 (float_of_int total /. float_of_int (max m 1));
-      Tbl.icell r.Owp_core.Lid.dropped;
-      Tbl.fcell2 r.Owp_core.Lid.completion_time;
+      Tbl.icell r.Owp_core.Stack.dropped;
+      Tbl.fcell2 r.Owp_core.Stack.completion_time;
       Exp_common.quiescence_cell r;
     ]
 
@@ -98,15 +98,15 @@ let run ~quick =
       in
       let faults = Owp_simnet.Simnet.faults ~drop () in
       let r =
-        Owp_core.Lid.run ~seed:7 ~faults inst.Workloads.weights
+        Owp_core.Stack.run ~seed:7 ~faults inst.Workloads.weights
           ~capacity:inst.Workloads.capacity
       in
       Tbl.add_row t3
         [
           Tbl.fcell2 drop;
-          Tbl.icell r.Owp_core.Lid.prop_count;
-          Tbl.icell r.Owp_core.Lid.rej_count;
-          Tbl.icell r.Owp_core.Lid.dropped;
+          Tbl.icell r.Owp_core.Stack.prop_count;
+          Tbl.icell r.Owp_core.Stack.rej_count;
+          Tbl.icell r.Owp_core.Stack.dropped;
           Exp_common.quiescence_cell r;
         ])
     [ 0.0; 0.05; 0.2; 0.5 ];

@@ -34,7 +34,7 @@ let run ~quick =
           let m = Graph.edge_count inst.graph in
           if m <= 22 then begin
             let lid = Exp_common.run_lid inst in
-            let s_lid = Exp_common.total_satisfaction inst.prefs lid.Owp_core.Lid.matching in
+            let s_lid = Exp_common.total_satisfaction inst.prefs lid.Owp_core.Stack.matching in
             let _opt, s_opt =
               Owp_matching.Exact.max_satisfaction_bmatching ~max_edges:22 inst.prefs
             in

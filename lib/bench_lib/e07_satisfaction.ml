@@ -28,7 +28,7 @@ let run ~quick =
                 ~pref_model:Workloads.Random_prefs ~n ~quota
             in
             let lid = Exp_common.run_lid inst in
-            let q = Owp_overlay.Quality.measure inst.prefs lid.Owp_core.Lid.matching in
+            let q = Owp_overlay.Quality.measure inst.prefs lid.Owp_core.Stack.matching in
             Tbl.fcell q.Owp_overlay.Quality.mean)
           [ 1; 2; 4; 8 ]
       in
@@ -55,7 +55,7 @@ let run ~quick =
         Workloads.make ~seed:23 ~family:(Workloads.Ba 4) ~pref_model:model ~n ~quota:4
       in
       let lid = Exp_common.run_lid inst in
-      let q = Owp_overlay.Quality.measure inst.prefs lid.Owp_core.Lid.matching in
+      let q = Owp_overlay.Quality.measure inst.prefs lid.Owp_core.Stack.matching in
       Tbl.add_row t2
         [
           Workloads.pref_model_name model;

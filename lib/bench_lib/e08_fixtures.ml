@@ -49,7 +49,7 @@ let run ~quick =
           | _ -> "no (generic)"
       in
       let lid = Exp_common.run_lid inst in
-      let s_lid = Exp_common.total_satisfaction inst.prefs lid.Owp_core.Lid.matching in
+      let s_lid = Exp_common.total_satisfaction inst.prefs lid.Owp_core.Stack.matching in
       let dyn =
         Fixtures.solve ~max_rounds:(20 * Graph.edge_count inst.graph) inst.prefs
       in
@@ -65,7 +65,7 @@ let run ~quick =
           acyclic;
           Tbl.fcell s_lid;
           Tbl.fcell s_dyn;
-          Tbl.icell (Blocking.count_blocking_pairs inst.prefs lid.Owp_core.Lid.matching);
+          Tbl.icell (Blocking.count_blocking_pairs inst.prefs lid.Owp_core.Stack.matching);
           (if dyn.Fixtures.stable then "yes" else "no (cap hit)");
           Tbl.icell dyn.Fixtures.rounds;
           (if warm.Fixtures.stable then "yes" else "no (cap hit)");

@@ -43,7 +43,7 @@ let run ~quick =
         !acc /. float_of_int n
       in
       let msgs =
-        float_of_int (lid.Owp_core.Lid.prop_count + lid.Owp_core.Lid.rej_count)
+        float_of_int (lid.Owp_core.Stack.prop_count + lid.Owp_core.Stack.rej_count)
         /. float_of_int n
       in
       Tbl.add_row t

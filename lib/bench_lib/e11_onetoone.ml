@@ -35,7 +35,7 @@ let run ~quick =
         in
         let wopt = BM.weight opt inst.weights in
         let ratio m = if Float.equal wopt 0.0 then 1.0 else BM.weight m inst.weights /. wopt in
-        let lid = (Exp_common.run_lid inst).Owp_core.Lid.matching in
+        let lid = (Exp_common.run_lid inst).Owp_core.Stack.matching in
         let lic = Exp_common.run_lic inst in
         let preis = One.preis inst.weights in
         let pg = One.path_growing inst.weights in
@@ -79,12 +79,12 @@ let run ~quick =
         [
           Tbl.icell n;
           Tbl.icell (Graph.edge_count inst.graph);
-          (if BM.equal lid.Owp_core.Lid.matching hoep.Owp_core.Hoepman.matching then "yes"
+          (if BM.equal lid.Owp_core.Stack.matching hoep.Owp_core.Hoepman.matching then "yes"
            else "no");
-          Tbl.icell (lid.Owp_core.Lid.prop_count + lid.Owp_core.Lid.rej_count);
+          Tbl.icell (lid.Owp_core.Stack.prop_count + lid.Owp_core.Stack.rej_count);
           Tbl.icell
             (hoep.Owp_core.Hoepman.req_count + hoep.Owp_core.Hoepman.drop_count);
-          Tbl.fcell2 lid.Owp_core.Lid.completion_time;
+          Tbl.fcell2 lid.Owp_core.Stack.completion_time;
           Tbl.fcell2 hoep.Owp_core.Hoepman.completion_time;
         ])
     sizes;

@@ -43,14 +43,14 @@ let run ~quick =
     (fun levels ->
       let wq = quantize inst.weights levels in
       let lic = Owp_core.Lic.run wq ~capacity:inst.capacity in
-      let lid = Owp_core.Lid.run ~seed:11 wq ~capacity:inst.capacity in
+      let lid = Owp_core.Stack.run ~seed:11 wq ~capacity:inst.capacity in
       Tbl.add_row t1
         [
           Tbl.icell levels;
           Tbl.icell (Weights.distinct_weights wq);
           Tbl.icell (Graph.edge_count inst.graph);
           Exp_common.quiescence_cell lid;
-          (if BM.equal lid.Owp_core.Lid.matching lic then "yes" else "NO");
+          (if BM.equal lid.Owp_core.Stack.matching lic then "yes" else "NO");
         ])
     [ 1000; 100; 10; 2; 1 ];
   let t2 =

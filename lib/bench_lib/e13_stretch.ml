@@ -75,7 +75,7 @@ let run ~quick =
       in
       let w = Weights.of_preference prefs in
       let capacity = Array.init (Graph.node_count g) (Preference.quota prefs) in
-      let lid = Owp_core.Lid.run ~seed:13 w ~capacity in
+      let lid = Owp_core.Stack.run ~seed:13 w ~capacity in
       let rnd = random_maximal rng g capacity in
       List.iter
         (fun (name, m) ->
@@ -88,7 +88,7 @@ let run ~quick =
               (if Float.is_nan p95 then "n/a" else Tbl.fcell2 p95);
               Printf.sprintf "%d/%d" disc total;
             ])
-        [ ("LID (latency prefs)", lid.Owp_core.Lid.matching); ("random maximal", rnd) ])
+        [ ("LID (latency prefs)", lid.Owp_core.Stack.matching); ("random maximal", rnd) ])
     [ 2; 3; 5 ];
   [ t ]
 

@@ -28,9 +28,9 @@ let run ~quick =
       in
       if Graph.edge_count inst.Workloads.graph <= 20 then begin
         let lid = Exp_common.run_lid inst in
-        let s0 = Exp_common.total_satisfaction inst.Workloads.prefs lid.Owp_core.Lid.matching in
+        let s0 = Exp_common.total_satisfaction inst.Workloads.prefs lid.Owp_core.Stack.matching in
         let improved, moves =
-          Owp_core.Improve.local_search inst.Workloads.prefs lid.Owp_core.Lid.matching
+          Owp_core.Improve.local_search inst.Workloads.prefs lid.Owp_core.Stack.matching
         in
         let s1 = Exp_common.total_satisfaction inst.Workloads.prefs improved in
         let _, s_opt =
@@ -69,10 +69,10 @@ let run ~quick =
         Workloads.make ~seed:14 ~family ~pref_model:Workloads.Random_prefs ~n ~quota:3
       in
       let lid = Exp_common.run_lid inst in
-      let s0 = Exp_common.total_satisfaction inst.Workloads.prefs lid.Owp_core.Lid.matching in
+      let s0 = Exp_common.total_satisfaction inst.Workloads.prefs lid.Owp_core.Stack.matching in
       let improved, moves =
         Owp_core.Improve.local_search ~max_moves:(2 * n) inst.Workloads.prefs
-          lid.Owp_core.Lid.matching
+          lid.Owp_core.Stack.matching
       in
       let s1 = Exp_common.total_satisfaction inst.Workloads.prefs improved in
       Tbl.add_row t2

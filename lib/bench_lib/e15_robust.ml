@@ -41,9 +41,9 @@ let run ~quick =
   in
   let rng = Prng.create 0xE15 in
   let baseline =
-    let r = Owp_core.Lid.run ~seed:1 inst.Workloads.weights ~capacity:inst.Workloads.capacity in
+    let r = Owp_core.Stack.run ~seed:1 inst.Workloads.weights ~capacity:inst.Workloads.capacity in
     let s, c = correct_satisfaction inst.Workloads.prefs (Array.make n false)
-        r.Owp_core.Lid.matching in
+        r.Owp_core.Stack.matching in
     s /. float_of_int c
   in
   List.iter

@@ -15,13 +15,13 @@ let static_rerun prefs active =
   let capacity =
     Array.init n (fun v -> if active.(v) then Preference.quota prefs v else 0)
   in
-  let r = Owp_core.Lid.run ~seed:99 w ~capacity in
+  let r = Owp_core.Stack.run ~seed:99 w ~capacity in
   let sat = ref 0.0 in
   for v = 0 to n - 1 do
     if active.(v) then
-      sat := !sat +. Preference.satisfaction prefs v (BM.connections r.Owp_core.Lid.matching v)
+      sat := !sat +. Preference.satisfaction prefs v (BM.connections r.Owp_core.Stack.matching v)
   done;
-  (!sat, r.Owp_core.Lid.prop_count + r.Owp_core.Lid.rej_count)
+  (!sat, r.Owp_core.Stack.prop_count + r.Owp_core.Stack.rej_count)
 
 let run ~quick =
   let n = if quick then 150 else 500 in

@@ -41,7 +41,7 @@ let run ~quick =
       ~pref_model:Workloads.Random_prefs ~n ~quota:3
   in
   let prefs = inst.Workloads.prefs in
-  let lid = (Exp_common.run_lid inst).Owp_core.Lid.matching in
+  let lid = (Exp_common.run_lid inst).Owp_core.Stack.matching in
   let improved, _ = Owp_core.Improve.local_search ~max_moves:(2 * n) prefs lid in
   let round_cap = 3 * Graph.edge_count inst.Workloads.graph in
   let dyn = (Owp_stable.Fixtures.solve ~max_rounds:round_cap prefs).Owp_stable.Fixtures.matching in

@@ -36,18 +36,18 @@ let run ~quick =
       let g, prefs, w, capacity =
         make_bipartite (left + right) ~left ~right ~p:0.1 ~quota:3
       in
-      let lid = Owp_core.Lid.run ~seed:18 w ~capacity in
+      let lid = Owp_core.Stack.run ~seed:18 w ~capacity in
       let opt = Owp_matching.Exact.max_weight_bipartite w ~capacity ~left in
       let wr =
         let wo = BM.weight opt w in
-        if Float.equal wo 0.0 then 1.0 else BM.weight lid.Owp_core.Lid.matching w /. wo
+        if Float.equal wo 0.0 then 1.0 else BM.weight lid.Owp_core.Stack.matching w /. wo
       in
       let sr =
         let so = Preference.total_satisfaction prefs (BM.connection_lists opt) in
         if Float.equal so 0.0 then 1.0
         else
           Preference.total_satisfaction prefs
-            (BM.connection_lists lid.Owp_core.Lid.matching)
+            (BM.connection_lists lid.Owp_core.Stack.matching)
           /. so
       in
       Tbl.add_row t

@@ -29,7 +29,7 @@ let run ~quick =
         Workloads.make ~seed:20 ~family ~pref_model:Workloads.Random_prefs ~n ~quota:1
       in
       let g = inst.Workloads.graph in
-      let lid = (Exp_common.run_lid inst).Owp_core.Lid.matching in
+      let lid = (Exp_common.run_lid inst).Owp_core.Stack.matching in
       let card = Owp_matching.Blossom.maximum_matching g in
       let s m = Exp_common.total_satisfaction inst.Workloads.prefs m in
       Tbl.add_row t

@@ -13,7 +13,6 @@
 module Tbl = Owp_util.Tablefmt
 module BM = Owp_matching.Bmatching
 module Sim = Owp_simnet.Simnet
-module Lid = Owp_core.Lid
 module Lic = Owp_core.Lic
 module Stack = Owp_core.Stack
 module Prng = Owp_util.Prng
@@ -51,13 +50,13 @@ let run ~quick =
   List.iter
     (fun (drop, fifo) ->
       let faults = Sim.faults ~drop () in
-      let plain = Lid.run ~seed:3 ~fifo ~faults w ~capacity in
+      let plain = Stack.run ~seed:3 ~fifo ~faults w ~capacity in
       let r = Stack.run ~seed:3 ~fifo ~faults ~reliable:true w ~capacity in
       Tbl.add_row t1
         [
           Tbl.fcell2 drop;
           yn fifo;
-          (if plain.Lid.all_terminated then "terminates" else "STUCK");
+          (if plain.Stack.all_terminated then "terminates" else "STUCK");
           yn r.Stack.all_terminated;
           yn (BM.equal r.Stack.matching lic);
           Tbl.icell r.Stack.dropped;

@@ -21,7 +21,7 @@ module Tbl = Owp_util.Tablefmt
 module BM = Owp_matching.Bmatching
 module Lic = Owp_core.Lic
 module Lic_indexed = Owp_core.Lic_indexed
-module Lid = Owp_core.Lid
+module Stack = Owp_core.Stack
 module Pool = Owp_util.Pool
 
 let instance ~seed ~n ~deg ~quota =
@@ -77,12 +77,12 @@ let measure_lic ~seed ~n ~deg ~quota =
    scheduling dependence — compared structurally across job counts *)
 let sweep_trial ~n ~deg ~quota seed =
   let inst = instance ~seed ~n ~deg ~quota in
-  let r = Lid.run ~seed inst.Workloads.weights ~capacity:inst.Workloads.capacity in
+  let r = Stack.run ~seed inst.Workloads.weights ~capacity:inst.Workloads.capacity in
   ( seed,
-    BM.edge_ids r.Lid.matching,
-    r.Lid.prop_count,
-    r.Lid.rej_count,
-    r.Lid.completion_time )
+    BM.edge_ids r.Stack.matching,
+    r.Stack.prop_count,
+    r.Stack.rej_count,
+    r.Stack.completion_time )
 
 (* the bit-identity gate: per-trial results must match across worker
    counts, including the virtual completion time, which is a float and
@@ -164,14 +164,14 @@ let run ~quick =
       ]
   in
   List.iter
-    (fun (n, (r : Owp_core.Lid.report), wall) ->
+    (fun (n, (r : Owp_core.Stack.report), wall) ->
       Tbl.add_row t2
         [
           Tbl.icell n;
-          Tbl.icell r.Lid.prop_count;
-          Tbl.icell r.Lid.rej_count;
-          Tbl.fcell2 (float_of_int (r.Lid.prop_count + r.Lid.rej_count) /. float_of_int n);
-          Tbl.fcell2 r.Lid.completion_time;
+          Tbl.icell r.Stack.prop_count;
+          Tbl.icell r.Stack.rej_count;
+          Tbl.fcell2 (float_of_int (r.Stack.prop_count + r.Stack.rej_count) /. float_of_int n);
+          Tbl.fcell2 r.Stack.completion_time;
           Tbl.fcell2 wall;
           Exp_common.quiescence_cell r;
         ])

@@ -35,7 +35,6 @@ module BM = Owp_matching.Bmatching
 module Sim = Owp_simnet.Simnet
 module Schedule = Owp_simnet.Schedule
 module Adversary = Owp_simnet.Adversary
-module Lid = Owp_core.Lid
 module Stack = Owp_core.Stack
 
 let yn b = if b then "yes" else "NO"
@@ -91,12 +90,12 @@ let time_floor ~samples f =
   done;
   (Option.get !result, !best)
 
-let matches_anchor (a : anchor) (r : Lid.report) =
-  r.Lid.prop_count = a.a_prop
-  && r.Lid.rej_count = a.a_rej
-  && r.Lid.delivered = a.a_delivered
+let matches_anchor (a : anchor) (r : Stack.report) =
+  r.Stack.prop_count = a.a_prop
+  && r.Stack.rej_count = a.a_rej
+  && r.Stack.delivered = a.a_delivered
   && Float.equal
-       (Float.round (r.Lid.completion_time *. 1e6) /. 1e6)
+       (Float.round (r.Stack.completion_time *. 1e6) /. 1e6)
        a.a_vtime
 
 (* ------------------------------------------------------------------ *)
@@ -249,14 +248,14 @@ let run ~quick =
       Tbl.add_row t1
         [
           Tbl.icell n;
-          Tbl.icell r.Lid.prop_count;
-          Tbl.icell r.Lid.rej_count;
-          Tbl.fcell2 r.Lid.completion_time;
+          Tbl.icell r.Stack.prop_count;
+          Tbl.icell r.Stack.rej_count;
+          Tbl.fcell2 r.Stack.completion_time;
           Tbl.fcell2 wall;
           Tbl.fcell2 a.a_wall_ms;
           Printf.sprintf "%.1fx" (a.a_wall_ms /. wall);
           Tbl.icell
-            (int_of_float (float_of_int r.Lid.delivered /. (wall /. 1000.0)));
+            (int_of_float (float_of_int r.Stack.delivered /. (wall /. 1000.0)));
           yn (matches_anchor a r);
         ])
     sizes;
@@ -321,12 +320,12 @@ let run ~quick =
     Tbl.add_row t3
       [
         Tbl.icell n;
-        Tbl.icell r.Lid.prop_count;
-        Tbl.icell r.Lid.rej_count;
-        Tbl.icell r.Lid.delivered;
-        Tbl.fcell2 r.Lid.completion_time;
+        Tbl.icell r.Stack.prop_count;
+        Tbl.icell r.Stack.rej_count;
+        Tbl.icell r.Stack.delivered;
+        Tbl.fcell2 r.Stack.completion_time;
         Tbl.fcell2 wall;
-        Tbl.icell (int_of_float (float_of_int r.Lid.delivered /. (wall /. 1000.0)));
+        Tbl.icell (int_of_float (float_of_int r.Stack.delivered /. (wall /. 1000.0)));
         Exp_common.quiescence_cell r;
       ];
     [ t1; t2; t3 ]

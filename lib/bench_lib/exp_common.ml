@@ -11,7 +11,7 @@ let total_satisfaction prefs m =
   Preference.total_satisfaction prefs (Owp_matching.Bmatching.connection_lists m)
 
 let run_lid (inst : Workloads.instance) =
-  Owp_core.Lid.run ~seed:(Hashtbl.hash inst.Workloads.label) inst.Workloads.weights
+  Owp_core.Stack.run ~seed:(Hashtbl.hash inst.Workloads.label) inst.Workloads.weights
     ~capacity:inst.Workloads.capacity
 
 let run_lic (inst : Workloads.instance) =
@@ -20,8 +20,8 @@ let run_lic (inst : Workloads.instance) =
 let run_greedy (inst : Workloads.instance) =
   Owp_matching.Greedy.run inst.Workloads.weights ~capacity:inst.Workloads.capacity
 
-let quiescence_cell (r : Owp_core.Lid.report) =
-  if r.Owp_core.Lid.all_terminated then "yes"
+let quiescence_cell (r : Owp_core.Stack.report) =
+  if r.Owp_core.Stack.all_terminated then "yes"
   else
     let stragglers =
       List.filter_map
@@ -29,7 +29,7 @@ let quiescence_cell (r : Owp_core.Lid.report) =
           match v.Owp_check.Violation.subject with
           | Owp_check.Violation.Node i -> Some (string_of_int i)
           | _ -> None)
-        r.Owp_core.Lid.quiescence
+        r.Owp_core.Stack.quiescence
     in
     let shown =
       match stragglers with

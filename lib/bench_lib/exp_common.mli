@@ -13,11 +13,11 @@ type exp = {
 
 val total_satisfaction : Owp_prefs.Preference.t -> Owp_matching.Bmatching.t -> float
 
-val run_lid : Workloads.instance -> Owp_core.Lid.report
+val run_lid : Workloads.instance -> Owp_core.Stack.report
 val run_lic : Workloads.instance -> Owp_matching.Bmatching.t
 val run_greedy : Workloads.instance -> Owp_matching.Bmatching.t
 
-val quiescence_cell : Owp_core.Lid.report -> string
+val quiescence_cell : Owp_core.Stack.report -> string
 (** ["yes"] when every node quiesced (Lemma 5); otherwise the straggler
     node ids from the report's structured quiescence violations. *)
 

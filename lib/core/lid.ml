@@ -1,9 +1,6 @@
 (* owp-lint: pure — the LID transition relation is a function of
    explicit state; no I/O, clocks, or ambient randomness may creep in *)
-module Simnet = Owp_simnet.Simnet
-module Bmatching = Owp_matching.Bmatching
 module Violation = Owp_check.Violation
-module Checker = Owp_check.Checker
 module Explore = Owp_check.Explore
 
 type message = Prop | Rej
@@ -24,12 +21,14 @@ type node_state = {
   wsorted : (int * int) array; (* (neighbour, edge id), heaviest first *)
   uniq : int array; (* candidate ids, ascending, unique *)
   slot_of_rank : int array; (* wsorted index -> slot in uniq *)
-  flags : Bytes.t; (* U/P/pending/A/K bits per slot *)
+  flags : Bytes.t; (* U/P/pending/A/K bits + delivery marks per slot *)
   mutable n_u : int; (* |U_i| *)
   mutable n_pending : int; (* |P_i \ K_i| *)
   mutable extra_a : (int, unit) Hashtbl.t option; (* A_i \ universe *)
   mutable ptr : int; (* scan position for topRanked(U \ P) *)
   mutable finished : bool;
+  mutable memo_id : int; (* the last id [slot_of] looked up ... *)
+  mutable memo_slot : int; (* ... and its slot *)
 }
 
 type state = { graph : Graph.t; nodes : node_state array }
@@ -42,23 +41,36 @@ let fl_w = 4 (* P_i \ K_i: proposal awaiting an answer *)
 let fl_a = 8 (* A_i: proposed to us *)
 let fl_k = 16 (* K_i: locked *)
 
+(* delivery marks, outside the protocol state: a PROP / a REJ from this
+   candidate reached us at least once (see [mark_delivery]) *)
+let fl_got_prop = 32
+let fl_got_rej = 64
+
 let get s slot = Char.code (Bytes.unsafe_get s.flags slot)
 let set s slot f = Bytes.unsafe_set s.flags slot (Char.unsafe_chr f)
 
-(* canonical slot of candidate [id], or -1 when outside the universe *)
+(* canonical slot of candidate [id], or -1 when outside the universe.
+   The last lookup per node is memoised: the Stack marks a delivery and
+   then delivers it, and a locking PROP looks its sender up twice, so
+   the repeat lookup skips the search ([uniq] never changes). *)
 let slot_of s id =
-  let lo = ref 0 and hi = ref (Array.length s.uniq - 1) in
-  let res = ref (-1) in
-  while !res < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = Array.unsafe_get s.uniq mid in
-    if x = id then res := mid else if x < id then lo := mid + 1 else hi := mid - 1
-  done;
-  !res
+  if s.memo_id = id then s.memo_slot
+  else begin
+    let lo = ref 0 and hi = ref (Array.length s.uniq - 1) in
+    let res = ref (-1) in
+    while !res < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let x = Array.unsafe_get s.uniq mid in
+      if x = id then res := mid else if x < id then lo := mid + 1 else hi := mid - 1
+    done;
+    s.memo_id <- id;
+    s.memo_slot <- !res;
+    !res
+  end
 
 (* ------------------------------------------------------------------ *)
-(* transition relation (Alg. 1), shared by the simulator driver and    *)
-(* the exhaustive interleaving explorer                                 *)
+(* transition relation (Alg. 1), shared by the Stack runtime and the   *)
+(* exhaustive interleaving explorer                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* line 15–16: all proposals answered — decline everyone left, in
@@ -119,7 +131,7 @@ let propose_next st emit i =
 let init ?ranking w ~capacity =
   let g = Weights.graph w in
   let n = Graph.node_count g in
-  Array.iter (fun b -> if b < 0 then invalid_arg "Lid.run: negative capacity") capacity;
+  Array.iter (fun b -> if b < 0 then invalid_arg "Lid.init: negative capacity") capacity;
   let quota = Array.mapi (fun i b -> min b (Graph.degree g i)) capacity in
   (* the exact total order of Weights.compare_edges — weight first, then
      (lower endpoint, upper endpoint, id) — inlined over the weight and
@@ -176,6 +188,8 @@ let init ?ranking w ~capacity =
             extra_a = None;
             ptr = 0;
             finished = false;
+            memo_id = -1;
+            memo_slot = -1;
           }
         in
         for j = 0 to m - 1 do
@@ -209,11 +223,10 @@ let init ?ranking w ~capacity =
   done;
   (st, List.rev !events)
 
-(* the transition itself, parameterised on the event sink: the list
-   built by {!deliver} for the public API, or the simulator driver's
-   direct send in {!run} (one closure for the whole run — the hot path
-   allocates nothing per delivery) *)
-let deliver_into st ~src ~dst m emit =
+(* the transition itself, parameterised on the event sink: the Stack
+   runtime passes one closure for the whole run (the hot path allocates
+   nothing per delivery), the explorer a list builder *)
+let deliver st ~src ~dst m ~emit =
   let i = dst and u = src in
   let s = st.nodes.(i) in
   if not s.finished then begin
@@ -256,14 +269,23 @@ let deliver_into st ~src ~dst m emit =
 (* a finished node already declined everyone still unanswered, so a
    late PROP needs no reply and a late REJ changes nothing *)
 
-let deliver st ~src ~dst m =
-  let events = ref [] in
-  deliver_into st ~src ~dst m (fun e -> events := e :: !events);
-  List.rev !events
-
 (* ------------------------------------------------------------------ *)
 (* observations                                                         *)
 (* ------------------------------------------------------------------ *)
+
+let mark_delivery st ~src ~dst m =
+  let s = st.nodes.(dst) in
+  let slot = slot_of s src in
+  if slot < 0 then `Outside
+  else begin
+    let bit = match m with Prop -> fl_got_prop | Rej -> fl_got_rej in
+    let f = get s slot in
+    if f land bit <> 0 then `Repeat
+    else begin
+      set s slot (f lor bit);
+      `First
+    end
+  end
 
 let quiesced st = Array.for_all (fun s -> s.finished) st.nodes
 
@@ -406,12 +428,18 @@ let fingerprint st =
     st.nodes;
   Buffer.contents b
 
-let sends_of events =
-  List.filter_map
-    (function
-      | Send (src, dst, m) -> Some { Explore.src; dst; payload = m }
-      | Lock _ -> None)
-    events
+let to_send = function
+  | Send (src, dst, m) -> Some { Explore.src; dst; payload = m }
+  | Lock _ -> None
+
+let sends_of events = List.filter_map to_send events
+
+(* one transition's wire messages, in emission order *)
+let sends_of_step st ~src ~dst m =
+  let out = ref [] in
+  deliver st ~src ~dst m ~emit:(fun e ->
+      Option.iter (fun x -> out := x :: !out) (to_send e));
+  List.rev !out
 
 let model w ~capacity =
   {
@@ -419,7 +447,7 @@ let model w ~capacity =
       (fun () ->
         let st, events = init w ~capacity in
         (st, sends_of events));
-    deliver = (fun st ~src ~dst m -> sends_of (deliver st ~src ~dst m));
+    deliver = sends_of_step;
     copy = copy_state;
     fingerprint;
     quiesced;
@@ -429,80 +457,5 @@ let model w ~capacity =
     (* the reliable-transport escape hatch: a peer declared dead is a
        peer that implicitly declined — the very same Rej transition *)
     give_up =
-      Some (fun st ~self ~peer -> sends_of (deliver st ~src:peer ~dst:self Rej));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* simulated execution on Simnet                                        *)
-(* ------------------------------------------------------------------ *)
-
-type cutoff = { cut_at : float; released : int; abandoned : int }
-
-type report = {
-  matching : Bmatching.t;
-  prop_count : int;
-  rej_count : int;
-  delivered : int;
-  dropped : int;
-  completion_time : float;
-  all_terminated : bool;
-  quiescence : Violation.t list;
-  cutoff : cutoff option;
-}
-
-let run ?(seed = 0x11D) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
-    ?(faults = Simnet.no_faults) ?(shards = 1) ?(unsafe_lookahead = false)
-    ?deadline ?(on_lock = fun _ _ _ -> ()) ?(check = false) w ~capacity =
-  (match deadline with
-  | Some d when d <= 0.0 -> invalid_arg "Lid.run: deadline must be positive"
-  | _ -> ());
-  let st, initial = init w ~capacity in
-  let n = Graph.node_count st.graph in
-  let net =
-    Simnet.create ~seed ~fifo ~faults ~shards ~unsafe_lookahead ~nodes:(max n 1)
-      ~delay ()
-  in
-  let prop_count = ref 0 and rej_count = ref 0 in
-  let emit = function
-    | Send (src, dst, Prop) ->
-        incr prop_count;
-        Simnet.send net ~src ~dst Prop
-    | Send (src, dst, Rej) ->
-        incr rej_count;
-        Simnet.send net ~src ~dst Rej
-    | Lock (i, v) -> on_lock (Simnet.now net) i v
-  in
-  Simnet.set_handler net (fun ~src ~dst m -> deliver_into st ~src ~dst m emit);
-  List.iter emit initial;
-  let cutoff =
-    match deadline with
-    | None ->
-        Simnet.run net;
-        None
-    | Some d ->
-        Simnet.run_until net d;
-        let abandoned = Simnet.pending_events net in
-        let released = List.length (freeze st) in
-        Some { cut_at = d; released; abandoned }
-  in
-  let matching = Bmatching.of_edge_ids st.graph ~capacity (locked_edge_ids st) in
-  if check then
-    (* at a cutoff the matching is deliberately partial: blocking pairs
-       and maximality gaps are the measured degradation, not defects *)
-    Checker.assert_ok
-      ~only:
-        (if Option.is_none cutoff then
-           [ "edge-validity"; "quota"; "blocking-pair"; "maximality" ]
-         else [ "edge-validity"; "quota" ])
-      (Checker.of_matching w matching);
-  {
-    matching;
-    prop_count = !prop_count;
-    rej_count = !rej_count;
-    delivered = Simnet.messages_delivered net;
-    dropped = Simnet.messages_dropped net;
-    completion_time = Simnet.now net;
-    all_terminated = quiesced st;
-    quiescence = quiescence_violations st;
-    cutoff;
+      Some (fun st ~self ~peer -> sends_of_step st ~src:peer ~dst:self Rej);
   }

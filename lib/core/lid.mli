@@ -11,9 +11,10 @@
     approximation of the maximizing-satisfaction b-matching (Theorem 3).
 
     The protocol is factored into an {e explicit state machine}
-    ({!init} / {!deliver}) with two drivers on top: {!run} executes one
-    schedule on {!Owp_simnet.Simnet} (delays, message order and faults
-    controlled by the caller), while {!model} exposes the very same
+    ({!init} / {!deliver}) with one executor on top: {!Stack.run}
+    drives it over {!Owp_simnet.Simnet} (delays, message order and
+    faults controlled by the caller; with no layer enabled it is plain
+    Algorithm 1 on one schedule), while {!model} exposes the very same
     transition code to {!Owp_check.Explore}, which enumerates {e all}
     per-link FIFO schedules on small instances. *)
 
@@ -43,9 +44,21 @@ val init :
     symmetric-weight order, heaviest first.
     @raise Invalid_argument on negative capacities. *)
 
-val deliver : state -> src:int -> dst:int -> message -> event list
+val deliver :
+  state -> src:int -> dst:int -> message -> emit:(event -> unit) -> unit
 (** Process one delivery at [dst] (lines 4–16 of Alg. 1), mutating the
-    state; returns the events it caused, in order. *)
+    state and handing each event it causes to [emit], in order.
+    [emit] must not re-enter [deliver]. *)
+
+val mark_delivery :
+  state -> src:int -> dst:int -> message -> [ `First | `Repeat | `Outside ]
+(** Record that [dst] received [message] from [src]: [`First] the first
+    time for this link and kind, [`Repeat] afterwards, [`Outside]
+    (nothing recorded) when [src] is not among [dst]'s candidates.  The
+    marks are not protocol state — {!deliver}, {!freeze} and
+    {!fingerprint} ignore them — but they sit in the flag byte
+    {!deliver} reads, so marking just before delivering costs no extra
+    cache miss.  The {!Stack}'s dedup layer keeps its seen set here. *)
 
 val quiesced : state -> bool
 (** Every node reached U_i = ∅ (Lemma 5). *)
@@ -102,68 +115,3 @@ val model :
     dead peer as an implicit decline (a synthetic REJ through the same
     [deliver] code), so the explorer can also model-check convergence
     under adversarial link failures ([max_link_failures > 0]). *)
-
-(** {2 Simulated execution} *)
-
-type cutoff = {
-  cut_at : float;  (** the virtual-time budget that expired *)
-  released : int;  (** tentative proposals the freeze released *)
-  abandoned : int;  (** queued events discarded at the horizon *)
-}
-(** Accounting of a deadline-bounded run's cutoff ({!freeze}). *)
-
-type report = {
-  matching : Owp_matching.Bmatching.t;
-  prop_count : int;  (** PROP messages sent *)
-  rej_count : int;  (** REJ messages sent *)
-  delivered : int;  (** total deliveries processed *)
-  dropped : int;  (** messages lost to channel faults (diagnosable loss) *)
-  completion_time : float;  (** virtual time of the last event *)
-  all_terminated : bool;  (** every node reached U_i = ∅ (Lemma 5) *)
-  quiescence : Owp_check.Violation.t list;
-      (** empty iff [all_terminated]; otherwise one report per node
-          that failed to quiesce (which, and why) *)
-  cutoff : cutoff option;
-      (** [Some _] iff the run was deadline-bounded and stopped at its
-          budget — serving a frozen partial matching is {e not} a
-          quiescence failure *)
-}
-
-val run :
-  ?seed:int ->
-  ?delay:Owp_simnet.Simnet.delay_model ->
-  ?fifo:bool ->
-  ?faults:Owp_simnet.Simnet.faults ->
-  ?shards:int ->
-  ?unsafe_lookahead:bool ->
-  ?deadline:float ->
-  ?on_lock:(float -> int -> int -> unit) ->
-  ?check:bool ->
-  Weights.t ->
-  capacity:int array ->
-  report
-(** Simulate the protocol to quiescence.  Default delay model is
-    [Uniform (0.5, 1.5)]; with faults enabled the protocol may fail to
-    terminate cleanly, which the report exposes instead of raising.
-    [shards] and [unsafe_lookahead] are forwarded to
-    {!Owp_simnet.Simnet.create}: the former space-partitions the event
-    store (bit-identical for every value), the latter deliberately
-    breaks the dispatch order for gate self-tests.
-    [deadline] bounds the run at a virtual-time budget: events past the
-    horizon are abandoned, the state is {!freeze}-d, and the report
-    serves the locked partial matching with [cutoff] filled in —
-    delivery order up to the budget is identical to the unbudgeted run
-    (same seed, same event prefix), so the served matching grows
-    monotonically in the budget.
-    [on_lock time i v] is invoked every time node [i] locks the
-    connection to [v] (so once per direction per locked edge), at the
-    virtual time of the lock — the hook behind the anytime-satisfaction
-    experiment (E19).
-    [check] (default [false]) runs the {!Owp_check.Checker} structural
-    invariants (feasibility, greedy stability, maximality — feasibility
-    only at a cutoff, where blocking pairs are the measured
-    degradation) on the final matching and raises
-    {!Owp_check.Checker.Check_failed} on violation; only meaningful on
-    fault-free runs.
-    @raise Invalid_argument on negative capacities or a non-positive
-    deadline. *)

@@ -125,6 +125,18 @@ let ranking_of g perceived i =
 
 let prop claim = { Guard.epoch = 0; body = Guard.Prop { claim } }
 let rej = { Guard.epoch = 0; body = Guard.Rej }
+let lid_message (m : Guard.msg) =
+  match m.body with Guard.Prop _ -> Lid.Prop | Guard.Rej -> Lid.Rej
+
+(* the constant messages of an unguarded run: nothing below the
+   protocol reads a PROP's claim unless the guard is on, so every PROP
+   and every REJ is one shared value, and without the transport one
+   shared datagram frame (frames are immutable, so any message equal to
+   a constant may travel as it) *)
+let prop_unclaimed = prop 0.0
+let datagram gm = Transport.Data { epoch = 0; seq = 0; payload = gm }
+let prop_unclaimed_frame = datagram prop_unclaimed
+let rej_frame = datagram rej
 
 (* f's own (truthful) preference order over its neighbours *)
 let own_order prefs g f =
@@ -268,36 +280,31 @@ let make_behaviour prefs g adversaries f model =
 (* the layer signature                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One middleware layer on the message path.  [on_send] filters or
-   rewrites an outbound protocol message, [on_deliver] an inbound one;
-   [None] swallows the message (any completion side effects — a
-   quarantine announcement, say — are the layer's own).  Timers are
-   layer-owned {!Simnet.schedule} callbacks.  [mw_counters] is the
-   layer's row of the report's counter table. *)
+(* One middleware layer on the message path.  [on_send] filters an
+   outbound protocol message, [on_deliver] an inbound one: [false]
+   swallows it (any completion side effects — a quarantine
+   announcement, say — are the layer's own).  No layer rewrites a
+   message, so a pass allocates nothing.  Timers are layer-owned
+   {!Simnet.schedule} callbacks.  [mw_counters] is the layer's row of
+   the report's counter table. *)
 type mw = {
   mw_name : string;
-  on_send : src:int -> dst:int -> Guard.msg -> Guard.msg option;
-  on_deliver : src:int -> dst:int -> Guard.msg -> Guard.msg option;
+  on_send : src:int -> dst:int -> Guard.msg -> bool;
+  on_deliver : src:int -> dst:int -> Guard.msg -> bool;
   mw_counters : unit -> (string * int) list;
 }
 
-let pass ~src:_ ~dst:_ m = Some m
+let pass ~src:_ ~dst:_ _ = true
 
-let rec fold_send layers ~src ~dst m =
+let rec admits_send layers ~src ~dst m =
   match layers with
-  | [] -> Some m
-  | l :: tl -> (
-      match l.on_send ~src ~dst m with
-      | None -> None
-      | Some m -> fold_send tl ~src ~dst m)
+  | [] -> true
+  | l :: tl -> l.on_send ~src ~dst m && admits_send tl ~src ~dst m
 
-let rec fold_deliver layers ~src ~dst m =
+let rec admits_deliver layers ~src ~dst m =
   match layers with
-  | [] -> Some m
-  | l :: tl -> (
-      match l.on_deliver ~src ~dst m with
-      | None -> None
-      | Some m -> fold_deliver tl ~src ~dst m)
+  | [] -> true
+  | l :: tl -> l.on_deliver ~src ~dst m && admits_deliver tl ~src ~dst m
 
 (* ------------------------------------------------------------------ *)
 (* the run loop                                                        *)
@@ -461,7 +468,15 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     match !tr with
     | Some t -> Transport.send t ~src ~dst gm
     | None ->
-        Simnet.send net ~src ~dst (Transport.Data { epoch = 0; seq = 0; payload = gm })
+        let frame =
+          match gm with
+          | { Guard.epoch = 0; body = Guard.Rej } -> rej_frame
+          | { Guard.epoch = 0; body = Guard.Prop { claim } } when Float.equal claim 0.0
+            ->
+              prop_unclaimed_frame
+          | _ -> datagram gm
+        in
+        Simnet.send net ~src ~dst frame
   in
   let byz_send f ~dst m =
     incr adversary_msgs;
@@ -475,10 +490,11 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   in
   (* --- protocol sends and the detector ------------------------------ *)
   let wrap src dst = function
-    | Lid.Prop ->
+    | Lid.Prop -> (
         incr prop_count;
-        let claim = match prefs with Some p -> half p src dst | None -> 0.0 in
-        prop claim
+        match (prefs, guards) with
+        | Some p, Some _ -> prop (half p src dst)
+        | _ -> prop_unclaimed)
     | Lid.Rej ->
         incr rej_count;
         rej
@@ -487,20 +503,44 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     incr rej_count;
     wire_send ~src ~dst rej
   in
-  let outbound = ref [] in
-  let rec process evs =
-    List.iter
-      (function
-        | Lid.Send (src, dst, m) -> (
-            let gm = wrap src dst m in
-            (match fold_send !outbound ~src ~dst gm with
-            | Some gm -> wire_send ~src ~dst gm
-            | None -> ());
-            match (m, patience) with
-            | Lid.Prop, Some limit -> arm_patience src dst limit
-            | _ -> ())
-        | Lid.Lock (i, v) -> on_lock (Simnet.now net) i v)
-      evs
+  (* the anytime budget gate.  Until the deadline expires it is a pure
+     pass-through; once [cut] flips, every residual send or delivery is
+     swallowed, so even code paths that touch the network after the
+     horizon (give-up sweeps, late timers) cannot reopen the protocol.
+     Its counter row carries the cutoff accounting. *)
+  let cut = ref false in
+  let cut_released = ref 0 and cut_half_locks = ref 0 in
+  let cut_abandoned = ref 0 and cut_suppressed = ref 0 in
+  let gate ~src:_ ~dst:_ _ =
+    if !cut then incr cut_suppressed;
+    not !cut
+  in
+  let deadline_mw =
+    {
+      mw_name = "deadline";
+      on_send = gate;
+      on_deliver = gate;
+      mw_counters =
+        (fun () ->
+          [
+            ("released", !cut_released);
+            ("half-locks", !cut_half_locks);
+            ("abandoned", !cut_abandoned);
+            ("suppressed", !cut_suppressed);
+          ]);
+    }
+  in
+  (* the budget gate heads both paths; it is the only layer that acts
+     on sends *)
+  let outbound = match budget with Some _ -> [ deadline_mw ] | None -> [] in
+  let rec emit = function
+    | Lid.Send (src, dst, m) -> (
+        let gm = wrap src dst m in
+        if admits_send outbound ~src ~dst gm then wire_send ~src ~dst gm;
+        match (m, patience) with
+        | Lid.Prop, Some limit -> arm_patience src dst limit
+        | _ -> ())
+    | Lid.Lock (i, v) -> on_lock (Simnet.now net) i v
   and arm_patience i v limit =
     incr patience_armed;
     let rec arm () =
@@ -525,7 +565,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     arm ()
   and synthetic_reject at ~peer =
     incr synthetic_rejects;
-    process (Lid.deliver st ~src:peer ~dst:at Lid.Rej)
+    Lid.deliver st ~src:peer ~dst:at Lid.Rej ~emit
   in
   let quarantine at ~peer =
     (* re-announce the decline on the wire, then release any obligation
@@ -545,7 +585,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
             (fun ~src ~dst m ->
               incr inspected;
               let verdict = Guard.inspect gs.(dst) ~peer:src m in
-              if verdict.Guard.accept then Some m
+              if verdict.Guard.accept then true
               else begin
                 (* [quarantine] is true exactly when this message pushed
                    the peer over the threshold — complete the quarantine
@@ -555,7 +595,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
                   if correct.(src) then incr false_quarantines;
                   if not retired.(dst) then quarantine dst ~peer:src
                 end;
-                None
+                false
               end);
           mw_counters =
             (fun () ->
@@ -585,98 +625,55 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
      outcome-neutral, purely an accounting layer.  It sits BELOW the
      guard on the inbound path: the guard must see raw per-link
      traffic, because a duplicate is itself an offence to score
-     (dedup-above-guard would blind the quarantine scoring). *)
+     (dedup-above-guard would blind the quarantine scoring).  The seen
+     set is Lid's per-link delivery marks; only traffic from outside the
+     receiver's candidate universe (an adversary writing to a stranger,
+     a peer quarantined at bootstrap) needs the fallback table. *)
   let dedup_mw =
-    let seen_prop = Hashtbl.create 64 and seen_rej = Hashtbl.create 64 in
+    let stray = Hashtbl.create 8 in
     {
       mw_name = "dedup";
       on_send = pass;
       on_deliver =
         (fun ~src ~dst (m : Guard.msg) ->
-          let tbl, cnt =
-            match m.Guard.body with
-            | Guard.Prop _ -> (seen_prop, dedup_prop)
-            | Guard.Rej -> (seen_rej, dedup_rej)
+          let lm = lid_message m in
+          let repeat =
+            match Lid.mark_delivery st ~src ~dst lm with
+            | `First -> false
+            | `Repeat -> true
+            | `Outside ->
+                let key = (src, dst, lm) in
+                Hashtbl.mem stray key || (Hashtbl.replace stray key (); false)
           in
-          if Hashtbl.mem tbl (src, dst) then begin
-            incr cnt;
-            None
-          end
-          else begin
-            Hashtbl.replace tbl (src, dst) ();
-            Some m
-          end);
+          if repeat then
+            incr (match lm with Lid.Prop -> dedup_prop | Lid.Rej -> dedup_rej);
+          not repeat);
       mw_counters =
         (fun () ->
           [ ("suppressed-prop", !dedup_prop); ("suppressed-rej", !dedup_rej) ]);
     }
   in
-  (* the anytime budget gate.  Until the deadline expires it is a pure
-     pass-through; once [cut] flips, every residual send or delivery is
-     swallowed, so even code paths that touch the network after the
-     horizon (give-up sweeps, late timers) cannot reopen the protocol.
-     Its counter row carries the cutoff accounting. *)
-  let cut = ref false in
-  let cut_released = ref 0 and cut_half_locks = ref 0 in
-  let cut_abandoned = ref 0 and cut_suppressed = ref 0 in
-  let deadline_mw =
-    {
-      mw_name = "deadline";
-      on_send =
-        (fun ~src:_ ~dst:_ m ->
-          if !cut then begin
-            incr cut_suppressed;
-            None
-          end
-          else Some m);
-      on_deliver =
-        (fun ~src:_ ~dst:_ m ->
-          if !cut then begin
-            incr cut_suppressed;
-            None
-          end
-          else Some m);
-      mw_counters =
-        (fun () ->
-          [
-            ("released", !cut_released);
-            ("half-locks", !cut_half_locks);
-            ("abandoned", !cut_abandoned);
-            ("suppressed", !cut_suppressed);
-          ]);
-    }
-  in
-  let inbound = (match guard_mw with Some l -> [ l ] | None -> []) @ [ dedup_mw ] in
   let inbound =
-    match budget with Some _ -> deadline_mw :: inbound | None -> inbound
+    outbound @ (match guard_mw with Some l -> [ l ] | None -> []) @ [ dedup_mw ]
   in
-  outbound := inbound;
   (* --- inbound dispatch --------------------------------------------- *)
   let deliver_payload ~src ~dst (gm : Guard.msg) =
     if not correct.(dst) then
       behaviours.(dst).Adversary.on_receive ~src gm ~send:(byz_send dst)
-    else begin
-      match fold_deliver inbound ~src ~dst gm with
-      | None -> ()
-      | Some gm ->
-          if retired.(dst) then begin
-            (* amnesiac membership stub: the pre-crash state is gone,
-               decline everything *)
-            match gm.Guard.body with
-            | Guard.Prop _ ->
-                incr stub_rejects;
-                send_rej_wire dst src
-            | Guard.Rej -> ()
-          end
-          else begin
-            incr lid_delivered;
-            let lm =
-              match gm.Guard.body with
-              | Guard.Prop _ -> Lid.Prop
-              | Guard.Rej -> Lid.Rej
-            in
-            process (Lid.deliver st ~src ~dst lm)
-          end
+    else if admits_deliver inbound ~src ~dst gm then begin
+      if retired.(dst) then begin
+        (* amnesiac membership stub: the pre-crash state is gone,
+           decline everything *)
+        match gm.Guard.body with
+        | Guard.Prop _ ->
+            incr stub_rejects;
+            send_rej_wire dst src
+        | Guard.Rej -> ()
+      end
+      else begin
+        incr lid_delivered;
+        Lid.deliver st ~src ~dst (lid_message gm) ~emit
+      end
     end
   in
   if reliable then begin
@@ -747,10 +744,9 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   Array.iteri
     (fun f c -> if not c then behaviours.(f).Adversary.on_init ~send:(byz_send f))
     correct;
-  process
-    (List.filter
-       (function Lid.Send (src, _, _) -> correct.(src) | Lid.Lock _ -> true)
-       initial);
+  List.iter
+    (function Lid.Send (src, _, _) when not correct.(src) -> () | e -> emit e)
+    initial;
   List.iter (fun (i, p) -> send_rej_wire i p) !bootstrap_rejects;
   let cutoff =
     match budget with
@@ -1059,18 +1055,22 @@ let explore_protocol ?(guard = false) ?(guard_config = Guard.default_config) ~co
     end
     else [||]
   in
-  let wrap events =
-    List.filter_map
-      (function
-        | Lid.Send (src, dst, m) ->
-            let body =
-              match m with
-              | Lid.Prop -> Guard.Prop { claim = half prefs src dst }
-              | Lid.Rej -> Guard.Rej
-            in
-            Some { Explore.src; dst; payload = { Guard.epoch = 0; body } }
-        | Lid.Lock _ -> None)
-      events
+  let wire = function
+    | Lid.Send (src, dst, m) ->
+        let body =
+          match m with
+          | Lid.Prop -> Guard.Prop { claim = half prefs src dst }
+          | Lid.Rej -> Guard.Rej
+        in
+        Some { Explore.src; dst; payload = { Guard.epoch = 0; body } }
+    | Lid.Lock _ -> None
+  in
+  let wrap events = List.filter_map wire events in
+  let step lid ~src ~dst lm =
+    let out = ref [] in
+    Lid.deliver lid ~src ~dst lm ~emit:(fun e ->
+        Option.iter (fun x -> out := x :: !out) (wire e));
+    List.rev !out
   in
   let mk_guards () =
     if guard then
@@ -1083,20 +1083,13 @@ let explore_protocol ?(guard = false) ?(guard_config = Guard.default_config) ~co
     if not (correct dst) then []
     else begin
       match st.eguards with
-      | None ->
-          let lm = match m.body with Guard.Prop _ -> Lid.Prop | Guard.Rej -> Lid.Rej in
-          wrap (Lid.deliver st.lid ~src ~dst lm)
+      | None -> step st.lid ~src ~dst (lid_message m)
       | Some gs ->
           let verdict = Guard.inspect gs.(dst) ~peer:src m in
-          if verdict.Guard.accept then begin
-            let lm =
-              match m.body with Guard.Prop _ -> Lid.Prop | Guard.Rej -> Lid.Rej
-            in
-            wrap (Lid.deliver st.lid ~src ~dst lm)
-          end
+          if verdict.Guard.accept then step st.lid ~src ~dst (lid_message m)
           else if verdict.Guard.quarantine then
             { Explore.src = dst; dst = src; payload = rej }
-            :: wrap (Lid.deliver st.lid ~src ~dst:dst Lid.Rej)
+            :: step st.lid ~src ~dst Lid.Rej
           else []
     end
   in
@@ -1145,7 +1138,7 @@ let explore_protocol ?(guard = false) ?(guard_config = Guard.default_config) ~co
       (if guard then
          Some
            (fun st ~self ~peer ->
-             if correct self then wrap (Lid.deliver st.lid ~src:peer ~dst:self Lid.Rej)
+             if correct self then step st.lid ~src:peer ~dst:self Lid.Rej
              else [])
        else None);
   }

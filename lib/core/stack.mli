@@ -28,10 +28,15 @@
     {!run} calls with one particular layer selection — their old seeds
     (robust [0x50B] with 10 s patience, reliable [0x2E1], Byzantine
     [0xB12] with the guard on) are passed explicitly at the call sites
-    that preserve the historic tables.  {!Lid.run} itself is kept as
-    the reference single-schedule executor with zero middleware; the
-    bit-identity of [Stack.run] with no layers enabled against
-    [Lid.run] is asserted by a 100-seed property test. *)
+    that preserve the historic tables.  {!run} is the only executor:
+    with no layer enabled it is plain Algorithm 1 on one schedule, bit
+    for bit the same as a bare [Lid.init]/[Lid.deliver] loop over
+    {!Owp_simnet.Simnet} (asserted by 100-seed property tests, clean
+    and under channel faults), and costs about what that loop costs —
+    the always-on dedup layer keeps its seen set in {!Lid.mark_delivery}
+    bits beside the flags [Lid.deliver] reads, events reach the wire
+    through [Lid.deliver]'s sink, and unguarded messages travel as
+    shared constant frames. *)
 
 (** {1 Membership events}
 
@@ -228,11 +233,15 @@ val run :
     damage — the guard provably prevents it, so its absence is what an
     unguarded run is penalised for).
 
+    [on_lock time i v] is invoked every time node [i] locks the link
+    to [v] (once per direction per locked edge), at the virtual time of
+    the lock — the hook behind the anytime-satisfaction curves (E19).
+
     [check] (default false) asserts the structural invariant checkers
     on the final matching — meaningful only for adversary-free runs
     that converge cleanly.
 
-    @raise Invalid_argument on arity mismatches, out-of-range or
+    @raise Invalid_argument on negative capacities, arity mismatches, out-of-range or
     ill-ordered crash plans, an invalid schedule, non-positive
     patience, non-positive or doubly-specified budgets, adversaries or
     guard without [prefs], or guard without an adversary

@@ -116,19 +116,19 @@ let test_full_composition_certifies () =
   in
   Alcotest.(check bool) "composition certifies" true (A.certified cert)
 
-(* --- the plain Lid.run deadline path ------------------------------ *)
+(* --- the zero-layer deadline path ---------------------------------- *)
 
 let test_lid_run_deadline () =
   let _, w, capacity = instance 36 60 6 2 in
-  let full = Lid.run ~seed:3 w ~capacity in
-  let r = Lid.run ~seed:3 ~deadline:2.0 w ~capacity in
-  (match r.Lid.cutoff with
-  | None -> Alcotest.fail "Lid.run ~deadline must report a cutoff"
-  | Some c -> Alcotest.(check (float 1e-9)) "cut at the budget" 2.0 c.Lid.cut_at);
+  let full = Stack.run ~seed:3 w ~capacity in
+  let r = Stack.run ~seed:3 ~deadline:2.0 w ~capacity in
+  (match r.Stack.cutoff with
+  | None -> Alcotest.fail "Stack.run ~deadline must report a cutoff"
+  | Some c -> Alcotest.(check (float 1e-9)) "cut at the budget" 2.0 c.Stack.cut_at);
   Alcotest.(check bool) "served is a prefix of the full run" true
-    (subset (BM.edge_ids r.Lid.matching) (BM.edge_ids full.Lid.matching));
+    (subset (BM.edge_ids r.Stack.matching) (BM.edge_ids full.Stack.matching));
   Alcotest.(check bool) "raises on a non-positive deadline" true
-    (match Lid.run ~deadline:(-1.0) w ~capacity with
+    (match Stack.run ~deadline:(-1.0) w ~capacity with
     | _ -> false
     | exception Invalid_argument _ -> true)
 

@@ -5,6 +5,7 @@ module Checker = Owp_check.Checker
 module Violation = Owp_check.Violation
 module Explore = Owp_check.Explore
 module Lid = Owp_core.Lid
+module Stack = Owp_core.Stack
 module Lic = Owp_core.Lic
 module Pipeline = Owp_core.Pipeline
 module BM = Owp_matching.Bmatching
@@ -45,8 +46,8 @@ let prop_lid_passes_all =
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
       let _, p, w, capacity = random_instance seed 14 4 2 in
-      let r = Lid.run ~seed ~check:true w ~capacity in
-      Checker.ok (Checker.run (Checker.of_matching ~prefs:p w r.Lid.matching)))
+      let r = Stack.run ~seed ~check:true w ~capacity in
+      Checker.ok (Checker.run (Checker.of_matching ~prefs:p w r.Stack.matching)))
 
 let prop_small_exact_certificates =
   (* instances small enough that theorem2/theorem3 are measured against
@@ -311,32 +312,32 @@ let test_explorer_detects_divergence () =
 let test_lid_quiescence_violations () =
   (* fault-free runs: no quiescence violations *)
   let _, _, w, capacity = random_instance 23 15 4 2 in
-  let r = Lid.run ~seed:1 w ~capacity in
-  Alcotest.(check bool) "clean run terminated" true r.Lid.all_terminated;
-  Alcotest.(check int) "no violations" 0 (List.length r.Lid.quiescence);
+  let r = Stack.run ~seed:1 w ~capacity in
+  Alcotest.(check bool) "clean run terminated" true r.Stack.all_terminated;
+  Alcotest.(check int) "no violations" 0 (List.length r.Stack.quiescence);
   (* under heavy message loss, some seed leaves stragglers; when it
      does, the report must name them *)
   let faults = Owp_simnet.Simnet.faults ~drop:0.7 () in
   let saw_failure = ref false in
   for seed = 0 to 20 do
     let _, _, w, capacity = random_instance (100 + seed) 20 6 2 in
-    let r = Lid.run ~seed ~faults w ~capacity in
-    if not r.Lid.all_terminated then begin
+    let r = Stack.run ~seed ~faults w ~capacity in
+    if not r.Stack.all_terminated then begin
       saw_failure := true;
       Alcotest.(check bool)
         "violations name the stragglers" true
-        (List.length r.Lid.quiescence > 0
+        (List.length r.Stack.quiescence > 0
         && List.for_all
              (fun v ->
                match v.Violation.subject with
                | Violation.Node _ -> v.Violation.checker = "lid-quiescence"
                | _ -> false)
-             r.Lid.quiescence)
+             r.Stack.quiescence)
     end
     else
       Alcotest.(check int)
         "terminated run carries no violations" 0
-        (List.length r.Lid.quiescence)
+        (List.length r.Stack.quiescence)
   done;
   Alcotest.(check bool) "fault injection exercised the failure path" true !saw_failure
 

@@ -141,12 +141,12 @@ let test_robust_no_faults_equals_lid () =
   let _, _, w, cap = random_instance 12 25 6 2 in
   let silent = Array.make 25 false in
   let r = Owp_core.Stack.run ~seed:0x50B ~patience:10.0 ~silent w ~capacity:cap in
-  let lid = Owp_core.Lid.run w ~capacity:cap in
+  let lid = Owp_core.Stack.run w ~capacity:cap in
   Alcotest.(check bool) "terminated" true r.Owp_core.Stack.all_terminated;
   Alcotest.(check int) "no timeouts" 0
     (Owp_core.Stack.counter r ~layer:"detector" "patience-fired");
   Alcotest.(check bool) "same matching as plain LID" true
-    (BM.equal r.Owp_core.Stack.matching lid.Owp_core.Lid.matching)
+    (BM.equal r.Owp_core.Stack.matching lid.Owp_core.Stack.matching)
 
 let test_robust_all_silent () =
   let _, _, w, cap = random_instance 13 15 4 2 in

@@ -18,29 +18,29 @@ let test_lid_torus_full_quota () =
   let g = Gen.torus ~width:5 ~height:5 in
   let p = Preference.random (Prng.create 1) g ~quota:(Preference.uniform_quota g 4) in
   let w = Weights.of_preference p in
-  let r = Owp_core.Lid.run w ~capacity:(Array.make 25 4) in
+  let r = Owp_core.Stack.run w ~capacity:(Array.make 25 4) in
   Alcotest.(check int) "all edges locked" (Graph.edge_count g)
-    (BM.size r.Owp_core.Lid.matching);
+    (BM.size r.Owp_core.Stack.matching);
   (* everyone connected to its entire neighbourhood: satisfaction 1 *)
   Alcotest.(check (float 1e-9)) "everyone fully satisfied" 25.0
-    (Preference.total_satisfaction p (BM.connection_lists r.Owp_core.Lid.matching))
+    (Preference.total_satisfaction p (BM.connection_lists r.Owp_core.Stack.matching))
 
 let test_lid_star_hub_quota () =
   let g = Gen.star 8 in
   let p = Preference.random (Prng.create 2) g ~quota:[| 7; 1; 1; 1; 1; 1; 1; 1 |] in
   let w = Weights.of_preference p in
-  let r = Owp_core.Lid.run w ~capacity:[| 7; 1; 1; 1; 1; 1; 1; 1 |] in
-  Alcotest.(check int) "hub takes everyone" 7 (BM.size r.Owp_core.Lid.matching)
+  let r = Owp_core.Stack.run w ~capacity:[| 7; 1; 1; 1; 1; 1; 1; 1 |] in
+  Alcotest.(check int) "hub takes everyone" 7 (BM.size r.Owp_core.Stack.matching)
 
 let test_lid_complete_b1_equals_greedy () =
   let g = Gen.complete 12 in
   let p = Preference.random (Prng.create 3) g ~quota:(Preference.uniform_quota g 1) in
   let w = Weights.of_preference p in
   let capacity = Array.make 12 1 in
-  let r = Owp_core.Lid.run w ~capacity in
+  let r = Owp_core.Stack.run w ~capacity in
   let greedy = Owp_matching.Greedy.run w ~capacity in
   Alcotest.(check bool) "lid = global greedy on K12" true
-    (BM.equal r.Owp_core.Lid.matching greedy)
+    (BM.equal r.Owp_core.Stack.matching greedy)
 
 let prop_mutually_heaviest_always_locked =
   (* an edge that is the heaviest incident edge at BOTH endpoints is
@@ -56,11 +56,11 @@ let prop_mutually_heaviest_always_locked =
             if !best < 0 || Weights.heavier w e !best then best := e);
         !best
       in
-      let r = Owp_core.Lid.run w ~capacity in
+      let r = Owp_core.Stack.run w ~capacity in
       let ok = ref true in
       Graph.iter_edges g (fun eid u v ->
           if heaviest_at u = eid && heaviest_at v = eid then
-            if not (BM.mem r.Owp_core.Lid.matching eid) then ok := false);
+            if not (BM.mem r.Owp_core.Stack.matching eid) then ok := false);
       !ok)
 
 (* ---------- end-to-end guarantee across the whole stack ---------- *)
@@ -150,32 +150,32 @@ let test_gs_proposer_optimal () =
 
 let test_lid_deterministic () =
   let _, _, w, capacity = random_instance 21 40 8 3 in
-  let a = Owp_core.Lid.run ~seed:5 w ~capacity in
-  let b = Owp_core.Lid.run ~seed:5 w ~capacity in
+  let a = Owp_core.Stack.run ~seed:5 w ~capacity in
+  let b = Owp_core.Stack.run ~seed:5 w ~capacity in
   Alcotest.(check bool) "same matching" true
-    (BM.equal a.Owp_core.Lid.matching b.Owp_core.Lid.matching);
-  Alcotest.(check int) "same props" a.Owp_core.Lid.prop_count b.Owp_core.Lid.prop_count;
-  Alcotest.(check int) "same rejs" a.Owp_core.Lid.rej_count b.Owp_core.Lid.rej_count;
-  Alcotest.(check (float 1e-12)) "same virtual time" a.Owp_core.Lid.completion_time
-    b.Owp_core.Lid.completion_time
+    (BM.equal a.Owp_core.Stack.matching b.Owp_core.Stack.matching);
+  Alcotest.(check int) "same props" a.Owp_core.Stack.prop_count b.Owp_core.Stack.prop_count;
+  Alcotest.(check int) "same rejs" a.Owp_core.Stack.rej_count b.Owp_core.Stack.rej_count;
+  Alcotest.(check (float 1e-12)) "same virtual time" a.Owp_core.Stack.completion_time
+    b.Owp_core.Stack.completion_time
 
 let test_on_lock_trace_consistent () =
   let _, _, w, capacity = random_instance 22 30 6 2 in
   let locks = ref [] in
   let r =
-    Owp_core.Lid.run ~seed:6
+    Owp_core.Stack.run ~seed:6
       ~on_lock:(fun t i v -> locks := (t, i, v) :: !locks)
       w ~capacity
   in
   (* each matched edge produces exactly two lock events (one per side) *)
-  Alcotest.(check int) "two events per edge" (2 * BM.size r.Owp_core.Lid.matching)
+  Alcotest.(check int) "two events per edge" (2 * BM.size r.Owp_core.Stack.matching)
     (List.length !locks);
   List.iter
     (fun (t, i, v) ->
       Alcotest.(check bool) "time within run" true
-        (t >= 0.0 && t <= r.Owp_core.Lid.completion_time +. 1e-9);
+        (t >= 0.0 && t <= r.Owp_core.Stack.completion_time +. 1e-9);
       Alcotest.(check bool) "locked pair is matched" true
-        (List.mem v (BM.connections r.Owp_core.Lid.matching i)))
+        (List.mem v (BM.connections r.Owp_core.Stack.matching i)))
     !locks
 
 (* ---------- dynamic LID vs centralized churn agree on feasibility ---- *)

@@ -78,8 +78,8 @@ let prop_lid_locked_edges_heavier_than_free =
       let prefs = Preference.random rng g ~quota:(Preference.uniform_quota g 2) in
       let w = Weights.of_preference prefs in
       let capacity = Array.init 25 (Preference.quota prefs) in
-      let r = Owp_core.Lid.run ~seed w ~capacity in
-      let m = r.Owp_core.Lid.matching in
+      let r = Owp_core.Stack.run ~seed w ~capacity in
+      let m = r.Owp_core.Stack.matching in
       let ok = ref true in
       Graph.iter_edges g (fun eid u v ->
           if not (BM.mem m eid) then begin

@@ -25,8 +25,8 @@ let test_baseline_lid_stuck_reliable_converges () =
   let _, _, w, capacity = random_instance 7 20 6 2 in
   let lic = Lic.run w ~capacity in
   let faults = Sim.faults ~drop:0.3 () in
-  let plain = Lid.run ~seed:2 ~faults w ~capacity in
-  Alcotest.(check bool) "plain LID gets stuck" false plain.Lid.all_terminated;
+  let plain = Stack.run ~seed:2 ~faults w ~capacity in
+  Alcotest.(check bool) "plain LID gets stuck" false plain.Stack.all_terminated;
   let r = Stack.run ~seed:2 ~faults ~reliable:true ~check:true w ~capacity in
   Alcotest.(check bool) "reliable LID terminates" true r.Stack.all_terminated;
   Alcotest.(check bool) "and equals LIC" true (BM.equal r.Stack.matching lic);

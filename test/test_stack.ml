@@ -24,26 +24,76 @@ let random_instance seed n avg_deg quota =
   (g, p, w, capacity)
 
 (* ------------------------------------------------------------------ *)
-(* zero middleware = plain Lid.run, bit for bit                        *)
+(* zero middleware = the reference driver, bit for bit                 *)
 (* ------------------------------------------------------------------ *)
+
+(* The oracle: Lid.init and Lid.deliver over Simnet with nothing in
+   between — sends go straight to the simulator, deliveries straight to
+   the machine, no dedup, no frames.  It shares the state machine with
+   Stack.run and none of its layers. *)
+let reference_run ~seed ?(fifo = true) ?(faults = Sim.no_faults) w ~capacity =
+  let st, initial = Lid.init w ~capacity in
+  let n = Graph.node_count (Weights.graph w) in
+  let net =
+    Sim.create ~seed ~fifo ~faults ~nodes:(max n 1) ~delay:(Sim.Uniform (0.5, 1.5)) ()
+  in
+  let props = ref 0 and rejs = ref 0 in
+  let emit = function
+    | Lid.Send (src, dst, m) ->
+        incr (match m with Lid.Prop -> props | Lid.Rej -> rejs);
+        Sim.send net ~src ~dst m
+    | Lid.Lock _ -> ()
+  in
+  Sim.set_handler net (fun ~src ~dst m -> Lid.deliver st ~src ~dst m ~emit);
+  List.iter emit initial;
+  Sim.run net;
+  ( Lid.locked_edge_ids st,
+    (!props, !rejs, Sim.messages_delivered net, Sim.messages_dropped net),
+    Sim.now net,
+    Lid.quiesced st )
+
+let stack_digest (r : Stack.report) =
+  ( BM.edge_ids r.Stack.matching,
+    (r.Stack.prop_count, r.Stack.rej_count, r.Stack.delivered, r.Stack.dropped),
+    r.Stack.completion_time,
+    r.Stack.all_terminated )
 
 let prop_zero_middleware_bit_identical =
   (* payload contents never touch the simulator's RNG, so an identical
      Simnet.send call order means identical delay samples: the stack
-     with every layer disabled must replay Lid.run exactly — same
-     matching, same PROP/REJ counts, same virtual completion time *)
-  QCheck2.Test.make ~name:"stack with zero middleware is bit-identical to Lid.run"
+     with every layer disabled must replay the reference driver exactly
+     — same matching, same PROP/REJ/delivery counts, same virtual
+     completion time (never NaN, so polymorphic equality is exact) *)
+  QCheck2.Test.make
+    ~name:"stack with zero middleware is bit-identical to the reference driver"
     ~count:100
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let _, _, w, capacity = random_instance seed 24 6 2 in
-      let plain = Lid.run ~seed w ~capacity in
-      let r = Stack.run ~seed w ~capacity in
-      BM.equal plain.Lid.matching r.Stack.matching
-      && plain.Lid.prop_count = r.Stack.prop_count
-      && plain.Lid.rej_count = r.Stack.rej_count
-      && plain.Lid.completion_time = r.Stack.completion_time
-      && plain.Lid.all_terminated = r.Stack.all_terminated)
+      reference_run ~seed w ~capacity = stack_digest (Stack.run ~seed w ~capacity))
+
+(* (fifo, faults): the channel regimes the experiments run plain LID
+   under — E05c's loss, E21a's loss over non-FIFO links, and
+   duplication plus stragglers mixed with loss *)
+let fault_regimes =
+  [
+    (true, Sim.faults ~drop:0.2 ());
+    (false, Sim.faults ~drop:0.3 ());
+    (false, Sim.faults ~drop:0.1 ~duplicate:0.3 ~reorder:0.2 ());
+  ]
+
+let prop_zero_middleware_faults_bit_identical =
+  (* under faults the stack's always-on dedup layer swallows repeats the
+     reference feeds to the machine; Lid.deliver is idempotent to them,
+     so the outcome must still be the same bit for bit *)
+  QCheck2.Test.make ~name:"zero middleware under channel faults = reference driver"
+    ~count:100
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 2))
+    (fun (seed, k) ->
+      let fifo, faults = List.nth fault_regimes k in
+      let _, _, w, capacity = random_instance seed 24 6 2 in
+      reference_run ~seed ~fifo ~faults w ~capacity
+      = stack_digest (Stack.run ~seed ~fifo ~faults w ~capacity))
 
 let test_zero_middleware_layer_table () =
   let _, _, w, capacity = random_instance 3 16 5 2 in
@@ -60,6 +110,42 @@ let test_zero_middleware_layer_table () =
   Alcotest.(check int) "lid row counts props" r.Stack.prop_count
     (Stack.counter r ~layer:"lid" "prop");
   Alcotest.(check (float 1e-9)) "no transport: overhead 1.0" 1.0 (Stack.overhead r)
+
+(* ------------------------------------------------------------------ *)
+(* the dedup row: suppression decisions pinned at fixed seeds          *)
+(* ------------------------------------------------------------------ *)
+
+let dedup_row r =
+  ( Stack.counter r ~layer:"dedup" "suppressed-prop",
+    Stack.counter r ~layer:"dedup" "suppressed-rej" )
+
+let test_dedup_row_pinned () =
+  (* pinned figures: any change to how repeats are recognised moves
+     them *)
+  let check label expected r =
+    Alcotest.(check (pair int int)) label expected (dedup_row r)
+  in
+  (* duplicating channel, no ARQ underneath: every copy reaches dedup *)
+  let _, _, w, capacity = random_instance 51 30 6 2 in
+  check "dup=0.3 without ARQ" (21, 33)
+    (Stack.run ~seed:51 ~faults:(Sim.faults ~duplicate:0.3 ()) w ~capacity);
+  (* node 0 declines its neighbours, crashes, and rejoins retired: its
+     amnesia announcement repeats REJs some neighbours already saw *)
+  let _, _, w, capacity = random_instance 52 30 6 2 in
+  check "crash-restart re-announcement" (0, 4)
+    (Stack.run ~seed:52 ~patience:10.0
+       ~crashes:[ { Stack.victim = 0; crash_at = 2.5; restart_at = Some 4.0 } ]
+       w ~capacity);
+  (* an unguarded violator PROPs a stranger (a non-neighbour) over a
+     duplicating channel: repeats off the edge set must be caught too *)
+  let _, p, w, capacity = random_instance 53 30 6 2 in
+  let adversaries =
+    Array.init 30 (fun i ->
+        if i = 5 then Some Owp_simnet.Adversary.State_violator else None)
+  in
+  check "unguarded violator to a stranger" (40, 39)
+    (Stack.run ~seed:53 ~faults:(Sim.faults ~duplicate:0.5 ()) ~adversaries ~prefs:p w
+       ~capacity)
 
 (* ------------------------------------------------------------------ *)
 (* transport-only = the reliable configuration's E21a convergence rows *)
@@ -94,9 +180,9 @@ let test_robust_config_is_plain_lid_behaviour () =
      LID's matching: it is Lid.init/Lid.deliver behind (inactive)
      layers, so the patience timers never fire and nothing diverges *)
   let _, _, w, capacity = random_instance 31 25 6 2 in
-  let lid = Lid.run ~seed:9 w ~capacity in
+  let lid = Stack.run ~seed:9 w ~capacity in
   let r = Stack.run ~seed:9 ~patience:10.0 ~silent:(Array.make 25 false) w ~capacity in
-  Alcotest.(check bool) "same matching" true (BM.equal lid.Lid.matching r.Stack.matching);
+  Alcotest.(check bool) "same matching" true (BM.equal lid.Stack.matching r.Stack.matching);
   Alcotest.(check int) "no patience fired" 0
     (Stack.counter r ~layer:"detector" "patience-fired");
   Alcotest.(check int) "no synthetic rejects" 0 r.Stack.synthetic_rejects
@@ -210,8 +296,10 @@ let prop_shards_bit_identical_full_composition =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_zero_middleware_bit_identical;
+    QCheck_alcotest.to_alcotest prop_zero_middleware_faults_bit_identical;
     Alcotest.test_case "zero-middleware layer table" `Quick
       test_zero_middleware_layer_table;
+    Alcotest.test_case "dedup row pinned at fixed seeds" `Quick test_dedup_row_pinned;
     Alcotest.test_case "transport-only = E21a grid" `Quick
       test_transport_only_reproduces_e21_rows;
     Alcotest.test_case "robust config = plain LID" `Quick
