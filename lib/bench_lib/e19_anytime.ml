@@ -9,9 +9,9 @@
    measurement, not a lock-trace replay: every cell is a budgeted
    Stack.run whose frozen matching goes through the Anytime certificate
    checker — the same instrumentation E25 sweeps and the same path
-   `owp run --deadline` serves.  (The cells count mutually locked links
-   only, where the old on_lock probe credited half-locks early; the
-   shape of the curve is unchanged.) *)
+   `owp run --deadline` serves.  The cells count mutually locked links
+   only: a half-lock whose completing PROP is still in flight at the
+   cutoff is not served. *)
 
 module Tbl = Owp_util.Tablefmt
 module Stack = Owp_core.Stack

@@ -37,7 +37,7 @@ let select p eid =
   p.residual.(u) <- p.residual.(u) - 1;
   p.residual.(v) <- p.residual.(v) - 1
 
-let run ?(strategy = Heaviest_first) ?(check = false) w ~capacity =
+let run ?(strategy = Heaviest_first) w ~capacity =
   let g = Weights.graph w in
   let m = Graph.edge_count g in
   let p = { g; w; residual = Array.copy capacity; selected = Array.make m false } in
@@ -76,9 +76,4 @@ let run ?(strategy = Heaviest_first) ?(check = false) w ~capacity =
             chosen := top :: !chosen
           done)
         order);
-  let matching = Bmatching.of_edge_ids g ~capacity (List.rev !chosen) in
-  if check then
-    Owp_check.Checker.assert_ok
-      ~only:[ "edge-validity"; "quota"; "blocking-pair"; "maximality" ]
-      (Owp_check.Checker.of_matching w matching);
-  matching
+  Bmatching.of_edge_ids g ~capacity (List.rev !chosen)

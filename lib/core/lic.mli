@@ -29,11 +29,9 @@ type strategy =
 
 val run :
   ?strategy:strategy ->
-  ?check:bool ->
   Weights.t ->
   capacity:int array ->
   Owp_matching.Bmatching.t
-(** Defaults to [Heaviest_first].  [check] (default [false]) runs the
-    {!Owp_check.Checker} structural invariants (feasibility, greedy
-    stability, maximality) on the result and raises
-    {!Owp_check.Checker.Check_failed} on violation. *)
+(** Defaults to [Heaviest_first].  The result is unchecked: every
+    engine is checked one way, by {!Owp_check.Checker.run} (which
+    {!Pipeline} calls for [Run_config.check]). *)

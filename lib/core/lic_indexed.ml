@@ -169,7 +169,7 @@ let build w ~capacity =
   done;
   st
 
-let run ?(check = false) w ~capacity =
+let run w ~capacity =
   let g = Weights.graph w in
   let m = Graph.edge_count g in
   let st = build w ~capacity in
@@ -181,9 +181,4 @@ let run ?(check = false) w ~capacity =
       chosen := e :: !chosen
     done
   done;
-  let matching = Bmatching.of_edge_ids g ~capacity (List.rev !chosen) in
-  if check then
-    Owp_check.Checker.assert_ok
-      ~only:[ "edge-validity"; "quota"; "blocking-pair"; "maximality" ]
-      (Owp_check.Checker.of_matching w matching);
-  matching
+  Bmatching.of_edge_ids g ~capacity (List.rev !chosen)

@@ -18,7 +18,7 @@
     suite and experiment E23 verify that equality on random workloads
     while E23 measures the speedup. *)
 
-val run : ?check:bool -> Weights.t -> capacity:int array -> Owp_matching.Bmatching.t
+val run : Weights.t -> capacity:int array -> Owp_matching.Bmatching.t
 (** Same contract as {!Lic.run}: greedy locally-heaviest selection until
-    the pool is exhausted.  [check] (default [false]) runs the
-    {!Owp_check.Checker} structural invariants on the result. *)
+    the pool is exhausted.  The result is unchecked; assert invariants
+    with {!Owp_check.Checker.run}. *)

@@ -33,8 +33,6 @@ type node_state = {
 
 type state = { graph : Graph.t; nodes : node_state array }
 
-type event = Send of int * int * message | Lock of int * int
-
 let fl_u = 1 (* U_i: still a candidate *)
 let fl_p = 2 (* P_i: proposed to (locked included) *)
 let fl_w = 4 (* P_i \ K_i: proposal awaiting an answer *)
@@ -83,7 +81,7 @@ let check_done st emit i =
         let f = get s slot in
         if f land fl_u <> 0 then begin
           set s slot (f land lnot fl_u);
-          emit (Send (i, s.uniq.(slot), Rej))
+          emit i s.uniq.(slot) Rej
         end
       done;
     s.n_u <- 0;
@@ -92,14 +90,13 @@ let check_done st emit i =
 
 (* line 12–14: mutual proposal — lock the connection.  [v] was proposed
    to, so it is always inside the candidate universe. *)
-let lock st emit i v =
+let lock st i v =
   let s = st.nodes.(i) in
   let slot = slot_of s v in
   let f = get s slot in
   if f land fl_u <> 0 then s.n_u <- s.n_u - 1;
   if f land fl_w <> 0 then s.n_pending <- s.n_pending - 1;
-  set s slot (f land lnot (fl_u lor fl_a lor fl_w) lor fl_k);
-  emit (Lock (i, v))
+  set s slot (f land lnot (fl_u lor fl_a lor fl_w) lor fl_k)
 
 (* lines 9–11: propose to the next-ranked neighbour still in U \ P *)
 let propose_next st emit i =
@@ -123,9 +120,9 @@ let propose_next st emit i =
     set s slot (f lor fl_p lor fl_w);
     s.n_pending <- s.n_pending + 1;
     let v = s.uniq.(slot) in
-    emit (Send (i, v, Prop));
+    emit i v Prop;
     (* the candidate may have proposed to us already *)
-    if f land fl_a <> 0 then lock st emit i v
+    if f land fl_a <> 0 then lock st i v
   end
 
 let init ?ranking w ~capacity =
@@ -198,8 +195,8 @@ let init ?ranking w ~capacity =
         s)
   in
   let st = { graph = g; nodes } in
-  let events = ref [] in
-  let emit e = events := e :: !events in
+  let sends = ref [] in
+  let emit src dst m = sends := (src, dst, m) :: !sends in
   (* lines 1–3: initial proposals to the top b_i of the weight list *)
   for i = 0 to n - 1 do
     let s = nodes.(i) in
@@ -211,7 +208,7 @@ let init ?ranking w ~capacity =
       if f land fl_p = 0 && f land fl_u <> 0 then begin
         set s slot (f lor fl_p lor fl_w);
         s.n_pending <- s.n_pending + 1;
-        emit (Send (i, s.uniq.(slot), Prop));
+        emit i s.uniq.(slot) Prop;
         incr made
       end;
       s.ptr <- s.ptr + 1
@@ -221,11 +218,11 @@ let init ?ranking w ~capacity =
     s.ptr <- 0;
     check_done st emit i
   done;
-  (st, List.rev !events)
+  (st, List.rev !sends)
 
-(* the transition itself, parameterised on the event sink: the Stack
-   runtime passes one closure for the whole run (the hot path allocates
-   nothing per delivery), the explorer a list builder *)
+(* the transition itself, parameterised on the send sink [emit src dst
+   m]: the Stack runtime passes one closure for the whole run (the hot
+   path allocates nothing per send), the explorer a list builder *)
 let deliver st ~src ~dst m ~emit =
   let i = dst and u = src in
   let s = st.nodes.(i) in
@@ -236,7 +233,7 @@ let deliver st ~src ~dst m ~emit =
         if slot >= 0 then begin
           let f = get s slot in
           set s slot (f lor fl_a);
-          if f land fl_w <> 0 then lock st emit i u
+          if f land fl_w <> 0 then lock st i u
         end
         else
           (* a proposer outside the candidate universe: remembered in a
@@ -428,25 +425,21 @@ let fingerprint st =
     st.nodes;
   Buffer.contents b
 
-let to_send = function
-  | Send (src, dst, m) -> Some { Explore.src; dst; payload = m }
-  | Lock _ -> None
-
-let sends_of events = List.filter_map to_send events
+let to_send (src, dst, m) = { Explore.src; dst; payload = m }
 
 (* one transition's wire messages, in emission order *)
 let sends_of_step st ~src ~dst m =
   let out = ref [] in
-  deliver st ~src ~dst m ~emit:(fun e ->
-      Option.iter (fun x -> out := x :: !out) (to_send e));
+  deliver st ~src ~dst m ~emit:(fun src dst payload ->
+      out := { Explore.src; dst; payload } :: !out);
   List.rev !out
 
 let model w ~capacity =
   {
     Explore.init =
       (fun () ->
-        let st, events = init w ~capacity in
-        (st, sends_of events));
+        let st, sends = init w ~capacity in
+        (st, List.map to_send sends));
     deliver = sends_of_step;
     copy = copy_state;
     fingerprint;

@@ -25,18 +25,14 @@ type message = Prop | Rej
 type state
 (** Mutable protocol state of all nodes. *)
 
-type event =
-  | Send of int * int * message  (** [Send (src, dst, m)] *)
-  | Lock of int * int  (** [Lock (i, v)]: node [i] locked the link to [v] *)
-
 val init :
   ?ranking:(int -> (int * int) array) ->
   Weights.t ->
   capacity:int array ->
-  state * event list
-(** Fresh protocol state plus the initial events (lines 1–3 of Alg. 1:
-    every node proposes to the top [b_i] of its weight list), in the
-    order they occur.  [ranking i], when given, overrides node [i]'s
+  state * (int * int * message) list
+(** Fresh protocol state plus the initial sends [(src, dst, m)] (lines
+    1–3 of Alg. 1: every node proposes to the top [b_i] of its weight
+    list), in the order they occur.  [ranking i], when given, overrides node [i]'s
     weight list with an explicit [(neighbour, edge id)] array, best
     first — the {!Stack}'s guard layer uses it to rank by {e perceived} weights
     built from (possibly dishonest) advertised half-weights, and to
@@ -45,10 +41,10 @@ val init :
     @raise Invalid_argument on negative capacities. *)
 
 val deliver :
-  state -> src:int -> dst:int -> message -> emit:(event -> unit) -> unit
+  state -> src:int -> dst:int -> message -> emit:(int -> int -> message -> unit) -> unit
 (** Process one delivery at [dst] (lines 4–16 of Alg. 1), mutating the
-    state and handing each event it causes to [emit], in order.
-    [emit] must not re-enter [deliver]. *)
+    state and handing each send it causes to [emit src dst m], in
+    order.  [emit] must not re-enter [deliver]. *)
 
 val mark_delivery :
   state -> src:int -> dst:int -> message -> [ `First | `Repeat | `Outside ]

@@ -1,7 +1,7 @@
 module Simnet = Owp_simnet.Simnet
 module Bmatching = Owp_matching.Bmatching
 
-type event = Stack.node_event = Join of int | Leave of int
+type event = Join of int | Leave of int
 
 type step_report = {
   event : event;

@@ -23,10 +23,10 @@
     against a from-scratch static LID run after the same event trace
     (typically a few percent, at a small fraction of the messages). *)
 
-type event = Stack.node_event = Join of int | Leave of int
-(** Churn events are the {!Stack}'s node events: the same [Join]/[Leave]
-    vocabulary drives both this eager dynamic variant and the stack's
-    crash/restart scheduling ([Stack.run ~events]). *)
+type event = Join of int | Leave of int
+(** A churn event: [Join v] activates peer [v] (it says HELLO and
+    starts proposing), [Leave v] deactivates it (it says LEAVE to its
+    alive neighbours). *)
 
 type step_report = {
   event : event;

@@ -86,21 +86,12 @@ let stabilize_reference prefs ~participating ~matching =
       | false, true -> wasted.(v) <- wasted.(v) + 1
       | _ -> ())
     (Bmatching.edge_ids matching);
-  let nodes =
-    Array.of_list (List.filter (fun i -> participating.(i)) (List.init n (fun i -> i)))
+  let old_of_new, m =
+    Stack.lic_reference prefs
+      ~keep:(fun i -> participating.(i))
+      ~quota:(fun o -> max 0 (Preference.quota prefs o - wasted.(o)))
   in
-  let sub, old_of_new = Graph.induced_subgraph g nodes in
-  let wsub =
-    let arr = Array.make (Graph.edge_count sub) 0.0 in
-    Graph.iter_edges sub (fun eid u v ->
-        let ou = old_of_new.(u) and ov = old_of_new.(v) in
-        arr.(eid) <- Stack.half prefs ou ov +. Stack.half prefs ov ou);
-    Weights.of_array sub arr
-  in
-  let capacity =
-    Array.map (fun o -> max 0 (Preference.quota prefs o - wasted.(o))) old_of_new
-  in
-  let m = Lic.run wsub ~capacity in
+  let sub = Bmatching.graph m in
   List.filter_map
     (fun sub_eid ->
       let u, v = Graph.edge_endpoints sub sub_eid in

@@ -4,7 +4,6 @@ module Adversary = Owp_simnet.Adversary
 module Schedule = Owp_simnet.Schedule
 module Bmatching = Owp_matching.Bmatching
 module Violation = Owp_check.Violation
-module Checker = Owp_check.Checker
 module Byzantine = Owp_check.Byzantine
 module Explore = Owp_check.Explore
 
@@ -12,7 +11,6 @@ module Explore = Owp_check.Explore
 (* public types                                                        *)
 (* ------------------------------------------------------------------ *)
 
-type node_event = Join of int | Leave of int
 type crash_plan = { victim : int; crash_at : float; restart_at : float option }
 type layer = { layer : string; counters : (string * int) list }
 
@@ -313,9 +311,8 @@ let rec admits_deliver layers ~src ~dst m =
 let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     ?(faults = Simnet.no_faults) ?(schedule = Schedule.empty) ?(reliable = false)
     ?(sim_shards = 1) ?(unsafe_lookahead = false) ?transport ?patience ?deadline
-    ?max_rounds ?(crashes = []) ?(events = []) ?silent ?adversaries
-    ?(guard = false) ?(guard_config = Guard.default_config) ?prefs
-    ?(on_lock = fun _ _ _ -> ()) ?(check = false) w ~capacity =
+    ?max_rounds ?(crashes = []) ?silent ?adversaries ?(guard = false) ?prefs w
+    ~capacity =
   let g = Weights.graph w in
   let n = Graph.node_count g in
   (* --- argument validation ------------------------------------------ *)
@@ -340,12 +337,6 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
       | Some t when t <= crash_at -> invalid_arg "Stack.run: restart not after crash"
       | _ -> ())
     crashes;
-  List.iter
-    (fun (t, ev) ->
-      let v = match ev with Join v | Leave v -> v in
-      if v < 0 || v >= n then invalid_arg "Stack.run: event node out of range";
-      if t < 0.0 then invalid_arg "Stack.run: negative event time")
-    events;
   (match patience with
   | Some p when p <= 0.0 -> invalid_arg "Stack.run: patience must be positive"
   | _ -> ());
@@ -404,7 +395,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
       let p = Option.get prefs in
       Some
         (Array.init n (fun i ->
-             Guard.create ~config:guard_config ~bound:(bound p) ~graph:g ~me:i ()))
+             Guard.create ~bound:(bound p) ~graph:g ~me:i ()))
     end
     else None
   in
@@ -533,14 +524,12 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   (* the budget gate heads both paths; it is the only layer that acts
      on sends *)
   let outbound = match budget with Some _ -> [ deadline_mw ] | None -> [] in
-  let rec emit = function
-    | Lid.Send (src, dst, m) -> (
-        let gm = wrap src dst m in
-        if admits_send outbound ~src ~dst gm then wire_send ~src ~dst gm;
-        match (m, patience) with
-        | Lid.Prop, Some limit -> arm_patience src dst limit
-        | _ -> ())
-    | Lid.Lock (i, v) -> on_lock (Simnet.now net) i v
+  let rec emit src dst m =
+    let gm = wrap src dst m in
+    if admits_send outbound ~src ~dst gm then wire_send ~src ~dst gm;
+    match (m, patience) with
+    | Lid.Prop, Some limit -> arm_patience src dst limit
+    | _ -> ()
   and arm_patience i v limit =
     incr patience_armed;
     let rec arm () =
@@ -575,6 +564,38 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     synthetic_reject at ~peer
   in
   (* --- inbound middleware ------------------------------------------- *)
+  (* what the correct nodes' guards recorded, folded once after the run
+     for both the guard row and the report: offence counts by name
+     (alphabetical), adversaries with an offence, adversaries
+     quarantined somewhere *)
+  let guard_tally =
+    lazy
+      (match guards with
+      | None -> ([], 0, 0)
+      | Some gs ->
+          let offence_tbl = Hashtbl.create 8 in
+          let offenders = Hashtbl.create 8 in
+          let quarantined_byz = Hashtbl.create 8 in
+          Array.iteri
+            (fun i gd ->
+              if correct.(i) then begin
+                List.iter
+                  (fun (k, c) ->
+                    Hashtbl.replace offence_tbl k
+                      (c + Option.value ~default:0 (Hashtbl.find_opt offence_tbl k)))
+                  (Guard.offence_counts gd);
+                List.iter
+                  (fun (p, _) -> if not correct.(p) then Hashtbl.replace offenders p ())
+                  (Guard.offences gd);
+                List.iter
+                  (fun p -> if not correct.(p) then Hashtbl.replace quarantined_byz p ())
+                  (Guard.quarantined_peers gd)
+              end)
+            gs;
+          ( List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) offence_tbl []),
+            Hashtbl.length offenders,
+            Hashtbl.length quarantined_byz ))
+  in
   let guard_mw =
     Option.map
       (fun gs ->
@@ -599,23 +620,13 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
               end);
           mw_counters =
             (fun () ->
-              let offences = Hashtbl.create 8 in
-              Array.iteri
-                (fun i gd ->
-                  if correct.(i) then
-                    List.iter
-                      (fun (k, c) ->
-                        Hashtbl.replace offences k
-                          (c + Option.value ~default:0 (Hashtbl.find_opt offences k)))
-                      (Guard.offence_counts gd))
-                gs;
+              let offence_counts, _, _ = Lazy.force guard_tally in
               [
                 ("inspected", !inspected);
                 ("quarantines", !quarantine_events);
                 ("false-quarantines", !false_quarantines);
               ]
-              @ (Hashtbl.fold (fun k c acc -> (k, c) :: acc) offences []
-                |> List.sort compare));
+              @ offence_counts);
         })
       guards
   in
@@ -714,22 +725,14 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
         match frame with
         | Transport.Data { payload; _ } -> deliver_payload ~src ~dst payload
         | Transport.Ack _ -> ());
-  (* --- membership events (crash plans desugar to Leave/Join) -------- *)
-  let all_events =
-    List.concat_map
-      (fun { victim; crash_at; restart_at } ->
-        (crash_at, Leave victim)
-        ::
-        (match restart_at with Some t -> [ (t, Join victim) ] | None -> []))
-      crashes
-    @ events
-  in
+  (* --- membership: crash plans schedule a crash and, optionally, a
+     restart that rejoins retired ------------------------------------ *)
   List.iter
-    (fun (t, ev) ->
-      Simnet.schedule net ~delay:t (fun () ->
-          match ev with
-          | Leave v -> if Simnet.is_up net v then Simnet.crash net v
-          | Join v ->
+    (fun { victim = v; crash_at; restart_at } ->
+      Simnet.schedule net ~delay:crash_at (fun () -> Simnet.crash net v);
+      Option.iter
+        (fun t ->
+          Simnet.schedule net ~delay:t (fun () ->
               if not (Simnet.is_up net v) then begin
                 Simnet.restart net v;
                 Option.iter (fun t -> Transport.restart_node t v) !tr;
@@ -738,15 +741,14 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
                    neighbour releases anyone still waiting on us *)
                 Array.iter (fun (u, _) -> send_rej_wire v u) (Graph.neighbors g v)
               end))
-    all_events;
+        restart_at)
+    crashes;
   (* --- go: adversaries open their mouths first, then the honest burst,
      then the re-announced bootstrap declines ------------------------- *)
   Array.iteri
     (fun f c -> if not c then behaviours.(f).Adversary.on_init ~send:(byz_send f))
     correct;
-  List.iter
-    (function Lid.Send (src, _, _) when not correct.(src) -> () | e -> emit e)
-    initial;
+  List.iter (fun (src, dst, m) -> if correct.(src) then emit src dst m) initial;
   List.iter (fun (i, p) -> send_rej_wire i p) !bootstrap_rejects;
   let cutoff =
     match budget with
@@ -822,15 +824,6 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
       locked
   in
   let matching = Bmatching.of_edge_ids g ~capacity ids in
-  if check && not adv_enabled then
-    (* at a cutoff, blocking pairs and unmatched maximal edges are the
-       measured degradation, not bugs — only feasibility must hold *)
-    Checker.assert_ok
-      ~only:
-        (if Option.is_none cutoff then
-           [ "edge-validity"; "quota"; "blocking-pair"; "maximality" ]
-         else [ "edge-validity"; "quota" ])
-      (Checker.of_matching w matching);
   let unterminated = correct_stragglers () in
   let quiescence =
     List.filter
@@ -846,27 +839,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
       if correct.(i) then
         List.iter (fun v -> if not correct.(v) then incr wasted_slots) (Lid.locks st i)
     done;
-  let offence_tbl = Hashtbl.create 8 in
-  let offenders = Hashtbl.create 8 in
-  let quarantined_byz = Hashtbl.create 8 in
-  (match guards with
-  | None -> ()
-  | Some gs ->
-      for i = 0 to n - 1 do
-        if correct.(i) then begin
-          List.iter
-            (fun (k, c) ->
-              Hashtbl.replace offence_tbl k
-                (c + Option.value ~default:0 (Hashtbl.find_opt offence_tbl k)))
-            (Guard.offence_counts gs.(i));
-          List.iter
-            (fun (p, _) -> if not correct.(p) then Hashtbl.replace offenders p ())
-            (Guard.offences gs.(i));
-          List.iter
-            (fun p -> if not correct.(p) then Hashtbl.replace quarantined_byz p ())
-            (Guard.quarantined_peers gs.(i))
-        end
-      done);
+  let offence_counts, byz_offenders, byz_quarantined = Lazy.force guard_tally in
   let damage =
     if not adv_enabled then []
     else begin
@@ -883,7 +856,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
             (fun v ->
               if
                 (not correct.(v))
-                && advert_of p adv v i > bound p v +. guard_config.Guard.tolerance
+                && advert_of p adv v i > bound p v +. Guard.default_config.Guard.tolerance
               then overclaimed := (i, v) :: !overclaimed)
             (Lid.locks st i)
       done;
@@ -1012,10 +985,9 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     synthetic_rejects = !synthetic_rejects;
     quarantine_events = !quarantine_events;
     false_quarantines = !false_quarantines;
-    byz_offenders = Hashtbl.length offenders;
-    byz_quarantined = Hashtbl.length quarantined_byz;
-    offence_counts =
-      Hashtbl.fold (fun k c acc -> (k, c) :: acc) offence_tbl [] |> List.sort compare;
+    byz_offenders;
+    byz_quarantined;
+    offence_counts;
     wasted_slots = !wasted_slots;
     quiet_rounds = !quiet_rounds;
     completion_time = Simnet.now net;
@@ -1033,10 +1005,13 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
 
 type explore_state = { lid : Lid.state; eguards : Guard.t array option }
 
-let explore_lid st = st.lid
-
-let explore_protocol ?(guard = false) ?(guard_config = Guard.default_config) ~correct
-    prefs =
+(* the guarded (or bare) inbound composition as a pure Explore.protocol,
+   so the explorer model-checks the production layer stack: honest
+   bootstrap adverts, perceived rankings, Guard.inspect above the
+   unchanged Lid.deliver, quarantine re-announcement and the quiet-round
+   give-up hook.  Deliveries to non-[correct] nodes are no-ops: the
+   explorer's adversary injects their traffic instead. *)
+let explore_protocol ~guard ~correct prefs =
   let g = Preference.graph prefs in
   let n = Graph.node_count g in
   let capacity = Array.init n (Preference.quota prefs) in
@@ -1055,28 +1030,24 @@ let explore_protocol ?(guard = false) ?(guard_config = Guard.default_config) ~co
     end
     else [||]
   in
-  let wire = function
-    | Lid.Send (src, dst, m) ->
-        let body =
-          match m with
-          | Lid.Prop -> Guard.Prop { claim = half prefs src dst }
-          | Lid.Rej -> Guard.Rej
-        in
-        Some { Explore.src; dst; payload = { Guard.epoch = 0; body } }
-    | Lid.Lock _ -> None
+  let wire src dst m =
+    let body =
+      match m with
+      | Lid.Prop -> Guard.Prop { claim = half prefs src dst }
+      | Lid.Rej -> Guard.Rej
+    in
+    { Explore.src; dst; payload = { Guard.epoch = 0; body } }
   in
-  let wrap events = List.filter_map wire events in
   let step lid ~src ~dst lm =
     let out = ref [] in
-    Lid.deliver lid ~src ~dst lm ~emit:(fun e ->
-        Option.iter (fun x -> out := x :: !out) (wire e));
+    Lid.deliver lid ~src ~dst lm ~emit:(fun src dst m -> out := wire src dst m :: !out);
     List.rev !out
   in
   let mk_guards () =
     if guard then
       Some
         (Array.init n (fun i ->
-             Guard.create ~config:guard_config ~bound:(bound prefs) ~graph:g ~me:i ()))
+             Guard.create ~bound:(bound prefs) ~graph:g ~me:i ()))
     else None
   in
   let deliver st ~src ~dst (m : Guard.msg) =
@@ -1108,8 +1079,9 @@ let explore_protocol ?(guard = false) ?(guard_config = Guard.default_config) ~co
   {
     Explore.init =
       (fun () ->
-        let lid, events = Lid.init ~ranking w ~capacity in
-        ({ lid; eguards = mk_guards () }, wrap events));
+        let lid, sends = Lid.init ~ranking w ~capacity in
+        ( { lid; eguards = mk_guards () },
+          List.map (fun (src, dst, m) -> wire src dst m) sends ));
     deliver;
     copy =
       (fun st ->
@@ -1159,24 +1131,20 @@ let satisfaction_of_correct prefs (r : report) =
     r.correct;
   !total
 
-let reference_satisfaction prefs ~correct =
+let lic_reference prefs ~keep ~quota =
   let g = Preference.graph prefs in
-  let nodes =
-    Array.of_list
-      (List.filter
-         (fun i -> correct.(i))
-         (List.init (Graph.node_count g) (fun i -> i)))
-  in
+  let nodes = Array.of_list (List.filter keep (List.init (Graph.node_count g) Fun.id)) in
   let sub, old_of_new = Graph.induced_subgraph g nodes in
-  let wsub =
-    let arr = Array.make (Graph.edge_count sub) 0.0 in
-    Graph.iter_edges sub (fun eid u v ->
-        let ou = old_of_new.(u) and ov = old_of_new.(v) in
-        arr.(eid) <- half prefs ou ov +. half prefs ov ou);
-    Weights.of_array sub arr
+  let arr = Array.make (Graph.edge_count sub) 0.0 in
+  Graph.iter_edges sub (fun eid u v ->
+      let ou = old_of_new.(u) and ov = old_of_new.(v) in
+      arr.(eid) <- half prefs ou ov +. half prefs ov ou);
+  (old_of_new, Lic.run (Weights.of_array sub arr) ~capacity:(Array.map quota old_of_new))
+
+let reference_satisfaction prefs ~correct =
+  let old_of_new, m =
+    lic_reference prefs ~keep:(fun i -> correct.(i)) ~quota:(Preference.quota prefs)
   in
-  let capacity = Array.map (Preference.quota prefs) old_of_new in
-  let m = Lic.run wsub ~capacity in
   let conns = Bmatching.connection_lists m in
   let total = ref 0.0 in
   Array.iteri
@@ -1188,17 +1156,14 @@ let reference_satisfaction prefs ~correct =
     old_of_new;
   !total
 
-let verify_exhaustively ?(guard = true) ?(guard_config = Guard.default_config)
-    ?(budget = 2) ?max_configs ~byz prefs =
+let verify_exhaustively ?(guard = true) ?(budget = 2) ?max_configs ~byz prefs =
   let g = Preference.graph prefs in
   let n = Graph.node_count g in
   if byz < 0 || byz >= n then invalid_arg "Stack.verify_exhaustively: byz";
   let capacity = Array.init n (Preference.quota prefs) in
   let w = Weights.of_preference prefs in
   let correct i = i <> byz in
-  let protocol = explore_protocol ~guard ~guard_config ~correct prefs in
-  let prop claim = { Guard.epoch = 0; body = Guard.Prop { claim } } in
-  let rej = { Guard.epoch = 0; body = Guard.Rej } in
+  let protocol = explore_protocol ~guard ~correct prefs in
   (* repertoire: per neighbour an honest-looking PROP, an over-bound
      PROP, a REJ and a stale-epoch PROP; plus one PROP to a stranger *)
   let injections =
@@ -1233,7 +1198,7 @@ let verify_exhaustively ?(guard = true) ?(guard_config = Guard.default_config)
     List.concat_map per_neighbour towards @ stranger
   in
   let on_terminal est =
-    let lid = explore_lid est in
+    let lid = est.lid in
     let correct_arr = Array.init n correct in
     let consumed = Array.init n (fun i -> List.length (Lid.locks lid i)) in
     Byzantine.check

@@ -7,7 +7,7 @@
     path, each piece enabled independently:
 
     {v
-      outbound:  Lid events -> adversary behaviours -> ARQ transport?
+      outbound:  Lid sends -> adversary behaviours -> ARQ transport?
                  -> channel faults / crash silence -> Simnet
       inbound:   Simnet -> transport dedup? -> adversary routing
                  -> guard / quarantine -> protocol dedup
@@ -34,29 +34,24 @@
     {!Owp_simnet.Simnet} (asserted by 100-seed property tests, clean
     and under channel faults), and costs about what that loop costs —
     the always-on dedup layer keeps its seen set in {!Lid.mark_delivery}
-    bits beside the flags [Lid.deliver] reads, events reach the wire
+    bits beside the flags [Lid.deliver] reads, sends reach the wire
     through [Lid.deliver]'s sink, and unguarded messages travel as
     shared constant frames. *)
 
-(** {1 Membership events}
+(** {1 Crash plans}
 
-    Crash plans and churn share one event vocabulary.  [Leave v]
-    crash-stops [v] (silent, loses volatile state); [Join v] restarts a
-    down node {e retired} — amnesiac, declining every proposal and
-    re-announcing the decline to its neighbours, exactly the
-    crash-restart semantics the reliable driver introduced.  [Join] of
-    a node that is up is a no-op.  {!Lid_dynamic} shares this event
-    type for its churn scripts. *)
-
-type node_event = Join of int | Leave of int
+    The one membership input.  A plan crash-stops [victim] at
+    [crash_at] (silent, loses volatile state); with [restart_at] the
+    node comes back {e retired} — amnesiac, declining every proposal
+    and re-announcing the decline to its neighbours, exactly the
+    crash-restart semantics the reliable driver introduced.  A restart
+    of a node that is up is a no-op. *)
 
 type crash_plan = {
   victim : int;
   crash_at : float;  (** virtual time of the crash *)
   restart_at : float option;  (** [None]: fail-stop, never returns *)
 }
-(** Sugar for [(crash_at, Leave victim)] plus, when [restart_at] is
-    set, [(restart_at, Join victim)]. *)
 
 (** {1 The per-layer counter table} *)
 
@@ -141,19 +136,6 @@ val round_length : Owp_simnet.Simnet.delay_model -> float
     upper bound; [Exponential]: twice the mean; [PerLink]: 1.0).  A
     representative per-hop figure, not a worst case. *)
 
-(** {1 Eq. 9 helpers}
-
-    Shared by the adversary/guard layers, the bounded-damage
-    accounting, and the experiments. *)
-
-val half : Preference.t -> int -> int -> float
-(** [half prefs i j]: ΔS̄_i(j), node [i]'s half of edge [(i,j)]'s
-    symmetric weight — matches {!Weights.of_preference} bit-for-bit. *)
-
-val bound : Preference.t -> int -> float
-(** The public structural bound [1/b_j] no honest half-weight
-    advertisement can exceed. *)
-
 (** {1 The run loop} *)
 
 val run :
@@ -170,14 +152,10 @@ val run :
   ?deadline:float ->
   ?max_rounds:int ->
   ?crashes:crash_plan list ->
-  ?events:(float * node_event) list ->
   ?silent:bool array ->
   ?adversaries:Owp_simnet.Adversary.model option array ->
   ?guard:bool ->
-  ?guard_config:Guard.config ->
   ?prefs:Preference.t ->
-  ?on_lock:(float -> int -> int -> unit) ->
-  ?check:bool ->
   Weights.t ->
   capacity:int array ->
   report
@@ -186,8 +164,8 @@ val run :
     Layer selection: [reliable] puts the ARQ transport under the
     protocol (masking drop/duplicate/reorder); [patience] arms a
     one-shot timer per outgoing PROP (the implicit-decline remedy for
-    fail-silent and crashed peers); [crashes]/[events] script
-    membership changes; [silent] marks fail-silent peers (receive,
+    fail-silent and crashed peers); [crashes] schedules crashes and
+    restarts; [silent] marks fail-silent peers (receive,
     never send); [adversaries] hands nodes to Byzantine behaviours
     (requires [prefs] — adverts and claims are preference halves);
     [guard] vets bootstrap adverts and inbound messages, quarantining
@@ -222,56 +200,26 @@ val run :
     counter table.  The event prefix up to the budget is identical to
     the unbudgeted run on the same seed, so the served matching grows
     monotonically in the budget.  Composes with every other layer;
-    under a budget the structural [check] asserts feasibility only
-    (blocking pairs are the measured degradation) and the damage
-    certificate skips the blocking-pair clause likewise.
+    under a budget the damage certificate skips its blocking-pair
+    clause (blocking pairs are the measured degradation).
 
     With adversaries in play the run ends with the bounded-damage
     certificate in [damage]: {!Owp_check.Byzantine.check} plus the
     overclaim-lock audit (a slot locked to a peer whose bootstrap
     advert provably exceeded its public [1/b] bound is avoidable
     damage — the guard provably prevents it, so its absence is what an
-    unguarded run is penalised for).
+    unguarded run is penalised for; claims are compared with
+    {!Guard.default_config}'s tolerance).
 
-    [on_lock time i v] is invoked every time node [i] locks the link
-    to [v] (once per direction per locked edge), at the virtual time of
-    the lock — the hook behind the anytime-satisfaction curves (E19).
-
-    [check] (default false) asserts the structural invariant checkers
-    on the final matching — meaningful only for adversary-free runs
-    that converge cleanly.
+    The run checks no invariant of its final matching: callers assert
+    the checkers they need with {!Owp_check.Checker.run}, as
+    {!Pipeline} does for [Run_config.check].
 
     @raise Invalid_argument on negative capacities, arity mismatches, out-of-range or
     ill-ordered crash plans, an invalid schedule, non-positive
     patience, non-positive or doubly-specified budgets, adversaries or
     guard without [prefs], or guard without an adversary
     environment. *)
-
-(** {1 Exhaustive exploration}
-
-    The inbound composition (guard above the unchanged {!Lid.deliver})
-    as a pure {!Owp_check.Explore.protocol}, so the interleaving
-    explorer model-checks the {e production} layer stack.
-    {!verify_exhaustively} supplies the adversary repertoire on top of
-    this. *)
-
-type explore_state
-
-val explore_lid : explore_state -> Lid.state
-(** The protocol layer of an explored configuration (for terminal
-    certificates). *)
-
-val explore_protocol :
-  ?guard:bool ->
-  ?guard_config:Guard.config ->
-  correct:(int -> bool) ->
-  Preference.t ->
-  (explore_state, Guard.msg) Owp_check.Explore.protocol
-(** The guarded (or bare) stack over the preference system's weights:
-    honest bootstrap adverts, perceived rankings, [Guard.inspect] above
-    [Lid.deliver], quarantine re-announcement, and the quiet-round
-    give-up hook. Deliveries to non-[correct] nodes are no-ops (the
-    explorer's adversary injects their traffic instead). *)
 
 (** {1 Byzantine accounting}
 
@@ -283,6 +231,19 @@ val satisfaction_of_correct : Preference.t -> report -> float
 (** Total satisfaction (eq. 4/5) of the correct peers under the
     restricted matching — the quantity E22 reports as "retained". *)
 
+val lic_reference :
+  Preference.t ->
+  keep:(int -> bool) ->
+  quota:(int -> int) ->
+  int array * Owp_matching.Bmatching.t
+(** [lic_reference prefs ~keep ~quota] is LIC on the subgraph induced
+    by the nodes [keep] selects, with eq. 9 weights rebuilt from the
+    preference halves and original node [o] given quota [quota o].
+    Returns the subgraph's node map (new id -> original id) and its
+    matching, whose graph is the subgraph.  The one centralized
+    reference on survivors: {!reference_satisfaction} and the
+    self-stabilization reference of {!Pipeline} both use it. *)
+
 val reference_satisfaction : Preference.t -> correct:bool array -> float
 (** The same quantity for the centralized ideal on the correct
     subgraph: LIC restricted to edges between correct peers, evaluated
@@ -292,7 +253,6 @@ val reference_satisfaction : Preference.t -> correct:bool array -> float
 
 val verify_exhaustively :
   ?guard:bool ->
-  ?guard_config:Guard.config ->
   ?budget:int ->
   ?max_configs:int ->
   byz:int ->
@@ -303,9 +263,13 @@ val verify_exhaustively :
     attack the runtime models express on the wire (honest-looking PROPs,
     over-bound weight claims, REJs, stale epochs, PROPs to strangers),
     [budget] (default 2) injections per schedule, interleaved every
-    possible way with ordinary deliveries ({!Owp_check.Explore}) — over
-    the {!explore_protocol} composition, i.e. the production
-    guard-above-[Lid.deliver] inbound path.  At every terminal
+    possible way with ordinary deliveries ({!Owp_check.Explore}).  The
+    explored protocol is the production inbound composition as a pure
+    {!Owp_check.Explore.protocol}: honest bootstrap adverts, perceived
+    rankings, [Guard.inspect] above the unchanged [Lid.deliver],
+    quarantine re-announcement and the quiet-round give-up hook;
+    deliveries to [byz] are no-ops, since the injections are its
+    traffic.  At every terminal
     configuration the {!Owp_check.Byzantine} certificate is checked;
     with [guard] (default [true]) the verdict must be clean, while
     [guard:false] exhibits the unguarded protocol's starvation

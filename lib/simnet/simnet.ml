@@ -54,7 +54,6 @@ type 'm t = {
   mutable lc_n : int;
   up : bool array; (* crash/restart state; length max nodes 1 *)
   mutable handler : (src:int -> dst:int -> 'm -> unit) option;
-  mutable trace : (float -> src:int -> dst:int -> 'm -> unit) option;
   mutable outage : (at:float -> src:int -> dst:int -> float) option;
   mutable clock : float;
   mutable next_seq : int;
@@ -65,7 +64,6 @@ type 'm t = {
   mutable lost_to_crashes : int;
   mutable cut : int;
   mutable crash_count : int;
-  mutable processed : int;
 }
 
 let check_probability name p =
@@ -115,7 +113,6 @@ let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ?(shards = 1)
     lc_n = 0;
     up = Array.make (max nodes 1) true;
     handler = None;
-    trace = None;
     outage = None;
     clock = 0.0;
     next_seq = 0;
@@ -126,14 +123,12 @@ let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ?(shards = 1)
     lost_to_crashes = 0;
     cut = 0;
     crash_count = 0;
-    processed = 0;
   }
 
 let node_count t = t.nodes
 let shard_count t = t.shards
 let now t = t.clock
 let set_handler t h = t.handler <- Some h
-let set_trace t tr = t.trace <- tr
 let set_outage t f = t.outage <- f
 
 let check_node fn t v =
@@ -424,7 +419,6 @@ let deliver_one t at ~src ~dst m =
     t.lost_to_crashes <- t.lost_to_crashes + 1
   else begin
     t.delivered <- t.delivered + 1;
-    (match t.trace with Some tr -> tr at ~src ~dst m | None -> ());
     match t.handler with
     | Some h -> h ~src ~dst m
     | None -> failwith "Simnet: message due but no handler installed"
@@ -432,7 +426,6 @@ let deliver_one t at ~src ~dst m =
 
 let dispatch t at pay =
   t.clock <- at;
-  t.processed <- t.processed + 1;
   if pay < 0 then begin
     let i = -pay - 1 in
     let f = t.c_fn.(i) in
@@ -446,16 +439,9 @@ let dispatch t at pay =
     deliver_one t at ~src:(link / t.nodes) ~dst:(link mod t.nodes) m
   end
 
-let step t =
-  match pop_global t with
-  | None -> false
-  | Some (at, _seq, pay) ->
-      dispatch t at pay;
-      true
-
 (* The hot loop batches per-node mailboxes: all deliveries sharing one
    timestamp drain in a single inner pass, in exact (at, seq) order,
-   with per-message coins, traces and handler calls unchanged — the
+   with per-message coins and handler calls unchanged — the
    batch only skips the outer loop's re-entry between them.  The
    single-shard path uses the wheel's allocation-free pop protocol;
    multi-shard dispatch keeps the option-based merge (correctness path,
@@ -526,4 +512,3 @@ let messages_reordered t = t.reordered
 let messages_lost_to_crashes t = t.lost_to_crashes
 let messages_cut t = t.cut
 let crash_events t = t.crash_count
-let events_processed t = t.processed

@@ -122,9 +122,6 @@ val footprint_words : _ t -> int
     events, never to the total traffic that ever passed through — the
     quantity the serve-session memory assertions bound. *)
 
-val step : 'm t -> bool
-(** Deliver exactly one event; [false] when the queue is empty. *)
-
 (** {2 Accounting} *)
 
 val messages_sent : _ t -> int
@@ -146,11 +143,6 @@ val messages_cut : _ t -> int
 
 val crash_events : _ t -> int
 (** Number of {!crash} transitions (up -> down). *)
-
-val events_processed : _ t -> int
-
-val set_trace : 'm t -> (float -> src:int -> dst:int -> 'm -> unit) option -> unit
-(** Observation hook invoked at each delivery. *)
 
 val set_outage : 'm t -> (at:float -> src:int -> dst:int -> float) option -> unit
 (** Time-varying link weather (see {!Schedule}): the hook maps a

@@ -46,7 +46,7 @@ let prop_lid_passes_all =
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
       let _, p, w, capacity = random_instance seed 14 4 2 in
-      let r = Stack.run ~seed ~check:true w ~capacity in
+      let r = Stack.run ~seed w ~capacity in
       Checker.ok (Checker.run (Checker.of_matching ~prefs:p w r.Stack.matching)))
 
 let prop_small_exact_certificates =

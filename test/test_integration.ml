@@ -159,25 +159,6 @@ let test_lid_deterministic () =
   Alcotest.(check (float 1e-12)) "same virtual time" a.Owp_core.Stack.completion_time
     b.Owp_core.Stack.completion_time
 
-let test_on_lock_trace_consistent () =
-  let _, _, w, capacity = random_instance 22 30 6 2 in
-  let locks = ref [] in
-  let r =
-    Owp_core.Stack.run ~seed:6
-      ~on_lock:(fun t i v -> locks := (t, i, v) :: !locks)
-      w ~capacity
-  in
-  (* each matched edge produces exactly two lock events (one per side) *)
-  Alcotest.(check int) "two events per edge" (2 * BM.size r.Owp_core.Stack.matching)
-    (List.length !locks);
-  List.iter
-    (fun (t, i, v) ->
-      Alcotest.(check bool) "time within run" true
-        (t >= 0.0 && t <= r.Owp_core.Stack.completion_time +. 1e-9);
-      Alcotest.(check bool) "locked pair is matched" true
-        (List.mem v (BM.connections r.Owp_core.Stack.matching i)))
-    !locks
-
 (* ---------- dynamic LID vs centralized churn agree on feasibility ---- *)
 
 let test_dynamic_matches_active_subgraph_maximality () =
@@ -206,7 +187,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pipeline_end_to_end_guarantee;
     Alcotest.test_case "GS proposer-optimal (brute force)" `Quick test_gs_proposer_optimal;
     Alcotest.test_case "lid deterministic" `Quick test_lid_deterministic;
-    Alcotest.test_case "on_lock trace consistent" `Quick test_on_lock_trace_consistent;
     Alcotest.test_case "dynamic maximal on active subgraph" `Quick
       test_dynamic_matches_active_subgraph_maximality;
   ]

@@ -2,6 +2,7 @@ module Lic = Owp_core.Lic
 module Lic_indexed = Owp_core.Lic_indexed
 module BM = Owp_matching.Bmatching
 module Prng = Owp_util.Prng
+module Checker = Owp_check.Checker
 
 let random_instance seed n avg_deg quota =
   let rng = Prng.create seed in
@@ -32,8 +33,12 @@ let test_empty_graph () =
 
 let test_checkers_pass () =
   let _, _, w, capacity = random_instance 11 80 8 3 in
-  (* ~check:true asserts edge-validity/quota/blocking-pair/maximality *)
-  let m = Lic_indexed.run ~check:true w ~capacity in
+  let m = Lic_indexed.run w ~capacity in
+  Alcotest.(check bool) "structural checkers pass" true
+    (Checker.ok
+       (Checker.run
+          ~only:[ "edge-validity"; "quota"; "blocking-pair"; "maximality" ]
+          (Checker.of_matching w m)));
   Alcotest.(check bool) "non-empty" true (BM.size m > 0)
 
 (* the tentpole property: the index engine is an implementation of the

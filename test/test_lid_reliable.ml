@@ -5,6 +5,7 @@ module Sim = Owp_simnet.Simnet
 module Explore = Owp_check.Explore
 module Prng = Owp_util.Prng
 module Stack = Owp_core.Stack
+module Checker = Owp_check.Checker
 
 let random_instance seed n avg_deg quota =
   let rng = Prng.create seed in
@@ -27,8 +28,13 @@ let test_baseline_lid_stuck_reliable_converges () =
   let faults = Sim.faults ~drop:0.3 () in
   let plain = Stack.run ~seed:2 ~faults w ~capacity in
   Alcotest.(check bool) "plain LID gets stuck" false plain.Stack.all_terminated;
-  let r = Stack.run ~seed:2 ~faults ~reliable:true ~check:true w ~capacity in
+  let r = Stack.run ~seed:2 ~faults ~reliable:true w ~capacity in
   Alcotest.(check bool) "reliable LID terminates" true r.Stack.all_terminated;
+  Alcotest.(check bool) "structural checkers pass" true
+    (Checker.ok
+       (Checker.run
+          ~only:[ "edge-validity"; "quota"; "blocking-pair"; "maximality" ]
+          (Checker.of_matching w r.Stack.matching)));
   Alcotest.(check bool) "and equals LIC" true (BM.equal r.Stack.matching lic);
   Alcotest.(check bool) "give-up never fired" true (Stack.counter r ~layer:"transport" "dead-links" = 0);
   Alcotest.(check bool) "overhead is reported" true (Stack.overhead r > 1.0)

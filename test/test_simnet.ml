@@ -63,12 +63,6 @@ let test_run_until () =
   Sim.run net;
   Alcotest.(check int) "rest delivered" 3 !fired
 
-let test_step () =
-  let net : unit Sim.t = Sim.create ~nodes:1 ~delay:Sim.Unit () in
-  Sim.schedule net ~delay:1.0 (fun () -> ());
-  Alcotest.(check bool) "one event" true (Sim.step net);
-  Alcotest.(check bool) "empty" false (Sim.step net)
-
 let test_drop_faults () =
   let faults = Sim.faults ~drop:1.0 () in
   let net = Sim.create ~faults ~nodes:2 ~delay:Sim.Unit () in
@@ -151,16 +145,6 @@ let test_crash_restart () =
   Sim.crash net 0;
   Alcotest.(check int) "idempotent crash counted once" 2 (Sim.crash_events net)
 
-let test_trace () =
-  let net = Sim.create ~nodes:2 ~delay:Sim.Unit () in
-  let traced = ref 0 in
-  Sim.set_handler net (fun ~src:_ ~dst:_ _ -> ());
-  Sim.set_trace net (Some (fun _t ~src:_ ~dst:_ _ -> incr traced));
-  Sim.send net ~src:0 ~dst:1 ();
-  Sim.send net ~src:1 ~dst:0 ();
-  Sim.run net;
-  Alcotest.(check int) "traced both" 2 !traced
-
 let test_send_range_check () =
   let net : unit Sim.t = Sim.create ~nodes:2 ~delay:Sim.Unit () in
   Alcotest.check_raises "range" (Invalid_argument "Simnet.send: endpoint out of range")
@@ -205,8 +189,8 @@ let shard_trace ~shards ~seed =
   let n = 30 in
   let net = Sim.create ~seed ~shards ~nodes:n ~delay:(Sim.Uniform (0.2, 1.8)) () in
   let log = ref [] in
-  Sim.set_trace net (Some (fun at ~src ~dst m -> log := (at, src, dst, m) :: !log));
   Sim.set_handler net (fun ~src ~dst m ->
+      log := (Sim.now net, src, dst, m) :: !log;
       if m > 0 then begin
         Sim.send net ~src:dst ~dst:((dst + m) mod n) (m - 1);
         Sim.send net ~src:dst ~dst:src (m / 2)
@@ -292,14 +276,12 @@ let suite =
     Alcotest.test_case "non-fifo reorders" `Quick test_no_fifo_can_reorder;
     Alcotest.test_case "schedule" `Quick test_schedule;
     Alcotest.test_case "run_until" `Quick test_run_until;
-    Alcotest.test_case "step" `Quick test_step;
     Alcotest.test_case "drop faults" `Quick test_drop_faults;
     Alcotest.test_case "duplicate faults" `Quick test_duplicate_faults;
     Alcotest.test_case "partial drop rate" `Quick test_partial_drop_rate;
     Alcotest.test_case "reorder faults" `Quick test_reorder_faults;
     Alcotest.test_case "crash blackholes" `Quick test_crash_blackholes;
     Alcotest.test_case "crash restart" `Quick test_crash_restart;
-    Alcotest.test_case "trace" `Quick test_trace;
     Alcotest.test_case "send range check" `Quick test_send_range_check;
     Alcotest.test_case "no handler fails" `Quick test_no_handler_fails;
     Alcotest.test_case "exponential delay" `Quick test_exponential_delay_positive;

@@ -38,14 +38,12 @@ let reference_run ~seed ?(fifo = true) ?(faults = Sim.no_faults) w ~capacity =
     Sim.create ~seed ~fifo ~faults ~nodes:(max n 1) ~delay:(Sim.Uniform (0.5, 1.5)) ()
   in
   let props = ref 0 and rejs = ref 0 in
-  let emit = function
-    | Lid.Send (src, dst, m) ->
-        incr (match m with Lid.Prop -> props | Lid.Rej -> rejs);
-        Sim.send net ~src ~dst m
-    | Lid.Lock _ -> ()
+  let emit src dst m =
+    incr (match m with Lid.Prop -> props | Lid.Rej -> rejs);
+    Sim.send net ~src ~dst m
   in
   Sim.set_handler net (fun ~src ~dst m -> Lid.deliver st ~src ~dst m ~emit);
-  List.iter emit initial;
+  List.iter (fun (src, dst, m) -> emit src dst m) initial;
   Sim.run net;
   ( Lid.locked_edge_ids st,
     (!props, !rejs, Sim.messages_delivered net, Sim.messages_dropped net),
