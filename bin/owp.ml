@@ -79,18 +79,11 @@ let stats_cmd =
 (* ------------------------------------------------------------------ *)
 
 let save_matching inst m path =
-  let g = inst.Owp_bench.Workloads.graph in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "# owp matching: %d nodes, %d selected edges\n"
-       (Graph.node_count g)
-       (Owp_matching.Bmatching.size m));
-  List.iter
-    (fun eid ->
-      let u, v = Graph.edge_endpoints g eid in
-      Buffer.add_string buf (Printf.sprintf "%d %d\n" u v))
-    (Owp_matching.Bmatching.edge_ids m);
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc (Buffer.contents buf));
+  let text =
+    Graph_io.matching_to_string inst.Owp_bench.Workloads.graph
+      (Owp_matching.Bmatching.edge_ids m)
+  in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc text);
   Printf.printf "matching saved      : %s\n" path
 
 (* The uniform per-layer counter table: one row per enabled middleware
@@ -100,10 +93,7 @@ let print_layer_table (r : Owp_core.Stack.report) =
   List.iter
     (fun { Owp_core.Stack.layer; counters } ->
       Printf.printf "  %-9s %s\n" layer
-        (if counters = [] then "-"
-         else
-           String.concat ", "
-             (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) counters)))
+        (String.concat ", " (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) counters)))
     r.Owp_core.Stack.layers
 
 (* One printer for every stack composition: transport accounting when
@@ -122,33 +112,37 @@ let print_stack_detail prefs (cfg : RC.t) (r : Owp_core.Stack.report) =
     Printf.printf "transport overhead  : %.2f frames/protocol message\n"
       (Stack.overhead r)
   end;
-  if r.Stack.dropped + r.Stack.reordered + r.Stack.lost_to_crashes > 0 then
+  let reordered = counter ~layer:"channel" "reordered"
+  and lost_to_crashes = counter ~layer:"channel" "lost-to-crashes" in
+  if r.Stack.dropped + reordered + lost_to_crashes > 0 then
     Printf.printf "channel losses      : %d dropped, %d straggled, %d lost at down \
                    hosts\n"
-      r.Stack.dropped r.Stack.reordered r.Stack.lost_to_crashes;
+      r.Stack.dropped reordered lost_to_crashes;
   if r.Stack.synthetic_rejects > 0 then
     Printf.printf "give-ups            : %d synthetic REJ (%d dead links, %d quiet \
                    round(s))\n"
       r.Stack.synthetic_rejects
       (counter ~layer:"transport" "dead-links")
-      r.Stack.quiet_rounds;
+      (counter ~layer:"detector" "quiet-rounds");
   (match cfg.RC.byzantine with
   | None -> ()
   | Some spec ->
       let n = Array.length r.Stack.correct in
       let retained = Stack.satisfaction_of_correct prefs r in
       let reference = Stack.reference_satisfaction prefs ~correct:r.Stack.correct in
-      Printf.printf "adversaries         : %s (%d of %d peers)\n" spec r.Stack.byz_count
-        n;
+      Printf.printf "adversaries         : %s (%d of %d peers)\n" spec
+        (counter ~layer:"adversary" "peers") n;
       Printf.printf "guard               : %s\n"
         (if cfg.RC.guard then "on" else "off (baseline)");
       Printf.printf
         "satisfaction        : %.4f retained of %.4f crash-only ideal (%.1f%%)\n"
         retained reference
         (if reference = 0.0 then 100.0 else 100.0 *. retained /. reference);
-      Printf.printf "adversarial msgs    : %d\n" r.Stack.adversary_msgs;
+      Printf.printf "adversarial msgs    : %d\n" (counter ~layer:"adversary" "messages");
       Printf.printf "quarantines         : %d (%d false), %d of %d offenders caught\n"
-        r.Stack.quarantine_events r.Stack.false_quarantines r.Stack.byz_quarantined
+        r.Stack.quarantine_events
+        (counter ~layer:"guard" "false-quarantines")
+        r.Stack.byz_quarantined
         r.Stack.byz_offenders;
       if r.Stack.offence_counts <> [] then
         Printf.printf "offences            : %s\n"
@@ -177,29 +171,32 @@ let print_stack_detail prefs (cfg : RC.t) (r : Owp_core.Stack.report) =
    frozen matching must be feasible and a prefix of the unbudgeted
    reference, which is recomputed here with the budget lifted (same
    seed, same layers — the event prefix is identical, so the full run
-   is the served matching's natural yardstick). *)
-let print_anytime_certificate (cfg : RC.t) inst (out : P.outcome)
-    (c : Owp_core.Stack.cutoff) =
-  let module A = Owp_check.Anytime in
-  let prefs = inst.Owp_bench.Workloads.prefs in
-  let full =
-    P.run_config { cfg with RC.deadline = None; max_rounds = None; check = false } prefs
-  in
-  let cert =
-    A.check
-      (A.instance ~prefs
-         ~reference:(BM.edge_ids full.P.matching)
-         inst.Owp_bench.Workloads.weights
-         ~capacity:inst.Owp_bench.Workloads.capacity
-         ~budget:c.Owp_core.Stack.cut_at
-         ~edges:(BM.edge_ids out.P.matching))
-  in
-  Printf.printf
-    "cutoff              : budget %.2f, released %d, half-locks %d, abandoned %d\n"
-    c.Owp_core.Stack.cut_at c.Owp_core.Stack.released c.Owp_core.Stack.half_locks
-    c.Owp_core.Stack.abandoned;
-  print_string (A.to_string cert);
-  A.certified cert
+   is the served matching's natural yardstick).  Runs without a cutoff
+   pass. *)
+let print_anytime_certificate (cfg : RC.t) inst (out : P.outcome) =
+  match out.P.detail with
+  | P.Plain | P.Stack { Owp_core.Stack.cutoff = None; _ } -> true
+  | P.Stack { Owp_core.Stack.cutoff = Some c; _ } ->
+      let module A = Owp_check.Anytime in
+      let prefs = inst.Owp_bench.Workloads.prefs in
+      let full =
+        P.run_config { cfg with RC.deadline = None; max_rounds = None; check = false } prefs
+      in
+      let cert =
+        A.check
+          (A.instance ~prefs
+             ~reference:(BM.edge_ids full.P.matching)
+             inst.Owp_bench.Workloads.weights
+             ~capacity:inst.Owp_bench.Workloads.capacity
+             ~budget:c.Owp_core.Stack.cut_at
+             ~edges:(BM.edge_ids out.P.matching))
+      in
+      Printf.printf
+        "cutoff              : budget %.2f, released %d, half-locks %d, abandoned %d\n"
+        c.Owp_core.Stack.cut_at c.Owp_core.Stack.released c.Owp_core.Stack.half_locks
+        c.Owp_core.Stack.abandoned;
+      print_string (A.to_string cert);
+      A.certified cert
 
 (* A scheduled run prints (and, without adversaries, gates on) the
    self-stabilization certificate: after the last episode heals, the run
@@ -240,11 +237,7 @@ let print_outcome (cfg : RC.t) inst (out : P.outcome) save =
   (match out.P.detail with
   | P.Plain -> ()
   | P.Stack r -> print_stack_detail prefs cfg r);
-  let anytime_ok =
-    match out.P.cutoff with
-    | None -> true
-    | Some c -> print_anytime_certificate cfg inst out c
-  in
+  let anytime_ok = print_anytime_certificate cfg inst out in
   let stabilize_ok = print_stabilize_certificate cfg out in
   (match out.P.quiesced with
   | Some q -> Printf.printf "quiesced            : %b\n" q
@@ -366,35 +359,21 @@ let serve_cmd =
 
 let verify graph_file matching_file quota =
   let g = Graph_io.read graph_file in
-  let lines =
-    In_channel.with_open_text matching_file In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter_map (fun l ->
-           let l = String.trim l in
-           if l = "" || l.[0] = '#' then None
-           else
-             match String.split_on_char ' ' l with
-             | [ u; v ] -> Some (int_of_string u, int_of_string v)
-             | _ -> failwith "verify: malformed matching line")
-  in
-  let ids =
-    List.map
-      (fun (u, v) ->
-        match Graph.find_edge g u v with
-        | Some eid -> eid
-        | None -> failwith (Printf.sprintf "verify: %d-%d is not an edge of the graph" u v))
-      lines
-  in
   let capacity = Array.make (Graph.node_count g) quota in
-  match Owp_matching.Bmatching.of_edge_ids g ~capacity ids with
-  | m ->
-      Printf.printf "valid b-matching    : yes (%d edges, quota %d)\n"
-        (Owp_matching.Bmatching.size m) quota;
-      Printf.printf "maximal             : %b\n" (Owp_matching.Bmatching.is_maximal m);
-      0
-  | exception Invalid_argument msg ->
-      Printf.eprintf "INVALID matching: %s\n" msg;
-      1
+  match Graph_io.read_matching g matching_file with
+  | Error msg ->
+      Printf.eprintf "verify: %s: %s\n" matching_file msg;
+      2
+  | Ok ids -> (
+      match Owp_matching.Bmatching.of_edge_ids g ~capacity ids with
+      | m ->
+          Printf.printf "valid b-matching    : yes (%d edges, quota %d)\n"
+            (Owp_matching.Bmatching.size m) quota;
+          Printf.printf "maximal             : %b\n" (Owp_matching.Bmatching.is_maximal m);
+          0
+      | exception Invalid_argument msg ->
+          Printf.eprintf "INVALID matching: %s\n" msg;
+          1)
 
 let verify_cmd =
   let graph_file =
@@ -413,22 +392,6 @@ let verify_cmd =
 
 module Checker = Owp_check.Checker
 module Explore = Owp_check.Explore
-
-let parse_matching_edges g path =
-  In_channel.with_open_text path In_channel.input_all
-  |> String.split_on_char '\n'
-  |> List.filter_map (fun l ->
-         let l = String.trim l in
-         if l = "" || l.[0] = '#' then None
-         else
-           match String.split_on_char ' ' l with
-           | [ u; v ] -> Some (int_of_string u, int_of_string v)
-           | _ -> failwith "check: malformed matching line")
-  |> List.map (fun (u, v) ->
-         match Graph.find_edge g u v with
-         | Some eid -> eid
-         | None ->
-             failwith (Printf.sprintf "check: %d-%d is not an edge of the graph" u v))
 
 let check_explore inst max_configs max_link_failures =
   let g = inst.Owp_bench.Workloads.graph in
@@ -549,16 +512,20 @@ let check_cmdline spec matching_file explore max_configs drops list =
     else if explore then check_explore inst max_configs drops
     else
       match matching_file with
-      | Some path ->
+      | Some path -> (
           (* check a saved (possibly corrupted) matching against the
              deterministically rebuilt instance *)
-          let edges = parse_matching_edges inst.Owp_bench.Workloads.graph path in
-          print_check_report inst
-            (Checker.run
-               (Checker.instance
-                  ~prefs:inst.Owp_bench.Workloads.prefs
-                  inst.Owp_bench.Workloads.weights
-                  ~capacity:inst.Owp_bench.Workloads.capacity ~edges))
+          match Graph_io.read_matching inst.Owp_bench.Workloads.graph path with
+          | Error msg ->
+              Printf.eprintf "check: %s: %s\n" path msg;
+              2
+          | Ok edges ->
+              print_check_report inst
+                (Checker.run
+                   (Checker.instance
+                      ~prefs:inst.Owp_bench.Workloads.prefs
+                      inst.Owp_bench.Workloads.weights
+                      ~capacity:inst.Owp_bench.Workloads.capacity ~edges)))
       | None -> begin
           (* run the configured engine with the checkers armed; a
              distributed run that never quiesced must fail even when the
@@ -582,11 +549,7 @@ let check_cmdline spec matching_file explore max_configs drops list =
                   (List.length damage);
                 Format.printf "%a@." Owp_check.Violation.pp_list damage
               end;
-              let anytime_ok =
-                match out.P.cutoff with
-                | None -> true
-                | Some c -> print_anytime_certificate cfg inst out c
-              in
+              let anytime_ok = print_anytime_certificate cfg inst out in
               let stabilize_ok = print_stabilize_certificate cfg out in
               let rc =
                 print_check_report

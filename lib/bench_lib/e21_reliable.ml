@@ -17,8 +17,6 @@ module Lic = Owp_core.Lic
 module Stack = Owp_core.Stack
 module Prng = Owp_util.Prng
 
-let yn b = if b then "yes" else "NO"
-
 let run ~quick =
   let n = if quick then 100 else 400 in
   let inst =
@@ -55,10 +53,10 @@ let run ~quick =
       Tbl.add_row t1
         [
           Tbl.fcell2 drop;
-          yn fifo;
+          Exp_common.yn fifo;
           (if plain.Stack.all_terminated then "terminates" else "STUCK");
-          yn r.Stack.all_terminated;
-          yn (BM.equal r.Stack.matching lic);
+          Exp_common.yn r.Stack.all_terminated;
+          Exp_common.yn (BM.equal r.Stack.matching lic);
           Tbl.icell r.Stack.dropped;
           Tbl.icell (Stack.counter r ~layer:"transport" "retransmissions");
           Tbl.fcell2 (Stack.overhead r);
@@ -88,10 +86,10 @@ let run ~quick =
         [
           Tbl.fcell2 dup;
           Tbl.fcell2 reorder;
-          yn r.Stack.all_terminated;
-          yn (BM.equal r.Stack.matching lic);
+          Exp_common.yn r.Stack.all_terminated;
+          Exp_common.yn (BM.equal r.Stack.matching lic);
           Tbl.icell (Stack.counter r ~layer:"transport" "dup-suppressed");
-          Tbl.icell r.Stack.reordered;
+          Tbl.icell (Stack.counter r ~layer:"channel" "reordered");
           Tbl.fcell2 (Stack.overhead r);
         ])
     [ (0.0, 0.0); (0.2, 0.0); (0.5, 0.0); (0.0, 0.3); (0.2, 0.3); (0.5, 0.3) ];
@@ -155,7 +153,7 @@ let run ~quick =
       Tbl.add_row t3
         [
           Tbl.icell pct;
-          yn restart;
+          Exp_common.yn restart;
           Printf.sprintf "%d/%d" !converged k;
           Tbl.icell (!srej / k);
           Tbl.icell (!deadl / k);

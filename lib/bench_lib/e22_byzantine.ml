@@ -20,8 +20,6 @@ module Tbl = Owp_util.Tablefmt
 module Adversary = Owp_simnet.Adversary
 module Stack = Owp_core.Stack
 
-let yn b = if b then "yes" else "NO"
-
 (* the byzantine entry point at preference level: capacities are the
    quota vector, weights the eq. 4/5 symmetric construction *)
 let run_byz ~seed ~guard ~adversaries prefs =
@@ -44,7 +42,7 @@ let cells ~seeds ~prefs ~spec ~guard =
       if r.Stack.all_terminated then incr term;
       damage := !damage + List.length r.Stack.damage;
       quar := !quar + r.Stack.quarantine_events;
-      falseq := !falseq + r.Stack.false_quarantines;
+      falseq := !falseq + Stack.counter r ~layer:"guard" "false-quarantines";
       offenders := !offenders + r.Stack.byz_offenders;
       caught := !caught + r.Stack.byz_quarantined;
       wasted := !wasted + r.Stack.wasted_slots;
@@ -57,12 +55,12 @@ let cells ~seeds ~prefs ~spec ~guard =
     else Tbl.pct (float_of_int !caught /. float_of_int !offenders)
   in
   [
-    yn guard;
+    Exp_common.yn guard;
     Printf.sprintf "%d/%d" !term k;
     Tbl.icell !damage;
     Tbl.pct (if Float.equal !reference 0.0 then 0.0 else !retained /. !reference);
     Tbl.icell (!quar / k);
-    yn (!falseq = 0);
+    Exp_common.yn (!falseq = 0);
     recall;
     Tbl.icell (!wasted / k);
     Tbl.icell (!msgs / k);

@@ -17,8 +17,6 @@ module Sim = Owp_simnet.Simnet
 module Adversary = Owp_simnet.Adversary
 module Stack = Owp_core.Stack
 
-let yn b = if b then "yes" else "NO"
-
 let run ~quick =
   let n = if quick then 60 else 200 in
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4; 5 ] in
@@ -73,7 +71,7 @@ let run ~quick =
           damage := !damage + List.length r.Stack.damage;
           retrans := !retrans + Stack.counter r ~layer:"transport" "retransmissions";
           quar := !quar + r.Stack.quarantine_events;
-          falseq := !falseq + r.Stack.false_quarantines;
+          falseq := !falseq + Stack.counter r ~layer:"guard" "false-quarantines";
           wasted := !wasted + r.Stack.wasted_slots;
           retained := !retained +. s;
           reference := !reference +. sref;
@@ -82,14 +80,14 @@ let run ~quick =
         seeds;
       Tbl.add_row t1
         [
-          yn guard;
+          Exp_common.yn guard;
           Printf.sprintf "%d/%d" !term k;
-          yn (!term = k && !damage = 0);
+          Exp_common.yn (!term = k && !damage = 0);
           Tbl.icell !damage;
           Tbl.pct (if Float.equal !reference 0.0 then 0.0 else !retained /. !reference);
           Tbl.icell (!retrans / k);
           Tbl.icell (!quar / k);
-          yn (!falseq = 0);
+          Exp_common.yn (!falseq = 0);
           Tbl.icell (!wasted / k);
         ])
     [ false; true ];
@@ -114,7 +112,7 @@ let run ~quick =
   Tbl.add_row t3
     [
       "guarded composition converges and certifies on every seed";
-      yn !guarded_certified;
+      Exp_common.yn !guarded_certified;
     ];
   [ t1; t2; t3 ]
 

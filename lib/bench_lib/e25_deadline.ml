@@ -21,7 +21,6 @@ module Adversary = Owp_simnet.Adversary
 module Stack = Owp_core.Stack
 module AC = Anytime_curves
 
-let yn b = if b then "yes" else "NO"
 let budgets = [ 1.0; 2.0; 3.0; 5.0; 8.0 ]
 
 (* lossy channels stretch the round trip, so the faulty sweeps get a
@@ -39,7 +38,7 @@ let curve_rows t ~label (points : AC.point list) =
           Tbl.pct p.AC.weight_retained;
           Tbl.icell p.AC.blocking_pairs;
           Tbl.icell p.AC.served_edges;
-          yn p.AC.certified;
+          Exp_common.yn p.AC.certified;
         ])
     points
 
@@ -146,22 +145,22 @@ let run ~quick =
     [
       [
         "every budgeted run certifies (feasible + prefix of its full run)";
-        yn (AC.all_certified all_points);
+        Exp_common.yn (AC.all_certified all_points);
       ];
       [
         "satisfaction monotone in the budget on every family (fixed seed)";
-        yn plain_monotone;
+        Exp_common.yn plain_monotone;
       ];
       [
         "adverse sweeps stay monotone (ARQ channel, guarded liars)";
-        yn (AC.monotone faulty && AC.monotone guarded);
+        Exp_common.yn (AC.monotone faulty && AC.monotone guarded);
       ];
-      [ "half the payoff is served by t = 3 on every family"; yn mid_payoff ];
+      [ "half the payoff is served by t = 3 on every family"; Exp_common.yn mid_payoff ];
       [
         Printf.sprintf
           "no cliff: largest per-step jump is %.1f%% of the full payoff"
           (100.0 *. worst_step);
-        yn (worst_step < 1.0);
+        Exp_common.yn (worst_step < 1.0);
       ];
     ];
   [ t1; t2; t3 ]

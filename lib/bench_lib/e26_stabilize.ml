@@ -21,8 +21,6 @@ module Pipeline = Owp_core.Pipeline
 module Stack = Owp_core.Stack
 module Stabilize = Owp_check.Stabilize
 
-let yn b = if b then "yes" else "NO"
-
 let durations = [ 1.0; 2.0; 4.0; 8.0 ]
 let flap_periods = [ 0.5; 1.0; 2.0; 4.0 ]
 
@@ -54,9 +52,9 @@ let cert_row t ~label ~axis (cert : Stabilize.certificate) cut =
       Tbl.fcell2 cert.Stabilize.t_heal;
       Tbl.fcell2 cert.Stabilize.recovery_time;
       Tbl.icell cut;
-      yn cert.Stabilize.quiesced;
-      yn cert.Stabilize.converged;
-      yn (Stabilize.certified cert);
+      Exp_common.yn cert.Stabilize.quiesced;
+      Exp_common.yn cert.Stabilize.converged;
+      Exp_common.yn (Stabilize.certified cert);
     ]
 
 let run ~quick =
@@ -180,16 +178,16 @@ let run ~quick =
     [
       [
         "every scheduled run certifies (quiesced + converged to crash-only LIC)";
-        yn all_certified;
+        Exp_common.yn all_certified;
       ];
       [
         "partitions actually bite (messages cut on the wire)";
-        yn cuts_bite;
+        Exp_common.yn cuts_bite;
       ];
       [
         Printf.sprintf "recovery is bounded: worst over all sweeps is %.2f"
           max_recovery;
-        yn (max_recovery < 1000.0);
+        Exp_common.yn (max_recovery < 1000.0);
       ];
     ];
   [ t1; t2; t3 ]

@@ -25,8 +25,6 @@ module Faults = Owp_simnet.Faults
 module Serve = Owp_serve.Serve
 module Arrivals = Owp_serve.Arrivals
 
-let yn b = if b then "yes" else "NO"
-
 let cfg_of spec =
   match RC.validate spec with Ok c -> c | Error m -> failwith ("E27: " ^ m)
 
@@ -227,23 +225,25 @@ let run ~quick =
   in
   Tbl.add_rows t3
     [
-      [ "identical reports across repeated runs at the same seed"; yn replay ];
+      [ "identical reports across repeated runs at the same seed"; Exp_common.yn replay ];
       [
         Printf.sprintf
           "backlog bounded by the queue knob under a burst (peak %d <= 4, shed %d)"
           burst.SR.max_queue burst.SR.shed;
-        yn (burst.SR.max_queue <= 4 && burst.SR.shed > 0);
+        Exp_common.yn (burst.SR.max_queue <= 4 && burst.SR.shed > 0);
       ];
       [
         Printf.sprintf "gate passes on the clean preset (p99 %.2f <= %.2f, steady %.4f >= %.2f)"
           clean.p99 clean.p99_bound clean.steady clean.steady_bound;
-        yn clean.passed;
+        Exp_common.yn clean.passed;
       ];
       [
-        "gate trips on an injected latency regression"; yn (not injected_latency.passed);
+        "gate trips on an injected latency regression";
+        Exp_common.yn (not injected_latency.passed);
       ];
       [
-        "gate trips on injected unguarded liars"; yn (not injected_quality.passed);
+        "gate trips on injected unguarded liars";
+        Exp_common.yn (not injected_quality.passed);
       ];
     ];
   [ t1; t2; t3 ]

@@ -37,8 +37,6 @@ module Schedule = Owp_simnet.Schedule
 module Adversary = Owp_simnet.Adversary
 module Stack = Owp_core.Stack
 
-let yn b = if b then "yes" else "NO"
-
 (* ------------------------------------------------------------------ *)
 (* E28a: the committed baseline (BENCH_E23.json, commit d2d2b11)       *)
 (* ------------------------------------------------------------------ *)
@@ -103,25 +101,16 @@ let matches_anchor (a : anchor) (r : Stack.report) =
 (* ------------------------------------------------------------------ *)
 
 (* everything a Stack run produced that a scheduling difference could
-   perturb, flattened for structural comparison (completion_time is a
-   float, but never NaN, so polymorphic equality is exact) *)
+   perturb: the edge set, the counter table (which carries every
+   count), the wasted slots, the completion time and the cutoff (floats,
+   never NaN, so polymorphic equality is exact) *)
 let report_key (r : Stack.report) =
   ( BM.edge_ids r.Stack.matching,
-    ( r.Stack.prop_count,
-      r.Stack.rej_count,
-      r.Stack.delivered,
-      r.Stack.dropped,
-      r.Stack.reordered,
-      r.Stack.lost_to_crashes,
-      r.Stack.synthetic_rejects,
-      r.Stack.quarantine_events,
-      r.Stack.wasted_slots ),
+    r.Stack.layers,
+    r.Stack.wasted_slots,
     r.Stack.completion_time,
     r.Stack.all_terminated,
-    (match r.Stack.cutoff with
-    | Some c -> (c.Stack.cut_at, c.Stack.released, c.Stack.abandoned)
-    | None -> (0.0, -1, -1)),
-    List.map (fun { Stack.layer; counters } -> (layer, counters)) r.Stack.layers )
+    r.Stack.cutoff )
 
 type composition = {
   label : string;
@@ -256,7 +245,7 @@ let run ~quick =
           Printf.sprintf "%.1fx" (a.a_wall_ms /. wall);
           Tbl.icell
             (int_of_float (float_of_int r.Stack.delivered /. (wall /. 1000.0)));
-          yn (matches_anchor a r);
+          Exp_common.yn (matches_anchor a r);
         ])
     sizes;
 
@@ -283,7 +272,7 @@ let run ~quick =
         (c.label
         :: List.map
              (fun s ->
-               yn
+               Exp_common.yn
                  (let k =
                     report_key (c.exec ~sim_shards:s ~unsafe_lookahead:false inst)
                   in

@@ -20,6 +20,8 @@ let run_lic (inst : Workloads.instance) =
 let run_greedy (inst : Workloads.instance) =
   Owp_matching.Greedy.run inst.Workloads.weights ~capacity:inst.Workloads.capacity
 
+let yn b = if b then "yes" else "NO"
+
 let quiescence_cell (r : Owp_core.Stack.report) =
   if r.Owp_core.Stack.all_terminated then "yes"
   else

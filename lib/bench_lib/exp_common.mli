@@ -17,6 +17,9 @@ val run_lid : Workloads.instance -> Owp_core.Stack.report
 val run_lic : Workloads.instance -> Owp_matching.Bmatching.t
 val run_greedy : Workloads.instance -> Owp_matching.Bmatching.t
 
+val yn : bool -> string
+(** ["yes"] or ["NO"]: the verdict cell of the experiment tables. *)
+
 val quiescence_cell : Owp_core.Stack.report -> string
 (** ["yes"] when every node quiesced (Lemma 5); otherwise the straggler
     node ids from the report's structured quiescence violations. *)

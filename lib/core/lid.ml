@@ -299,8 +299,6 @@ let locks st i =
   done;
   !out
 
-let node_finished st i = st.nodes.(i).finished
-
 let unterminated_nodes st =
   let out = ref [] in
   for i = Array.length st.nodes - 1 downto 0 do

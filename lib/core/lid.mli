@@ -71,9 +71,6 @@ val locks : state -> int -> int list
     misbehaves), which is exactly what the bounded-damage accounting
     in {!Owp_check.Byzantine} needs. *)
 
-val node_finished : state -> int -> bool
-(** Has node [i] answered all proposals and emptied U_i? *)
-
 val unterminated_nodes : state -> int list
 (** Nodes that have not quiesced, ascending. *)
 

@@ -24,7 +24,6 @@ type outcome = {
   rounds : float option;
   wall_ms : float;
   quiesced : bool option;
-  cutoff : Stack.cutoff option;
   check_report : Owp_check.Checker.report option;
   stabilize : Owp_check.Stabilize.certificate option;
   serve : Serve_report.t option;
@@ -253,7 +252,6 @@ let run_config ?capacity cfg prefs =
     rounds;
     wall_ms;
     quiesced;
-    cutoff = (match detail with Stack r -> r.Stack.cutoff | Plain -> None);
     check_report;
     stabilize;
     serve = None;

@@ -56,13 +56,10 @@ type outcome = {
       (** for the distributed engines, whether every (correct) node
           terminated cleanly (Lemma 5); [None] for engines with no
           protocol run.  Drivers should treat [Some false] as a
-          failure, not a cosmetic detail *)
-  cutoff : Stack.cutoff option;
-      (** [Some _] iff an anytime budget stopped the run at its
-          deadline: a distinct outcome — the served matching is
-          deliberately partial (frozen feasible, certified by
-          {!Owp_check.Anytime}), NOT a quiescence failure; after the
-          freeze [quiesced] is [Some true] by construction *)
+          failure, not a cosmetic detail.  A run an anytime budget
+          stopped is [Some true] by construction: its deliberately
+          partial matching is flagged by the [cutoff] of the
+          {!Stack.report} in {!detail} *)
   check_report : Owp_check.Checker.report option;
       (** invariant diagnostics, present when the config asked for
           checking *)

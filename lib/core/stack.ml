@@ -25,22 +25,16 @@ type report = {
   matching : Bmatching.t;
   correct : bool array;
   participating : bool array;
-  byz_count : int;
   prop_count : int;
   rej_count : int;
-  adversary_msgs : int;
   delivered : int;
   dropped : int;
-  reordered : int;
-  lost_to_crashes : int;
   synthetic_rejects : int;
   quarantine_events : int;
-  false_quarantines : int;
   byz_offenders : int;
   byz_quarantined : int;
   offence_counts : (string * int) list;
   wasted_slots : int;
-  quiet_rounds : int;
   completion_time : float;
   all_terminated : bool;
   unterminated : int list;
@@ -90,6 +84,11 @@ let bound prefs j =
   let b = Preference.quota prefs j in
   if b <= 0 then 0.0 else 1.0 /. float_of_int b
 
+(* one guard per node, vetting claims against the public bound *)
+let guards_for prefs g =
+  Array.init (Graph.node_count g) (fun i ->
+      Guard.create ~bound:(bound prefs) ~graph:g ~me:i ())
+
 (* what node j advertises about its half of edge (j, i) *)
 let advert_of prefs adversaries j i =
   match adversaries.(j) with
@@ -116,6 +115,19 @@ let ranking_of g perceived i =
       entries
   in
   Array.of_list sorted
+
+(* the bounded-damage certificate of a final LID state *)
+let damage_of ?cutoff w ~capacity ~correct ~unterminated ~overclaimed st =
+  Byzantine.check ?cutoff
+    {
+      Byzantine.weights = w;
+      capacity;
+      correct;
+      edges = Lid.locked_edge_ids st;
+      consumed = Array.mapi (fun i _ -> List.length (Lid.locks st i)) correct;
+      unterminated;
+      overclaimed;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* adversary behaviours (the adversary layer's node programs)          *)
@@ -146,6 +158,17 @@ let own_order prefs g f =
         (half prefs f v1 +. half prefs v1 f))
     entries
   |> List.map fst
+
+(* the lowest node other than [f] that is not its neighbour: whom a
+   PROP-to-stranger attack writes to *)
+let stranger g f =
+  let n = Graph.node_count g in
+  let rec find i =
+    if i >= n then None
+    else if i <> f && not (Graph.mem_edge g f i) then Some i
+    else find (i + 1)
+  in
+  find 0
 
 let rec take k = function
   | [] -> []
@@ -244,17 +267,6 @@ let make_behaviour prefs g adversaries f model =
          proposals from others are never answered (liveness violation:
          unguarded peers starve waiting for its reply) *)
       let sent = Hashtbl.create 8 in
-      let n = Graph.node_count g in
-      let neighbour = Hashtbl.create 8 in
-      Array.iter (fun v -> Hashtbl.replace neighbour v ()) nbrs;
-      let stranger =
-        let rec find i =
-          if i >= n then None
-          else if i <> f && not (Hashtbl.mem neighbour i) then Some i
-          else find (i + 1)
-        in
-        find 0
-      in
       {
         Adversary.on_init =
           (fun ~send ->
@@ -263,7 +275,7 @@ let make_behaviour prefs g adversaries f model =
                 Hashtbl.replace sent v ();
                 send ~dst:v (prop (half prefs f v)))
               (take (max 1 b) order);
-            Option.iter (fun w -> send ~dst:w (prop (bound prefs f))) stranger);
+            Option.iter (fun w -> send ~dst:w (prop (bound prefs f))) (stranger g f));
         on_receive =
           (fun ~src (m : Guard.msg) ~send ->
             match m.body with
@@ -278,31 +290,28 @@ let make_behaviour prefs g adversaries f model =
 (* the layer signature                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One middleware layer on the message path.  [on_send] filters an
-   outbound protocol message, [on_deliver] an inbound one: [false]
-   swallows it (any completion side effects — a quarantine
-   announcement, say — are the layer's own).  No layer rewrites a
-   message, so a pass allocates nothing.  Timers are layer-owned
-   {!Simnet.schedule} callbacks.  [mw_counters] is the layer's row of
-   the report's counter table. *)
+(* One layer of the stack and its row of the report's counter table.
+   [on_send] filters an outbound protocol message, [on_deliver] an
+   inbound one: [false] swallows it (any completion side effects — a
+   quarantine announcement, say — are the layer's own).  A layer with
+   no filter only counts and stays off the per-message chains.  No
+   layer rewrites a message, so a pass allocates nothing.  Timers are
+   layer-owned {!Simnet.schedule} callbacks.  [mw_counters] is read
+   once, after the run. *)
+type filter = src:int -> dst:int -> Guard.msg -> bool
+
 type mw = {
   mw_name : string;
-  on_send : src:int -> dst:int -> Guard.msg -> bool;
-  on_deliver : src:int -> dst:int -> Guard.msg -> bool;
+  on_send : filter option;
+  on_deliver : filter option;
   mw_counters : unit -> (string * int) list;
 }
 
-let pass ~src:_ ~dst:_ _ = true
+let counting mw_name mw_counters =
+  { mw_name; on_send = None; on_deliver = None; mw_counters }
 
-let rec admits_send layers ~src ~dst m =
-  match layers with
-  | [] -> true
-  | l :: tl -> l.on_send ~src ~dst m && admits_send tl ~src ~dst m
-
-let rec admits_deliver layers ~src ~dst m =
-  match layers with
-  | [] -> true
-  | l :: tl -> l.on_deliver ~src ~dst m && admits_deliver tl ~src ~dst m
+let rec admits chain ~src ~dst m =
+  match chain with [] -> true | f :: tl -> f ~src ~dst m && admits tl ~src ~dst m
 
 (* ------------------------------------------------------------------ *)
 (* the run loop                                                        *)
@@ -367,38 +376,14 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     invalid_arg "Stack.run: adversaries need ~prefs (claims are preference halves)";
   if guard && not adv_enabled then
     invalid_arg "Stack.run: guard without an adversary environment is meaningless";
-  let adv = match adversaries with Some a -> a | None -> Array.make (max n 1) None in
-  let is_silent =
-    match silent with Some s -> s | None -> Array.make (max n 1) false
-  in
-  let correct = Array.init n (fun i -> Option.is_none adv.(i) && not is_silent.(i)) in
+  let adv = Option.value adversaries ~default:(Array.make (max n 1) None) in
+  let silent = Option.value silent ~default:(Array.make (max n 1) false) in
+  let correct = Array.init n (fun i -> Option.is_none adv.(i) && not silent.(i)) in
   if adv_enabled && not (Array.exists Fun.id correct) then
     invalid_arg "Stack.run: no correct node left";
-  let byz_count =
-    Array.fold_left (fun acc m -> if Option.is_none m then acc else acc + 1) 0 adv
-  in
-  (* --- counters ----------------------------------------------------- *)
-  let prop_count = ref 0 and rej_count = ref 0 in
-  let adversary_msgs = ref 0 in
-  let quarantine_events = ref 0 and false_quarantines = ref 0 in
-  let synthetic_rejects = ref 0 and quiet_rounds = ref 0 in
-  let suppressed_giveups = ref 0 in
-  let inspected = ref 0 in
-  let dedup_prop = ref 0 and dedup_rej = ref 0 in
-  let lid_delivered = ref 0 in
-  let patience_armed = ref 0 and patience_fired = ref 0 in
-  let transport_giveups = ref 0 and quarantine_giveups = ref 0 in
-  let stub_rejects = ref 0 in
   (* --- bootstrap: advertise half-weights, vet them, build rankings -- *)
-  let guards =
-    if guard then begin
-      let p = Option.get prefs in
-      Some
-        (Array.init n (fun i ->
-             Guard.create ~bound:(bound p) ~graph:g ~me:i ()))
-    end
-    else None
-  in
+  let guards = if guard then Some (guards_for (Option.get prefs) g) else None in
+  let quarantine_events = ref 0 and false_quarantines = ref 0 in
   let bootstrap_rejects = ref [] in
   let ranking =
     match prefs with
@@ -426,9 +411,21 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     | _ -> None
   in
   let st, initial = Lid.init ?ranking w ~capacity in
+  (* --- channel and schedule ------------------------------------------ *)
   let net =
     Simnet.create ~seed ~fifo ~faults ~shards:sim_shards ~unsafe_lookahead
       ~nodes:(max n 1) ~delay ()
+  in
+  let channel_layer =
+    counting "channel" (fun () ->
+        [
+          ("sent", Simnet.messages_sent net);
+          ("delivered", Simnet.messages_delivered net);
+          ("dropped", Simnet.messages_dropped net);
+          ("reordered", Simnet.messages_reordered net);
+          ("lost-to-crashes", Simnet.messages_lost_to_crashes net);
+          ("crashes", Simnet.crash_events net);
+        ])
   in
   (* scheduled network weather: outages are evaluated by the simulator
      at delivery time; [weather_touched window] is the "did scheduled
@@ -446,9 +443,16 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     let slack = 2.0 *. round_length delay in
     Schedule.overlaps schedule ~from_:(now -. window -. slack) ~until:now
   in
-  if not (Schedule.is_empty schedule) then
-    Simnet.set_outage net
-      (Some (fun ~at ~src ~dst -> Schedule.outage schedule ~at ~src ~dst));
+  let schedule_layer =
+    if Schedule.is_empty schedule then None
+    else begin
+      Simnet.set_outage net
+        (Some (fun ~at ~src ~dst -> Schedule.outage schedule ~at ~src ~dst));
+      Some
+        (counting "schedule" (fun () ->
+             [ ("episodes", List.length schedule); ("cut", Simnet.messages_cut net) ]))
+    end
+  in
   (* a restarted node lost its volatile protocol state: it rejoins
      "retired" — it declines everything and claims nothing *)
   let retired = Array.make (max n 1) false in
@@ -469,6 +473,8 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
         in
         Simnet.send net ~src ~dst frame
   in
+  (* --- the adversary layer: Byzantine node programs ----------------- *)
+  let adversary_msgs = ref 0 in
   let byz_send f ~dst m =
     incr adversary_msgs;
     wire_send ~src:f ~dst m
@@ -479,7 +485,18 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
         | Some m -> make_behaviour (Option.get prefs) g adv f m
         | None -> Adversary.silent)
   in
-  (* --- protocol sends and the detector ------------------------------ *)
+  let adversary_layer =
+    Option.map
+      (fun a ->
+        counting "adversary" (fun () ->
+            let peers =
+              Array.fold_left (fun k m -> k + Bool.to_int (Option.is_some m)) 0 a
+            in
+            [ ("peers", peers); ("messages", !adversary_msgs) ]))
+      adversaries
+  in
+  (* --- the lid layer: protocol sends and the served edge set ------- *)
+  let prop_count = ref 0 and rej_count = ref 0 and lid_delivered = ref 0 in
   let wrap src dst = function
     | Lid.Prop -> (
         incr prop_count;
@@ -494,39 +511,92 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     incr rej_count;
     wire_send ~src ~dst rej
   in
-  (* the anytime budget gate.  Until the deadline expires it is a pure
-     pass-through; once [cut] flips, every residual send or delivery is
-     swallowed, so even code paths that touch the network after the
-     horizon (give-up sweeps, late timers) cannot reopen the protocol.
-     Its counter row carries the cutoff accounting. *)
-  let cut = ref false in
-  let cut_released = ref 0 and cut_half_locks = ref 0 in
-  let cut_abandoned = ref 0 and cut_suppressed = ref 0 in
+  (* the locked edges between live endpoints, read once the run is over *)
+  let served =
+    lazy
+      (List.filter
+         (fun eid ->
+           let a, b = Graph.edge_endpoints g eid in
+           live a && live b)
+         (Lid.locked_edge_ids st))
+  in
+  let lid_layer =
+    counting "lid" (fun () ->
+        [
+          ("prop", !prop_count);
+          ("rej", !rej_count);
+          ("delivered", !lid_delivered);
+          ("locks", List.length (Lazy.force served));
+        ])
+  in
+  (* the filter chains, derived from the enabled layers below *)
+  let outbound = ref [] and inbound = ref [] in
+  (* --- the deadline layer: the anytime budget gate -------------------
+     Until the deadline expires it is a pure pass-through; once [cut]
+     flips, every residual send or delivery is swallowed, so even code
+     paths that touch the network after the horizon (give-up sweeps,
+     late timers) cannot reopen the protocol.  It heads both chains. *)
+  let cut = ref None and cut_suppressed = ref 0 in
   let gate ~src:_ ~dst:_ _ =
-    if !cut then incr cut_suppressed;
-    not !cut
+    match !cut with
+    | None -> true
+    | Some _ ->
+        incr cut_suppressed;
+        false
   in
-  let deadline_mw =
-    {
-      mw_name = "deadline";
-      on_send = gate;
-      on_deliver = gate;
-      mw_counters =
-        (fun () ->
-          [
-            ("released", !cut_released);
-            ("half-locks", !cut_half_locks);
-            ("abandoned", !cut_abandoned);
-            ("suppressed", !cut_suppressed);
-          ]);
-    }
+  let deadline_layer =
+    Option.map
+      (fun _ ->
+        {
+          mw_name = "deadline";
+          on_send = Some gate;
+          on_deliver = Some gate;
+          mw_counters =
+            (fun () ->
+              let c = Option.get !cut in
+              [
+                ("released", c.released);
+                ("half-locks", c.half_locks);
+                ("abandoned", c.abandoned);
+                ("suppressed", !cut_suppressed);
+              ]);
+        })
+      budget
   in
-  (* the budget gate heads both paths; it is the only layer that acts
-     on sends *)
-  let outbound = match budget with Some _ -> [ deadline_mw ] | None -> [] in
+  (* stop at the horizon [d] and freeze.  Unreciprocated locks are
+     counted BEFORE the freeze: these are the half-locked edges whose
+     completing PROP was still in flight at the horizon, kept one-sided
+     in K_i and excluded from the served matching by the mutual-lock
+     intersection.  Nothing sends while the cutoff is taken. *)
+  let run_until_cutoff d =
+    Simnet.run_until net d;
+    let half_locks = ref 0 in
+    for i = 0 to n - 1 do
+      if correct.(i) && live i then
+        List.iter
+          (fun v -> if not (List.mem i (Lid.locks st v)) then incr half_locks)
+          (Lid.locks st i)
+    done;
+    let c =
+      {
+        cut_at = d;
+        abandoned = Simnet.pending_events net;
+        half_locks = !half_locks;
+        released =
+          List.length (List.filter (fun (i, _) -> correct.(i) && live i) (Lid.freeze st));
+      }
+    in
+    cut := Some c;
+    c
+  in
+  (* --- the detector layer: implicit declines (Lemma 5) -------------- *)
+  let patience_armed = ref 0 and patience_fired = ref 0 in
+  let suppressed_giveups = ref 0 and transport_giveups = ref 0 in
+  let quarantine_giveups = ref 0 and synthetic_rejects = ref 0 in
+  let quiet_rounds = ref 0 and stub_rejects = ref 0 in
   let rec emit src dst m =
     let gm = wrap src dst m in
-    if admits_send outbound ~src ~dst gm then wire_send ~src ~dst gm;
+    if admits !outbound ~src ~dst gm then wire_send ~src ~dst gm;
     match (m, patience) with
     | Lid.Prop, Some limit -> arm_patience src dst limit
     | _ -> ()
@@ -563,7 +633,51 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     incr quarantine_giveups;
     synthetic_reject at ~peer
   in
-  (* --- inbound middleware ------------------------------------------- *)
+  let correct_stragglers () =
+    List.filter (fun i -> correct.(i) && live i) (Lid.unterminated_nodes st)
+  in
+  (* quiet rounds (guarded only): when the network idles with correct
+     nodes still stuck, give up exactly the pendings towards
+     adversary-controlled or quarantined peers — the eventually-perfect
+     failure detector.  Honest-honest pendings are never cut: they
+     resolve transitively once the Byzantine leaves are. *)
+  let rec run_quiet_rounds gs =
+    if correct_stragglers () <> [] && !quiet_rounds < (2 * n) + 8 then begin
+      let progress = ref false in
+      List.iter
+        (fun i ->
+          Array.iter
+            (fun (v, _) ->
+              if
+                Lid.awaiting_reply st ~node:i ~peer:v
+                && ((not correct.(v)) || Guard.quarantined gs.(i) ~peer:v)
+              then begin
+                progress := true;
+                synthetic_reject i ~peer:v
+              end)
+            (Graph.neighbors g i))
+        (correct_stragglers ());
+      if !progress then begin
+        incr quiet_rounds;
+        Simnet.run net;
+        run_quiet_rounds gs
+      end
+    end
+  in
+  let detector_layer =
+    counting "detector" (fun () ->
+        [
+          ("patience-armed", !patience_armed);
+          ("patience-fired", !patience_fired);
+          ("suppressed-give-ups", !suppressed_giveups);
+          ("transport-give-ups", !transport_giveups);
+          ("quarantine-give-ups", !quarantine_giveups);
+          ("synthetic-rej", !synthetic_rejects);
+          ("quiet-rounds", !quiet_rounds);
+          ("stub-rej", !stub_rejects);
+        ])
+  in
+  (* --- the guard layer: inbound vetting and quarantine -------------- *)
   (* what the correct nodes' guards recorded, folded once after the run
      for both the guard row and the report: offence counts by name
      (alphabetical), adversaries with an offence, adversaries
@@ -596,28 +710,30 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
             Hashtbl.length offenders,
             Hashtbl.length quarantined_byz ))
   in
-  let guard_mw =
+  let guard_layer =
     Option.map
       (fun gs ->
+        let inspected = ref 0 in
         {
           mw_name = "guard";
-          on_send = pass;
+          on_send = None;
           on_deliver =
-            (fun ~src ~dst m ->
-              incr inspected;
-              let verdict = Guard.inspect gs.(dst) ~peer:src m in
-              if verdict.Guard.accept then true
-              else begin
-                (* [quarantine] is true exactly when this message pushed
-                   the peer over the threshold — complete the quarantine
-                   once, then swallow its traffic silently forever *)
-                if verdict.Guard.quarantine then begin
-                  incr quarantine_events;
-                  if correct.(src) then incr false_quarantines;
-                  if not retired.(dst) then quarantine dst ~peer:src
-                end;
-                false
-              end);
+            Some
+              (fun ~src ~dst m ->
+                incr inspected;
+                let verdict = Guard.inspect gs.(dst) ~peer:src m in
+                if verdict.Guard.accept then true
+                else begin
+                  (* [quarantine] is true exactly when this message pushed
+                     the peer over the threshold — complete the quarantine
+                     once, then swallow its traffic silently forever *)
+                  if verdict.Guard.quarantine then begin
+                    incr quarantine_events;
+                    if correct.(src) then incr false_quarantines;
+                    if not retired.(dst) then quarantine dst ~peer:src
+                  end;
+                  false
+                end);
           mw_counters =
             (fun () ->
               let offence_counts, _, _ = Lazy.force guard_tally in
@@ -630,6 +746,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
         })
       guards
   in
+  (* --- the dedup layer ---------------------------------------------- *)
   (* protocol-level duplicate suppression: each directed link of a
      correct run carries at most one PROP and one REJ ever, and
      Lid.deliver is idempotent to repeats — suppression is
@@ -640,38 +757,37 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
      set is Lid's per-link delivery marks; only traffic from outside the
      receiver's candidate universe (an adversary writing to a stranger,
      a peer quarantined at bootstrap) needs the fallback table. *)
-  let dedup_mw =
+  let dedup_layer =
     let stray = Hashtbl.create 8 in
+    let dedup_prop = ref 0 and dedup_rej = ref 0 in
     {
       mw_name = "dedup";
-      on_send = pass;
+      on_send = None;
       on_deliver =
-        (fun ~src ~dst (m : Guard.msg) ->
-          let lm = lid_message m in
-          let repeat =
-            match Lid.mark_delivery st ~src ~dst lm with
-            | `First -> false
-            | `Repeat -> true
-            | `Outside ->
-                let key = (src, dst, lm) in
-                Hashtbl.mem stray key || (Hashtbl.replace stray key (); false)
-          in
-          if repeat then
-            incr (match lm with Lid.Prop -> dedup_prop | Lid.Rej -> dedup_rej);
-          not repeat);
+        Some
+          (fun ~src ~dst (m : Guard.msg) ->
+            let lm = lid_message m in
+            let repeat =
+              match Lid.mark_delivery st ~src ~dst lm with
+              | `First -> false
+              | `Repeat -> true
+              | `Outside ->
+                  let key = (src, dst, lm) in
+                  Hashtbl.mem stray key || (Hashtbl.replace stray key (); false)
+            in
+            if repeat then
+              incr (match lm with Lid.Prop -> dedup_prop | Lid.Rej -> dedup_rej);
+            not repeat);
       mw_counters =
         (fun () ->
           [ ("suppressed-prop", !dedup_prop); ("suppressed-rej", !dedup_rej) ]);
     }
   in
-  let inbound =
-    outbound @ (match guard_mw with Some l -> [ l ] | None -> []) @ [ dedup_mw ]
-  in
   (* --- inbound dispatch --------------------------------------------- *)
   let deliver_payload ~src ~dst (gm : Guard.msg) =
     if not correct.(dst) then
       behaviours.(dst).Adversary.on_receive ~src gm ~send:(byz_send dst)
-    else if admits_deliver inbound ~src ~dst gm then begin
+    else if admits !inbound ~src ~dst gm then begin
       if retired.(dst) then begin
         (* amnesiac membership stub: the pre-crash state is gone,
            decline everything *)
@@ -687,44 +803,60 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
       end
     end
   in
-  if reliable then begin
-    let hold =
+  (* --- the transport layer: ARQ under the protocol, or none -------- *)
+  let transport_layer =
+    if not reliable then begin
+      Simnet.set_handler net (fun ~src ~dst frame ->
+          match frame with
+          | Transport.Data { payload; _ } -> deliver_payload ~src ~dst payload
+          | Transport.Ack _ -> ());
+      None
+    end
+    else begin
       (* when retries exhaust inside (or just after) scheduled weather
          the transport suspects the silent link instead of declaring it
          dead (see Transport.create).  The window is the whole retry
          ladder: a fresh ladder that started mid-episode exhausts only
          after the heal, so testing "active now" at exhaustion time
-         would let it give up on a link whose answer is in flight. *)
-      if Schedule.is_empty schedule then None
-      else begin
-        let tc = Option.value transport ~default:Transport.default_config in
-        let ladder =
-          let rec sum k rto acc =
-            if k > tc.Transport.max_retries then acc
-            else
-              let rto = Float.min tc.Transport.rto_max rto in
-              sum (k + 1) (rto *. tc.Transport.rto_backoff) (acc +. rto)
-          in
-          sum 0 tc.Transport.rto_initial 0.0 *. (1.0 +. tc.Transport.rto_jitter)
+         would let it give up on a link whose answer is in flight.
+         Without a schedule the predicate is constantly false. *)
+      let tc = Option.value transport ~default:Transport.default_config in
+      let ladder =
+        let rec sum k rto acc =
+          if k > tc.Transport.max_retries then acc
+          else
+            let rto = Float.min tc.Transport.rto_max rto in
+            sum (k + 1) (rto *. tc.Transport.rto_backoff) (acc +. rto)
         in
-        Some (fun ~node:_ ~peer:_ -> weather_touched ladder)
-      end
-    in
-    tr :=
+        sum 0 tc.Transport.rto_initial 0.0 *. (1.0 +. tc.Transport.rto_jitter)
+      in
+      let t =
+        Transport.create ?config:transport
+          ~hold:(fun ~node:_ ~peer:_ -> weather_touched ladder)
+          net ~on_deliver:deliver_payload
+          ~on_peer_dead:(fun ~node ~peer ->
+            (* retries exhausted: the peer implicitly declined *)
+            if live node && correct.(node) then begin
+              incr transport_giveups;
+              synthetic_reject node ~peer
+            end)
+      in
+      tr := Some t;
       Some
-        (Transport.create ?config:transport ?hold net ~on_deliver:deliver_payload
-           ~on_peer_dead:(fun ~node ~peer ->
-             (* retries exhausted: the peer implicitly declined *)
-             if live node && correct.(node) then begin
-               incr transport_giveups;
-               synthetic_reject node ~peer
-             end))
-  end
-  else
-    Simnet.set_handler net (fun ~src ~dst frame ->
-        match frame with
-        | Transport.Data { payload; _ } -> deliver_payload ~src ~dst payload
-        | Transport.Ack _ -> ());
+        (counting "transport" (fun () ->
+             [
+               ("data", Transport.data_sent t);
+               ("retransmissions", Transport.retransmissions t);
+               ("acks", Transport.acks_sent t);
+               ("dup-suppressed", Transport.duplicates_suppressed t);
+               ("frames", Transport.frames_sent t);
+               ("dead-links", Transport.peers_declared_dead t);
+               ("suspected", Transport.links_suspected t);
+               ("resumed", Transport.links_resumed t);
+               ("held-give-ups", Transport.give_ups_held t);
+             ]))
+    end
+  in
   (* --- membership: crash plans schedule a crash and, optionally, a
      restart that rejoins retired ------------------------------------ *)
   List.iter
@@ -743,6 +875,24 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
               end))
         restart_at)
     crashes;
+  (* --- the stack: the enabled layers, top first.  The filter chains
+     and the counter table are both read off this one list. --------- *)
+  let layers =
+    List.filter_map Fun.id
+      [
+        Some lid_layer;
+        deadline_layer;
+        Some detector_layer;
+        adversary_layer;
+        guard_layer;
+        Some dedup_layer;
+        transport_layer;
+        Some channel_layer;
+        schedule_layer;
+      ]
+  in
+  outbound := List.filter_map (fun l -> l.on_send) layers;
+  inbound := List.filter_map (fun l -> l.on_deliver) layers;
   (* --- go: adversaries open their mouths first, then the honest burst,
      then the re-announced bootstrap declines ------------------------- *)
   Array.iteri
@@ -755,75 +905,11 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     | None ->
         Simnet.run net;
         None
-    | Some d ->
-        Simnet.run_until net d;
-        cut := true;
-        cut_abandoned := Simnet.pending_events net;
-        (* count unreciprocated locks BEFORE the freeze: these are the
-           half-locked edges whose completing PROP was still in flight
-           at the horizon — kept one-sided in K_i, excluded from the
-           served matching by the mutual-lock intersection below *)
-        for i = 0 to n - 1 do
-          if correct.(i) && live i then
-            List.iter
-              (fun v -> if not (List.mem i (Lid.locks st v)) then incr cut_half_locks)
-              (Lid.locks st i)
-        done;
-        let released = Lid.freeze st in
-        cut_released :=
-          List.length (List.filter (fun (i, _) -> correct.(i) && live i) released);
-        Some
-          {
-            cut_at = d;
-            released = !cut_released;
-            half_locks = !cut_half_locks;
-            abandoned = !cut_abandoned;
-          }
+    | Some d -> Some (run_until_cutoff d)
   in
-  (* quiet rounds (guarded only): when the network idles with correct
-     nodes still stuck, give up exactly the pendings towards
-     adversary-controlled or quarantined peers — the eventually-perfect
-     failure detector.  Honest-honest pendings are never cut: they
-     resolve transitively once the Byzantine leaves are. *)
-  let correct_stragglers () =
-    List.filter (fun i -> correct.(i) && live i) (Lid.unterminated_nodes st)
-  in
-  (match guards with
-  | None -> ()
-  | Some gs ->
-      let continue = ref true in
-      let max_rounds = (2 * n) + 8 in
-      while !continue && correct_stragglers () <> [] && !quiet_rounds < max_rounds do
-        let progress = ref false in
-        List.iter
-          (fun i ->
-            Array.iter
-              (fun (v, _) ->
-                if
-                  Lid.awaiting_reply st ~node:i ~peer:v
-                  && ((not correct.(v)) || Guard.quarantined gs.(i) ~peer:v)
-                then begin
-                  progress := true;
-                  synthetic_reject i ~peer:v
-                end)
-              (Graph.neighbors g i))
-          (correct_stragglers ());
-        if !progress then begin
-          incr quiet_rounds;
-          Simnet.run net
-        end
-        else continue := false
-      done);
+  Option.iter run_quiet_rounds guards;
   (* --- terminal accounting ------------------------------------------ *)
-  let locked = Lid.locked_edge_ids st in
-  let ids =
-    List.filter
-      (fun eid ->
-        let a, b = Graph.edge_endpoints g eid in
-        live a && live b)
-      locked
-  in
-  let matching = Bmatching.of_edge_ids g ~capacity ids in
+  let matching = Bmatching.of_edge_ids g ~capacity (Lazy.force served) in
   let unterminated = correct_stragglers () in
   let quiescence =
     List.filter
@@ -833,170 +919,55 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
         | _ -> true)
       (Lid.quiescence_violations st)
   in
-  let wasted_slots = ref 0 in
-  if adv_enabled then
-    for i = 0 to n - 1 do
-      if correct.(i) then
-        List.iter (fun v -> if not correct.(v) then incr wasted_slots) (Lid.locks st i)
-    done;
   let offence_counts, byz_offenders, byz_quarantined = Lazy.force guard_tally in
-  let damage =
-    if not adv_enabled then []
+  let wasted_slots, damage =
+    if not adv_enabled then (0, [])
     else begin
       let p = Option.get prefs in
-      let consumed = Array.init n (fun i -> List.length (Lid.locks st i)) in
-      (* the overclaim-lock audit: a slot locked to a peer whose
-         bootstrap advert provably exceeded its public 1/b bound is
-         avoidable damage — the guard quarantines such peers before a
-         single proposal, so only unguarded runs can exhibit it *)
-      let overclaimed = ref [] in
+      (* a correct node's lock on an adversary is a wasted slot; the
+         overclaim-lock audit also flags it as avoidable damage when the
+         peer's bootstrap advert provably exceeded its public 1/b bound
+         — the guard quarantines such peers before a single proposal,
+         so only unguarded runs can exhibit it *)
+      let wasted = ref 0 and overclaimed = ref [] in
       for i = n - 1 downto 0 do
         if correct.(i) then
           List.iter
             (fun v ->
-              if
-                (not correct.(v))
-                && advert_of p adv v i > bound p v +. Guard.default_config.Guard.tolerance
-              then overclaimed := (i, v) :: !overclaimed)
+              if not correct.(v) then begin
+                incr wasted;
+                if advert_of p adv v i > bound p v +. Guard.default_config.Guard.tolerance
+                then overclaimed := (i, v) :: !overclaimed
+              end)
             (Lid.locks st i)
       done;
-      Byzantine.check
-        ~cutoff:(Option.is_some cutoff)
-        {
-          Byzantine.weights = w;
-          capacity;
-          correct;
-          edges = locked;
-          consumed;
-          unterminated;
-          overclaimed = !overclaimed;
-        }
+      ( !wasted,
+        damage_of ~cutoff:(Option.is_some cutoff) w ~capacity ~correct ~unterminated
+          ~overclaimed:!overclaimed st )
     end
-  in
-  (* --- the per-layer counter table, top layer first ----------------- *)
-  let layers =
-    List.concat
-      [
-        [
-          {
-            layer = "lid";
-            counters =
-              [
-                ("prop", !prop_count);
-                ("rej", !rej_count);
-                ("delivered", !lid_delivered);
-                ("locks", List.length ids);
-              ];
-          };
-        ];
-        (match budget with
-        | Some _ ->
-            [ { layer = deadline_mw.mw_name; counters = deadline_mw.mw_counters () } ]
-        | None -> []);
-        [
-          {
-            layer = "detector";
-            counters =
-              [
-                ("patience-armed", !patience_armed);
-                ("patience-fired", !patience_fired);
-                ("suppressed-give-ups", !suppressed_giveups);
-                ("transport-give-ups", !transport_giveups);
-                ("quarantine-give-ups", !quarantine_giveups);
-                ("synthetic-rej", !synthetic_rejects);
-                ("quiet-rounds", !quiet_rounds);
-                ("stub-rej", !stub_rejects);
-              ];
-          };
-        ];
-        (if adv_enabled then
-           [
-             {
-               layer = "adversary";
-               counters =
-                 [ ("peers", byz_count); ("messages", !adversary_msgs) ];
-             };
-           ]
-         else []);
-        (match guard_mw with
-        | Some l -> [ { layer = l.mw_name; counters = l.mw_counters () } ]
-        | None -> []);
-        [ { layer = dedup_mw.mw_name; counters = dedup_mw.mw_counters () } ];
-        (match !tr with
-        | Some t ->
-            [
-              {
-                layer = "transport";
-                counters =
-                  [
-                    ("data", Transport.data_sent t);
-                    ("retransmissions", Transport.retransmissions t);
-                    ("acks", Transport.acks_sent t);
-                    ("dup-suppressed", Transport.duplicates_suppressed t);
-                    ("frames", Transport.frames_sent t);
-                    ("dead-links", Transport.peers_declared_dead t);
-                    ("suspected", Transport.links_suspected t);
-                    ("resumed", Transport.links_resumed t);
-                    ("held-give-ups", Transport.give_ups_held t);
-                  ];
-              };
-            ]
-        | None -> []);
-        [
-          {
-            layer = "channel";
-            counters =
-              [
-                ("sent", Simnet.messages_sent net);
-                ("delivered", Simnet.messages_delivered net);
-                ("dropped", Simnet.messages_dropped net);
-                ("reordered", Simnet.messages_reordered net);
-                ("lost-to-crashes", Simnet.messages_lost_to_crashes net);
-                ("crashes", Simnet.crash_events net);
-              ];
-          };
-        ];
-        (if Schedule.is_empty schedule then []
-         else
-           [
-             {
-               layer = "schedule";
-               counters =
-                 [
-                   ("episodes", List.length schedule);
-                   ("cut", Simnet.messages_cut net);
-                 ];
-             };
-           ]);
-      ]
   in
   {
     matching;
     correct;
     participating = Array.init n (fun i -> correct.(i) && live i);
-    byz_count;
     prop_count = !prop_count;
     rej_count = !rej_count;
-    adversary_msgs = !adversary_msgs;
     delivered = Simnet.messages_delivered net;
     dropped = Simnet.messages_dropped net;
-    reordered = Simnet.messages_reordered net;
-    lost_to_crashes = Simnet.messages_lost_to_crashes net;
     synthetic_rejects = !synthetic_rejects;
     quarantine_events = !quarantine_events;
-    false_quarantines = !false_quarantines;
     byz_offenders;
     byz_quarantined;
     offence_counts;
-    wasted_slots = !wasted_slots;
-    quiet_rounds = !quiet_rounds;
+    wasted_slots;
     completion_time = Simnet.now net;
     all_terminated = unterminated = [];
     unterminated;
     quiescence;
     damage;
     cutoff;
-    layers;
+    layers =
+      List.map (fun l -> { layer = l.mw_name; counters = l.mw_counters () }) layers;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1011,11 +982,8 @@ type explore_state = { lid : Lid.state; eguards : Guard.t array option }
    unchanged Lid.deliver, quarantine re-announcement and the quiet-round
    give-up hook.  Deliveries to non-[correct] nodes are no-ops: the
    explorer's adversary injects their traffic instead. *)
-let explore_protocol ~guard ~correct prefs =
+let explore_protocol ~guard ~correct prefs w ~capacity =
   let g = Preference.graph prefs in
-  let n = Graph.node_count g in
-  let capacity = Array.init n (Preference.quota prefs) in
-  let w = Weights.of_preference prefs in
   (* adverts are honest in the exhaustive model: adversarial over-bound
      claims enter through the explorer's injection repertoire instead,
      so every attack is interleaved with deliveries rather than fixed
@@ -1043,13 +1011,7 @@ let explore_protocol ~guard ~correct prefs =
     Lid.deliver lid ~src ~dst lm ~emit:(fun src dst m -> out := wire src dst m :: !out);
     List.rev !out
   in
-  let mk_guards () =
-    if guard then
-      Some
-        (Array.init n (fun i ->
-             Guard.create ~bound:(bound prefs) ~graph:g ~me:i ()))
-    else None
-  in
+  let mk_guards () = if guard then Some (guards_for prefs g) else None in
   let deliver st ~src ~dst (m : Guard.msg) =
     if not (correct dst) then []
     else begin
@@ -1163,7 +1125,7 @@ let verify_exhaustively ?(guard = true) ?(budget = 2) ?max_configs ~byz prefs =
   let capacity = Array.init n (Preference.quota prefs) in
   let w = Weights.of_preference prefs in
   let correct i = i <> byz in
-  let protocol = explore_protocol ~guard ~correct prefs in
+  let protocol = explore_protocol ~guard ~correct prefs w ~capacity in
   (* repertoire: per neighbour an honest-looking PROP, an over-bound
      PROP, a REJ and a stale-epoch PROP; plus one PROP to a stranger *)
   let injections =
@@ -1184,33 +1146,14 @@ let verify_exhaustively ?(guard = true) ?(budget = 2) ?max_configs ~byz prefs =
         };
       ]
     in
-    let neighbour_set = Hashtbl.create 8 in
-    List.iter (fun v -> Hashtbl.replace neighbour_set v ()) towards;
-    let stranger =
-      let rec find i =
-        if i >= n then []
-        else if i <> byz && not (Hashtbl.mem neighbour_set i) then
-          [ { Explore.src = byz; dst = i; payload = prop (bound prefs byz) } ]
-        else find (i + 1)
-      in
-      find 0
-    in
-    List.concat_map per_neighbour towards @ stranger
+    List.concat_map per_neighbour towards
+    @ Option.fold (stranger g byz) ~none:[] ~some:(fun i ->
+          [ { Explore.src = byz; dst = i; payload = prop (bound prefs byz) } ])
   in
   let on_terminal est =
-    let lid = est.lid in
-    let correct_arr = Array.init n correct in
-    let consumed = Array.init n (fun i -> List.length (Lid.locks lid i)) in
-    Byzantine.check
-      {
-        Byzantine.weights = w;
-        capacity;
-        correct = correct_arr;
-        edges = Lid.locked_edge_ids lid;
-        consumed;
-        unterminated = List.filter correct (Lid.unterminated_nodes lid);
-        overclaimed = [];
-      }
+    damage_of w ~capacity ~correct:(Array.init n correct)
+      ~unterminated:(List.filter correct (Lid.unterminated_nodes est.lid))
+      ~overclaimed:[] est.lid
   in
   Explore.explore ?max_configs
     ~adversary:{ Explore.byz; injections; budget }

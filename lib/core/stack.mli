@@ -1,42 +1,43 @@
 (** The composable LID protocol stack.
 
-    One runtime replaces the four simulation drivers that grew around
-    {!Lid} (robust, reliable, byzantine, and the crash-plan plumbing of
-    the pipeline): the pure state machine {!Lid.init}/{!Lid.deliver} is
-    the top layer, and everything else is middleware on the message
-    path, each piece enabled independently:
+    The pure state machine {!Lid.init}/{!Lid.deliver} (Algorithm 1) is
+    the top layer; everything else is middleware on the message path,
+    each piece enabled independently:
 
     {v
-      outbound:  Lid sends -> adversary behaviours -> ARQ transport?
-                 -> channel faults / crash silence -> Simnet
+      outbound:  Lid sends -> deadline gate? -> adversary behaviours
+                 -> ARQ transport? -> channel faults / weather -> Simnet
       inbound:   Simnet -> transport dedup? -> adversary routing
-                 -> guard / quarantine -> protocol dedup
+                 -> deadline gate? -> guard / quarantine? -> protocol dedup
                  -> membership stub -> Lid.deliver
     v}
 
-    Every layer implements one internal signature ([on_send] /
-    [on_deliver] / timers via {!Owp_simnet.Simnet.schedule} /
-    [counters]) and contributes one row to the per-layer counter table
-    of the {!report}.  Because the layers compose, any combination of
-    channel faults, the reliable transport, crash plans, Byzantine
-    peers, fail-silent peers and the guard runs through this single
-    loop — and quiescence/termination detection (Lemma 5) lives in
-    exactly one place: the detector layer (patience timers, transport
-    give-ups, quarantine give-ups and the guarded quiet rounds).
+    Every layer is one value of one internal record: an optional
+    outbound filter, an optional inbound filter (timers are
+    {!Owp_simnet.Simnet.schedule} callbacks of the layer's own) and its
+    counters.  {!run} lists the enabled layers once, in table order —
+    lid, deadline, detector, adversary, guard, dedup, transport,
+    channel, schedule — and reads three things off that one list: the
+    outbound filter chain (the deadline gate, when budgeted), the
+    inbound chain (deadline gate, guard, dedup) and the counter table
+    of the {!report}, one row per layer.  Layers that only count
+    (lid, detector, adversary, transport, channel, schedule) are on
+    neither chain.  Quiescence/termination detection (Lemma 5) lives
+    in one place, the detector layer: patience timers, transport
+    give-ups, quarantine give-ups and the guarded quiet rounds.
 
-    The historical drivers (robust, reliable, Byzantine) are plain
-    {!run} calls with one particular layer selection — their old seeds
-    (robust [0x50B] with 10 s patience, reliable [0x2E1], Byzantine
-    [0xB12] with the guard on) are passed explicitly at the call sites
-    that preserve the historic tables.  {!run} is the only executor:
-    with no layer enabled it is plain Algorithm 1 on one schedule, bit
-    for bit the same as a bare [Lid.init]/[Lid.deliver] loop over
-    {!Owp_simnet.Simnet} (asserted by 100-seed property tests, clean
-    and under channel faults), and costs about what that loop costs —
-    the always-on dedup layer keeps its seen set in {!Lid.mark_delivery}
-    bits beside the flags [Lid.deliver] reads, sends reach the wire
-    through [Lid.deliver]'s sink, and unguarded messages travel as
-    shared constant frames. *)
+    {!run} is the only executor.  The historical drivers are calls with
+    one layer selection and their old seeds (robust [0x50B] with 10 s
+    patience, reliable [0x2E1], Byzantine [0xB12] with the guard on),
+    passed at the call sites that preserve the historic tables.  With
+    no layer enabled it is plain Algorithm 1 on one schedule, bit for
+    bit the same as a bare [Lid.init]/[Lid.deliver] loop over
+    {!Owp_simnet.Simnet} (asserted by 100-seed property tests, clean and
+    under channel faults), and costs about what that loop costs: its
+    only filter is the dedup layer, whose seen set is the
+    {!Lid.mark_delivery} bits beside the flags [Lid.deliver] reads;
+    sends reach the wire through [Lid.deliver]'s sink, and unguarded
+    messages travel as shared constant frames. *)
 
 (** {1 Crash plans}
 
@@ -60,7 +61,7 @@ type layer = {
       (** ["lid"], ["deadline"], ["detector"], ["adversary"], ["guard"],
           ["dedup"], ["transport"], ["channel"], ["schedule"] — top to
           bottom; only enabled layers appear *)
-  counters : (string * int) list;
+  counters : (string * int) list;  (** in a fixed order per layer *)
 }
 
 type cutoff = {
@@ -85,26 +86,22 @@ type report = {
           live and non-retired — the node set the final matching can
           touch, and the subgraph the self-stabilization reference
           ({!Owp_check.Stabilize}) is computed on *)
-  byz_count : int;  (** adversary-controlled peers *)
-  prop_count : int;  (** protocol-level PROP sends by correct nodes *)
+  prop_count : int;
+      (** protocol-level PROP sends by correct nodes (lid/prop) *)
   rej_count : int;
       (** protocol-level REJ sends (retirement bursts, bootstrap and
-          quarantine re-announcements included) *)
-  adversary_msgs : int;  (** wire messages originated by adversaries *)
-  delivered : int;  (** frames the channel delivered *)
-  dropped : int;  (** frames lost to channel faults *)
-  reordered : int;  (** frames turned into stragglers *)
-  lost_to_crashes : int;  (** frames lost at/from down hosts *)
+          quarantine re-announcements included; lid/rej) *)
+  delivered : int;  (** frames the channel delivered (channel/delivered) *)
+  dropped : int;  (** frames lost to channel faults (channel/dropped) *)
   synthetic_rejects : int;
-      (** implicit declines the detector fed to the machine *)
-  quarantine_events : int;
-  false_quarantines : int;  (** quarantines of correct peers *)
+      (** implicit declines the detector fed to the machine
+          (detector/synthetic-rej) *)
+  quarantine_events : int;  (** bootstrap and inbound (guard/quarantines) *)
   byz_offenders : int;  (** adversaries with at least one offence *)
   byz_quarantined : int;  (** adversaries quarantined somewhere *)
   offence_counts : (string * int) list;
       (** guard offences aggregated by name, alphabetical *)
   wasted_slots : int;  (** correct-node locks on adversary peers *)
-  quiet_rounds : int;  (** guarded failure-detector rounds *)
   completion_time : float;  (** virtual time at quiescence *)
   all_terminated : bool;
       (** every live, non-retired, correct node reached U_i = ∅ *)
@@ -121,6 +118,11 @@ type report = {
           [all_terminated] is true by construction) *)
   layers : layer list;  (** the counter table, top layer first *)
 }
+(** The outcome of a {!run}.  Every other count lives only in the
+    counter table and is read with {!counter} — adversary peers and
+    messages, reordered frames and frames lost to crashes, false
+    quarantines, quiet rounds.  The six fields above that name a
+    [layer/counter] mirror that table cell for their many readers. *)
 
 val counter : report -> layer:string -> string -> int
 (** [counter r ~layer name] is the named counter of the named layer, 0

@@ -37,13 +37,6 @@ let weight_ratio w approx opt =
   let a = Bmatching.weight approx w and o = Bmatching.weight opt w in
   if Float.equal o 0.0 then 1.0 else a /. o
 
-let total_satisfaction prefs m =
-  Preference.total_satisfaction prefs (Bmatching.connection_lists m)
-
-let satisfaction_ratio prefs approx opt =
-  let a = total_satisfaction prefs approx and o = total_satisfaction prefs opt in
-  if Float.equal o 0.0 then 1.0 else a /. o
-
 let lemma1_bound ~bmax =
   if bmax <= 0 then invalid_arg "Theory.lemma1_bound: bmax must be positive";
   0.5 *. (1.0 +. (1.0 /. float_of_int bmax))

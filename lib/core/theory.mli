@@ -22,10 +22,6 @@ val weight_ratio : Weights.t -> Owp_matching.Bmatching.t -> Owp_matching.Bmatchi
 (** [weight_ratio w approx opt] = w(approx)/w(opt); 1.0 when both are
     empty. *)
 
-val satisfaction_ratio :
-  Preference.t -> Owp_matching.Bmatching.t -> Owp_matching.Bmatching.t -> float
-(** Total eq.-1 satisfaction ratio approx/opt; 1.0 when opt is 0. *)
-
 val lemma1_bound : bmax:int -> float
 (** ½(1 + 1/b_max), the Lemma 1 guarantee. *)
 

@@ -83,3 +83,49 @@ let weights_of_string s =
             triples;
           (g, w)
       | _ -> failwith "Graph_io.weights_of_string: malformed header")
+
+let matching_to_string g ids =
+  String.concat ""
+    (Printf.sprintf "# owp matching: %d nodes, %d selected edges\n" (Graph.node_count g)
+       (List.length ids)
+    :: List.map
+         (fun eid ->
+           let u, v = Graph.edge_endpoints g eid in
+           Printf.sprintf "%d %d\n" u v)
+         ids)
+
+let matching_of_string g s =
+  let n = Graph.node_count g in
+  let node tok =
+    if not (String.for_all (fun c -> c >= '0' && c <= '9') tok) then
+      Error (Printf.sprintf "`%s' is not a node id" tok)
+    else
+      match int_of_string_opt tok with
+      | Some i when i < n -> Ok i
+      | _ -> Error (Printf.sprintf "node %s out of range (%d nodes)" tok n)
+  in
+  let edge line =
+    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+    | [ a; b ] -> (
+        match (node a, node b) with
+        | Ok u, Ok v ->
+            Option.to_result (Graph.find_edge g u v)
+              ~none:(Printf.sprintf "%d-%d is not an edge of the graph" u v)
+        | (Error e, _ | _, Error e) -> Error e)
+    | fields -> Error (Printf.sprintf "expected two node ids, found %d" (List.length fields))
+  in
+  let rec go k acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest -> (
+        let line = String.trim line in
+        if line = "" || line.[0] = '#' then go (k + 1) acc rest
+        else
+          match edge line with
+          | Ok eid -> go (k + 1) (eid :: acc) rest
+          | Error e -> Error (Printf.sprintf "line %d: %s" k e))
+  in
+  go 1 [] (String.split_on_char '\n' s)
+
+let read_matching g path =
+  try matching_of_string g (In_channel.with_open_text path In_channel.input_all)
+  with Sys_error e -> Error e

@@ -16,3 +16,20 @@ val weights_to_string : Graph.t -> float array -> string
 (** Edge list with a third weight column (same ordering as edge ids). *)
 
 val weights_of_string : string -> Graph.t * float array
+
+(** {1 Matchings}
+
+    A saved matching: a ["# owp matching: N nodes, K selected edges"]
+    comment, then one ["u v"] line per selected edge of its graph — what
+    [owp run --save] writes and [owp verify] / [owp check --matching]
+    read. *)
+
+val matching_to_string : Graph.t -> int list -> string
+
+val matching_of_string : Graph.t -> string -> (int list, string) result
+(** The edge ids of the ["u v"] lines, in file order (a repeated line
+    stays, for the checkers to flag); [Error "line N: ..."] at the first
+    line that is not two node ids of the graph joined by an edge. *)
+
+val read_matching : Graph.t -> string -> (int list, string) result
+(** {!matching_of_string} on a file; an unreadable file is an [Error]. *)

@@ -73,5 +73,3 @@ let pure t = t.pure
 
 let active t ~rule ~line =
   List.exists (fun (l, r) -> r = rule && (l = line || l = line - 1)) t.allows
-
-let markers t = List.length t.allows

@@ -31,7 +31,3 @@ val pure : t -> bool
 
 val active : t -> rule:string -> line:int -> bool
 (** An [allow] directive for [rule] covers [line]. *)
-
-val markers : t -> int
-(** Number of [allow] directives seen (reported so suppressed findings
-    stay visible in the summary). *)

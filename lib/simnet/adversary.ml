@@ -24,25 +24,6 @@ let name = function
   | Replayer -> "replayer"
   | State_violator -> "violator"
 
-let describe = function
-  | Weight_liar f ->
-      Printf.sprintf
-        "weight-liar: advertises (1 + %.2f)/b, above the structural half-weight \
-         bound 1/b"
-        f
-  | Equivocator ->
-      "equivocator: proposes to everyone and accepts every proposal, locking far \
-       beyond its quota"
-  | Flooder k ->
-      Printf.sprintf
-        "flooder: never answers, spams %d PROP sweep(s) over all neighbours per \
-         receipt (budget-bounded)"
-        k
-  | Replayer -> "replayer: duplicates and stale-epoch replays of its own messages"
-  | State_violator ->
-      "state-machine violator: PROP-to-stranger, REJ-after-lock, and never answers \
-       proposals"
-
 let all_defaults =
   [
     Weight_liar default_liar_inflation;

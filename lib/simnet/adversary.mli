@@ -46,9 +46,6 @@ val default_of_name : string -> model option
 val name : model -> string
 (** Short CLI name of the model (parameter-free). *)
 
-val describe : model -> string
-(** One-line human description, parameters included. *)
-
 val all_defaults : model list
 (** One instance of every model with default parameters. *)
 

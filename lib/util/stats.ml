@@ -72,7 +72,3 @@ let histogram xs ~bins =
         let w = span /. float_of_int bins in
         (lo +. (float_of_int b *. w), lo +. (float_of_int (b + 1) *. w), counts.(b)))
   end
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4f sd=%.4f min=%.4f med=%.4f max=%.4f" s.n s.mean s.stddev
-    s.min s.median s.max

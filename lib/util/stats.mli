@@ -27,5 +27,3 @@ val summarize : float array -> summary
 
 val histogram : float array -> bins:int -> (float * float * int) array
 (** [(lo, hi, count)] per bin over the sample range. *)
-
-val pp_summary : Format.formatter -> summary -> unit

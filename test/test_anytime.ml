@@ -139,7 +139,10 @@ let test_pipeline_budgeted_outcome () =
   let out =
     P.run_config (RC.make ~engine:RC.Lid ~seed:8 ~deadline:2.0 ~check:true ()) prefs
   in
-  Alcotest.(check bool) "outcome carries the cutoff" true (Option.is_some out.P.cutoff);
+  let cutoff (o : P.outcome) =
+    match o.P.detail with P.Stack r -> r.Stack.cutoff | P.Plain -> None
+  in
+  Alcotest.(check bool) "outcome carries the cutoff" true (Option.is_some (cutoff out));
   Alcotest.(check bool) "no Theorem 3 guarantee at cutoff" true
     (Option.is_none out.P.guarantee);
   (* the armed checkers drop to instance level: feasibility must hold,
@@ -151,7 +154,7 @@ let test_pipeline_budgeted_outcome () =
         (Owp_check.Checker.ok rep));
   let unbudgeted = P.run_config (RC.make ~engine:RC.Lid ~seed:8 ()) prefs in
   Alcotest.(check bool) "no cutoff without a budget" true
-    (Option.is_none unbudgeted.P.cutoff)
+    (Option.is_none (cutoff unbudgeted))
 
 (* --- the certificate checker itself ------------------------------- *)
 

@@ -80,8 +80,10 @@ let test_honest_run_is_plain_lid () =
         (Printf.sprintf "edge set = LIC (guard:%b)" guard)
         (BM.edge_ids lic) (BM.edge_ids r.Stack.matching);
       Alcotest.(check int) "no quarantines" 0 r.Stack.quarantine_events;
-      Alcotest.(check int) "no adversary messages" 0 r.Stack.adversary_msgs;
-      Alcotest.(check int) "no quiet rounds" 0 r.Stack.quiet_rounds;
+      Alcotest.(check int) "no adversary messages" 0
+        (Stack.counter r ~layer:"adversary" "messages");
+      Alcotest.(check int) "no quiet rounds" 0
+        (Stack.counter r ~layer:"detector" "quiet-rounds");
       Alcotest.(check (list violation)) "damage clean" [] r.Stack.damage)
     [ true; false ]
 
@@ -104,7 +106,8 @@ let test_guarded_bounded_damage_all_models () =
             (label "all correct terminated")
             true r.Stack.all_terminated;
           Alcotest.(check (list violation)) (label "damage") [] r.Stack.damage;
-          Alcotest.(check int) (label "no false quarantine") 0 r.Stack.false_quarantines)
+          Alcotest.(check int) (label "no false quarantine") 0
+            (Stack.counter r ~layer:"guard" "false-quarantines"))
         [ 1; 2; 3 ])
     Adversary.all_defaults
 
@@ -135,7 +138,7 @@ let test_guarded_liar_caught_at_bootstrap () =
   Alcotest.(check bool) "overclaim offences recorded" true
     (List.mem_assoc "overclaim" r.Stack.offence_counts);
   Alcotest.(check int) "precision: no correct peer quarantined" 0
-    r.Stack.false_quarantines
+    (Stack.counter r ~layer:"guard" "false-quarantines")
 
 let test_unguarded_liar_wastes_slots () =
   (* without advert vetting the inflated halves jump the victims'
@@ -169,7 +172,8 @@ let test_flooder_quarantined_and_contained () =
     (List.mem_assoc "duplicate-prop" guarded.Stack.offence_counts);
   Alcotest.(check bool) "terminates despite spam" true
     guarded.Stack.all_terminated;
-  Alcotest.(check int) "precision" 0 guarded.Stack.false_quarantines;
+  Alcotest.(check int) "precision" 0
+    (Stack.counter guarded ~layer:"guard" "false-quarantines");
   Alcotest.(check (list violation)) "damage clean" [] guarded.Stack.damage
 
 let test_replayer_quarantined () =
@@ -182,7 +186,8 @@ let test_replayer_quarantined () =
        (fun (k, _) ->
          List.mem k [ "duplicate-prop"; "duplicate-rej"; "stale-epoch" ])
        r.Stack.offence_counts);
-  Alcotest.(check int) "precision" 0 r.Stack.false_quarantines
+  Alcotest.(check int) "precision" 0
+    (Stack.counter r ~layer:"guard" "false-quarantines")
 
 let test_determinism () =
   let prefs = random_prefs 23 30 6 2 in

@@ -54,6 +54,26 @@ let test_weights_arity () =
     (Invalid_argument "Graph_io.weights_to_string: weight arity mismatch") (fun () ->
       ignore (Graph_io.weights_to_string g [| 1.0 |]))
 
+let test_matching_roundtrip () =
+  let g = Gen.gnm (Owp_util.Prng.create 7) ~n:20 ~m:40 in
+  let ids = [ 0; 3; 17; 39 ] in
+  Alcotest.(check (result (list int) string))
+    "edge ids back, in order" (Ok ids)
+    (Graph_io.matching_of_string g (Graph_io.matching_to_string g ids))
+
+let test_matching_errors () =
+  let g = Gen.ring 4 in
+  let read s = Graph_io.matching_of_string g s in
+  let err = Alcotest.(result (list int) string) in
+  Alcotest.check err "bad token" (Error "line 2: `y' is not a node id")
+    (read "# m\n0 y\n");
+  Alcotest.check err "wrong arity" (Error "line 3: expected two node ids, found 3")
+    (read "0 1\n\n1 2 3\n");
+  Alcotest.check err "non-edge" (Error "line 1: 0-2 is not an edge of the graph")
+    (read "0 2\n");
+  Alcotest.check err "out of range"
+    (Error "line 1: node 9 out of range (4 nodes)") (read "9 0\n")
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
@@ -62,4 +82,6 @@ let suite =
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "weights roundtrip" `Quick test_weights_roundtrip;
     Alcotest.test_case "weights arity" `Quick test_weights_arity;
+    Alcotest.test_case "matching roundtrip" `Quick test_matching_roundtrip;
+    Alcotest.test_case "matching errors" `Quick test_matching_errors;
   ]

@@ -85,7 +85,8 @@ let test_failstop_with_patience () =
   Alcotest.(check int) "victim unmatched" 0 (BM.degree r.Stack.matching victim);
   Alcotest.(check bool) "some recovery happened" true
     (r.Stack.synthetic_rejects > 0 || Graph.degree g victim = 0);
-  Alcotest.(check bool) "crash loss accounted" true (r.Stack.lost_to_crashes > 0)
+  Alcotest.(check bool) "crash loss accounted" true
+    (Stack.counter r ~layer:"channel" "lost-to-crashes" > 0)
 
 let test_failstop_without_patience_reported () =
   (* without patience a neighbour whose ACKed proposal is answered by

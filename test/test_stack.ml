@@ -234,7 +234,8 @@ let test_full_composition_coherent () =
   Alcotest.(check bool) "correct peers terminate" true r.Stack.all_terminated;
   Alcotest.(check (list string)) "damage certifies" []
     (List.map (fun v -> v.Owp_check.Violation.checker) r.Stack.damage);
-  Alcotest.(check int) "precision" 0 r.Stack.false_quarantines;
+  Alcotest.(check int) "precision" 0
+    (Stack.counter r ~layer:"guard" "false-quarantines");
   let names = List.map (fun l -> l.Stack.layer) r.Stack.layers in
   List.iter
     (fun l -> Alcotest.(check bool) (l ^ " row present") true (List.mem l names))
@@ -291,6 +292,67 @@ let prop_shards_bit_identical_full_composition =
       let reference = run 1 in
       run 2 = reference && run 4 = reference)
 
+(* ------------------------------------------------------------------ *)
+(* the whole counter table, pinned                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* row order, counter names and values together, one row a line, at
+   one seed: the zero-layer table and the table with all nine layers
+   enabled (the composition of the shard property above).  A row that
+   moves, a counter that is renamed and a value that changes all fail
+   here. *)
+let table (r : Stack.report) =
+  List.map
+    (fun { Stack.layer; counters } ->
+      String.concat " " (layer :: List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) counters))
+    r.Stack.layers
+
+let quiet_detector =
+  "detector patience-armed=0 patience-fired=0 suppressed-give-ups=0 \
+   transport-give-ups=0 quarantine-give-ups=0 synthetic-rej=0 quiet-rounds=0 stub-rej=0"
+
+let test_counter_table_pinned () =
+  let _, _, w, capacity = random_instance 3 16 5 2 in
+  Alcotest.(check (list string)) "zero-layer table"
+    [
+      "lid prop=39 rej=31 delivered=70 locks=13";
+      quiet_detector;
+      "dedup suppressed-prop=0 suppressed-rej=0";
+      "channel sent=70 delivered=70 dropped=0 reordered=0 lost-to-crashes=0 crashes=0";
+    ]
+    (table (Stack.run ~seed:3 w ~capacity));
+  let seed = 7 in
+  let _, p, w, capacity = random_instance seed 40 6 2 in
+  let n = Graph.node_count (Preference.graph p) in
+  let adversaries =
+    Owp_simnet.Adversary.assign (Prng.create seed) ~n
+      (Owp_simnet.Adversary.parse_spec "liar:0.2")
+  in
+  let weather =
+    [
+      { Schedule.from_ = 2.0; until = 5.0; what = Schedule.Burst 0.4 };
+      { Schedule.from_ = 4.0; until = 7.0; what = Schedule.Link_down [ (0, 1) ] };
+    ]
+  in
+  Alcotest.(check (list string)) "nine-layer table"
+    [
+      "lid prop=67 rej=98 delivered=102 locks=27";
+      "deadline released=7 half-locks=0 abandoned=176 suppressed=0";
+      quiet_detector;
+      "adversary peers=8 messages=17";
+      "guard inspected=115 quarantines=41 false-quarantines=0 overclaim=41";
+      "dedup suppressed-prop=0 suppressed-rej=0";
+      "transport data=182 retransmissions=80 acks=195 dup-suppressed=36 frames=457 \
+       dead-links=0 suspected=0 resumed=0 held-give-ups=0";
+      "channel sent=457 delivered=297 dropped=17 reordered=45 lost-to-crashes=0 crashes=0";
+      "schedule episodes=2 cut=65";
+    ]
+    (table
+       (Stack.run ~seed ~fifo:false
+          ~faults:(Sim.faults ~drop:0.05 ~reorder:0.1 ())
+          ~schedule:weather ~reliable:true ~deadline:6.0 ~adversaries ~guard:true
+          ~prefs:p w ~capacity))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_zero_middleware_bit_identical;
@@ -306,4 +368,5 @@ let suite =
       test_no_second_state_machine_in_tree;
     Alcotest.test_case "full composition coherent" `Quick test_full_composition_coherent;
     QCheck_alcotest.to_alcotest prop_shards_bit_identical_full_composition;
+    Alcotest.test_case "counter table pinned" `Quick test_counter_table_pinned;
   ]
