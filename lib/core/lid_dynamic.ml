@@ -92,7 +92,7 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
   (* capacity became available at [i]: let previously-declined
      neighbours retry, and retry our own refusals *)
   let sorted_keys tbl =
-    List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) tbl [])
+    List.sort Int.compare (Hashtbl.fold (fun v () acc -> v :: acc) tbl [])
   in
   let announce_avail i =
     let s = state.(i) in

@@ -5,6 +5,7 @@ let all =
     Rules_clock.rule;
     Rules_random.rule;
     Rules_float.rule;
+    Rules_generic.rule;
     Rules_pool.rule;
     Rules_protocol.state_machine;
     Rules_protocol.layer_conformance;

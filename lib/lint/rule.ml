@@ -241,6 +241,11 @@ let ident_of (e : Typedtree.expression) =
   | Typedtree.Texp_ident (p, _, vd) -> Some (p, vd)
   | _ -> None
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let loc_inside inner outer =
   let fname l = l.Location.loc_start.Lexing.pos_fname in
   fname inner = fname outer

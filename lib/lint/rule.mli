@@ -69,6 +69,9 @@ val head_ident : Typedtree.expression -> Path.t option
 val ident_of : Typedtree.expression -> (Path.t * Types.value_description) option
 (** The expression is an identifier. *)
 
+val contains : string -> string -> bool
+(** [contains hay needle]: [needle] occurs in [hay] (path scoping). *)
+
 val loc_inside : Location.t -> Location.t -> bool
 (** [loc_inside inner outer]: same file and contained character span. *)
 

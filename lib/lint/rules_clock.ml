@@ -22,13 +22,8 @@ let banned =
    the byte-identical replay guarantee is gone. *)
 let serve_shim = [ "Owp_util"; "Clock" ]
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 let in_serve_layer (ctx : Rule.context) =
-  contains ctx.Rule.file "lib/serve" || contains ctx.Rule.basename "serve"
+  Rule.contains ctx.Rule.file "lib/serve" || Rule.contains ctx.Rule.basename "serve"
 
 (* The simulator is held to the serve layer's standard: Simnet and its
    event wheel *manufacture* the virtual timestamps every layer above
@@ -36,9 +31,9 @@ let in_serve_layer (ctx : Rule.context) =
    loop would silently break the bit-identical determinism the sharded
    event store is verified against. *)
 let in_simnet_layer (ctx : Rule.context) =
-  contains ctx.Rule.file "lib/simnet"
-  || contains ctx.Rule.basename "simnet"
-  || contains ctx.Rule.basename "event_wheel"
+  Rule.contains ctx.Rule.file "lib/simnet"
+  || Rule.contains ctx.Rule.basename "simnet"
+  || Rule.contains ctx.Rule.basename "event_wheel"
 
 let has_prefix prefix parts =
   let rec go = function

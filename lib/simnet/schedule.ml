@@ -11,7 +11,7 @@ type t = episode list
 let empty = []
 let is_empty = function [] -> true | _ -> false
 
-let equal_link (a, b) (c, d) = a = c && b = d
+let equal_link (a, b) (c, d) = Int.equal a c && Int.equal b d
 
 let equal_kind a b =
   match (a, b) with
@@ -44,7 +44,8 @@ let flap_down e ~at ~period ~duty =
   let phase = Float.rem (at -. e.from_) period in
   phase < duty *. period
 
-let same_link (u, v) ~src ~dst = (u = src && v = dst) || (u = dst && v = src)
+let same_link (u, v) ~src ~dst =
+  (Int.equal u src && Int.equal v dst) || (Int.equal u dst && Int.equal v src)
 
 (* partition block index of a node; unlisted nodes share block -1 *)
 let block_of blocks node =
@@ -132,7 +133,7 @@ let validate ?n t =
   (* a node may only be downed once: overlapping crash-restart spans for
      the same node have no sane desugaring into crash plans *)
   let spans = down_spans t in
-  let rec overlap = function
+  let rec overlap : (int * float * float) list -> _ = function
     | [] -> Ok ()
     | (v, a0, a1) :: rest ->
         if

@@ -69,18 +69,6 @@ type 'm t = {
 let check_probability name p =
   if p < 0.0 || p > 1.0 then invalid_arg (Printf.sprintf "Simnet.create: %s out of range" name)
 
-(* bucket width matched to the delay model — a throughput knob only;
-   the wheel's pop order is exact for any width *)
-let wheel_width = function
-  | Unit -> 0.5
-  | Uniform (lo, hi) ->
-      let w = (lo +. hi) /. 4.0 in
-      if Float.is_finite w && w > 0.0 then w else 0.25
-  | Exponential mean ->
-      let w = mean /. 2.0 in
-      if Float.is_finite w && w > 0.0 then w else 0.25
-  | PerLink _ -> 0.5
-
 let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ?(shards = 1)
     ?(unsafe_lookahead = false) ~nodes ~delay () =
   if nodes < 0 then invalid_arg "Simnet.create: negative node count";
@@ -89,7 +77,6 @@ let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ?(shards = 1)
   check_probability "reorder_probability" faults.reorder_probability;
   if shards < 1 then invalid_arg "Simnet.create: shards must be positive";
   let shards = if nodes = 0 then 1 else min shards nodes in
-  let width = wheel_width delay in
   {
     nodes;
     rng = Prng.create seed;
@@ -99,9 +86,7 @@ let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ?(shards = 1)
     shards;
     block = (if nodes = 0 then 1 else (nodes + shards - 1) / shards);
     jobs = Pool.default_jobs ();
-    wheels =
-      Array.init shards (fun _ ->
-          Event_wheel.create ~width ~unsafe_lookahead ());
+    wheels = Array.init shards (fun _ -> Event_wheel.create ~unsafe_lookahead ());
     m_link = [||];
     m_pay = [||];
     m_free = -1;

@@ -1,7 +1,8 @@
 (* Calendar queue over (at, seq) keys with an exact total order.
 
-   Layout: nb buckets of width w; an event at time [at] belongs to
-   epoch floor(at / w) and lives in bucket (epoch mod nb).  The wheel
+   Layout: nb buckets (a power of two) of width w; an event at time
+   [at] belongs to epoch floor(at / w) and lives in bucket
+   (epoch mod nb), a linked list through one pool of slots.  The wheel
    maintains three invariants around [cur_epoch], the epoch currently
    (or last) drained:
 
@@ -11,17 +12,29 @@
      bucket holds exactly one epoch (a half-open interval of length nb
      meets each residue class once) and window collection takes the
      whole bucket with no filtering;
-   - the overflow heap holds everything beyond the horizon
-     (epoch > cur_epoch + nb); advancing the window migrates entries
-     back under the horizon into their buckets.
+   - every event beyond the horizon (epoch > cur_epoch + nb) is in the
+     overflow heap; advancing the window compares the heap's head with
+     the buckets and migrates entries back under the horizon into
+     their buckets.  (A retune may leave entries under the horizon in
+     the heap; the same comparison still takes them in order.)
 
    Draining sorts one bucket into a flat run (three parallel arrays)
    and walks it with a head index; insertions that land at or before
    the draining epoch go to the aux heap, and pop takes the smaller of
    the run head and the aux minimum, so the pop order is exactly the
-   (at, seq) order a binary heap would produce. *)
+   (at, seq) order a binary heap would produce.
 
-let key_le a1 s1 a2 s2 = a1 < a2 || (a1 = a2 && s1 <= s2)
+   The width retunes itself (see [retune]): a window that holds
+   thousands of events costs a quicksort of thousands, one that holds
+   none costs a wasted bucket probe, and no fixed width suits every
+   delay model and population. *)
+
+(* (at1, seq1) <= (at2, seq2).  Typed and inlined so the comparison is
+   two float compares and an int compare in registers; timestamps are
+   finite (see [add]), so [a1 <= a2] after [not (a1 < a2)] means
+   equality. *)
+let[@inline] key_le (a1 : float) (s1 : int) (a2 : float) (s2 : int) =
+  a1 < a2 || (a1 <= a2 && s1 <= s2)
 
 (* ------------------------------------------------------------------ *)
 (* inline binary min-heap on parallel arrays                           *)
@@ -169,12 +182,19 @@ let rec qsort3 at sq pl lo hi =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  w : float; (* bucket width *)
+  mutable w : float; (* bucket width *)
+  mutable inv_w : float; (* 1 / w: an event's epoch is floor (at * inv_w) *)
   unsafe : bool;
-  mutable nb : int;
-  mutable b_at : float array array;
-  mutable b_seq : int array array;
-  mutable b_pay : int array array;
+  mutable nb : int; (* a power of two *)
+  (* bucketed events live in one slot pool of parallel arrays; each
+     bucket is a linked list through [p_next], and free slots chain
+     through it too, so bucketing allocates nothing per event *)
+  mutable p_at : float array;
+  mutable p_seq : int array;
+  mutable p_pay : int array;
+  mutable p_next : int array;
+  mutable p_free : int; (* free-list head, -1 when the pool is full *)
+  mutable b_head : int array; (* first slot of each bucket, -1 when empty *)
   mutable b_len : int array;
   mutable bucketed : int; (* events across all buckets *)
   mutable cur_epoch : int; (* epoch of the open (or last) run; -1 initially *)
@@ -186,6 +206,11 @@ type t = {
   aux : heap; (* insertions at or before the draining epoch *)
   over : heap; (* events beyond the wheel horizon *)
   mutable size : int;
+  (* occupancy observed since the last retune check: events in the
+     windows opened, and epochs the window advanced over (at most nb per
+     window, so one jump to a far-future timer cannot swamp the mean) *)
+  mutable seen_events : int;
+  mutable seen_epochs : int;
   (* out-params of [pop_into]; the timestamp lives in a 1-element float
      array so storing it never allocates a box *)
   last_at_cell : float array;
@@ -193,17 +218,32 @@ type t = {
   mutable last_pay : int;
 }
 
+let pow2_at_least n =
+  let p = ref 1 in
+  while !p < n do
+    p := 2 * !p
+  done;
+  !p
+
 let create ?(width = 0.25) ?(buckets = 64) ?(unsafe_lookahead = false) () =
   if not (Float.is_finite width && width > 0.0) then
     invalid_arg "Event_wheel.create: width must be positive";
   if buckets < 2 then invalid_arg "Event_wheel.create: need at least 2 buckets";
+  let buckets = pow2_at_least buckets in
+  (* the deliberately wrong mode needs windows wider than a message
+     delay, or no handler could send into the window it runs in *)
+  let width = if unsafe_lookahead then Float.max width 1.0 else width in
   {
     w = width;
+    inv_w = 1.0 /. width;
     unsafe = unsafe_lookahead;
     nb = buckets;
-    b_at = Array.make buckets [||];
-    b_seq = Array.make buckets [||];
-    b_pay = Array.make buckets [||];
+    p_at = [||];
+    p_seq = [||];
+    p_pay = [||];
+    p_next = [||];
+    p_free = -1;
+    b_head = Array.make buckets (-1);
     b_len = Array.make buckets 0;
     bucketed = 0;
     cur_epoch = -1;
@@ -215,40 +255,66 @@ let create ?(width = 0.25) ?(buckets = 64) ?(unsafe_lookahead = false) () =
     aux = heap_create ();
     over = heap_create ();
     size = 0;
+    seen_events = 0;
+    seen_epochs = 0;
     last_at_cell = Array.make 1 0.0;
     last_seq = 0;
     last_pay = 0;
   }
 
 let size t = t.size
+let width t = t.w
 
 (* epoch of a timestamp, saturating far enough below max_int that
-   [epoch - cur_epoch] and [epoch + nb] never overflow *)
+   [epoch - cur_epoch] and [epoch + nb] never overflow.  Multiplying by
+   the reciprocal is monotone in [at], which is all the order needs. *)
 let epoch t at =
-  let q = at /. t.w in
+  let q = at *. t.inv_w in
   if q >= 1e18 then 0x3FFFFFFFFFFFFF else int_of_float q
 
-let bucket_push t b at seq pay =
-  let len = t.b_len.(b) in
-  if len = Array.length t.b_at.(b) then begin
-    let cap = max 8 (2 * len) in
-    let a = Array.make cap 0.0 and s = Array.make cap 0 and p = Array.make cap 0 in
-    Array.blit t.b_at.(b) 0 a 0 len;
-    Array.blit t.b_seq.(b) 0 s 0 len;
-    Array.blit t.b_pay.(b) 0 p 0 len;
-    t.b_at.(b) <- a;
-    t.b_seq.(b) <- s;
-    t.b_pay.(b) <- p
-  end;
-  t.b_at.(b).(len) <- at;
-  t.b_seq.(b).(len) <- seq;
-  t.b_pay.(b).(len) <- pay;
-  t.b_len.(b) <- len + 1;
+let pool_grow t =
+  let old = Array.length t.p_at in
+  let cap = Int.max 64 (2 * old) in
+  let grow a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 old;
+    a'
+  in
+  t.p_at <- grow t.p_at 0.0;
+  t.p_seq <- grow t.p_seq 0;
+  t.p_pay <- grow t.p_pay 0;
+  t.p_next <- grow t.p_next (-1);
+  for i = old to cap - 2 do
+    t.p_next.(i) <- i + 1
+  done;
+  t.p_free <- old
+
+(* link slot [s] into bucket [b] *)
+let[@inline] bucket_link t b s =
+  t.p_next.(s) <- t.b_head.(b);
+  t.b_head.(b) <- s;
+  t.b_len.(b) <- t.b_len.(b) + 1;
   t.bucketed <- t.bucketed + 1
+
+let[@inline] slot_free t s =
+  t.p_next.(s) <- t.p_free;
+  t.p_free <- s
+
+(* epochs are non-negative and nb a power of two *)
+let[@inline] bucket_of t e = e land (t.nb - 1)
+
+let bucket_push t b at seq pay =
+  if t.p_free < 0 then pool_grow t;
+  let s = t.p_free in
+  t.p_free <- t.p_next.(s);
+  t.p_at.(s) <- at;
+  t.p_seq.(s) <- seq;
+  t.p_pay.(s) <- pay;
+  bucket_link t b s
 
 (* route an event that is strictly past cur_epoch *)
 let place_future t e at seq pay =
-  if e - t.cur_epoch <= t.nb then bucket_push t (e mod t.nb) at seq pay
+  if e - t.cur_epoch <= t.nb then bucket_push t (bucket_of t e) at seq pay
   else heap_push t.over at seq pay
 
 let add t ~at ~seq pay =
@@ -259,23 +325,93 @@ let add t ~at ~seq pay =
   else place_future t e at seq pay;
   t.size <- t.size + 1
 
-(* rebuild the bucket array at a new size; every bucketed event is
-   re-routed against the unchanged cur_epoch (shrinking may push some
-   back over the horizon into the overflow heap) *)
-let rebucket t nb' =
-  let ob_at = t.b_at and ob_seq = t.b_seq and ob_pay = t.b_pay and ob_len = t.b_len in
-  let onb = t.nb in
+(* Rebuild the bucket array with [nb'] buckets, re-routing every
+   bucketed event.  With an unchanged width, cur_epoch stays (shrinking
+   may push events back over the horizon into the overflow heap).  A
+   new width renumbers every epoch, so cur_epoch restarts just below
+   the earliest stored event: everything left is then strictly past
+   it, which is the invariant [add] and [advance] rely on.  Overflow
+   entries stay in their heap even if they now fall under the horizon;
+   [advance] compares the heap's head against the buckets and migrates
+   it, so they still come out in order.  Precondition: run and aux are
+   empty. *)
+let rebuild t ~width nb' =
+  let old_head = t.b_head in
+  if not (Float.equal width t.w) then begin
+    let lo = ref infinity in
+    if t.over.h_len > 0 then lo := t.over.h_at.(0);
+    Array.iter
+      (fun h ->
+        let s = ref h in
+        while !s >= 0 do
+          lo := Float.min !lo t.p_at.(!s);
+          s := t.p_next.(!s)
+        done)
+      old_head;
+    t.w <- width;
+    t.inv_w <- 1.0 /. width;
+    (* the wheel holds at least one event, so [lo] is finite *)
+    t.cur_epoch <- epoch t !lo - 1
+  end;
   t.nb <- nb';
-  t.b_at <- Array.make nb' [||];
-  t.b_seq <- Array.make nb' [||];
-  t.b_pay <- Array.make nb' [||];
+  t.b_head <- Array.make nb' (-1);
   t.b_len <- Array.make nb' 0;
   t.bucketed <- 0;
-  for b = 0 to onb - 1 do
-    for i = 0 to ob_len.(b) - 1 do
-      place_future t (epoch t ob_at.(b).(i)) ob_at.(b).(i) ob_seq.(b).(i) ob_pay.(b).(i)
-    done
-  done
+  Array.iter
+    (fun h ->
+      let s = ref h in
+      while !s >= 0 do
+        let i = !s in
+        s := t.p_next.(i);
+        let e = epoch t t.p_at.(i) in
+        if e - t.cur_epoch <= nb' then bucket_link t (bucket_of t e) i
+        else begin
+          heap_push t.over t.p_at.(i) t.p_seq.(i) t.p_pay.(i);
+          slot_free t i
+        end
+      done)
+    old_head
+
+(* Width retuning, after Brown's calendar queue (CACM 31(10), 1988).
+   The width aims at [target] events per window: a window is one sort
+   plus a bucket scan, so much fuller windows pay O(log window) per
+   event in the sort and much emptier ones pay probes for nothing.
+   [advance] reports each window it is about to open ([next], whose
+   bucket already holds its events); once the windows reported since
+   the last check reach a quarter of the wheel's population (and
+   [min_sample]), their mean occupancy per epoch is compared with the
+   target.  Off by more than [slack] either way, the width is rescaled
+   by the ratio and every event re-bucketed, and [retune] returns
+   [true] so that [advance] looks for the next window again.  Each
+   O(size) rebuild is thus paid for by at least size / 4 events, and
+   the statistics are the wheel's own, so [prepare] stays pure.  Run
+   and aux are empty whenever [advance] runs, so re-bucketing moves no
+   event past another.  The width stays within [min_width, max_width]:
+   any width is correct, but equal-timestamp bursts would otherwise
+   drive it towards zero.  The unsafe_lookahead mode never retunes
+   (see [create]). *)
+let target = 4.0
+let slack = 4.0
+let min_sample = 256
+let min_width = 1e-12
+let max_width = 1e12
+
+let retune t next =
+  t.seen_events <- t.seen_events + Int.max 1 t.b_len.(bucket_of t next);
+  t.seen_epochs <- t.seen_epochs + Int.min (next - t.cur_epoch) t.nb;
+  if t.unsafe || t.seen_events < min_sample || 4 * t.seen_events < t.size then false
+  else begin
+    let mean = float_of_int t.seen_events /. float_of_int t.seen_epochs in
+    t.seen_events <- 0;
+    t.seen_epochs <- 0;
+    if mean <= target *. slack && mean *. slack >= target then false
+    else begin
+      let width = Float.min max_width (Float.max min_width (t.w *. target /. mean)) in
+      (* about two events per bucket at the new width *)
+      rebuild t ~width (pow2_at_least (Int.max 64 ((t.bucketed + t.over.h_len) / 2)));
+      true
+    end
+  end
 
 let run_append t at seq pay =
   if t.r_len = Array.length t.r_at then begin
@@ -293,53 +429,58 @@ let run_append t at seq pay =
   t.r_pay.(t.r_len) <- pay;
   t.r_len <- t.r_len + 1
 
-(* open the next window: find the next populated epoch among buckets
-   and overflow, migrate overflow entries back under the new horizon,
-   collect that epoch's bucket into the run and sort it.  Precondition:
-   run and aux are empty, size > 0. *)
-let advance t =
-  if t.bucketed > 4 * t.nb then rebucket t (2 * t.nb)
-  else if t.nb > 64 && t.bucketed < t.nb / 8 then rebucket t (t.nb / 2);
-  let next =
-    let from_bucket =
-      if t.bucketed = 0 then -1
-      else begin
-        let found = ref (-1) in
-        let k = ref 1 in
-        while !found < 0 && !k <= t.nb do
-          let e = t.cur_epoch + !k in
-          if t.b_len.(e mod t.nb) > 0 then found := e;
-          incr k
-        done;
-        !found
-      end
-    in
-    let from_over = if t.over.h_len = 0 then -1 else epoch t t.over.h_at.(0) in
-    if from_bucket < 0 then from_over
-    else if from_over < 0 then from_bucket
-    else min from_bucket from_over
+(* the next populated epoch among buckets and overflow; size > 0 with
+   empty run and aux means one of them holds something *)
+let next_epoch t =
+  let from_bucket =
+    if t.bucketed = 0 then -1
+    else begin
+      let found = ref (-1) in
+      let k = ref 1 in
+      while !found < 0 && !k <= t.nb do
+        let e = t.cur_epoch + !k in
+        if t.b_head.(bucket_of t e) >= 0 then found := e;
+        incr k
+      done;
+      !found
+    end
   in
-  (* size > 0 with empty run and aux means buckets or overflow hold
-     something, so [next] is a real epoch *)
-  t.cur_epoch <- next;
+  let from_over = if t.over.h_len = 0 then -1 else epoch t t.over.h_at.(0) in
+  if from_bucket < 0 then from_over
+  else if from_over < 0 then from_bucket
+  else Int.min from_bucket from_over
+
+(* open the next window: migrate overflow entries back under the new
+   horizon, collect the next epoch's bucket into the run and sort it.
+   Precondition: run and aux are empty, size > 0. *)
+let advance t =
+  let stored = t.bucketed + t.over.h_len in
+  if stored > 4 * t.nb then rebuild t ~width:t.w (2 * t.nb)
+  else if t.nb > 64 && stored < t.nb / 8 then rebuild t ~width:t.w (t.nb / 2);
+  let next = next_epoch t in
+  t.cur_epoch <- (if retune t next then next_epoch t else next);
   t.r_len <- 0;
   t.r_head <- 0;
   (* collect the bucket BEFORE migrating overflow: an overflow entry at
      epoch exactly cur_epoch + nb maps to this same bucket slot, and
      must land in the now-empty bucket, not in the current run *)
-  let b = t.cur_epoch mod t.nb in
-  let len = t.b_len.(b) in
-  for i = 0 to len - 1 do
-    run_append t t.b_at.(b).(i) t.b_seq.(b).(i) t.b_pay.(b).(i)
+  let b = bucket_of t t.cur_epoch in
+  let s = ref t.b_head.(b) in
+  while !s >= 0 do
+    let i = !s in
+    run_append t t.p_at.(i) t.p_seq.(i) t.p_pay.(i);
+    s := t.p_next.(i);
+    slot_free t i
   done;
+  t.b_head.(b) <- -1;
+  t.bucketed <- t.bucketed - t.b_len.(b);
   t.b_len.(b) <- 0;
-  t.bucketed <- t.bucketed - len;
   while t.over.h_len > 0 && epoch t t.over.h_at.(0) - t.cur_epoch <= t.nb do
     let at = t.over.h_at.(0) and seq = t.over.h_seq.(0) and pay = t.over.h_pay.(0) in
     heap_drop t.over;
     let e = epoch t at in
     if e = t.cur_epoch then run_append t at seq pay
-    else bucket_push t (e mod t.nb) at seq pay
+    else bucket_push t (bucket_of t e) at seq pay
   done;
   if t.r_len > 1 then qsort3 t.r_at t.r_seq t.r_pay 0 (t.r_len - 1)
 
@@ -431,10 +572,7 @@ let next_at_equals t at =
 
 let footprint_words t =
   let tri len = 3 * len in
-  let buckets = ref (4 * t.nb) in
-  for b = 0 to t.nb - 1 do
-    buckets := !buckets + tri (Array.length t.b_at.(b))
-  done;
-  !buckets + tri (Array.length t.r_at)
+  (2 * t.nb) + (4 * Array.length t.p_at)
+  + tri (Array.length t.r_at)
   + tri (Array.length t.aux.h_at)
   + tri (Array.length t.over.h_at)

@@ -3,16 +3,36 @@
     The simulator's event store: a monomorphic priority queue holding
     one [int] payload per event (an arena slot index), keyed by virtual
     time [at] and a strictly increasing tie-break [seq].  Events are
-    appended O(1) into fixed-width time buckets; the bucket whose window
-    is being drained is sorted once into a flat run and consumed by a
-    moving head.  Two inline binary heaps catch the cases a plain
-    calendar cannot: an {e aux} heap for events inserted at or before
-    the epoch currently draining (handlers send with tiny delays — the
-    per-link FIFO clamp lands 1e-9 ahead of now), and an {e overflow}
-    heap for events beyond the wheel horizon (stragglers, far-future
-    timers).  {!pop} always returns the exact global [(at, seq)]
-    minimum — the same total order as a binary heap over the same keys,
-    which is what the QCheck equivalence suite asserts.
+    linked O(1) into time buckets of width [w] (one slot pool of
+    unboxed [float]/[int] arrays, no per-event allocation); the bucket
+    whose window is being drained is sorted once into a flat run and
+    consumed by a moving head.  Two inline binary heaps catch the cases
+    a plain calendar cannot: an {e aux} heap for events inserted at or
+    before the epoch currently draining (handlers send with tiny delays
+    — the per-link FIFO clamp lands 1e-9 ahead of now), and an
+    {e overflow} heap for events beyond the wheel horizon (stragglers,
+    far-future timers).  {!pop} always returns the exact global
+    [(at, seq)] minimum — the same total order as a binary heap over
+    the same keys, which is what the QCheck equivalence suite asserts.
+
+    {b Width retuning.}  The wheel picks its own width, after Brown's
+    calendar queue (CACM 31(10), 1988).  Whenever it opens a window it
+    records how many events the window holds and how many epochs the
+    window moved; once those windows add up to a quarter of the stored
+    events, a mean occupancy more than 4x away from the target of 4
+    events per epoch (either way) rescales the width by the ratio and
+    re-buckets every event.  The bucket count follows the population
+    (about two events per bucket).  Retuning happens only while a
+    window is being opened, with the run and the aux heap empty, so it
+    never reorders anything: the pop order is the [(at, seq)] order
+    whatever the width.
+
+    {b Cost model.}  [add] is O(1) into a bucket (O(log) into a heap
+    for out-of-window or beyond-horizon keys); popping from a window of
+    k events costs O(log k) for its share of the sort, and retuning
+    keeps k near a constant, so a pop is O(1) amortized, each O(size)
+    re-bucketing being paid for by the size / 4 events drained since
+    the previous check.  Keys compare as [float]/[int] in registers.
 
     Not thread-safe: one wheel belongs to one owner.  The sharded
     simulator gives each domain task its own wheel and only calls
@@ -21,15 +41,21 @@
 type t
 
 val create : ?width:float -> ?buckets:int -> ?unsafe_lookahead:bool -> unit -> t
-(** [width] (default [0.25]) is the bucket span in virtual-time units —
-    a performance knob only, never a correctness one.  [buckets]
-    (default [64]) is the initial wheel size; the wheel resizes itself
-    as the population grows or shrinks.  [unsafe_lookahead] (default
+(** [width] (default [0.25]) is the {e initial} bucket span in
+    virtual-time units; the wheel retunes it from the occupancy it
+    observes, so it is a warm-up hint only, never a correctness knob.
+    [buckets] (default [64], rounded up to a power of two) is the
+    initial wheel size; the wheel resizes itself as the population
+    grows or shrinks.  [unsafe_lookahead] (default
     [false]) is a {e deliberately wrong} debug mode for gate self-tests:
     events inserted into the epoch currently draining are served only
     after the pre-sorted run is exhausted instead of interleaved in key
     order, violating the [(at, seq)] total order whenever a handler
-    sends into its own window.
+    sends into its own window.  So that handlers can, this mode never
+    retunes and keeps its windows at least one virtual-time unit wide
+    (wider than a message delay under the default delay model); a
+    window narrower than every delay cannot receive sends from the
+    events it holds, and the error would never show.
     @raise Invalid_argument on non-positive [width] or [buckets]. *)
 
 val add : t -> at:float -> seq:int -> int -> unit
@@ -74,6 +100,9 @@ val next_at_equals : t -> float -> bool
 val size : t -> int
 (** Events currently stored. *)
 
+val width : t -> float
+(** The current bucket width; it changes as the wheel retunes itself. *)
+
 val needs_prepare : t -> bool
 (** [true] when the wheel is non-empty but no window is open: the next
     {!pop}/{!peek_key} would pay the collect-and-sort of a new epoch.
@@ -81,14 +110,15 @@ val needs_prepare : t -> bool
     shards through the domain pool. *)
 
 val prepare : t -> unit
-(** Open the next window now (collect the next epoch's bucket and sort
-    it) if {!needs_prepare}; otherwise a no-op.  Touches only this
-    wheel's state, consumes no randomness, and its result is a pure
-    function of the wheel's contents — safe to run from a domain task
-    that owns the wheel. *)
+(** Open the next window now (retune if due, collect the next epoch's
+    bucket and sort it) if {!needs_prepare}; otherwise a no-op.
+    Touches only this wheel's state, consumes no randomness, and its
+    result is a pure function of the wheel's contents and its own
+    occupancy statistics — safe to run from a domain task that owns
+    the wheel. *)
 
 val footprint_words : t -> int
-(** Allocated backing-store size in words (buckets, run, heaps) — the
-    quantity the serve-session memory assertions bound.  Proportional to
-    the high-water mark of {e live} events, never to the total number of
-    events that ever passed through. *)
+(** Allocated backing-store size in words (slot pool, bucket heads,
+    run, heaps) — the quantity the serve-session memory assertions
+    bound.  Proportional to the high-water mark of {e live} events,
+    never to the total number of events that ever passed through. *)

@@ -1,4 +1,8 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The 256-bit xoshiro state lives unboxed in 32 bytes: s0..s3 at byte
+   offsets 0, 8, 16 and 24, native endianness.  Reading and writing it
+   through Bytes.get_int64_ne/set_int64_ne keeps every intermediate in a
+   register; four [mutable int64] fields would box each store. *)
+type t = Bytes.t
 
 (* SplitMix64: used only to expand a user seed into the 256-bit xoshiro
    state, as recommended by the xoshiro authors. *)
@@ -12,28 +16,36 @@ let splitmix_next state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  let g = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_ne g (8 * i) (splitmix_next state)
+  done;
+  g
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
+(* one xoshiro256** step; inlined into every draw below so the state
+   words and the result stay unboxed *)
+let[@inline] next g =
   let open Int64 in
-  let result = mul (rotl (mul g.s1 5L) 7) 9L in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = Bytes.get_int64_ne g 0 and s1 = Bytes.get_int64_ne g 8 in
+  let s2 = Bytes.get_int64_ne g 16 and s3 = Bytes.get_int64_ne g 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_ne g 0 s0;
+  Bytes.set_int64_ne g 8 s1;
+  Bytes.set_int64_ne g 16 (logxor s2 t);
+  Bytes.set_int64_ne g 24 (rotl s3 45);
   result
+
+let bits64 g = next g
 
 let split g =
   let seed = Int64.to_int (bits64 g) in
@@ -41,32 +53,30 @@ let split g =
 
 (* Lemire-style rejection-free-enough bounded int: take the high bits and
    use rejection sampling to remove modulo bias. *)
+let rec draw_below g bound =
+  (* 62 usable bits: OCaml ints are 63-bit, so taking 62 keeps the
+     value non-negative after Int64.to_int *)
+  let r = Int64.to_int (Int64.shift_right_logical (next g) 2) in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then draw_below g bound else v
+
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   if bound land (bound - 1) = 0 then
     (* power of two: mask the top bits *)
-    Int64.to_int (Int64.logand (bits64 g) (Int64.of_int (bound - 1)))
-  else begin
-    let rec draw () =
-      (* 62 usable bits: OCaml ints are 63-bit, so taking 62 keeps the
-         value non-negative after Int64.to_int *)
-      let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
-      let v = r mod bound in
-      if r - v > max_int - bound + 1 then draw () else v
-    in
-    draw ()
-  end
+    Int64.to_int (Int64.logand (next g) (Int64.of_int (bound - 1)))
+  else draw_below g bound
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let float g bound =
+let[@inline] float g bound =
   (* 53 random bits into [0,1) then scale *)
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
+  let r = Int64.to_float (Int64.shift_right_logical (next g) 11) in
   r *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool g = Int64.compare (Int64.logand (bits64 g) 1L) 0L <> 0
+let bool g = Int64.compare (Int64.logand (next g) 1L) 0L <> 0
 
 let bernoulli g p = float g 1.0 < p
 

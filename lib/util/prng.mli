@@ -7,7 +7,11 @@
     64-bit integer seed yields a well-mixed initial state. *)
 
 type t
-(** Mutable generator state.  Not thread-safe; create one per domain. *)
+(** Mutable generator state: the four 64-bit xoshiro words s0..s3,
+    stored unboxed in 32 bytes (native endianness, byte offsets 0, 8,
+    16, 24).  A draw reads and rewrites them in registers; nothing is
+    boxed but the value it returns.  Not thread-safe; create one per
+    domain. *)
 
 val create : int -> t
 (** [create seed] builds a generator from a 64-bit seed via SplitMix64. *)

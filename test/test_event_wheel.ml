@@ -212,6 +212,179 @@ let test_footprint_bounded () =
     (after_many <= warm)
 
 (* ------------------------------------------------------------------ *)
+(* width retuning: the wheel rescales its own buckets both ways         *)
+(* ------------------------------------------------------------------ *)
+
+module Prng = Owp_util.Prng
+
+(* a wheel and the reference heap driven in lockstep; [pop] reports
+   whether the two agreed, so a test can also demand disagreement *)
+type lockstep = {
+  wheel : Wheel.t;
+  heap : Ref_heap.t;
+  mutable next_seq : int;
+  mutable diverged : int;
+  mutable live_peak : int;
+  mutable last : float;
+}
+
+let lockstep ?unsafe_lookahead () =
+  {
+    wheel = Wheel.create ?unsafe_lookahead ();
+    heap = Ref_heap.create ();
+    next_seq = 0;
+    diverged = 0;
+    live_peak = 0;
+    last = 0.0;
+  }
+
+let ls_add l at =
+  Wheel.add l.wheel ~at ~seq:l.next_seq l.next_seq;
+  Ref_heap.add l.heap (at, l.next_seq, l.next_seq);
+  l.next_seq <- l.next_seq + 1;
+  l.live_peak <- max l.live_peak (Wheel.size l.wheel)
+
+(* one pop from each; [false] once both are empty *)
+let ls_pop l =
+  match (Wheel.pop l.wheel, Ref_heap.pop_min_opt l.heap) with
+  | None, None -> false
+  | Some (wa, ws, wp), Some (ha, hs, hp) ->
+      if not (Float.equal wa ha && ws = hs && wp = hp) then l.diverged <- l.diverged + 1;
+      l.last <- wa;
+      true
+  | _ -> Alcotest.fail "wheel and heap disagree on emptiness"
+
+(* drain both, calling [on_retune] right after every pop that opened a
+   window at a new width; returns the smallest and largest widths seen *)
+let ls_drain ?(on_retune = fun _ -> ()) l =
+  let lo = ref (Wheel.width l.wheel) and hi = ref (Wheel.width l.wheel) in
+  let w = ref (Wheel.width l.wheel) in
+  while ls_pop l do
+    let w' = Wheel.width l.wheel in
+    if not (Float.equal w' !w) then begin
+      w := w';
+      lo := Float.min !lo w';
+      hi := Float.max !hi w';
+      on_retune l
+    end
+  done;
+  (!lo, !hi)
+
+let check_agreed l = Alcotest.(check int) "pops diverging from the heap" 0 l.diverged
+
+let test_retune_burst_then_sparse () =
+  let l = lockstep () in
+  let g = Prng.create 15 in
+  let w0 = Wheel.width l.wheel in
+  (* 20 k events inside one time unit, then a sparse tail spread over
+     [10, 10^6) *)
+  for _ = 1 to 20_000 do
+    ls_add l (1.0 +. Prng.float g 1.0)
+  done;
+  for i = 1 to 2_000 do
+    ls_add l (10.0 +. (500.0 *. float_of_int i) +. Prng.float g 400.0)
+  done;
+  let narrowest = ref w0 in
+  let lo, hi =
+    ls_drain l ~on_retune:(fun l ->
+        if l.last < 2.0 then narrowest := Float.min !narrowest (Wheel.width l.wheel))
+  in
+  check_agreed l;
+  Alcotest.(check bool) "the burst narrowed the width" true (!narrowest < w0 /. 100.0);
+  Alcotest.(check bool)
+    "the sparse tail widened it again" true
+    (hi > !narrowest *. 100.0);
+  Alcotest.(check bool) "widths seen span both directions" true (lo < w0 && hi > lo);
+  let fp = Wheel.footprint_words l.wheel in
+  Alcotest.(check bool)
+    (Printf.sprintf "drained footprint %d words within 16 x live peak %d" fp l.live_peak)
+    true
+    (fp <= 16 * l.live_peak)
+
+let test_retune_far_future_timers () =
+  (* re-armed timers 10^6 apart: everything starts beyond the horizon,
+     and the width must grow towards the timers' spacing *)
+  let l = lockstep () in
+  let g = Prng.create 16 in
+  let w0 = Wheel.width l.wheel in
+  for i = 0 to 999 do
+    ls_add l ((1e6 *. float_of_int i) +. Prng.float g 1e3)
+  done;
+  let rearmed = ref 0 in
+  let widest = ref w0 in
+  while ls_pop l do
+    widest := Float.max !widest (Wheel.width l.wheel);
+    if !rearmed < 3_000 then begin
+      incr rearmed;
+      ls_add l (l.last +. 1e6 +. Prng.float g 1e3)
+    end
+  done;
+  check_agreed l;
+  Alcotest.(check bool)
+    (Printf.sprintf "width grew (%g -> %g)" w0 !widest)
+    true
+    (!widest > w0 *. 1e3)
+
+let test_retune_aux_inserts () =
+  (* a burst whose retunes are each followed by inserts into the window
+     that just opened: one at the popped timestamp itself (an equal key
+     with a larger seq) and one a hair later, both into the aux heap *)
+  let l = lockstep () in
+  let g = Prng.create 17 in
+  for _ = 1 to 25_000 do
+    ls_add l (Prng.float g 1.0)
+  done;
+  let retunes = ref 0 in
+  ignore
+    (ls_drain l ~on_retune:(fun l ->
+         incr retunes;
+         ls_add l l.last;
+         ls_add l (l.last +. 1e-9)));
+  Alcotest.(check bool) "at least one retune" true (!retunes >= 1);
+  check_agreed l
+
+let test_retune_unsafe_lookahead_still_wrong () =
+  (* the deliberately wrong mode does not retune: its windows stay wide
+     enough for inserts to land in the open one, and serving the stale
+     run first must still show against the heap *)
+  let l = lockstep ~unsafe_lookahead:true () in
+  let g = Prng.create 17 in
+  for _ = 1 to 25_000 do
+    ls_add l (Prng.float g 1.0)
+  done;
+  let w0 = Wheel.width l.wheel in
+  let pops = ref 0 in
+  while ls_pop l do
+    incr pops;
+    if !pops mod 1000 = 0 then ls_add l (l.last +. 1e-9)
+  done;
+  Alcotest.(check (float 0.0)) "width never retuned" w0 (Wheel.width l.wheel);
+  Alcotest.(check bool) "unsafe mode serves the stale run first" true (l.diverged > 0)
+
+let test_retune_equal_timestamps_straddle () =
+  (* 1000 events at exactly t = 3 are stored before the first retune
+     and 1000 more after it: all 2000 must come back in seq order *)
+  let l = lockstep () in
+  let g = Prng.create 18 in
+  for _ = 1 to 20_000 do
+    ls_add l (1.0 +. Prng.float g 1.0)
+  done;
+  for _ = 1 to 1_000 do
+    ls_add l 3.0
+  done;
+  let straddled = ref false in
+  ignore
+    (ls_drain l ~on_retune:(fun l ->
+         if not !straddled then begin
+           straddled := true;
+           for _ = 1 to 1_000 do
+             ls_add l 3.0
+           done
+         end));
+  Alcotest.(check bool) "a retune happened" true !straddled;
+  check_agreed l
+
+(* ------------------------------------------------------------------ *)
 (* the QCheck property: random scripts, three timestamp regimes         *)
 (* ------------------------------------------------------------------ *)
 
@@ -310,6 +483,16 @@ let suite =
       test_unsafe_lookahead_breaks_order;
     Alcotest.test_case "footprint bounded under churn" `Quick
       test_footprint_bounded;
+    Alcotest.test_case "retune: dense burst, then sparse tail" `Quick
+      test_retune_burst_then_sparse;
+    Alcotest.test_case "retune: far-future timers" `Quick
+      test_retune_far_future_timers;
+    Alcotest.test_case "retune: aux inserts after a retune" `Quick
+      test_retune_aux_inserts;
+    Alcotest.test_case "retune: unsafe_lookahead still breaks the order" `Quick
+      test_retune_unsafe_lookahead_still_wrong;
+    Alcotest.test_case "retune: equal timestamps straddle a retune" `Quick
+      test_retune_equal_timestamps_straddle;
     QCheck_alcotest.to_alcotest prop_order_equivalence;
     QCheck_alcotest.to_alcotest prop_order_equivalence_wide;
     QCheck_alcotest.to_alcotest prop_pop_into_agrees_with_pop;

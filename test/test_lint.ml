@@ -114,6 +114,17 @@ let test_wheel_pool_fires =
      fire on lines 9 and 10; the prepare-only closure stays clean *)
   check_file "fx_wheel_pool_bad.ml" [ (9, "pool-capture"); (10, "pool-capture") ]
 
+let test_generic_compare_fires =
+  (* line 5's <, = and <= and line 7's compare are instantiated at type
+     variables; line 9's annotated twin stays clean *)
+  check_file "fx_simnet_generic_bad.ml"
+    [
+      (5, "generic-compare");
+      (5, "generic-compare");
+      (5, "generic-compare");
+      (7, "generic-compare");
+    ]
+
 let test_serve_layer_fires =
   (* on_request-shaped records obey the same construction discipline
      as on_send/on_deliver middleware *)
@@ -146,13 +157,14 @@ let test_suppression_moves_finding () =
 
 let test_registry_complete () =
   Alcotest.(check (list string))
-    "eight rules, display order"
+    "nine rules, display order"
     [
       "pure-core";
       "hash-order";
       "clock-hygiene";
       "seeded-random";
       "float-compare";
+      "generic-compare";
       "pool-capture";
       "state-machine";
       "layer-conformance";
@@ -206,6 +218,7 @@ let suite =
     Alcotest.test_case "serve layer-conformance fires" `Quick test_serve_layer_fires;
     Alcotest.test_case "simnet clock-hygiene fires" `Quick test_simnet_clock_fires;
     Alcotest.test_case "wheel pool-capture fires" `Quick test_wheel_pool_fires;
+    Alcotest.test_case "generic-compare fires" `Quick test_generic_compare_fires;
     Alcotest.test_case "exact position" `Quick test_exact_position;
     Alcotest.test_case "suppression" `Quick test_suppression_moves_finding;
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
