@@ -95,26 +95,30 @@ let advert_of prefs adversaries j i =
   | Some (Adversary.Weight_liar lam) -> (1.0 +. lam) *. bound prefs j
   | _ -> half prefs j i
 
-(* perceived ranking of node i: neighbours by decreasing
-   own-half + advertised-half, Lid's tie-break order *)
-let ranking_of g perceived i =
-  let entries =
-    Array.to_list (Graph.neighbors g i)
-    |> List.filter (fun (v, _) -> Hashtbl.mem perceived v)
+(* perceived ranking of node i: its neighbour rows by decreasing
+   own-half + advertised-half, Lid's tie-break order.  [pw] is aligned
+   to [Graph.neighbors g i]; a row whose advert the guard refused holds
+   nan and is left out. *)
+let ranking_of g pw i =
+  let nb = Graph.neighbors g i in
+  let rows =
+    List.init (Array.length nb) Fun.id
+    |> List.filter (fun r -> not (Float.is_nan pw.(r)))
+    |> Array.of_list
   in
-  let pw (v, _) = (Hashtbl.find perceived v : float) in
-  let sorted =
-    List.sort
-      (fun ((_, e) as a) ((_, f) as b) ->
-        let c = Float.compare (pw b) (pw a) in
-        if c <> 0 then c
-        else begin
-          let ue, ve = Graph.edge_endpoints g e and uf, vf = Graph.edge_endpoints g f in
-          compare (uf, vf, f) (ue, ve, e)
-        end)
-      entries
-  in
-  Array.of_list sorted
+  Array.sort
+    (fun a b ->
+      let c = Float.compare pw.(b) pw.(a) in
+      if c <> 0 then c
+      else begin
+        let e = snd nb.(a) and f = snd nb.(b) in
+        let ue, ve = Graph.edge_endpoints g e and uf, vf = Graph.edge_endpoints g f in
+        if uf <> ue then Int.compare uf ue
+        else if vf <> ve then Int.compare vf ve
+        else Int.compare f e
+      end)
+    rows;
+  Array.map (fun r -> nb.(r)) rows
 
 (* the bounded-damage certificate of a final LID state *)
 let damage_of ?cutoff w ~capacity ~correct ~unterminated ~overclaimed st =
@@ -148,16 +152,14 @@ let datagram gm = Transport.Data { epoch = 0; seq = 0; payload = gm }
 let prop_unclaimed_frame = datagram prop_unclaimed
 let rej_frame = datagram rej
 
-(* f's own (truthful) preference order over its neighbours *)
+(* f's own (truthful) preference order over its neighbours: rows by
+   decreasing symmetric weight, ties in row order *)
 let own_order prefs g f =
-  let entries = Array.to_list (Graph.neighbors g f) in
-  List.sort
-    (fun (v1, _) (v2, _) ->
-      Float.compare
-        (half prefs f v2 +. half prefs v2 f)
-        (half prefs f v1 +. half prefs v1 f))
-    entries
-  |> List.map fst
+  let nb = Graph.neighbors g f in
+  let pw = Array.map (fun (v, _) -> half prefs f v +. half prefs v f) nb in
+  let rows = Array.init (Array.length nb) Fun.id in
+  Array.stable_sort (fun a b -> Float.compare pw.(b) pw.(a)) rows;
+  Array.to_list (Array.map (fun r -> fst nb.(r)) rows)
 
 (* the lowest node other than [f] that is not its neighbour: whom a
    PROP-to-stranger attack writes to *)
@@ -388,25 +390,25 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   let ranking =
     match prefs with
     | Some p when adv_enabled ->
-        let perceived = Array.init n (fun _ -> Hashtbl.create 8) in
-        for i = 0 to n - 1 do
-          if correct.(i) then
-            Array.iter
-              (fun (v, _) ->
-                let a = advert_of p adv v i in
-                match guards with
-                | Some gs ->
-                    let verdict = Guard.on_advert gs.(i) ~peer:v ~claim:a in
-                    if verdict.Guard.quarantine then begin
-                      incr quarantine_events;
-                      if correct.(v) then incr false_quarantines;
-                      bootstrap_rejects := (i, v) :: !bootstrap_rejects
-                    end;
-                    if verdict.Guard.accept then
-                      Hashtbl.replace perceived.(i) v (half p i v +. a)
-                | None -> Hashtbl.replace perceived.(i) v (half p i v +. a))
-              (Graph.neighbors g i)
-        done;
+        let perceived =
+          Array.init n (fun i ->
+              if not correct.(i) then [||]
+              else
+                Array.map
+                  (fun (v, _) ->
+                    let a = advert_of p adv v i in
+                    match guards with
+                    | Some gs ->
+                        let verdict = Guard.on_advert gs.(i) ~peer:v ~claim:a in
+                        if verdict.Guard.quarantine then begin
+                          incr quarantine_events;
+                          if correct.(v) then incr false_quarantines;
+                          bootstrap_rejects := (i, v) :: !bootstrap_rejects
+                        end;
+                        if verdict.Guard.accept then half p i v +. a else Float.nan
+                    | None -> half p i v +. a)
+                  (Graph.neighbors g i))
+        in
         Some (fun i -> if correct.(i) then ranking_of g perceived.(i) i else [||])
     | _ -> None
   in
@@ -772,7 +774,9 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
               | `First -> false
               | `Repeat -> true
               | `Outside ->
-                  let key = (src, dst, lm) in
+                  (* the directed link and the message kind, packed *)
+                  let kind = match lm with Lid.Prop -> 0 | Lid.Rej -> 1 in
+                  let key = (2 * ((src * n) + dst)) + kind in
                   Hashtbl.mem stray key || (Hashtbl.replace stray key (); false)
             in
             if repeat then
@@ -990,11 +994,10 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
      at t = 0 *)
   let ranking i =
     if correct i then begin
-      let perceived = Hashtbl.create 8 in
-      Array.iter
-        (fun (v, _) -> Hashtbl.replace perceived v (half prefs i v +. half prefs v i))
-        (Graph.neighbors g i);
-      ranking_of g perceived i
+      let pw =
+        Array.map (fun (v, _) -> half prefs i v +. half prefs v i) (Graph.neighbors g i)
+      in
+      ranking_of g pw i
     end
     else [||]
   in

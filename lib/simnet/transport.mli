@@ -31,7 +31,23 @@
     probability < 1 guarantees each retransmission round succeeds with
     positive probability), the layer delivers every message exactly
     once, in per-link FIFO order — restoring the exact hypotheses of
-    Lemmas 5-6 for {!Owp_core.Stack}[.run ~reliable:true]. *)
+    Lemmas 5-6 for {!Owp_core.Stack}[.run ~reliable:true].
+
+    {b Layout.}  Every directed link [(src, dst)] is found by its packed
+    key [src * nodes + dst] in one open-addressed table (linear probing,
+    the probe of {!Simnet}'s link clock), which holds both halves of the
+    link: no tuple is built and nothing is hashed structurally per
+    frame.  Go-back-N with cumulative ACKs keeps the unacked seqs
+    contiguous, so the sender's window is a ring over [[base,
+    next_seq)]: an ACK advances [base], a give-up sets [base :=
+    next_seq], and a retransmission walks [base .. next_seq - 1] in
+    ascending order.  The ring starts at 2 slots, enough for the one
+    PROP and one REJ a correct LID link carries, and doubles when full.
+    The receiver keeps out-of-order frames in a small seq-sorted buffer;
+    an in-order frame on an empty buffer is delivered without touching
+    it.  {!restart_node} only bumps the node's epoch: the node's
+    senders and receivers go stale and are replaced on their next use,
+    and a stale sender's pending timer does nothing. *)
 
 type 'm frame =
   | Data of { epoch : int; seq : int; payload : 'm }

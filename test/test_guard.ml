@@ -144,6 +144,63 @@ let test_offence_counts () =
     [ ("duplicate-prop", 1); ("stranger", 1) ]
     (Guard.offence_counts t)
 
+let test_repeated_edge_one_slot () =
+  (* the edge list names (0, 1) three times; Graph coalesces it, and
+     the guard keeps one link state for the neighbour: the second PROP
+     is a duplicate, and the pinned advert is shared *)
+  let g = Graph.of_edge_list 3 [ (0, 1); (1, 0); (0, 1); (0, 2) ] in
+  let t = Guard.create ~graph:g ~me:0 () in
+  check_verdict "advert" (Guard.on_advert t ~peer:1 ~claim:0.4) ~accept:true ~offence:None
+    ~quarantine:false;
+  check_verdict "mismatched prop"
+    (Guard.inspect t ~peer:1 (prop 0.3))
+    ~accept:false ~offence:(Some Guard.Claim_mismatch) ~quarantine:true;
+  Alcotest.(check (list int)) "one quarantine" [ 1 ] (Guard.quarantined_peers t);
+  Alcotest.(check string) "one fingerprint entry" "1prQ1:0x1p+0;" (Guard.fingerprint t);
+  let t = Guard.create ~graph:g ~me:0 () in
+  check_verdict "first prop"
+    (Guard.inspect t ~peer:1 (prop 0.4))
+    ~accept:true ~offence:None ~quarantine:false;
+  check_verdict "second prop"
+    (Guard.inspect t ~peer:1 (prop 0.4))
+    ~accept:false ~offence:(Some Guard.Duplicate_prop) ~quarantine:true
+
+let test_stranger_survives_copy () =
+  (* threshold 2: a stranger's first offence scores without quarantine *)
+  let config = { Guard.default_config with quarantine_threshold = 2.0 } in
+  let t = mk ~config () in
+  ignore (Guard.inspect t ~peer:3 (prop 0.4));
+  let c1 = Guard.copy t in
+  ignore (Guard.inspect t ~peer:3 (rej ()));
+  let c2 = Guard.copy t in
+  ignore (Guard.inspect t ~peer:3 (rej ()));
+  Alcotest.(check (float 0.0)) "copy before: score" 1.0 (Guard.score c1 ~peer:3);
+  Alcotest.(check bool) "copy before: free" false (Guard.quarantined c1 ~peer:3);
+  Alcotest.(check (float 0.0)) "copy after: score" 2.0 (Guard.score c2 ~peer:3);
+  Alcotest.(check bool) "copy after: quarantined" true (Guard.quarantined c2 ~peer:3);
+  Alcotest.(check string) "copy after = original" (Guard.fingerprint t)
+    (Guard.fingerprint c2);
+  (* the copies own their state: more traffic to one moves only it *)
+  ignore (Guard.inspect c1 ~peer:3 (rej ()));
+  Alcotest.(check (float 0.0)) "copy scores alone" 2.0 (Guard.score c1 ~peer:3);
+  Alcotest.(check (float 0.0)) "original unmoved" 2.0 (Guard.score t ~peer:3);
+  Alcotest.(check (float 0.0)) "second copy unmoved" 2.0 (Guard.score c2 ~peer:3)
+
+let test_peers_in_id_order () =
+  (* node 3's neighbours are 2 and 5; 0, 4 and 7 are strangers.  Offend
+     from all five in scrambled order: both views interleave them by id *)
+  let g = Graph.of_edge_list 8 [ (3, 5); (3, 2); (1, 6) ] in
+  let t = Guard.create ~graph:g ~me:3 () in
+  List.iter
+    (fun p -> ignore (Guard.inspect t ~peer:p (prop ~epoch:1 0.1)))
+    [ 7; 5; 0; 2; 4 ];
+  Alcotest.(check (list int)) "quarantined, ascending" [ 0; 2; 4; 5; 7 ]
+    (Guard.quarantined_peers t);
+  Alcotest.(check string) "fingerprint, ascending"
+    (String.concat ""
+       (List.map (fun p -> Printf.sprintf "%dprQ1:0x1p+0;" p) [ 0; 2; 4; 5; 7 ]))
+    (Guard.fingerprint t)
+
 let suite =
   [
     Alcotest.test_case "legal traffic passes" `Quick test_legal_traffic;
@@ -156,4 +213,7 @@ let suite =
     Alcotest.test_case "flood limit" `Quick test_flood_limit;
     Alcotest.test_case "copy + fingerprint" `Quick test_copy_and_fingerprint;
     Alcotest.test_case "offence counts" `Quick test_offence_counts;
+    Alcotest.test_case "repeated edge, one slot" `Quick test_repeated_edge_one_slot;
+    Alcotest.test_case "stranger survives copy" `Quick test_stranger_survives_copy;
+    Alcotest.test_case "peers in id order" `Quick test_peers_in_id_order;
   ]

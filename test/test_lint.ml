@@ -125,6 +125,19 @@ let test_generic_compare_fires =
       (7, "generic-compare");
     ]
 
+let test_tuple_hash_key_fires =
+  (* line 7 keys by an inline tuple, line 9 by a tuple abbreviation
+     (mem and replace), line 11 by a triple *)
+  check_file "fx_simnet_tuple_key_bad.ml"
+    [
+      (7, "tuple-hash-key");
+      (9, "tuple-hash-key");
+      (9, "tuple-hash-key");
+      (11, "tuple-hash-key");
+    ]
+
+let test_tuple_hash_key_clean = check_file "fx_simnet_tuple_key_ok.ml" []
+
 let test_serve_layer_fires =
   (* on_request-shaped records obey the same construction discipline
      as on_send/on_deliver middleware *)
@@ -157,7 +170,7 @@ let test_suppression_moves_finding () =
 
 let test_registry_complete () =
   Alcotest.(check (list string))
-    "nine rules, display order"
+    "ten rules, display order"
     [
       "pure-core";
       "hash-order";
@@ -165,6 +178,7 @@ let test_registry_complete () =
       "seeded-random";
       "float-compare";
       "generic-compare";
+      "tuple-hash-key";
       "pool-capture";
       "state-machine";
       "layer-conformance";
@@ -219,6 +233,8 @@ let suite =
     Alcotest.test_case "simnet clock-hygiene fires" `Quick test_simnet_clock_fires;
     Alcotest.test_case "wheel pool-capture fires" `Quick test_wheel_pool_fires;
     Alcotest.test_case "generic-compare fires" `Quick test_generic_compare_fires;
+    Alcotest.test_case "tuple-hash-key fires" `Quick test_tuple_hash_key_fires;
+    Alcotest.test_case "tuple-hash-key clean twin" `Quick test_tuple_hash_key_clean;
     Alcotest.test_case "exact position" `Quick test_exact_position;
     Alcotest.test_case "suppression" `Quick test_suppression_moves_finding;
     Alcotest.test_case "registry complete" `Quick test_registry_complete;

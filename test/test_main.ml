@@ -7,7 +7,6 @@ let () =
       ("util.pool", Test_pool.suite);
       ("util.heap", Test_heap.suite);
       ("util.event_wheel", Test_event_wheel.suite);
-      ("util.dsu", Test_dsu.suite);
       ("util.stats", Test_stats.suite);
       ("util.tablefmt", Test_tablefmt.suite);
       ("graph.core", Test_graph.suite);

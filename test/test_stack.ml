@@ -353,6 +353,44 @@ let test_counter_table_pinned () =
           ~schedule:weather ~reliable:true ~deadline:6.0 ~adversaries ~guard:true
           ~prefs:p w ~capacity))
 
+(* The benchmark's composed workload at n = 300, through the pipeline
+   the CLI runs: drop 0.05, reorder 0.1, unordered links, ARQ, 20%
+   weight liars and the guard.  Hundreds of retransmissions and
+   out-of-order arrivals walk the transport's window and reassembly
+   paths far past what the n = 40 table above reaches. *)
+let test_composed_table_pinned () =
+  let module RC = Owp_core.Run_config in
+  let module P = Owp_core.Pipeline in
+  let module W = Owp_bench.Workloads in
+  let inst =
+    W.make ~seed:23 ~family:(W.Gnm_avg_deg 16.0) ~pref_model:W.Random_prefs ~n:300 ~quota:8
+  in
+  let faults =
+    match Owp_simnet.Faults.of_string "drop=0.05,reorder=0.1,unordered" with
+    | Ok f -> f
+    | Error msg -> invalid_arg msg
+  in
+  let cfg =
+    RC.make ~engine:RC.Lid ~seed:23 ~faults ~reliable:true ~byzantine:"liar:0.2"
+      ~guard:true ()
+  in
+  match (P.run_config cfg inst.W.prefs).P.detail with
+  | P.Plain -> Alcotest.fail "a LID run reports its stack"
+  | P.Stack r ->
+      Alcotest.(check (list string)) "composed table"
+        [
+          "lid prop=2077 rej=1485 delivered=2754 locks=888";
+          quiet_detector;
+          "adversary peers=60 messages=497";
+          "guard inspected=3159 quarantines=808 false-quarantines=0 overclaim=808";
+          "dedup suppressed-prop=0 suppressed-rej=0";
+          "transport data=4059 retransmissions=1004 acks=4803 dup-suppressed=744 \
+           frames=9866 dead-links=0 suspected=0 resumed=0 held-give-ups=0";
+          "channel sent=9866 delivered=9360 dropped=506 reordered=959 \
+           lost-to-crashes=0 crashes=0";
+        ]
+        (table r)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_zero_middleware_bit_identical;
@@ -369,4 +407,5 @@ let suite =
     Alcotest.test_case "full composition coherent" `Quick test_full_composition_coherent;
     QCheck_alcotest.to_alcotest prop_shards_bit_identical_full_composition;
     Alcotest.test_case "counter table pinned" `Quick test_counter_table_pinned;
+    Alcotest.test_case "composed workload table pinned" `Quick test_composed_table_pinned;
   ]

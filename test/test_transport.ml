@@ -121,6 +121,115 @@ let test_crash_restart_epochs () =
      its sequence space): the sender gives up rather than spin *)
   Alcotest.(check (list (pair int int))) "stuck link declared dead" [ (0, 1) ] !dead
 
+let test_window_growth_and_wrap () =
+  (* five payloads grow the ring to 8 slots and are acked (base 5), then
+     eleven more go out into a burst that cuts every frame: the window
+     holds seqs 5..15, wraps around the 8 slots and doubles them.  The
+     one retransmission round after the burst must resend 5..15 in
+     ascending order: on a FIFO link with unit delay each resent frame
+     then arrives after the one before, so each payload is delivered at
+     its own, later instant *)
+  let config = { Tr.default_config with rto_jitter = 0.0 } in
+  let net = Sim.create ~seed:5 ~nodes:2 ~delay:Sim.Unit () in
+  Sim.set_outage net
+    (Some (fun ~at ~src:_ ~dst:_ -> if at >= 10.0 && at < 14.5 then 1.0 else 0.0));
+  let got = ref [] in
+  let tr =
+    Tr.create ~config net
+      ~on_deliver:(fun ~src:_ ~dst:_ m -> got := (m, Sim.now net) :: !got)
+      ~on_peer_dead:(fun ~node:_ ~peer:_ -> Alcotest.fail "nobody dies")
+  in
+  for i = 1 to 5 do
+    Tr.send tr ~src:0 ~dst:1 i
+  done;
+  Sim.schedule net ~delay:9.5 (fun () ->
+      for i = 6 to 16 do
+        Tr.send tr ~src:0 ~dst:1 i
+      done);
+  Sim.run net;
+  let got = List.rev !got in
+  Alcotest.(check (list int)) "exactly once, in order" (List.init 16 (fun i -> i + 1))
+    (List.map fst got);
+  Alcotest.(check int) "one round resends the window" 11 (Tr.retransmissions tr);
+  let times = List.filteri (fun i _ -> i >= 5) (List.map snd got) in
+  List.iteri
+    (fun i t ->
+      if i > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "payload %d arrives after %d" (i + 6) (i + 5))
+          true
+          (t > List.nth times (i - 1)))
+    times
+
+let test_stale_timer_after_restart () =
+  (* node 0 sends into a cut network, so its timer (due at t = 4) is
+     armed when it crashes and restarts; the new incarnation sends at
+     t = 2.5 and arms its own timer (due at 6.5).  The stale timer must
+     not resend the new window *)
+  let config = { Tr.default_config with rto_jitter = 0.0 } in
+  let net = Sim.create ~seed:5 ~nodes:2 ~delay:Sim.Unit () in
+  Sim.set_outage net (Some (fun ~at ~src:_ ~dst:_ -> if at < 10.0 then 1.0 else 0.0));
+  let got = ref [] in
+  let tr =
+    Tr.create ~config net
+      ~on_deliver:(fun ~src:_ ~dst:_ m -> got := m :: !got)
+      ~on_peer_dead:(fun ~node:_ ~peer:_ -> Alcotest.fail "nobody dies")
+  in
+  Tr.send tr ~src:0 ~dst:1 1;
+  Sim.schedule net ~delay:1.0 (fun () -> Sim.crash net 0);
+  Sim.schedule net ~delay:2.0 (fun () ->
+      Sim.restart net 0;
+      Tr.restart_node tr 0);
+  Sim.schedule net ~delay:2.5 (fun () -> Tr.send tr ~src:0 ~dst:1 2);
+  let before_new_timer = ref (-1) in
+  Sim.schedule net ~delay:6.0 (fun () -> before_new_timer := Tr.retransmissions tr);
+  Sim.run net;
+  Alcotest.(check int) "no resend before the new timer" 0 !before_new_timer;
+  Alcotest.(check (list int)) "only the new incarnation's payload" [ 2 ] (List.rev !got)
+
+let test_ack_after_give_up () =
+  (* data arrives, but every ACK before t = 3.5 is cut: with rto 1 and
+     two retries the sender gives up at t = 3, and the ACK for its last
+     resend lands at t = 4.  It must not revive the link *)
+  let config =
+    {
+      Tr.default_config with
+      rto_initial = 1.0;
+      rto_backoff = 1.0;
+      rto_jitter = 0.0;
+      max_retries = 2;
+    }
+  in
+  let net = Sim.create ~seed:5 ~nodes:2 ~delay:Sim.Unit () in
+  let gave_up = ref infinity and late_acks = ref 0 in
+  Sim.set_outage net
+    (Some
+       (fun ~at ~src ~dst:_ ->
+         if src = 1 && at < 3.5 then 1.0
+         else begin
+           if src = 1 && at > !gave_up then incr late_acks;
+           0.0
+         end));
+  let dead = ref 0 in
+  let tr =
+    Tr.create ~config net
+      ~on_deliver:(fun ~src:_ ~dst:_ _ -> ())
+      ~on_peer_dead:(fun ~node:_ ~peer:_ ->
+        incr dead;
+        gave_up := Sim.now net)
+  in
+  Tr.send tr ~src:0 ~dst:1 1;
+  Sim.run net;
+  Alcotest.(check bool) "an ACK arrived after the give-up" true (!late_acks > 0);
+  Alcotest.(check int) "declared dead once" 1 !dead;
+  Alcotest.(check bool) "still dead" true (Tr.peer_dead tr ~node:0 ~peer:1);
+  Alcotest.(check int) "nothing resumed" 0 (Tr.links_resumed tr);
+  let sent = Tr.data_sent tr and resent = Tr.retransmissions tr in
+  Tr.send tr ~src:0 ~dst:1 2;
+  Sim.run net;
+  Alcotest.(check int) "sends still discarded" sent (Tr.data_sent tr);
+  Alcotest.(check int) "no resend" resent (Tr.retransmissions tr)
+
 let prop_exactly_once_in_order =
   (* the tentpole property: under any tested mix of loss, duplication
      and reordering, every directed link delivers exactly the sent
@@ -209,6 +318,9 @@ let suite =
     Alcotest.test_case "masks reordering" `Quick test_masks_reordering;
     Alcotest.test_case "bounded retries give up" `Quick test_give_up;
     Alcotest.test_case "crash/restart epochs" `Quick test_crash_restart_epochs;
+    Alcotest.test_case "window growth and wrap" `Quick test_window_growth_and_wrap;
+    Alcotest.test_case "stale timer after restart" `Quick test_stale_timer_after_restart;
+    Alcotest.test_case "ACK after give-up" `Quick test_ack_after_give_up;
     Alcotest.test_case "120-seed fault sweep" `Quick test_seed_sweep;
     QCheck_alcotest.to_alcotest prop_exactly_once_in_order;
   ]
