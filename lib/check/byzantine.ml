@@ -106,23 +106,14 @@ let blocking_violations inst =
   let sel = Array.make (max m 1) false in
   List.iter (fun eid -> if eid >= 0 && eid < m then sel.(eid) <- true) inst.edges;
   let d = restricted_degrees inst in
-  let lightest_selected u =
-    let best = ref (-1) in
-    Graph.iter_neighbors g u (fun _ eid ->
-        if sel.(eid) then
-          if !best < 0 || Weights.heavier inst.weights !best eid then best := eid);
-    !best
-  in
+  let light = Checker.lightest_selected g inst.weights sel in
   let out = ref [] in
   Graph.iter_edges g (fun eid u v ->
       if (not sel.(eid)) && inst.correct.(u) && inst.correct.(v) then begin
         let beats x =
           let residual = inst.capacity.(x) - max inst.consumed.(x) d.(x) in
           if residual > 0 then inst.capacity.(x) > 0
-          else begin
-            let light = lightest_selected x in
-            light >= 0 && Weights.heavier inst.weights eid light
-          end
+          else light.(x) >= 0 && Weights.heavier inst.weights eid light.(x)
         in
         if beats u && beats v then
           out :=

@@ -216,28 +216,34 @@ let satisfaction_range =
             !out);
   }
 
+(* each node's lightest selected edge, or -1, from one pass over the
+   edges: [heavier] is a strict total order, so the pass order cannot
+   change the answer *)
+let lightest_selected g w sel =
+  let light = Array.make (Graph.node_count g) (-1) in
+  let offer x eid =
+    if light.(x) < 0 || Weights.heavier w light.(x) eid then light.(x) <- eid
+  in
+  Graph.iter_edges g (fun eid u v ->
+      if sel.(eid) then begin
+        offer u eid;
+        offer v eid
+      end);
+  light
+
 (* greedy-stability core shared by no_blocking_pair / maximality /
    theorem2_certificate *)
 let blocking_pairs inst =
   let sel = selected inst in
   let d = degrees inst in
   let residual i = cap inst i - d.(i) in
-  let lightest_selected u =
-    let best = ref (-1) in
-    Graph.iter_neighbors inst.graph u (fun _ eid ->
-        if sel.(eid) then
-          if !best < 0 || Weights.heavier inst.weights !best eid then best := eid);
-    !best
-  in
+  let light = lightest_selected inst.graph inst.weights sel in
   let out = ref [] in
   Graph.iter_edges inst.graph (fun eid u v ->
       if not sel.(eid) then begin
         let beats x =
           if residual x > 0 then cap inst x > 0
-          else begin
-            let light = lightest_selected x in
-            light >= 0 && Weights.heavier inst.weights eid light
-          end
+          else light.(x) >= 0 && Weights.heavier inst.weights eid light.(x)
         in
         if beats u && beats v then out := (eid, u, v) :: !out
       end);

@@ -31,6 +31,12 @@ val of_matching : ?prefs:Preference.t -> Weights.t -> Owp_matching.Bmatching.t -
 (** Instance wrapping an already-validated matching (capacities are
     taken from the matching). *)
 
+val lightest_selected : Graph.t -> Weights.t -> bool array -> int array
+(** [lightest_selected g w sel] is, for every node of [g], its lightest
+    incident edge [e] with [sel.(e)] under {!Weights.heavier}, or [-1]
+    when it has none — one pass over the edges, shared by the
+    blocking-pair checks here and in {!Byzantine}. *)
+
 type t = {
   name : string;
   doc : string;

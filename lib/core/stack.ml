@@ -44,10 +44,12 @@ type report = {
   layers : layer list;
 }
 
-let counter r ~layer name =
-  match List.find_opt (fun l -> l.layer = layer) r.layers with
+let cell layers ~layer name =
+  match List.find_opt (fun l -> l.layer = layer) layers with
   | None -> 0
   | Some l -> Option.value ~default:0 (List.assoc_opt name l.counters)
+
+let counter r = cell r.layers
 
 let overhead r =
   let protocol = r.prop_count + r.rej_count in
@@ -95,30 +97,42 @@ let advert_of prefs adversaries j i =
   | Some (Adversary.Weight_liar lam) -> (1.0 +. lam) *. bound prefs j
   | _ -> half prefs j i
 
-(* perceived ranking of node i: its neighbour rows by decreasing
-   own-half + advertised-half, Lid's tie-break order.  [pw] is aligned
-   to [Graph.neighbors g i]; a row whose advert the guard refused holds
-   nan and is left out. *)
-let ranking_of g pw i =
-  let nb = Graph.neighbors g i in
-  let rows =
-    List.init (Array.length nb) Fun.id
-    |> List.filter (fun r -> not (Float.is_nan pw.(r)))
-    |> Array.of_list
+(* the bootstrap rankings: every correct node orders its neighbour rows
+   by decreasing own half + advertised half ([advert v i]: what v
+   advertises to i), in Lid's tie-break order.  [accept i v claim] vets
+   each advert, in node order, then neighbour order; a refused row is
+   left out. *)
+let rankings prefs g ~correct ~advert ~accept =
+  let perceived =
+    Array.init (Graph.node_count g) (fun i ->
+        if not (correct i) then [||]
+        else
+          Array.map
+            (fun (v, _) ->
+              let a = advert v i in
+              if accept i v a then half prefs i v +. a else Float.nan)
+            (Graph.neighbors g i))
   in
-  Array.sort
-    (fun a b ->
-      let c = Float.compare pw.(b) pw.(a) in
-      if c <> 0 then c
-      else begin
-        let e = snd nb.(a) and f = snd nb.(b) in
-        let ue, ve = Graph.edge_endpoints g e and uf, vf = Graph.edge_endpoints g f in
-        if uf <> ue then Int.compare uf ue
-        else if vf <> ve then Int.compare vf ve
-        else Int.compare f e
-      end)
-    rows;
-  Array.map (fun r -> nb.(r)) rows
+  fun i ->
+    let nb = Graph.neighbors g i and pw = perceived.(i) in
+    let rows =
+      List.init (Array.length pw) Fun.id
+      |> List.filter (fun r -> not (Float.is_nan pw.(r)))
+      |> Array.of_list
+    in
+    Array.sort
+      (fun a b ->
+        let c = Float.compare pw.(b) pw.(a) in
+        if c <> 0 then c
+        else begin
+          let e = snd nb.(a) and f = snd nb.(b) in
+          let ue, ve = Graph.edge_endpoints g e and uf, vf = Graph.edge_endpoints g f in
+          if uf <> ue then Int.compare uf ue
+          else if vf <> ve then Int.compare vf ve
+          else Int.compare f e
+        end)
+      rows;
+    Array.map (fun r -> nb.(r)) rows
 
 (* the bounded-damage certificate of a final LID state *)
 let damage_of ?cutoff w ~capacity ~correct ~unterminated ~overclaimed st =
@@ -164,18 +178,10 @@ let own_order prefs g f =
 (* the lowest node other than [f] that is not its neighbour: whom a
    PROP-to-stranger attack writes to *)
 let stranger g f =
-  let n = Graph.node_count g in
-  let rec find i =
-    if i >= n then None
-    else if i <> f && not (Graph.mem_edge g f i) then Some i
-    else find (i + 1)
-  in
-  find 0
+  Seq.init (Graph.node_count g) Fun.id
+  |> Seq.find (fun i -> i <> f && not (Graph.mem_edge g f i))
 
-let rec take k = function
-  | [] -> []
-  | _ when k <= 0 -> []
-  | x :: tl -> x :: take (k - 1) tl
+let take k l = List.filteri (fun i _ -> i < k) l
 
 (* a roughly honest responder: proposes to its top-b, accepts up to
    [limit] partners, declines the rest — every proposal it receives is
@@ -289,7 +295,7 @@ let make_behaviour prefs g adversaries f model =
       }
 
 (* ------------------------------------------------------------------ *)
-(* the layer signature                                                 *)
+(* the layer signature and the run context                             *)
 (* ------------------------------------------------------------------ *)
 
 (* One layer of the stack and its row of the report's counter table.
@@ -315,9 +321,445 @@ let counting mw_name mw_counters =
 let rec admits chain ~src ~dst m =
   match chain with [] -> true | f :: tl -> f ~src ~dst m && admits tl ~src ~dst m
 
+(* What the layers share and nothing else: the simulator, the state
+   machine, who is correct, who came back retired, and the weather.
+   Every counter belongs to the builder that bumps it; a layer reaches
+   another only through the up-calls it is handed — [wire] (the
+   outbound boundary), [emit] (the protocol's send sink: outbound
+   chain, wire, patience), [send_rej] (a counted REJ straight onto the
+   wire: the re-announcements no gate may swallow) and the detector's
+   give-ups. *)
+type ctx = {
+  net : Guard.msg Transport.frame Simnet.t;
+  g : Graph.t;
+  st : Lid.state;
+  correct : bool array;
+  retired : bool array;  (** restarted nodes: amnesiac, declining *)
+  delay : Simnet.delay_model;
+  schedule : Schedule.t;
+}
+
+let live c i = Simnet.is_up c.net i && not c.retired.(i)
+
+let stragglers c =
+  List.filter (fun i -> c.correct.(i) && live c i) (Lid.unterminated_nodes c.st)
+
+(* scheduled network weather: outages are evaluated by the simulator
+   at delivery time; [weather_touched c window] is the "did scheduled
+   weather intersect my last waiting window" predicate the detector
+   and transport consult before declaring anyone dead.  The window
+   matters: a give-up that merely checked {!Schedule.active} at its
+   own fire instant would fire falsely just after the heal, while the
+   healed link's answer is still in flight — and the window is padded
+   by a round trip for the same reason, since a reply prompted at the
+   heal instant needs that long to land. *)
+let weather_touched c window =
+  let now = Simnet.now c.net in
+  let slack = 2.0 *. round_length c.delay in
+  Schedule.overlaps c.schedule ~from_:(now -. window -. slack) ~until:now
+
+(* ------------------------------------------------------------------ *)
+(* the layers, one builder each, in table order                        *)
+(* ------------------------------------------------------------------ *)
+
+(* --- lid: protocol sends and deliveries, and the served edge set -----
+   Its up-calls count every protocol message: [out] converts a send of
+   the machine for the wire, [send_rej] is the counted REJ, [feed]
+   hands a delivery to the machine. *)
+type lid_io = {
+  out : int -> int -> Lid.message -> Guard.msg;
+  send_rej : int -> int -> unit;
+  feed : src:int -> dst:int -> Lid.message -> unit;
+}
+
+let lid_layer c ~claim ~wire ~emit ~served =
+  let props = ref 0 and rejs = ref 0 and delivered = ref 0 in
+  ( counting "lid" (fun () ->
+        [ ("prop", !props); ("rej", !rejs); ("delivered", !delivered);
+          ("locks", List.length (Lazy.force served)) ]),
+    {
+      out =
+        (fun src dst m ->
+          match m with
+          | Lid.Prop -> incr props; claim src dst
+          | Lid.Rej -> incr rejs; rej);
+      send_rej = (fun src dst -> incr rejs; wire ~src ~dst rej);
+      feed = (fun ~src ~dst m -> incr delivered; Lid.deliver c.st ~src ~dst m ~emit);
+    } )
+
+(* --- deadline: the anytime budget gate -------------------------------
+   Until the deadline expires it is a pure pass-through; once the cut is
+   taken every residual send or delivery is swallowed, so even code
+   paths that touch the network after the horizon (give-up sweeps, late
+   timers) cannot reopen the protocol.  It heads both chains.  [stop]
+   runs to the horizon [d] and freezes.  Unreciprocated locks are
+   counted BEFORE the freeze: these are the half-locked edges whose
+   completing PROP was still in flight at the horizon, kept one-sided
+   in K_i and excluded from the served matching by the mutual-lock
+   intersection.  Nothing sends while the cutoff is taken. *)
+let deadline_layer c d =
+  let cut = ref None and suppressed = ref 0 in
+  let gate ~src:_ ~dst:_ _ =
+    match !cut with None -> true | Some _ -> incr suppressed; false
+  in
+  let stop () =
+    Simnet.run_until c.net d;
+    let alive i = c.correct.(i) && live c i in
+    let half_locks = ref 0 in
+    Array.iteri
+      (fun i _ ->
+        if alive i then
+          List.iter
+            (fun v -> if not (List.mem i (Lid.locks c.st v)) then incr half_locks)
+            (Lid.locks c.st i))
+      c.correct;
+    let abandoned = Simnet.pending_events c.net and half_locks = !half_locks in
+    let released = List.length (List.filter (fun (i, _) -> alive i) (Lid.freeze c.st)) in
+    let k = { cut_at = d; abandoned; half_locks; released } in
+    cut := Some k;
+    k
+  in
+  ( {
+      mw_name = "deadline";
+      on_send = Some gate;
+      on_deliver = Some gate;
+      mw_counters =
+        (fun () ->
+          let k = Option.get !cut in
+          [ ("released", k.released); ("half-locks", k.half_locks);
+            ("abandoned", k.abandoned); ("suppressed", !suppressed) ]);
+    },
+    stop )
+
+(* --- detector: implicit declines (Lemma 5) ---------------------------
+   The one place a give-up is decided and counted.  Each layer that
+   observes silence gets its entry: [arm] for every PROP the protocol
+   emits (patience), [gave_up] for the transport's exhausted retries,
+   [quarantine] for the guard's offenders, [stub] for each PROP the
+   amnesiac membership stub declines, and [quiet] for the guarded quiet
+   rounds.  A give-up feeds the machine a synthetic REJ. *)
+type detector = {
+  arm : int -> int -> unit;
+  gave_up : node:int -> peer:int -> unit;
+  quarantine : int -> peer:int -> unit;
+  stub : unit -> unit;
+  quiet : Guard.t array -> unit;
+}
+
+let detector_layer c ~patience ~emit =
+  let armed = ref 0 and fired = ref 0 and held = ref 0 in
+  let by_transport = ref 0 and by_quarantine = ref 0 and synthetic = ref 0 in
+  let quiet_rounds = ref 0 and stubs = ref 0 in
+  let decline at ~peer =
+    incr synthetic;
+    Lid.deliver c.st ~src:peer ~dst:at Lid.Rej ~emit
+  in
+  let arm =
+    match patience with
+    | None -> fun _ _ -> ()
+    | Some limit ->
+        fun i v ->
+          incr armed;
+          let rec wait () =
+            Simnet.schedule c.net ~delay:limit (fun () ->
+                if live c i && Lid.awaiting_reply c.st ~node:i ~peer:v then begin
+                  (* scheduled weather touched the window we just waited
+                     out: a give-up now would be a false positive against
+                     a peer whose answer was cut — or is still in flight
+                     over a link that healed mid-window.  Suppress it and
+                     re-arm a full patience for the healed world — the
+                     loop is finite because the schedule is. *)
+                  if weather_touched c limit then (incr held; wait ())
+                  else (incr fired; decline i ~peer:v)
+                end)
+          in
+          wait ()
+  in
+  (* quiet rounds (guarded only): when the network idles with correct
+     nodes still stuck, give up exactly the pendings towards
+     adversary-controlled or quarantined peers — the eventually-perfect
+     failure detector.  Honest-honest pendings are never cut: they
+     resolve transitively once the Byzantine leaves are. *)
+  let rec quiet gs =
+    if stragglers c <> [] && !quiet_rounds < (2 * Graph.node_count c.g) + 8 then begin
+      let progress = ref false in
+      List.iter
+        (fun i ->
+          Array.iter
+            (fun (v, _) ->
+              if
+                Lid.awaiting_reply c.st ~node:i ~peer:v
+                && ((not c.correct.(v)) || Guard.quarantined gs.(i) ~peer:v)
+              then begin
+                progress := true;
+                decline i ~peer:v
+              end)
+            (Graph.neighbors c.g i))
+        (stragglers c);
+      if !progress then begin
+        incr quiet_rounds;
+        Simnet.run c.net;
+        quiet gs
+      end
+    end
+  in
+  ( counting "detector" (fun () ->
+        [ ("patience-armed", !armed); ("patience-fired", !fired);
+          ("suppressed-give-ups", !held); ("transport-give-ups", !by_transport);
+          ("quarantine-give-ups", !by_quarantine); ("synthetic-rej", !synthetic);
+          ("quiet-rounds", !quiet_rounds); ("stub-rej", !stubs) ]),
+    {
+      arm;
+      gave_up =
+        (fun ~node ~peer ->
+          (* retries exhausted: the peer implicitly declined *)
+          if live c node && c.correct.(node) then begin
+            incr by_transport;
+            decline node ~peer
+          end);
+      quarantine = (fun at ~peer -> incr by_quarantine; decline at ~peer);
+      stub = (fun () -> incr stubs);
+      quiet;
+    } )
+
+(* --- adversary: Byzantine node programs ------------------------------
+   [send] is a behaviour's mouth onto the wire, [programs] the node
+   programs (silent for every correct or fail-silent node).  The row
+   appears only when adversaries are in play. *)
+let adversary_layer c ~prefs ~adversaries ~wire =
+  let msgs = ref 0 in
+  let send f ~dst m = incr msgs; wire ~src:f ~dst m in
+  let programs =
+    Array.init (Array.length c.correct) (fun f ->
+        match adversaries with
+        | Some a when Option.is_some a.(f) ->
+            make_behaviour (Option.get prefs) c.g a f (Option.get a.(f))
+        | _ -> Adversary.silent)
+  in
+  ( Option.map
+      (fun a ->
+        counting "adversary" (fun () ->
+            let peers =
+              Array.fold_left (fun k m -> k + Bool.to_int (Option.is_some m)) 0 a
+            in
+            [ ("peers", peers); ("messages", !msgs) ]))
+      adversaries,
+    send,
+    programs )
+
+(* --- guard: inbound vetting and quarantine ---------------------------
+   [screen] is the guard's verdict on one inbound message, shared with
+   the exhaustive explorer: an accepted message passes; the one that
+   pushes its sender over the threshold completes the quarantine once
+   through [quarantine], and the sender's traffic is swallowed from then
+   on. *)
+let screen gs ~quarantine ~src ~dst m =
+  let verdict = Guard.inspect gs.(dst) ~peer:src m in
+  if verdict.Guard.quarantine && not verdict.Guard.accept then quarantine dst ~peer:src;
+  verdict.Guard.accept
+
+(* what the correct nodes' guards recorded, folded after the run for
+   both the guard row and the report: offence counts by name
+   (alphabetical), adversaries with an offence, adversaries quarantined
+   somewhere *)
+let guard_tally correct gs =
+  let mine = List.filteri (fun i _ -> correct.(i)) (Array.to_list gs) in
+  let byz peers =
+    List.concat_map (fun gd -> List.filter (fun p -> not correct.(p)) (peers gd)) mine
+    |> List.sort_uniq compare |> List.length
+  in
+  let counts = List.concat_map Guard.offence_counts mine in
+  ( List.map
+      (fun k ->
+        (k, List.fold_left (fun a (k', n) -> if k' = k then a + n else a) 0 counts))
+      (List.sort_uniq compare (List.map fst counts)),
+    byz (fun gd -> List.map fst (Guard.offences gd)),
+    byz Guard.quarantined_peers )
+
+(* [bootstrap] lists the (node, peer) quarantines the advert vetting
+   already took; the row counts them with the inbound ones *)
+let guard_layer c gs ~bootstrap ~send_rej ~give_up =
+  let inspected = ref 0 and quarantines = ref (List.length bootstrap) in
+  let false_quarantines =
+    ref (List.length (List.filter (fun (_, v) -> c.correct.(v)) bootstrap))
+  in
+  let quarantine dst ~peer =
+    incr quarantines;
+    if c.correct.(peer) then incr false_quarantines;
+    if not c.retired.(dst) then begin
+      (* re-announce the decline on the wire, then release any
+         obligation towards the offender *)
+      send_rej dst peer;
+      give_up dst ~peer
+    end
+  in
+  {
+    mw_name = "guard";
+    on_send = None;
+    on_deliver =
+      Some
+        (fun ~src ~dst m ->
+          incr inspected;
+          screen gs ~quarantine ~src ~dst m);
+    mw_counters =
+      (fun () ->
+        let offence_counts, _, _ = guard_tally c.correct gs in
+        ("inspected", !inspected) :: ("quarantines", !quarantines)
+        :: ("false-quarantines", !false_quarantines) :: offence_counts);
+  }
+
+(* --- dedup -----------------------------------------------------------
+   protocol-level duplicate suppression: each directed link of a
+   correct run carries at most one PROP and one REJ ever, and
+   Lid.deliver is idempotent to repeats — suppression is
+   outcome-neutral, purely an accounting layer.  It sits BELOW the
+   guard on the inbound path: the guard must see raw per-link traffic,
+   because a duplicate is itself an offence to score (dedup-above-guard
+   would blind the quarantine scoring).  The seen set is Lid's per-link
+   delivery marks; only traffic from outside the receiver's candidate
+   universe (an adversary writing to a stranger, a peer quarantined at
+   bootstrap) needs the fallback table. *)
+let dedup_layer c =
+  let n = Graph.node_count c.g in
+  let stray = Hashtbl.create 8 in
+  let dedup_prop = ref 0 and dedup_rej = ref 0 in
+  {
+    mw_name = "dedup";
+    on_send = None;
+    on_deliver =
+      Some
+        (fun ~src ~dst (m : Guard.msg) ->
+          let lm = lid_message m in
+          let repeat =
+            match Lid.mark_delivery c.st ~src ~dst lm with
+            | `First -> false
+            | `Repeat -> true
+            | `Outside ->
+                (* the directed link and the message kind, packed *)
+                let kind = match lm with Lid.Prop -> 0 | Lid.Rej -> 1 in
+                let key = (2 * ((src * n) + dst)) + kind in
+                Hashtbl.mem stray key || (Hashtbl.replace stray key (); false)
+          in
+          if repeat then
+            incr (match lm with Lid.Prop -> dedup_prop | Lid.Rej -> dedup_rej);
+          not repeat);
+    mw_counters =
+      (fun () -> [ ("suppressed-prop", !dedup_prop); ("suppressed-rej", !dedup_rej) ]);
+  }
+
+(* --- transport: ARQ under the protocol, or none ----------------------
+   The outbound boundary, chosen once per run: [wire] is the ARQ's send
+   or a datagram frame straight onto the channel (unguarded messages
+   travel as the shared constant frames), [restart] clears a restarted
+   node's link state.  Both boundaries hand every arriving payload to
+   [dispatch].  When retries exhaust inside (or just after) scheduled
+   weather the transport suspects the silent link instead of declaring
+   it dead (see Transport.create).  The window is the whole retry
+   ladder: a fresh ladder that started mid-episode exhausts only after
+   the heal, so testing "active now" at exhaustion time would let it
+   give up on a link whose answer is in flight.  Without a schedule the
+   predicate is constantly false. *)
+let transport_layer c ~reliable ~config ~dispatch ~gave_up =
+  if not reliable then begin
+    Simnet.set_handler c.net (fun ~src ~dst frame ->
+        match frame with
+        | Transport.Data { payload; _ } -> dispatch ~src ~dst payload
+        | Transport.Ack _ -> ());
+    let wire ~src ~dst (gm : Guard.msg) =
+      Simnet.send c.net ~src ~dst
+        (match gm with
+        | { Guard.epoch = 0; body = Guard.Rej } -> rej_frame
+        | { Guard.epoch = 0; body = Guard.Prop { claim } } when Float.equal claim 0.0 ->
+            prop_unclaimed_frame
+        | _ -> datagram gm)
+    in
+    (None, wire, ignore)
+  end
+  else begin
+    let tc = Option.value config ~default:Transport.default_config in
+    let ladder =
+      let rec sum k rto acc =
+        if k > tc.Transport.max_retries then acc
+        else
+          let rto = Float.min tc.Transport.rto_max rto in
+          sum (k + 1) (rto *. tc.Transport.rto_backoff) (acc +. rto)
+      in
+      sum 0 tc.Transport.rto_initial 0.0 *. (1.0 +. tc.Transport.rto_jitter)
+    in
+    let t =
+      Transport.create ?config
+        ~hold:(fun ~node:_ ~peer:_ -> weather_touched c ladder)
+        c.net ~on_deliver:dispatch ~on_peer_dead:gave_up
+    in
+    ( Some
+        (counting "transport" (fun () ->
+             [ ("data", Transport.data_sent t);
+               ("retransmissions", Transport.retransmissions t);
+               ("acks", Transport.acks_sent t);
+               ("dup-suppressed", Transport.duplicates_suppressed t);
+               ("frames", Transport.frames_sent t);
+               ("dead-links", Transport.peers_declared_dead t);
+               ("suspected", Transport.links_suspected t);
+               ("resumed", Transport.links_resumed t);
+               ("held-give-ups", Transport.give_ups_held t) ])),
+      Transport.send t,
+      Transport.restart_node t )
+  end
+
+(* --- channel and schedule: the simulator's own counts ---------------- *)
+let channel_layer c =
+  counting "channel" (fun () ->
+      [ ("sent", Simnet.messages_sent c.net);
+        ("delivered", Simnet.messages_delivered c.net);
+        ("dropped", Simnet.messages_dropped c.net);
+        ("reordered", Simnet.messages_reordered c.net);
+        ("lost-to-crashes", Simnet.messages_lost_to_crashes c.net);
+        ("crashes", Simnet.crash_events c.net) ])
+
+(* the simulator cuts deliveries the schedule's outages cover.  A
+   certain cut consumes no randomness, so an empty schedule leaves the
+   run bit-identical to a scheduleless one — and adds no row. *)
+let schedule_layer c =
+  if Schedule.is_empty c.schedule then None
+  else begin
+    Simnet.set_outage c.net
+      (Some (fun ~at ~src ~dst -> Schedule.outage c.schedule ~at ~src ~dst));
+    Some
+      (counting "schedule" (fun () ->
+           [ ("episodes", List.length c.schedule); ("cut", Simnet.messages_cut c.net) ]))
+  end
+
+(* membership: crash plans schedule a crash and, optionally, a restart
+   that rejoins retired and announces its amnesia — an explicit decline
+   to every neighbour releases anyone still waiting on it *)
+let schedule_crashes c crashes ~restart ~send_rej =
+  List.iter
+    (fun { victim = v; crash_at; restart_at } ->
+      Simnet.schedule c.net ~delay:crash_at (fun () -> Simnet.crash c.net v);
+      Option.iter
+        (fun t ->
+          Simnet.schedule c.net ~delay:t (fun () ->
+              if not (Simnet.is_up c.net v) then begin
+                Simnet.restart c.net v;
+                restart v;
+                c.retired.(v) <- true;
+                Array.iter (fun (u, _) -> send_rej v u) (Graph.neighbors c.g v)
+              end))
+        restart_at)
+    crashes
+
 (* ------------------------------------------------------------------ *)
 (* the run loop                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* The stack's one forward reference: the inbound dispatch the
+   transport or the Simnet handler calls, and the protocol's send sink
+   the machine and the detector call.  Both fold the chains, which are
+   read off the layer list, so [run] sets them once that list exists. *)
+type entries = {
+  dispatch : src:int -> dst:int -> Guard.msg -> unit;
+  emit : int -> int -> Lid.message -> unit;
+}
 
 let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     ?(faults = Simnet.no_faults) ?(schedule = Schedule.empty) ?(reliable = false)
@@ -327,9 +769,14 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   let g = Weights.graph w in
   let n = Graph.node_count g in
   (* --- argument validation ------------------------------------------ *)
-  (match Schedule.validate ~n schedule with
-  | Ok _ -> ()
-  | Error msg -> invalid_arg ("Stack.run: bad schedule: " ^ msg));
+  let fail msg = invalid_arg ("Stack.run: " ^ msg) in
+  let arity name =
+    Option.iter (fun a ->
+        if Array.length a <> n then fail (name ^ " array arity mismatch"))
+  in
+  Result.iter_error
+    (fun msg -> fail ("bad schedule: " ^ msg))
+    (Schedule.validate ~n schedule);
   (* down episodes are crash-then-restart sugar: the node leaves at the
      episode start and rejoins retired at the heal *)
   let crashes =
@@ -341,589 +788,161 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   in
   List.iter
     (fun { victim; crash_at; restart_at } ->
-      if victim < 0 || victim >= n then
-        invalid_arg "Stack.run: crash victim out of range";
-      if crash_at < 0.0 then invalid_arg "Stack.run: negative crash time";
-      match restart_at with
-      | Some t when t <= crash_at -> invalid_arg "Stack.run: restart not after crash"
-      | _ -> ())
+      if victim < 0 || victim >= n then fail "crash victim out of range";
+      if crash_at < 0.0 then fail "negative crash time";
+      if Option.fold ~none:false ~some:(fun t -> t <= crash_at) restart_at then
+        fail "restart not after crash")
     crashes;
-  (match patience with
-  | Some p when p <= 0.0 -> invalid_arg "Stack.run: patience must be positive"
-  | _ -> ());
+  if Option.fold ~none:false ~some:(fun p -> p <= 0.0) patience then
+    fail "patience must be positive";
   let budget =
     match (deadline, max_rounds) with
     | Some _, Some _ ->
-        invalid_arg
-          "Stack.run: deadline and max_rounds are two spellings of one budget \
-           — give exactly one"
+        fail
+          "deadline and max_rounds are two spellings of one budget — give exactly one"
     | Some d, None ->
-        if d <= 0.0 then invalid_arg "Stack.run: deadline must be positive";
+        if d <= 0.0 then fail "deadline must be positive";
         Some d
     | None, Some k ->
-        if k <= 0 then invalid_arg "Stack.run: max_rounds must be positive";
+        if k <= 0 then fail "max_rounds must be positive";
         Some (float_of_int k *. round_length delay)
     | None, None -> None
   in
-  (match silent with
-  | Some s when Array.length s <> n ->
-      invalid_arg "Stack.run: silent array arity mismatch"
-  | _ -> ());
-  (match adversaries with
-  | Some a when Array.length a <> n ->
-      invalid_arg "Stack.run: adversary array arity mismatch"
-  | _ -> ());
+  arity "silent" silent;
+  arity "adversary" adversaries;
   let adv_enabled = Option.is_some adversaries in
   if adv_enabled && prefs = None then
-    invalid_arg "Stack.run: adversaries need ~prefs (claims are preference halves)";
+    fail "adversaries need ~prefs (claims are preference halves)";
   if guard && not adv_enabled then
-    invalid_arg "Stack.run: guard without an adversary environment is meaningless";
+    fail "guard without an adversary environment is meaningless";
   let adv = Option.value adversaries ~default:(Array.make (max n 1) None) in
   let silent = Option.value silent ~default:(Array.make (max n 1) false) in
   let correct = Array.init n (fun i -> Option.is_none adv.(i) && not silent.(i)) in
-  if adv_enabled && not (Array.exists Fun.id correct) then
-    invalid_arg "Stack.run: no correct node left";
-  (* --- bootstrap: advertise half-weights, vet them, build rankings -- *)
+  if adv_enabled && not (Array.exists Fun.id correct) then fail "no correct node left";
+  (* --- the context and the bootstrap: advertise half-weights, vet
+     them, build rankings ------------------------------------------- *)
   let guards = if guard then Some (guards_for (Option.get prefs) g) else None in
-  let quarantine_events = ref 0 and false_quarantines = ref 0 in
-  let bootstrap_rejects = ref [] in
+  let bootstrap = ref [] in
   let ranking =
     match prefs with
     | Some p when adv_enabled ->
-        let perceived =
-          Array.init n (fun i ->
-              if not correct.(i) then [||]
-              else
-                Array.map
-                  (fun (v, _) ->
-                    let a = advert_of p adv v i in
-                    match guards with
-                    | Some gs ->
-                        let verdict = Guard.on_advert gs.(i) ~peer:v ~claim:a in
-                        if verdict.Guard.quarantine then begin
-                          incr quarantine_events;
-                          if correct.(v) then incr false_quarantines;
-                          bootstrap_rejects := (i, v) :: !bootstrap_rejects
-                        end;
-                        if verdict.Guard.accept then half p i v +. a else Float.nan
-                    | None -> half p i v +. a)
-                  (Graph.neighbors g i))
+        let accept =
+          match guards with
+          | None -> fun _ _ _ -> true
+          | Some gs ->
+              fun i v claim ->
+                let verdict = Guard.on_advert gs.(i) ~peer:v ~claim in
+                if verdict.Guard.quarantine then bootstrap := (i, v) :: !bootstrap;
+                verdict.Guard.accept
         in
-        Some (fun i -> if correct.(i) then ranking_of g perceived.(i) i else [||])
+        Some (rankings p g ~correct:(Array.get correct) ~advert:(advert_of p adv) ~accept)
     | _ -> None
   in
   let st, initial = Lid.init ?ranking w ~capacity in
-  (* --- channel and schedule ------------------------------------------ *)
   let net =
     Simnet.create ~seed ~fifo ~faults ~shards:sim_shards ~unsafe_lookahead
       ~nodes:(max n 1) ~delay ()
   in
-  let channel_layer =
-    counting "channel" (fun () ->
-        [
-          ("sent", Simnet.messages_sent net);
-          ("delivered", Simnet.messages_delivered net);
-          ("dropped", Simnet.messages_dropped net);
-          ("reordered", Simnet.messages_reordered net);
-          ("lost-to-crashes", Simnet.messages_lost_to_crashes net);
-          ("crashes", Simnet.crash_events net);
-        ])
-  in
-  (* scheduled network weather: outages are evaluated by the simulator
-     at delivery time; [weather_touched window] is the "did scheduled
-     weather intersect my last waiting window" predicate the detector
-     and transport consult before declaring anyone dead.  The window
-     matters: a give-up that merely checked {!Schedule.active} at its
-     own fire instant would fire falsely just after the heal, while the
-     healed link's answer is still in flight — and the window is padded
-     by a round trip for the same reason, since a reply prompted at the
-     heal instant needs that long to land.  A certain cut consumes no
-     randomness, so an empty schedule leaves the run bit-identical to a
-     scheduleless one. *)
-  let weather_touched window =
-    let now = Simnet.now net in
-    let slack = 2.0 *. round_length delay in
-    Schedule.overlaps schedule ~from_:(now -. window -. slack) ~until:now
-  in
-  let schedule_layer =
-    if Schedule.is_empty schedule then None
-    else begin
-      Simnet.set_outage net
-        (Some (fun ~at ~src ~dst -> Schedule.outage schedule ~at ~src ~dst));
-      Some
-        (counting "schedule" (fun () ->
-             [ ("episodes", List.length schedule); ("cut", Simnet.messages_cut net) ]))
-    end
-  in
-  (* a restarted node lost its volatile protocol state: it rejoins
-     "retired" — it declines everything and claims nothing *)
   let retired = Array.make (max n 1) false in
-  let live i = Simnet.is_up net i && not retired.(i) in
-  (* --- outbound boundary: ARQ transport or raw datagram frames ------ *)
-  let tr = ref None in
-  let wire_send ~src ~dst (gm : Guard.msg) =
-    match !tr with
-    | Some t -> Transport.send t ~src ~dst gm
-    | None ->
-        let frame =
-          match gm with
-          | { Guard.epoch = 0; body = Guard.Rej } -> rej_frame
-          | { Guard.epoch = 0; body = Guard.Prop { claim } } when Float.equal claim 0.0
-            ->
-              prop_unclaimed_frame
-          | _ -> datagram gm
-        in
-        Simnet.send net ~src ~dst frame
-  in
-  (* --- the adversary layer: Byzantine node programs ----------------- *)
-  let adversary_msgs = ref 0 in
-  let byz_send f ~dst m =
-    incr adversary_msgs;
-    wire_send ~src:f ~dst m
-  in
-  let behaviours =
-    Array.init n (fun f ->
-        match adv.(f) with
-        | Some m -> make_behaviour (Option.get prefs) g adv f m
-        | None -> Adversary.silent)
-  in
-  let adversary_layer =
-    Option.map
-      (fun a ->
-        counting "adversary" (fun () ->
-            let peers =
-              Array.fold_left (fun k m -> k + Bool.to_int (Option.is_some m)) 0 a
-            in
-            [ ("peers", peers); ("messages", !adversary_msgs) ]))
-      adversaries
-  in
-  (* --- the lid layer: protocol sends and the served edge set ------- *)
-  let prop_count = ref 0 and rej_count = ref 0 and lid_delivered = ref 0 in
-  let wrap src dst = function
-    | Lid.Prop -> (
-        incr prop_count;
-        match (prefs, guards) with
-        | Some p, Some _ -> prop (half p src dst)
-        | _ -> prop_unclaimed)
-    | Lid.Rej ->
-        incr rej_count;
-        rej
-  in
-  let send_rej_wire src dst =
-    incr rej_count;
-    wire_send ~src ~dst rej
-  in
+  let c = { net; g; st; correct; retired; delay; schedule } in
+  let up = ref { dispatch = (fun ~src:_ ~dst:_ _ -> ()); emit = (fun _ _ _ -> ()) } in
+  let emit src dst m = (!up).emit src dst m in
   (* the locked edges between live endpoints, read once the run is over *)
   let served =
     lazy
       (List.filter
-         (fun eid ->
-           let a, b = Graph.edge_endpoints g eid in
-           live a && live b)
+         (fun e -> let a, b = Graph.edge_endpoints g e in live c a && live c b)
          (Lid.locked_edge_ids st))
   in
-  let lid_layer =
-    counting "lid" (fun () ->
-        [
-          ("prop", !prop_count);
-          ("rej", !rej_count);
-          ("delivered", !lid_delivered);
-          ("locks", List.length (Lazy.force served));
-        ])
+  let claim =
+    match (prefs, guards) with
+    | Some p, Some _ -> fun src dst -> prop (half p src dst)
+    | _ -> fun _ _ -> prop_unclaimed
   in
-  (* the filter chains, derived from the enabled layers below *)
-  let outbound = ref [] and inbound = ref [] in
-  (* --- the deadline layer: the anytime budget gate -------------------
-     Until the deadline expires it is a pure pass-through; once [cut]
-     flips, every residual send or delivery is swallowed, so even code
-     paths that touch the network after the horizon (give-up sweeps,
-     late timers) cannot reopen the protocol.  It heads both chains. *)
-  let cut = ref None and cut_suppressed = ref 0 in
-  let gate ~src:_ ~dst:_ _ =
-    match !cut with
-    | None -> true
-    | Some _ ->
-        incr cut_suppressed;
-        false
+  (* --- the stack: each layer from its builder, listed top first.  The
+     chains and the counter table are all read off this one list. ---- *)
+  let detector, det = detector_layer c ~patience ~emit in
+  let transport, wire, restart =
+    transport_layer c ~reliable ~config:transport
+      ~dispatch:(fun ~src ~dst m -> (!up).dispatch ~src ~dst m)
+      ~gave_up:det.gave_up
   in
-  let deadline_layer =
-    Option.map
-      (fun _ ->
-        {
-          mw_name = "deadline";
-          on_send = Some gate;
-          on_deliver = Some gate;
-          mw_counters =
-            (fun () ->
-              let c = Option.get !cut in
-              [
-                ("released", c.released);
-                ("half-locks", c.half_locks);
-                ("abandoned", c.abandoned);
-                ("suppressed", !cut_suppressed);
-              ]);
-        })
-      budget
-  in
-  (* stop at the horizon [d] and freeze.  Unreciprocated locks are
-     counted BEFORE the freeze: these are the half-locked edges whose
-     completing PROP was still in flight at the horizon, kept one-sided
-     in K_i and excluded from the served matching by the mutual-lock
-     intersection.  Nothing sends while the cutoff is taken. *)
-  let run_until_cutoff d =
-    Simnet.run_until net d;
-    let half_locks = ref 0 in
-    for i = 0 to n - 1 do
-      if correct.(i) && live i then
-        List.iter
-          (fun v -> if not (List.mem i (Lid.locks st v)) then incr half_locks)
-          (Lid.locks st i)
-    done;
-    let c =
-      {
-        cut_at = d;
-        abandoned = Simnet.pending_events net;
-        half_locks = !half_locks;
-        released =
-          List.length (List.filter (fun (i, _) -> correct.(i) && live i) (Lid.freeze st));
-      }
-    in
-    cut := Some c;
-    c
-  in
-  (* --- the detector layer: implicit declines (Lemma 5) -------------- *)
-  let patience_armed = ref 0 and patience_fired = ref 0 in
-  let suppressed_giveups = ref 0 and transport_giveups = ref 0 in
-  let quarantine_giveups = ref 0 and synthetic_rejects = ref 0 in
-  let quiet_rounds = ref 0 and stub_rejects = ref 0 in
-  let rec emit src dst m =
-    let gm = wrap src dst m in
-    if admits !outbound ~src ~dst gm then wire_send ~src ~dst gm;
-    match (m, patience) with
-    | Lid.Prop, Some limit -> arm_patience src dst limit
-    | _ -> ()
-  and arm_patience i v limit =
-    incr patience_armed;
-    let rec arm () =
-      Simnet.schedule net ~delay:limit (fun () ->
-          if live i && Lid.awaiting_reply st ~node:i ~peer:v then begin
-            if weather_touched limit then begin
-              (* scheduled weather touched the window we just waited
-                 out: a give-up now would be a false positive against a
-                 peer whose answer was cut — or is still in flight over
-                 a link that healed mid-window.  Suppress it and re-arm
-                 a full patience for the healed world — the loop is
-                 finite because the schedule is. *)
-              incr suppressed_giveups;
-              arm ()
-            end
-            else begin
-              incr patience_fired;
-              synthetic_reject i ~peer:v
-            end
-          end)
-    in
-    arm ()
-  and synthetic_reject at ~peer =
-    incr synthetic_rejects;
-    Lid.deliver st ~src:peer ~dst:at Lid.Rej ~emit
-  in
-  let quarantine at ~peer =
-    (* re-announce the decline on the wire, then release any obligation
-       towards the offender through the synthetic-REJ escape hatch *)
-    send_rej_wire at peer;
-    incr quarantine_giveups;
-    synthetic_reject at ~peer
-  in
-  let correct_stragglers () =
-    List.filter (fun i -> correct.(i) && live i) (Lid.unterminated_nodes st)
-  in
-  (* quiet rounds (guarded only): when the network idles with correct
-     nodes still stuck, give up exactly the pendings towards
-     adversary-controlled or quarantined peers — the eventually-perfect
-     failure detector.  Honest-honest pendings are never cut: they
-     resolve transitively once the Byzantine leaves are. *)
-  let rec run_quiet_rounds gs =
-    if correct_stragglers () <> [] && !quiet_rounds < (2 * n) + 8 then begin
-      let progress = ref false in
-      List.iter
-        (fun i ->
-          Array.iter
-            (fun (v, _) ->
-              if
-                Lid.awaiting_reply st ~node:i ~peer:v
-                && ((not correct.(v)) || Guard.quarantined gs.(i) ~peer:v)
-              then begin
-                progress := true;
-                synthetic_reject i ~peer:v
-              end)
-            (Graph.neighbors g i))
-        (correct_stragglers ());
-      if !progress then begin
-        incr quiet_rounds;
-        Simnet.run net;
-        run_quiet_rounds gs
-      end
-    end
-  in
-  let detector_layer =
-    counting "detector" (fun () ->
-        [
-          ("patience-armed", !patience_armed);
-          ("patience-fired", !patience_fired);
-          ("suppressed-give-ups", !suppressed_giveups);
-          ("transport-give-ups", !transport_giveups);
-          ("quarantine-give-ups", !quarantine_giveups);
-          ("synthetic-rej", !synthetic_rejects);
-          ("quiet-rounds", !quiet_rounds);
-          ("stub-rej", !stub_rejects);
-        ])
-  in
-  (* --- the guard layer: inbound vetting and quarantine -------------- *)
-  (* what the correct nodes' guards recorded, folded once after the run
-     for both the guard row and the report: offence counts by name
-     (alphabetical), adversaries with an offence, adversaries
-     quarantined somewhere *)
-  let guard_tally =
-    lazy
-      (match guards with
-      | None -> ([], 0, 0)
-      | Some gs ->
-          let offence_tbl = Hashtbl.create 8 in
-          let offenders = Hashtbl.create 8 in
-          let quarantined_byz = Hashtbl.create 8 in
-          Array.iteri
-            (fun i gd ->
-              if correct.(i) then begin
-                List.iter
-                  (fun (k, c) ->
-                    Hashtbl.replace offence_tbl k
-                      (c + Option.value ~default:0 (Hashtbl.find_opt offence_tbl k)))
-                  (Guard.offence_counts gd);
-                List.iter
-                  (fun (p, _) -> if not correct.(p) then Hashtbl.replace offenders p ())
-                  (Guard.offences gd);
-                List.iter
-                  (fun p -> if not correct.(p) then Hashtbl.replace quarantined_byz p ())
-                  (Guard.quarantined_peers gd)
-              end)
-            gs;
-          ( List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) offence_tbl []),
-            Hashtbl.length offenders,
-            Hashtbl.length quarantined_byz ))
-  in
-  let guard_layer =
-    Option.map
-      (fun gs ->
-        let inspected = ref 0 in
-        {
-          mw_name = "guard";
-          on_send = None;
-          on_deliver =
-            Some
-              (fun ~src ~dst m ->
-                incr inspected;
-                let verdict = Guard.inspect gs.(dst) ~peer:src m in
-                if verdict.Guard.accept then true
-                else begin
-                  (* [quarantine] is true exactly when this message pushed
-                     the peer over the threshold — complete the quarantine
-                     once, then swallow its traffic silently forever *)
-                  if verdict.Guard.quarantine then begin
-                    incr quarantine_events;
-                    if correct.(src) then incr false_quarantines;
-                    if not retired.(dst) then quarantine dst ~peer:src
-                  end;
-                  false
-                end);
-          mw_counters =
-            (fun () ->
-              let offence_counts, _, _ = Lazy.force guard_tally in
-              [
-                ("inspected", !inspected);
-                ("quarantines", !quarantine_events);
-                ("false-quarantines", !false_quarantines);
-              ]
-              @ offence_counts);
-        })
-      guards
-  in
-  (* --- the dedup layer ---------------------------------------------- *)
-  (* protocol-level duplicate suppression: each directed link of a
-     correct run carries at most one PROP and one REJ ever, and
-     Lid.deliver is idempotent to repeats — suppression is
-     outcome-neutral, purely an accounting layer.  It sits BELOW the
-     guard on the inbound path: the guard must see raw per-link
-     traffic, because a duplicate is itself an offence to score
-     (dedup-above-guard would blind the quarantine scoring).  The seen
-     set is Lid's per-link delivery marks; only traffic from outside the
-     receiver's candidate universe (an adversary writing to a stranger,
-     a peer quarantined at bootstrap) needs the fallback table. *)
-  let dedup_layer =
-    let stray = Hashtbl.create 8 in
-    let dedup_prop = ref 0 and dedup_rej = ref 0 in
-    {
-      mw_name = "dedup";
-      on_send = None;
-      on_deliver =
-        Some
-          (fun ~src ~dst (m : Guard.msg) ->
-            let lm = lid_message m in
-            let repeat =
-              match Lid.mark_delivery st ~src ~dst lm with
-              | `First -> false
-              | `Repeat -> true
-              | `Outside ->
-                  (* the directed link and the message kind, packed *)
-                  let kind = match lm with Lid.Prop -> 0 | Lid.Rej -> 1 in
-                  let key = (2 * ((src * n) + dst)) + kind in
-                  Hashtbl.mem stray key || (Hashtbl.replace stray key (); false)
-            in
-            if repeat then
-              incr (match lm with Lid.Prop -> dedup_prop | Lid.Rej -> dedup_rej);
-            not repeat);
-      mw_counters =
-        (fun () ->
-          [ ("suppressed-prop", !dedup_prop); ("suppressed-rej", !dedup_rej) ]);
-    }
-  in
-  (* --- inbound dispatch --------------------------------------------- *)
-  let deliver_payload ~src ~dst (gm : Guard.msg) =
-    if not correct.(dst) then
-      behaviours.(dst).Adversary.on_receive ~src gm ~send:(byz_send dst)
-    else if admits !inbound ~src ~dst gm then begin
-      if retired.(dst) then begin
-        (* amnesiac membership stub: the pre-crash state is gone,
-           decline everything *)
-        match gm.Guard.body with
-        | Guard.Prop _ ->
-            incr stub_rejects;
-            send_rej_wire dst src
-        | Guard.Rej -> ()
-      end
-      else begin
-        incr lid_delivered;
-        Lid.deliver st ~src ~dst (lid_message gm) ~emit
-      end
-    end
-  in
-  (* --- the transport layer: ARQ under the protocol, or none -------- *)
-  let transport_layer =
-    if not reliable then begin
-      Simnet.set_handler net (fun ~src ~dst frame ->
-          match frame with
-          | Transport.Data { payload; _ } -> deliver_payload ~src ~dst payload
-          | Transport.Ack _ -> ());
-      None
-    end
-    else begin
-      (* when retries exhaust inside (or just after) scheduled weather
-         the transport suspects the silent link instead of declaring it
-         dead (see Transport.create).  The window is the whole retry
-         ladder: a fresh ladder that started mid-episode exhausts only
-         after the heal, so testing "active now" at exhaustion time
-         would let it give up on a link whose answer is in flight.
-         Without a schedule the predicate is constantly false. *)
-      let tc = Option.value transport ~default:Transport.default_config in
-      let ladder =
-        let rec sum k rto acc =
-          if k > tc.Transport.max_retries then acc
-          else
-            let rto = Float.min tc.Transport.rto_max rto in
-            sum (k + 1) (rto *. tc.Transport.rto_backoff) (acc +. rto)
-        in
-        sum 0 tc.Transport.rto_initial 0.0 *. (1.0 +. tc.Transport.rto_jitter)
-      in
-      let t =
-        Transport.create ?config:transport
-          ~hold:(fun ~node:_ ~peer:_ -> weather_touched ladder)
-          net ~on_deliver:deliver_payload
-          ~on_peer_dead:(fun ~node ~peer ->
-            (* retries exhausted: the peer implicitly declined *)
-            if live node && correct.(node) then begin
-              incr transport_giveups;
-              synthetic_reject node ~peer
-            end)
-      in
-      tr := Some t;
-      Some
-        (counting "transport" (fun () ->
-             [
-               ("data", Transport.data_sent t);
-               ("retransmissions", Transport.retransmissions t);
-               ("acks", Transport.acks_sent t);
-               ("dup-suppressed", Transport.duplicates_suppressed t);
-               ("frames", Transport.frames_sent t);
-               ("dead-links", Transport.peers_declared_dead t);
-               ("suspected", Transport.links_suspected t);
-               ("resumed", Transport.links_resumed t);
-               ("held-give-ups", Transport.give_ups_held t);
-             ]))
-    end
-  in
-  (* --- membership: crash plans schedule a crash and, optionally, a
-     restart that rejoins retired ------------------------------------ *)
-  List.iter
-    (fun { victim = v; crash_at; restart_at } ->
-      Simnet.schedule net ~delay:crash_at (fun () -> Simnet.crash net v);
-      Option.iter
-        (fun t ->
-          Simnet.schedule net ~delay:t (fun () ->
-              if not (Simnet.is_up net v) then begin
-                Simnet.restart net v;
-                Option.iter (fun t -> Transport.restart_node t v) !tr;
-                retired.(v) <- true;
-                (* announce the amnesia: an explicit decline to every
-                   neighbour releases anyone still waiting on us *)
-                Array.iter (fun (u, _) -> send_rej_wire v u) (Graph.neighbors g v)
-              end))
-        restart_at)
-    crashes;
-  (* --- the stack: the enabled layers, top first.  The filter chains
-     and the counter table are both read off this one list. --------- *)
+  let lid, io = lid_layer c ~claim ~wire ~emit ~served in
+  let adversary, byz_send, programs = adversary_layer c ~prefs ~adversaries ~wire in
+  let deadline = Option.map (deadline_layer c) budget in
   let layers =
     List.filter_map Fun.id
       [
-        Some lid_layer;
-        deadline_layer;
-        Some detector_layer;
-        adversary_layer;
-        guard_layer;
-        Some dedup_layer;
-        transport_layer;
-        Some channel_layer;
-        schedule_layer;
+        Some lid;
+        Option.map fst deadline;
+        Some detector;
+        adversary;
+        Option.map
+          (fun gs ->
+            guard_layer c gs ~bootstrap:!bootstrap ~send_rej:io.send_rej
+              ~give_up:det.quarantine)
+          guards;
+        Some (dedup_layer c);
+        transport;
+        Some (channel_layer c);
+        schedule_layer c;
       ]
   in
-  outbound := List.filter_map (fun l -> l.on_send) layers;
-  inbound := List.filter_map (fun l -> l.on_deliver) layers;
+  let outbound = List.filter_map (fun l -> l.on_send) layers in
+  let inbound = List.filter_map (fun l -> l.on_deliver) layers in
+  up :=
+    {
+      emit =
+        (fun src dst m ->
+          let gm = io.out src dst m in
+          if admits outbound ~src ~dst gm then wire ~src ~dst gm;
+          match m with Lid.Prop -> det.arm src dst | Lid.Rej -> ());
+      dispatch =
+        (fun ~src ~dst gm ->
+          if not correct.(dst) then
+            programs.(dst).Adversary.on_receive ~src gm ~send:(byz_send dst)
+          else if admits inbound ~src ~dst gm then begin
+            if c.retired.(dst) then begin
+              (* amnesiac membership stub: the pre-crash state is gone,
+                 decline everything *)
+              match gm.Guard.body with
+              | Guard.Prop _ ->
+                  det.stub ();
+                  io.send_rej dst src
+              | Guard.Rej -> ()
+            end
+            else io.feed ~src ~dst (lid_message gm)
+          end);
+    };
+  schedule_crashes c crashes ~restart ~send_rej:io.send_rej;
   (* --- go: adversaries open their mouths first, then the honest burst,
      then the re-announced bootstrap declines ------------------------- *)
   Array.iteri
-    (fun f c -> if not c then behaviours.(f).Adversary.on_init ~send:(byz_send f))
+    (fun f ok -> if not ok then programs.(f).Adversary.on_init ~send:(byz_send f))
     correct;
   List.iter (fun (src, dst, m) -> if correct.(src) then emit src dst m) initial;
-  List.iter (fun (i, p) -> send_rej_wire i p) !bootstrap_rejects;
+  List.iter (fun (i, p) -> io.send_rej i p) !bootstrap;
   let cutoff =
-    match budget with
-    | None ->
-        Simnet.run net;
-        None
-    | Some d -> Some (run_until_cutoff d)
+    match deadline with None -> Simnet.run c.net; None | Some (_, stop) -> Some (stop ())
   in
-  Option.iter run_quiet_rounds guards;
+  Option.iter det.quiet guards;
   (* --- terminal accounting ------------------------------------------ *)
+  let layers =
+    List.map (fun l -> { layer = l.mw_name; counters = l.mw_counters () }) layers
+  in
   let matching = Bmatching.of_edge_ids g ~capacity (Lazy.force served) in
-  let unterminated = correct_stragglers () in
+  let unterminated = stragglers c in
   let quiescence =
     List.filter
       (fun v ->
         match v.Violation.subject with
-        | Violation.Node i -> correct.(i) && live i
+        | Violation.Node i -> correct.(i) && live c i
         | _ -> true)
       (Lid.quiescence_violations st)
   in
-  let offence_counts, byz_offenders, byz_quarantined = Lazy.force guard_tally in
+  let offence_counts, byz_offenders, byz_quarantined =
+    match guards with None -> ([], 0, 0) | Some gs -> guard_tally correct gs
+  in
   let wasted_slots, damage =
     if not adv_enabled then (0, [])
     else begin
@@ -950,28 +969,28 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
           ~overclaimed:!overclaimed st )
     end
   in
+  let cell = cell layers in
   {
     matching;
     correct;
-    participating = Array.init n (fun i -> correct.(i) && live i);
-    prop_count = !prop_count;
-    rej_count = !rej_count;
-    delivered = Simnet.messages_delivered net;
-    dropped = Simnet.messages_dropped net;
-    synthetic_rejects = !synthetic_rejects;
-    quarantine_events = !quarantine_events;
+    participating = Array.init n (fun i -> correct.(i) && live c i);
+    prop_count = cell ~layer:"lid" "prop";
+    rej_count = cell ~layer:"lid" "rej";
+    delivered = Simnet.messages_delivered c.net;
+    dropped = Simnet.messages_dropped c.net;
+    synthetic_rejects = cell ~layer:"detector" "synthetic-rej";
+    quarantine_events = cell ~layer:"guard" "quarantines";
     byz_offenders;
     byz_quarantined;
     offence_counts;
     wasted_slots;
-    completion_time = Simnet.now net;
+    completion_time = Simnet.now c.net;
     all_terminated = unterminated = [];
     unterminated;
     quiescence;
     damage;
     cutoff;
-    layers =
-      List.map (fun l -> { layer = l.mw_name; counters = l.mw_counters () }) layers;
+    layers;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -981,33 +1000,24 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
 type explore_state = { lid : Lid.state; eguards : Guard.t array option }
 
 (* the guarded (or bare) inbound composition as a pure Explore.protocol,
-   so the explorer model-checks the production layer stack: honest
-   bootstrap adverts, perceived rankings, Guard.inspect above the
-   unchanged Lid.deliver, quarantine re-announcement and the quiet-round
-   give-up hook.  Deliveries to non-[correct] nodes are no-ops: the
-   explorer's adversary injects their traffic instead. *)
+   so the explorer model-checks the code the production stack runs: the
+   bootstrap rankings from {!rankings} (honest adverts, no vetting),
+   the guard layer's {!screen} above the unchanged Lid.deliver, the
+   quarantine re-announcement and the quiet-round give-up hook.
+   Deliveries to non-[correct] nodes are no-ops: the explorer's
+   adversary injects their traffic instead. *)
 let explore_protocol ~guard ~correct prefs w ~capacity =
   let g = Preference.graph prefs in
   (* adverts are honest in the exhaustive model: adversarial over-bound
      claims enter through the explorer's injection repertoire instead,
      so every attack is interleaved with deliveries rather than fixed
      at t = 0 *)
-  let ranking i =
-    if correct i then begin
-      let pw =
-        Array.map (fun (v, _) -> half prefs i v +. half prefs v i) (Graph.neighbors g i)
-      in
-      ranking_of g pw i
-    end
-    else [||]
+  let ranking =
+    rankings prefs g ~correct ~advert:(half prefs) ~accept:(fun _ _ _ -> true)
   in
   let wire src dst m =
-    let body =
-      match m with
-      | Lid.Prop -> Guard.Prop { claim = half prefs src dst }
-      | Lid.Rej -> Guard.Rej
-    in
-    { Explore.src; dst; payload = { Guard.epoch = 0; body } }
+    let payload = match m with Lid.Prop -> prop (half prefs src dst) | Lid.Rej -> rej in
+    { Explore.src; dst; payload }
   in
   let step lid ~src ~dst lm =
     let out = ref [] in
@@ -1021,12 +1031,16 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
       match st.eguards with
       | None -> step st.lid ~src ~dst (lid_message m)
       | Some gs ->
-          let verdict = Guard.inspect gs.(dst) ~peer:src m in
-          if verdict.Guard.accept then step st.lid ~src ~dst (lid_message m)
-          else if verdict.Guard.quarantine then
-            { Explore.src = dst; dst = src; payload = rej }
-            :: step st.lid ~src ~dst Lid.Rej
-          else []
+          (* a quarantine re-announces the decline, then releases the
+             offender through the synthetic REJ, as the guard layer does *)
+          let quarantined = ref [] in
+          let quarantine at ~peer =
+            quarantined :=
+              { Explore.src = at; dst = peer; payload = rej }
+              :: step st.lid ~src:peer ~dst:at Lid.Rej
+          in
+          if screen gs ~quarantine ~src ~dst m then step st.lid ~src ~dst (lid_message m)
+          else !quarantined
     end
   in
   let tags = Hashtbl.create 16 in
@@ -1038,9 +1052,7 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
         Hashtbl.add tags m t;
         t
   in
-  let stragglers st =
-    List.filter (fun i -> correct i) (Lid.unterminated_nodes st.lid)
-  in
+  let stragglers st = List.filter correct (Lid.unterminated_nodes st.lid) in
   {
     Explore.init =
       (fun () ->
@@ -1050,43 +1062,27 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
     deliver;
     copy =
       (fun st ->
-        {
-          lid = Lid.copy_state st.lid;
-          eguards = Option.map (Array.map Guard.copy) st.eguards;
-        });
+        let eguards = Option.map (Array.map Guard.copy) st.eguards in
+        { lid = Lid.copy_state st.lid; eguards });
     fingerprint =
       (fun st ->
-        let b = Buffer.create 256 in
-        Buffer.add_string b (Lid.fingerprint st.lid);
-        (match st.eguards with
-        | None -> ()
-        | Some gs ->
-            Array.iter
-              (fun gd ->
-                Buffer.add_char b '|';
-                Buffer.add_string b (Guard.fingerprint gd))
-              gs);
-        Buffer.contents b);
+        let gs = Option.fold ~none:[||] ~some:(Array.map Guard.fingerprint) st.eguards in
+        String.concat "|" (Lid.fingerprint st.lid :: Array.to_list gs));
     quiesced = (fun st -> stragglers st = []);
     stragglers;
     observe = (fun st -> Lid.locked_edge_ids st.lid);
     msg_tag;
     give_up =
-      (if guard then
+      (if not guard then None
+       else
          Some
            (fun st ~self ~peer ->
-             if correct self then step st.lid ~src:peer ~dst:self Lid.Rej
-             else [])
-       else None);
+             if correct self then step st.lid ~src:peer ~dst:self Lid.Rej else []));
   }
 
 (* ------------------------------------------------------------------ *)
 (* Byzantine accounting and exhaustive verification                    *)
 (* ------------------------------------------------------------------ *)
-
-(* formerly Lid_byzantine: the satisfaction accounting the experiments
-   report and the Explore repertoire, now on the stack itself since the
-   wrapper module was only Stack.run with one layer selection *)
 
 let satisfaction_of_correct prefs (r : report) =
   let conns = Bmatching.connection_lists r.matching in
@@ -1138,16 +1134,10 @@ let verify_exhaustively ?(guard = true) ?(budget = 2) ?max_configs ~byz prefs =
     in
     let towards = Array.to_list (Array.map fst (Graph.neighbors g byz)) in
     let per_neighbour v =
-      [
-        { Explore.src = byz; dst = v; payload = prop (half prefs byz v) };
-        { Explore.src = byz; dst = v; payload = prop lie };
-        { Explore.src = byz; dst = v; payload = rej };
-        {
-          Explore.src = byz;
-          dst = v;
-          payload = { Guard.epoch = -1; body = Guard.Prop { claim = half prefs byz v } };
-        };
-      ]
+      let honest = prop (half prefs byz v) in
+      List.map
+        (fun payload -> { Explore.src = byz; dst = v; payload })
+        [ honest; prop lie; rej; { honest with epoch = -1 } ]
     in
     List.concat_map per_neighbour towards
     @ Option.fold (stranger g byz) ~none:[] ~some:(fun i ->

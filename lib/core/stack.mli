@@ -15,12 +15,18 @@
     Every layer is one value of one internal record: an optional
     outbound filter, an optional inbound filter (timers are
     {!Owp_simnet.Simnet.schedule} callbacks of the layer's own) and its
-    counters.  {!run} lists the enabled layers once, in table order —
-    lid, deadline, detector, adversary, guard, dedup, transport,
-    channel, schedule — and reads three things off that one list: the
-    outbound filter chain (the deadline gate, when budgeted), the
-    inbound chain (deadline gate, guard, dedup) and the counter table
-    of the {!report}, one row per layer.  Layers that only count
+    counters.  Each layer has its own builder over one internal context
+    record (the simulator, the machine, the correct and retired nodes,
+    the weather) and the few up-calls it uses; its counters stay in the
+    builder.  {!run} validates its arguments, builds the context and
+    the bootstrap rankings, lists the enabled layers once, in table
+    order — lid, deadline, detector, adversary, guard, dedup,
+    transport, channel, schedule — and reads three things off that one
+    list: the outbound filter chain (the deadline gate, when budgeted),
+    the inbound chain (deadline gate, guard, dedup) and the counter
+    table of the {!report}, one row per layer.  The inbound dispatch
+    and the protocol's send sink fold those chains, so they are the
+    one forward reference, set once the list exists.  Layers that only count
     (lid, detector, adversary, transport, channel, schedule) are on
     neither chain.  Quiescence/termination detection (Lemma 5) lives
     in one place, the detector layer: patience timers, transport
@@ -267,11 +273,13 @@ val verify_exhaustively :
     [budget] (default 2) injections per schedule, interleaved every
     possible way with ordinary deliveries ({!Owp_check.Explore}).  The
     explored protocol is the production inbound composition as a pure
-    {!Owp_check.Explore.protocol}: honest bootstrap adverts, perceived
-    rankings, [Guard.inspect] above the unchanged [Lid.deliver],
-    quarantine re-announcement and the quiet-round give-up hook;
-    deliveries to [byz] are no-ops, since the injections are its
-    traffic.  At every terminal
+    {!Owp_check.Explore.protocol}, built from {!run}'s own code: the
+    rankings come from the same bootstrap function (honest adverts, no
+    vetting), each delivery passes the guard layer's own verdict and
+    quarantine function (the decline re-announced, then a synthetic
+    REJ) above the unchanged [Lid.deliver], and the quiet-round
+    give-up is the hook; deliveries to [byz] are no-ops, since the
+    injections are its traffic.  At every terminal
     configuration the {!Owp_check.Byzantine} certificate is checked;
     with [guard] (default [true]) the verdict must be clean, while
     [guard:false] exhibits the unguarded protocol's starvation

@@ -110,6 +110,44 @@ let is_empty_list (e : Typedtree.expression) =
   | Typedtree.Texp_construct (_, cd, []) -> cd.Types.cstr_name = "[]"
   | _ -> false
 
+(* One builder per layer, in lib/core and stack-named units: a
+   top-level binding may construct at most one layer-shaped record.
+   Layers then live in separate bindings, so OCaml scoping lets one
+   layer reach another only through what its builder is passed — no
+   shared refs captured inside one big closure.  The finding sits on
+   the second layer record of the offending binding. *)
+let one_builder_per_layer (ctx : Rule.context) =
+  if
+    not
+      (Rule.contains ctx.Rule.file "lib/core/"
+      || Rule.contains ctx.Rule.basename "stack")
+  then []
+  else
+    List.concat_map
+      (fun (item : Typedtree.structure_item) ->
+        match item.Typedtree.str_desc with
+        | Typedtree.Tstr_value (_, vbs) ->
+            List.filter_map
+              (fun (vb : Typedtree.value_binding) ->
+                let layers = ref [] in
+                Rule.iter_expr_within vb.Typedtree.vb_expr (fun e ->
+                    match e.Typedtree.exp_desc with
+                    | Typedtree.Texp_record { fields; _ } when is_layer_shape fields ->
+                        layers := e.Typedtree.exp_loc :: !layers
+                    | _ -> ());
+                match List.rev !layers with
+                | _ :: second :: _ ->
+                    Some
+                      (Finding.v ~rule:lc_name ~file:ctx.Rule.file ~loc:second
+                         (Printf.sprintf
+                            "one top-level binding builds %d layer records; give \
+                             each layer its own builder"
+                            (List.length !layers)))
+                | _ -> None)
+              vbs
+        | _ -> [])
+      ctx.Rule.structure.Typedtree.str_items
+
 let lc_check (ctx : Rule.context) =
   let out = ref [] in
   let add loc msg =
@@ -147,7 +185,7 @@ let lc_check (ctx : Rule.context) =
                            n))
               fields
       | _ -> ());
-  List.sort Finding.order !out
+  List.sort Finding.order (!out @ one_builder_per_layer ctx)
 
 let layer_conformance =
   {
@@ -155,6 +193,6 @@ let layer_conformance =
     doc =
       "every Stack layer (and serve request handler) spells out its full \
        signature (no record-update construction) and registers a counter \
-       row";
+       row; in the stack, each top-level binding builds at most one layer";
     check = lc_check;
   }

@@ -174,7 +174,7 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
       in
       (* the LIC oracle: from-scratch centralized ideal on the current
          membership, compared on total satisfaction *)
-      let oracle_cfg = RC.make ~engine:RC.Lic ~seed:cfg.RC.seed () in
+      let oracle_cfg = RC.make ~engine:RC.Lic_indexed ~seed:cfg.RC.seed () in
       let oracle_samples = ref 0 and steady_sum = ref 0.0 and steady_n = ref 0 in
       let sample_oracle at =
         incr oracle_samples;

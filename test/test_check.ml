@@ -341,6 +341,84 @@ let test_lid_quiescence_violations () =
   done;
   Alcotest.(check bool) "fault injection exercised the failure path" true !saw_failure
 
+(* ------------------------------------------------------------------ *)
+(* blocking pairs against a naive per-edge reference                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference rescans an endpoint's neighbours for its lightest
+   selected edge once per unselected edge, sharing no code with the
+   checkers.  Random edge subsets (infeasible ones included), random
+   correct sets and consumed slots; uniform weights half the time, so
+   the identity tie-break decides the order. *)
+let naive_blocking g w sel ~residual ~admit =
+  let lightest x =
+    let best = ref (-1) in
+    Graph.iter_neighbors g x (fun _ eid ->
+        if sel.(eid) && (!best < 0 || Weights.heavier w !best eid) then best := eid);
+    !best
+  in
+  let out = ref [] in
+  Graph.iter_edges g (fun eid u v ->
+      let beats x =
+        if residual x > 0 then true
+        else begin
+          let light = lightest x in
+          light >= 0 && Weights.heavier w eid light
+        end
+      in
+      if (not sel.(eid)) && admit u v && beats u && beats v then
+        out := Violation.Edge (u, v) :: !out);
+  List.rev !out
+
+let prop_blocking_pairs_match_naive =
+  QCheck2.Test.make ~name:"blocking-pair checks = naive per-edge rescan" ~count:200
+    QCheck2.Gen.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, uniform) ->
+      let g, p, w, capacity = random_instance seed 18 5 2 in
+      let w = if uniform then uniform_weights g else w in
+      let rng = Prng.create (seed + 1) in
+      let n = Graph.node_count g and m = Graph.edge_count g in
+      let share = Prng.float rng 1.0 in
+      let sel = Array.init m (fun _ -> Prng.bernoulli rng share) in
+      let edges = List.filter (fun e -> sel.(e)) (List.init m Fun.id) in
+      let d = Array.make n 0 in
+      List.iter
+        (fun e ->
+          let u, v = Graph.edge_endpoints g e in
+          d.(u) <- d.(u) + 1;
+          d.(v) <- d.(v) + 1)
+        edges;
+      let subjects = List.map (fun v -> v.Violation.subject) in
+      let checker =
+        subjects
+          (Checker.no_blocking_pair.Checker.run
+             (Checker.instance ~prefs:p w ~capacity ~edges))
+      in
+      let correct = Array.init n (fun _ -> Prng.bernoulli rng 0.8) in
+      let consumed = Array.init n (fun i -> d.(i) + Prng.int rng 2) in
+      let byz =
+        Owp_check.Byzantine.check
+          {
+            Owp_check.Byzantine.weights = w;
+            capacity;
+            correct;
+            edges;
+            consumed;
+            unterminated = [];
+            overclaimed = [];
+          }
+        |> List.filter (fun v -> v.Violation.checker = "byzantine-blocking-pair")
+        |> subjects
+      in
+      checker
+      = naive_blocking g w sel
+          ~residual:(fun x -> capacity.(x) - d.(x))
+          ~admit:(fun _ _ -> true)
+      && byz
+         = naive_blocking g w sel
+             ~residual:(fun x -> capacity.(x) - max consumed.(x) d.(x))
+             ~admit:(fun u v -> correct.(u) && correct.(v)))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_lic_passes_all;
@@ -364,4 +442,5 @@ let suite =
     Alcotest.test_case "explorer detects divergence" `Quick
       test_explorer_detects_divergence;
     Alcotest.test_case "LID quiescence diagnostics" `Quick test_lid_quiescence_violations;
+    QCheck_alcotest.to_alcotest prop_blocking_pairs_match_naive;
   ]

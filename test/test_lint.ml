@@ -96,6 +96,14 @@ let test_layer_fires =
       (72, "layer-conformance");
     ]
 
+(* one builder per layer: the second layer record built inside one
+   top-level binding (line 21) trips the rule; one builder per layer
+   is clean *)
+let test_stack_layers_fire =
+  check_file "fx_stack_layers_bad.ml" [ (21, "layer-conformance") ]
+
+let test_stack_layers_clean = check_file "fx_stack_layers_ok.ml" []
+
 let test_serve_clock_fires =
   (* lines 4 and 6 read the shim from a serve-named unit (forbidden
      only there); line 8 shows the base wall-clock rule still applies *)
@@ -228,6 +236,8 @@ let suite =
     Alcotest.test_case "pool-capture local state ok" `Quick test_pool_local_state_ok;
     Alcotest.test_case "state-machine fires" `Quick test_state_machine_fires;
     Alcotest.test_case "layer-conformance fires" `Quick test_layer_fires;
+    Alcotest.test_case "one builder per layer fires" `Quick test_stack_layers_fire;
+    Alcotest.test_case "one builder per layer clean twin" `Quick test_stack_layers_clean;
     Alcotest.test_case "serve clock-hygiene fires" `Quick test_serve_clock_fires;
     Alcotest.test_case "serve layer-conformance fires" `Quick test_serve_layer_fires;
     Alcotest.test_case "simnet clock-hygiene fires" `Quick test_simnet_clock_fires;

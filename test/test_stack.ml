@@ -391,6 +391,68 @@ let test_composed_table_pinned () =
         ]
         (table r)
 
+(* The detector and membership paths, which none of the tables above
+   reaches.  (a) guarded adversaries over a lossy reordering channel
+   with ARQ, one crash-restart and one fail-stop crash: transport
+   give-ups, the amnesiac stub, dead links and the quiet rounds.  The
+   two false quarantines hit restarted honest peers; they are pinned as
+   the current behaviour, not endorsed.  (b) datagram LID with patience
+   over a lossy duplicating channel, one crash-restart, one fail-stop
+   crash and a silent peer: patience timers and dedup of re-announced
+   declines. *)
+let test_detector_tables_pinned () =
+  let _, p, w, capacity = random_instance 12 40 6 2 in
+  let adversaries =
+    Owp_simnet.Adversary.assign (Prng.create 12) ~n:40
+      (Owp_simnet.Adversary.parse_spec "violator:0.1,flooder:0.05,replayer:0.05")
+  in
+  Alcotest.(check (list string)) "guarded crash and restart"
+    [
+      "lid prop=77 rej=115 delivered=134 locks=19";
+      "detector patience-armed=0 patience-fired=0 suppressed-give-ups=0 \
+       transport-give-ups=9 quarantine-give-ups=28 synthetic-rej=42 quiet-rounds=1 \
+       stub-rej=1";
+      "adversary peers=8 messages=117";
+      "guard inspected=216 quarantines=30 false-quarantines=2 duplicate-prop=15 \
+       duplicate-rej=1 rej-after-prop=6 stale-epoch=4 stranger=4";
+      "dedup suppressed-prop=0 suppressed-rej=0";
+      "transport data=309 retransmissions=465 acks=361 dup-suppressed=70 frames=1135 \
+       dead-links=10 suspected=0 resumed=0 held-give-ups=0";
+      "channel sent=1135 delivered=683 dropped=57 reordered=112 lost-to-crashes=395 \
+       crashes=2";
+    ]
+    (table
+       (Stack.run ~seed:12 ~fifo:false
+          ~faults:(Sim.faults ~drop:0.05 ~reorder:0.1 ())
+          ~reliable:true ~adversaries ~guard:true ~prefs:p
+          ~crashes:
+            [
+              { Stack.victim = 3; crash_at = 0.3; restart_at = Some 0.9 };
+              { Stack.victim = 9; crash_at = 1.5; restart_at = None };
+            ]
+          w ~capacity));
+  let _, _, w, capacity = random_instance 11 40 6 2 in
+  Alcotest.(check (list string)) "datagram with patience"
+    [
+      "lid prop=105 rej=97 delivered=172 locks=27";
+      "detector patience-armed=105 patience-fired=16 suppressed-give-ups=0 \
+       transport-give-ups=0 quarantine-give-ups=0 synthetic-rej=16 quiet-rounds=0 \
+       stub-rej=0";
+      "dedup suppressed-prop=4 suppressed-rej=14";
+      "channel sent=202 delivered=200 dropped=14 reordered=0 lost-to-crashes=7 crashes=2";
+    ]
+    (table
+       (Stack.run ~seed:11
+          ~faults:(Sim.faults ~drop:0.1 ~duplicate:0.1 ())
+          ~patience:5.0
+          ~silent:(Array.init 40 (fun i -> i = 17))
+          ~crashes:
+            [
+              { Stack.victim = 3; crash_at = 1.0; restart_at = Some 4.0 };
+              { Stack.victim = 9; crash_at = 2.0; restart_at = None };
+            ]
+          w ~capacity))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_zero_middleware_bit_identical;
@@ -408,4 +470,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_shards_bit_identical_full_composition;
     Alcotest.test_case "counter table pinned" `Quick test_counter_table_pinned;
     Alcotest.test_case "composed workload table pinned" `Quick test_composed_table_pinned;
+    Alcotest.test_case "detector and membership tables pinned" `Quick
+      test_detector_tables_pinned;
   ]
