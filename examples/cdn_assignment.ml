@@ -49,8 +49,10 @@ let () =
   Printf.printf "exact assignments : %d (min-cost flow)\n" (BM.size opt);
   Printf.printf "weight ratio      : %.4f (proven floor 0.5)\n"
     (BM.weight m w /. BM.weight opt w);
-  let s_lid = Preference.total_satisfaction prefs (BM.connection_lists m) in
-  let s_opt = Preference.total_satisfaction prefs (BM.connection_lists opt) in
+  let total m =
+    Array.fold_left ( +. ) 0.0 (Owp_core.Pipeline.satisfaction_profile prefs m)
+  in
+  let s_lid = total m and s_opt = total opt in
   Printf.printf "satisfaction      : LID %.1f vs weight-OPT %.1f (ratio %.4f)\n" s_lid
     s_opt (s_lid /. s_opt);
 
@@ -60,7 +62,7 @@ let () =
     for v = lo to hi - 1 do
       if Preference.list_len prefs v > 0 then begin
         incr cnt;
-        acc := !acc +. Preference.satisfaction prefs v (BM.connections m v)
+        acc := !acc +. BM.satisfaction prefs m v
       end
     done;
     !acc /. float_of_int !cnt

@@ -41,7 +41,7 @@ let () =
       if keep v && Preference.list_len prefs v > 0 then begin
         incr total;
         if BM.residual m v = 0 then incr filled;
-        sats := Preference.satisfaction prefs v (BM.connections m v) :: !sats
+        sats := BM.satisfaction prefs m v :: !sats
       end
     done;
     let s = Owp_util.Stats.summarize (Array.of_list !sats) in
@@ -55,11 +55,10 @@ let () =
   (* the bandwidth metric is acyclic, so blocking-pair dynamics
      converges to the stable fixtures solution; compare satisfaction *)
   let dyn = Owp_stable.Fixtures.solve prefs in
-  let s_lid = Preference.total_satisfaction prefs (BM.connection_lists m) in
-  let s_dyn =
-    Preference.total_satisfaction prefs
-      (BM.connection_lists dyn.Owp_stable.Fixtures.matching)
+  let total m =
+    Array.fold_left ( +. ) 0.0 (Owp_core.Pipeline.satisfaction_profile prefs m)
   in
+  let s_lid = total m and s_dyn = total dyn.Owp_stable.Fixtures.matching in
   Printf.printf "\nstable dynamics converged: %b (rounds=%d)\n"
     dyn.Owp_stable.Fixtures.stable dyn.Owp_stable.Fixtures.rounds;
   Printf.printf "total satisfaction: LID=%.2f  stable-dynamics=%.2f  (ratio %.3f)\n" s_lid

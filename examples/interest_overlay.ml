@@ -39,9 +39,7 @@ let () =
       let sats = ref [] in
       for v = 0 to n - 1 do
         if personality v = k && Preference.list_len prefs v > 0 then
-          sats :=
-            Preference.satisfaction prefs v (Owp_matching.Bmatching.connections m v)
-            :: !sats
+          sats := Owp_matching.Bmatching.satisfaction prefs m v :: !sats
       done;
       let arr = Array.of_list !sats in
       let s = Owp_util.Stats.summarize arr in

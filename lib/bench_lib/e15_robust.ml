@@ -14,7 +14,7 @@ let correct_satisfaction prefs silent m =
   for v = 0 to Graph.node_count g - 1 do
     if not silent.(v) then begin
       incr cnt;
-      acc := !acc +. Preference.satisfaction prefs v (BM.connections m v)
+      acc := !acc +. BM.satisfaction prefs m v
     end
   done;
   (!acc, !cnt)

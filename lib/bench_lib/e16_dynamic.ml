@@ -19,7 +19,7 @@ let static_rerun prefs active =
   let sat = ref 0.0 in
   for v = 0 to n - 1 do
     if active.(v) then
-      sat := !sat +. Preference.satisfaction prefs v (BM.connections r.Owp_core.Stack.matching v)
+      sat := !sat +. BM.satisfaction prefs r.Owp_core.Stack.matching v
   done;
   (!sat, r.Owp_core.Stack.prop_count + r.Owp_core.Stack.rej_count)
 

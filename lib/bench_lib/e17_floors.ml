@@ -11,7 +11,7 @@ let profile prefs m =
   let xs = ref [] in
   for v = 0 to Graph.node_count g - 1 do
     if Preference.list_len prefs v > 0 && Preference.quota prefs v > 0 then
-      xs := Preference.satisfaction prefs v (BM.connections m v) :: !xs
+      xs := BM.satisfaction prefs m v :: !xs
   done;
   Array.of_list !xs
 

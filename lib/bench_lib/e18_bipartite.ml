@@ -43,12 +43,9 @@ let run ~quick =
         if Float.equal wo 0.0 then 1.0 else BM.weight lid.Owp_core.Stack.matching w /. wo
       in
       let sr =
-        let so = Preference.total_satisfaction prefs (BM.connection_lists opt) in
+        let so = Exp_common.total_satisfaction prefs opt in
         if Float.equal so 0.0 then 1.0
-        else
-          Preference.total_satisfaction prefs
-            (BM.connection_lists lid.Owp_core.Stack.matching)
-          /. so
+        else Exp_common.total_satisfaction prefs lid.Owp_core.Stack.matching /. so
       in
       Tbl.add_row t
         [

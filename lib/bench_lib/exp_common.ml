@@ -8,7 +8,11 @@ type exp = {
 }
 
 let total_satisfaction prefs m =
-  Preference.total_satisfaction prefs (Owp_matching.Bmatching.connection_lists m)
+  let total = ref 0.0 in
+  for i = 0 to Graph.node_count (Preference.graph prefs) - 1 do
+    total := !total +. Owp_matching.Bmatching.satisfaction prefs m i
+  done;
+  !total
 
 let run_lid (inst : Workloads.instance) =
   Owp_core.Stack.run ~seed:(Hashtbl.hash inst.Workloads.label) inst.Workloads.weights

@@ -1,14 +1,5 @@
 module Bmatching = Owp_matching.Bmatching
-
-let worst_partner prefs m x =
-  match Bmatching.connections m x with
-  | [] -> None
-  | conns ->
-      Some
-        (List.fold_left
-           (fun worst j ->
-             if Preference.rank prefs x j > Preference.rank prefs x worst then j else worst)
-           (List.hd conns) (List.tl conns))
+module Blocking = Owp_stable.Blocking
 
 (* Apply the move for unmatched edge (u, v): drop the worst partner at
    each saturated endpoint, then add (u, v).  Returns the new matching;
@@ -17,7 +8,7 @@ let apply_move prefs m u v eid =
   let drop m x =
     if Bmatching.residual m x > 0 then m
     else
-      match worst_partner prefs m x with
+      match Blocking.worst_partner prefs m x with
       | None -> m
       | Some w -> (
           match Graph.find_edge (Bmatching.graph m) x w with
@@ -32,16 +23,14 @@ let nodes_touched prefs m u v =
   (* nodes whose satisfaction the move can change: u, v and the dropped
      partners *)
   let dropped x =
-    if Bmatching.residual m x > 0 then None else worst_partner prefs m x
+    if Bmatching.residual m x > 0 then None else Blocking.worst_partner prefs m x
   in
   let base = [ u; v ] in
   let base = match dropped u with Some w -> w :: base | None -> base in
   match dropped v with Some w -> w :: base | None -> base
 
 let local_total prefs m nodes =
-  List.fold_left
-    (fun acc x -> acc +. Preference.satisfaction prefs x (Bmatching.connections m x))
-    0.0 nodes
+  List.fold_left (fun acc x -> acc +. Bmatching.satisfaction prefs m x) 0.0 nodes
 
 let move_gain prefs m eid =
   if Bmatching.mem m eid then 0.0

@@ -234,7 +234,7 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
     for v = 0 to n - 1 do
       if state.(v).active then begin
         incr actives;
-        sat := !sat +. Preference.satisfaction prefs v (Bmatching.connections m v)
+        sat := !sat +. Bmatching.satisfaction prefs m v
       end
     done;
     {

@@ -38,7 +38,7 @@ let capacity_of prefs =
 
 let satisfaction_profile prefs m =
   let g = Preference.graph prefs in
-  Array.init (Graph.node_count g) (fun i -> Preference.satisfaction prefs i (Bmatching.connections m i))
+  Array.init (Graph.node_count g) (Bmatching.satisfaction prefs m)
 
 let stable_dynamics prefs =
   let outcome = Owp_stable.Fixtures.solve prefs in

@@ -162,12 +162,12 @@ let validate t =
           "--deadline and --max-rounds are two spellings of one budget (a round \
            budget is converted to virtual time via the delay model) — give \
            exactly one"
-    | Some d, None when d <= 0.0 ->
+    | Some d, None when not (d > 0.0 && Float.is_finite d) ->
         Error
           (Printf.sprintf
-             "--deadline %g: the budget is a positive virtual-time horizon \
-              (protocol rounds take ~1.5 time units under the default delay \
-              model)"
+             "--deadline %g: the budget is a positive, finite virtual-time \
+              horizon (protocol rounds take ~1.5 time units under the default \
+              delay model)"
              d)
     | None, Some k when k <= 0 ->
         Error

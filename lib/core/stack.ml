@@ -71,17 +71,11 @@ let round_length = function
 (* eq. 9 halves                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* ΔS̄_i(j): node i's half of edge (i,j)'s symmetric weight.  Matches
-   Weights.of_preference exactly (same static_delta calls, and IEEE
-   addition is commutative), so an all-honest perceived ranking is
-   bit-identical to Lid's default weight list. *)
-let half prefs i j =
-  let b = Preference.quota prefs i and l = Preference.list_len prefs i in
-  if b = 0 || l = 0 then 0.0
-  else Satisfaction.static_delta ~quota:b ~list_len:l ~rank:(Preference.rank prefs i j)
-
-(* the public structural bound: ΔS̄_j(·) = (1 − R/L)/b_j ≤ 1/b_j, and
-   b_j is public — any claim above this is a provable lie *)
+(* Claims and rankings read ΔS̄_i(j) from [Weights.half], the half
+   Weights.of_preference combines (and IEEE addition is commutative), so
+   an all-honest perceived ranking is bit-identical to Lid's default
+   weight list.  The public structural bound: ΔS̄_j(·) = (1 − R/L)/b_j
+   ≤ 1/b_j, and b_j is public — any claim above this is a provable lie. *)
 let bound prefs j =
   let b = Preference.quota prefs j in
   if b <= 0 then 0.0 else 1.0 /. float_of_int b
@@ -95,7 +89,7 @@ let guards_for prefs g =
 let advert_of prefs adversaries j i =
   match adversaries.(j) with
   | Some (Adversary.Weight_liar lam) -> (1.0 +. lam) *. bound prefs j
-  | _ -> half prefs j i
+  | _ -> Weights.half prefs j i
 
 (* the bootstrap rankings: every correct node orders its neighbour rows
    by decreasing own half + advertised half ([advert v i]: what v
@@ -110,7 +104,7 @@ let rankings prefs g ~correct ~advert ~accept =
           Array.map
             (fun (v, _) ->
               let a = advert v i in
-              if accept i v a then half prefs i v +. a else Float.nan)
+              if accept i v a then Weights.half prefs i v +. a else Float.nan)
             (Graph.neighbors g i))
   in
   fun i ->
@@ -170,7 +164,7 @@ let rej_frame = datagram rej
    decreasing symmetric weight, ties in row order *)
 let own_order prefs g f =
   let nb = Graph.neighbors g f in
-  let pw = Array.map (fun (v, _) -> half prefs f v +. half prefs v f) nb in
+  let pw = Array.map (fun (v, _) -> Weights.half prefs f v +. Weights.half prefs v f) nb in
   let rows = Array.init (Array.length nb) Fun.id in
   Array.stable_sort (fun a b -> Float.compare pw.(b) pw.(a)) rows;
   Array.to_list (Array.map (fun r -> fst nb.(r)) rows)
@@ -229,7 +223,8 @@ let make_behaviour prefs g adversaries f model =
          answered by that standing accept — per-link perfectly legal *)
       {
         Adversary.on_init =
-          (fun ~send -> Array.iter (fun v -> send ~dst:v (prop (half prefs f v))) nbrs);
+          (fun ~send ->
+            Array.iter (fun v -> send ~dst:v (prop (Weights.half prefs f v))) nbrs);
         on_receive = (fun ~src:_ _ ~send:_ -> ());
       }
   | Adversary.Flooder k ->
@@ -244,13 +239,13 @@ let make_behaviour prefs g adversaries f model =
             let burst = min (max 1 k) !sweeps_left in
             sweeps_left := !sweeps_left - burst;
             for _ = 1 to burst do
-              Array.iter (fun v -> send ~dst:v (prop (half prefs f v))) nbrs
+              Array.iter (fun v -> send ~dst:v (prop (Weights.half prefs f v))) nbrs
             done);
       }
   | Adversary.Replayer ->
       (* honest-looking play plus duplicates of its own past messages,
          every other one with a stale epoch *)
-      let inner = responder ~claim:(half prefs f) ~order ~limit:b in
+      let inner = responder ~claim:(Weights.half prefs f) ~order ~limit:b in
       let log = ref [] in
       let replays = ref 0 in
       let recording send ~dst m =
@@ -281,7 +276,7 @@ let make_behaviour prefs g adversaries f model =
             List.iter
               (fun v ->
                 Hashtbl.replace sent v ();
-                send ~dst:v (prop (half prefs f v)))
+                send ~dst:v (prop (Weights.half prefs f v)))
               (take (max 1 b) order);
             Option.iter (fun w -> send ~dst:w (prop (bound prefs f))) (stranger g f));
         on_receive =
@@ -793,7 +788,8 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
       if Option.fold ~none:false ~some:(fun t -> t <= crash_at) restart_at then
         fail "restart not after crash")
     crashes;
-  if Option.fold ~none:false ~some:(fun p -> p <= 0.0) patience then
+  let positive x = x > 0.0 && Float.is_finite x (* false on NaN *) in
+  if Option.fold ~none:false ~some:(fun p -> not (positive p)) patience then
     fail "patience must be positive";
   let budget =
     match (deadline, max_rounds) with
@@ -801,7 +797,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
         fail
           "deadline and max_rounds are two spellings of one budget — give exactly one"
     | Some d, None ->
-        if d <= 0.0 then fail "deadline must be positive";
+        if not (positive d) then fail "deadline must be positive";
         Some d
     | None, Some k ->
         if k <= 0 then fail "max_rounds must be positive";
@@ -856,7 +852,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   in
   let claim =
     match (prefs, guards) with
-    | Some p, Some _ -> fun src dst -> prop (half p src dst)
+    | Some p, Some _ -> fun src dst -> prop (Weights.half p src dst)
     | _ -> fun _ _ -> prop_unclaimed
   in
   (* --- the stack: each layer from its builder, listed top first.  The
@@ -1013,10 +1009,12 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
      so every attack is interleaved with deliveries rather than fixed
      at t = 0 *)
   let ranking =
-    rankings prefs g ~correct ~advert:(half prefs) ~accept:(fun _ _ _ -> true)
+    rankings prefs g ~correct ~advert:(Weights.half prefs) ~accept:(fun _ _ _ -> true)
   in
   let wire src dst m =
-    let payload = match m with Lid.Prop -> prop (half prefs src dst) | Lid.Rej -> rej in
+    let payload =
+      match m with Lid.Prop -> prop (Weights.half prefs src dst) | Lid.Rej -> rej
+    in
     { Explore.src; dst; payload }
   in
   let step lid ~src ~dst lm =
@@ -1085,10 +1083,9 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
 (* ------------------------------------------------------------------ *)
 
 let satisfaction_of_correct prefs (r : report) =
-  let conns = Bmatching.connection_lists r.matching in
   let total = ref 0.0 in
   Array.iteri
-    (fun i c -> if c then total := !total +. Preference.satisfaction prefs i conns.(i))
+    (fun i c -> if c then total := !total +. Bmatching.satisfaction prefs r.matching i)
     r.correct;
   !total
 
@@ -1099,7 +1096,7 @@ let lic_reference prefs ~keep ~quota =
   let arr = Array.make (Graph.edge_count sub) 0.0 in
   Graph.iter_edges sub (fun eid u v ->
       let ou = old_of_new.(u) and ov = old_of_new.(v) in
-      arr.(eid) <- half prefs ou ov +. half prefs ov ou);
+      arr.(eid) <- Weights.half prefs ou ov +. Weights.half prefs ov ou);
   (old_of_new, Lic.run (Weights.of_array sub arr) ~capacity:(Array.map quota old_of_new))
 
 let reference_satisfaction prefs ~correct =
@@ -1134,7 +1131,7 @@ let verify_exhaustively ?(guard = true) ?(budget = 2) ?max_configs ~byz prefs =
     in
     let towards = Array.to_list (Array.map fst (Graph.neighbors g byz)) in
     let per_neighbour v =
-      let honest = prop (half prefs byz v) in
+      let honest = prop (Weights.half prefs byz v) in
       List.map
         (fun payload -> { Explore.src = byz; dst = v; payload })
         [ honest; prop lie; rej; { honest with epoch = -1 } ]

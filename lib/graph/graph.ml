@@ -7,7 +7,7 @@ type t = {
 module Builder = struct
   type t = {
     bn : int;
-    seen : (int * int, unit) Hashtbl.t;
+    seen : (int, unit) Hashtbl.t; (* normalised edge u < v, packed as u * bn + v *)
     mutable acc : (int * int) list; (* reversed insertion order, normalised u < v *)
     mutable count : int;
   }
@@ -22,14 +22,16 @@ module Builder = struct
       invalid_arg "Graph.Builder: endpoint out of range";
     if u < v then (u, v) else (v, u)
 
-  let mem_edge b u v = Hashtbl.mem b.seen (normalize b u v)
+  let key b (u, v) = (u * b.bn) + v
+  let mem_edge b u v = Hashtbl.mem b.seen (key b (normalize b u v))
 
   let add_edge b u v =
-    let key = normalize b u v in
-    if Hashtbl.mem b.seen key then false
+    let e = normalize b u v in
+    let k = key b e in
+    if Hashtbl.mem b.seen k then false
     else begin
-      Hashtbl.add b.seen key ();
-      b.acc <- key :: b.acc;
+      Hashtbl.add b.seen k ();
+      b.acc <- e :: b.acc;
       b.count <- b.count + 1;
       true
     end

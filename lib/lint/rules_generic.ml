@@ -3,7 +3,9 @@
    compare (caml_lessthan, caml_equal, caml_compare...), boxing float
    arguments on the way in.  At a concrete type the compiler emits a
    register compare instead.  In the simulator's substrate (lib/util,
-   lib/simnet, lib/core) every event pays for such a call: an
+   lib/simnet, lib/core) every event pays for such a call, and in the
+   per-node passes over graphs, preferences and matchings (lib/graph,
+   lib/prefs, lib/matching) every adjacency entry does: an
    unannotated key compare such as [let le a s b t = a < b || ...] is
    inferred at ['a -> 'b -> 'a -> 'b -> bool], and the event wheel's
    sort calls one about a dozen times per event.  float-compare cannot
@@ -17,7 +19,8 @@ let operators = [ "="; "<>"; "<"; "<="; ">"; ">="; "compare"; "min"; "max" ]
 
 (* the hot-path libraries, plus simnet-named units (the fixtures) *)
 let in_scope (ctx : Rule.context) =
-  List.exists (Rule.contains ctx.Rule.file) [ "lib/util/"; "lib/simnet/"; "lib/core/" ]
+  List.exists (Rule.contains ctx.Rule.file)
+    [ "lib/util/"; "lib/simnet/"; "lib/core/"; "lib/graph/"; "lib/prefs/"; "lib/matching/" ]
   || Rule.contains ctx.Rule.basename "simnet"
 
 let is_type_variable ty =
@@ -54,7 +57,7 @@ let rule =
     Rule.name;
     doc =
       "no Stdlib =/<>/</<=/>/>=/compare/min/max at an unresolved type \
-       variable in lib/util, lib/simnet and lib/core: each is a runtime \
-       call to the structural compare";
+       variable in lib/util, lib/simnet, lib/core, lib/graph, lib/prefs \
+       and lib/matching: each is a runtime call to the structural compare";
     check;
   }

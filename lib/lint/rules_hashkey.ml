@@ -1,8 +1,10 @@
 (* tuple-hash-key: a generic Stdlib.Hashtbl keyed by a tuple pays, on
    every lookup, for allocating the key tuple and for caml_hash walking
    it, and the structural compare runs again on every probe.  On the
-   simulator's per-frame path (lib/simnet, lib/core) that can cost more
-   than the work the lookup guards.  Pack the key into an int
+   simulator's per-frame path (lib/simnet, lib/core) and in the
+   per-node passes over graphs, preferences and matchings (lib/graph,
+   lib/prefs, lib/matching) that can cost more than the work the lookup
+   guards.  Pack the key into an int
    (src * nodes + dst) and probe an open-addressed table, index
    per-node slots, or suppress with the reason the table stays off the
    per-frame path. *)
@@ -10,9 +12,11 @@
 let name = "tuple-hash-key"
 let functions = [ "find"; "find_opt"; "mem"; "replace"; "add"; "remove" ]
 
-(* the per-frame libraries, plus simnet-named units (the fixtures) *)
+(* the per-frame and per-node libraries, plus simnet-named units (the
+   fixtures) *)
 let in_scope (ctx : Rule.context) =
-  List.exists (Rule.contains ctx.Rule.file) [ "lib/simnet/"; "lib/core/" ]
+  List.exists (Rule.contains ctx.Rule.file)
+    [ "lib/simnet/"; "lib/core/"; "lib/graph/"; "lib/prefs/"; "lib/matching/" ]
   || Rule.contains ctx.Rule.basename "simnet"
 
 let is_tuple ty = match Types.get_desc ty with Types.Ttuple _ -> true | _ -> false
@@ -75,7 +79,7 @@ let rule =
     Rule.name;
     doc =
       "no generic Hashtbl find/find_opt/mem/replace/add/remove on a tuple \
-       key in lib/simnet and lib/core: each call allocates the tuple and \
-       hashes it structurally";
+       key in lib/simnet, lib/core, lib/graph, lib/prefs and lib/matching: \
+       each call allocates the tuple and hashes it structurally";
     check;
   }

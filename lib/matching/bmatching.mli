@@ -3,7 +3,14 @@
     A b-matching on a graph with per-node capacities [b_i] is a subset of
     edges such that every node [i] is covered at most [b_i] times (§2 of
     the paper: connection quotas).  Values of this type are validated at
-    construction: capacities hold by invariant. *)
+    construction: capacities hold by invariant.
+
+    Representation: one selection byte per edge id, next to the matched
+    degree of every node.  {!mem}, {!degree} and {!size} are O(1);
+    {!connections} and {!satisfaction} scan the node's adjacency row,
+    O(deg); {!edge_ids}, {!weight}, {!equal} and {!symmetric_difference}
+    walk the bytes in ascending id order, O(m); the functional {!add}
+    and {!remove} copy the bytes and the degrees, O(n + m). *)
 
 type t
 
@@ -19,7 +26,7 @@ val size : t -> int
 (** Number of selected edges. *)
 
 val mem : t -> int -> bool
-(** Is the edge id selected? *)
+(** Is the edge id selected?  False for any id outside [[0, m)]. *)
 
 val edge_ids : t -> int list
 (** Selected edge ids, ascending. *)
@@ -38,6 +45,15 @@ val connections : t -> int -> int list
 
 val connection_lists : t -> int list array
 (** Per-node partner lists, as consumed by satisfaction accounting. *)
+
+val satisfaction : Preference.t -> t -> int -> float
+(** [satisfaction prefs m i] is eq. 1 for node [i] over its partners in
+    [m], bit-identical to
+    [Preference.satisfaction prefs i (connections m i)]: one scan of
+    [i]'s adjacency row reading ranks by slot
+    ({!Preference.slot_ranks}).  Quota-0 and isolated nodes yield 0.
+    @raise Invalid_argument if [prefs] is over another graph than [m]
+    (physically), or [i] has more partners than its quota. *)
 
 val weight : t -> Weights.t -> float
 (** Total weight under the given weights (must share the graph). *)

@@ -29,7 +29,7 @@ let measure prefs m =
   for i = 0 to Graph.node_count g - 1 do
     if Preference.list_len prefs i > 0 && Preference.quota prefs i > 0 then begin
       incr count;
-      let s = Preference.satisfaction prefs i (Bmatching.connections m i) in
+      let s = Bmatching.satisfaction prefs m i in
       profile := s :: !profile;
       if Bmatching.residual m i = 0 then incr saturated;
       if s >= 1.0 -. 1e-9 then incr full

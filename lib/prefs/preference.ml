@@ -86,6 +86,8 @@ let rank t i j =
   if s < 0 then raise Not_found;
   t.rank_by_slot.(i).(s)
 
+let slot_ranks t i = t.rank_by_slot.(i)
+
 let preferred t i j k = rank t i j < rank t i k
 
 let satisfaction t i conns =

@@ -37,6 +37,12 @@ val list_len : t -> int -> int
 val rank : t -> int -> int -> int
 (** [rank t i j] = [R_i(j)]. @raise Not_found if [j ∉ Γ_i]. *)
 
+val slot_ranks : t -> int -> int array
+(** [slot_ranks t i] holds, at each slot [s] of {!Graph.neighbors}[ g i],
+    the rank [R_i(j)] of the neighbour [j] at that slot: the table
+    {!rank} reads after its binary search.  Per-node passes over an
+    adjacency row read ranks from it in O(1).  Do not mutate. *)
+
 val preferred : t -> int -> int -> int -> bool
 (** [preferred t i j k]: does [i] strictly prefer [j] over [k]? *)
 

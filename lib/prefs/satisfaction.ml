@@ -33,11 +33,15 @@ let checked_ranks ~quota ~list_len ranks =
     ranks;
   c
 
+let of_rank_sum ~quota ~list_len ~count ~rank_sum =
+  check_basic ~quota ~list_len;
+  if count > quota then invalid_arg "Satisfaction: more connections than quota";
+  let b = float_of_int quota and l = float_of_int list_len and cf = float_of_int count in
+  (cf /. b) +. (cf *. (cf -. 1.0) /. (2.0 *. b *. l)) -. (float_of_int rank_sum /. (b *. l))
+
 let of_ranks ~quota ~list_len ranks =
-  let c = checked_ranks ~quota ~list_len ranks in
-  let b = float_of_int quota and l = float_of_int list_len and cf = float_of_int c in
-  let rank_sum = float_of_int (List.fold_left ( + ) 0 ranks) in
-  (cf /. b) +. (cf *. (cf -. 1.0) /. (2.0 *. b *. l)) -. (rank_sum /. (b *. l))
+  let count = checked_ranks ~quota ~list_len ranks in
+  of_rank_sum ~quota ~list_len ~count ~rank_sum:(List.fold_left ( + ) 0 ranks)
 
 let static_of_ranks ~quota ~list_len ranks =
   let c = checked_ranks ~quota ~list_len ranks in

@@ -41,6 +41,11 @@ val of_ranks : quota:int -> list_len:int -> int list -> float
     @raise Invalid_argument if more than [quota] ranks are supplied or a
     rank is out of range. *)
 
+val of_rank_sum : quota:int -> list_len:int -> count:int -> rank_sum:int -> float
+(** Eq. 1 from the number [count = c_i] of connections and the sum
+    [rank_sum] of their ranks, which is all the formula reads; {!of_ranks}
+    is this over its list.  @raise Invalid_argument if [count > quota]. *)
+
 val static_of_ranks : quota:int -> list_len:int -> int list -> float
 (** Modified satisfaction (eq. 6) of a connection set. *)
 

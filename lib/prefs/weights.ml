@@ -2,18 +2,34 @@ type combiner = Sum | Min | Product
 
 type t = { graph : Graph.t; w : float array }
 
-let side_delta prefs i j =
+(* ΔS̄_i at rank [r] of i's list: node i's half of eq. 9 *)
+let half_at_rank prefs i r =
   let l = Preference.list_len prefs i and b = Preference.quota prefs i in
-  if l = 0 || b = 0 then 0.0
-  else Satisfaction.static_delta ~quota:b ~list_len:l ~rank:(Preference.rank prefs i j)
+  if l = 0 || b = 0 then 0.0 else Satisfaction.static_delta ~quota:b ~list_len:l ~rank:r
 
+let half prefs i j = half_at_rank prefs i (Preference.rank prefs i j)
+
+(* One increasing pass over the nodes, ranks read by slot: the lower
+   endpoint u of an edge is visited first and stores its half, the upper
+   endpoint v then combines its half in place, so [w.(e)] is
+   [combine (half u v) (half v u)]. *)
 let of_preference ?(combiner = Sum) prefs =
   let g = Preference.graph prefs in
   let w = Array.make (Graph.edge_count g) 0.0 in
-  Graph.iter_edges g (fun eid u v ->
-      let a = side_delta prefs u v and b = side_delta prefs v u in
+  for i = 0 to Graph.node_count g - 1 do
+    let nb = Graph.neighbors g i and ranks = Preference.slot_ranks prefs i in
+    for s = 0 to Array.length nb - 1 do
+      let j, eid = nb.(s) in
+      let h = half_at_rank prefs i ranks.(s) in
       w.(eid) <-
-        (match combiner with Sum -> a +. b | Min -> Float.min a b | Product -> a *. b));
+        (if i < j then h
+         else
+           match combiner with
+           | Sum -> w.(eid) +. h
+           | Min -> Float.min w.(eid) h
+           | Product -> w.(eid) *. h)
+    done
+  done;
   { graph = g; w }
 
 let of_array g w =

@@ -24,6 +24,12 @@ val of_preference : ?combiner:combiner -> Preference.t -> t
 (** Weights for every edge of the preference system's graph.  Edges with
     a quota-0 endpoint get the contribution 0 from that endpoint. *)
 
+val half : Preference.t -> int -> int -> float
+(** [half prefs i j] is ΔS̄_i(j) of eq. 5, node [i]'s half of
+    [w(i,j)]: 0 when [i] has quota 0.  {!of_preference} combines the two
+    halves of every edge from the same definition, read by adjacency
+    slot.  @raise Not_found if [j ∉ Γ_i]. *)
+
 val of_array : Graph.t -> float array -> t
 (** Wrap externally supplied weights (benchmarks, tests). *)
 

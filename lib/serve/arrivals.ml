@@ -45,11 +45,14 @@ let equal a b =
   && Float.equal a.warmup b.warmup
 
 let validate t =
+  (* written so that NaN fails every check *)
   let pos name v =
-    if v <= 0.0 then Error (Printf.sprintf "%s must be positive" name) else Ok ()
+    if v > 0.0 && Float.is_finite v then Ok ()
+    else Error (Printf.sprintf "%s must be positive and finite" name)
   in
   let weight name v =
-    if v < 0.0 then Error (Printf.sprintf "%s weight must be >= 0" name) else Ok ()
+    if v >= 0.0 && Float.is_finite v then Ok ()
+    else Error (Printf.sprintf "%s weight must be >= 0 and finite" name)
   in
   let ( let* ) = Result.bind in
   let* () = pos "rate" t.rate in
@@ -58,7 +61,7 @@ let validate t =
   let* () = weight "repref" t.repref in
   let* () = weight "query" t.query in
   let* () =
-    if t.join +. t.leave +. t.repref +. t.query <= 0.0 then
+    if not (t.join +. t.leave +. t.repref +. t.query > 0.0) then
       Error "mix weights sum to zero"
     else Ok ()
   in
@@ -67,8 +70,7 @@ let validate t =
     if t.queue < 1 then Error "queue must be >= 1" else Ok ()
   in
   let* () = pos "oracle" t.oracle in
-  if t.warmup < 0.0 || t.warmup >= 1.0 then Error "warmup must be in [0, 1)"
-  else Ok t
+  if t.warmup >= 0.0 && t.warmup < 1.0 then Ok t else Error "warmup must be in [0, 1)"
 
 let of_string s =
   let s = String.trim (String.lowercase_ascii s) in

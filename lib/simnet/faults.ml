@@ -42,9 +42,10 @@ let effective_patience t =
   | None -> if t.crash > 0.0 then Some default_crash_patience else None
 
 let validate t =
+  (* written so that NaN fails every check *)
   let prob name p =
-    if p < 0.0 || p > 1.0 then Error (Printf.sprintf "%s must be in [0, 1]" name)
-    else Ok ()
+    if p >= 0.0 && p <= 1.0 then Ok ()
+    else Error (Printf.sprintf "%s must be in [0, 1]" name)
   in
   let ( let* ) = Result.bind in
   let* () = prob "drop" t.drop in
@@ -52,7 +53,8 @@ let validate t =
   let* () = prob "reorder" t.reorder in
   let* () = prob "crash" t.crash in
   match t.patience with
-  | Some p when p <= 0.0 -> Error "patience must be positive"
+  | Some p when not (p > 0.0 && Float.is_finite p) ->
+      Error "patience must be positive and finite"
   | _ -> Ok t
 
 let of_string s =

@@ -106,9 +106,12 @@ let validate ?n t =
       (Ok ()) ls
   in
   let episode e =
+    (* written so that NaN fails every check; a finite end after the
+       start makes the start finite too *)
     let* () =
-      if e.from_ < 0.0 then Error "episode start must be non-negative"
-      else if e.until <= e.from_ then Error "episode must end after it starts"
+      if not (e.from_ >= 0.0) then Error "episode start must be non-negative"
+      else if not (e.until > e.from_) then Error "episode must end after it starts"
+      else if not (Float.is_finite e.until) then Error "episode end must be finite"
       else Ok ()
     in
     match e.what with
@@ -121,11 +124,12 @@ let validate ?n t =
     | Flap { links = []; _ } -> Error "flap episode needs at least one link"
     | Flap { links = ls; period; duty } ->
         let* () = links ls in
-        if period <= 0.0 then Error "flap period must be positive"
-        else if duty <= 0.0 || duty > 1.0 then Error "flap duty must be in (0, 1]"
+        if not (period > 0.0 && Float.is_finite period) then
+          Error "flap period must be positive and finite"
+        else if not (duty > 0.0 && duty <= 1.0) then Error "flap duty must be in (0, 1]"
         else Ok ()
     | Burst p ->
-        if p <= 0.0 || p > 1.0 then Error "burst probability must be in (0, 1]" else Ok ()
+        if p > 0.0 && p <= 1.0 then Ok () else Error "burst probability must be in (0, 1]"
     | Down [] -> Error "down episode needs at least one node"
     | Down vs -> nodes vs
   in

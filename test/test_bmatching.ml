@@ -97,6 +97,164 @@ let prop_construction_respects_capacity =
           !ok
       | exception Invalid_argument _ -> true)
 
+(* --- the flat representation against a naive sorted-list model ----- *)
+
+(* a random graph (isolated nodes likely), capacities in 0..3 (some 0)
+   and random weights *)
+let random_instance seed =
+  let rng = Prng.create seed in
+  let n = 1 + Prng.int rng 12 in
+  let g = Gen.gnm rng ~n ~m:(Prng.int rng ((n * (n - 1) / 2) + 1)) in
+  let capacity = Array.init n (fun _ -> Prng.int rng 4) in
+  let w =
+    Weights.of_array g (Array.init (Graph.edge_count g) (fun _ -> Prng.float rng 1.0))
+  in
+  (g, capacity, w)
+
+(* the model: selected ids, ascending; degrees are recounted on demand *)
+let model_degree g ids i =
+  let touches e = let u, v = Graph.edge_endpoints g e in u = i || v = i in
+  List.length (List.filter touches ids)
+
+let model_add g capacity ids eid =
+  if eid < 0 || eid >= Graph.edge_count g then Error "Bmatching.add: edge id out of range"
+  else if List.mem eid ids then Error "Bmatching.add: edge already selected"
+  else begin
+    let u, v = Graph.edge_endpoints g eid in
+    if model_degree g ids u >= capacity.(u) || model_degree g ids v >= capacity.(v) then
+      Error "Bmatching.add: capacity exceeded"
+    else Ok (List.sort Int.compare (eid :: ids))
+  end
+
+let model_remove ids eid =
+  if List.mem eid ids then Ok (List.filter (fun e -> e <> eid) ids)
+  else Error "Bmatching.remove: edge not selected"
+
+let model_of_edge_ids g capacity candidate =
+  List.fold_left
+    (fun acc eid ->
+      Result.bind acc (fun ids ->
+          if eid < 0 || eid >= Graph.edge_count g then
+            Error "Bmatching.of_edge_ids: edge id out of range"
+          else if List.mem eid ids then Error "Bmatching.of_edge_ids: duplicate edge id"
+          else
+            Result.map_error
+              (fun _ -> "Bmatching.of_edge_ids: capacity exceeded")
+              (model_add g capacity ids eid)))
+    (Ok []) candidate
+
+(* the real operation's outcome, as the model spells it *)
+let outcome f = match f () with m -> Ok m | exception Invalid_argument msg -> Error msg
+
+let agrees g capacity w ids m =
+  let m_count = Graph.edge_count g in
+  let incident i =
+    List.filter_map
+      (fun e ->
+        let u, v = Graph.edge_endpoints g e in
+        if u = i then Some v else if v = i then Some u else None)
+      ids
+    |> List.sort Int.compare
+  in
+  List.for_all
+    (fun e -> Bool.equal (BM.mem m e) (List.mem e ids))
+    (List.init (m_count + 2) (fun e -> e - 1))
+  && BM.edge_ids m = ids
+  && BM.size m = List.length ids
+  && List.for_all
+       (fun i ->
+         BM.degree m i = model_degree g ids i
+         && BM.residual m i = capacity.(i) - model_degree g ids i
+         && BM.connections m i = incident i)
+       (List.init (Graph.node_count g) Fun.id)
+  && Float.equal (BM.weight m w)
+       (List.fold_left (fun acc e -> acc +. Weights.weight w e) 0.0 ids)
+  && Bool.equal (BM.is_maximal m)
+       (Graph.fold_edges g
+          (fun ok e u v ->
+            ok
+            && (List.mem e ids
+               || model_degree g ids u >= capacity.(u)
+               || model_degree g ids v >= capacity.(v)))
+          true)
+
+let prop_flat_matches_model =
+  QCheck2.Test.make ~name:"flat matching agrees with a sorted-list model" ~count:300
+    QCheck2.Gen.(
+      triple (int_range 0 100_000)
+        (list_size (int_range 0 8) (int_range 0 1000))
+        (list_size (int_range 0 30) (pair bool (int_range 0 1000))))
+    (fun (seed, candidate, ops) ->
+      let g, capacity, w = random_instance seed in
+      (* ids in [-1, m]: both out-of-range neighbours are drawn too *)
+      let id x = (x mod (Graph.edge_count g + 2)) - 1 in
+      let candidate = List.map id candidate in
+      let rec go ids m = function
+        | [] -> true
+        | (is_add, x) :: rest -> (
+            let eid = id x in
+            let expected, got =
+              if is_add then (model_add g capacity ids eid, outcome (fun () -> BM.add m eid))
+              else (model_remove ids eid, outcome (fun () -> BM.remove m eid))
+            in
+            match (expected, got) with
+            | Error a, Error b ->
+                String.equal a b && agrees g capacity w ids m && go ids m rest
+            | Ok ids', Ok m' ->
+                let symdiff =
+                  List.filter (fun e -> not (List.mem e ids')) ids
+                  @ List.filter (fun e -> not (List.mem e ids)) ids'
+                  |> List.sort Int.compare
+                in
+                agrees g capacity w ids' m'
+                && Bool.equal (BM.equal m m') (symdiff = [])
+                && BM.symmetric_difference m m' = symdiff
+                && BM.symmetric_difference m' m = symdiff
+                && go ids' m' rest
+            | _ -> false)
+      in
+      (* a rejected construction leaves the sequence to start empty *)
+      match
+        ( model_of_edge_ids g capacity candidate,
+          outcome (fun () -> BM.of_edge_ids g ~capacity candidate) )
+      with
+      | Error a, Error b -> String.equal a b && go [] (BM.empty g ~capacity) ops
+      | Ok ids, Ok m -> agrees g capacity w ids m && go ids m ops
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
+(* --- eq. 1 by adjacency slot ------------------------------------------ *)
+
+(* a random instance with isolated and quota-0 nodes, and a random
+   feasible matching over it *)
+let random_matching seed =
+  let rng = Prng.create seed in
+  let n = 2 + Prng.int rng 20 in
+  let g = Gen.gnm rng ~n ~m:(Prng.int rng ((n * (n - 1) / 2) + 1)) in
+  let prefs = Preference.random rng g ~quota:(Array.init n (fun _ -> Prng.int rng 4)) in
+  let capacity = Array.init n (Preference.quota prefs) in
+  let order = Array.init (Graph.edge_count g) Fun.id in
+  Prng.shuffle_in_place rng order;
+  let m =
+    Array.fold_left
+      (fun m e ->
+        let u, v = Graph.edge_endpoints g e in
+        if BM.residual m u > 0 && BM.residual m v > 0 && Prng.bernoulli rng 0.7 then BM.add m e
+        else m)
+      (BM.empty g ~capacity) order
+  in
+  (prefs, m)
+
+let prop_satisfaction_by_slot =
+  QCheck2.Test.make ~name:"eq. 1 by slot is bit-identical to the rank lookup" ~count:300
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      let prefs, m = random_matching seed in
+      List.for_all
+        (fun i ->
+          Float.equal (BM.satisfaction prefs m i)
+            (Preference.satisfaction prefs i (BM.connections m i)))
+        (List.init (Graph.node_count (BM.graph m)) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -109,4 +267,6 @@ let suite =
     Alcotest.test_case "connection lists" `Quick test_connection_lists;
     Alcotest.test_case "zero capacity" `Quick test_zero_capacity;
     QCheck_alcotest.to_alcotest prop_construction_respects_capacity;
+    QCheck_alcotest.to_alcotest prop_flat_matches_model;
+    QCheck_alcotest.to_alcotest prop_satisfaction_by_slot;
   ]

@@ -188,6 +188,37 @@ let test_validate_budget () =
         (contains msg "exactly one")
   | Ok _ -> Alcotest.fail "double budget must be rejected")
 
+(* --- non-finite numbers in specs ----------------------------------- *)
+
+(* every non-finite value a spec can carry is an [Error], never an
+   exception and never a silently accepted run *)
+let test_non_finite_specs_rejected () =
+  let rejected label parse =
+    match parse () with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  in
+  let spec name of_string =
+    List.iter (fun s -> rejected (name ^ " " ^ s) (fun () -> of_string s))
+  in
+  spec "faults" Faults.of_string
+    [ "patience=nan"; "patience=inf"; "drop=nan"; "dup=nan"; "reorder=nan"; "crash=nan" ];
+  spec "schedule" Owp_simnet.Schedule.of_string
+    [
+      "down:1@1-nan";
+      "down:1@1-inf";
+      "burst:nan@1-2";
+      "burst:0.5@nan-2";
+      "flap:0.1:nan:0.5@1-5";
+    ];
+  spec "arrivals" Owp_serve.Arrivals.of_string [ "1:oracle=nan" ];
+  List.iter
+    (fun d ->
+      rejected (Printf.sprintf "deadline %g" d) (fun () ->
+          RC.validate (RC.make ~engine:RC.Lid ~deadline:d ())))
+    [ Float.nan; Float.infinity ]
+
 let suite =
   [
     Alcotest.test_case "faults round trip" `Quick test_faults_round_trip;
@@ -199,4 +230,5 @@ let suite =
     Alcotest.test_case "run_config engines agree" `Quick test_run_config_engines_agree;
     Alcotest.test_case "run_config rejects inconsistent" `Quick test_run_config_rejects_inconsistent;
     Alcotest.test_case "validate budget" `Quick test_validate_budget;
+    Alcotest.test_case "non-finite specs rejected" `Quick test_non_finite_specs_rejected;
   ]

@@ -94,6 +94,38 @@ let test_positive_on_quota_graphs () =
   Graph.iter_edges g (fun e _ _ ->
       Alcotest.(check bool) "eq9 weight positive" true (W.weight w e > 0.0))
 
+(* eq. 9 per edge, written from [Preference.rank]: the reference the
+   one-pass, slot-reading [of_preference] must reproduce bit for bit *)
+let reference_half p i j =
+  let l = P.list_len p i and b = P.quota p i in
+  if l = 0 || b = 0 then 0.0
+  else begin
+    let b = float_of_int b and l = float_of_int l in
+    (1.0 /. b) -. (float_of_int (P.rank p i j) /. (b *. l))
+  end
+
+let prop_of_preference_by_slot =
+  QCheck2.Test.make ~name:"eq. 9 by slot is bit-identical to the rank reference" ~count:300
+    QCheck2.Gen.(int_range 0 100_000)
+    (fun seed ->
+      (* isolated nodes are likely, and quotas include 0 *)
+      let rng = Prng.create seed in
+      let n = 2 + Prng.int rng 20 in
+      let g = Gen.gnm rng ~n ~m:(Prng.int rng ((n * (n - 1) / 2) + 1)) in
+      let p = P.random rng g ~quota:(Array.init n (fun _ -> Prng.int rng 4)) in
+      List.for_all
+        (fun (combiner, combine) ->
+          let w = W.of_preference ~combiner p in
+          Graph.fold_edges g
+            (fun ok e u v ->
+              ok
+              && Float.equal (W.weight w e)
+                   (combine (reference_half p u v) (reference_half p v u))
+              && Float.equal (W.half p u v) (reference_half p u v)
+              && Float.equal (W.half p v u) (reference_half p v u))
+            true)
+        [ (W.Sum, ( +. )); (W.Min, Float.min); (W.Product, ( *. )) ])
+
 let suite =
   [
     Alcotest.test_case "eq. 9 value" `Quick test_eq9_value;
@@ -105,4 +137,5 @@ let suite =
     Alcotest.test_case "heavier consistent" `Quick test_heavier_consistent;
     Alcotest.test_case "total and max" `Quick test_total_and_max;
     Alcotest.test_case "positive on quota graphs" `Quick test_positive_on_quota_graphs;
+    QCheck_alcotest.to_alcotest prop_of_preference_by_slot;
   ]
