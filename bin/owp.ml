@@ -27,21 +27,35 @@ module BM = Owp_matching.Bmatching
 module Faults = Owp_simnet.Faults
 module Schedule = Owp_simnet.Schedule
 
+(* a usage error: one `<cmd>: ...` line on stderr, exit 2 *)
+let usage_error cmd msg =
+  Printf.eprintf "%s: %s\n" cmd msg;
+  2
+
+(* the validated config and the instance a stack-running subcommand
+   needs; either one failing is a usage error *)
+let setup spec =
+  Result.bind (Owp_cli.config spec) (fun cfg ->
+      Result.map (fun inst -> (cfg, inst)) (Owp_cli.instance spec))
+
 (* ------------------------------------------------------------------ *)
 (* generate                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let generate seed family n out =
-  let inst = Owp_bench.Workloads.make ~seed ~family ~pref_model:Owp_bench.Workloads.Random_prefs ~n ~quota:1 in
-  let text = Graph_io.to_string inst.Owp_bench.Workloads.graph in
-  (match out with
-  | None -> print_string text
-  | Some path ->
-      Graph_io.write path inst.Owp_bench.Workloads.graph;
-      Printf.printf "wrote %s (%d nodes, %d edges)\n" path
-        (Graph.node_count inst.Owp_bench.Workloads.graph)
-        (Graph.edge_count inst.Owp_bench.Workloads.graph));
-  0
+  match Owp_bench.Workloads.fits family ~n with
+  | Error msg -> usage_error "generate" msg
+  | Ok () ->
+      let inst = Owp_bench.Workloads.make ~seed ~family ~pref_model:Owp_bench.Workloads.Random_prefs ~n ~quota:1 in
+      let text = Graph_io.to_string inst.Owp_bench.Workloads.graph in
+      (match out with
+      | None -> print_string text
+      | Some path ->
+          Graph_io.write path inst.Owp_bench.Workloads.graph;
+          Printf.printf "wrote %s (%d nodes, %d edges)\n" path
+            (Graph.node_count inst.Owp_bench.Workloads.graph)
+            (Graph.edge_count inst.Owp_bench.Workloads.graph));
+      0
 
 let generate_cmd =
   let out =
@@ -167,62 +181,32 @@ let print_stack_detail prefs (cfg : RC.t) (r : Owp_core.Stack.report) =
           Format.printf "%a@." Owp_check.Violation.pp_list vs);
   print_layer_table r
 
-(* A budgeted run prints (and gates on) the anytime certificate: the
-   frozen matching must be feasible and a prefix of the unbudgeted
-   reference, which is recomputed here with the budget lifted (same
-   seed, same layers — the event prefix is identical, so the full run
-   is the served matching's natural yardstick).  Runs without a cutoff
-   pass. *)
-let print_anytime_certificate (cfg : RC.t) inst (out : P.outcome) =
-  match out.P.detail with
-  | P.Plain | P.Stack { Owp_core.Stack.cutoff = None; _ } -> true
-  | P.Stack { Owp_core.Stack.cutoff = Some c; _ } ->
-      let module A = Owp_check.Anytime in
-      let prefs = inst.Owp_bench.Workloads.prefs in
-      let full =
-        P.run_config { cfg with RC.deadline = None; max_rounds = None; check = false } prefs
-      in
-      let cert =
-        A.check
-          (A.instance ~prefs
-             ~reference:(BM.edge_ids full.P.matching)
-             inst.Owp_bench.Workloads.weights
-             ~capacity:inst.Owp_bench.Workloads.capacity
-             ~budget:c.Owp_core.Stack.cut_at
-             ~edges:(BM.edge_ids out.P.matching))
-      in
+(* A budgeted run prints its cutoff and the anytime certificate
+   Pipeline computed against the unbudgeted reference run. *)
+let print_anytime_certificate (out : P.outcome) =
+  match (out.P.detail, out.P.anytime) with
+  | P.Stack { Owp_core.Stack.cutoff = Some c; _ }, Some cert ->
       Printf.printf
         "cutoff              : budget %.2f, released %d, half-locks %d, abandoned %d\n"
         c.Owp_core.Stack.cut_at c.Owp_core.Stack.released c.Owp_core.Stack.half_locks
         c.Owp_core.Stack.abandoned;
-      print_string (A.to_string cert);
-      A.certified cert
+      print_string (Owp_check.Anytime.to_string cert)
+  | _ -> ()
 
-(* A scheduled run prints (and, without adversaries, gates on) the
-   self-stabilization certificate: after the last episode heals, the run
-   must quiesce on the crash-only LIC edge set.  Under adversaries a
-   lock wasted on a Byzantine peer legitimately breaks exact
-   convergence, so there the bounded-damage verdict stays the gate and
-   the certificate is informational.  Likewise under a deadline or
-   round budget: a run frozen at (or before) the heal cannot converge
-   by construction — the anytime certificate is the gate and the
-   served prefix is the measured degradation. *)
-let print_stabilize_certificate (cfg : RC.t) (out : P.outcome) =
-  match out.P.stabilize with
-  | None -> true
-  | Some c ->
-      print_string (Owp_check.Stabilize.to_string c);
-      cfg.RC.byzantine <> None || RC.budgeted cfg
-      || Owp_check.Stabilize.certified c
+(* A scheduled run prints its self-stabilization certificate; whether
+   a VOID one fails the run is Pipeline's verdict. *)
+let print_stabilize_certificate (out : P.outcome) =
+  Option.iter (fun c -> print_string (Owp_check.Stabilize.to_string c)) out.P.stabilize
+
+(* The exit code of a run: Pipeline's verdict, never re-derived here. *)
+let exit_code (out : P.outcome) = if out.P.failures = [] then 0 else 1
 
 (* One printer for every engine: the generic outcome block, then the
    engine-specific accounting carried in [outcome.detail], then the
-   timing summary as the final line.  The exit code is the run's
-   verdict: protocol non-quiescence, Byzantine damage, a void anytime
-   certificate, or a void self-stabilization certificate. *)
+   timing summary as the final line. *)
 let print_outcome (cfg : RC.t) inst (out : P.outcome) save =
   let prefs = inst.Owp_bench.Workloads.prefs in
-  let q = Owp_overlay.Quality.measure prefs out.P.matching in
+  let q = Owp_overlay.Quality.measure prefs out.P.matching out.P.profile in
   Printf.printf "instance            : %s\n" inst.Owp_bench.Workloads.label;
   Printf.printf "engine              : %s\n" (RC.engine_name out.P.engine);
   if Faults.any cfg.RC.faults then
@@ -237,8 +221,8 @@ let print_outcome (cfg : RC.t) inst (out : P.outcome) save =
   (match out.P.detail with
   | P.Plain -> ()
   | P.Stack r -> print_stack_detail prefs cfg r);
-  let anytime_ok = print_anytime_certificate cfg inst out in
-  let stabilize_ok = print_stabilize_certificate cfg out in
+  print_anytime_certificate out;
+  print_stabilize_certificate out;
   (match out.P.quiesced with
   | Some q -> Printf.printf "quiesced            : %b\n" q
   | None -> ());
@@ -253,19 +237,12 @@ let print_outcome (cfg : RC.t) inst (out : P.outcome) save =
     (match out.P.messages with
     | Some m -> Printf.sprintf ", messages %d" m
     | None -> "");
-  let damage_free =
-    match out.P.detail with P.Stack r -> r.Owp_core.Stack.damage = [] | _ -> true
-  in
-  if out.P.quiesced <> Some false && damage_free && anytime_ok && stabilize_ok then 0
-  else 1
+  exit_code out
 
 let run_overlay spec save =
-  match Owp_cli.config spec with
-  | Error msg ->
-      Printf.eprintf "run: %s\n" msg;
-      2
-  | Ok cfg ->
-      let inst = Owp_cli.instance spec in
+  match setup spec with
+  | Error msg -> usage_error "run" msg
+  | Ok (cfg, inst) ->
       print_outcome cfg inst (P.run_config cfg inst.Owp_bench.Workloads.prefs) save
 
 let run_cmd =
@@ -286,32 +263,23 @@ let arrivals_conv =
 
 (* the sustained-traffic session: same instance and composition flags
    as `run`, plus the arrival-process spec; the exit code is the
-   session verdict (every admitted request served, nothing shed unless
-   the backlog bound forced it, the bootstrap run healthy) *)
+   session verdict, which covers every engine run of the session (the
+   bootstrap and each mutation), one line per failing run *)
 let serve_session spec arrivals handicap =
-  match Owp_cli.config spec with
-  | Error msg ->
-      Printf.eprintf "serve: %s\n" msg;
-      2
-  | Ok cfg -> (
-      let inst = Owp_cli.instance spec in
+  match setup spec with
+  | Error msg -> usage_error "serve" msg
+  | Ok (cfg, inst) -> (
       match
         Owp_serve.Serve.run ~handicap ~arrivals cfg inst.Owp_bench.Workloads.prefs
       with
-      | Error msg ->
-          Printf.eprintf "serve: %s\n" msg;
-          2
+      | Error msg -> usage_error "serve" msg
       | Ok out ->
           let report = Option.get out.P.serve in
           Printf.printf "instance            : %s\n" inst.Owp_bench.Workloads.label;
           Printf.printf "stack               : %s\n" (RC.to_string cfg);
           print_string (Owp_core.Serve_report.summary report);
-          let damage_free =
-            match out.P.detail with
-            | P.Stack r -> r.Owp_core.Stack.damage = []
-            | P.Plain -> true
-          in
-          if damage_free && out.P.quiesced <> Some false then 0 else 1)
+          List.iter (Printf.printf "failed engine run   : %s\n") out.P.failures;
+          exit_code out)
 
 let serve_cmd =
   let arrivals =
@@ -350,6 +318,11 @@ let serve_cmd =
               peak, shedding counts, and steady-state satisfaction against a \
               periodically sampled from-scratch LIC oracle.  Identical flags \
               and seed reproduce the report byte for byte.";
+           `P
+             "Exit status 0 when every engine run in the session passed — \
+              the bootstrap run and each mutation, judged like $(b,owp run) \
+              — and 1 otherwise, with one $(i,failed engine run) line per \
+              failing run.";
          ])
     Term.(const serve_session $ Owp_cli.term $ arrivals $ handicap)
 
@@ -491,75 +464,61 @@ let check_explore_byzantine inst ~guard max_configs =
     if !failed = 0 then 0 else 1
   end
 
-let print_check_report ?(converged = true) inst report =
+let print_check_report inst report =
   Printf.printf "instance            : %s\n" inst.Owp_bench.Workloads.label;
   print_string (Checker.report_to_string report);
-  if Checker.ok report then begin
-    print_endline "all invariants hold";
-    if converged then 0 else 1
-  end
-  else begin
-    Printf.printf "%d invariant violation(s)\n" (Checker.violation_count report);
-    1
-  end
+  if Checker.ok report then print_endline "all invariants hold"
+  else Printf.printf "%d invariant violation(s)\n" (Checker.violation_count report)
 
 let check_cmdline spec matching_file explore max_configs drops list =
   if list then check_list ()
-  else begin
-    let inst = Owp_cli.instance spec in
-    if explore && spec.Owp_cli.byzantine <> None then
-      check_explore_byzantine inst ~guard:spec.Owp_cli.guard max_configs
-    else if explore then check_explore inst max_configs drops
-    else
-      match matching_file with
-      | Some path -> (
-          (* check a saved (possibly corrupted) matching against the
-             deterministically rebuilt instance *)
-          match Graph_io.read_matching inst.Owp_bench.Workloads.graph path with
-          | Error msg ->
-              Printf.eprintf "check: %s: %s\n" path msg;
-              2
-          | Ok edges ->
-              print_check_report inst
-                (Checker.run
-                   (Checker.instance
-                      ~prefs:inst.Owp_bench.Workloads.prefs
-                      inst.Owp_bench.Workloads.weights
-                      ~capacity:inst.Owp_bench.Workloads.capacity ~edges)))
-      | None -> begin
-          (* run the configured engine with the checkers armed; a
-             distributed run that never quiesced must fail even when the
-             locked subset satisfies the structural invariants *)
-          match Owp_cli.config ~check:true spec with
-          | Error msg ->
-              Printf.eprintf "check: %s\n" msg;
-              2
-          | Ok cfg ->
-              let out = P.run_config cfg inst.Owp_bench.Workloads.prefs in
-              (match out.P.quiesced with
-              | Some q -> Printf.printf "converged           : %b\n" q
-              | None -> ());
-              let damage =
-                match out.P.detail with
-                | P.Stack r -> r.Owp_core.Stack.damage
-                | P.Plain -> []
-              in
-              if damage <> [] then begin
-                Printf.printf "bounded damage      : %d violation(s)\n"
-                  (List.length damage);
-                Format.printf "%a@." Owp_check.Violation.pp_list damage
-              end;
-              let anytime_ok = print_anytime_certificate cfg inst out in
-              let stabilize_ok = print_stabilize_certificate cfg out in
-              let rc =
-                print_check_report
-                  ~converged:(out.P.quiesced <> Some false)
-                  inst
-                  (Option.get out.P.check_report)
-              in
-              if damage = [] && anytime_ok && stabilize_ok then rc else 1
-        end
-  end
+  else
+    match Owp_cli.instance spec with
+    | Error msg -> usage_error "check" msg
+    | Ok inst ->
+      if explore && spec.Owp_cli.byzantine <> None then
+        check_explore_byzantine inst ~guard:spec.Owp_cli.guard max_configs
+      else if explore then check_explore inst max_configs drops
+      else
+        match matching_file with
+        | Some path -> (
+            (* check a saved (possibly corrupted) matching against the
+               deterministically rebuilt instance *)
+            match Graph_io.read_matching inst.Owp_bench.Workloads.graph path with
+            | Error msg -> usage_error "check" (path ^ ": " ^ msg)
+            | Ok edges ->
+                let report =
+                  Checker.run
+                    (Checker.instance
+                       ~prefs:inst.Owp_bench.Workloads.prefs
+                       inst.Owp_bench.Workloads.weights
+                       ~capacity:inst.Owp_bench.Workloads.capacity ~edges)
+                in
+                print_check_report inst report;
+                if Checker.ok report then 0 else 1)
+        | None -> begin
+            (* run the configured engine with the checkers armed; the
+               exit code is the run's verdict, which also fails a
+               distributed run that never quiesced even when the locked
+               subset satisfies the structural invariants *)
+            match Owp_cli.config ~check:true spec with
+            | Error msg -> usage_error "check" msg
+            | Ok cfg ->
+                let out = P.run_config cfg inst.Owp_bench.Workloads.prefs in
+                (match out.P.quiesced with
+                | Some q -> Printf.printf "converged           : %b\n" q
+                | None -> ());
+                (match out.P.detail with
+                | P.Stack { Owp_core.Stack.damage = _ :: _ as damage; _ } ->
+                    Printf.printf "bounded damage      : %d violation(s)\n"
+                      (List.length damage);
+                    Format.printf "%a@." Owp_check.Violation.pp_list damage
+                | _ -> ());
+                print_anytime_certificate out;
+                print_stabilize_certificate out;
+                print_check_report inst (Option.get out.P.check_report);
+                exit_code out
+          end
 
 let check_cmd =
   let matching_file =
@@ -730,12 +689,9 @@ let chaos spec trials max_episodes horizon from_spec =
     2
   end
   else
-  match Owp_cli.config spec with
-  | Error msg ->
-      Printf.eprintf "chaos: %s\n" msg;
-      2
-  | Ok cfg -> begin
-      let inst = Owp_cli.instance spec in
+  match setup spec with
+  | Error msg -> usage_error "chaos" msg
+  | Ok (cfg, inst) -> begin
       let prefs = inst.Owp_bench.Workloads.prefs in
       Printf.printf "instance            : %s\n" inst.Owp_bench.Workloads.label;
       Printf.printf "stack               : %s\n" (RC.to_string cfg);

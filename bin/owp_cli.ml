@@ -29,22 +29,7 @@ let quota_arg =
   Arg.(value & opt int 3 & info [ "b"; "quota" ] ~docv:"B" ~doc:"Connection quota per peer.")
 
 let family_conv =
-  let parse s =
-    match String.split_on_char ':' (String.lowercase_ascii s) with
-    | [ "gnp"; p ] -> Ok (Owp_bench.Workloads.Gnp (float_of_string p))
-    | [ "deg"; d ] -> Ok (Owp_bench.Workloads.Gnm_avg_deg (float_of_string d))
-    | [ "ba"; m ] -> Ok (Owp_bench.Workloads.Ba (int_of_string m))
-    | [ "ws"; k; beta ] ->
-        Ok (Owp_bench.Workloads.Ws (int_of_string k, float_of_string beta))
-    | [ "geo"; r ] -> Ok (Owp_bench.Workloads.Geometric (float_of_string r))
-    | [ "torus" ] -> Ok Owp_bench.Workloads.Torus
-    | [ "pl"; e; d ] ->
-        Ok (Owp_bench.Workloads.Power_law (float_of_string e, int_of_string d))
-    | _ ->
-        Error
-          (`Msg
-            "expected gnp:P | deg:D | ba:M | ws:K:BETA | geo:R | torus | pl:EXP:MINDEG")
-  in
+  let parse s = Result.map_error (fun m -> `Msg m) (Owp_bench.Workloads.family_of_string s) in
   let print ppf f = Format.pp_print_string ppf (Owp_bench.Workloads.family_name f) in
   Arg.conv (parse, print)
 
@@ -59,14 +44,7 @@ let family_arg =
 
 let model_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "random" -> Ok Owp_bench.Workloads.Random_prefs
-    | "latency" -> Ok Owp_bench.Workloads.Latency_prefs
-    | "bandwidth" -> Ok Owp_bench.Workloads.Bandwidth_prefs
-    | "transactions" -> Ok Owp_bench.Workloads.Transaction_prefs
-    | s when String.length s > 9 && String.sub s 0 9 = "interest:" ->
-        Ok (Owp_bench.Workloads.Interest_prefs (int_of_string (String.sub s 9 (String.length s - 9))))
-    | _ -> Error (`Msg "expected random | latency | bandwidth | transactions | interest:D")
+    Result.map_error (fun m -> `Msg m) (Owp_bench.Workloads.pref_model_of_string s)
   in
   let print ppf m = Format.pp_print_string ppf (Owp_bench.Workloads.pref_model_name m) in
   Arg.conv (parse, print)
@@ -254,39 +232,19 @@ let term =
 (* the instance is rebuilt deterministically from
    (seed, family, n, quota, model) or from an edge-list file, so a
    matching saved by `run` can be re-checked later with the same
-   flags *)
+   flags; [Error] when the family cannot build a graph on n nodes *)
 let instance t =
   match t.graph_file with
   | Some path ->
-      let g = Graph_io.read path in
-      let q = Preference.uniform_quota g t.quota in
-      let rng = Owp_util.Prng.create t.seed in
-      let prefs =
-        match t.model with
-        | Owp_bench.Workloads.Random_prefs -> Preference.random rng g ~quota:q
-        | Owp_bench.Workloads.Latency_prefs ->
-            let pts =
-              Array.init (Graph.node_count g) (fun _ ->
-                  (Owp_util.Prng.float rng 1.0, Owp_util.Prng.float rng 1.0))
-            in
-            Preference.of_metric g ~quota:q (Metric.latency pts)
-        | Owp_bench.Workloads.Interest_prefs d ->
-            Preference.of_metric g ~quota:q (Metric.interest ~seed:t.seed ~dims:d)
-        | Owp_bench.Workloads.Bandwidth_prefs ->
-            Preference.of_metric g ~quota:q (Metric.bandwidth ~seed:t.seed)
-        | Owp_bench.Workloads.Transaction_prefs ->
-            Preference.of_metric g ~quota:q (Metric.transaction_history ~seed:t.seed)
-      in
-      {
-        Owp_bench.Workloads.label = path;
-        graph = g;
-        prefs;
-        weights = Weights.of_preference prefs;
-        capacity = Array.init (Graph.node_count g) (Preference.quota prefs);
-      }
+      Ok
+        (Owp_bench.Workloads.of_graph ~seed:t.seed ~pref_model:t.model ~quota:t.quota
+           ~label:path (Graph_io.read path))
   | None ->
-      Owp_bench.Workloads.make ~seed:t.seed ~family:t.family ~pref_model:t.model
-        ~n:t.n ~quota:t.quota
+      Result.map
+        (fun () ->
+          Owp_bench.Workloads.make ~seed:t.seed ~family:t.family ~pref_model:t.model
+            ~n:t.n ~quota:t.quota)
+        (Owp_bench.Workloads.fits t.family ~n:t.n)
 
 (* --engine wins; otherwise the composition flags pick the LID variant
    and plain LID is the default.  Since the drivers

@@ -56,8 +56,11 @@ let () =
   Printf.printf "%-28s %12d %12d\n" "links established" (BM.size lid_m) (BM.size rand_m);
   Printf.printf "%-28s %12.4f %12.4f\n" "mean link distance"
     (mean_link_distance pts lid_m) (mean_link_distance pts rand_m);
-  let q_lid = Owp_overlay.Quality.measure prefs lid_m in
-  let q_rand = Owp_overlay.Quality.measure prefs rand_m in
+  let quality m =
+    Owp_overlay.Quality.measure prefs m (Owp_core.Pipeline.satisfaction_profile prefs m)
+  in
+  let q_lid = quality lid_m in
+  let q_rand = quality rand_m in
   Printf.printf "%-28s %12.4f %12.4f\n" "mean satisfaction"
     q_lid.Owp_overlay.Quality.mean q_rand.Owp_overlay.Quality.mean;
   Printf.printf "%-28s %12.4f %12.4f\n" "5th-pct satisfaction"

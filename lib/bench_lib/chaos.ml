@@ -2,7 +2,6 @@ module Prng = Owp_util.Prng
 module Schedule = Owp_simnet.Schedule
 module Run_config = Owp_core.Run_config
 module Pipeline = Owp_core.Pipeline
-module Stack = Owp_core.Stack
 module Stabilize = Owp_check.Stabilize
 
 type result = { passed : bool; summary : string; certificate : string option }
@@ -11,26 +10,7 @@ let run_one cfg prefs sched =
   let cfg = { cfg with Run_config.schedule = sched } in
   let out = Pipeline.run_config cfg prefs in
   let stab = out.Pipeline.stabilize in
-  let damage_free =
-    match out.Pipeline.detail with
-    | Pipeline.Stack r -> ( match r.Stack.damage with [] -> true | _ -> false)
-    | Pipeline.Plain -> true
-  in
-  let quiesced_ok = out.Pipeline.quiesced <> Some false in
-  let stab_ok =
-    match stab with None -> true | Some c -> Stabilize.certified c
-  in
-  (* under adversaries the damage certificate is the gate (wasted slots
-     legitimately break exact convergence), and under a deadline/round
-     budget the anytime cutoff is (a run frozen at the heal cannot
-     converge by construction); otherwise the stabilization
-     certificate is *)
-  let stab_gate =
-    if Option.is_some cfg.Run_config.byzantine || Run_config.budgeted cfg then
-      true
-    else stab_ok
-  in
-  let passed = stab_gate && damage_free && quiesced_ok in
+  let passed = List.is_empty out.Pipeline.failures in
   let summary =
     Printf.sprintf "%s -> %s%s"
       (Schedule.to_string sched)

@@ -16,9 +16,10 @@
 
 type result = {
   passed : bool;
-      (** certificate gate: in adversary-free configs the stabilization
-          certificate must certify; under adversaries the damage
-          certificate is the gate and stabilization is informational *)
+      (** the run's verdict: [true] exactly when the outcome's
+          {!Owp_core.Pipeline.outcome.failures} is empty (so the
+          stabilization certificate gates adversary-free, unbudgeted
+          configs, and the damage audit gates adversarial ones) *)
   summary : string;  (** one line: gate verdicts and recovery time *)
   certificate : string option;
       (** rendered stabilization certificate, when the run produced one *)

@@ -3,6 +3,12 @@
 
 module Tbl = Owp_util.Tablefmt
 
+(* the quality profile of a LID run, from its eq. 1 profile *)
+let quality (inst : Workloads.instance) (lid : Owp_core.Stack.report) =
+  let m = lid.Owp_core.Stack.matching in
+  Owp_overlay.Quality.measure inst.prefs m
+    (Owp_core.Pipeline.satisfaction_profile inst.prefs m)
+
 let run ~quick =
   let n = if quick then 400 else 2000 in
   let t1 =
@@ -28,7 +34,7 @@ let run ~quick =
                 ~pref_model:Workloads.Random_prefs ~n ~quota
             in
             let lid = Exp_common.run_lid inst in
-            let q = Owp_overlay.Quality.measure inst.prefs lid.Owp_core.Stack.matching in
+            let q = quality inst lid in
             Tbl.fcell q.Owp_overlay.Quality.mean)
           [ 1; 2; 4; 8 ]
       in
@@ -55,7 +61,7 @@ let run ~quick =
         Workloads.make ~seed:23 ~family:(Workloads.Ba 4) ~pref_model:model ~n ~quota:4
       in
       let lid = Exp_common.run_lid inst in
-      let q = Owp_overlay.Quality.measure inst.prefs lid.Owp_core.Stack.matching in
+      let q = quality inst lid in
       Tbl.add_row t2
         [
           Workloads.pref_model_name model;

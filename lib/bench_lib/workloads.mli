@@ -12,6 +12,17 @@ type family =
 
 val family_name : family -> string
 
+val family_of_string : string -> (family, string) result
+(** Parse the [--family] syntax: [gnp:P | deg:D | ba:M | ws:K:BETA |
+    geo:R | torus | pl:EXP:MINDEG].  [Error] on malformed input and on
+    any value the generator would reject whatever [n] is, on a
+    non-finite number, and on a negative radius or degree. *)
+
+val fits : family -> n:int -> (unit, string) result
+(** Does the family build a graph on [n] nodes?  [Error] for the
+    values only this [n] rules out: [ba:M] needs [n > M], [ws:K:BETA]
+    needs [n > 2K]. *)
+
 val standard_families : family list
 (** The four families the experiment tables sweep by default. *)
 
@@ -23,6 +34,10 @@ type pref_model =
   | Transaction_prefs  (** asymmetric pseudo-random history — cyclic *)
 
 val pref_model_name : pref_model -> string
+
+val pref_model_of_string : string -> (pref_model, string) result
+(** Parse the [--prefs] syntax: [random | latency | bandwidth |
+    transactions | interest:D], with [D >= 1]. *)
 
 type instance = {
   label : string;
@@ -37,6 +52,12 @@ val make :
 (** Build a full instance; coordinates are generated internally when the
     pref model needs them (latency on a non-geometric family samples
     virtual coordinates). *)
+
+val of_graph :
+  seed:int -> pref_model:pref_model -> quota:int -> label:string -> Graph.t -> instance
+(** The instance {!make} would build over a given graph: the same
+    preference-model dispatch on a fresh [Prng.create seed] stream, with
+    latency coordinates sampled from it (a given graph has none). *)
 
 val small_instances : seeds:int list -> n:int -> quota:int -> instance list
 (** Dense-enough small instances across families/models for the exact

@@ -7,20 +7,9 @@ type instance = {
   capacity : int array;
   prefs : Preference.t option;
   edges : int list;
+  blocking : (int * int * int) list Lazy.t;
+  augmenting : (int * int * int) list Lazy.t;
 }
-
-let instance ?prefs weights ~capacity ~edges =
-  { graph = Weights.graph weights; weights; capacity; prefs; edges }
-
-let of_matching ?prefs weights m =
-  let g = Bmatching.graph m in
-  {
-    graph = g;
-    weights;
-    capacity = Array.init (Graph.node_count g) (Bmatching.capacity m);
-    prefs;
-    edges = Bmatching.edge_ids m;
-  }
 
 type t = { name : string; doc : string; run : instance -> Violation.t list }
 
@@ -232,7 +221,8 @@ let lightest_selected g w sel =
   light
 
 (* greedy-stability core shared by no_blocking_pair / maximality /
-   theorem2_certificate *)
+   theorem2_certificate, forced at most once per instance through its
+   [blocking] / [augmenting] fields *)
 let blocking_pairs inst =
   let sel = selected inst in
   let d = degrees inst in
@@ -249,6 +239,41 @@ let blocking_pairs inst =
       end);
   List.rev !out
 
+let unmatched_augmenting inst =
+  let sel = selected inst in
+  let d = degrees inst in
+  let out = ref [] in
+  Graph.iter_edges inst.graph (fun eid u v ->
+      if
+        (not sel.(eid))
+        && cap inst u - d.(u) > 0
+        && cap inst v - d.(v) > 0
+      then out := (eid, u, v) :: !out);
+  List.rev !out
+
+let make graph weights capacity prefs edges =
+  let rec inst =
+    {
+      graph;
+      weights;
+      capacity;
+      prefs;
+      edges;
+      blocking = lazy (blocking_pairs inst);
+      augmenting = lazy (unmatched_augmenting inst);
+    }
+  in
+  inst
+
+let instance ?prefs weights ~capacity ~edges =
+  make (Weights.graph weights) weights capacity prefs edges
+
+let of_matching ?prefs weights m =
+  let g = Bmatching.graph m in
+  make g weights
+    (Array.init (Graph.node_count g) (Bmatching.capacity m))
+    prefs (Bmatching.edge_ids m)
+
 let no_blocking_pair =
   {
     name = "blocking-pair";
@@ -262,20 +287,8 @@ let no_blocking_pair =
               ~actual:
                 (Printf.sprintf "unselected edge of weight %.6f blocks at both ends"
                    (Weights.weight inst.weights eid)))
-          (blocking_pairs inst));
+          (Lazy.force inst.blocking));
   }
-
-let unmatched_augmenting inst =
-  let sel = selected inst in
-  let d = degrees inst in
-  let out = ref [] in
-  Graph.iter_edges inst.graph (fun eid u v ->
-      if
-        (not sel.(eid))
-        && cap inst u - d.(u) > 0
-        && cap inst v - d.(v) > 0
-      then out := (eid, u, v) :: !out);
-  List.rev !out
 
 let maximality =
   {
@@ -288,7 +301,7 @@ let maximality =
             Violation.v ~checker:"maximality" (Violation.Edge (u, v))
               ~expected:"matching is maximal"
               ~actual:"unselected edge with residual capacity at both endpoints")
-          (unmatched_augmenting inst));
+          (Lazy.force inst.augmenting));
   }
 
 let exact_weight_limit = 24
@@ -324,8 +337,8 @@ let theorem2_certificate =
         else begin
           (* structural certificate: maximal + greedy-stable is exactly
              the premise of the Theorem 2 charging argument *)
-          let stable = blocking_pairs inst = [] in
-          let maximal = unmatched_augmenting inst = [] in
+          let stable = Lazy.force inst.blocking = [] in
+          let maximal = Lazy.force inst.augmenting = [] in
           if stable && maximal then []
           else
             [

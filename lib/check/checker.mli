@@ -14,7 +14,7 @@
     invariant), maximality, and measured Theorem 2 / Theorem 3 bound
     certificates against the exact optimum on small instances. *)
 
-type instance = {
+type instance = private {
   graph : Graph.t;
   weights : Weights.t;
   capacity : int array;
@@ -22,7 +22,17 @@ type instance = {
       (** needed by the eq. 9 / satisfaction / Theorem 3 checkers;
           checkers that need it pass vacuously when absent *)
   edges : int list;  (** candidate edge ids, possibly infeasible *)
+  blocking : (int * int * int) list Lazy.t;
+      (** every weighted blocking pair [(eid, u, v)], in edge-id order;
+          forced at most once, shared by [blocking-pair] and
+          [theorem2] *)
+  augmenting : (int * int * int) list Lazy.t;
+      (** every unselected edge with residual capacity at both
+          endpoints, in edge-id order; forced at most once, shared by
+          [maximality] and [theorem2] *)
 }
+(** Built only by {!instance} and {!of_matching}, so the lazy fields
+    always describe [edges]. *)
 
 val instance :
   ?prefs:Preference.t -> Weights.t -> capacity:int array -> edges:int list -> instance

@@ -19,6 +19,7 @@ type outcome = {
   total_satisfaction : float;
   mean_satisfaction : float;
   total_weight : float;
+  profile : float array;
   guarantee : float option;
   messages : int option;
   rounds : float option;
@@ -26,6 +27,8 @@ type outcome = {
   quiesced : bool option;
   check_report : Owp_check.Checker.report option;
   stabilize : Owp_check.Stabilize.certificate option;
+  anytime : Owp_check.Anytime.certificate option;
+  failures : string list;
   serve : Serve_report.t option;
   detail : detail;
 }
@@ -126,7 +129,27 @@ let checkers_for cfg =
     | Greedy -> List.filter (fun n -> n <> "theorem3") Owp_check.Checker.names
     | Lid_byzantine | Dynamics -> instance_level
 
-let run_config ?capacity cfg prefs =
+(* the run's one verdict, a line per failed gate ([] = pass).  A VOID
+   self-stabilization certificate is waived under adversaries (the
+   damage audit gates) and under a budget (the anytime certificate
+   gates): neither run can converge exactly *)
+let failures cfg ~quiesced ~detail ~anytime ~stabilize ~check_report =
+  let void certified = Option.fold ~none:false ~some:(fun c -> not (certified c)) in
+  let damage = match detail with Stack r -> List.length r.Stack.damage | Plain -> 0 in
+  let violations = Option.fold ~none:0 ~some:Owp_check.Checker.violation_count check_report in
+  let waived = cfg.Run_config.byzantine <> None || Run_config.budgeted cfg in
+  List.filter_map
+    (fun (failed, line) -> if failed then Some line else None)
+    [
+      (quiesced = Some false, "the protocol run did not quiesce");
+      (damage > 0, Printf.sprintf "bounded damage: %d violation(s)" damage);
+      (void Owp_check.Anytime.certified anytime, "anytime certificate VOID");
+      ( void Owp_check.Stabilize.certified stabilize && not waived,
+        "self-stabilization certificate VOID" );
+      (violations > 0, Printf.sprintf "checker: %d invariant violation(s)" violations);
+    ]
+
+let rec run_config ?capacity cfg prefs =
   let cfg =
     match Run_config.validate cfg with
     | Ok cfg -> cfg
@@ -240,6 +263,19 @@ let run_config ?capacity cfg prefs =
                 ~quiesced:r.Stack.all_terminated))
     | _ -> None
   in
+  let anytime =
+    (* a cutoff is certified against the same run with the budget
+       lifted: one seed, one event prefix, the same effective capacity *)
+    match detail with
+    | Stack { Stack.cutoff = Some c; _ } ->
+        let unbudgeted = { cfg with Run_config.deadline = None; max_rounds = None; check = false } in
+        let reference = Bmatching.edge_ids (run_config ~capacity unbudgeted prefs).matching in
+        Some
+          (Owp_check.Anytime.check
+             (Owp_check.Anytime.instance ~prefs ~reference w ~capacity ~budget:c.Stack.cut_at
+                ~edges:(Bmatching.edge_ids matching)))
+    | _ -> None
+  in
   {
     engine = cfg.Run_config.engine;
     matching;
@@ -247,6 +283,7 @@ let run_config ?capacity cfg prefs =
     mean_satisfaction =
       (if !nodes_with_lists = 0 then 0.0 else !total /. float_of_int !nodes_with_lists);
     total_weight = Bmatching.weight matching w;
+    profile;
     guarantee;
     messages;
     rounds;
@@ -254,6 +291,8 @@ let run_config ?capacity cfg prefs =
     quiesced;
     check_report;
     stabilize;
+    anytime;
+    failures = failures cfg ~quiesced ~detail ~anytime ~stabilize ~check_report;
     serve = None;
     detail;
   }

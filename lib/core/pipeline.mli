@@ -40,6 +40,9 @@ type outcome = {
   total_satisfaction : float;  (** Σ_i S_i, eq. 1 *)
   mean_satisfaction : float;  (** over nodes with non-empty lists *)
   total_weight : float;  (** under eq. 9 weights *)
+  profile : float array;
+      (** per-node S_i (eq. 1) of [matching], the run's one eq. 1 pass:
+          the totals above and [Quality.measure] read it *)
   guarantee : float option;
       (** the proven lower bound on the satisfaction ratio vs optimum,
           when the run provably achieves LIC's edge set: ¼(1+1/b_max)
@@ -55,8 +58,8 @@ type outcome = {
   quiesced : bool option;
       (** for the distributed engines, whether every (correct) node
           terminated cleanly (Lemma 5); [None] for engines with no
-          protocol run.  Drivers should treat [Some false] as a
-          failure, not a cosmetic detail.  A run an anytime budget
+          protocol run.  [Some false] is a failure (see [failures]).
+          A run an anytime budget
           stopped is [Some true] by construction: its deliberately
           partial matching is flagged by the [cutoff] of the
           {!Stack.report} in {!detail} *)
@@ -71,12 +74,23 @@ type outcome = {
           the recovery time measured.  The reference relativizes each
           survivor's quota by the slots it irrevocably locked toward
           peers that later crashed — the same move the bounded-damage
-          certificate makes for Byzantine peers.  Drivers should treat a VOID
-          certificate as a failure in adversary-free runs; under
-          adversaries the damage certificate remains the gate *)
+          certificate makes for Byzantine peers.  Whether a VOID
+          certificate fails the run is decided in [failures] *)
+  anytime : Owp_check.Anytime.certificate option;
+      (** anytime certificate, present exactly when a budget cut the
+          protocol run off; its reference is the same config with the
+          budget lifted and checking off, on the same preferences and
+          effective capacity ([wall_ms] excludes that run) *)
+  failures : string list;
+      (** the run's verdict, one line per failed gate, [[]] = pass:
+          [quiesced = Some false]; bounded-damage violations; a VOID
+          anytime certificate; a VOID self-stabilization certificate
+          (waived under an adversary spec or a budget); checker
+          violations.  Front ends print it and never re-derive it *)
   serve : Serve_report.t option;
       (** sustained-traffic serving report, filled by the serving layer
-          ([owp_serve]) on the outcome it returns for a serve session;
+          ([owp_serve]) on the outcome it returns for a serve session —
+          whose [failures] then cover every engine run of the session;
           always [None] on a plain {!run_config} outcome *)
   detail : detail;
 }

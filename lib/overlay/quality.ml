@@ -22,14 +22,14 @@ let jain_index xs =
     if Float.equal s2 0.0 then 1.0 else s *. s /. (float_of_int n *. s2)
   end
 
-let measure prefs m =
+let measure prefs m satisfaction =
   let g = Preference.graph prefs in
   let profile = ref [] in
   let saturated = ref 0 and full = ref 0 and count = ref 0 in
   for i = 0 to Graph.node_count g - 1 do
     if Preference.list_len prefs i > 0 && Preference.quota prefs i > 0 then begin
       incr count;
-      let s = Bmatching.satisfaction prefs m i in
+      let s = satisfaction.(i) in
       profile := s :: !profile;
       if Bmatching.residual m i = 0 then incr saturated;
       if s >= 1.0 -. 1e-9 then incr full

@@ -99,14 +99,23 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
       let capacity_now () =
         Array.init n (fun i -> if active.(i) then quota.(i) else 0)
       in
-      let runs = ref 0 in
+      (* the session verdict covers every engine run: each failing run
+         contributes one line, tagged with its index (0 = bootstrap) *)
+      let runs = ref 0 and failures = ref [] in
+      let record (out : Pipeline.outcome) =
+        if out.Pipeline.failures <> [] then
+          failures :=
+            Printf.sprintf "run %d: %s" !runs (String.concat "; " out.Pipeline.failures)
+            :: !failures;
+        out
+      in
       let engine_run () =
         incr runs;
         let rcfg = { cfg with RC.seed = request_seed cfg.RC.seed !runs } in
-        Pipeline.run_config ~capacity:(capacity_now ()) rcfg !cur
+        record (Pipeline.run_config ~capacity:(capacity_now ()) rcfg !cur)
       in
       (* bootstrap: the standing matching a session starts from *)
-      let outcome = ref (Pipeline.run_config cfg prefs) in
+      let outcome = ref (record (Pipeline.run_config cfg prefs)) in
       let service_of_run (out : Pipeline.outcome) =
         match out.Pipeline.rounds with Some t -> t | None -> query_service
       in
@@ -263,4 +272,4 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
           oracle_samples = !oracle_samples;
         }
       in
-      Ok { !outcome with Pipeline.serve = Some report }
+      Ok { !outcome with Pipeline.failures = List.rev !failures; serve = Some report }

@@ -36,7 +36,10 @@ val run :
   (Owp_core.Pipeline.outcome, string) result
 (** Run one serve session.  The returned outcome is the session's last
     engine run with [serve = Some report]
-    ({!Owp_core.Serve_report.t}).  [handicap] (default 0) adds the
+    ({!Owp_core.Serve_report.t}) and [failures] replaced by the session
+    verdict: one line per failing engine run, bootstrap (run 0) and
+    mutations alike, as ["run K: ..."] with that run's failures joined
+    by ["; "].  LIC oracle runs never fail.  [handicap] (default 0) adds the
     given virtual time to every request's service — the knob the gated
     benchmark uses to prove its latency regression gate fires.
     Errors on an invalid config or arrival spec, a negative handicap,

@@ -41,6 +41,7 @@ let () =
       ("check.stabilize", Test_stabilize.suite);
       ("lint", Test_lint.suite);
       ("core.pipeline", Test_pipeline.suite);
+      ("core.verdict", Test_verdict.suite);
       ("core.run_config", Test_run_config.suite);
       ("serve", Test_serve.suite);
       ("extensions", Test_extensions.suite);

@@ -64,7 +64,7 @@ let test_quality_bounds () =
       (Owp_core.Run_config.make ~engine:Owp_core.Run_config.Lic ~seed:7 ())
       prefs
   in
-  let q = Quality.measure prefs out.Pipeline.matching in
+  let q = Quality.measure prefs out.Pipeline.matching out.Pipeline.profile in
   Alcotest.(check bool) "mean in range" true (q.Quality.mean >= 0.0 && q.Quality.mean <= 1.0);
   Alcotest.(check bool) "jain in range" true (q.Quality.jain > 0.0 && q.Quality.jain <= 1.0 +. 1e-9);
   Alcotest.(check bool) "fractions in range" true
@@ -78,7 +78,7 @@ let test_quality_perfect () =
   let g = Graph.of_edge_list 2 [ (0, 1) ] in
   let prefs = Preference.random (Prng.create 1) g ~quota:(Preference.uniform_quota g 1) in
   let m = Owp_matching.Bmatching.of_edge_ids g ~capacity:[| 1; 1 |] [ 0 ] in
-  let q = Quality.measure prefs m in
+  let q = Quality.measure prefs m (Pipeline.satisfaction_profile prefs m) in
   Alcotest.(check (float 1e-9)) "mean 1" 1.0 q.Quality.mean;
   Alcotest.(check (float 1e-9)) "jain 1" 1.0 q.Quality.jain;
   Alcotest.(check (float 1e-9)) "all saturated" 1.0 q.Quality.saturated_fraction
@@ -87,7 +87,7 @@ let test_quality_empty_graph () =
   let g = Graph.of_edge_list 3 [] in
   let prefs = Preference.random (Prng.create 1) g ~quota:(Preference.uniform_quota g 1) in
   let m = Owp_matching.Bmatching.empty g ~capacity:[| 0; 0; 0 |] in
-  let q = Quality.measure prefs m in
+  let q = Quality.measure prefs m (Pipeline.satisfaction_profile prefs m) in
   Alcotest.(check int) "no rated nodes" 0 q.Quality.nodes;
   Alcotest.(check (float 1e-9)) "zero total" 0.0 q.Quality.total
 

@@ -60,8 +60,74 @@ let test_experiment_tables_nonempty () =
             tables)
     [ "e1"; "e2" ]
 
+(* --family / --prefs: every value a generator or metric would reject,
+   every non-finite number and every negative radius is an [Error] at
+   parse time; values only a given n rules out are [fits] errors *)
+let test_bad_instance_flags () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("--family " ^ s) true (Result.is_error (W.family_of_string s)))
+    [
+      "gnp:2"; "deg:-3"; "ws:0:0.1"; "ba:0"; "ba:-1"; "ws:1:1.5"; "pl:0.5:2";
+      "gnp:nan"; "ws:4:nan"; "geo:nan"; "geo:inf"; "geo:-1"; "pl:nan:2";
+      "deg:inf"; "pl:inf:2"; "ba:x"; "ws:2"; "nope";
+    ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("--prefs " ^ s) true
+        (Result.is_error (W.pref_model_of_string s)))
+    [ "interest:0"; "interest:-2"; "interest:x"; "nope" ];
+  List.iter
+    (fun (s, n) ->
+      match W.family_of_string s with
+      | Error m -> Alcotest.failf "%s parses: %s" s m
+      | Ok f ->
+          Alcotest.(check bool) (Printf.sprintf "%s on n = %d" s n) true
+            (Result.is_error (W.fits f ~n)))
+    [ ("ba:5", 4); ("ws:3:0.1", 4) ]
+
+let test_good_instance_flags () =
+  List.iter
+    (fun (s, f) ->
+      match W.family_of_string s with
+      | Ok g -> Alcotest.(check string) s (W.family_name f) (W.family_name g)
+      | Error m -> Alcotest.failf "%s: %s" s m)
+    [
+      ("gnp:0.1", W.Gnp 0.1); ("deg:8", W.Gnm_avg_deg 8.0); ("ba:4", W.Ba 4);
+      ("ws:4:0.1", W.Ws (4, 0.1)); ("geo:0.08", W.Geometric 0.08); ("torus", W.Torus);
+      ("pl:2.5:2", W.Power_law (2.5, 2));
+    ];
+  List.iter
+    (fun (s, m) ->
+      match W.pref_model_of_string s with
+      | Ok g -> Alcotest.(check string) s (W.pref_model_name m) (W.pref_model_name g)
+      | Error e -> Alcotest.failf "%s: %s" s e)
+    [
+      ("random", W.Random_prefs); ("latency", W.Latency_prefs);
+      ("interest:4", W.Interest_prefs 4); ("bandwidth", W.Bandwidth_prefs);
+      ("transactions", W.Transaction_prefs);
+    ];
+  Alcotest.(check bool) "ba:4 fits n = 5" true (W.fits (W.Ba 4) ~n:5 = Ok ())
+
+(* the torus generator draws nothing from the PRNG, so its graph given
+   to [of_graph] must get the same preference lists as [make] built on
+   it, under every model: one dispatch, one stream *)
+let test_of_graph_matches_make () =
+  List.iter
+    (fun model ->
+      let made = W.make ~seed:4 ~family:W.Torus ~pref_model:model ~n:25 ~quota:2 in
+      let given = W.of_graph ~seed:4 ~pref_model:model ~quota:2 ~label:"g" made.W.graph in
+      for v = 0 to Graph.node_count made.W.graph - 1 do
+        Alcotest.(check (array int)) (W.pref_model_name model)
+          (Preference.list made.W.prefs v) (Preference.list given.W.prefs v)
+      done)
+    [ W.Random_prefs; W.Latency_prefs; W.Interest_prefs 3; W.Bandwidth_prefs; W.Transaction_prefs ]
+
 let suite =
   [
+    Alcotest.test_case "bad instance flags are errors" `Quick test_bad_instance_flags;
+    Alcotest.test_case "good instance flags parse" `Quick test_good_instance_flags;
+    Alcotest.test_case "of_graph matches make" `Quick test_of_graph_matches_make;
     Alcotest.test_case "make families" `Quick test_make_families;
     Alcotest.test_case "make pref models" `Quick test_make_pref_models;
     Alcotest.test_case "labels unique" `Quick test_labels_unique;
