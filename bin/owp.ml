@@ -71,18 +71,20 @@ let generate_cmd =
 (* ------------------------------------------------------------------ *)
 
 let stats file =
-  let g = Graph_io.read file in
-  let _, components = Metrics.connected_components g in
-  Printf.printf "nodes               : %d\n" (Graph.node_count g);
-  Printf.printf "edges               : %d\n" (Graph.edge_count g);
-  Printf.printf "average degree      : %.2f\n" (Metrics.average_degree g);
-  Printf.printf "max degree          : %d\n" (Graph.max_degree g);
-  Printf.printf "density             : %.5f\n" (Metrics.density g);
-  Printf.printf "components          : %d\n" components;
-  Printf.printf "diameter (lower bnd): %d\n" (Metrics.eccentricity_lower_bound g);
-  Printf.printf "triangles           : %d\n" (Metrics.triangle_count g);
-  Printf.printf "global clustering   : %.4f\n" (Metrics.global_clustering g);
-  0
+  match Graph_io.read file with
+  | Error msg -> usage_error "stats" (file ^ ": " ^ msg)
+  | Ok g ->
+      let _, components = Metrics.connected_components g in
+      Printf.printf "nodes               : %d\n" (Graph.node_count g);
+      Printf.printf "edges               : %d\n" (Graph.edge_count g);
+      Printf.printf "average degree      : %.2f\n" (Metrics.average_degree g);
+      Printf.printf "max degree          : %d\n" (Graph.max_degree g);
+      Printf.printf "density             : %.5f\n" (Metrics.density g);
+      Printf.printf "components          : %d\n" components;
+      Printf.printf "diameter (lower bnd): %d\n" (Metrics.eccentricity_lower_bound g);
+      Printf.printf "triangles           : %d\n" (Metrics.triangle_count g);
+      Printf.printf "global clustering   : %.4f\n" (Metrics.global_clustering g);
+      0
 
 let stats_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc:"Edge-list file.") in
@@ -331,22 +333,23 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 
 let verify graph_file matching_file quota =
-  let g = Graph_io.read graph_file in
-  let capacity = Array.make (Graph.node_count g) quota in
-  match Graph_io.read_matching g matching_file with
-  | Error msg ->
-      Printf.eprintf "verify: %s: %s\n" matching_file msg;
-      2
-  | Ok ids -> (
-      match Owp_matching.Bmatching.of_edge_ids g ~capacity ids with
-      | m ->
-          Printf.printf "valid b-matching    : yes (%d edges, quota %d)\n"
-            (Owp_matching.Bmatching.size m) quota;
-          Printf.printf "maximal             : %b\n" (Owp_matching.Bmatching.is_maximal m);
-          0
-      | exception Invalid_argument msg ->
-          Printf.eprintf "INVALID matching: %s\n" msg;
-          1)
+  match Graph_io.read graph_file with
+  | Error msg -> usage_error "verify" (graph_file ^ ": " ^ msg)
+  | Ok g -> (
+      match Graph_io.read_matching g matching_file with
+      | Error msg -> usage_error "verify" (matching_file ^ ": " ^ msg)
+      | Ok ids -> (
+          let capacity = Array.make (Graph.node_count g) quota in
+          match Owp_matching.Bmatching.of_edge_ids g ~capacity ids with
+          | m ->
+              Printf.printf "valid b-matching    : yes (%d edges, quota %d)\n"
+                (Owp_matching.Bmatching.size m) quota;
+              Printf.printf "maximal             : %b\n"
+                (Owp_matching.Bmatching.is_maximal m);
+              0
+          | exception Invalid_argument msg ->
+              Printf.eprintf "INVALID matching: %s\n" msg;
+              1))
 
 let verify_cmd =
   let graph_file =

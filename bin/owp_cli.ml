@@ -232,13 +232,17 @@ let term =
 (* the instance is rebuilt deterministically from
    (seed, family, n, quota, model) or from an edge-list file, so a
    matching saved by `run` can be re-checked later with the same
-   flags; [Error] when the family cannot build a graph on n nodes *)
+   flags; [Error] when the family cannot build a graph on n nodes or
+   the file is not an edge list *)
 let instance t =
   match t.graph_file with
-  | Some path ->
-      Ok
-        (Owp_bench.Workloads.of_graph ~seed:t.seed ~pref_model:t.model ~quota:t.quota
-           ~label:path (Graph_io.read path))
+  | Some path -> (
+      match Graph_io.read path with
+      | Ok g ->
+          Ok
+            (Owp_bench.Workloads.of_graph ~seed:t.seed ~pref_model:t.model
+               ~quota:t.quota ~label:path g)
+      | Error msg -> Error (path ^ ": " ^ msg))
   | None ->
       Result.map
         (fun () ->

@@ -5,7 +5,7 @@
 
    Run with:  dune exec examples/churn_overlay.exe *)
 
-module Churn = Owp_overlay.Churn
+module Churn = Owp_core.Churn
 
 let () =
   let rng = Owp_util.Prng.create 31 in

@@ -4,7 +4,7 @@
    changed per event). *)
 
 module Tbl = Owp_util.Tablefmt
-module Churn = Owp_overlay.Churn
+module Churn = Owp_core.Churn
 
 let aggregate steps =
   let sats = List.map (fun s -> s.Churn.total_satisfaction) steps in

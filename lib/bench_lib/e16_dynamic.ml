@@ -2,26 +2,17 @@
    vs re-running static LID from scratch after every event. *)
 
 module Tbl = Owp_util.Tablefmt
-module BM = Owp_matching.Bmatching
+module Churn = Owp_core.Churn
 module Dyn = Owp_core.Lid_dynamic
 module Prng = Owp_util.Prng
 
 let static_rerun prefs active =
   (* static LID on the active-induced problem: inactive nodes get
      capacity 0, so they match nothing and send nothing of consequence *)
-  let g = Preference.graph prefs in
-  let n = Graph.node_count g in
   let w = Weights.of_preference prefs in
-  let capacity =
-    Array.init n (fun v -> if active.(v) then Preference.quota prefs v else 0)
-  in
-  let r = Owp_core.Stack.run ~seed:99 w ~capacity in
-  let sat = ref 0.0 in
-  for v = 0 to n - 1 do
-    if active.(v) then
-      sat := !sat +. BM.satisfaction prefs r.Owp_core.Stack.matching v
-  done;
-  (!sat, r.Owp_core.Stack.prop_count + r.Owp_core.Stack.rej_count)
+  let r = Owp_core.Stack.run ~seed:99 w ~capacity:(Churn.capacity prefs active) in
+  let _, sat, _ = Churn.measure prefs w active r.Owp_core.Stack.matching in
+  (sat, r.Owp_core.Stack.prop_count + r.Owp_core.Stack.rej_count)
 
 let run ~quick =
   let n = if quick then 150 else 500 in
@@ -52,15 +43,8 @@ let run ~quick =
       let initially_active =
         Array.init (Graph.node_count g) (fun _ -> Prng.bernoulli rng 0.85)
       in
-      let churn_events =
-        Owp_overlay.Churn.random_events rng ~universe:g ~initially_active ~steps:nevents
-      in
       let events =
-        List.map
-          (function
-            | Owp_overlay.Churn.Join v -> Dyn.Join v
-            | Owp_overlay.Churn.Leave v -> Dyn.Leave v)
-          churn_events
+        Churn.random_events rng ~universe:g ~initially_active ~steps:nevents
       in
       let r = Dyn.run ~prefs:inst.Workloads.prefs ~initially_active ~events () in
       (* static re-run after each event *)
@@ -68,9 +52,7 @@ let run ~quick =
       let rerun_sats = ref [] and rerun_msgs = ref 0 in
       List.iter
         (fun ev ->
-          (match ev with
-          | Dyn.Join v -> active.(v) <- true
-          | Dyn.Leave v -> active.(v) <- false);
+          Churn.apply active ev;
           let s, msgs = static_rerun inst.Workloads.prefs active in
           rerun_sats := s :: !rerun_sats;
           rerun_msgs := !rerun_msgs + msgs)

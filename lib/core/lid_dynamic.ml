@@ -1,10 +1,8 @@
 module Simnet = Owp_simnet.Simnet
 module Bmatching = Owp_matching.Bmatching
 
-type event = Join of int | Leave of int
-
 type step_report = {
-  event : event;
+  event : Churn.event;
   active_nodes : int;
   total_satisfaction : float;
   weight : float;
@@ -23,7 +21,7 @@ type message = Prop | Accept | Rej | Leave_msg | Hello | Avail
 
 (* Per-node protocol state.  locked/pending/refused are keyed by
    neighbour id; alive mirrors the active flag of each neighbour as this
-   node believes it. *)
+   node believes it.  The true flags live in one [active] mask. *)
 type node_state = {
   wsorted : (int * int) array; (* (neighbour, edge id), heaviest first *)
   locked : (int, unit) Hashtbl.t;
@@ -32,7 +30,6 @@ type node_state = {
   waitlist : (int, unit) Hashtbl.t; (* proposers declined while slots were only
                                        tentatively (pending-)occupied *)
   alive : (int, unit) Hashtbl.t;
-  mutable active : bool;
   quota : int;
 }
 
@@ -43,6 +40,7 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
   if Array.length initially_active <> n then
     invalid_arg "Lid_dynamic.run: active mask arity mismatch";
   let w = Weights.of_preference prefs in
+  let active = Array.copy initially_active in
   let net = Simnet.create ~seed ~nodes:(max n 1) ~delay () in
   let messages = ref 0 in
   let send src dst m =
@@ -60,7 +58,6 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
           refused = Hashtbl.create 8;
           waitlist = Hashtbl.create 8;
           alive = Hashtbl.create 8;
-          active = false;
           quota = Preference.quota prefs i;
         })
   in
@@ -72,7 +69,7 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
      non-refused neighbours while slots remain *)
   let propose i =
     let s = state.(i) in
-    if s.active then begin
+    if active.(i) then begin
       let k = ref 0 in
       while free_slots i > 0 && !k < Array.length s.wsorted do
         let v, _ = s.wsorted.(!k) in
@@ -104,7 +101,7 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
      proposers we turned away so they can retry *)
   let drain_waitlist i =
     let s = state.(i) in
-    if s.active && free_slots i > 0 && Hashtbl.length s.waitlist > 0 then begin
+    if active.(i) && free_slots i > 0 && Hashtbl.length s.waitlist > 0 then begin
       let waiting = sorted_keys s.waitlist in
       Hashtbl.reset s.waitlist;
       List.iter
@@ -127,7 +124,7 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
     let s = state.(i) in
     match m with
     | Prop ->
-        if (not s.active) || free_slots i + Hashtbl.length s.pending <= 0 then
+        if (not active.(i)) || free_slots i + Hashtbl.length s.pending <= 0 then
           send i u Rej
         else if Hashtbl.mem s.locked u then () (* duplicate; already locked *)
         else if Hashtbl.mem s.pending u then begin
@@ -155,7 +152,7 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
         else if not (Hashtbl.mem s.locked u) then
           (* our pending was cleared (e.g. we left and rejoined): honour
              the lock if we still have room, otherwise back out *)
-          if s.active && free_slots i > 0 then Hashtbl.replace s.locked u ()
+          if active.(i) && free_slots i > 0 then Hashtbl.replace s.locked u ()
           else send i u Leave_msg
     | Rej ->
         if Hashtbl.mem s.pending u then begin
@@ -171,31 +168,30 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
         unlock i u
     | Hello ->
         Hashtbl.replace s.alive u ();
-        if s.active then begin
+        if active.(i) then begin
           Hashtbl.remove s.refused u;
           propose i
         end
     | Avail ->
-        if s.active then begin
+        if active.(i) then begin
           Hashtbl.remove s.refused u;
           propose i
         end
   in
   Simnet.set_handler net handle;
-  (* bootstrap: activate the initial peers *)
+  (* [i] has just joined: greet its active neighbours, start proposing *)
   let activate i =
     let s = state.(i) in
-    s.active <- true;
     Hashtbl.reset s.refused;
     Graph.iter_neighbors g i (fun v _ ->
-        if state.(v).active then begin
+        if active.(v) then begin
           Hashtbl.replace s.alive v ();
           send i v Hello
-        end)
+        end);
+    propose i
   in
   let deactivate i =
     let s = state.(i) in
-    s.active <- false;
     List.iter (fun v -> send i v Leave_msg) (sorted_keys s.alive);
     Hashtbl.reset s.alive;
     Hashtbl.reset s.locked;
@@ -203,67 +199,50 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
     Hashtbl.reset s.refused;
     Hashtbl.reset s.waitlist
   in
-  for i = 0 to n - 1 do
-    if initially_active.(i) then begin
-      state.(i).active <- true
-    end
-  done;
-  for i = 0 to n - 1 do
-    if state.(i).active then
-      Graph.iter_neighbors g i (fun v _ ->
-          if state.(v).active then Hashtbl.replace state.(i).alive v ())
-  done;
-  for i = 0 to n - 1 do
-    if state.(i).active then propose i
-  done;
-  Simnet.run net;
-  let bootstrap_messages = !messages in
+  (* run one burst to quiescence; consistency: locked sets must then be
+     symmetric *)
   let quiescent = ref true in
+  let drain () =
+    Simnet.run net;
+    Graph.iter_edges g (fun _ a b ->
+        if Hashtbl.mem state.(a).locked b <> Hashtbl.mem state.(b).locked a then
+          quiescent := false)
+  in
+  (* bootstrap: the initial peers know each other and start proposing *)
+  for i = 0 to n - 1 do
+    if active.(i) then
+      Graph.iter_neighbors g i (fun v _ ->
+          if active.(v) then Hashtbl.replace state.(i).alive v ())
+  done;
+  for i = 0 to n - 1 do
+    if active.(i) then propose i
+  done;
+  drain ();
+  let bootstrap_messages = !messages in
   let current_matching () =
     let ids = ref [] in
     Graph.iter_edges g (fun eid a b ->
         if Hashtbl.mem state.(a).locked b && Hashtbl.mem state.(b).locked a then
           ids := eid :: !ids);
-    Bmatching.of_edge_ids g
-      ~capacity:(Array.init n (Preference.quota prefs))
-      !ids
-  in
-  let measure event messages_for_event =
-    let m = current_matching () in
-    let sat = ref 0.0 and actives = ref 0 in
-    for v = 0 to n - 1 do
-      if state.(v).active then begin
-        incr actives;
-        sat := !sat +. Bmatching.satisfaction prefs m v
-      end
-    done;
-    {
-      event;
-      active_nodes = !actives;
-      total_satisfaction = !sat;
-      weight = Bmatching.weight m w;
-      messages_for_event;
-    }
+    Bmatching.of_edge_ids g ~capacity:(Churn.capacity prefs active) !ids
   in
   let steps =
     List.map
       (fun event ->
         let before = !messages in
-        (match event with
-        | Leave v ->
-            if not state.(v).active then
-              invalid_arg "Lid_dynamic.run: leaving inactive peer";
-            deactivate v
-        | Join v ->
-            if state.(v).active then invalid_arg "Lid_dynamic.run: joining active peer";
-            activate v;
-            propose v);
-        Simnet.run net;
-        (* consistency: locked sets must be symmetric at quiescence *)
-        Graph.iter_edges g (fun _ a b ->
-            if Hashtbl.mem state.(a).locked b <> Hashtbl.mem state.(b).locked a then
-              quiescent := false);
-        measure event (!messages - before))
+        Churn.apply active event;
+        (match event with Churn.Leave v -> deactivate v | Churn.Join v -> activate v);
+        drain ();
+        let active_nodes, total_satisfaction, weight =
+          Churn.measure prefs w active (current_matching ())
+        in
+        {
+          event;
+          active_nodes;
+          total_satisfaction;
+          weight;
+          messages_for_event = !messages - before;
+        })
       events
   in
   {

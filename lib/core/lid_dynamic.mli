@@ -23,13 +23,11 @@
     against a from-scratch static LID run after the same event trace
     (typically a few percent, at a small fraction of the messages). *)
 
-type event = Join of int | Leave of int
-(** A churn event: [Join v] activates peer [v] (it says HELLO and
-    starts proposing), [Leave v] deactivates it (it says LEAVE to its
-    alive neighbours). *)
-
 type step_report = {
-  event : event;
+  event : Churn.event;
+      (** [Join v] activates peer [v] (it says HELLO and starts
+          proposing), [Leave v] deactivates it (it says LEAVE to its
+          alive neighbours) *)
   active_nodes : int;
   total_satisfaction : float;
   weight : float;
@@ -41,7 +39,9 @@ type report = {
   final_matching : Owp_matching.Bmatching.t;
   total_messages : int;
   bootstrap_messages : int;  (** messages spent building the initial overlay *)
-  quiescent : bool;  (** every event burst drained before the next event *)
+  quiescent : bool;
+      (** the bootstrap and every event burst drained with symmetric
+          locks before the next event *)
 }
 
 val run :
@@ -49,10 +49,13 @@ val run :
   ?delay:Owp_simnet.Simnet.delay_model ->
   prefs:Preference.t ->
   initially_active:bool array ->
-  events:event list ->
+  events:Churn.event list ->
   unit ->
   report
 (** Bootstraps the overlay among the initially active peers, then plays
     the events one at a time, letting the protocol quiesce in between
-    (virtual time; the simulator runs to quiescence per burst).
-    @raise Invalid_argument on malformed events. *)
+    (virtual time; the simulator runs to quiescence per burst).  One
+    active mask, updated by {!Churn.apply}, is the membership; each step
+    is measured by {!Churn.measure}, and [final_matching] has the
+    {!Churn.capacity} of the final mask.
+    @raise Invalid_argument on malformed events ({!Churn.apply}). *)

@@ -11,38 +11,81 @@ let write path g =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string g))
 
+(* the non-blank, non-comment lines, trimmed, with their 1-based
+   line numbers *)
 let significant_lines s =
   String.split_on_char '\n' s
-  |> List.filter_map (fun line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then None else Some line)
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
+
+let fields line = List.filter (( <> ) "") (String.split_on_char ' ' line)
+let is_digits tok = tok <> "" && String.for_all (fun c -> c >= '0' && c <= '9') tok
+
+(* a node id of an [n]-node graph *)
+let node n tok =
+  if not (is_digits tok) then Error (Printf.sprintf "`%s' is not a node id" tok)
+  else
+    match int_of_string_opt tok with
+    | Some i when i < n -> Ok i
+    | _ -> Error (Printf.sprintf "node %s out of range (%d nodes)" tok n)
+
+(* [f] over the numbered lines in order; the first error stops the walk
+   and is prefixed with its line number *)
+let rec walk f = function
+  | [] -> Ok ()
+  | (k, line) :: rest -> (
+      match f line with
+      | Ok () -> walk f rest
+      | Error e -> Error (Printf.sprintf "line %d: %s" k e))
+
+let ( let* ) = Result.bind
+
+(* a guard against headers that would allocate without bound *)
+let max_nodes = 1 lsl 24
+
+let header line =
+  let count tok =
+    match if is_digits tok then int_of_string_opt tok else None with
+    | Some c -> Ok c
+    | None -> Error (Printf.sprintf "`%s' is not a count" tok)
+  in
+  match fields line with
+  | [ sn; sm ] ->
+      let* n = count sn in
+      let* m = count sm in
+      if n > max_nodes then
+        Error (Printf.sprintf "%d nodes exceed the limit of %d" n max_nodes)
+      else Ok (n, m)
+  | fs -> Error (Printf.sprintf "header must be `n m', found %d fields" (List.length fs))
 
 let of_string s =
   match significant_lines s with
-  | [] -> failwith "Graph_io.of_string: empty input"
-  | header :: rest -> (
-      match String.split_on_char ' ' header with
-      | [ sn; sm ] ->
-          let n = int_of_string sn and m = int_of_string sm in
-          let b = Graph.Builder.create n in
-          List.iter
-            (fun line ->
-              match String.split_on_char ' ' line with
-              | u :: v :: _ ->
-                  ignore (Graph.Builder.add_edge b (int_of_string u) (int_of_string v))
-              | _ -> failwith "Graph_io.of_string: malformed edge line")
-            rest;
-          let g = Graph.Builder.build b in
-          if Graph.edge_count g <> m then
-            failwith "Graph_io.of_string: edge count mismatch with header";
-          g
-      | _ -> failwith "Graph_io.of_string: malformed header")
+  | [] -> Error "empty input, expected a header `n m'"
+  | (k, first) :: rest ->
+      let* n, m = Result.map_error (Printf.sprintf "line %d: %s" k) (header first) in
+      let b = Graph.Builder.create n in
+      let edge line =
+        match fields line with
+        | a :: c :: _ ->
+            let* u = node n a in
+            let* v = node n c in
+            if u = v then Error (Printf.sprintf "self-loop at node %d" u)
+            else if Graph.Builder.add_edge b u v then Ok ()
+            else Error (Printf.sprintf "duplicate edge %d-%d" u v)
+        | fs -> Error (Printf.sprintf "expected two node ids, found %d" (List.length fs))
+      in
+      let* () = walk edge rest in
+      if Graph.Builder.edge_count b <> m then
+        Error
+          (Printf.sprintf "line %d: header announces %d edges, found %d" k m
+             (Graph.Builder.edge_count b))
+      else Ok (Graph.Builder.build b)
 
-let read path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (In_channel.input_all ic))
+let read_with parse path =
+  try parse (In_channel.with_open_text path In_channel.input_all)
+  with Sys_error e -> Error e
+
+let read = read_with of_string
 
 let weights_to_string g w =
   if Array.length w <> Graph.edge_count g then
@@ -55,7 +98,7 @@ let weights_to_string g w =
   Buffer.contents buf
 
 let weights_of_string s =
-  match significant_lines s with
+  match List.map snd (significant_lines s) with
   | [] -> failwith "Graph_io.weights_of_string: empty input"
   | header :: rest -> (
       match String.split_on_char ' ' header with
@@ -96,36 +139,19 @@ let matching_to_string g ids =
 
 let matching_of_string g s =
   let n = Graph.node_count g in
-  let node tok =
-    if not (String.for_all (fun c -> c >= '0' && c <= '9') tok) then
-      Error (Printf.sprintf "`%s' is not a node id" tok)
-    else
-      match int_of_string_opt tok with
-      | Some i when i < n -> Ok i
-      | _ -> Error (Printf.sprintf "node %s out of range (%d nodes)" tok n)
-  in
+  let ids = ref [] in
   let edge line =
-    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
-    | [ a; b ] -> (
-        match (node a, node b) with
-        | Ok u, Ok v ->
-            Option.to_result (Graph.find_edge g u v)
-              ~none:(Printf.sprintf "%d-%d is not an edge of the graph" u v)
-        | (Error e, _ | _, Error e) -> Error e)
-    | fields -> Error (Printf.sprintf "expected two node ids, found %d" (List.length fields))
+    match fields line with
+    | [ a; b ] ->
+        let* u = node n a in
+        let* v = node n b in
+        Option.fold (Graph.find_edge g u v)
+          ~none:(Error (Printf.sprintf "%d-%d is not an edge of the graph" u v))
+          ~some:(fun eid ->
+            ids := eid :: !ids;
+            Ok ())
+    | fs -> Error (Printf.sprintf "expected two node ids, found %d" (List.length fs))
   in
-  let rec go k acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go (k + 1) acc rest
-        else
-          match edge line with
-          | Ok eid -> go (k + 1) (eid :: acc) rest
-          | Error e -> Error (Printf.sprintf "line %d: %s" k e))
-  in
-  go 1 [] (String.split_on_char '\n' s)
+  Result.map (fun () -> List.rev !ids) (walk edge (significant_lines s))
 
-let read_matching g path =
-  try matching_of_string g (In_channel.with_open_text path In_channel.input_all)
-  with Sys_error e -> Error e
+let read_matching g = read_with (matching_of_string g)

@@ -7,10 +7,15 @@
 val to_string : Graph.t -> string
 val write : string -> Graph.t -> unit
 
-val of_string : string -> Graph.t
-(** @raise Failure on malformed input. *)
+val of_string : string -> (Graph.t, string) result
+(** [Error "line K: ..."] at the first malformed line: a header that is
+    not two counts (or declares more than 2{^24} nodes), an edge line
+    whose first two fields are not node ids of the graph, a self-loop,
+    a duplicated edge, or an edge count other than the header's.
+    Fields past the second on an edge line are ignored.  Never raises. *)
 
-val read : string -> Graph.t
+val read : string -> (Graph.t, string) result
+(** {!of_string} on a file; an unreadable file is an [Error]. *)
 
 val weights_to_string : Graph.t -> float array -> string
 (** Edge list with a third weight column (same ordering as edge ids). *)

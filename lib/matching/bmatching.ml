@@ -70,6 +70,25 @@ let of_edge_ids g ~capacity ids =
     ids;
   { graph = g; capacity = Array.copy capacity; selected; deg; size = !size }
 
+(* one copy, then in-place selection: the greedy completion a
+   heaviest-first order gives is LIC (Heaviest_first) seeded with [t] *)
+let extend t order =
+  let selected = Bytes.copy t.selected and deg = Array.copy t.deg in
+  let size = ref t.size in
+  Array.iter
+    (fun eid ->
+      if Bytes.get selected eid = '\000' then begin
+        let u, v = Graph.edge_endpoints t.graph eid in
+        if deg.(u) < t.capacity.(u) && deg.(v) < t.capacity.(v) then begin
+          Bytes.set selected eid '\001';
+          deg.(u) <- deg.(u) + 1;
+          deg.(v) <- deg.(v) + 1;
+          incr size
+        end
+      end)
+    order;
+  { t with selected; deg; size = !size }
+
 let graph t = t.graph
 let capacity t i = t.capacity.(i)
 let size t = t.size

@@ -20,6 +20,12 @@ val of_edge_ids : Graph.t -> capacity:int array -> int list -> t
 
 val empty : Graph.t -> capacity:int array -> t
 
+val extend : t -> int array -> t
+(** [extend t order] walks the edge ids of [order] and selects each one
+    not in [t] whose endpoints both have residual capacity: the greedy
+    completion of [t], one O(n + m) copy plus the walk.
+    @raise Invalid_argument if an id is out of range. *)
+
 val graph : t -> Graph.t
 val capacity : t -> int -> int
 val size : t -> int

@@ -10,5 +10,5 @@
 val run : Weights.t -> capacity:int array -> Bmatching.t
 
 val run_restricted : Weights.t -> capacity:int array -> allowed:(int -> bool) -> Bmatching.t
-(** Same, considering only edges for which [allowed eid] holds (used by
-    churn repair to restrict to a damaged region). *)
+(** Same, considering only edges for which [allowed eid] holds (the
+    churn tests' reference for a rebuild over the active peers). *)

@@ -73,32 +73,32 @@ let generate_requests arrivals ~seed ~n =
   go 0.0 []
 
 let run ?(handicap = 0.0) ~arrivals cfg prefs =
+  let g = Preference.graph prefs in
+  let n = Graph.node_count g in
   match
     ( RC.validate cfg,
       Arrivals.validate arrivals,
       RC.lid_family cfg.RC.engine,
-      handicap >= 0.0 )
+      handicap >= 0.0,
+      n > 0 )
   with
-  | Error msg, _, _, _ -> Error ("config: " ^ msg)
-  | _, Error msg, _, _ -> Error ("arrivals: " ^ msg)
-  | _, _, false, _ ->
+  | Error msg, _, _, _, _ -> Error ("config: " ^ msg)
+  | _, Error msg, _, _, _ -> Error ("arrivals: " ^ msg)
+  | _, _, false, _, _ ->
       Error
         (Printf.sprintf
            "serve drives the protocol stack; engine %s has no protocol run \
             (pick lid, lid-reliable or lid-byzantine)"
            (RC.engine_name cfg.RC.engine))
-  | _, _, _, false -> Error "handicap must be >= 0"
-  | Ok cfg, Ok arrivals, true, true ->
-      let g = Preference.graph prefs in
-      let n = Graph.node_count g in
+  | _, _, _, false, _ -> Error "handicap must be >= 0"
+  | _, _, _, _, false -> Error "the instance has no nodes to serve requests for"
+  | Ok cfg, Ok arrivals, true, true, true ->
       let quota = Array.init n (Preference.quota prefs) in
       let active = Array.make n true in
       let lists = Array.init n (fun i -> Array.copy (Preference.list prefs i)) in
       let cur = ref prefs in
       let shuffle_rng = Prng.create (cfg.RC.seed lxor 0x5EF5) in
-      let capacity_now () =
-        Array.init n (fun i -> if active.(i) then quota.(i) else 0)
-      in
+      let capacity_now () = Owp_core.Churn.capacity !cur active in
       (* the session verdict covers every engine run: each failing run
          contributes one line, tagged with its index (0 = bootstrap) *)
       let runs = ref 0 and failures = ref [] in

@@ -43,5 +43,5 @@ val run :
     given virtual time to every request's service — the knob the gated
     benchmark uses to prove its latency regression gate fires.
     Errors on an invalid config or arrival spec, a negative handicap,
-    or a non-LID-family engine (centralized engines have no protocol
-    run to serve). *)
+    a non-LID-family engine (centralized engines have no protocol run
+    to serve), or an instance with no nodes (requests target a node). *)

@@ -5,6 +5,7 @@ module BM = Owp_matching.Bmatching
 module Prng = Owp_util.Prng
 module Improve = Owp_core.Improve
 module Hoepman = Owp_core.Hoepman
+module Churn = Owp_core.Churn
 module Dyn = Owp_core.Lid_dynamic
 module P1 = Owp_stable.Fixtures_phase1
 
@@ -97,7 +98,7 @@ let test_dynamic_leave_then_rejoin () =
   let _, p, _, _ = random_instance 8 25 6 2 in
   let active = Array.make 25 true in
   let r =
-    Dyn.run ~prefs:p ~initially_active:active ~events:[ Dyn.Leave 0; Dyn.Join 0 ] ()
+    Dyn.run ~prefs:p ~initially_active:active ~events:[ Churn.Leave 0; Churn.Join 0 ] ()
   in
   Alcotest.(check int) "two steps" 2 (List.length r.Dyn.steps);
   Alcotest.(check bool) "quiescent" true r.Dyn.quiescent;
@@ -112,14 +113,7 @@ let test_dynamic_respects_quotas () =
   let rngev = Prng.create 10 in
   let active = Array.init 30 (fun _ -> Prng.bernoulli rngev 0.8) in
   let g = Preference.graph p in
-  let churn =
-    Owp_overlay.Churn.random_events rngev ~universe:g ~initially_active:active ~steps:20
-  in
-  let events =
-    List.map
-      (function Owp_overlay.Churn.Join v -> Dyn.Join v | Owp_overlay.Churn.Leave v -> Dyn.Leave v)
-      churn
-  in
+  let events = Churn.random_events rngev ~universe:g ~initially_active:active ~steps:20 in
   let r = Dyn.run ~prefs:p ~initially_active:active ~events () in
   Array.iteri
     (fun v b -> Alcotest.(check bool) "quota" true (BM.degree r.Dyn.final_matching v <= b))
@@ -131,7 +125,7 @@ let test_dynamic_event_validation () =
   let active = Array.make 10 true in
   Alcotest.(check bool) "joining active raises" true
     (try
-       ignore (Dyn.run ~prefs:p ~initially_active:active ~events:[ Dyn.Join 0 ] ());
+       ignore (Dyn.run ~prefs:p ~initially_active:active ~events:[ Churn.Join 0 ] ());
        false
      with Invalid_argument _ -> true)
 

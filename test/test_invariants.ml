@@ -60,11 +60,10 @@ let prop_churn_leave_disruption_bounded =
       let active = Array.make 30 true in
       let victim = Prng.int rng 30 in
       let steps =
-        Owp_overlay.Churn.simulate ~prefs ~initially_active:active
-          ~events:[ Owp_overlay.Churn.Leave victim ]
-          ~repair:Owp_overlay.Churn.Incremental
+        Owp_core.Churn.simulate ~prefs ~initially_active:active
+          ~events:[ Owp_core.Churn.Leave victim ] ~repair:Owp_core.Churn.Incremental
       in
-      (List.hd steps).Owp_overlay.Churn.removed <= quota)
+      (List.hd steps).Owp_core.Churn.removed <= quota)
 
 let prop_lid_locked_edges_heavier_than_free =
   (* Lemma 4's observable consequence: at every saturated node, each

@@ -8,6 +8,7 @@
    the retention floor below is calibrated empirically across the
    seeded traces, not derived. *)
 
+module Churn = Owp_core.Churn
 module Dyn = Owp_core.Lid_dynamic
 module BM = Owp_matching.Bmatching
 module Prng = Owp_util.Prng
@@ -24,33 +25,10 @@ let churn_trace seed prefs =
   let n = Graph.node_count g in
   let rng = Prng.create (0xD11 + seed) in
   let initially_active = Array.init n (fun _ -> Prng.bernoulli rng 0.8) in
-  let events =
-    List.map
-      (function Owp_overlay.Churn.Join v -> Dyn.Join v | Owp_overlay.Churn.Leave v -> Dyn.Leave v)
-      (Owp_overlay.Churn.random_events rng ~universe:g ~initially_active ~steps:25)
-  in
+  let events = Churn.random_events rng ~universe:g ~initially_active ~steps:25 in
   let active = Array.copy initially_active in
-  List.iter
-    (function Dyn.Join v -> active.(v) <- true | Dyn.Leave v -> active.(v) <- false)
-    events;
+  List.iter (Churn.apply active) events;
   (initially_active, events, active)
-
-(* from-scratch static reference on the survivors: inactive nodes get
-   capacity 0, exactly the masking E16 uses *)
-let static_reference prefs active =
-  let g = Preference.graph prefs in
-  let n = Graph.node_count g in
-  let w = Weights.of_preference prefs in
-  let capacity =
-    Array.init n (fun v -> if active.(v) then Preference.quota prefs v else 0)
-  in
-  let m = Owp_core.Lic.run w ~capacity in
-  let sat = ref 0.0 in
-  for v = 0 to n - 1 do
-    if active.(v) then
-      sat := !sat +. Preference.satisfaction prefs v (BM.connections m v)
-  done;
-  !sat
 
 let satisfaction_of prefs active m =
   let sat = ref 0.0 in
@@ -58,6 +36,12 @@ let satisfaction_of prefs active m =
     (fun v a -> if a then sat := !sat +. Preference.satisfaction prefs v (BM.connections m v))
     active;
   !sat
+
+(* from-scratch static reference on the survivors: inactive nodes get
+   capacity 0, exactly the masking E16 uses *)
+let static_reference prefs active =
+  satisfaction_of prefs active
+    (Owp_core.Lic.run (Weights.of_preference prefs) ~capacity:(Churn.capacity prefs active))
 
 let prop_churn_invariants =
   QCheck2.Test.make ~name:"dynamic LID: feasible, maximal, quiescent under churn"

@@ -194,6 +194,15 @@ let test_engine_rejections () =
   Alcotest.(check bool) "negative handicap rejected" true
     (Result.is_error (Serve.run ~handicap:(-1.0) ~arrivals (lid_cfg ()) prefs))
 
+let test_no_nodes_rejected () =
+  let g = Graph.of_edge_list 0 [] in
+  let empty =
+    Preference.random (Owp_util.Prng.create 1) g ~quota:(Preference.uniform_quota g 3)
+  in
+  Alcotest.(check (result unit string))
+    "n = 0 is an Error" (Error "the instance has no nodes to serve requests for")
+    (Result.map ignore (Serve.run ~arrivals:(parse "1") (lid_cfg ()) empty))
+
 let test_shards_serve_identical_sessions () =
   (* the sharded event store must be invisible to the serving layer:
      a session run with sim_shards 2 or 4 must reproduce the sequential
@@ -257,6 +266,7 @@ let suite =
     Alcotest.test_case "handicap slows service" `Quick test_handicap_slows_service;
     Alcotest.test_case "serve x deadline x guard" `Quick test_compose_deadline_guard;
     Alcotest.test_case "rejections" `Quick test_engine_rejections;
+    Alcotest.test_case "no nodes rejected" `Quick test_no_nodes_rejected;
     Alcotest.test_case "shards serve identical sessions" `Quick
       test_shards_serve_identical_sessions;
     Alcotest.test_case "session memory bounded" `Quick test_session_memory_bounded;
