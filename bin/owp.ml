@@ -387,7 +387,7 @@ let check_explore inst max_configs max_link_failures =
     in
     Format.printf "%a" Explore.pp_verdict verdict;
     if max_link_failures = 0 then begin
-      let lic = Owp_matching.Bmatching.edge_ids (Owp_core.Lic.run w ~capacity) in
+      let lic = Owp_matching.Bmatching.edge_ids (Owp_core.Lic_indexed.run w ~capacity) in
       let lemma6 =
         match verdict.Explore.observations with [ obs ] -> obs = lic | _ -> false
       in
@@ -684,11 +684,11 @@ let chaos spec trials max_episodes horizon from_spec =
        --deadline/--max-rounds\n";
     2
   end
-  else if not (RC.lid_family (Owp_cli.engine spec)) then begin
+  else if not (RC.lid_family spec.Owp_cli.engine) then begin
     Printf.eprintf
       "chaos: fault schedules need the protocol stack; engine %s has no \
        protocol run\n"
-      (RC.engine_name (Owp_cli.engine spec));
+      (RC.engine_name spec.Owp_cli.engine);
     2
   end
   else

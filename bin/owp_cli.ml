@@ -81,14 +81,14 @@ let schedule_conv =
 
 let engine_arg =
   Arg.(
-    value
-    & opt (some engine_conv) None
+    value & opt engine_conv RC.Lid
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Selection engine: lic (reference rescans), lic-indexed (per-node \
-           max-weight edge indexes), lid, lid-reliable, lid-byzantine, greedy, \
-           dynamics.  Default: lid, or the LID variant $(b,--reliable)/\
-           $(b,--byzantine) infer.")
+          "Selection engine: lic (Algorithm 2 over per-node max-weight edge \
+           indexes), lid (Algorithm 1 on the simulated network), lid-reliable \
+           (lid with $(b,--reliable)), dynamics (blocking-pair dynamics).  \
+           $(b,--reliable), $(b,--faults), $(b,--byzantine) and $(b,--guard) \
+           select middleware layers under a LID engine, not engines.")
 
 let faults_arg =
   Arg.(
@@ -192,7 +192,7 @@ type t = {
   quota : int;
   model : Owp_bench.Workloads.pref_model;
   graph_file : string option;
-  engine_opt : RC.engine option;
+  engine : RC.engine;
   reliable : bool;
   faults : Faults.t;
   schedule : Schedule.t;
@@ -203,7 +203,7 @@ type t = {
   sim_shards : int;
 }
 
-let make seed family n quota model graph_file engine_opt reliable faults schedule
+let make seed family n quota model graph_file engine reliable faults schedule
     deadline max_rounds byzantine guard sim_shards =
   {
     seed;
@@ -212,7 +212,7 @@ let make seed family n quota model graph_file engine_opt reliable faults schedul
     quota;
     model;
     graph_file;
-    engine_opt;
+    engine;
     reliable;
     faults;
     schedule;
@@ -250,22 +250,9 @@ let instance t =
             ~n:t.n ~quota:t.quota)
         (Owp_bench.Workloads.fits t.family ~n:t.n)
 
-(* --engine wins; otherwise the composition flags pick the LID variant
-   and plain LID is the default.  Since the drivers
-   collapsed into the layered stack, --reliable/--faults/--byzantine/
-   --guard compose freely: they select middleware layers, not engines,
-   so any subset rides whatever LID-family engine resolves here. *)
-let engine t =
-  match t.engine_opt with
-  | Some e -> e
-  | None ->
-      if t.byzantine <> None then RC.Lid_byzantine
-      else if t.reliable then RC.Lid_reliable
-      else RC.Lid
-
 let config ?(check = false) t =
   RC.validate
-    (RC.make ~engine:(engine t) ~seed:t.seed ~faults:t.faults ~schedule:t.schedule
+    (RC.make ~engine:t.engine ~seed:t.seed ~faults:t.faults ~schedule:t.schedule
        ~reliable:t.reliable ?byzantine:t.byzantine ~guard:t.guard
        ~sim_shards:t.sim_shards ?deadline:t.deadline ?max_rounds:t.max_rounds
        ~check ())

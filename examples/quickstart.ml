@@ -43,7 +43,7 @@ let () =
   let prefs = Owp_overlay.Overlay.preferences g config in
   let lic =
     Owp_core.Pipeline.run_config
-      (Owp_core.Run_config.make ~engine:Owp_core.Run_config.Lic ~seed:7 ())
+      (Owp_core.Run_config.make ~engine:Owp_core.Run_config.Lic_indexed ~seed:7 ())
       prefs
   in
   Printf.printf "LID == LIC           : %b\n"

@@ -140,7 +140,7 @@ let tightness_table () =
                if e mod 3 = 1 then 1.0 +. eps else 1.0))
       in
       let capacity = Array.make (Graph.node_count g) 1 in
-      let lic = Owp_core.Lic.run weights ~capacity in
+      let lic = Owp_core.Lic_indexed.run weights ~capacity in
       let opt =
         (* the optimum on this gadget family is the light edges: 2/gadget *)
         2.0 *. float_of_int gadgets

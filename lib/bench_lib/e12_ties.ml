@@ -42,7 +42,7 @@ let run ~quick =
   List.iter
     (fun levels ->
       let wq = quantize inst.weights levels in
-      let lic = Owp_core.Lic.run wq ~capacity:inst.capacity in
+      let lic = Owp_core.Lic_indexed.run wq ~capacity:inst.capacity in
       let lid = Owp_core.Stack.run ~seed:11 wq ~capacity:inst.capacity in
       Tbl.add_row t1
         [
@@ -64,7 +64,7 @@ let run ~quick =
   in
   let sat_of combiner =
     let w = Weights.of_preference ~combiner inst.prefs in
-    let m = Owp_core.Lic.run w ~capacity:inst.capacity in
+    let m = Owp_core.Lic_indexed.run w ~capacity:inst.capacity in
     Exp_common.total_satisfaction inst.prefs m
   in
   let s_sum = sat_of Weights.Sum in

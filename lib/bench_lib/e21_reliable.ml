@@ -13,7 +13,7 @@
 module Tbl = Owp_util.Tablefmt
 module BM = Owp_matching.Bmatching
 module Sim = Owp_simnet.Simnet
-module Lic = Owp_core.Lic
+module Lic_indexed = Owp_core.Lic_indexed
 module Stack = Owp_core.Stack
 module Prng = Owp_util.Prng
 
@@ -24,7 +24,7 @@ let run ~quick =
       ~pref_model:Workloads.Random_prefs ~n ~quota:2
   in
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
-  let lic = Lic.run w ~capacity in
+  let lic = Lic_indexed.run w ~capacity in
   let lic_sat = Exp_common.total_satisfaction inst.Workloads.prefs lic in
 
   (* E21a: loss x fifo -------------------------------------------------- *)

@@ -6,11 +6,13 @@
 
    - E23a: LIC engines across sizes.  "reference" is Lic.run with the
      genuinely local Climbing rule, whose heaviest_rival rescans both
-     endpoints' neighbour lists (O(Δ) per climb step); "sorted" is the
-     centralized global-sort shortcut (Heaviest_first); "indexed" is
-     Lic_indexed over per-node lazy-deletion heaps.  All three must lock
-     the exact same edge set (Lemma 6); the speedup column is
-     reference / indexed, the quantity the CI bench-smoke gates on.
+     endpoints' neighbour lists (O(Δ) per climb step); "sorted" is
+     Lic.run's default Heaviest_first, which is the global greedy scan
+     Owp_matching.Greedy.run (one sort, then one pass); "indexed" is
+     Lic_indexed over per-node lazy-deletion heaps, the lic engine of
+     Run_config.  All three must lock the exact same edge set (Lemma 6);
+     the speedup column is reference / indexed, the quantity the CI
+     bench-smoke gates on.
    - E23b: LID at size — protocol messages, virtual completion time and
      simulator wall-clock, for the rounds/messages trajectory.
    - E23c: seed sweep through the Pool with --jobs 1 vs the configured

@@ -41,16 +41,13 @@ let stacks =
   [
     ("lid", cfg_of (RC.make ~engine:RC.Lid ~seed:27 ()));
     ( "drop+reorder, ARQ",
-      cfg_of
-        (RC.make ~engine:RC.Lid_reliable ~seed:27 ~reliable:true ~faults:lossy ()) );
+      cfg_of (RC.make ~engine:RC.Lid ~seed:27 ~reliable:true ~faults:lossy ()) );
     ( "liar:0.2, guard",
-      cfg_of
-        (RC.make ~engine:RC.Lid_byzantine ~seed:27 ~byzantine:"liar:0.2"
-           ~guard:true ()) );
+      cfg_of (RC.make ~engine:RC.Lid ~seed:27 ~byzantine:"liar:0.2" ~guard:true ()) );
     ("deadline 6", cfg_of (RC.make ~engine:RC.Lid ~seed:27 ~deadline:6.0 ()));
     ( "ARQ+guard+deadline",
       cfg_of
-        (RC.make ~engine:RC.Lid_byzantine ~seed:27 ~reliable:true ~faults:lossy
+        (RC.make ~engine:RC.Lid ~seed:27 ~reliable:true ~faults:lossy
            ~byzantine:"liar:0.2" ~guard:true ~deadline:12.0 ()) );
   ]
 
@@ -214,10 +211,7 @@ let run ~quick =
     Result.get_ok (gate ~handicap:latency_injection ~cfg:lid ())
   in
   let injected_quality =
-    let byz =
-      cfg_of
-        (RC.make ~engine:RC.Lid_byzantine ~seed:lid.RC.seed ~byzantine:"liar:0.3" ())
-    in
+    let byz = cfg_of (RC.make ~engine:RC.Lid ~seed:lid.RC.seed ~byzantine:"liar:0.3" ()) in
     Result.get_ok (gate ~cfg:byz ())
   in
   let t3 =

@@ -19,7 +19,7 @@ let run_lid (inst : Workloads.instance) =
     ~capacity:inst.Workloads.capacity
 
 let run_lic (inst : Workloads.instance) =
-  Owp_core.Lic.run inst.Workloads.weights ~capacity:inst.Workloads.capacity
+  Owp_core.Lic_indexed.run inst.Workloads.weights ~capacity:inst.Workloads.capacity
 
 let run_greedy (inst : Workloads.instance) =
   Owp_matching.Greedy.run inst.Workloads.weights ~capacity:inst.Workloads.capacity

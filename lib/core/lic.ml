@@ -37,43 +37,30 @@ let select p eid =
   p.residual.(u) <- p.residual.(u) - 1;
   p.residual.(v) <- p.residual.(v) - 1
 
-let run ?(strategy = Heaviest_first) w ~capacity =
+(* climbing is restarted from every seed edge in [order]: each restart
+   either finds the pool empty near the seed or locks one local max *)
+let climb_from w ~capacity order =
   let g = Weights.graph w in
-  let m = Graph.edge_count g in
-  let p = { g; w; residual = Array.copy capacity; selected = Array.make m false } in
+  let p =
+    { g; w; residual = Array.copy capacity; selected = Array.make (Graph.edge_count g) false }
+  in
   let chosen = ref [] in
-  (match strategy with
-  | Heaviest_first ->
-      let order = Array.init m (fun e -> e) in
-      Array.sort (fun e f -> Weights.compare_edges w f e) order;
-      Array.iter
-        (fun eid ->
-          if in_pool p eid then begin
-            (* the heaviest pool edge is locally heaviest by definition *)
-            select p eid;
-            chosen := eid :: !chosen
-          end)
-        order
-  | Climbing ->
-      for seed = 0 to m - 1 do
-        (* climbing is restarted from every edge: each restart either
-           finds the pool empty near the seed or locks one local max *)
-        let e = ref seed in
-        while in_pool p !e do
-          let top = climb p !e in
-          select p top;
-          chosen := top :: !chosen
-        done
-      done
-  | Random_climb rng ->
-      let order = Owp_util.Prng.permutation rng m in
-      Array.iter
-        (fun seed ->
-          let e = ref seed in
-          while in_pool p !e do
-            let top = climb p !e in
-            select p top;
-            chosen := top :: !chosen
-          done)
-        order);
+  Array.iter
+    (fun seed ->
+      while in_pool p seed do
+        let top = climb p seed in
+        select p top;
+        chosen := top :: !chosen
+      done)
+    order;
   Bmatching.of_edge_ids g ~capacity (List.rev !chosen)
+
+let run ?(strategy = Heaviest_first) w ~capacity =
+  let m = Graph.edge_count (Weights.graph w) in
+  match strategy with
+  | Heaviest_first ->
+      (* the heaviest pool edge is locally heaviest by definition, so
+         this is the global greedy scan *)
+      Owp_matching.Greedy.run w ~capacity
+  | Climbing -> climb_from w ~capacity (Array.init m Fun.id)
+  | Random_climb rng -> climb_from w ~capacity (Owp_util.Prng.permutation rng m)

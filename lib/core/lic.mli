@@ -13,25 +13,27 @@
     DESIGN.md).
 
     Lemma 6 implies the selected edge {e set} does not depend on which
-    locally heaviest edge is taken at each step; the [strategy] argument
-    exists so experiments (E4) can verify that order-insensitivity. *)
+    locally heaviest edge is taken at each step.  This module holds the
+    selection rules that witness it (E4 and the test oracle of
+    {!Lic_indexed}); the [lic] engine of {!Run_config} is
+    {!Lic_indexed}, which locks the same edge set. *)
 
 type strategy =
   | Heaviest_first
       (** always take the globally heaviest pool edge (it is in
-          particular locally heaviest) *)
+          particular locally heaviest): the global greedy scan,
+          {!Owp_matching.Greedy.run} *)
   | Climbing
-      (** start from an arbitrary pool edge and climb to strictly
-          heavier pool neighbours until a local maximum — the genuinely
-          local selection rule *)
+      (** from each pool edge in id order, climb to strictly heavier
+          pool neighbours until a local maximum — the genuinely local
+          selection rule *)
   | Random_climb of Owp_util.Prng.t
-      (** climbing from uniformly random pool seeds *)
+      (** [Climbing] from the seeds in a uniformly random order *)
 
 val run :
   ?strategy:strategy ->
   Weights.t ->
   capacity:int array ->
   Owp_matching.Bmatching.t
-(** Defaults to [Heaviest_first].  The result is unchecked: every
-    engine is checked one way, by {!Owp_check.Checker.run} (which
-    {!Pipeline} calls for [Run_config.check]). *)
+(** Defaults to [Heaviest_first].  The result is unchecked; assert
+    invariants with {!Owp_check.Checker.run}. *)

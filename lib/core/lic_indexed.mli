@@ -1,4 +1,5 @@
-(** Indexed LIC — the scale engine for locally heaviest edge selection.
+(** Indexed LIC — the [lic] engine of {!Run_config}, locally heaviest
+    edge selection at scale.
 
     {!Lic} implements the paper's selection rule directly: finding the
     heaviest rival of an edge rescans both endpoints' full neighbour

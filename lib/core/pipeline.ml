@@ -2,14 +2,7 @@ module Bmatching = Owp_matching.Bmatching
 module Faults = Owp_simnet.Faults
 module Schedule = Owp_simnet.Schedule
 
-type engine = Run_config.engine =
-  | Lic
-  | Lic_indexed
-  | Lid
-  | Lid_reliable
-  | Lid_byzantine
-  | Greedy
-  | Dynamics
+type engine = Run_config.engine = Lic_indexed | Lid | Lid_reliable | Dynamics
 
 type detail = Plain | Stack of Stack.report
 
@@ -101,11 +94,10 @@ let stabilize_reference prefs ~participating ~matching =
     (Bmatching.edge_ids m)
 
 (* which invariants a result is expected to satisfy: LIC/LID carry the
-   full set of paper guarantees; global greedy is maximal and
-   greedy-stable but has no Theorem 3 bound; the stable-fixtures
-   dynamics optimises preference stability, not eq. 9 weights, and a
-   Byzantine-restricted matching is deliberately partial, so only the
-   instance-level invariants apply to those *)
+   full set of paper guarantees; the stable-fixtures dynamics optimises
+   preference stability, not eq. 9 weights, and a Byzantine-restricted
+   matching is deliberately partial, so only the instance-level
+   invariants apply to those *)
 let instance_level = [ "edge-validity"; "quota"; "weight-symmetry"; "satisfaction-range" ]
 
 let checkers_for cfg =
@@ -117,17 +109,14 @@ let checkers_for cfg =
     instance_level
   else
     match cfg.Run_config.engine with
-    | Lic | Lic_indexed | Lid | Lid_reliable ->
+    | Lic_indexed | Lid | Lid_reliable ->
         (* under crashes, a crashed peer legitimately breaks
            maximality/Theorem 3 for its survivors — but so does an
            unguarded lossy channel, so the checker subset is decided by
            the caller's check flag together with what quiesced, not
-           restricted here.  Lid_byzantine never reaches this match arm:
-           validate requires a byzantine spec, which the [byzantine <>
-           None] case above already claimed *)
+           restricted here *)
         Owp_check.Checker.names
-    | Greedy -> List.filter (fun n -> n <> "theorem3") Owp_check.Checker.names
-    | Lid_byzantine | Dynamics -> instance_level
+    | Dynamics -> instance_level
 
 (* the run's one verdict, a line per failed gate ([] = pass).  A VOID
    self-stabilization certificate is waived under adversaries (the
@@ -168,9 +157,8 @@ let rec run_config ?capacity cfg prefs =
   let t0 = Owp_util.Clock.now () in
   let matching, messages, guarantee, quiesced, rounds, detail =
     match cfg.Run_config.engine with
-    | Lic -> (Lic.run w ~capacity, None, Some bound, None, None, Plain)
     | Lic_indexed -> (Lic_indexed.run w ~capacity, None, Some bound, None, None, Plain)
-    | (Lid | Lid_reliable | Lid_byzantine) as engine ->
+    | (Lid | Lid_reliable) as engine ->
         let f = cfg.Run_config.faults in
         let reliable = cfg.Run_config.reliable || engine = Lid_reliable in
         let crashes = crash_schedule ~seed ~n f.Faults.crash in
@@ -211,7 +199,6 @@ let rec run_config ?capacity cfg prefs =
           Some r.Stack.all_terminated,
           Some r.Stack.completion_time,
           Stack r )
-    | Greedy -> (Owp_matching.Greedy.run w ~capacity, None, None, None, None, Plain)
     | Dynamics -> (stable_dynamics prefs, None, None, None, None, Plain)
   in
   let wall_ms = Owp_util.Clock.elapsed_ms ~since:t0 in

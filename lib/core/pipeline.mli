@@ -8,22 +8,15 @@
     ({!Run_config.engine}) instead of importing the per-variant driver
     modules.
 
-    All three LID-family engines dispatch to the one layered
+    Both LID-family engines dispatch to the one layered
     {!Stack.run} loop: the config's [faults], [reliable], [byzantine]
     and [guard] knobs select middleware layers, in any combination
     {!Run_config.validate} admits, and the protocol diagnostics come
     back as one uniform {!Stack.report} in {!detail}. *)
 
-type engine = Run_config.engine =
-  | Lic
-  | Lic_indexed
-  | Lid
-  | Lid_reliable
-  | Lid_byzantine
-  | Greedy
-  | Dynamics
-      (** Re-export of {!Run_config.engine} so [Pipeline.Lic_indexed]
-          and friends are in scope for pipeline users. *)
+type engine = Run_config.engine = Lic_indexed | Lid | Lid_reliable | Dynamics
+(** Re-export of {!Run_config.engine} so [Pipeline.Lic_indexed] and
+    friends are in scope for pipeline users. *)
 
 (** Engine-specific diagnostics the generic outcome cannot carry.  The
     per-driver report variants collapsed with the drivers themselves:

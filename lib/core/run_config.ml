@@ -1,7 +1,7 @@
 module Faults = Owp_simnet.Faults
 module Schedule = Owp_simnet.Schedule
 
-type engine = Lic | Lic_indexed | Lid | Lid_reliable | Lid_byzantine | Greedy | Dynamics
+type engine = Lic_indexed | Lid | Lid_reliable | Dynamics
 
 type t = {
   engine : engine;
@@ -52,26 +52,18 @@ let make ?(engine = default.engine) ?(seed = default.seed) ?(faults = default.fa
 let budgeted t = Option.is_some t.deadline || Option.is_some t.max_rounds
 
 let engine_name = function
-  | Lic -> "lic"
-  | Lic_indexed -> "lic-indexed"
+  | Lic_indexed -> "lic"
   | Lid -> "lid"
   | Lid_reliable -> "lid-reliable"
-  | Lid_byzantine -> "lid-byzantine"
-  | Greedy -> "greedy"
   | Dynamics -> "dynamics"
 
-let all_engines = [ Lic; Lic_indexed; Lid; Lid_reliable; Lid_byzantine; Greedy; Dynamics ]
+let all_engines = [ Lic_indexed; Lid; Lid_reliable; Dynamics ]
 
 let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "lic" -> Ok Lic
-  | "lic-indexed" | "lic_indexed" | "indexed" -> Ok Lic_indexed
-  | "lid" -> Ok Lid
-  | "lid-reliable" | "lid_reliable" | "reliable" -> Ok Lid_reliable
-  | "lid-byzantine" | "lid_byzantine" | "byzantine" -> Ok Lid_byzantine
-  | "greedy" -> Ok Greedy
-  | "dynamics" -> Ok Dynamics
-  | s ->
+  let s = String.lowercase_ascii (String.trim s) in
+  match List.find_opt (fun e -> engine_name e = s) all_engines with
+  | Some e -> Ok e
+  | None ->
       Error
         (Printf.sprintf "unknown engine %S (expected %s)" s
            (String.concat " | " (List.map engine_name all_engines)))
@@ -79,9 +71,7 @@ let engine_of_string s =
 (* The engines that execute through the layered Stack.run loop — the
    only ones for which faults, the reliable transport, adversaries and
    the guard are meaningful. *)
-let lid_family = function
-  | Lid | Lid_reliable | Lid_byzantine -> true
-  | Lic | Lic_indexed | Greedy | Dynamics -> false
+let lid_family = function Lid | Lid_reliable -> true | Lic_indexed | Dynamics -> false
 
 let validate t =
   let ( let* ) = Result.bind in
@@ -92,23 +82,20 @@ let validate t =
       Error
         (Printf.sprintf
            "a fault schedule (--schedule) scripts network weather over a \
-            simulated run and needs a LID-family engine (lid, lid-reliable or \
-            lid-byzantine); engine %s does not simulate a network"
+            simulated run and needs a LID-family engine (lid or \
+            lid-reliable); engine %s does not simulate a network"
            (engine_name t.engine))
     else Ok ()
   in
   let* () =
     match t.byzantine with
-    | None ->
-        if t.engine = Lid_byzantine then
-          Error "engine lid-byzantine needs an adversary spec (--byzantine MODEL:FRAC)"
-        else Ok ()
+    | None -> Ok ()
     | Some spec ->
         if not (lid_family t.engine) then
           Error
             (Printf.sprintf
-               "an adversary spec needs a LID-family engine (lid, lid-reliable or \
-                lid-byzantine); engine %s has no peers to subvert"
+               "an adversary spec needs a LID-family engine (lid or \
+                lid-reliable); engine %s has no peers to subvert"
                (engine_name t.engine))
         else begin
           match Owp_simnet.Adversary.parse_spec spec with
@@ -127,8 +114,8 @@ let validate t =
     if Faults.any t.faults && not (lid_family t.engine) then
       Error
         (Printf.sprintf
-           "faults (%s) need a LID-family engine (lid, lid-reliable or \
-            lid-byzantine); engine %s does not simulate a network"
+           "faults (%s) need a LID-family engine (lid or \
+            lid-reliable); engine %s does not simulate a network"
            (Faults.to_string t.faults) (engine_name t.engine))
     else Ok ()
   in
@@ -150,8 +137,8 @@ let validate t =
       Error
         (Printf.sprintf
            "--sim-shards partitions the simulator's event store and needs a \
-            LID-family engine (lid, lid-reliable or lid-byzantine); engine %s \
-            does not simulate a network"
+            LID-family engine (lid or lid-reliable); engine %s does not \
+            simulate a network"
            (engine_name t.engine))
     else Ok ()
   in
@@ -182,9 +169,8 @@ let validate t =
       Error
         (Printf.sprintf
            "an anytime budget (--deadline/--max-rounds) bounds a simulated \
-            message-passing run and needs a LID-family engine (lid, \
-            lid-reliable or lid-byzantine); engine %s computes its matching in \
-            one step"
+            message-passing run and needs a LID-family engine (lid or \
+            lid-reliable); engine %s computes its matching in one step"
            (engine_name t.engine))
     else Ok ()
   in

@@ -21,12 +21,13 @@
     which is exactly what the multicore runner needs. *)
 
 type engine =
-  | Lic  (** Algorithm 2, reference selection (O(Δ) rival rescans) *)
-  | Lic_indexed  (** Algorithm 2 over per-node max-weight edge indexes *)
+  | Lic_indexed
+      (** [lic]: Algorithm 2 over per-node max-weight edge indexes.  By
+          Lemma 6 every locally-heaviest selection order, and the
+          global greedy OPT comparator of Theorem 2, lock this same
+          edge set, so it is the one LIC engine *)
   | Lid  (** Algorithm 1 on the datagram simulator *)
   | Lid_reliable  (** Algorithm 1 with the ARQ transport layer enabled *)
-  | Lid_byzantine  (** Algorithm 1 with adversary-controlled peers *)
-  | Greedy  (** centralized global greedy comparator *)
   | Dynamics  (** blocking-pair dynamics (stable-fixtures baseline) *)
 
 type t = {
@@ -77,8 +78,8 @@ val budgeted : t -> bool
 (** Is an anytime budget ([deadline] or [max_rounds]) set? *)
 
 val engine_of_string : string -> (engine, string) result
-(** Recognises [lic], [lic-indexed]/[indexed], [lid], [lid-reliable]/
-    [reliable], [lid-byzantine]/[byzantine], [greedy], [dynamics]. *)
+(** Recognises [lic], [lid], [lid-reliable] and [dynamics], in any
+    case; anything else is an [Error] listing them. *)
 
 val engine_name : engine -> string
 (** Canonical CLI name; [engine_of_string (engine_name e) = Ok e]. *)
@@ -86,16 +87,14 @@ val engine_name : engine -> string
 val all_engines : engine list
 
 val lid_family : engine -> bool
-(** [Lid], [Lid_reliable] or [Lid_byzantine]: the engines that execute
-    through the layered {!Stack} loop and accept network/adversary
-    knobs. *)
+(** [Lid] or [Lid_reliable]: the engines that execute through the
+    layered {!Stack} loop and accept network/adversary knobs. *)
 
 val validate : t -> (t, string) result
 (** Cross-field consistency.  Rejected: an adversary spec, faults, a
     fault schedule, [reliable] or an anytime budget on a
     non-LID-family engine; an invalid schedule
-    ({!Owp_simnet.Schedule.validate});
-    [Lid_byzantine] without a spec; [guard] without a spec; an
+    ({!Owp_simnet.Schedule.validate}); [guard] without a spec; an
     unparsable spec; a non-positive [sim_shards], or [sim_shards > 1]
     on a non-LID-family engine; out-of-range fault fields
     ({!Owp_simnet.Faults.validate}); a non-positive budget; [deadline]

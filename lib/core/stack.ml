@@ -1097,7 +1097,7 @@ let lic_reference prefs ~keep ~quota =
   Graph.iter_edges sub (fun eid u v ->
       let ou = old_of_new.(u) and ov = old_of_new.(v) in
       arr.(eid) <- Weights.half prefs ou ov +. Weights.half prefs ov ou);
-  (old_of_new, Lic.run (Weights.of_array sub arr) ~capacity:(Array.map quota old_of_new))
+  (old_of_new, Lic_indexed.run (Weights.of_array sub arr) ~capacity:(Array.map quota old_of_new))
 
 let reference_satisfaction prefs ~correct =
   let old_of_new, m =

@@ -87,46 +87,6 @@ let read_with parse path =
 
 let read = read_with of_string
 
-let weights_to_string g w =
-  if Array.length w <> Graph.edge_count g then
-    invalid_arg "Graph_io.weights_to_string: weight arity mismatch";
-  let buf = Buffer.create (24 * Graph.edge_count g) in
-  Buffer.add_string buf
-    (Printf.sprintf "%d %d\n" (Graph.node_count g) (Graph.edge_count g));
-  Graph.iter_edges g (fun eid u v ->
-      Buffer.add_string buf (Printf.sprintf "%d %d %.17g\n" u v w.(eid)));
-  Buffer.contents buf
-
-let weights_of_string s =
-  match List.map snd (significant_lines s) with
-  | [] -> failwith "Graph_io.weights_of_string: empty input"
-  | header :: rest -> (
-      match String.split_on_char ' ' header with
-      | [ sn; sm ] ->
-          let n = int_of_string sn and m = int_of_string sm in
-          let b = Graph.Builder.create n in
-          let triples =
-            List.map
-              (fun line ->
-                match String.split_on_char ' ' line with
-                | [ u; v; w ] -> (int_of_string u, int_of_string v, float_of_string w)
-                | _ -> failwith "Graph_io.weights_of_string: malformed line")
-              rest
-          in
-          List.iter (fun (u, v, _) -> ignore (Graph.Builder.add_edge b u v)) triples;
-          let g = Graph.Builder.build b in
-          if Graph.edge_count g <> m then
-            failwith "Graph_io.weights_of_string: edge count mismatch";
-          let w = Array.make m 0.0 in
-          List.iter
-            (fun (u, v, x) ->
-              match Graph.find_edge g u v with
-              | Some eid -> w.(eid) <- x
-              | None -> assert false)
-            triples;
-          (g, w)
-      | _ -> failwith "Graph_io.weights_of_string: malformed header")
-
 let matching_to_string g ids =
   String.concat ""
     (Printf.sprintf "# owp matching: %d nodes, %d selected edges\n" (Graph.node_count g)

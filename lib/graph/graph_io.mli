@@ -17,11 +17,6 @@ val of_string : string -> (Graph.t, string) result
 val read : string -> (Graph.t, string) result
 (** {!of_string} on a file; an unreadable file is an [Error]. *)
 
-val weights_to_string : Graph.t -> float array -> string
-(** Edge list with a third weight column (same ordering as edge ids). *)
-
-val weights_of_string : string -> Graph.t * float array
-
 (** {1 Matchings}
 
     A saved matching: a ["# owp matching: N nodes, K selected edges"]

@@ -88,7 +88,7 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
       Error
         (Printf.sprintf
            "serve drives the protocol stack; engine %s has no protocol run \
-            (pick lid, lid-reliable or lid-byzantine)"
+            (pick lid or lid-reliable)"
            (RC.engine_name cfg.RC.engine))
   | _, _, _, false, _ -> Error "handicap must be >= 0"
   | _, _, _, _, false -> Error "the instance has no nodes to serve requests for"

@@ -76,8 +76,8 @@ let test_pipeline_check_modes () =
       | Some r ->
           if not (Checker.ok r) then
             Alcotest.failf "pipeline check failed:@.%s" (Checker.report_to_string r))
-    [ Pipeline.Lid; Pipeline.Lic; Pipeline.Greedy; Pipeline.Dynamics ];
-  let out = run Pipeline.Lic p in
+    [ Pipeline.Lid; Pipeline.Lic_indexed; Pipeline.Dynamics ];
+  let out = run Pipeline.Lic_indexed p in
   Alcotest.(check bool) "no report without ~check" true (out.Pipeline.check_report = None)
 
 (* ------------------------------------------------------------------ *)

@@ -59,6 +59,14 @@ let prop_never_raises =
     (fun s ->
       match Graph_io.of_string s with Ok _ | Error _ -> true)
 
+let prop_matching_never_raises =
+  let g = Gen.ring 4 in
+  QCheck2.Test.make ~name:"matching_of_string never raises on short strings" ~count:500
+    QCheck2.Gen.(
+      string_size ~gen:(oneofl [ '0'; '1'; '2'; '3'; '9'; ' '; '\n'; '#'; '-'; 'x' ]) (0 -- 24))
+    (fun s ->
+      match Graph_io.matching_of_string g s with Ok _ | Error _ -> true)
+
 let test_file_roundtrip () =
   let g = Gen.ring 12 in
   let path = Filename.temp_file "owp_test" ".edges" in
@@ -73,22 +81,6 @@ let test_file_roundtrip () =
 let test_unreadable_file () =
   let path = Filename.concat (Filename.get_temp_dir_name ()) "owp-no-such-dir/g.edges" in
   Alcotest.(check bool) "missing file is an Error" true (Result.is_error (Graph_io.read path))
-
-let test_weights_roundtrip () =
-  let g = Gen.gnm (Owp_util.Prng.create 9) ~n:15 ~m:30 in
-  let w = Array.init 30 (fun i -> float_of_int i /. 7.0) in
-  let g2, w2 = Graph_io.weights_of_string (Graph_io.weights_to_string g w) in
-  Alcotest.(check int) "edges" 30 (Graph.edge_count g2);
-  Graph.iter_edges g (fun eid u v ->
-      match Graph.find_edge g2 u v with
-      | Some eid2 -> Alcotest.(check (float 1e-12)) "weight kept" w.(eid) w2.(eid2)
-      | None -> Alcotest.fail "edge lost")
-
-let test_weights_arity () =
-  let g = Gen.ring 4 in
-  Alcotest.check_raises "arity"
-    (Invalid_argument "Graph_io.weights_to_string: weight arity mismatch") (fun () ->
-      ignore (Graph_io.weights_to_string g [| 1.0 |]))
 
 let test_matching_roundtrip () =
   let g = Gen.gnm (Owp_util.Prng.create 7) ~n:20 ~m:40 in
@@ -116,10 +108,9 @@ let suite =
     Alcotest.test_case "comments and blanks" `Quick test_comments_and_blanks;
     Alcotest.test_case "malformed" `Quick test_malformed;
     QCheck_alcotest.to_alcotest prop_never_raises;
+    QCheck_alcotest.to_alcotest prop_matching_never_raises;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "unreadable file" `Quick test_unreadable_file;
-    Alcotest.test_case "weights roundtrip" `Quick test_weights_roundtrip;
-    Alcotest.test_case "weights arity" `Quick test_weights_arity;
     Alcotest.test_case "matching roundtrip" `Quick test_matching_roundtrip;
     Alcotest.test_case "matching errors" `Quick test_matching_errors;
   ]

@@ -47,12 +47,11 @@ let test_build_with_algorithms () =
   let g = Gen.gnm (Prng.create 9) ~n:50 ~m:150 in
   let cfg = Overlay.homogeneous ~quota:2 (Metric.uniform ~seed:6) in
   let lid = Overlay.build_with ~engine:Pipeline.Lid g cfg in
-  let lic = Overlay.build_with ~engine:Pipeline.Lic g cfg in
-  let greedy = Overlay.build_with ~engine:Pipeline.Greedy g cfg in
+  let lic = Overlay.build_with ~engine:Pipeline.Lic_indexed g cfg in
   Alcotest.(check bool) "lid = lic matching" true
     (BM.equal lid.Pipeline.matching lic.Pipeline.matching);
-  Alcotest.(check (float 1e-9)) "lid = greedy weight here" greedy.Pipeline.total_weight
-    lic.Pipeline.total_weight;
+  Alcotest.(check (float 1e-9)) "lid = lic weight" lic.Pipeline.total_weight
+    lid.Pipeline.total_weight;
   let dyn = Overlay.build_with ~engine:Pipeline.Dynamics g cfg in
   Alcotest.(check bool) "dynamics produced a matching" true (BM.size dyn.Pipeline.matching > 0)
 
@@ -61,7 +60,7 @@ let test_quality_bounds () =
   let prefs = Preference.random (Prng.create 12) g ~quota:(Preference.uniform_quota g 3) in
   let out =
     Pipeline.run_config
-      (Owp_core.Run_config.make ~engine:Owp_core.Run_config.Lic ~seed:7 ())
+      (Owp_core.Run_config.make ~engine:Owp_core.Run_config.Lic_indexed ~seed:7 ())
       prefs
   in
   let q = Quality.measure prefs out.Pipeline.matching out.Pipeline.profile in

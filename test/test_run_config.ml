@@ -1,6 +1,7 @@
 module RC = Owp_core.Run_config
 module Pipeline = Owp_core.Pipeline
 module Faults = Owp_simnet.Faults
+module Schedule = Owp_simnet.Schedule
 module BM = Owp_matching.Bmatching
 module Prng = Owp_util.Prng
 
@@ -59,21 +60,39 @@ let test_engine_names_round_trip () =
       | Error msg -> Alcotest.fail msg)
     RC.all_engines
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+(* one name per engine: case and surrounding blanks are forgiven, the
+   removed duplicates (the greedy comparator, the lid-byzantine alias of
+   --byzantine, the lic-indexed spelling of lic) are not *)
 let test_engine_aliases () =
   List.iter
     (fun (s, e) ->
       match RC.engine_of_string s with
       | Ok e' -> Alcotest.(check bool) s true (e = e')
       | Error msg -> Alcotest.fail msg)
+    [ ("lic", RC.Lic_indexed); (" LIC ", RC.Lic_indexed); ("LID", RC.Lid) ];
+  List.iter
+    (fun s ->
+      match RC.engine_of_string s with
+      | Ok _ -> Alcotest.failf "%s accepted" s
+      | Error msg ->
+          Alcotest.(check bool) (s ^ " lists the engines") true
+            (contains msg "lic | lid | lid-reliable | dynamics"))
     [
-      ("indexed", RC.Lic_indexed);
-      ("lic-indexed", RC.Lic_indexed);
-      ("reliable", RC.Lid_reliable);
-      ("byzantine", RC.Lid_byzantine);
-      ("LID", RC.Lid);
-    ];
-  Alcotest.(check bool) "unknown engine rejected" true
-    (Result.is_error (RC.engine_of_string "quantum"))
+      "greedy";
+      "lid-byzantine";
+      "lic-indexed";
+      "indexed";
+      "lic_indexed";
+      "reliable";
+      "byzantine";
+      "lid_reliable";
+      "quantum";
+    ]
 
 (* --- cross-field validation --------------------------------------- *)
 
@@ -87,9 +106,7 @@ let test_validate () =
   Alcotest.(check bool) "reliable + faults valid" true
     (ok (RC.make ~engine:RC.Lid_reliable ~faults:(Faults.make ~drop:0.2 ()) ()));
   Alcotest.(check bool) "byzantine + channel faults valid" true
-    (ok
-       (RC.make ~engine:RC.Lid_byzantine ~byzantine:"liar:0.2"
-          ~faults:(Faults.make ~drop:0.1 ()) ()));
+    (ok (RC.make ~engine:RC.Lid ~byzantine:"liar:0.2" ~faults:(Faults.make ~drop:0.1 ()) ()));
   Alcotest.(check bool) "byzantine rides plain lid" true
     (ok (RC.make ~engine:RC.Lid ~byzantine:"liar:0.2" ()));
   Alcotest.(check bool) "reliable flag on plain lid" true
@@ -99,33 +116,25 @@ let test_validate () =
        (RC.make ~engine:RC.Lid ~reliable:true ~byzantine:"liar:0.2" ~guard:true
           ~faults:(Faults.make ~drop:0.1 ~reorder:0.2 ()) ()));
   Alcotest.(check bool) "byzantine + guard valid" true
-    (ok (RC.make ~engine:RC.Lid_byzantine ~byzantine:"liar:0.2" ~guard:true ()));
+    (ok (RC.make ~engine:RC.Lid ~byzantine:"liar:0.2" ~guard:true ()));
   (* genuinely meaningless combinations stay rejected, each on its own
      branch of validate *)
   Alcotest.(check bool) "out-of-range faults rejected" false
     (ok (RC.make ~faults:{ Faults.none with Faults.drop = 1.5 } ()));
-  Alcotest.(check bool) "byzantine needs a spec" false
-    (ok (RC.make ~engine:RC.Lid_byzantine ()));
   Alcotest.(check bool) "byzantine spec must parse" false
-    (ok (RC.make ~engine:RC.Lid_byzantine ~byzantine:"nonsense" ()));
+    (ok (RC.make ~engine:RC.Lid ~byzantine:"nonsense" ()));
   Alcotest.(check bool) "spec needs a lid-family engine" false
-    (ok (RC.make ~engine:RC.Lic ~byzantine:"liar:0.2" ()));
+    (ok (RC.make ~engine:RC.Lic_indexed ~byzantine:"liar:0.2" ()));
   Alcotest.(check bool) "guard needs an adversary spec" false
     (ok (RC.make ~engine:RC.Lid ~guard:true ()));
   Alcotest.(check bool) "faults need a lid-family engine" false
-    (ok (RC.make ~engine:RC.Greedy ~faults:(Faults.make ~drop:0.2 ()) ()));
+    (ok (RC.make ~engine:RC.Dynamics ~faults:(Faults.make ~drop:0.2 ()) ()));
   Alcotest.(check bool) "reliable needs a lid-family engine" false
-    (ok (RC.make ~engine:RC.Lic ~reliable:true ()));
+    (ok (RC.make ~engine:RC.Lic_indexed ~reliable:true ()));
   (* the rejection messages must say what to do, not just "no" *)
   (match RC.validate (RC.make ~engine:RC.Lid ~guard:true ()) with
   | Error msg ->
-      Alcotest.(check bool) "guard message is actionable" true
-        (let contains hay needle =
-           let lh = String.length hay and ln = String.length needle in
-           let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-           go 0
-         in
-         contains msg "--byzantine")
+      Alcotest.(check bool) "guard message is actionable" true (contains msg "--byzantine")
   | Ok _ -> Alcotest.fail "guard without spec must be rejected")
 
 (* --- the pipeline funnel ------------------------------------------ *)
@@ -133,15 +142,15 @@ let test_validate () =
 let test_run_config_engines_agree () =
   let prefs = instance 5 in
   let run engine = Pipeline.run_config (RC.make ~engine ~seed:5 ()) prefs in
-  let lic = run RC.Lic in
-  let indexed = run RC.Lic_indexed in
+  let lic = run RC.Lic_indexed in
   let lid = run RC.Lid in
-  Alcotest.(check bool) "indexed = lic matching" true
-    (BM.equal lic.Pipeline.matching indexed.Pipeline.matching);
+  let reliable = run RC.Lid_reliable in
+  Alcotest.(check bool) "lid-reliable = lic matching" true
+    (BM.equal lic.Pipeline.matching reliable.Pipeline.matching);
   Alcotest.(check bool) "lid = lic matching (Lemma 6)" true
     (BM.equal lic.Pipeline.matching lid.Pipeline.matching);
   Alcotest.(check bool) "engines reported" true
-    (indexed.Pipeline.engine = RC.Lic_indexed && lid.Pipeline.engine = RC.Lid)
+    (lic.Pipeline.engine = RC.Lic_indexed && lid.Pipeline.engine = RC.Lid)
 
 let test_run_config_rejects_inconsistent () =
   let prefs = instance 6 in
@@ -176,14 +185,9 @@ let test_validate_budget () =
   Alcotest.(check bool) "non-positive max-rounds rejected" false
     (ok (RC.make ~engine:RC.Lid ~max_rounds:0 ()));
   Alcotest.(check bool) "budget needs a lid-family engine" false
-    (ok (RC.make ~engine:RC.Lic ~deadline:5.0 ()));
+    (ok (RC.make ~engine:RC.Lic_indexed ~deadline:5.0 ()));
   (match RC.validate (RC.make ~engine:RC.Lid ~deadline:5.0 ~max_rounds:4 ()) with
   | Error msg ->
-      let contains hay needle =
-        let lh = String.length hay and ln = String.length needle in
-        let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "double-budget message is actionable" true
         (contains msg "exactly one")
   | Ok _ -> Alcotest.fail "double budget must be rejected")
@@ -219,6 +223,34 @@ let test_non_finite_specs_rejected () =
           RC.validate (RC.make ~engine:RC.Lid ~deadline:d ())))
     [ Float.nan; Float.infinity ]
 
+(* ROADMAP item 7: every spec parser answers a random short string,
+   drawn from its own grammar's tokens, with [Ok] or [Error] and never
+   an exception *)
+let never_raises ~name tokens answer =
+  QCheck2.Test.make ~name ~count:500 ~print:Fun.id
+    QCheck2.Gen.(map (String.concat "") (list_size (0 -- 8) (oneofl tokens)))
+    (fun s -> match answer s with Ok _ | Error _ -> true)
+
+let numbers = [ "0"; "1"; "2"; "0.5"; "1.5"; "-"; "."; "e9"; "nan"; "inf"; " " ]
+
+let spec_properties =
+  [
+    never_raises ~name:"Faults.of_string never raises"
+      ([ "drop"; "dup"; "reorder"; "crash"; "patience"; "unordered"; "fifo"; "none"; "="; "," ]
+      @ numbers)
+      Faults.of_string;
+    never_raises ~name:"Schedule.of_string and validate never raise"
+      ([ "part"; "link"; "flap"; "burst"; "down"; ":"; "@"; ";"; "|"; "9" ] @ numbers)
+      (fun s -> Result.bind (Schedule.of_string s) (Schedule.validate ~n:4));
+    never_raises ~name:"Arrivals.of_string never raises"
+      ([ "join"; "leave"; "repref"; "query"; "horizon"; "queue"; "oracle"; "warmup"; ":"; "="; "," ]
+      @ numbers)
+      Owp_serve.Arrivals.of_string;
+    never_raises ~name:"validate never raises on --byzantine"
+      ([ "liar"; "equivocator"; "flooder"; "replayer"; "violator"; ":"; "," ] @ numbers)
+      (fun s -> RC.validate (RC.make ~byzantine:s ()));
+  ]
+
 let suite =
   [
     Alcotest.test_case "faults round trip" `Quick test_faults_round_trip;
@@ -232,3 +264,4 @@ let suite =
     Alcotest.test_case "validate budget" `Quick test_validate_budget;
     Alcotest.test_case "non-finite specs rejected" `Quick test_non_finite_specs_rejected;
   ]
+  @ List.map QCheck_alcotest.to_alcotest spec_properties

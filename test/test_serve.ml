@@ -168,8 +168,7 @@ let test_compose_deadline_guard () =
   let cfg =
     match
       RC.validate
-        (RC.make ~engine:RC.Lid_byzantine ~seed:11 ~byzantine:"liar:0.2"
-           ~guard:true ~deadline:8.0 ())
+        (RC.make ~engine:RC.Lid ~seed:11 ~byzantine:"liar:0.2" ~guard:true ~deadline:8.0 ())
     with
     | Ok c -> c
     | Error m -> Alcotest.fail m
@@ -186,7 +185,7 @@ let test_compose_deadline_guard () =
 let test_engine_rejections () =
   let prefs = prefs () in
   let arrivals = parse "1" in
-  (match RC.validate (RC.make ~engine:RC.Lic ~seed:1 ()) with
+  (match RC.validate (RC.make ~engine:RC.Lic_indexed ~seed:1 ()) with
   | Ok cfg ->
       Alcotest.(check bool) "centralized engine rejected" true
         (Result.is_error (Serve.run ~arrivals cfg prefs))

@@ -46,7 +46,7 @@ let table =
       [ quiesce ] );
     ( "unguarded liars: damage",
       7,
-      RC.make ~engine:RC.Lid_byzantine ~seed:7 ~byzantine:"liar:0.3" (),
+      RC.make ~engine:RC.Lid ~seed:7 ~byzantine:"liar:0.3" (),
       [ damage ] );
     ( "burst with patience: VOID self-stabilization",
       7,
@@ -54,7 +54,7 @@ let table =
       [ void_stabilize ] );
     ( "VOID self-stabilization waived under an adversary spec",
       7,
-      RC.make ~engine:RC.Lid_byzantine ~seed:7 ~faults:patience ~schedule:burst
+      RC.make ~engine:RC.Lid ~seed:7 ~faults:patience ~schedule:burst
         ~byzantine:"liar:0.2" ~guard:true (),
       [ damage ] );
     ( "VOID self-stabilization waived under a deadline",
@@ -102,7 +102,7 @@ let test_anytime_only_on_cutoff () =
   let p = prefs ~seed:7 ~n:60 in
   let plain = Pipeline.run_config (RC.make ~seed:7 ()) p in
   Alcotest.(check bool) "no cutoff, no certificate" true (plain.Pipeline.anytime = None);
-  let lic = Pipeline.run_config (RC.make ~engine:RC.Lic ~seed:7 ()) p in
+  let lic = Pipeline.run_config (RC.make ~engine:RC.Lic_indexed ~seed:7 ()) p in
   Alcotest.(check bool) "centralized engine, no certificate" true
     (lic.Pipeline.anytime = None)
 
@@ -145,7 +145,7 @@ let chaos_agrees_with_verdict =
     [|
       RC.make ~seed:5 ();
       RC.make ~engine:RC.Lid_reliable ~seed:5 ();
-      RC.make ~engine:RC.Lid_byzantine ~seed:5 ~byzantine:"liar:0.2" ~guard:true ();
+      RC.make ~engine:RC.Lid ~seed:5 ~byzantine:"liar:0.2" ~guard:true ();
     |]
   in
   QCheck2.Test.make ~name:"Chaos.run_one passed = (failures = [])" ~count:24
