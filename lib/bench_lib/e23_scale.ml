@@ -17,7 +17,11 @@
      simulator wall-clock, for the rounds/messages trajectory.
    - E23c: seed sweep through the Pool with --jobs 1 vs the configured
      job count; per-trial results must be bit-identical (deterministic
-     per-trial PRNG streams), only the wall-clock may differ. *)
+     per-trial PRNG streams), only the wall-clock may differ.
+   - E23d: instance build by phase (Gen.gnm, Preference.random,
+     Weights.of_preference) next to the lic engine's wall on the built
+     instance, min and IQR of k samples: the set-up cost users pay
+     before any engine runs. *)
 
 module Tbl = Owp_util.Tablefmt
 module BM = Owp_matching.Bmatching
@@ -94,6 +98,36 @@ let trial_equal (s1, e1, p1, r1, t1) (s2, e2, p2, r2, t2) =
 
 let sweeps_identical a b =
   Array.length a = Array.length b && Array.for_all2 trial_equal a b
+
+(* E23d: one size point.  Every sample rebuilds the E23b instance from
+   its seed, phase by phase as Workloads.make does; a major collection
+   before each phase keeps one phase from paying another's debt. *)
+let build_samples = 5
+
+let measure_build ~seed ~n ~deg ~quota =
+  let timed f =
+    Gc.full_major ();
+    Exp_common.time f
+  in
+  let sample () =
+    let rng = Owp_util.Prng.create seed in
+    let m = min (n * (n - 1) / 2) (int_of_float (float_of_int n *. deg /. 2.0)) in
+    let g, gnm_ms = timed (fun () -> Gen.gnm rng ~n ~m) in
+    let prefs, prefs_ms =
+      timed (fun () -> Preference.random rng g ~quota:(Preference.uniform_quota g quota))
+    in
+    let w, weights_ms = timed (fun () -> Weights.of_preference prefs) in
+    let capacity = Array.init n (Preference.quota prefs) in
+    let _, lic_ms = timed (fun () -> Lic_indexed.run w ~capacity) in
+    (Graph.edge_count g, [| gnm_ms; prefs_ms; weights_ms; lic_ms |])
+  in
+  let samples = Array.init build_samples (fun _ -> sample ()) in
+  let min_iqr k =
+    let xs = Array.map (fun (_, t) -> t.(k)) samples in
+    let module S = Owp_util.Stats in
+    (Array.fold_left Float.min infinity xs, S.percentile xs 0.75 -. S.percentile xs 0.25)
+  in
+  (fst samples.(0), min_iqr 0, min_iqr 1, min_iqr 2, min_iqr 3)
 
 let run ~quick =
   (* avg degree 48, quota 8: wide neighbour lists and a realistic
@@ -211,7 +245,42 @@ let run ~quick =
       Tbl.icell (Array.length parallel);
       (if sweeps_identical parallel serial then "yes" else "NO");
     ];
-  [ t1; t2; t3 ]
+
+  (* E23d: instance build by phase ---------------------------------------- *)
+  let t4 =
+    Tbl.create
+      ~title:
+        (Printf.sprintf
+           "E23d: instance build by phase (E23b instance, G(n,m) avg deg 16, b = %d; min and \
+            IQR of %d samples, ms)"
+           quota build_samples)
+      [
+        ("n", Tbl.Right);
+        ("m", Tbl.Right);
+        ("gnm", Tbl.Right);
+        ("gnm IQR", Tbl.Right);
+        ("prefs", Tbl.Right);
+        ("prefs IQR", Tbl.Right);
+        ("weights", Tbl.Right);
+        ("weights IQR", Tbl.Right);
+        ("build", Tbl.Right);
+        ("lic", Tbl.Right);
+        ("lic IQR", Tbl.Right);
+        ("build / lic", Tbl.Right);
+      ]
+  in
+  List.iter
+    (fun n ->
+      let m, gnm, prefs, weights, lic = measure_build ~seed:23 ~n ~deg:16.0 ~quota in
+      let build = fst gnm +. fst prefs +. fst weights in
+      let cells (lo, iqr) = [ Tbl.fcell2 lo; Tbl.fcell2 iqr ] in
+      Tbl.add_row t4
+        ([ Tbl.icell n; Tbl.icell m ]
+        @ cells gnm @ cells prefs @ cells weights
+        @ (Tbl.fcell2 build :: cells lic)
+        @ [ Printf.sprintf "%.2fx" (build /. fst lic) ]))
+    [ 10_000; 100_000 ];
+  [ t1; t2; t3; t4 ]
 
 (* CI bench-smoke entry: small enough for a PR gate, large enough that
    the asymptotics (not constant factors) decide *)

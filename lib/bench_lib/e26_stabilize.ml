@@ -132,8 +132,8 @@ let run ~quick =
   let inst = mk (Workloads.Gnm_avg_deg 8.0) in
   let flap_links =
     let g = inst.Workloads.graph in
-    Array.to_list (Graph.neighbors g 0)
-    |> List.filter_map (fun (v, _eid) -> if v <> 0 then Some (0, v) else None)
+    Array.to_list (Graph.neighbor_nodes g 0)
+    |> List.filter_map (fun v -> if v <> 0 then Some (0, v) else None)
   in
   let flap_certs =
     List.map

@@ -25,7 +25,7 @@ let degrees inst =
   List.iter
     (fun eid ->
       if valid_id inst eid then begin
-        let u, v = Graph.edge_endpoints inst.graph eid in
+        let u = Graph.edge_u inst.graph eid and v = Graph.edge_v inst.graph eid in
         d.(u) <- d.(u) + 1;
         d.(v) <- d.(v) + 1
       end)
@@ -44,7 +44,7 @@ let connection_lists inst =
   List.iter
     (fun eid ->
       if valid_id inst eid then begin
-        let u, v = Graph.edge_endpoints inst.graph eid in
+        let u = Graph.edge_u inst.graph eid and v = Graph.edge_v inst.graph eid in
         c.(u) <- v :: c.(u);
         c.(v) <- u :: c.(v)
       end)

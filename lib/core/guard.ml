@@ -66,9 +66,8 @@ type t = {
 }
 
 let create ?(config = default_config) ?(bound = fun _ -> infinity) ~graph ~me () =
-  (* Graph coalesces parallel edges, so the ids are unique *)
-  let uniq = Array.map fst (Graph.neighbors graph me) in
-  Array.sort Int.compare uniq;
+  (* a row is sorted, and unique since Graph coalesces parallel edges *)
+  let uniq = Graph.neighbor_nodes graph me in
   let m = Array.length uniq in
   {
     config;

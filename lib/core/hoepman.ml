@@ -27,7 +27,7 @@ let run ?(seed = 0x40E) ?(delay = Simnet.Uniform (0.5, 1.5)) w =
   let req_count = ref 0 and drop_count = ref 0 in
   let state =
     Array.init n (fun i ->
-        let ws = Array.copy (Graph.neighbors g i) in
+        let ws = Graph.neighbors g i in
         Array.sort (fun (_, e) (_, f) -> Weights.compare_edges w f e) ws;
         {
           wsorted = ws;

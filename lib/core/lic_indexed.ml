@@ -1,23 +1,24 @@
 module Bmatching = Owp_matching.Bmatching
 
 (* All index state lives in flat arrays: the per-node heaps share one
-   backing store in CSR layout (node u's heap is the slice
-   [off.(u), off.(u) + hsize.(u))), and edge liveness is derived from
-   [selected]/[residual] so heap entries need no back-pointers — a dead
-   entry is simply discarded when it surfaces (lazy deletion).
+   backing store over the graph's own CSR offsets (node u's heap is the
+   slice [off.(u), off.(u) + hsize.(u))), and edge liveness is derived
+   from [selected]/[residual] so heap entries need no back-pointers — a
+   dead entry is simply discarded when it surfaces (lazy deletion).
 
    The engine allocates only the backing store and the liveness arrays:
-   weights and endpoints are read straight from the [Weights.t] /
-   [Graph.t] internals ([Weights.unsafe_weights], [Graph.edges]), never
-   snapshotted, because O(m)-sized copies were measurably the dominant
-   cost of the whole run at 10^5-node scale. *)
+   weights, offsets and endpoints are read straight from the
+   [Weights.t] / [Graph.t] internals ([Weights.unsafe_weights], the
+   [Graph.t] fields), never snapshotted, because O(m)-sized copies were
+   measurably the dominant cost of the whole run at 10^5-node scale. *)
 type t = {
-  g : Graph.t;
   wt : float array;  (* Weights' own array, read-only here *)
-  edges : (int * int) array;  (* Graph's own endpoint array, u < v *)
+  eu : int array;  (* Graph's own lower endpoints *)
+  ev : int array;  (* Graph's own upper endpoints *)
   residual : int array;
   dead : Bytes.t;  (* selected, or an endpoint saturated *)
-  off : int array;  (* heap slice start per node *)
+  off : int array;  (* Graph's own row offsets: heap slice start per node *)
+  eid : int array;  (* Graph's own edge id per adjacency slot *)
   hsize : int array;  (* live heap length per node *)
   heap : int array;  (* backing store: edge ids *)
   hw : float array;  (* weight of heap.(i), kept in lock-step *)
@@ -29,9 +30,11 @@ type t = {
    polymorphic compare.  Indices are edge ids, always in [0, m), so the
    unchecked reads are safe by construction. *)
 let tie_heavier st e f =
-  let ue, ve = Array.unsafe_get st.edges e in
-  let uf, vf = Array.unsafe_get st.edges f in
-  if ue <> uf then ue > uf else if ve <> vf then ve > vf else e > f
+  let ue = Array.unsafe_get st.eu e and uf = Array.unsafe_get st.eu f in
+  if ue <> uf then ue > uf
+  else
+    let ve = Array.unsafe_get st.ev e and vf = Array.unsafe_get st.ev f in
+    if ve <> vf then ve > vf else e > f
 
 let heavier st e f =
   let c = Float.compare (Array.unsafe_get st.wt e) (Array.unsafe_get st.wt f) in
@@ -103,19 +106,20 @@ let rec top st u =
    hence no pop/push-back) is ever needed, and each step strictly climbs,
    which bounds the recursion. *)
 let rec climb st e =
-  let u, v = Array.unsafe_get st.edges e in
-  let tu = top st u in
-  let tv = top st v in
+  let tu = top st (Array.unsafe_get st.eu e) in
+  let tv = top st (Array.unsafe_get st.ev e) in
   if tu = e then if tv = e then e else climb st tv
   else if tv = e then climb st tu
   else climb st (if heavier st tu tv then tu else tv)
 
 let saturate st u =
-  Array.iter (fun (_, eid) -> Bytes.unsafe_set st.dead eid '\001') (Graph.neighbors st.g u)
+  for s = st.off.(u) to st.off.(u + 1) - 1 do
+    Bytes.unsafe_set st.dead st.eid.(s) '\001'
+  done
 
 let select st e =
   Bytes.unsafe_set st.dead e '\001';
-  let u, v = st.edges.(e) in
+  let u = st.eu.(e) and v = st.ev.(e) in
   st.residual.(u) <- st.residual.(u) - 1;
   st.residual.(v) <- st.residual.(v) - 1;
   if st.residual.(u) = 0 then saturate st u;
@@ -124,18 +128,16 @@ let select st e =
 let build w ~capacity =
   let g = Weights.graph w in
   let n = Graph.node_count g and m = Graph.edge_count g in
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + Graph.degree g u
-  done;
+  let off = g.Graph.off in
   let st =
     {
-      g;
       wt = Weights.unsafe_weights w;
-      edges = Graph.edges g;
+      eu = g.Graph.eu;
+      ev = g.Graph.ev;
       residual = Array.copy capacity;
       dead = Bytes.make m '\000';
       off;
+      eid = g.Graph.eid;
       hsize = Array.make n 0;
       heap = Array.make (2 * m) 0;
       hw = Array.make (2 * m) 0.0;
@@ -143,14 +145,13 @@ let build w ~capacity =
   in
   (* nodes that start saturated (capacity 0) never admit an edge *)
   if Array.exists (fun c -> c <= 0) capacity then
-    Array.iteri
-      (fun e (u, v) -> if capacity.(u) <= 0 || capacity.(v) <= 0 then Bytes.set st.dead e '\001')
-      st.edges;
+    Graph.iter_edges g (fun e u v ->
+        if capacity.(u) <= 0 || capacity.(v) <= 0 then Bytes.set st.dead e '\001');
   (* fill every node's slice in one sweep over the edge array (weights
      are read sequentially here, the only time the engine gathers them),
      then Floyd-heapify each slice: O(deg) per node, O(m) total *)
   for e = 0 to m - 1 do
-    let u, v = st.edges.(e) in
+    let u = st.eu.(e) and v = st.ev.(e) in
     let x = st.wt.(e) in
     let ku = off.(u) + st.hsize.(u) in
     st.heap.(ku) <- e;

@@ -10,17 +10,16 @@ type message = Prop | Rej
    are packed as per-candidate flag bits over [uniq], the node's sorted
    unique candidate ids: membership is one byte read instead of five
    Hashtbls per node, which is what makes 10^6-node runs tractable.
-   [wsorted] is the node's weight list (incident neighbours by
-   decreasing edge weight, duplicates possible on multigraphs);
-   [slot_of_rank] maps each weight-list position to its canonical slot
-   so duplicate ids alias to one membership bit, exactly like the
-   id-keyed Hashtbls they replace.  Proposals arriving from outside the
+   [slot_of_rank] is the node's weight list (incident neighbours by
+   decreasing edge weight, duplicates possible under a custom
+   [ranking]), each position given as its neighbour's canonical slot so
+   duplicate ids alias to one membership bit, exactly like the id-keyed
+   Hashtbls they replace.  Proposals arriving from outside the
    candidate universe (possible under a custom [ranking]) land in the
    lazy [extra_a] side table. *)
 type node_state = {
-  wsorted : (int * int) array; (* (neighbour, edge id), heaviest first *)
   uniq : int array; (* candidate ids, ascending, unique *)
-  slot_of_rank : int array; (* wsorted index -> slot in uniq *)
+  slot_of_rank : int array; (* weight list, heaviest first, as slots in uniq *)
   flags : Bytes.t; (* U/P/pending/A/K bits + delivery marks per slot *)
   mutable n_u : int; (* |U_i| *)
   mutable n_pending : int; (* |P_i \ K_i| *)
@@ -51,19 +50,23 @@ let set s slot f = Bytes.unsafe_set s.flags slot (Char.unsafe_chr f)
    The last lookup per node is memoised: the Stack marks a delivery and
    then delivers it, and a locking PROP looks its sender up twice, so
    the repeat lookup skips the search ([uniq] never changes). *)
+let search (uniq : int array) id =
+  let lo = ref 0 and hi = ref (Array.length uniq - 1) in
+  let res = ref (-1) in
+  while !res < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = Array.unsafe_get uniq mid in
+    if x = id then res := mid else if x < id then lo := mid + 1 else hi := mid - 1
+  done;
+  !res
+
 let slot_of s id =
   if s.memo_id = id then s.memo_slot
   else begin
-    let lo = ref 0 and hi = ref (Array.length s.uniq - 1) in
-    let res = ref (-1) in
-    while !res < 0 && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let x = Array.unsafe_get s.uniq mid in
-      if x = id then res := mid else if x < id then lo := mid + 1 else hi := mid - 1
-    done;
+    let res = search s.uniq id in
     s.memo_id <- id;
-    s.memo_slot <- !res;
-    !res
+    s.memo_slot <- res;
+    res
   end
 
 (* ------------------------------------------------------------------ *)
@@ -101,7 +104,7 @@ let lock st i v =
 (* lines 9–11: propose to the next-ranked neighbour still in U \ P *)
 let propose_next st emit i =
   let s = st.nodes.(i) in
-  let len = Array.length s.wsorted in
+  let len = Array.length s.slot_of_rank in
   let rec advance () =
     if s.ptr >= len then -1
     else begin
@@ -136,36 +139,31 @@ let init ?ranking w ~capacity =
      generic tie-break (tuple build + polymorphic compare) dominated
      init at 10^5-node scale *)
   let ww = Weights.unsafe_weights w in
-  let endpoints = Graph.edges g in
-  let rank_order ((_ : int), e) ((_ : int), f) =
+  let eu = g.Graph.eu and ev = g.Graph.ev in
+  let rank_order e f =
     if e = f then 0
     else
       let c = Float.compare ww.(f) ww.(e) in
       if c <> 0 then c
-      else
-        let uf, vf = endpoints.(f) and ue, ve = endpoints.(e) in
-        if uf <> ue then compare uf ue
-        else if vf <> ve then compare vf ve
-        else compare f e
+      else if eu.(f) <> eu.(e) then Int.compare eu.(f) eu.(e)
+      else if ev.(f) <> ev.(e) then Int.compare ev.(f) ev.(e)
+      else Int.compare f e
   in
+  (* node i's candidate universe (ascending, unique) and its weight
+     list as slots into it.  By default the universe is i's adjacency
+     row and the list its slots sorted by [rank_order]. *)
   let weight_list i =
     match ranking with
-    | Some f -> Array.copy (f i)
     | None ->
-        let ws = Array.copy (Graph.neighbors g i) in
-        Array.sort rank_order ws;
-        ws
-  in
-  let nodes =
-    Array.init n (fun i ->
-        let ws = weight_list i in
+        let o = g.Graph.off.(i) in
+        let order = Array.init (Graph.degree g i) Fun.id in
+        Array.sort (fun a b -> rank_order g.Graph.eid.(o + a) g.Graph.eid.(o + b)) order;
+        (Graph.neighbor_nodes g i, order)
+    | Some f ->
+        let ws = f i in
         let m = Array.length ws in
-        let ids = Array.make (max m 1) 0 in
-        for j = 0 to m - 1 do
-          ids.(j) <- fst ws.(j)
-        done;
-        let ids = Array.sub ids 0 m in
-        Array.sort (fun (a : int) b -> compare a b) ids;
+        let ids = Array.init m (fun j -> fst ws.(j)) in
+        Array.sort Int.compare ids;
         let k = ref 0 in
         for j = 0 to m - 1 do
           if !k = 0 || ids.(!k - 1) <> ids.(j) then begin
@@ -174,25 +172,24 @@ let init ?ranking w ~capacity =
           end
         done;
         let uniq = Array.sub ids 0 !k in
-        let s =
-          {
-            wsorted = ws;
-            uniq;
-            slot_of_rank = Array.make m 0;
-            flags = Bytes.make !k (Char.chr fl_u);
-            n_u = !k;
-            n_pending = 0;
-            extra_a = None;
-            ptr = 0;
-            finished = false;
-            memo_id = -1;
-            memo_slot = -1;
-          }
-        in
-        for j = 0 to m - 1 do
-          s.slot_of_rank.(j) <- slot_of s (fst ws.(j))
-        done;
-        s)
+        (uniq, Array.map (fun (v, _) -> search uniq v) ws)
+  in
+  let nodes =
+    Array.init n (fun i ->
+        let uniq, slot_of_rank = weight_list i in
+        let k = Array.length uniq in
+        {
+          uniq;
+          slot_of_rank;
+          flags = Bytes.make k (Char.chr fl_u);
+          n_u = k;
+          n_pending = 0;
+          extra_a = None;
+          ptr = 0;
+          finished = false;
+          memo_id = -1;
+          memo_slot = -1;
+        })
   in
   let st = { graph = g; nodes } in
   let sends = ref [] in
@@ -202,7 +199,7 @@ let init ?ranking w ~capacity =
     let s = nodes.(i) in
     let target = quota.(i) in
     let made = ref 0 in
-    while !made < target && s.ptr < Array.length s.wsorted do
+    while !made < target && s.ptr < Array.length s.slot_of_rank do
       let slot = s.slot_of_rank.(s.ptr) in
       let f = get s slot in
       if f land fl_p = 0 && f land fl_u <> 0 then begin

@@ -49,7 +49,7 @@ let run ?(seed = 0xD1D) ?(delay = Simnet.Uniform (0.5, 1.5)) ~prefs ~initially_a
   in
   let state =
     Array.init n (fun i ->
-        let ws = Array.copy (Graph.neighbors g i) in
+        let ws = Graph.neighbors g i in
         Array.sort (fun (_, e) (_, f) -> Weights.compare_edges w f e) ws;
         {
           wsorted = ws;

@@ -101,14 +101,13 @@ let rankings prefs g ~correct ~advert ~accept =
     Array.init (Graph.node_count g) (fun i ->
         if not (correct i) then [||]
         else
-          Array.map
-            (fun (v, _) ->
+          Array.init (Graph.degree g i) (fun k ->
+              let v = g.Graph.nbr.(g.Graph.off.(i) + k) in
               let a = advert v i in
-              if accept i v a then Weights.half prefs i v +. a else Float.nan)
-            (Graph.neighbors g i))
+              if accept i v a then Weights.half prefs i v +. a else Float.nan))
   in
   fun i ->
-    let nb = Graph.neighbors g i and pw = perceived.(i) in
+    let o = g.Graph.off.(i) and pw = perceived.(i) in
     let rows =
       List.init (Array.length pw) Fun.id
       |> List.filter (fun r -> not (Float.is_nan pw.(r)))
@@ -119,14 +118,15 @@ let rankings prefs g ~correct ~advert ~accept =
         let c = Float.compare pw.(b) pw.(a) in
         if c <> 0 then c
         else begin
-          let e = snd nb.(a) and f = snd nb.(b) in
-          let ue, ve = Graph.edge_endpoints g e and uf, vf = Graph.edge_endpoints g f in
+          let e = g.Graph.eid.(o + a) and f = g.Graph.eid.(o + b) in
+          let ue = Graph.edge_u g e and uf = Graph.edge_u g f in
           if uf <> ue then Int.compare uf ue
-          else if vf <> ve then Int.compare vf ve
-          else Int.compare f e
+          else
+            let ve = Graph.edge_v g e and vf = Graph.edge_v g f in
+            if vf <> ve then Int.compare vf ve else Int.compare f e
         end)
       rows;
-    Array.map (fun r -> nb.(r)) rows
+    Array.map (fun r -> (g.Graph.nbr.(o + r), g.Graph.eid.(o + r))) rows
 
 (* the bounded-damage certificate of a final LID state *)
 let damage_of ?cutoff w ~capacity ~correct ~unterminated ~overclaimed st =
@@ -163,11 +163,11 @@ let rej_frame = datagram rej
 (* f's own (truthful) preference order over its neighbours: rows by
    decreasing symmetric weight, ties in row order *)
 let own_order prefs g f =
-  let nb = Graph.neighbors g f in
-  let pw = Array.map (fun (v, _) -> Weights.half prefs f v +. Weights.half prefs v f) nb in
+  let nb = Graph.neighbor_nodes g f in
+  let pw = Array.map (fun v -> Weights.half prefs f v +. Weights.half prefs v f) nb in
   let rows = Array.init (Array.length nb) Fun.id in
   Array.stable_sort (fun a b -> Float.compare pw.(b) pw.(a)) rows;
-  Array.to_list (Array.map (fun r -> fst nb.(r)) rows)
+  Array.to_list (Array.map (fun r -> nb.(r)) rows)
 
 (* the lowest node other than [f] that is not its neighbour: whom a
    PROP-to-stranger attack writes to *)
@@ -210,7 +210,7 @@ let responder ~claim ~order ~limit =
   { Adversary.on_init; on_receive }
 
 let make_behaviour prefs g adversaries f model =
-  let nbrs = Array.map fst (Graph.neighbors g f) in
+  let nbrs = Graph.neighbor_nodes g f in
   let b = Preference.quota prefs f in
   let order = own_order prefs g f in
   match (model : Adversary.model) with
@@ -480,16 +480,14 @@ let detector_layer c ~patience ~emit =
       let progress = ref false in
       List.iter
         (fun i ->
-          Array.iter
-            (fun (v, _) ->
+          Graph.iter_neighbors c.g i (fun v _ ->
               if
                 Lid.awaiting_reply c.st ~node:i ~peer:v
                 && ((not c.correct.(v)) || Guard.quarantined gs.(i) ~peer:v)
               then begin
                 progress := true;
                 decline i ~peer:v
-              end)
-            (Graph.neighbors c.g i))
+              end))
         (stragglers c);
       if !progress then begin
         incr quiet_rounds;
@@ -738,7 +736,7 @@ let schedule_crashes c crashes ~restart ~send_rej =
                 Simnet.restart c.net v;
                 restart v;
                 c.retired.(v) <- true;
-                Array.iter (fun (u, _) -> send_rej v u) (Graph.neighbors c.g v)
+                Graph.iter_neighbors c.g v (fun u _ -> send_rej v u)
               end))
         restart_at)
     crashes
@@ -847,7 +845,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   let served =
     lazy
       (List.filter
-         (fun e -> let a, b = Graph.edge_endpoints g e in live c a && live c b)
+         (fun e -> live c (Graph.edge_u g e) && live c (Graph.edge_v g e))
          (Lid.locked_edge_ids st))
   in
   let claim =
@@ -1129,7 +1127,7 @@ let verify_exhaustively ?(guard = true) ?(budget = 2) ?max_configs ~byz prefs =
       let b = bound prefs byz in
       if b > 0.0 then 1.5 *. b else 0.5
     in
-    let towards = Array.to_list (Array.map fst (Graph.neighbors g byz)) in
+    let towards = Array.to_list (Graph.neighbor_nodes g byz) in
     let per_neighbour v =
       let honest = prop (Weights.half prefs byz v) in
       List.map

@@ -98,11 +98,11 @@ let triangle_count g =
      sorted adjacency; each triangle counted once via ordering u < v < w *)
   let count = ref 0 in
   Graph.iter_edges g (fun _ u v ->
-      let au = Graph.neighbors g u and av = Graph.neighbors g v in
-      let i = ref 0 and j = ref 0 in
-      let nu = Array.length au and nv = Array.length av in
+      let nbr = g.Graph.nbr in
+      let i = ref g.Graph.off.(u) and j = ref g.Graph.off.(v) in
+      let nu = g.Graph.off.(u + 1) and nv = g.Graph.off.(v + 1) in
       while !i < nu && !j < nv do
-        let x = fst au.(!i) and y = fst av.(!j) in
+        let x = nbr.(!i) and y = nbr.(!j) in
         if x = y then begin
           if x > v then incr count;
           incr i;

@@ -27,7 +27,7 @@ let mem t eid =
 (* the functional update behind [add] and [remove]: copies the bytes and
    the degrees, O(n + m) *)
 let toggle t eid byte delta =
-  let u, v = Graph.edge_endpoints t.graph eid in
+  let u = Graph.edge_u t.graph eid and v = Graph.edge_v t.graph eid in
   let selected = Bytes.copy t.selected and deg = Array.copy t.deg in
   Bytes.set selected eid byte;
   deg.(u) <- deg.(u) + delta;
@@ -38,7 +38,7 @@ let add t eid =
   if eid < 0 || eid >= Graph.edge_count t.graph then
     invalid_arg "Bmatching.add: edge id out of range";
   if mem t eid then invalid_arg "Bmatching.add: edge already selected";
-  let u, v = Graph.edge_endpoints t.graph eid in
+  let u = Graph.edge_u t.graph eid and v = Graph.edge_v t.graph eid in
   if t.deg.(u) >= t.capacity.(u) || t.deg.(v) >= t.capacity.(v) then
     invalid_arg "Bmatching.add: capacity exceeded";
   toggle t eid '\001' 1
@@ -61,7 +61,7 @@ let of_edge_ids g ~capacity ids =
       if Bytes.get selected eid <> '\000' then
         invalid_arg "Bmatching.of_edge_ids: duplicate edge id";
       Bytes.set selected eid '\001';
-      let u, v = Graph.edge_endpoints g eid in
+      let u = Graph.edge_u g eid and v = Graph.edge_v g eid in
       if deg.(u) >= capacity.(u) || deg.(v) >= capacity.(v) then
         invalid_arg "Bmatching.of_edge_ids: capacity exceeded";
       deg.(u) <- deg.(u) + 1;
@@ -78,7 +78,7 @@ let extend t order =
   Array.iter
     (fun eid ->
       if Bytes.get selected eid = '\000' then begin
-        let u, v = Graph.edge_endpoints t.graph eid in
+        let u = Graph.edge_u t.graph eid and v = Graph.edge_v t.graph eid in
         if deg.(u) < t.capacity.(u) && deg.(v) < t.capacity.(v) then begin
           Bytes.set selected eid '\001';
           deg.(u) <- deg.(u) + 1;
@@ -107,11 +107,10 @@ let ids_where m keep =
 let edge_ids t = ids_where (Bytes.length t.selected) (mem t)
 
 let connections t i =
-  let nb = Graph.neighbors t.graph i in
+  let g = t.graph in
   let acc = ref [] in
-  for s = Array.length nb - 1 downto 0 do
-    let v, eid = nb.(s) in
-    if mem t eid then acc := v :: !acc
+  for s = g.Graph.off.(i + 1) - 1 downto g.Graph.off.(i) do
+    if mem t g.Graph.eid.(s) then acc := g.Graph.nbr.(s) :: !acc
   done;
   !acc
 
@@ -123,12 +122,12 @@ let satisfaction prefs t i =
   let l = Preference.list_len prefs i and b = Preference.quota prefs i in
   if l = 0 || b = 0 then 0.0
   else begin
-    let nb = Graph.neighbors t.graph i and ranks = Preference.slot_ranks prefs i in
+    let g = t.graph in
     let count = ref 0 and rank_sum = ref 0 in
-    for s = 0 to Array.length nb - 1 do
-      if mem t (snd nb.(s)) then begin
+    for s = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
+      if mem t g.Graph.eid.(s) then begin
         incr count;
-        rank_sum := !rank_sum + ranks.(s)
+        rank_sum := !rank_sum + Preference.slot_rank prefs s
       end
     done;
     Satisfaction.of_rank_sum ~quota:b ~list_len:l ~count:!count ~rank_sum:!rank_sum

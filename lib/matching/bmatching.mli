@@ -57,7 +57,7 @@ val satisfaction : Preference.t -> t -> int -> float
     [m], bit-identical to
     [Preference.satisfaction prefs i (connections m i)]: one scan of
     [i]'s adjacency row reading ranks by slot
-    ({!Preference.slot_ranks}).  Quota-0 and isolated nodes yield 0.
+    ({!Preference.slot_rank}).  Quota-0 and isolated nodes yield 0.
     @raise Invalid_argument if [prefs] is over another graph than [m]
     (physically), or [i] has more partners than its quota. *)
 

@@ -16,10 +16,9 @@ let incident_positions g order =
   let pos_of_edge = Array.make m 0 in
   Array.iteri (fun pos e -> pos_of_edge.(e) <- pos) order;
   Array.init (Graph.node_count g) (fun v ->
-      let ps =
-        Array.map (fun (_, eid) -> pos_of_edge.(eid)) (Graph.neighbors g v)
-      in
-      Array.sort compare ps;
+      let o = g.Graph.off.(v) in
+      let ps = Array.init (Graph.degree g v) (fun k -> pos_of_edge.(g.Graph.eid.(o + k))) in
+      Array.sort Int.compare ps;
       ps)
 
 let max_weight_bmatching ?(max_edges = default_weight_budget) w ~capacity =

@@ -9,7 +9,7 @@ let run_restricted w ~capacity ~allowed =
   Array.iter
     (fun eid ->
       if allowed eid then begin
-        let u, v = Graph.edge_endpoints g eid in
+        let u = Graph.edge_u g eid and v = Graph.edge_v g eid in
         if residual.(u) > 0 && residual.(v) > 0 then begin
           residual.(u) <- residual.(u) - 1;
           residual.(v) <- residual.(v) - 1;

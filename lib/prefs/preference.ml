@@ -1,42 +1,40 @@
 type t = {
   graph : Graph.t;
   quota : int array; (* clamped to list length *)
-  lists : int array array; (* node -> neighbours, best first *)
-  rank_by_slot : int array array; (* node -> rank of the neighbour at sorted-adjacency slot *)
+  lists : int array; (* node i's list, best first, at the slots of i's adjacency row *)
+  rank_by_slot : int array; (* rank of the neighbour at each adjacency slot *)
 }
 
-let slot_of g i j =
-  (* binary search j in the sorted (neighbour, edge) adjacency of i *)
-  let a = Graph.neighbors g i in
-  let lo = ref 0 and hi = ref (Array.length a - 1) and res = ref (-1) in
-  while !res < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let w, _ = a.(mid) in
-    if w = j then res := mid else if w < j then lo := mid + 1 else hi := mid - 1
-  done;
-  !res
-
-let create g ~quota ~lists =
+(* [fill i lists] writes node i's list, best first, into the slots
+   [off.(i) ..] of [lists]; each row is validated and ranked before the
+   next is filled.  [slot_of_node] maps each neighbour of the current
+   row to its slot and is cleared after the row, so one n-sized scratch
+   array finds every entry's slot in O(1). *)
+let build g ~quota fill =
   let n = Graph.node_count g in
-  if Array.length quota <> n || Array.length lists <> n then
-    invalid_arg "Preference.create: arity mismatch with graph";
-  let rank_by_slot =
-    Array.init n (fun i ->
-        let deg = Graph.degree g i in
-        if Array.length lists.(i) <> deg then
-          invalid_arg "Preference.create: list is not a permutation of the neighbourhood";
-        let ranks = Array.make deg (-1) in
-        Array.iteri
-          (fun r j ->
-            let s = slot_of g i j in
-            if s < 0 then
-              invalid_arg "Preference.create: list contains a non-neighbour";
-            if ranks.(s) >= 0 then
-              invalid_arg "Preference.create: duplicate entry in preference list";
-            ranks.(s) <- r)
-          lists.(i);
-        ranks)
-  in
+  if Array.length quota <> n then invalid_arg "Preference.create: arity mismatch with graph";
+  let off = g.Graph.off and nbr = g.Graph.nbr in
+  let lists = Array.make (Array.length nbr) 0 in
+  let rank_by_slot = Array.make (Array.length nbr) (-1) in
+  let slot_of_node = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    fill i lists;
+    let lo = off.(i) and hi = off.(i + 1) - 1 in
+    for s = lo to hi do
+      slot_of_node.(nbr.(s)) <- s
+    done;
+    for s = lo to hi do
+      let j = lists.(s) in
+      let slot = if j >= 0 && j < n then slot_of_node.(j) else -1 in
+      if slot < 0 then invalid_arg "Preference.create: list contains a non-neighbour";
+      if rank_by_slot.(slot) >= 0 then
+        invalid_arg "Preference.create: duplicate entry in preference list";
+      rank_by_slot.(slot) <- s - lo
+    done;
+    for s = lo to hi do
+      slot_of_node.(nbr.(s)) <- -1
+    done
+  done;
   let quota =
     Array.mapi
       (fun i b ->
@@ -44,30 +42,35 @@ let create g ~quota ~lists =
         min b (Graph.degree g i))
       quota
   in
-  { graph = g; quota; lists = Array.map Array.copy lists; rank_by_slot }
+  { graph = g; quota; lists; rank_by_slot }
+
+let create g ~quota ~lists =
+  if Array.length lists <> Graph.node_count g then
+    invalid_arg "Preference.create: arity mismatch with graph";
+  build g ~quota (fun i flat ->
+      let deg = Graph.degree g i in
+      if Array.length lists.(i) <> deg then
+        invalid_arg "Preference.create: list is not a permutation of the neighbourhood";
+      Array.blit lists.(i) 0 flat g.Graph.off.(i) deg)
 
 let random rng g ~quota =
-  let lists =
-    Array.init (Graph.node_count g) (fun i ->
-        let nbrs = Graph.neighbor_nodes g i in
-        Owp_util.Prng.shuffle_in_place rng nbrs;
-        nbrs)
-  in
-  create g ~quota ~lists
+  build g ~quota (fun i flat ->
+      let pos = g.Graph.off.(i) and len = Graph.degree g i in
+      Array.blit g.Graph.nbr pos flat pos len;
+      Owp_util.Prng.shuffle_sub rng flat ~pos ~len)
 
 let of_scores g ~quota score =
-  let lists =
-    Array.init (Graph.node_count g) (fun i ->
-        let nbrs = Graph.neighbor_nodes g i in
-        let keyed = Array.map (fun j -> (-.score i j, j)) nbrs in
-        Array.sort
-          (fun (a, u) (b, v) ->
-            let c = Float.compare a b in
-            if c <> 0 then c else Int.compare u v)
-          keyed;
-        Array.map snd keyed)
-  in
-  create g ~quota ~lists
+  build g ~quota (fun i flat ->
+      let pos = g.Graph.off.(i) and len = Graph.degree g i in
+      let key = Array.init len (fun k -> -.score i g.Graph.nbr.(pos + k)) in
+      (* rows are sorted by id, so row index order is id order *)
+      let order = Array.init len Fun.id in
+      Array.sort
+        (fun a b ->
+          let c = Float.compare key.(a) key.(b) in
+          if c <> 0 then c else Int.compare a b)
+        order;
+      Array.iteri (fun k r -> flat.(pos + k) <- g.Graph.nbr.(pos + r)) order)
 
 let of_metric g ~quota m = of_scores g ~quota (Metric.score m)
 
@@ -78,15 +81,15 @@ let quota t i = t.quota.(i)
 
 let max_quota t = Array.fold_left max 1 t.quota
 
-let list t i = t.lists.(i)
-let list_len t i = Array.length t.lists.(i)
+let list t i = Array.sub t.lists t.graph.Graph.off.(i) (Graph.degree t.graph i)
+let list_len t i = Graph.degree t.graph i
 
 let rank t i j =
-  let s = slot_of t.graph i j in
+  let s = Graph.find_slot t.graph i j in
   if s < 0 then raise Not_found;
-  t.rank_by_slot.(i).(s)
+  t.rank_by_slot.(s)
 
-let slot_ranks t i = t.rank_by_slot.(i)
+let slot_rank t s = t.rank_by_slot.(s)
 
 let preferred t i j k = rank t i j < rank t i k
 

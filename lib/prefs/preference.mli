@@ -7,10 +7,14 @@
     paper assumes; isolated nodes get quota 0 and satisfaction 0. *)
 
 type t
+(** Lists and ranks are flat int arrays over the graph's CSR offsets:
+    node [i]'s list, best first, fills the slots of [i]'s adjacency row,
+    and each slot also holds the rank of the neighbour at that slot. *)
 
 val create : Graph.t -> quota:int array -> lists:int array array -> t
 (** [lists.(i)] must be a permutation of node [i]'s neighbourhood,
-    best first.  @raise Invalid_argument otherwise. *)
+    best first.  O(n + m): each entry's slot is found in O(1).
+    @raise Invalid_argument otherwise. *)
 
 val random : Owp_util.Prng.t -> Graph.t -> quota:int array -> t
 (** Uniformly random preference lists — the adversarial default. *)
@@ -31,17 +35,17 @@ val max_quota : t -> int
 (** The paper's [b_max] (1 when the graph has no connectable node). *)
 
 val list : t -> int -> int array
-(** Preference list of a node, best first. Do not mutate. *)
+(** Preference list of a node, best first.  Fresh O(deg) array. *)
 
 val list_len : t -> int -> int
 val rank : t -> int -> int -> int
-(** [rank t i j] = [R_i(j)]. @raise Not_found if [j ∉ Γ_i]. *)
+(** [rank t i j] = [R_i(j)], by a binary search over [i]'s adjacency
+    row (O(log deg)).  @raise Not_found if [j ∉ Γ_i]. *)
 
-val slot_ranks : t -> int -> int array
-(** [slot_ranks t i] holds, at each slot [s] of {!Graph.neighbors}[ g i],
-    the rank [R_i(j)] of the neighbour [j] at that slot: the table
-    {!rank} reads after its binary search.  Per-node passes over an
-    adjacency row read ranks from it in O(1).  Do not mutate. *)
+val slot_rank : t -> int -> int
+(** [slot_rank t s] is [R_i(j)] for the neighbour [j] at slot [s] of
+    [i]'s adjacency row (see {!Graph.t}): the table {!rank} reads after
+    its binary search.  Per-node passes over a row read ranks in O(1). *)
 
 val preferred : t -> int -> int -> int -> bool
 (** [preferred t i j k]: does [i] strictly prefer [j] over [k]? *)

@@ -17,10 +17,9 @@ let of_preference ?(combiner = Sum) prefs =
   let g = Preference.graph prefs in
   let w = Array.make (Graph.edge_count g) 0.0 in
   for i = 0 to Graph.node_count g - 1 do
-    let nb = Graph.neighbors g i and ranks = Preference.slot_ranks prefs i in
-    for s = 0 to Array.length nb - 1 do
-      let j, eid = nb.(s) in
-      let h = half_at_rank prefs i ranks.(s) in
+    for s = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
+      let j = g.Graph.nbr.(s) and eid = g.Graph.eid.(s) in
+      let h = half_at_rank prefs i (Preference.slot_rank prefs s) in
       w.(eid) <-
         (if i < j then h
          else
@@ -35,6 +34,13 @@ let of_preference ?(combiner = Sum) prefs =
 let of_array g w =
   if Array.length w <> Graph.edge_count g then
     invalid_arg "Weights.of_array: arity mismatch";
+  Array.iteri
+    (fun e x ->
+      if not (Float.is_finite x) then
+        invalid_arg
+          (Printf.sprintf "Weights.of_array: edge %d (%d, %d) has non-finite weight %g" e
+             (Graph.edge_u g e) (Graph.edge_v g e) x))
+    w;
   { graph = g; w = Array.copy w }
 
 let graph t = t.graph
@@ -52,10 +58,14 @@ let compare_edges t e f =
     let c = Float.compare t.w.(e) t.w.(f) in
     if c <> 0 then c
     else begin
-      (* deterministic identity tie-break so the order is total *)
-      let ue, ve = Graph.edge_endpoints t.graph e in
-      let uf, vf = Graph.edge_endpoints t.graph f in
-      compare (ue, ve, e) (uf, vf, f)
+      (* deterministic identity tie-break so the order is total: lower
+         endpoint, upper endpoint, id *)
+      let g = t.graph in
+      let c = Int.compare g.Graph.eu.(e) g.Graph.eu.(f) in
+      if c <> 0 then c
+      else
+        let c = Int.compare g.Graph.ev.(e) g.Graph.ev.(f) in
+        if c <> 0 then c else Int.compare e f
     end
   end
 

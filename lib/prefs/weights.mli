@@ -31,7 +31,10 @@ val half : Preference.t -> int -> int -> float
     slot.  @raise Not_found if [j ∉ Γ_i]. *)
 
 val of_array : Graph.t -> float array -> t
-(** Wrap externally supplied weights (benchmarks, tests). *)
+(** Wrap externally supplied weights (benchmarks, tests).  Ties are
+    legal ({!compare_edges} breaks them).
+    @raise Invalid_argument on an arity mismatch, or on a NaN or
+    infinite weight (the message names the edge id and endpoints). *)
 
 val graph : t -> Graph.t
 val weight : t -> int -> float
@@ -47,8 +50,8 @@ val weight_uv : t -> int -> int -> float
 (** @raise Not_found when the nodes are not adjacent. *)
 
 val compare_edges : t -> int -> int -> int
-(** Strict total order on edge ids: by weight, ties by endpoints.
-    [compare_edges t e f = 0] iff [e = f]. *)
+(** Strict total order on edge ids: by weight, ties by lower endpoint,
+    then upper endpoint, then id.  [compare_edges t e f = 0] iff [e = f]. *)
 
 val heavier : t -> int -> int -> bool
 (** [heavier t e f] iff [e] beats [f] in the total order. *)

@@ -95,7 +95,7 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
   | Ok cfg, Ok arrivals, true, true, true ->
       let quota = Array.init n (Preference.quota prefs) in
       let active = Array.make n true in
-      let lists = Array.init n (fun i -> Array.copy (Preference.list prefs i)) in
+      let lists = Array.init n (Preference.list prefs) in
       let cur = ref prefs in
       let shuffle_rng = Prng.create (cfg.RC.seed lxor 0x5EF5) in
       let capacity_now () = Owp_core.Churn.capacity !cur active in

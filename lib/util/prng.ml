@@ -89,13 +89,15 @@ let gaussian g ~mu ~sigma =
   let u1 = 1.0 -. float g 1.0 and u2 = float g 1.0 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let shuffle_in_place g a =
-  for i = Array.length a - 1 downto 1 do
+let shuffle_sub g a ~pos ~len =
+  for i = len - 1 downto 1 do
     let j = int g (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
+    let tmp = a.(pos + i) in
+    a.(pos + i) <- a.(pos + j);
+    a.(pos + j) <- tmp
   done
+
+let shuffle_in_place g a = shuffle_sub g a ~pos:0 ~len:(Array.length a)
 
 let permutation g n =
   let a = Array.init n (fun i -> i) in

@@ -49,6 +49,11 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle. *)
 
+val shuffle_sub : t -> 'a array -> pos:int -> len:int -> unit
+(** [shuffle_sub g a ~pos ~len] shuffles the slice [a.(pos .. pos+len-1)]
+    in place, drawing exactly what {!shuffle_in_place} draws on a
+    [len]-element array. *)
+
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement g k n] draws [k] distinct values from
     [\[0, n)], in random order.  Requires [0 <= k <= n]. *)

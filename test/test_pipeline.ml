@@ -76,6 +76,27 @@ let test_satisfaction_vs_guarantee () =
   Alcotest.(check bool) "mean in [0,1]" true
     (out.Pipeline.mean_satisfaction >= 0.0 && out.Pipeline.mean_satisfaction <= 1.0)
 
+(* n = 0, n = 1 and all quotas 0, through Workloads.of_graph: every
+   engine returns an outcome with an empty matching, never an exception *)
+let test_degenerate_instances () =
+  let module W = Owp_bench.Workloads in
+  List.iter
+    (fun (label, g, quota) ->
+      let inst = W.of_graph ~seed:3 ~pref_model:W.Random_prefs ~quota ~label g in
+      List.iter
+        (fun engine ->
+          let cfg = Owp_core.Run_config.make ~engine ~seed:1 ~check:true () in
+          let out = Pipeline.run_config cfg inst.W.prefs in
+          Alcotest.(check (list int)) (label ^ ": empty matching") []
+            (BM.edge_ids out.Pipeline.matching);
+          Alcotest.(check (list string)) (label ^ ": no failures") [] out.Pipeline.failures)
+        [ Pipeline.Lic_indexed; Pipeline.Lid; Pipeline.Lid_reliable; Pipeline.Dynamics ])
+    [
+      ("n = 0", Graph.of_edge_list 0 [], 2);
+      ("n = 1", Graph.of_edge_list 1 [], 2);
+      ("all quotas 0", Gen.gnm (Prng.create 5) ~n:30 ~m:60, 0);
+    ]
+
 let suite =
   [
     Alcotest.test_case "lid outcome fields" `Quick test_lid_outcome_fields;
@@ -83,4 +104,5 @@ let suite =
     Alcotest.test_case "lic engine is the one LIC" `Quick test_one_lic;
     Alcotest.test_case "profile matches total" `Quick test_profile_matches_total;
     Alcotest.test_case "satisfaction vs guarantee" `Quick test_satisfaction_vs_guarantee;
+    Alcotest.test_case "degenerate instances" `Quick test_degenerate_instances;
   ]

@@ -40,18 +40,43 @@ let test_of_array_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Weights.of_array: arity mismatch")
     (fun () -> ignore (W.of_array g [| 1.0 |]))
 
+let test_of_array_non_finite () =
+  (* ring edges: 0 = (0, 1), 1 = (1, 2), 2 = (2, 3), 3 = (0, 3) *)
+  let g = Gen.ring 4 in
+  Alcotest.check_raises "nan"
+    (Invalid_argument "Weights.of_array: edge 2 (2, 3) has non-finite weight nan") (fun () ->
+      ignore (W.of_array g [| 1.0; 1.0; Float.nan; 1.0 |]));
+  Alcotest.check_raises "inf"
+    (Invalid_argument "Weights.of_array: edge 3 (0, 3) has non-finite weight inf") (fun () ->
+      ignore (W.of_array g [| 1.0; 1.0; 1.0; Float.infinity |]));
+  Alcotest.check_raises "-inf"
+    (Invalid_argument "Weights.of_array: edge 0 (0, 1) has non-finite weight -inf") (fun () ->
+      ignore (W.of_array g [| Float.neg_infinity; 1.0; 1.0; 1.0 |]));
+  (* ties stay legal: the identity tie-break orders them *)
+  let w = W.of_array g [| 1.0; 1.0; 1.0; 1.0 |] in
+  Alcotest.(check int) "tied weights" 1 (W.distinct_weights w)
+
 let test_total_order () =
   let g = Gen.gnm (Prng.create 3) ~n:20 ~m:60 in
   (* heavy ties: only two distinct weights *)
   let w = W.of_array g (Array.init 60 (fun e -> if e mod 2 = 0 then 1.0 else 2.0)) in
   Alcotest.(check int) "two distinct" 2 (W.distinct_weights w);
+  (* the order as a (weight, lower endpoint, upper endpoint, id) tuple *)
+  let reference e f =
+    let c = Float.compare (W.weight w e) (W.weight w f) in
+    if c <> 0 then c
+    else
+      let ue, ve = Graph.edge_endpoints g e and uf, vf = Graph.edge_endpoints g f in
+      compare (ue, ve, e) (uf, vf, f)
+  in
   for e = 0 to 59 do
     Alcotest.(check int) "reflexive zero" 0 (W.compare_edges w e e);
     for f = 0 to 59 do
       if e <> f then begin
         let c = W.compare_edges w e f in
         Alcotest.(check bool) "strict" true (c <> 0);
-        Alcotest.(check int) "antisymmetric" (-c) (W.compare_edges w f e)
+        Alcotest.(check int) "antisymmetric" (-c) (W.compare_edges w f e);
+        Alcotest.(check int) "tuple order" (reference e f) c
       end
     done
   done
@@ -138,4 +163,5 @@ let suite =
     Alcotest.test_case "total and max" `Quick test_total_and_max;
     Alcotest.test_case "positive on quota graphs" `Quick test_positive_on_quota_graphs;
     QCheck_alcotest.to_alcotest prop_of_preference_by_slot;
+    Alcotest.test_case "of_array rejects non-finite" `Quick test_of_array_non_finite;
   ]
