@@ -21,7 +21,10 @@
    - E23d: instance build by phase (Gen.gnm, Preference.random,
      Weights.of_preference) next to the lic engine's wall on the built
      instance, min and IQR of k samples: the set-up cost users pay
-     before any engine runs. *)
+     before any engine runs.
+   - E23e: the checker registry on the same instance, each checker
+     alone and the whole registry, next to the lic engine's wall, min
+     and IQR of k samples: what `owp check` adds to a run. *)
 
 module Tbl = Owp_util.Tablefmt
 module BM = Owp_matching.Bmatching
@@ -128,6 +131,77 @@ let measure_build ~seed ~n ~deg ~quota =
     (Array.fold_left Float.min infinity xs, S.percentile xs 0.75 -. S.percentile xs 0.25)
   in
   (fst samples.(0), min_iqr 0, min_iqr 1, min_iqr 2, min_iqr 3)
+
+(* E23e: one size point.  The matching is the lic engine's.  Every
+   sample wraps it in a fresh Checker.instance per timed call, outside
+   the timer, so each checker pays for the shared accounting it forces,
+   as it would running alone. *)
+let measure_check ~seed ~n ~deg ~quota =
+  let inst = instance ~seed ~n ~deg ~quota in
+  let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
+  let prefs = inst.Workloads.prefs in
+  let matching = Lic_indexed.run w ~capacity in
+  let timed f =
+    Gc.full_major ();
+    snd (Exp_common.time f)
+  in
+  let checkers only () =
+    let ci = Owp_check.Checker.of_matching ~prefs w matching in
+    timed (fun () -> ignore (Owp_check.Checker.run ?only ci))
+  in
+  let phases =
+    List.map (fun name -> (name, checkers (Some [ name ]))) Owp_check.Checker.names
+    @ [
+        ("registry", checkers None);
+        ("lic", fun () -> timed (fun () -> ignore (Lic_indexed.run w ~capacity)));
+      ]
+  in
+  let samples = Array.init build_samples (fun _ -> List.map (fun (_, f) -> f ()) phases) in
+  let module S = Owp_util.Stats in
+  ( Graph.edge_count inst.Workloads.graph,
+    List.mapi
+      (fun k (name, _) ->
+        let xs = Array.map (fun t -> List.nth t k) samples in
+        ( name,
+          Array.fold_left Float.min infinity xs,
+          S.percentile xs 0.75 -. S.percentile xs 0.25 ))
+      phases )
+
+let check_table ~quota sizes =
+  let t =
+    Tbl.create
+      ~title:
+        (Printf.sprintf
+           "E23e: checker registry on the E23b instance's lic matching (G(n,m) avg deg 16, b \
+            = %d; each checker alone, then the whole registry; min and IQR of %d samples, ms)"
+           quota build_samples)
+      [
+        ("n", Tbl.Right);
+        ("m", Tbl.Right);
+        ("checker", Tbl.Left);
+        ("ms", Tbl.Right);
+        ("IQR", Tbl.Right);
+        ("/ lic", Tbl.Right);
+      ]
+  in
+  List.iter
+    (fun n ->
+      let m, phases = measure_check ~seed:23 ~n ~deg:16.0 ~quota in
+      let _, lic, _ = List.find (fun (name, _, _) -> name = "lic") phases in
+      List.iter
+        (fun (name, lo, iqr) ->
+          Tbl.add_row t
+            [
+              Tbl.icell n;
+              Tbl.icell m;
+              name;
+              Tbl.fcell2 lo;
+              Tbl.fcell2 iqr;
+              Printf.sprintf "%.2fx" (lo /. lic);
+            ])
+        phases)
+    sizes;
+  t
 
 let run ~quick =
   (* avg degree 48, quota 8: wide neighbour lists and a realistic
@@ -280,7 +354,8 @@ let run ~quick =
         @ (Tbl.fcell2 build :: cells lic)
         @ [ Printf.sprintf "%.2fx" (build /. fst lic) ]))
     [ 10_000; 100_000 ];
-  [ t1; t2; t3; t4 ]
+  let t5 = check_table ~quota (if quick then [ 10_000 ] else [ 10_000; 100_000 ]) in
+  [ t1; t2; t3; t4; t5 ]
 
 (* CI bench-smoke entry: small enough for a PR gate, large enough that
    the asymptotics (not constant factors) decide *)

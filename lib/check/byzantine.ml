@@ -103,13 +103,13 @@ let feasibility_violations inst =
 let blocking_violations inst =
   let g = Weights.graph inst.weights in
   let m = Graph.edge_count g in
-  let sel = Array.make (max m 1) false in
-  List.iter (fun eid -> if eid >= 0 && eid < m then sel.(eid) <- true) inst.edges;
+  let sel = Array.make (max m 1) 0 in
+  List.iter (fun eid -> if eid >= 0 && eid < m then sel.(eid) <- 1) inst.edges;
   let d = restricted_degrees inst in
   let light = Checker.lightest_selected g inst.weights sel in
   let out = ref [] in
   Graph.iter_edges g (fun eid u v ->
-      if (not sel.(eid)) && inst.correct.(u) && inst.correct.(v) then begin
+      if sel.(eid) = 0 && inst.correct.(u) && inst.correct.(v) then begin
         let beats x =
           let residual = inst.capacity.(x) - max inst.consumed.(x) d.(x) in
           if residual > 0 then inst.capacity.(x) > 0

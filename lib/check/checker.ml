@@ -1,12 +1,20 @@
 module Bmatching = Owp_matching.Bmatching
 module Exact = Owp_matching.Exact
 
+type accounting = {
+  listed : int array;
+  cover : int array;
+  bad : int list;
+  feasible : bool;
+}
+
 type instance = {
   graph : Graph.t;
   weights : Weights.t;
   capacity : int array;
   prefs : Preference.t option;
   edges : int list;
+  accounting : accounting Lazy.t;
   blocking : (int * int * int) list Lazy.t;
   augmenting : (int * int * int) list Lazy.t;
 }
@@ -18,63 +26,56 @@ type t = { name : string; doc : string; run : instance -> Violation.t list }
 (* ------------------------------------------------------------------ *)
 
 let valid_id inst eid = eid >= 0 && eid < Graph.edge_count inst.graph
-
-(* per-node cover counts; invalid ids contribute nothing *)
-let degrees inst =
-  let d = Array.make (Graph.node_count inst.graph) 0 in
-  List.iter
-    (fun eid ->
-      if valid_id inst eid then begin
-        let u = Graph.edge_u inst.graph eid and v = Graph.edge_v inst.graph eid in
-        d.(u) <- d.(u) + 1;
-        d.(v) <- d.(v) + 1
-      end)
-    inst.edges;
-  d
-
-let selected inst =
-  let s = Array.make (Graph.edge_count inst.graph) false in
-  List.iter (fun eid -> if valid_id inst eid then s.(eid) <- true) inst.edges;
-  s
-
-(* partner lists (with multiplicity, so corrupted duplicates surface in
-   the satisfaction accounting instead of disappearing) *)
-let connection_lists inst =
-  let c = Array.make (Graph.node_count inst.graph) [] in
-  List.iter
-    (fun eid ->
-      if valid_id inst eid then begin
-        let u = Graph.edge_u inst.graph eid and v = Graph.edge_v inst.graph eid in
-        c.(u) <- v :: c.(u);
-        c.(v) <- u :: c.(v)
-      end)
-    inst.edges;
-  c
-
 let cap inst i = if i < Array.length inst.capacity then inst.capacity.(i) else 0
 
-let basic_feasible inst =
-  Array.length inst.capacity = Graph.node_count inst.graph
-  && List.for_all (fun eid -> valid_id inst eid) inst.edges
-  && (let seen = Hashtbl.create 64 in
-      List.for_all
-        (fun eid ->
-          if Hashtbl.mem seen eid then false
-          else begin
-            Hashtbl.add seen eid ();
-            true
-          end)
-        inst.edges)
-  &&
-  let d = degrees inst in
-  Array.for_all (fun x -> x) (Array.mapi (fun i di -> di <= cap inst i) d)
+(* One pass over the raw edge list, forced at most once per instance
+   through its [accounting] field.  An m-sized count array stands in for
+   a hash set: an id is bad when it is out of range or already counted.
+   Cover counts keep multiplicity, so a duplicated id counts twice
+   toward its endpoints' quotas. *)
+let account inst =
+  let g = inst.graph in
+  let n = Graph.node_count g and m = Graph.edge_count g in
+  let listed = Array.make m 0 and cover = Array.make n 0 in
+  let bad =
+    List.fold_left
+      (fun bad eid ->
+        if eid < 0 || eid >= m then eid :: bad
+        else begin
+          let u = g.Graph.eu.(eid) and v = g.Graph.ev.(eid) in
+          cover.(u) <- cover.(u) + 1;
+          cover.(v) <- cover.(v) + 1;
+          listed.(eid) <- listed.(eid) + 1;
+          if listed.(eid) > 1 then eid :: bad else bad
+        end)
+      [] inst.edges
+  in
+  let feasible =
+    Array.length inst.capacity = n
+    && bad = []
+    && Array.for_all2 (fun c b -> c <= b) cover inst.capacity
+  in
+  { listed; cover; bad = List.rev bad; feasible }
 
-let edge_subject inst eid =
-  if valid_id inst eid then begin
-    let u, v = Graph.edge_endpoints inst.graph eid in
-    Violation.Edge (u, v)
-  end
-  else Violation.Global
+(* eq. 1 at node [i] from its connection count and the sum of their
+   ranks, which is all the formula reads *)
+let node_satisfaction prefs i ~count ~rank_sum =
+  let l = Preference.list_len prefs i and b = Preference.quota prefs i in
+  if l = 0 || b = 0 then 0.0
+  else Satisfaction.of_rank_sum ~quota:b ~list_len:l ~count ~rank_sum
+
+(* every node's rank sum over its listed connections, with
+   multiplicity: one walk over the adjacency rows, ranks read by slot *)
+let rank_sums inst prefs =
+  let g = inst.graph and listed = (Lazy.force inst.accounting).listed in
+  let sums = Array.make (Graph.node_count g) 0 in
+  for i = 0 to Graph.node_count g - 1 do
+    for s = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
+      let k = listed.(g.Graph.eid.(s)) in
+      if k > 0 then sums.(i) <- sums.(i) + (k * Preference.slot_rank prefs s)
+    done
+  done;
+  sums
 
 (* ------------------------------------------------------------------ *)
 (* diagnostics                                                          *)
@@ -87,25 +88,18 @@ let edge_validity =
     run =
       (fun inst ->
         let m = Graph.edge_count inst.graph in
-        let seen = Hashtbl.create 64 in
-        List.rev
-          (List.fold_left
-             (fun acc eid ->
-               if not (valid_id inst eid) then
-                 Violation.v ~checker:"edge-validity" Violation.Global
-                   ~expected:(Printf.sprintf "edge id in [0, %d)" m)
-                   ~actual:(Printf.sprintf "id %d" eid)
-                 :: acc
-               else if Hashtbl.mem seen eid then
-                 Violation.v ~checker:"edge-validity" (edge_subject inst eid)
-                   ~expected:"each edge selected at most once"
-                   ~actual:(Printf.sprintf "edge id %d duplicated" eid)
-                 :: acc
-               else begin
-                 Hashtbl.add seen eid ();
-                 acc
-               end)
-             [] inst.edges));
+        List.map
+          (fun eid ->
+            if not (valid_id inst eid) then
+              Violation.v ~checker:"edge-validity" Violation.Global
+                ~expected:(Printf.sprintf "edge id in [0, %d)" m)
+                ~actual:(Printf.sprintf "id %d" eid)
+            else
+              let u, v = Graph.edge_endpoints inst.graph eid in
+              Violation.v ~checker:"edge-validity" (Violation.Edge (u, v))
+                ~expected:"each edge selected at most once"
+                ~actual:(Printf.sprintf "edge id %d duplicated" eid))
+          (Lazy.force inst.accounting).bad);
   }
 
 let quota_feasibility =
@@ -122,7 +116,7 @@ let quota_feasibility =
               ~actual:(Printf.sprintf "length %d" (Array.length inst.capacity));
           ]
         else begin
-          let d = degrees inst in
+          let d = (Lazy.force inst.accounting).cover in
           let out = ref [] in
           for i = n - 1 downto 0 do
             if inst.capacity.(i) < 0 then
@@ -142,6 +136,12 @@ let quota_feasibility =
         end);
   }
 
+(* Eq. 9 recomputed on its own: each row is ranked by position in the
+   owner's preference list, through an n-sized slot map cleared after
+   the row, so neither the rank table nor [Weights.of_preference]'s slot
+   pass is read.  The lower endpoint of an edge stores its half, the
+   upper endpoint adds its own, so [expect.(e)] is
+   [half u v +. half v u]. *)
 let weight_symmetry =
   {
     name = "weight-symmetry";
@@ -151,16 +151,27 @@ let weight_symmetry =
         match inst.prefs with
         | None -> []
         | Some prefs ->
-            let side i j =
+            let g = inst.graph in
+            let n = Graph.node_count g in
+            let expect = Array.make (Graph.edge_count g) 0.0 in
+            let pos = Array.make n (-1) in
+            for i = 0 to n - 1 do
               let l = Preference.list_len prefs i and b = Preference.quota prefs i in
-              if l = 0 || b = 0 then 0.0
-              else
-                Satisfaction.static_delta ~quota:b ~list_len:l
-                  ~rank:(Preference.rank prefs i j)
-            in
+              let list = if l = 0 || b = 0 then [||] else Preference.list prefs i in
+              Array.iteri (fun r j -> pos.(j) <- r) list;
+              for s = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
+                let j = g.Graph.nbr.(s) and eid = g.Graph.eid.(s) in
+                let h =
+                  if l = 0 || b = 0 then 0.0
+                  else Satisfaction.static_delta ~quota:b ~list_len:l ~rank:pos.(j)
+                in
+                expect.(eid) <- (if i < j then h else expect.(eid) +. h)
+              done;
+              Array.iter (fun j -> pos.(j) <- -1) list
+            done;
             let out = ref [] in
-            Graph.iter_edges inst.graph (fun eid u v ->
-                let expect = side u v +. side v u in
+            Graph.iter_edges g (fun eid u v ->
+                let expect = expect.(eid) in
                 let got = Weights.weight inst.weights eid in
                 if Float.abs (expect -. got) > 1e-9 || Float.is_nan got then
                   out :=
@@ -182,10 +193,11 @@ let satisfaction_range =
         match inst.prefs with
         | None -> []
         | Some prefs ->
-            let conns = connection_lists inst in
+            let cover = (Lazy.force inst.accounting).cover in
+            let sums = rank_sums inst prefs in
             let out = ref [] in
             for i = Graph.node_count inst.graph - 1 downto 0 do
-              match Preference.satisfaction prefs i conns.(i) with
+              match node_satisfaction prefs i ~count:cover.(i) ~rank_sum:sums.(i) with
               | s ->
                   if Float.is_nan s || s < -1e-9 || s > 1.0 +. 1e-9 then
                     out :=
@@ -208,13 +220,13 @@ let satisfaction_range =
 (* each node's lightest selected edge, or -1, from one pass over the
    edges: [heavier] is a strict total order, so the pass order cannot
    change the answer *)
-let lightest_selected g w sel =
+let lightest_selected g w listed =
   let light = Array.make (Graph.node_count g) (-1) in
   let offer x eid =
     if light.(x) < 0 || Weights.heavier w light.(x) eid then light.(x) <- eid
   in
   Graph.iter_edges g (fun eid u v ->
-      if sel.(eid) then begin
+      if listed.(eid) > 0 then begin
         offer u eid;
         offer v eid
       end);
@@ -224,13 +236,12 @@ let lightest_selected g w sel =
    theorem2_certificate, forced at most once per instance through its
    [blocking] / [augmenting] fields *)
 let blocking_pairs inst =
-  let sel = selected inst in
-  let d = degrees inst in
-  let residual i = cap inst i - d.(i) in
-  let light = lightest_selected inst.graph inst.weights sel in
+  let acc = Lazy.force inst.accounting in
+  let residual i = cap inst i - acc.cover.(i) in
+  let light = lightest_selected inst.graph inst.weights acc.listed in
   let out = ref [] in
   Graph.iter_edges inst.graph (fun eid u v ->
-      if not sel.(eid) then begin
+      if acc.listed.(eid) = 0 then begin
         let beats x =
           if residual x > 0 then cap inst x > 0
           else light.(x) >= 0 && Weights.heavier inst.weights eid light.(x)
@@ -240,14 +251,13 @@ let blocking_pairs inst =
   List.rev !out
 
 let unmatched_augmenting inst =
-  let sel = selected inst in
-  let d = degrees inst in
+  let acc = Lazy.force inst.accounting in
   let out = ref [] in
   Graph.iter_edges inst.graph (fun eid u v ->
       if
-        (not sel.(eid))
-        && cap inst u - d.(u) > 0
-        && cap inst v - d.(v) > 0
+        acc.listed.(eid) = 0
+        && cap inst u - acc.cover.(u) > 0
+        && cap inst v - acc.cover.(v) > 0
       then out := (eid, u, v) :: !out);
   List.rev !out
 
@@ -259,6 +269,7 @@ let make graph weights capacity prefs edges =
       capacity;
       prefs;
       edges;
+      accounting = lazy (account inst);
       blocking = lazy (blocking_pairs inst);
       augmenting = lazy (unmatched_augmenting inst);
     }
@@ -307,25 +318,23 @@ let maximality =
 let exact_weight_limit = 24
 let exact_satisfaction_limit = 16
 
-let selected_weight inst =
-  List.fold_left
-    (fun acc eid ->
-      if valid_id inst eid then acc +. Weights.weight inst.weights eid else acc)
-    0.0 inst.edges
-
 let theorem2_certificate =
   {
     name = "theorem2";
     doc = "w(M) >= 1/2 w(OPT) (measured when small, structural otherwise)";
     run =
       (fun inst ->
-        if not (basic_feasible inst) then []
+        if not (Lazy.force inst.accounting).feasible then []
         else if Graph.edge_count inst.graph <= exact_weight_limit then begin
           let opt =
             Exact.max_weight_value ~max_edges:exact_weight_limit inst.weights
               ~capacity:inst.capacity
           in
-          let got = selected_weight inst in
+          let got =
+            List.fold_left
+              (fun acc eid -> acc +. Weights.weight inst.weights eid)
+              0.0 inst.edges
+          in
           if got +. 1e-9 < 0.5 *. opt then
             [
               Violation.v ~checker:"theorem2" Violation.Global
@@ -360,17 +369,22 @@ let theorem3_certificate =
         | None -> []
         | Some prefs ->
             if
-              (not (basic_feasible inst))
-              || Graph.edge_count inst.graph > exact_satisfaction_limit
+              Graph.edge_count inst.graph > exact_satisfaction_limit
+              || not (Lazy.force inst.accounting).feasible
             then []
             else begin
               let _, opt =
                 Exact.max_satisfaction_bmatching ~max_edges:exact_satisfaction_limit
                   prefs
               in
-              let got =
-                Preference.total_satisfaction prefs (connection_lists inst)
-              in
+              let cover = (Lazy.force inst.accounting).cover in
+              let sums = rank_sums inst prefs in
+              let got = ref 0.0 in
+              for i = 0 to Graph.node_count inst.graph - 1 do
+                got :=
+                  !got +. node_satisfaction prefs i ~count:cover.(i) ~rank_sum:sums.(i)
+              done;
+              let got = !got in
               let bmax = Preference.max_quota prefs in
               let bound = 0.25 *. (1.0 +. (1.0 /. float_of_int bmax)) in
               if got +. 1e-9 < bound *. opt then

@@ -14,14 +14,36 @@
     invariant), maximality, and measured Theorem 2 / Theorem 3 bound
     certificates against the exact optimum on small instances. *)
 
+type accounting = private {
+  listed : int array;
+      (** per edge id, how many times [edges] lists it (0 = unselected);
+          out-of-range ids are not counted *)
+  cover : int array;
+      (** per node, its listed connections, with multiplicity: a
+          duplicated id counts twice toward the quota *)
+  bad : int list;
+      (** the ids that are out of range or listed before, in list
+          order *)
+  feasible : bool;
+      (** the capacity vector has one entry per node, [bad] is empty and
+          every cover count is within its capacity *)
+}
+(** One pass over the raw edge list: what every checker needs to know
+    about [edges], derived once instead of once per checker. *)
+
 type instance = private {
   graph : Graph.t;
   weights : Weights.t;
   capacity : int array;
   prefs : Preference.t option;
-      (** needed by the eq. 9 / satisfaction / Theorem 3 checkers;
-          checkers that need it pass vacuously when absent *)
+      (** a preference system on [graph], needed by the eq. 9 /
+          satisfaction / Theorem 3 checkers; checkers that need it pass
+          vacuously when absent *)
   edges : int list;  (** candidate edge ids, possibly infeasible *)
+  accounting : accounting Lazy.t;
+      (** forced at most once, by the first checker that runs; every
+          checker reads it instead of re-deriving the selection, the
+          cover counts, the bad ids or feasibility *)
   blocking : (int * int * int) list Lazy.t;
       (** every weighted blocking pair [(eid, u, v)], in edge-id order;
           forced at most once, shared by [blocking-pair] and
@@ -41,9 +63,9 @@ val of_matching : ?prefs:Preference.t -> Weights.t -> Owp_matching.Bmatching.t -
 (** Instance wrapping an already-validated matching (capacities are
     taken from the matching). *)
 
-val lightest_selected : Graph.t -> Weights.t -> bool array -> int array
-(** [lightest_selected g w sel] is, for every node of [g], its lightest
-    incident edge [e] with [sel.(e)] under {!Weights.heavier}, or [-1]
+val lightest_selected : Graph.t -> Weights.t -> int array -> int array
+(** [lightest_selected g w listed] is, for every node of [g], its lightest
+    incident edge [e] with [listed.(e) > 0] under {!Weights.heavier}, or [-1]
     when it has none — one pass over the edges, shared by the
     blocking-pair checks here and in {!Byzantine}. *)
 
@@ -64,11 +86,17 @@ val quota_feasibility : t
 val weight_symmetry : t
 (** Eq. 9: [w(i,j) = ΔS̄_i(j) + ΔS̄_j(i)], recomputed from the
     preference lists for both orientations — catches asymmetric or
-    corrupted weight tables.  Vacuous without [prefs]. *)
+    corrupted weight tables.  Each neighbour is ranked by its position
+    in the owner's {!Preference.list}, so the check reads neither the
+    preference system's rank table nor {!Weights.of_preference}.
+    Vacuous without [prefs]. *)
 
 val satisfaction_range : t
 (** Eq. 1: [S_i ∈ [0, 1]] and finite for every node, evaluated on the
-    candidate edge set.  Vacuous without [prefs]. *)
+    candidate edge set from each node's cover count and rank sum
+    ({!Satisfaction.of_rank_sum}).  A node listed more often than its
+    quota has no S_i, which is itself a violation.  Vacuous without
+    [prefs]. *)
 
 val no_blocking_pair : t
 (** No unselected edge beats the lightest selected edge at both

@@ -32,7 +32,7 @@ let max_edges n = n * (n - 1) / 2
 
 let gnm rng ~n ~m =
   if m < 0 || m > max_edges n then invalid_arg "Gen.gnm: m out of range";
-  let b = Graph.Builder.create n in
+  let b = Graph.Builder.create ~edges:m n in
   (* dense case: sample edge indices without replacement *)
   if 2 * m > max_edges n then begin
     let ids = Prng.sample_without_replacement rng m (max_edges n) in

@@ -26,14 +26,22 @@ module Builder = struct
 
   let initial_bits = 4
 
-  let create n =
+  (* [edges] presizes the set to the first power of two holding that many
+     keys at load 1/2, and the endpoint arrays to [edges], so a caller
+     that knows its edge count never pays a doubling *)
+  let create ?(edges = 0) n =
     if n < 0 then invalid_arg "Graph.Builder.create: negative node count";
+    if edges < 0 then invalid_arg "Graph.Builder.create: negative edge hint";
+    let bits = ref initial_bits in
+    while 1 lsl !bits < 2 * edges do
+      incr bits
+    done;
     {
       bn = n;
-      keys = Array.make (1 lsl initial_bits) (-1);
-      shift = 63 - initial_bits;
-      bu = [||];
-      bv = [||];
+      keys = Array.make (1 lsl !bits) (-1);
+      shift = 63 - !bits;
+      bu = Array.make edges 0;
+      bv = Array.make edges 0;
       count = 0;
     }
 

@@ -32,9 +32,12 @@ module Builder : sig
   type graph := t
   type t
 
-  val create : int -> t
-  (** [create n] starts an empty graph on [n] nodes.
-      @raise Invalid_argument when [n < 0]. *)
+  val create : ?edges:int -> int -> t
+  (** [create n] starts an empty graph on [n] nodes.  [edges] (default
+      0) is a size hint: the builder starts with room for that many
+      edges, so adding them never regrows the key set or the endpoint
+      arrays.  It does not bound the edge count or change any edge id.
+      @raise Invalid_argument when [n < 0] or [edges < 0]. *)
 
   val add_edge : t -> int -> int -> bool
   (** [add_edge b u v] inserts the undirected edge {u,v}.  Returns

@@ -419,6 +419,340 @@ let prop_blocking_pairs_match_naive =
              ~residual:(fun x -> capacity.(x) - max consumed.(x) d.(x))
              ~admit:(fun u v -> correct.(u) && correct.(v)))
 
+(* ------------------------------------------------------------------ *)
+(* the registry against a per-checker reference                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every checker the way it was written before the registry shared one
+   accounting of the edge list: a Hashtbl de-duplication, cover counts
+   and connection lists rebuilt per checker, eq. 9 from Preference.rank
+   and Satisfaction.static_delta per edge, eq. 1 from per-node
+   connection lists through Preference.satisfaction, and each node's
+   lightest selected edge by rescanning its row.  The messages are
+   copied verbatim, so the two reports must be byte-equal. *)
+module Reference = struct
+  let valid g eid = eid >= 0 && eid < Graph.edge_count g
+  let cap capacity i = if i < Array.length capacity then capacity.(i) else 0
+
+  let degrees g edges =
+    let d = Array.make (Graph.node_count g) 0 in
+    List.iter
+      (fun eid ->
+        if valid g eid then begin
+          let u, v = Graph.edge_endpoints g eid in
+          d.(u) <- d.(u) + 1;
+          d.(v) <- d.(v) + 1
+        end)
+      edges;
+    d
+
+  let connections g edges =
+    let c = Array.make (Graph.node_count g) [] in
+    List.iter
+      (fun eid ->
+        if valid g eid then begin
+          let u, v = Graph.edge_endpoints g eid in
+          c.(u) <- v :: c.(u);
+          c.(v) <- u :: c.(v)
+        end)
+      edges;
+    c
+
+  let feasible g capacity edges =
+    Array.length capacity = Graph.node_count g
+    && List.for_all (valid g) edges
+    && (let seen = Hashtbl.create 64 in
+        List.for_all
+          (fun eid ->
+            (not (Hashtbl.mem seen eid))
+            &&
+            (Hashtbl.add seen eid ();
+             true))
+          edges)
+    && Array.for_all Fun.id (Array.mapi (fun i d -> d <= cap capacity i) (degrees g edges))
+
+  let edge_validity g edges =
+    let seen = Hashtbl.create 64 in
+    List.filter_map
+      (fun eid ->
+        if not (valid g eid) then
+          Some
+            (Violation.v ~checker:"edge-validity" Violation.Global
+               ~expected:(Printf.sprintf "edge id in [0, %d)" (Graph.edge_count g))
+               ~actual:(Printf.sprintf "id %d" eid))
+        else if Hashtbl.mem seen eid then begin
+          let u, v = Graph.edge_endpoints g eid in
+          Some
+            (Violation.v ~checker:"edge-validity" (Violation.Edge (u, v))
+               ~expected:"each edge selected at most once"
+               ~actual:(Printf.sprintf "edge id %d duplicated" eid))
+        end
+        else begin
+          Hashtbl.add seen eid ();
+          None
+        end)
+      edges
+
+  let quota g capacity edges =
+    let n = Graph.node_count g in
+    if Array.length capacity <> n then
+      [
+        Violation.v ~checker:"quota" Violation.Global
+          ~expected:(Printf.sprintf "capacity vector of length %d" n)
+          ~actual:(Printf.sprintf "length %d" (Array.length capacity));
+      ]
+    else begin
+      let d = degrees g edges in
+      List.filter_map
+        (fun i ->
+          if capacity.(i) < 0 then
+            Some
+              (Violation.v ~checker:"quota" (Violation.Node i) ~expected:"capacity >= 0"
+                 ~actual:(Printf.sprintf "capacity %d" capacity.(i)))
+          else if d.(i) > capacity.(i) then
+            Some
+              (Violation.v ~checker:"quota" (Violation.Node i)
+                 ~expected:(Printf.sprintf "at most %d connections" capacity.(i))
+                 ~actual:(Printf.sprintf "%d connections" d.(i)))
+          else None)
+        (List.init n Fun.id)
+    end
+
+  let weight_symmetry g prefs w =
+    let side i j =
+      let l = Preference.list_len prefs i and b = Preference.quota prefs i in
+      if l = 0 || b = 0 then 0.0
+      else Satisfaction.static_delta ~quota:b ~list_len:l ~rank:(Preference.rank prefs i j)
+    in
+    List.rev
+      (Graph.fold_edges g
+         (fun acc eid u v ->
+           let expect = side u v +. side v u and got = Weights.weight w eid in
+           if Float.abs (expect -. got) > 1e-9 || Float.is_nan got then
+             Violation.v ~checker:"weight-symmetry" (Violation.Edge (u, v))
+               ~expected:
+                 (Printf.sprintf "w(%d,%d) = %.6f = dS_%d(%d) + dS_%d(%d)" u v expect u v v u)
+               ~actual:(Printf.sprintf "%.6f" got)
+             :: acc
+           else acc)
+         [])
+
+  let satisfaction_range g prefs edges =
+    let conns = connections g edges in
+    List.filter_map
+      (fun i ->
+        let bad actual =
+          Some
+            (Violation.v ~checker:"satisfaction-range" (Violation.Node i)
+               ~expected:"S_i in [0, 1]" ~actual)
+        in
+        match Preference.satisfaction prefs i conns.(i) with
+        | s when Float.is_nan s || s < -1e-9 || s > 1.0 +. 1e-9 ->
+            bad (Printf.sprintf "S_i = %.6f" s)
+        | _ -> None
+        | exception Invalid_argument msg -> bad (Printf.sprintf "S_i undefined (%s)" msg))
+      (List.init (Graph.node_count g) Fun.id)
+
+  (* unselected edges that block (or merely find room at) both ends *)
+  let unselected g w capacity edges ~blocking =
+    let sel = Array.make (Graph.edge_count g) false in
+    List.iter (fun eid -> if valid g eid then sel.(eid) <- true) edges;
+    let d = degrees g edges in
+    let lightest x =
+      let best = ref (-1) in
+      Graph.iter_neighbors g x (fun _ eid ->
+          if sel.(eid) && (!best < 0 || Weights.heavier w !best eid) then best := eid);
+      !best
+    in
+    let residual x = cap capacity x - d.(x) in
+    List.rev
+      (Graph.fold_edges g
+         (fun acc eid u v ->
+           let ok x =
+             if not blocking then residual x > 0
+             else if residual x > 0 then cap capacity x > 0
+             else
+               let l = lightest x in
+               l >= 0 && Weights.heavier w eid l
+           in
+           if (not sel.(eid)) && ok u && ok v then (eid, u, v) :: acc else acc)
+         [])
+
+  let report ?prefs w ~capacity ~edges =
+    let g = Weights.graph w in
+    let blocking = unselected g w capacity edges ~blocking:true in
+    let augmenting = unselected g w capacity edges ~blocking:false in
+    let feasible = feasible g capacity edges in
+    let theorem2 () =
+      if not feasible then []
+      else if Graph.edge_count g <= Checker.exact_weight_limit then begin
+        let opt =
+          Owp_matching.Exact.max_weight_value ~max_edges:Checker.exact_weight_limit w
+            ~capacity
+        in
+        let got = List.fold_left (fun acc eid -> acc +. Weights.weight w eid) 0.0 edges in
+        if got +. 1e-9 < 0.5 *. opt then
+          [
+            Violation.v ~checker:"theorem2" Violation.Global
+              ~expected:(Printf.sprintf "w(M) >= 1/2 w(OPT) = %.6f" (0.5 *. opt))
+              ~actual:(Printf.sprintf "w(M) = %.6f" got);
+          ]
+        else []
+      end
+      else if blocking = [] && augmenting = [] then []
+      else
+        [
+          Violation.v ~checker:"theorem2" Violation.Global
+            ~expected:"maximality + greedy stability (Theorem 2 premise)"
+            ~actual:
+              (Printf.sprintf "maximal=%b, greedy-stable=%b" (augmenting = [])
+                 (blocking = []));
+        ]
+    in
+    let theorem3 prefs =
+      if (not feasible) || Graph.edge_count g > Checker.exact_satisfaction_limit then []
+      else begin
+        let _, opt =
+          Owp_matching.Exact.max_satisfaction_bmatching
+            ~max_edges:Checker.exact_satisfaction_limit prefs
+        in
+        let got = Preference.total_satisfaction prefs (connections g edges) in
+        let bound = 0.25 *. (1.0 +. (1.0 /. float_of_int (Preference.max_quota prefs))) in
+        if got +. 1e-9 < bound *. opt then
+          [
+            Violation.v ~checker:"theorem3" Violation.Global
+              ~expected:(Printf.sprintf "S(M) >= %.4f S(OPT) = %.6f" bound (bound *. opt))
+              ~actual:(Printf.sprintf "S(M) = %.6f" got);
+          ]
+        else []
+      end
+    in
+    let with_prefs f = match prefs with None -> [] | Some p -> f p in
+    let violations = function
+      | "edge-validity" -> edge_validity g edges
+      | "quota" -> quota g capacity edges
+      | "weight-symmetry" -> with_prefs (fun p -> weight_symmetry g p w)
+      | "satisfaction-range" -> with_prefs (fun p -> satisfaction_range g p edges)
+      | "blocking-pair" ->
+          List.map
+            (fun (eid, u, v) ->
+              Violation.v ~checker:"blocking-pair" (Violation.Edge (u, v))
+                ~expected:"no weighted blocking pair (Lemma 4/6 invariant)"
+                ~actual:
+                  (Printf.sprintf "unselected edge of weight %.6f blocks at both ends"
+                     (Weights.weight w eid)))
+            blocking
+      | "maximality" ->
+          List.map
+            (fun (_, u, v) ->
+              Violation.v ~checker:"maximality" (Violation.Edge (u, v))
+                ~expected:"matching is maximal"
+                ~actual:"unselected edge with residual capacity at both endpoints")
+            augmenting
+      | "theorem2" -> theorem2 ()
+      | "theorem3" -> with_prefs theorem3
+      | name -> Alcotest.failf "no reference for checker %s" name
+    in
+    {
+      Checker.entries =
+        List.map
+          (fun c -> { Checker.checker = c; violations = violations c.Checker.name })
+          Checker.all;
+    }
+end
+
+(* A random instance (zero quotas included) and its LIC matching, then
+   0-4 corruptions of the edge list, the capacities or the weights. *)
+let prop_registry_matches_reference =
+  QCheck2.Test.make ~name:"registry report = per-checker reference, byte for byte"
+    ~count:300
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = 3 + Prng.int rng (if Prng.bernoulli rng 0.7 then 8 else 22) in
+      let m = min (n * (n - 1) / 2) (n + Prng.int rng (2 * n)) in
+      let g = Gen.gnm rng ~n ~m in
+      let p = Preference.random rng g ~quota:(Array.init n (fun _ -> Prng.int rng 4)) in
+      let w = Weights.of_preference p in
+      let capacity = Array.init n (Preference.quota p) in
+      let edges = ref (BM.edge_ids (Lic.run w ~capacity)) in
+      let capacity = ref capacity and w = ref w in
+      let insert e =
+        let k = Prng.int rng (List.length !edges + 1) in
+        edges :=
+          List.filteri (fun i _ -> i < k) !edges
+          @ (e :: List.filteri (fun i _ -> i >= k) !edges)
+      in
+      for _ = 1 to Prng.int rng 5 do
+        match Prng.int rng 9 with
+        | 0 ->
+            insert
+              (if Prng.bernoulli rng 0.5 then m + Prng.int rng 3 else -1 - Prng.int rng 3)
+        | 1 -> (
+            match !edges with
+            | [] -> ()
+            | l -> insert (List.nth l (Prng.int rng (List.length l))))
+        | 2 -> (
+            match !edges with
+            | [] -> ()
+            | l ->
+                let k = Prng.int rng (List.length l) in
+                edges := List.filteri (fun i _ -> i <> k) l)
+        | 3 -> if m > 0 then insert (Prng.int rng m)
+        | 4 ->
+            (* over quota: every edge at one node *)
+            let x = Prng.int rng n in
+            Graph.iter_neighbors g x (fun _ eid ->
+                if not (List.mem eid !edges) then insert eid)
+        | (5 | 6) as k ->
+            (* a zero or a negative capacity *)
+            let c = Array.copy !capacity in
+            c.(Prng.int rng (Array.length c)) <- 5 - k;
+            capacity := c
+        | 7 -> capacity := Array.sub !capacity 0 (min (n - 1) (Array.length !capacity))
+        | _ ->
+            let other = Preference.random rng g ~quota:(Preference.uniform_quota g 2) in
+            w := Weights.of_preference other
+      done;
+      let prefs = if Prng.bernoulli rng 0.85 then Some p else None in
+      let capacity = !capacity and edges = !edges and w = !w in
+      let got =
+        Checker.report_to_string (Checker.run (Checker.instance ?prefs w ~capacity ~edges))
+      in
+      let want = Checker.report_to_string (Reference.report ?prefs w ~capacity ~edges) in
+      if got <> want then
+        QCheck2.Test.fail_reportf "registry:@.%s@.reference:@.%s" got want;
+      true)
+
+(* One edge id listed twice at a quota-1 node is three faults, each
+   counted with multiplicity: a duplicate, two connections against a
+   quota of 1, and eq. 1 undefined.  The other endpoint has quota 2 and
+   ranks the edge last, so its S_i = 0.75 is in range. *)
+let test_duplicate_multiplicity () =
+  let g = Gen.path 3 in
+  let p =
+    Preference.create g ~quota:[| 1; 2; 1 |] ~lists:[| [| 1 |]; [| 2; 0 |]; [| 1 |] |]
+  in
+  let w = Weights.of_preference p in
+  let e = Option.get (Graph.find_edge g 0 1) in
+  let inst =
+    Checker.instance ~prefs:p w
+      ~capacity:(Array.init 3 (Preference.quota p))
+      ~edges:[ e; e ]
+  in
+  let r = Checker.run ~only:[ "edge-validity"; "quota"; "satisfaction-range" ] inst in
+  let line v = (v.Violation.checker, v.Violation.subject, v.Violation.actual) in
+  Alcotest.(check int) "three violations" 3 (Checker.violation_count r);
+  Alcotest.(check bool) "duplicate, quota overflow, undefined S_0" true
+    (List.map line (Checker.violations r)
+    = [
+        ("edge-validity", Violation.Edge (0, 1), Printf.sprintf "edge id %d duplicated" e);
+        ("quota", Violation.Node 0, "2 connections");
+        ( "satisfaction-range",
+          Violation.Node 0,
+          "S_i undefined (Satisfaction: more connections than quota)" );
+      ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_lic_passes_all;
@@ -443,4 +777,7 @@ let suite =
       test_explorer_detects_divergence;
     Alcotest.test_case "LID quiescence diagnostics" `Quick test_lid_quiescence_violations;
     QCheck_alcotest.to_alcotest prop_blocking_pairs_match_naive;
+    QCheck_alcotest.to_alcotest prop_registry_matches_reference;
+    Alcotest.test_case "duplicate id counts with multiplicity" `Quick
+      test_duplicate_multiplicity;
   ]

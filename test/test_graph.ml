@@ -213,6 +213,34 @@ let test_golden_digests () =
       Alcotest.(check string) label digest (instance_digest inst))
     golden
 
+(* The size hint only presizes the builder: every add answer, edge id
+   and adjacency row is the unhinted builder's, whether the hint is
+   short of, equal to or beyond the final edge count. *)
+let prop_builder_hint_changes_nothing =
+  QCheck2.Test.make ~name:"Builder size hint changes no answer, id or row" ~count:200
+    QCheck2.Gen.(
+      int_range 2 14 >>= fun n ->
+      let pair = pair (int_range 0 (n - 1)) (int_range 0 (n - 1)) in
+      triple (return n) (list_size (int_range 0 60) pair) (int_range 0 80))
+    (fun (n, pairs, hint) ->
+      let pairs = List.filter (fun (u, v) -> u <> v) pairs in
+      let fill b =
+        let answers = List.map (fun (u, v) -> Graph.Builder.add_edge b u v) pairs in
+        (answers, Graph.Builder.build b)
+      in
+      let a0, g0 = fill (Graph.Builder.create n) in
+      let a1, g1 = fill (Graph.Builder.create ~edges:hint n) in
+      a0 = a1
+      && Array.init (Graph.edge_count g0) (Graph.edge_endpoints g0)
+         = Array.init (Graph.edge_count g1) (Graph.edge_endpoints g1)
+      && Array.for_all Fun.id
+           (Array.init n (fun i -> Graph.neighbors g0 i = Graph.neighbors g1 i)))
+
+let test_builder_negative_hint () =
+  Alcotest.check_raises "negative edge hint"
+    (Invalid_argument "Graph.Builder.create: negative edge hint") (fun () ->
+      ignore (Graph.Builder.create ~edges:(-1) 3))
+
 let suite =
   [
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
@@ -232,4 +260,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_adjacency_consistent;
     QCheck_alcotest.to_alcotest prop_builder_matches_reference;
     Alcotest.test_case "golden digests of every family" `Quick test_golden_digests;
+    QCheck_alcotest.to_alcotest prop_builder_hint_changes_nothing;
+    Alcotest.test_case "builder rejects a negative hint" `Quick test_builder_negative_hint;
   ]
