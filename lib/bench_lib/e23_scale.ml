@@ -24,13 +24,19 @@
      before any engine runs.
    - E23e: the checker registry on the same instance, each checker
      alone and the whole registry, next to the lic engine's wall, min
-     and IQR of k samples: what `owp check` adds to a run. *)
+     and IQR of k samples: what `owp check` adds to a run.
+   - E23f: the LID engine on the same instance split by phase in a bare
+     loop (weight lists, bootstrap burst, Simnet run, read-out), next
+     to Stack.run with no layer enabled, min, median and IQR of k
+     samples: what the protocol stack adds over plain Algorithm 1. *)
 
 module Tbl = Owp_util.Tablefmt
 module BM = Owp_matching.Bmatching
 module Lic = Owp_core.Lic
 module Lic_indexed = Owp_core.Lic_indexed
 module Stack = Owp_core.Stack
+module Lid = Owp_core.Lid
+module Simnet = Owp_simnet.Simnet
 module Pool = Owp_util.Pool
 
 let instance ~seed ~n ~deg ~quota =
@@ -203,6 +209,95 @@ let check_table ~quota sizes =
     sizes;
   t
 
+(* E23f: one size point.  Each sample runs LID on the E23b instance in
+   a bare loop, Lid over Simnet with nothing in between, at Stack.run's
+   defaults (engine seed = hash of the label, uniform delays in
+   [0.5, 1.5], FIFO links), timing each phase alone after a major
+   collection: [init] builds the weight lists, [start] sends the
+   bootstrap burst into the simulator, [simnet run] delivers every
+   message to Lid.deliver, [read-out] turns the locked edges into the
+   served matching.  Then Stack.run on the same instance, which must
+   lock the same edges. *)
+let lid_phases = [ "init"; "start"; "simnet run"; "read-out"; "bare loop"; "Stack.run" ]
+
+let measure_lid ~seed ~n ~quota =
+  let inst = instance ~seed ~n ~deg:16.0 ~quota in
+  let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
+  let g = inst.Workloads.graph and engine_seed = Hashtbl.hash inst.Workloads.label in
+  let timed f =
+    Gc.full_major ();
+    Exp_common.time f
+  in
+  let same = ref true in
+  let sample () =
+    let st, init_ms = timed (fun () -> Lid.init w ~capacity) in
+    let net =
+      Simnet.create ~seed:engine_seed ~nodes:(max n 1) ~delay:(Simnet.Uniform (0.5, 1.5)) ()
+    in
+    let emit src dst m = Simnet.send net ~src ~dst m in
+    Simnet.set_handler net (fun ~src ~dst m -> Lid.deliver st ~src ~dst m ~emit);
+    let (), start_ms = timed (fun () -> Lid.start st ~emit) in
+    let (), run_ms = timed (fun () -> Simnet.run net) in
+    let bare, read_ms =
+      timed (fun () -> BM.of_edge_ids g ~capacity (Lid.locked_edge_ids st))
+    in
+    let r, stack_ms = timed (fun () -> Stack.run ~seed:engine_seed w ~capacity) in
+    same := !same && BM.equal bare r.Stack.matching;
+    [| init_ms; start_ms; run_ms; read_ms; init_ms +. start_ms +. run_ms +. read_ms; stack_ms |]
+  in
+  let samples = Array.init build_samples (fun _ -> sample ()) in
+  let module S = Owp_util.Stats in
+  ( Graph.edge_count g,
+    !same,
+    List.mapi
+      (fun k name ->
+        let xs = Array.map (fun t -> t.(k)) samples in
+        ( name,
+          Array.fold_left Float.min infinity xs,
+          S.percentile xs 0.5,
+          S.percentile xs 0.75 -. S.percentile xs 0.25 ))
+      lid_phases )
+
+let lid_table ~quota sizes =
+  let t =
+    Tbl.create
+      ~title:
+        (Printf.sprintf
+           "E23f: LID by phase on the E23b instance (G(n,m) avg deg 16, b = %d; bare Lid + \
+            Simnet loop, then Stack.run with no layer; min, median and IQR of %d samples, ms)"
+           quota build_samples)
+      [
+        ("n", Tbl.Right);
+        ("m", Tbl.Right);
+        ("phase", Tbl.Left);
+        ("min", Tbl.Right);
+        ("median", Tbl.Right);
+        ("IQR", Tbl.Right);
+        ("/ bare", Tbl.Right);
+        ("same edges", Tbl.Left);
+      ]
+  in
+  List.iter
+    (fun n ->
+      let m, same, phases = measure_lid ~seed:23 ~n ~quota in
+      let _, bare, _, _ = List.find (fun (name, _, _, _) -> name = "bare loop") phases in
+      List.iter
+        (fun (name, lo, med, iqr) ->
+          Tbl.add_row t
+            [
+              Tbl.icell n;
+              Tbl.icell m;
+              name;
+              Tbl.fcell2 lo;
+              Tbl.fcell2 med;
+              Tbl.fcell2 iqr;
+              Printf.sprintf "%.2fx" (lo /. bare);
+              Exp_common.yn same;
+            ])
+        phases)
+    sizes;
+  t
+
 let run ~quick =
   (* avg degree 48, quota 8: wide neighbour lists and a realistic
      overlay fan-out put the run in the regime the scale engine exists
@@ -355,7 +450,8 @@ let run ~quick =
         @ [ Printf.sprintf "%.2fx" (build /. fst lic) ]))
     [ 10_000; 100_000 ];
   let t5 = check_table ~quota (if quick then [ 10_000 ] else [ 10_000; 100_000 ]) in
-  [ t1; t2; t3; t4; t5 ]
+  let t6 = lid_table ~quota (if quick then [ 10_000 ] else [ 10_000; 100_000 ]) in
+  [ t1; t2; t3; t4; t5; t6 ]
 
 (* CI bench-smoke entry: small enough for a PR gate, large enough that
    the asymptotics (not constant factors) decide *)

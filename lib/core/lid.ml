@@ -5,32 +5,29 @@ module Explore = Owp_check.Explore
 
 type message = Prop | Rej
 
-(* Per-node protocol state.  The paper's four sets — U_i, P_i (all
-   proposals, locked included), P_i \ K_i (= pending), A_i and K_i —
-   are packed as per-candidate flag bits over [uniq], the node's sorted
-   unique candidate ids: membership is one byte read instead of five
-   Hashtbls per node, which is what makes 10^6-node runs tractable.
-   [slot_of_rank] is the node's weight list (incident neighbours by
-   decreasing edge weight, duplicates possible under a custom
-   [ranking]), each position given as its neighbour's canonical slot so
-   duplicate ids alias to one membership bit, exactly like the id-keyed
-   Hashtbls they replace.  Proposals arriving from outside the
-   candidate universe (possible under a custom [ranking]) land in the
-   lazy [extra_a] side table. *)
-type node_state = {
-  uniq : int array; (* candidate ids, ascending, unique *)
-  slot_of_rank : int array; (* weight list, heaviest first, as slots in uniq *)
-  flags : Bytes.t; (* U/P/pending/A/K bits + delivery marks per slot *)
-  mutable n_u : int; (* |U_i| *)
-  mutable n_pending : int; (* |P_i \ K_i| *)
-  mutable extra_a : (int, unit) Hashtbl.t option; (* A_i \ universe *)
-  mutable ptr : int; (* scan position for topRanked(U \ P) *)
-  mutable finished : bool;
-  mutable memo_id : int; (* the last id [slot_of] looked up ... *)
-  mutable memo_slot : int; (* ... and its slot *)
+(* The protocol state of all nodes, laid over the graph's CSR.  Node
+   i's candidates are its adjacency row, slots [off.(i) .. off.(i+1) -
+   1], so a candidate is its slot and the candidate list is the
+   graph's own [nbr] row.  The paper's sets — U_i, P_i (all proposals,
+   locked included), P_i \ K_i (= pending), A_i and K_i — are flag bits
+   in one byte per slot.  [order] holds every row's weight list as
+   slots, heaviest first, in the row's own slot range; neighbours a
+   custom weighting leaves out carry the [fl_out] bit and trail the
+   list, outside U from the start, so the scan never proposes to them.
+   Proposals from strangers — non-neighbours, possible only from a
+   misbehaving peer — land in the per-node [extra_a] lists. *)
+type state = {
+  graph : Graph.t;
+  quota : int array; (* min (b_i, deg i): the bootstrap's proposals *)
+  order : int array; (* weight lists as slots, per row; never mutated *)
+  flags : Bytes.t; (* U/P/pending/A/K bits, delivery marks, outside bit *)
+  n_u : int array; (* |U_i| *)
+  n_pending : int array; (* |P_i \ K_i| *)
+  ptr : int array; (* scan position in [order] for topRanked(U \ P) *)
+  finished : bool array;
+  memo : int array; (* the last slot found for node i, or -1 *)
+  extra_a : int list array; (* A_i \ row: proposing strangers *)
 }
-
-type state = { graph : Graph.t; nodes : node_state array }
 
 let fl_u = 1 (* U_i: still a candidate *)
 let fl_p = 2 (* P_i: proposed to (locked included) *)
@@ -43,30 +40,32 @@ let fl_k = 16 (* K_i: locked *)
 let fl_got_prop = 32
 let fl_got_rej = 64
 
-let get s slot = Char.code (Bytes.unsafe_get s.flags slot)
-let set s slot f = Bytes.unsafe_set s.flags slot (Char.unsafe_chr f)
+(* a neighbour the weighting leaves out: never in U, never proposed to,
+   its deliveries [`Outside] *)
+let fl_out = 128
 
-(* canonical slot of candidate [id], or -1 when outside the universe.
-   The last lookup per node is memoised: the Stack marks a delivery and
-   then delivers it, and a locking PROP looks its sender up twice, so
-   the repeat lookup skips the search ([uniq] never changes). *)
-let search (uniq : int array) id =
-  let lo = ref 0 and hi = ref (Array.length uniq - 1) in
-  let res = ref (-1) in
-  while !res < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = Array.unsafe_get uniq mid in
-    if x = id then res := mid else if x < id then lo := mid + 1 else hi := mid - 1
-  done;
-  !res
+let get st slot = Char.code (Bytes.unsafe_get st.flags slot)
+let set st slot f = Bytes.unsafe_set st.flags slot (Char.unsafe_chr f)
 
-let slot_of s id =
-  if s.memo_id = id then s.memo_slot
+(* slot of neighbour [id] in [i]'s row, or -1.  The last slot found per
+   node is memoised: the Stack marks a delivery and then delivers it,
+   so the repeat lookup skips the search.  A memo entry is checked
+   against [nbr] before use, so it never needs invalidating. *)
+let slot_of st i id =
+  let g = st.graph in
+  let nbr = g.Graph.nbr in
+  let m = st.memo.(i) in
+  if m >= 0 && Array.unsafe_get nbr m = id then m
   else begin
-    let res = search s.uniq id in
-    s.memo_id <- id;
-    s.memo_slot <- res;
-    res
+    let lo = ref g.Graph.off.(i) and hi = ref (g.Graph.off.(i + 1) - 1) in
+    let res = ref (-1) in
+    while !res < 0 && !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      let x = Array.unsafe_get nbr mid in
+      if x = id then res := mid else if x < id then lo := mid + 1 else hi := mid - 1
+    done;
+    if !res >= 0 then st.memo.(i) <- !res;
+    !res
   end
 
 (* ------------------------------------------------------------------ *)
@@ -75,184 +74,156 @@ let slot_of s id =
 (* ------------------------------------------------------------------ *)
 
 (* line 15–16: all proposals answered — decline everyone left, in
-   ascending id order (uniq is sorted) *)
+   ascending id order (rows are sorted by neighbour) *)
 let check_done st emit i =
-  let s = st.nodes.(i) in
-  if (not s.finished) && s.n_pending = 0 then begin
-    if s.n_u > 0 then
-      for slot = 0 to Array.length s.uniq - 1 do
-        let f = get s slot in
+  if (not st.finished.(i)) && st.n_pending.(i) = 0 then begin
+    if st.n_u.(i) > 0 then begin
+      let g = st.graph in
+      for slot = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
+        let f = get st slot in
         if f land fl_u <> 0 then begin
-          set s slot (f land lnot fl_u);
-          emit i s.uniq.(slot) Rej
+          set st slot (f land lnot fl_u);
+          emit i g.Graph.nbr.(slot) Rej
         end
-      done;
-    s.n_u <- 0;
-    s.finished <- true
+      done
+    end;
+    st.n_u.(i) <- 0;
+    st.finished.(i) <- true
   end
 
-(* line 12–14: mutual proposal — lock the connection.  [v] was proposed
-   to, so it is always inside the candidate universe. *)
-let lock st i v =
-  let s = st.nodes.(i) in
-  let slot = slot_of s v in
-  let f = get s slot in
-  if f land fl_u <> 0 then s.n_u <- s.n_u - 1;
-  if f land fl_w <> 0 then s.n_pending <- s.n_pending - 1;
-  set s slot (f land lnot (fl_u lor fl_a lor fl_w) lor fl_k)
+(* line 12–14: mutual proposal — lock the connection at [slot] *)
+let lock st i slot =
+  let f = get st slot in
+  if f land fl_u <> 0 then st.n_u.(i) <- st.n_u.(i) - 1;
+  if f land fl_w <> 0 then st.n_pending.(i) <- st.n_pending.(i) - 1;
+  set st slot (f land lnot (fl_u lor fl_a lor fl_w) lor fl_k)
 
 (* lines 9–11: propose to the next-ranked neighbour still in U \ P *)
 let propose_next st emit i =
-  let s = st.nodes.(i) in
-  let len = Array.length s.slot_of_rank in
-  let rec advance () =
-    if s.ptr >= len then -1
-    else begin
-      let slot = s.slot_of_rank.(s.ptr) in
-      let f = get s slot in
-      if f land fl_u <> 0 && f land fl_p = 0 then slot
-      else begin
-        s.ptr <- s.ptr + 1;
-        advance ()
-      end
-    end
-  in
-  let slot = advance () in
+  let hi = st.graph.Graph.off.(i + 1) in
+  let p = ref st.ptr.(i) and slot = ref (-1) in
+  while !slot < 0 && !p < hi do
+    let s = Array.unsafe_get st.order !p in
+    let f = get st s in
+    if f land fl_u <> 0 && f land fl_p = 0 then slot := s else incr p
+  done;
+  st.ptr.(i) <- !p;
+  let slot = !slot in
   if slot >= 0 then begin
-    let f = get s slot in
-    set s slot (f lor fl_p lor fl_w);
-    s.n_pending <- s.n_pending + 1;
-    let v = s.uniq.(slot) in
-    emit i v Prop;
+    let f = get st slot in
+    set st slot (f lor fl_p lor fl_w);
+    st.n_pending.(i) <- st.n_pending.(i) + 1;
+    emit i st.graph.Graph.nbr.(slot) Prop;
     (* the candidate may have proposed to us already *)
-    if f land fl_a <> 0 then lock st i v
+    if f land fl_a <> 0 then lock st i slot
   end
 
-let init ?ranking w ~capacity =
+(* Lines 1–3's weight lists, one insertion sort per row (rows are short:
+   16 entries on average).  The key of slot s is [keys.(s)] when
+   [by_slot], else its edge's [keys.(eid.(s))]; a NaN key leaves the
+   neighbour out.  The order is exactly Weights.compare_edges, heaviest
+   first: within one row every edge has i as an endpoint, so its
+   identity tie-break (lower endpoint, upper endpoint, id, all
+   descending) reduces to the larger neighbour first, and rows are
+   sorted by neighbour.  Slots are inserted from the row's end, so a tie
+   keeps the earlier-inserted (larger) neighbour in front and equal keys
+   cost no shifts.  [>] agrees with [Float.compare] on non-NaN keys,
+   including -0.0 = 0.0.  Fills [order] and [flags] and returns |U_i|
+   per node. *)
+let sort_rows g ~keys ~by_slot ~order ~flags =
+  let n = Graph.node_count g and off = g.Graph.off and eid = g.Graph.eid in
+  let sorted = Array.make (Graph.max_degree g) 0.0 in
+  Array.init n (fun i ->
+      let o = off.(i) in
+      let listed = ref 0 and tail = ref (off.(i + 1) - 1) in
+      for s = off.(i + 1) - 1 downto o do
+        let x = if by_slot then keys.(s) else keys.(eid.(s)) in
+        if Float.is_nan x then begin
+          Bytes.unsafe_set flags s (Char.unsafe_chr fl_out);
+          order.(!tail) <- s;
+          decr tail
+        end
+        else begin
+          let j = ref !listed in
+          while !j > 0 && x > Array.unsafe_get sorted (!j - 1) do
+            Array.unsafe_set sorted !j (Array.unsafe_get sorted (!j - 1));
+            Array.unsafe_set order (o + !j) (Array.unsafe_get order (o + !j - 1));
+            decr j
+          done;
+          Array.unsafe_set sorted !j x;
+          Array.unsafe_set order (o + !j) s;
+          incr listed
+        end
+      done;
+      !listed)
+
+let init ?perceived w ~capacity =
   let g = Weights.graph w in
   let n = Graph.node_count g in
   Array.iter (fun b -> if b < 0 then invalid_arg "Lid.init: negative capacity") capacity;
   let quota = Array.mapi (fun i b -> min b (Graph.degree g i)) capacity in
-  (* the exact total order of Weights.compare_edges — weight first, then
-     (lower endpoint, upper endpoint, id) — inlined over the weight and
-     endpoint arrays: rank-derived weights tie constantly, and the
-     generic tie-break (tuple build + polymorphic compare) dominated
-     init at 10^5-node scale *)
-  let ww = Weights.unsafe_weights w in
-  let eu = g.Graph.eu and ev = g.Graph.ev in
-  let rank_order e f =
-    if e = f then 0
-    else
-      let c = Float.compare ww.(f) ww.(e) in
-      if c <> 0 then c
-      else if eu.(f) <> eu.(e) then Int.compare eu.(f) eu.(e)
-      else if ev.(f) <> ev.(e) then Int.compare ev.(f) ev.(e)
-      else Int.compare f e
+  let slots = Array.length g.Graph.nbr in
+  let order = Array.make slots 0 and flags = Bytes.make slots (Char.chr fl_u) in
+  let n_u =
+    match perceived with
+    | None -> sort_rows g ~keys:(Weights.unsafe_weights w) ~by_slot:false ~order ~flags
+    | Some p ->
+        if Array.length p <> slots then invalid_arg "Lid.init: perceived arity mismatch";
+        sort_rows g ~keys:p ~by_slot:true ~order ~flags
   in
-  (* node i's candidate universe (ascending, unique) and its weight
-     list as slots into it.  By default the universe is i's adjacency
-     row and the list its slots sorted by [rank_order]. *)
-  let weight_list i =
-    match ranking with
-    | None ->
-        let o = g.Graph.off.(i) in
-        let order = Array.init (Graph.degree g i) Fun.id in
-        Array.sort (fun a b -> rank_order g.Graph.eid.(o + a) g.Graph.eid.(o + b)) order;
-        (Graph.neighbor_nodes g i, order)
-    | Some f ->
-        let ws = f i in
-        let m = Array.length ws in
-        let ids = Array.init m (fun j -> fst ws.(j)) in
-        Array.sort Int.compare ids;
-        let k = ref 0 in
-        for j = 0 to m - 1 do
-          if !k = 0 || ids.(!k - 1) <> ids.(j) then begin
-            ids.(!k) <- ids.(j);
-            incr k
-          end
-        done;
-        let uniq = Array.sub ids 0 !k in
-        (uniq, Array.map (fun (v, _) -> search uniq v) ws)
-  in
-  let nodes =
-    Array.init n (fun i ->
-        let uniq, slot_of_rank = weight_list i in
-        let k = Array.length uniq in
-        {
-          uniq;
-          slot_of_rank;
-          flags = Bytes.make k (Char.chr fl_u);
-          n_u = k;
-          n_pending = 0;
-          extra_a = None;
-          ptr = 0;
-          finished = false;
-          memo_id = -1;
-          memo_slot = -1;
-        })
-  in
-  let st = { graph = g; nodes } in
-  let sends = ref [] in
-  let emit src dst m = sends := (src, dst, m) :: !sends in
-  (* lines 1–3: initial proposals to the top b_i of the weight list *)
-  for i = 0 to n - 1 do
-    let s = nodes.(i) in
-    let target = quota.(i) in
-    let made = ref 0 in
-    while !made < target && s.ptr < Array.length s.slot_of_rank do
-      let slot = s.slot_of_rank.(s.ptr) in
-      let f = get s slot in
-      if f land fl_p = 0 && f land fl_u <> 0 then begin
-        set s slot (f lor fl_p lor fl_w);
-        s.n_pending <- s.n_pending + 1;
-        emit i s.uniq.(slot) Prop;
-        incr made
-      end;
-      s.ptr <- s.ptr + 1
+  {
+    graph = g;
+    quota;
+    order;
+    flags;
+    n_u;
+    n_pending = Array.make n 0;
+    ptr = Array.sub g.Graph.off 0 n;
+    finished = Array.make n false;
+    memo = Array.make n (-1);
+    extra_a = Array.make n [];
+  }
+
+(* lines 1–3: initial proposals to the top b_i of the weight list, each
+   by the scan later proposals use (no candidate has proposed yet, so
+   none locks) *)
+let start st ~emit =
+  for i = 0 to Graph.node_count st.graph - 1 do
+    for _ = 1 to st.quota.(i) do
+      propose_next st emit i
     done;
-    (* reset the scan pointer: later proposals rescan from the top,
-       skipping anything already proposed to or no longer in U *)
-    s.ptr <- 0;
     check_done st emit i
-  done;
-  (st, List.rev !sends)
+  done
 
 (* the transition itself, parameterised on the send sink [emit src dst
    m]: the Stack runtime passes one closure for the whole run (the hot
    path allocates nothing per send), the explorer a list builder *)
 let deliver st ~src ~dst m ~emit =
   let i = dst and u = src in
-  let s = st.nodes.(i) in
-  if not s.finished then begin
+  if not st.finished.(i) then begin
     (match m with
-    | Prop -> (
-        let slot = slot_of s u in
+    | Prop ->
+        let slot = slot_of st i u in
         if slot >= 0 then begin
-          let f = get s slot in
-          set s slot (f lor fl_a);
-          if f land fl_w <> 0 then lock st i u
+          (* an outside neighbour's proposal is recorded in A_i but can
+             never lock: we never proposed to it *)
+          let f = get st slot in
+          set st slot (f lor fl_a);
+          if f land fl_w <> 0 then lock st i slot
         end
-        else
-          (* a proposer outside the candidate universe: remembered in a
-             lazy side table so copies and fingerprints still see it *)
-          match s.extra_a with
-          | Some tbl -> Hashtbl.replace tbl u ()
-          | None ->
-              let tbl = Hashtbl.create 4 in
-              Hashtbl.replace tbl u ();
-              s.extra_a <- Some tbl)
+        else if not (List.mem u st.extra_a.(i)) then st.extra_a.(i) <- u :: st.extra_a.(i)
     | Rej ->
-        let slot = slot_of s u in
+        let slot = slot_of st i u in
         if slot >= 0 then begin
-          let f = get s slot in
+          let f = get st slot in
           if f land fl_u <> 0 then begin
-            set s slot (f land lnot fl_u);
-            s.n_u <- s.n_u - 1
+            set st slot (f land lnot fl_u);
+            st.n_u.(i) <- st.n_u.(i) - 1
           end;
-          let f = get s slot in
+          let f = get st slot in
           if f land fl_w <> 0 then begin
-            set s slot (f land lnot fl_w);
-            s.n_pending <- s.n_pending - 1;
+            set st slot (f land lnot fl_w);
+            st.n_pending.(i) <- st.n_pending.(i) - 1;
             (* u stays in P_i: it was proposed to and must not be
                proposed to again *)
             propose_next st emit i
@@ -268,50 +239,53 @@ let deliver st ~src ~dst m ~emit =
 (* ------------------------------------------------------------------ *)
 
 let mark_delivery st ~src ~dst m =
-  let s = st.nodes.(dst) in
-  let slot = slot_of s src in
+  let slot = slot_of st dst src in
   if slot < 0 then `Outside
   else begin
-    let bit = match m with Prop -> fl_got_prop | Rej -> fl_got_rej in
-    let f = get s slot in
-    if f land bit <> 0 then `Repeat
+    let f = get st slot in
+    if f land fl_out <> 0 then `Outside
     else begin
-      set s slot (f lor bit);
-      `First
+      let bit = match m with Prop -> fl_got_prop | Rej -> fl_got_rej in
+      if f land bit <> 0 then `Repeat
+      else begin
+        set st slot (f lor bit);
+        `First
+      end
     end
   end
 
-let quiesced st = Array.for_all (fun s -> s.finished) st.nodes
+let quiesced st = Array.for_all Fun.id st.finished
 
 let awaiting_reply st ~node ~peer =
-  let s = st.nodes.(node) in
-  let slot = slot_of s peer in
-  slot >= 0 && get s slot land fl_w <> 0
+  let slot = slot_of st node peer in
+  slot >= 0 && get st slot land fl_w <> 0
 
-let locks st i =
-  let s = st.nodes.(i) in
+(* node i's neighbours whose slot carries [flag], ascending *)
+let flagged st i flag =
+  let g = st.graph in
   let out = ref [] in
-  for slot = Array.length s.uniq - 1 downto 0 do
-    if get s slot land fl_k <> 0 then out := s.uniq.(slot) :: !out
+  for slot = g.Graph.off.(i + 1) - 1 downto g.Graph.off.(i) do
+    if get st slot land flag <> 0 then out := g.Graph.nbr.(slot) :: !out
   done;
   !out
 
+let locks st i = flagged st i fl_k
+
 let unterminated_nodes st =
   let out = ref [] in
-  for i = Array.length st.nodes - 1 downto 0 do
-    if not st.nodes.(i).finished then out := i :: !out
+  for i = Array.length st.finished - 1 downto 0 do
+    if not st.finished.(i) then out := i :: !out
   done;
   !out
 
 let quiescence_violations st =
   List.map
     (fun i ->
-      let s = st.nodes.(i) in
       Violation.v ~checker:"lid-quiescence" (Violation.Node i)
         ~expected:"all proposals answered and U_i emptied (Lemma 5)"
         ~actual:
           (Printf.sprintf "%d unanswered proposal(s), %d candidate(s) left in U_i"
-             s.n_pending s.n_u))
+             st.n_pending.(i) st.n_u.(i)))
     (unterminated_nodes st)
 
 (* Anytime cutoff (Floréen et al.: blocking pairs shrink with rounds,
@@ -326,115 +300,106 @@ let quiescence_violations st =
    [locked_edge_ids].  Returns the released (proposer, peer) pairs,
    ascending. *)
 let freeze st =
+  let g = st.graph in
   let released = ref [] in
-  Array.iteri
-    (fun i s ->
-      if not s.finished then begin
-        for slot = 0 to Array.length s.uniq - 1 do
-          let f = get s slot in
-          if f land fl_w <> 0 then released := (i, s.uniq.(slot)) :: !released;
-          if f land (fl_w lor fl_u) <> 0 then
-            set s slot (f land lnot (fl_w lor fl_u))
-        done;
-        s.n_pending <- 0;
-        s.n_u <- 0;
-        s.finished <- true
-      end)
-    st.nodes;
+  for i = 0 to Graph.node_count g - 1 do
+    if not st.finished.(i) then begin
+      for slot = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
+        let f = get st slot in
+        if f land fl_w <> 0 then released := (i, g.Graph.nbr.(slot)) :: !released;
+        if f land (fl_w lor fl_u) <> 0 then set st slot (f land lnot (fl_w lor fl_u))
+      done;
+      st.n_pending.(i) <- 0;
+      st.n_u.(i) <- 0;
+      st.finished.(i) <- true
+    end
+  done;
   List.rev !released
 
-(* assemble the matching from the locked sets; K is symmetric on a
-   clean run, and intersection keeps the result feasible otherwise *)
-let locked st i v =
-  let s = st.nodes.(i) in
-  let slot = slot_of s v in
-  slot >= 0 && get s slot land fl_k <> 0
-
+(* the matching from the locked sets, in one pass over the slots: an
+   edge is served when both of its slots are locked.  K is symmetric on
+   a clean run, and the intersection keeps the result feasible
+   otherwise. *)
 let locked_edge_ids st =
+  let g = st.graph in
+  let ends = Bytes.make (Graph.edge_count g) '\000' in
+  for slot = 0 to Bytes.length st.flags - 1 do
+    if get st slot land fl_k <> 0 then begin
+      let e = g.Graph.eid.(slot) in
+      Bytes.unsafe_set ends e (Char.unsafe_chr (Char.code (Bytes.unsafe_get ends e) + 1))
+    end
+  done;
   let ids = ref [] in
-  Graph.iter_edges st.graph (fun eid a b ->
-      if locked st a b && locked st b a then ids := eid :: !ids);
-  List.sort (fun (a : int) b -> compare a b) !ids
+  for e = Bytes.length ends - 1 downto 0 do
+    if Bytes.unsafe_get ends e = '\002' then ids := e :: !ids
+  done;
+  !ids
 
 (* ------------------------------------------------------------------ *)
 (* exploration support                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* [order] is never mutated and the memo is validated on every use, so
+   both are shared *)
 let copy_state st =
   {
-    graph = st.graph;
-    nodes =
-      Array.map
-        (fun s ->
-          {
-            s with
-            flags = Bytes.copy s.flags;
-            extra_a = Option.map Hashtbl.copy s.extra_a;
-          })
-        st.nodes;
+    st with
+    flags = Bytes.copy st.flags;
+    n_u = Array.copy st.n_u;
+    n_pending = Array.copy st.n_pending;
+    ptr = Array.copy st.ptr;
+    finished = Array.copy st.finished;
+    extra_a = Array.copy st.extra_a;
   }
 
-let add_flagged_ids buf s flag =
-  for slot = 0 to Array.length s.uniq - 1 do
-    if get s slot land flag <> 0 then begin
-      Buffer.add_string buf (string_of_int s.uniq.(slot));
-      Buffer.add_char buf ','
-    end
-  done
+let add_ids buf ids =
+  List.iter
+    (fun k ->
+      Buffer.add_string buf (string_of_int k);
+      Buffer.add_char buf ',')
+    ids
 
-(* A_i spans the universe bits plus the extra side table *)
-let add_a_ids buf s =
-  match s.extra_a with
-  | None -> add_flagged_ids buf s fl_a
-  | Some tbl ->
-      (* owp-lint: allow hash-order — collected keys are sorted before use *)
-      let acc = ref (Hashtbl.fold (fun k () l -> k :: l) tbl []) in
-      for slot = Array.length s.uniq - 1 downto 0 do
-        if get s slot land fl_a <> 0 then acc := s.uniq.(slot) :: !acc
-      done;
-      List.iter
-        (fun k ->
-          Buffer.add_string buf (string_of_int k);
-          Buffer.add_char buf ',')
-        (List.sort compare !acc)
+(* A_i spans the row's bits plus the proposing strangers *)
+let a_ids st i =
+  match st.extra_a.(i) with
+  | [] -> flagged st i fl_a
+  | extra -> List.sort Int.compare (List.rev_append extra (flagged st i fl_a))
 
 (* the scan pointer is excluded on purpose: it only caches how far the
    monotone topRanked(U \ P) scan has advanced, and U only shrinks while
    P only grows, so states differing in ptr alone behave identically *)
 let fingerprint st =
   let b = Buffer.create 256 in
-  Array.iter
-    (fun s ->
-      Buffer.add_char b (if s.finished then 'F' else 'a');
-      Buffer.add_char b 'u';
-      add_flagged_ids b s fl_u;
-      Buffer.add_char b 'p';
-      add_flagged_ids b s fl_p;
-      Buffer.add_char b 'w';
-      add_flagged_ids b s fl_w;
-      Buffer.add_char b 'x';
-      add_a_ids b s;
-      Buffer.add_char b 'k';
-      add_flagged_ids b s fl_k;
-      Buffer.add_char b '|')
-    st.nodes;
+  for i = 0 to Array.length st.finished - 1 do
+    Buffer.add_char b (if st.finished.(i) then 'F' else 'a');
+    Buffer.add_char b 'u';
+    add_ids b (flagged st i fl_u);
+    Buffer.add_char b 'p';
+    add_ids b (flagged st i fl_p);
+    Buffer.add_char b 'w';
+    add_ids b (flagged st i fl_w);
+    Buffer.add_char b 'x';
+    add_ids b (a_ids st i);
+    Buffer.add_char b 'k';
+    add_ids b (flagged st i fl_k);
+    Buffer.add_char b '|'
+  done;
   Buffer.contents b
 
-let to_send (src, dst, m) = { Explore.src; dst; payload = m }
-
 (* one transition's wire messages, in emission order *)
-let sends_of_step st ~src ~dst m =
+let collect f =
   let out = ref [] in
-  deliver st ~src ~dst m ~emit:(fun src dst payload ->
-      out := { Explore.src; dst; payload } :: !out);
+  f (fun src dst payload -> out := { Explore.src; dst; payload } :: !out);
   List.rev !out
+
+let sends_of_step st ~src ~dst m = collect (fun emit -> deliver st ~src ~dst m ~emit)
 
 let model w ~capacity =
   {
     Explore.init =
       (fun () ->
-        let st, sends = init w ~capacity in
-        (st, List.map to_send sends));
+        let st = init w ~capacity in
+        (st, collect (fun emit -> start st ~emit)));
     deliver = sends_of_step;
     copy = copy_state;
     fingerprint;

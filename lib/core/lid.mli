@@ -11,7 +11,7 @@
     approximation of the maximizing-satisfaction b-matching (Theorem 3).
 
     The protocol is factored into an {e explicit state machine}
-    ({!init} / {!deliver}) with one executor on top: {!Stack.run}
+    ({!init} / {!start} / {!deliver}) with one executor on top: {!Stack.run}
     drives it over {!Owp_simnet.Simnet} (delays, message order and
     faults controlled by the caller; with no layer enabled it is plain
     Algorithm 1 on one schedule), while {!model} exposes the very same
@@ -23,22 +23,34 @@ type message = Prop | Rej
 (** {2 The protocol state machine} *)
 
 type state
-(** Mutable protocol state of all nodes. *)
+(** Mutable protocol state of all nodes, laid over the graph's CSR: node
+    [i]'s candidates are the slots of its adjacency row, and the paper's
+    sets U_i, P_i, P_i \ K_i, A_i and K_i are flag bits in one byte per
+    slot.  Each row's weight list is stored as slots in one 2m-sized
+    array; |U_i|, |P_i \ K_i|, the scan pointer, termination and a
+    lookup memo are n-sized arrays.  Proposals from non-neighbours land
+    in a per-node side list. *)
 
-val init :
-  ?ranking:(int -> (int * int) array) ->
-  Weights.t ->
-  capacity:int array ->
-  state * (int * int * message) list
-(** Fresh protocol state plus the initial sends [(src, dst, m)] (lines
-    1–3 of Alg. 1: every node proposes to the top [b_i] of its weight
-    list), in the order they occur.  [ranking i], when given, overrides node [i]'s
-    weight list with an explicit [(neighbour, edge id)] array, best
-    first — the {!Stack}'s guard layer uses it to rank by {e perceived} weights
-    built from (possibly dishonest) advertised half-weights, and to
-    exclude peers quarantined at bootstrap.  The default is the true
-    symmetric-weight order, heaviest first.
-    @raise Invalid_argument on negative capacities. *)
+val init : ?perceived:float array -> Weights.t -> capacity:int array -> state
+(** Fresh protocol state: every node's weight list (lines 1–3 of
+    Alg. 1), its incident edges heaviest first in
+    {!Weights.compare_edges} order.  No message is sent until {!start}.
+    [perceived], when given, ranks by an explicit weight per adjacency
+    slot instead: node [i] orders its row by [perceived.(s)], heaviest
+    first with the same tie-break, and a NaN leaves that neighbour out
+    of its candidates (its deliveries are [`Outside] for
+    {!mark_delivery}).  The {!Stack}'s guard layer uses it to rank by
+    {e perceived} weights built from (possibly dishonest) advertised
+    half-weights, and to exclude peers quarantined at bootstrap.
+    @raise Invalid_argument on negative capacities, or when [perceived]
+    is not one entry per adjacency slot. *)
+
+val start : state -> emit:(int -> int -> message -> unit) -> unit
+(** The bootstrap burst: every node proposes to the top [b_i] of its
+    weight list, and a node with nothing to propose declines its
+    candidates.  Each send goes to [emit src dst m], in order.  Call it
+    once, on a fresh state, before any {!deliver}; [emit] must not
+    re-enter the state machine. *)
 
 val deliver :
   state -> src:int -> dst:int -> message -> emit:(int -> int -> message -> unit) -> unit
@@ -80,7 +92,8 @@ val quiescence_violations : state -> Owp_check.Violation.t list
 
 val locked_edge_ids : state -> int list
 (** Edges locked by {e both} endpoints, ascending — the protocol's
-    current matching (symmetric on a clean run, Lemma 4). *)
+    current matching (symmetric on a clean run, Lemma 4).  One pass
+    over the slots, O(n + m). *)
 
 val freeze : state -> (int * int) list
 (** Anytime cutoff: atomically release every tentative (unanswered)

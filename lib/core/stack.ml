@@ -91,42 +91,23 @@ let advert_of prefs adversaries j i =
   | Some (Adversary.Weight_liar lam) -> (1.0 +. lam) *. bound prefs j
   | _ -> Weights.half prefs j i
 
-(* the bootstrap rankings: every correct node orders its neighbour rows
-   by decreasing own half + advertised half ([advert v i]: what v
-   advertises to i), in Lid's tie-break order.  [accept i v claim] vets
-   each advert, in node order, then neighbour order; a refused row is
-   left out. *)
-let rankings prefs g ~correct ~advert ~accept =
-  let perceived =
-    Array.init (Graph.node_count g) (fun i ->
-        if not (correct i) then [||]
-        else
-          Array.init (Graph.degree g i) (fun k ->
-              let v = g.Graph.nbr.(g.Graph.off.(i) + k) in
-              let a = advert v i in
-              if accept i v a then Weights.half prefs i v +. a else Float.nan))
-  in
-  fun i ->
-    let o = g.Graph.off.(i) and pw = perceived.(i) in
-    let rows =
-      List.init (Array.length pw) Fun.id
-      |> List.filter (fun r -> not (Float.is_nan pw.(r)))
-      |> Array.of_list
-    in
-    Array.sort
-      (fun a b ->
-        let c = Float.compare pw.(b) pw.(a) in
-        if c <> 0 then c
-        else begin
-          let e = g.Graph.eid.(o + a) and f = g.Graph.eid.(o + b) in
-          let ue = Graph.edge_u g e and uf = Graph.edge_u g f in
-          if uf <> ue then Int.compare uf ue
-          else
-            let ve = Graph.edge_v g e and vf = Graph.edge_v g f in
-            if vf <> ve then Int.compare vf ve else Int.compare f e
-        end)
-      rows;
-    Array.map (fun r -> (g.Graph.nbr.(o + r), g.Graph.eid.(o + r))) rows
+(* the bootstrap weights: every correct node ranks its neighbour row by
+   own half + advertised half ([advert v i]: what v advertises to i),
+   one entry per adjacency slot, for {!Lid.init}'s [perceived].  [accept
+   i v claim] vets each advert, in node order, then neighbour order; a
+   refused advert, and every slot of a node that is not correct, is NaN
+   and leaves that neighbour out. *)
+let perceived prefs g ~correct ~advert ~accept =
+  let pw = Array.make (Array.length g.Graph.nbr) Float.nan in
+  for i = 0 to Graph.node_count g - 1 do
+    if correct i then
+      for s = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
+        let v = g.Graph.nbr.(s) in
+        let a = advert v i in
+        if accept i v a then pw.(s) <- Weights.half prefs i v +. a
+      done
+  done;
+  pw
 
 (* the bounded-damage certificate of a final LID state *)
 let damage_of ?cutoff w ~capacity ~correct ~unterminated ~overclaimed st =
@@ -814,10 +795,10 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   let correct = Array.init n (fun i -> Option.is_none adv.(i) && not silent.(i)) in
   if adv_enabled && not (Array.exists Fun.id correct) then fail "no correct node left";
   (* --- the context and the bootstrap: advertise half-weights, vet
-     them, build rankings ------------------------------------------- *)
+     them, build the perceived weights ------------------------------ *)
   let guards = if guard then Some (guards_for (Option.get prefs) g) else None in
   let bootstrap = ref [] in
-  let ranking =
+  let perceived =
     match prefs with
     | Some p when adv_enabled ->
         let accept =
@@ -829,10 +810,10 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
                 if verdict.Guard.quarantine then bootstrap := (i, v) :: !bootstrap;
                 verdict.Guard.accept
         in
-        Some (rankings p g ~correct:(Array.get correct) ~advert:(advert_of p adv) ~accept)
+        Some (perceived p g ~correct:(Array.get correct) ~advert:(advert_of p adv) ~accept)
     | _ -> None
   in
-  let st, initial = Lid.init ?ranking w ~capacity in
+  let st = Lid.init ?perceived w ~capacity in
   let net =
     Simnet.create ~seed ~fifo ~faults ~shards:sim_shards ~unsafe_lookahead
       ~nodes:(max n 1) ~delay ()
@@ -914,7 +895,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   Array.iteri
     (fun f ok -> if not ok then programs.(f).Adversary.on_init ~send:(byz_send f))
     correct;
-  List.iter (fun (src, dst, m) -> if correct.(src) then emit src dst m) initial;
+  Lid.start st ~emit:(fun src dst m -> if correct.(src) then emit src dst m);
   List.iter (fun (i, p) -> io.send_rej i p) !bootstrap;
   let cutoff =
     match deadline with None -> Simnet.run c.net; None | Some (_, stop) -> Some (stop ())
@@ -995,7 +976,7 @@ type explore_state = { lid : Lid.state; eguards : Guard.t array option }
 
 (* the guarded (or bare) inbound composition as a pure Explore.protocol,
    so the explorer model-checks the code the production stack runs: the
-   bootstrap rankings from {!rankings} (honest adverts, no vetting),
+   bootstrap weights from {!perceived} (honest adverts, no vetting),
    the guard layer's {!screen} above the unchanged Lid.deliver, the
    quarantine re-announcement and the quiet-round give-up hook.
    Deliveries to non-[correct] nodes are no-ops: the explorer's
@@ -1006,8 +987,8 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
      claims enter through the explorer's injection repertoire instead,
      so every attack is interleaved with deliveries rather than fixed
      at t = 0 *)
-  let ranking =
-    rankings prefs g ~correct ~advert:(Weights.half prefs) ~accept:(fun _ _ _ -> true)
+  let perceived =
+    perceived prefs g ~correct ~advert:(Weights.half prefs) ~accept:(fun _ _ _ -> true)
   in
   let wire src dst m =
     let payload =
@@ -1015,11 +996,13 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
     in
     { Explore.src; dst; payload }
   in
-  let step lid ~src ~dst lm =
+  (* the wire messages a transition of the machine sends, in order *)
+  let sends transition =
     let out = ref [] in
-    Lid.deliver lid ~src ~dst lm ~emit:(fun src dst m -> out := wire src dst m :: !out);
+    transition (fun src dst m -> out := wire src dst m :: !out);
     List.rev !out
   in
+  let step lid ~src ~dst lm = sends (fun emit -> Lid.deliver lid ~src ~dst lm ~emit) in
   let mk_guards () = if guard then Some (guards_for prefs g) else None in
   let deliver st ~src ~dst (m : Guard.msg) =
     if not (correct dst) then []
@@ -1052,9 +1035,8 @@ let explore_protocol ~guard ~correct prefs w ~capacity =
   {
     Explore.init =
       (fun () ->
-        let lid, sends = Lid.init ~ranking w ~capacity in
-        ( { lid; eguards = mk_guards () },
-          List.map (fun (src, dst, m) -> wire src dst m) sends ));
+        let lid = Lid.init ~perceived w ~capacity in
+        ({ lid; eguards = mk_guards () }, sends (fun emit -> Lid.start lid ~emit)));
     deliver;
     copy =
       (fun st ->

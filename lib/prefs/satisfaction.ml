@@ -10,12 +10,16 @@ let delta ~quota ~list_len ~rank ~position =
   let b = float_of_int quota and l = float_of_int list_len in
   (1.0 /. b) -. (float_of_int (rank - position) /. (b *. l))
 
+(* eq. 5's ΔS̄ = 1/b − r/(b·l), the one place it is written *)
+let static_delta_unchecked ~quota ~list_len ~rank =
+  let b = float_of_int quota and l = float_of_int list_len in
+  (1.0 /. b) -. (float_of_int rank /. (b *. l))
+
 let static_delta ~quota ~list_len ~rank =
   check_basic ~quota ~list_len;
   if rank < 0 || rank >= list_len then
     invalid_arg "Satisfaction.static_delta: rank out of range";
-  let b = float_of_int quota and l = float_of_int list_len in
-  (1.0 /. b) -. (float_of_int rank /. (b *. l))
+  static_delta_unchecked ~quota ~list_len ~rank
 
 let dynamic_delta ~quota ~list_len ~position =
   check_basic ~quota ~list_len;

@@ -30,6 +30,12 @@ val delta : quota:int -> list_len:int -> rank:int -> position:int -> float
 val static_delta : quota:int -> list_len:int -> rank:int -> float
 (** Modified (execution-independent) increment ΔS̄_ij of eq. 5. *)
 
+val static_delta_unchecked : quota:int -> list_len:int -> rank:int -> float
+(** {!static_delta} without its argument checks, for loops that validate
+    [quota > 0], [list_len > 0] and [0 <= rank < list_len] once per
+    list rather than once per entry; bit-identical to it on valid
+    arguments.  Undefined on others. *)
+
 val dynamic_delta : quota:int -> list_len:int -> position:int -> float
 (** The discarded dynamic part, [position/(quota · list_len)]. *)
 

@@ -12,14 +12,25 @@ let half prefs i j = half_at_rank prefs i (Preference.rank prefs i j)
 (* One increasing pass over the nodes, ranks read by slot: the lower
    endpoint u of an edge is visited first and stores its half, the upper
    endpoint v then combines its half in place, so [w.(e)] is
-   [combine (half u v) (half v u)]. *)
+   [combine (half u v) (half v u)].  Each row is checked once, as
+   [half_at_rank] does per entry: quota and list length positive
+   (Preference keeps quotas in [0, l]), and its ranks are a permutation
+   of 0 .. l - 1 by Preference's invariant, so every slot's half is
+   eq. 5 without per-entry checks. *)
 let of_preference ?(combiner = Sum) prefs =
   let g = Preference.graph prefs in
   let w = Array.make (Graph.edge_count g) 0.0 in
   for i = 0 to Graph.node_count g - 1 do
+    let list_len = Preference.list_len prefs i and quota = Preference.quota prefs i in
+    let live = list_len > 0 && quota > 0 in
     for s = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
       let j = g.Graph.nbr.(s) and eid = g.Graph.eid.(s) in
-      let h = half_at_rank prefs i (Preference.slot_rank prefs s) in
+      let h =
+        if live then
+          Satisfaction.static_delta_unchecked ~quota ~list_len
+            ~rank:(Preference.slot_rank prefs s)
+        else 0.0
+      in
       w.(eid) <-
         (if i < j then h
          else

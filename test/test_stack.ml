@@ -27,12 +27,12 @@ let random_instance seed n avg_deg quota =
 (* zero middleware = the reference driver, bit for bit                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The oracle: Lid.init and Lid.deliver over Simnet with nothing in
+(* The oracle: Lid.init, Lid.start and Lid.deliver over Simnet with nothing in
    between — sends go straight to the simulator, deliveries straight to
    the machine, no dedup, no frames.  It shares the state machine with
    Stack.run and none of its layers. *)
 let reference_run ~seed ?(fifo = true) ?(faults = Sim.no_faults) w ~capacity =
-  let st, initial = Lid.init w ~capacity in
+  let st = Lid.init w ~capacity in
   let n = Graph.node_count (Weights.graph w) in
   let net =
     Sim.create ~seed ~fifo ~faults ~nodes:(max n 1) ~delay:(Sim.Uniform (0.5, 1.5)) ()
@@ -43,7 +43,7 @@ let reference_run ~seed ?(fifo = true) ?(faults = Sim.no_faults) w ~capacity =
     Sim.send net ~src ~dst m
   in
   Sim.set_handler net (fun ~src ~dst m -> Lid.deliver st ~src ~dst m ~emit);
-  List.iter (fun (src, dst, m) -> emit src dst m) initial;
+  Lid.start st ~emit;
   Sim.run net;
   ( Lid.locked_edge_ids st,
     (!props, !rejs, Sim.messages_delivered net, Sim.messages_dropped net),
@@ -453,6 +453,28 @@ let test_detector_tables_pinned () =
             ]
           w ~capacity))
 
+(* BENCH_E23.json's E23b anchor at n = 10^4: the instance of
+   Workloads.make at seed 23 (G(n,m) of average degree 16, random
+   preferences, b = 8), run by Stack.run with no layer enabled at the
+   engine seed Hashtbl.hash of the instance label.  The protocol
+   counters and the virtual completion time (printed with six
+   decimals there) must be reproduced exactly. *)
+let test_e23b_anchor () =
+  let module W = Owp_bench.Workloads in
+  let inst =
+    W.make ~seed:23 ~family:(W.Gnm_avg_deg 16.0) ~pref_model:W.Random_prefs ~n:10_000
+      ~quota:8
+  in
+  let r =
+    Stack.run ~seed:(Hashtbl.hash inst.W.label) inst.W.weights ~capacity:inst.W.capacity
+  in
+  Alcotest.(check int) "PROP" 92418 r.Stack.prop_count;
+  Alcotest.(check int) "REJ" 51428 r.Stack.rej_count;
+  Alcotest.(check int) "delivered" 143846 r.Stack.delivered;
+  Alcotest.(check string) "v-time" "11.590479"
+    (Printf.sprintf "%.6f" r.Stack.completion_time);
+  Alcotest.(check bool) "quiesced" true r.Stack.all_terminated
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_zero_middleware_bit_identical;
@@ -472,4 +494,5 @@ let suite =
     Alcotest.test_case "composed workload table pinned" `Quick test_composed_table_pinned;
     Alcotest.test_case "detector and membership tables pinned" `Quick
       test_detector_tables_pinned;
+    Alcotest.test_case "E23b anchor at n = 10^4" `Quick test_e23b_anchor;
   ]
