@@ -850,20 +850,6 @@ let bench_gate ~jobs ~inject spec =
     && s.Owp_bench.E23_scale.jobs_deterministic
     && s.Owp_bench.E23_scale.indexed_ms <= s.Owp_bench.E23_scale.reference_ms
   in
-  (* the shard-determinism preset: every layer composition, sequential
-     vs sharded event store, full-report bit-identity.  --inject
-     lookahead swaps in the wheel's deliberately wrong dispatch order
-     and expects this preset (and so the gate) to trip. *)
-  let wheel =
-    Owp_bench.E28_wheel.shard_gate
-      ~unsafe_lookahead:(inject = Some `Lookahead) ()
-  in
-  Printf.printf "shard gate          : %d compositions x shards {%s} bit-identical %b\n"
-    wheel.Owp_bench.E28_wheel.compositions_checked
-    (String.concat ","
-       (List.map string_of_int wheel.Owp_bench.E28_wheel.shards_checked))
-    wheel.Owp_bench.E28_wheel.identical;
-  let scale_ok = scale_ok && wheel.Owp_bench.E28_wheel.identical in
   (* the serve gate's stack comes from the shared bundle (default:
      plain LID), so a CI job can gate any composition *)
   let spec =
@@ -963,17 +949,14 @@ let bench_cmd =
       & opt
           (some
              (enum
-                [ ("latency", `Latency); ("quality", `Quality);
-                  ("lookahead", `Lookahead) ]))
+                [ ("latency", `Latency); ("quality", `Quality) ]))
           None
       & info [ "inject" ] ~docv:"KIND"
           ~doc:
             "With $(b,--gate): plant a known regression and expect the gate \
              to FAIL (the CI self-test that the gate can trip) — $(i,latency) \
              adds a per-request service handicap, $(i,quality) swaps in \
-             unguarded liars, $(i,lookahead) enables the event wheel's \
-             deliberately wrong dispatch order, which the shard-determinism \
-             preset must catch.")
+             unguarded liars.")
   in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids; all when omitted.")

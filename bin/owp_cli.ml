@@ -160,17 +160,6 @@ let byzantine_arg =
            flooder, replayer, violator (e.g. $(b,liar:0.2)).  Runs LID with \
            the remaining correct peers and reports the bounded-damage verdict.")
 
-let sim_shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "sim-shards" ] ~docv:"N"
-        ~doc:
-          "Space-partition the simulator's event store into N shards (one \
-           bucketed event wheel per contiguous node range), merged on the \
-           global (at, seq) key.  Results are bit-identical for every N — \
-           same messages, same coins, same counters; the knob only changes \
-           which structures can be prepared concurrently across domains.")
-
 let guard_arg =
   Arg.(
     value & flag
@@ -200,11 +189,10 @@ type t = {
   max_rounds : int option;
   byzantine : string option;
   guard : bool;
-  sim_shards : int;
 }
 
 let make seed family n quota model graph_file engine reliable faults schedule
-    deadline max_rounds byzantine guard sim_shards =
+    deadline max_rounds byzantine guard =
   {
     seed;
     family;
@@ -220,14 +208,13 @@ let make seed family n quota model graph_file engine reliable faults schedule
     max_rounds;
     byzantine;
     guard;
-    sim_shards;
   }
 
 let term =
   Term.(
     const make $ seed_arg $ family_arg $ n_arg $ quota_arg $ model_arg $ graph_arg
     $ engine_arg $ reliable_arg $ faults_arg $ schedule_arg $ deadline_arg
-    $ max_rounds_arg $ byzantine_arg $ guard_arg $ sim_shards_arg)
+    $ max_rounds_arg $ byzantine_arg $ guard_arg)
 
 (* the instance is rebuilt deterministically from
    (seed, family, n, quota, model) or from an edge-list file, so a
@@ -254,5 +241,4 @@ let config ?(check = false) t =
   RC.validate
     (RC.make ~engine:t.engine ~seed:t.seed ~faults:t.faults ~schedule:t.schedule
        ~reliable:t.reliable ?byzantine:t.byzantine ~guard:t.guard
-       ~sim_shards:t.sim_shards ?deadline:t.deadline ?max_rounds:t.max_rounds
-       ~check ())
+       ?deadline:t.deadline ?max_rounds:t.max_rounds ~check ())

@@ -54,37 +54,25 @@ type lic_row = {
 
 let speedup r = if r.indexed_ms <= 0.0 then infinity else r.reference_ms /. r.indexed_ms
 
-(* Wall timings on shared CI boxes are noisy; best-of-two with a major
+(* One size point of E23a; also the measurement behind the CI gate.
+   Wall timings on shared CI boxes are noisy; best-of-two with a major
    collection between engines keeps one engine from paying the other's
    allocation debt and reports the repeatable floor, not the noise. *)
-let time_best f =
-  let measure () =
-    (* collect first: freed pages from the previous run go back on the
-       allocator's free list, so this run's arrays reuse them instead of
-       page-faulting fresh mappings — that fault cost is the single
-       largest noise source on the shared CI boxes *)
-    Gc.full_major ();
-    Exp_common.time f
-  in
-  let _, a = measure () in
-  let r, b = measure () in
-  (r, Float.min a b)
-
-(* One size point of E23a; also the measurement behind the CI gate. *)
 let measure_lic ~seed ~n ~deg ~quota =
   let inst = instance ~seed ~n ~deg ~quota in
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
-  let reference, reference_ms =
-    time_best (fun () -> Lic.run ~strategy:Lic.Climbing w ~capacity)
+  let best_of_two f = Exp_common.sample ~k:2 (fun () -> f) in
+  let reference, reference_t =
+    best_of_two (fun () -> Lic.run ~strategy:Lic.Climbing w ~capacity)
   in
-  let sorted, sorted_ms = time_best (fun () -> Lic.run w ~capacity) in
-  let indexed, indexed_ms = time_best (fun () -> Lic_indexed.run w ~capacity) in
+  let sorted, sorted_t = best_of_two (fun () -> Lic.run w ~capacity) in
+  let indexed, indexed_t = best_of_two (fun () -> Lic_indexed.run w ~capacity) in
   {
     n;
     m = Graph.edge_count inst.Workloads.graph;
-    reference_ms;
-    sorted_ms;
-    indexed_ms;
+    reference_ms = reference_t.Exp_common.min;
+    sorted_ms = sorted_t.Exp_common.min;
+    indexed_ms = indexed_t.Exp_common.min;
     identical = BM.equal reference indexed && BM.equal sorted indexed;
   }
 
@@ -108,35 +96,31 @@ let trial_equal (s1, e1, p1, r1, t1) (s2, e2, p2, r2, t2) =
 let sweeps_identical a b =
   Array.length a = Array.length b && Array.for_all2 trial_equal a b
 
-(* E23d: one size point.  Every sample rebuilds the E23b instance from
-   its seed, phase by phase as Workloads.make does; a major collection
-   before each phase keeps one phase from paying another's debt. *)
+(* E23d: one size point.  The E23b instance is rebuilt from its seed
+   phase by phase, as Workloads.make does, and each phase is sampled
+   alone; a major collection before each sample keeps one phase from
+   paying another's debt. *)
 let build_samples = 5
 
 let measure_build ~seed ~n ~deg ~quota =
-  let timed f =
-    Gc.full_major ();
-    Exp_common.time f
+  let sample setup = Exp_common.sample ~k:build_samples setup in
+  let m = min (n * (n - 1) / 2) (int_of_float (float_of_int n *. deg /. 2.0)) in
+  let (g, rng), gnm =
+    sample (fun () () ->
+        let rng = Owp_util.Prng.create seed in
+        (Gen.gnm rng ~n ~m, rng))
   in
-  let sample () =
-    let rng = Owp_util.Prng.create seed in
-    let m = min (n * (n - 1) / 2) (int_of_float (float_of_int n *. deg /. 2.0)) in
-    let g, gnm_ms = timed (fun () -> Gen.gnm rng ~n ~m) in
-    let prefs, prefs_ms =
-      timed (fun () -> Preference.random rng g ~quota:(Preference.uniform_quota g quota))
-    in
-    let w, weights_ms = timed (fun () -> Weights.of_preference prefs) in
-    let capacity = Array.init n (Preference.quota prefs) in
-    let _, lic_ms = timed (fun () -> Lic_indexed.run w ~capacity) in
-    (Graph.edge_count g, [| gnm_ms; prefs_ms; weights_ms; lic_ms |])
+  (* each sample draws the preferences from a copy of the generator's
+     stream, as Workloads.make does right after the graph *)
+  let prefs, prefs_t =
+    sample (fun () ->
+        let rng = Owp_util.Prng.copy rng in
+        fun () -> Preference.random rng g ~quota:(Preference.uniform_quota g quota))
   in
-  let samples = Array.init build_samples (fun _ -> sample ()) in
-  let min_iqr k =
-    let xs = Array.map (fun (_, t) -> t.(k)) samples in
-    let module S = Owp_util.Stats in
-    (Array.fold_left Float.min infinity xs, S.percentile xs 0.75 -. S.percentile xs 0.25)
-  in
-  (fst samples.(0), min_iqr 0, min_iqr 1, min_iqr 2, min_iqr 3)
+  let w, weights = sample (fun () () -> Weights.of_preference prefs) in
+  let capacity = Array.init n (Preference.quota prefs) in
+  let _, lic = sample (fun () () -> Lic_indexed.run w ~capacity) in
+  (Graph.edge_count g, gnm, prefs_t, weights, lic)
 
 (* E23e: one size point.  The matching is the lic engine's.  Every
    sample wraps it in a fresh Checker.instance per timed call, outside
@@ -147,31 +131,18 @@ let measure_check ~seed ~n ~deg ~quota =
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
   let prefs = inst.Workloads.prefs in
   let matching = Lic_indexed.run w ~capacity in
-  let timed f =
-    Gc.full_major ();
-    snd (Exp_common.time f)
+  let sample setup = snd (Exp_common.sample ~k:build_samples setup) in
+  let checkers only =
+    sample (fun () ->
+        let ci = Owp_check.Checker.of_matching ~prefs w matching in
+        fun () -> ignore (Owp_check.Checker.run ?only ci))
   in
-  let checkers only () =
-    let ci = Owp_check.Checker.of_matching ~prefs w matching in
-    timed (fun () -> ignore (Owp_check.Checker.run ?only ci))
-  in
-  let phases =
+  ( Graph.edge_count inst.Workloads.graph,
     List.map (fun name -> (name, checkers (Some [ name ]))) Owp_check.Checker.names
     @ [
         ("registry", checkers None);
-        ("lic", fun () -> timed (fun () -> ignore (Lic_indexed.run w ~capacity)));
-      ]
-  in
-  let samples = Array.init build_samples (fun _ -> List.map (fun (_, f) -> f ()) phases) in
-  let module S = Owp_util.Stats in
-  ( Graph.edge_count inst.Workloads.graph,
-    List.mapi
-      (fun k (name, _) ->
-        let xs = Array.map (fun t -> List.nth t k) samples in
-        ( name,
-          Array.fold_left Float.min infinity xs,
-          S.percentile xs 0.75 -. S.percentile xs 0.25 ))
-      phases )
+        ("lic", sample (fun () () -> ignore (Lic_indexed.run w ~capacity)));
+      ] )
 
 let check_table ~quota sizes =
   let t =
@@ -193,70 +164,82 @@ let check_table ~quota sizes =
   List.iter
     (fun n ->
       let m, phases = measure_check ~seed:23 ~n ~deg:16.0 ~quota in
-      let _, lic, _ = List.find (fun (name, _, _) -> name = "lic") phases in
+      let lic = (List.assoc "lic" phases).Exp_common.min in
       List.iter
-        (fun (name, lo, iqr) ->
+        (fun (name, (x : Exp_common.spread)) ->
           Tbl.add_row t
             [
               Tbl.icell n;
               Tbl.icell m;
               name;
-              Tbl.fcell2 lo;
-              Tbl.fcell2 iqr;
-              Printf.sprintf "%.2fx" (lo /. lic);
+              Tbl.fcell2 x.min;
+              Tbl.fcell2 x.iqr;
+              Printf.sprintf "%.2fx" (x.min /. lic);
             ])
         phases)
     sizes;
   t
 
-(* E23f: one size point.  Each sample runs LID on the E23b instance in
-   a bare loop, Lid over Simnet with nothing in between, at Stack.run's
+(* E23f: one size point.  LID runs on the E23b instance in a bare
+   loop, Lid over Simnet with nothing in between, at Stack.run's
    defaults (engine seed = hash of the label, uniform delays in
-   [0.5, 1.5], FIFO links), timing each phase alone after a major
-   collection: [init] builds the weight lists, [start] sends the
-   bootstrap burst into the simulator, [simnet run] delivers every
-   message to Lid.deliver, [read-out] turns the locked edges into the
-   served matching.  Then Stack.run on the same instance, which must
-   lock the same edges. *)
-let lid_phases = [ "init"; "start"; "simnet run"; "read-out"; "bare loop"; "Stack.run" ]
-
+   [0.5, 1.5], FIFO links).  Each phase is sampled alone, on a state
+   brought up to it off the clock: [init] builds the weight lists,
+   [start] sends the bootstrap burst into the simulator, [simnet run]
+   delivers every message to Lid.deliver, [read-out] turns the locked
+   edges into the served matching.  [bare loop] times the four in one
+   go, and Stack.run on the same instance must lock the same edges. *)
 let measure_lid ~seed ~n ~quota =
   let inst = instance ~seed ~n ~deg:16.0 ~quota in
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
   let g = inst.Workloads.graph and engine_seed = Hashtbl.hash inst.Workloads.label in
-  let timed f =
-    Gc.full_major ();
-    Exp_common.time f
-  in
-  let same = ref true in
-  let sample () =
-    let st, init_ms = timed (fun () -> Lid.init w ~capacity) in
+  let sample setup = Exp_common.sample ~k:build_samples setup in
+  let init () =
+    let st = Lid.init w ~capacity in
     let net =
       Simnet.create ~seed:engine_seed ~nodes:(max n 1) ~delay:(Simnet.Uniform (0.5, 1.5)) ()
     in
     let emit src dst m = Simnet.send net ~src ~dst m in
     Simnet.set_handler net (fun ~src ~dst m -> Lid.deliver st ~src ~dst m ~emit);
-    let (), start_ms = timed (fun () -> Lid.start st ~emit) in
-    let (), run_ms = timed (fun () -> Simnet.run net) in
-    let bare, read_ms =
-      timed (fun () -> BM.of_edge_ids g ~capacity (Lid.locked_edge_ids st))
-    in
-    let r, stack_ms = timed (fun () -> Stack.run ~seed:engine_seed w ~capacity) in
-    same := !same && BM.equal bare r.Stack.matching;
-    [| init_ms; start_ms; run_ms; read_ms; init_ms +. start_ms +. run_ms +. read_ms; stack_ms |]
+    (st, net, emit)
   in
-  let samples = Array.init build_samples (fun _ -> sample ()) in
-  let module S = Owp_util.Stats in
+  let started () =
+    let st, net, emit = init () in
+    Lid.start st ~emit;
+    (st, net)
+  in
+  let read_out st = BM.of_edge_ids g ~capacity (Lid.locked_edge_ids st) in
+  let _, init_t = sample (fun () () -> Lid.init w ~capacity) in
+  let _, start_t =
+    sample (fun () ->
+        let st, _, emit = init () in
+        fun () -> Lid.start st ~emit)
+  in
+  let st, run_t =
+    sample (fun () ->
+        let st, net = started () in
+        fun () ->
+          Simnet.run net;
+          st)
+  in
+  let read, read_t = sample (fun () () -> read_out st) in
+  let bare, bare_t =
+    sample (fun () () ->
+        let st, net = started () in
+        Simnet.run net;
+        read_out st)
+  in
+  let r, stack_t = sample (fun () () -> Stack.run ~seed:engine_seed w ~capacity) in
   ( Graph.edge_count g,
-    !same,
-    List.mapi
-      (fun k name ->
-        let xs = Array.map (fun t -> t.(k)) samples in
-        ( name,
-          Array.fold_left Float.min infinity xs,
-          S.percentile xs 0.5,
-          S.percentile xs 0.75 -. S.percentile xs 0.25 ))
-      lid_phases )
+    BM.equal read r.Stack.matching && BM.equal bare r.Stack.matching,
+    [
+      ("init", init_t);
+      ("start", start_t);
+      ("simnet run", run_t);
+      ("read-out", read_t);
+      ("bare loop", bare_t);
+      ("Stack.run", stack_t);
+    ] )
 
 let lid_table ~quota sizes =
   let t =
@@ -280,18 +263,18 @@ let lid_table ~quota sizes =
   List.iter
     (fun n ->
       let m, same, phases = measure_lid ~seed:23 ~n ~quota in
-      let _, bare, _, _ = List.find (fun (name, _, _, _) -> name = "bare loop") phases in
+      let bare = (List.assoc "bare loop" phases).Exp_common.min in
       List.iter
-        (fun (name, lo, med, iqr) ->
+        (fun (name, (x : Exp_common.spread)) ->
           Tbl.add_row t
             [
               Tbl.icell n;
               Tbl.icell m;
               name;
-              Tbl.fcell2 lo;
-              Tbl.fcell2 med;
-              Tbl.fcell2 iqr;
-              Printf.sprintf "%.2fx" (lo /. bare);
+              Tbl.fcell2 x.min;
+              Tbl.fcell2 x.median;
+              Tbl.fcell2 x.iqr;
+              Printf.sprintf "%.2fx" (x.min /. bare);
               Exp_common.yn same;
             ])
         phases)
@@ -441,13 +424,14 @@ let run ~quick =
   List.iter
     (fun n ->
       let m, gnm, prefs, weights, lic = measure_build ~seed:23 ~n ~deg:16.0 ~quota in
-      let build = fst gnm +. fst prefs +. fst weights in
-      let cells (lo, iqr) = [ Tbl.fcell2 lo; Tbl.fcell2 iqr ] in
+      let module X = Exp_common in
+      let build = gnm.X.min +. prefs.X.min +. weights.X.min in
+      let cells t = [ Tbl.fcell2 t.X.min; Tbl.fcell2 t.X.iqr ] in
       Tbl.add_row t4
         ([ Tbl.icell n; Tbl.icell m ]
         @ cells gnm @ cells prefs @ cells weights
         @ (Tbl.fcell2 build :: cells lic)
-        @ [ Printf.sprintf "%.2fx" (build /. fst lic) ]))
+        @ [ Printf.sprintf "%.2fx" (build /. lic.X.min) ]))
     [ 10_000; 100_000 ];
   let t5 = check_table ~quota (if quick then [ 10_000 ] else [ 10_000; 100_000 ]) in
   let t6 = lid_table ~quota (if quick then [ 10_000 ] else [ 10_000; 100_000 ]) in

@@ -54,6 +54,31 @@ let trial_map f xs = Owp_util.Pool.map_list ~jobs:!jobs f xs
 
 let time f = Owp_util.Clock.time f
 
+type spread = { min : float; median : float; iqr : float }
+
+(* Collecting before each sample returns the previous sample's pages to
+   the allocator, so this one reuses them instead of page-faulting
+   fresh mappings: that fault cost is the largest noise source on a
+   shared box. *)
+let sample ~k setup =
+  if k < 1 then invalid_arg "Exp_common.sample: k must be positive";
+  let result = ref None in
+  let walls =
+    Array.init k (fun _ ->
+        let f = setup () in
+        Gc.full_major ();
+        let r, ms = time f in
+        result := Some r;
+        ms)
+  in
+  let module S = Owp_util.Stats in
+  ( Option.get !result,
+    {
+      min = Array.fold_left Float.min infinity walls;
+      median = S.percentile walls 0.5;
+      iqr = S.percentile walls 0.75 -. S.percentile walls 0.25;
+    } )
+
 let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)

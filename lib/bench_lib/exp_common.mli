@@ -37,6 +37,16 @@ val trial_map : ('a -> 'b) -> 'a list -> 'b list
 val time : (unit -> 'a) -> 'a * float
 (** Result plus wall-clock milliseconds. *)
 
+type spread = { min : float; median : float; iqr : float }
+(** Wall-clock milliseconds over k samples. *)
+
+val sample : k:int -> (unit -> unit -> 'a) -> 'a * spread
+(** [sample ~k setup] times [k] runs.  Each calls [setup ()] off the
+    clock, runs a major collection, then times the thunk [setup]
+    returned, so [fun () () -> work] samples [work] alone.  Returns the
+    last run's result and the min, median and IQR of the [k] walls.
+    @raise Invalid_argument when [k < 1]. *)
+
 val mean : float list -> float
 val minimum : float list -> float
 val header : exp -> string

@@ -174,7 +174,6 @@ let rec run_config ?capacity cfg prefs =
         let r =
           Stack.run ~seed ~fifo:f.Faults.fifo ~faults:(Faults.channel f)
             ~schedule:cfg.Run_config.schedule ~reliable
-            ~sim_shards:cfg.Run_config.sim_shards
             ?patience:(Faults.effective_patience f)
             ?deadline:cfg.Run_config.deadline
             ?max_rounds:cfg.Run_config.max_rounds ~crashes ?adversaries

@@ -34,7 +34,7 @@ let default =
 
 let make ?(engine = default.engine) ?(seed = default.seed) ?(faults = default.faults)
     ?(schedule = Schedule.empty) ?(reliable = false) ?byzantine ?(guard = false)
-    ?(sim_shards = 1) ?(check = false) ?deadline ?max_rounds () =
+    ?(check = false) ?deadline ?max_rounds () =
   {
     engine;
     seed;
@@ -43,7 +43,7 @@ let make ?(engine = default.engine) ?(seed = default.seed) ?(faults = default.fa
     reliable;
     byzantine;
     guard;
-    sim_shards;
+    sim_shards = 1;
     check;
     deadline;
     max_rounds;
@@ -129,17 +129,10 @@ let validate t =
     else Ok ()
   in
   let* () =
-    if t.sim_shards < 1 then
+    if t.sim_shards <> 1 then
       Error
-        (Printf.sprintf "--sim-shards %d: the event store needs at least one shard"
+        (Printf.sprintf "sim_shards %d: the simulator has one event store, so it must be 1"
            t.sim_shards)
-    else if t.sim_shards > 1 && not (lid_family t.engine) then
-      Error
-        (Printf.sprintf
-           "--sim-shards partitions the simulator's event store and needs a \
-            LID-family engine (lid or lid-reliable); engine %s does not \
-            simulate a network"
-           (engine_name t.engine))
     else Ok ()
   in
   let* () =
@@ -190,9 +183,6 @@ let to_string t =
          | Some spec -> [ "byzantine=" ^ spec ]
          | None -> []);
          (if t.guard then [ "guard" ] else []);
-         (if t.sim_shards <> 1 then
-            [ Printf.sprintf "sim-shards=%d" t.sim_shards ]
-          else []);
          (if t.check then [ "check" ] else []);
          (match t.deadline with
          | Some d -> [ Printf.sprintf "deadline=%g" d ]

@@ -43,9 +43,8 @@ type t = {
       (** adversary spec, {!Owp_simnet.Adversary.parse_spec} syntax *)
   guard : bool;  (** inbound protocol guard (needs an adversary spec) *)
   sim_shards : int;
-      (** event-store shards for the simulated engines ({!Stack.run}'s
-          [sim_shards], forwarded to {!Owp_simnet.Simnet.create}) —
-          bit-identical results for every value; default 1 *)
+      (** always 1, which {!validate} enforces; kept only until the
+          benchmark stops reading it *)
   check : bool;  (** run the invariant checkers on the result *)
   deadline : float option;
       (** anytime budget: halt delivery at this virtual time and serve
@@ -67,7 +66,6 @@ val make :
   ?reliable:bool ->
   ?byzantine:string ->
   ?guard:bool ->
-  ?sim_shards:int ->
   ?check:bool ->
   ?deadline:float ->
   ?max_rounds:int ->
@@ -95,8 +93,7 @@ val validate : t -> (t, string) result
     fault schedule, [reliable] or an anytime budget on a
     non-LID-family engine; an invalid schedule
     ({!Owp_simnet.Schedule.validate}); [guard] without a spec; an
-    unparsable spec; a non-positive [sim_shards], or [sim_shards > 1]
-    on a non-LID-family engine; out-of-range fault fields
+    unparsable spec; [sim_shards] other than 1; out-of-range fault fields
     ({!Owp_simnet.Faults.validate}); a non-positive budget; [deadline]
     and [max_rounds] together.  Everything else — in particular
     faults + reliable + byzantine + guard + a budget together — is a

@@ -225,8 +225,13 @@ let make_behaviour prefs g adversaries f model =
       }
   | Adversary.Replayer ->
       (* honest-looking play plus duplicates of its own past messages,
-         every other one with a stale epoch *)
-      let inner = responder ~claim:(Weights.half prefs f) ~order ~limit:b in
+         every other one with a stale epoch.  A PROP from a stranger (a
+         violator's) is answered with the public bound: a non-edge has
+         no eq. 9 half *)
+      let claim v =
+        if Graph.mem_edge g f v then Weights.half prefs f v else bound prefs f
+      in
+      let inner = responder ~claim ~order ~limit:b in
       let log = ref [] in
       let replays = ref 0 in
       let recording send ~dst m =
@@ -737,13 +742,14 @@ type entries = {
 
 let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     ?(faults = Simnet.no_faults) ?(schedule = Schedule.empty) ?(reliable = false)
-    ?(sim_shards = 1) ?(unsafe_lookahead = false) ?transport ?patience ?deadline
+    ?(sim_shards = 1) ?transport ?patience ?deadline
     ?max_rounds ?(crashes = []) ?silent ?adversaries ?(guard = false) ?prefs w
     ~capacity =
   let g = Weights.graph w in
   let n = Graph.node_count g in
   (* --- argument validation ------------------------------------------ *)
   let fail msg = invalid_arg ("Stack.run: " ^ msg) in
+  if sim_shards <> 1 then fail "sim_shards must be 1 (the event store has one shard)";
   let arity name =
     Option.iter (fun a ->
         if Array.length a <> n then fail (name ^ " array arity mismatch"))
@@ -815,8 +821,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
   in
   let st = Lid.init ?perceived w ~capacity in
   let net =
-    Simnet.create ~seed ~fifo ~faults ~shards:sim_shards ~unsafe_lookahead
-      ~nodes:(max n 1) ~delay ()
+    Simnet.create ~seed ~fifo ~faults ~nodes:(max n 1) ~delay ()
   in
   let retired = Array.make (max n 1) false in
   let c = { net; g; st; correct; retired; delay; schedule } in

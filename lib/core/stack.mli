@@ -154,7 +154,6 @@ val run :
   ?schedule:Owp_simnet.Schedule.t ->
   ?reliable:bool ->
   ?sim_shards:int ->
-  ?unsafe_lookahead:bool ->
   ?transport:Owp_simnet.Transport.config ->
   ?patience:float ->
   ?deadline:float ->
@@ -179,11 +178,8 @@ val run :
     [guard] vets bootstrap adverts and inbound messages, quarantining
     provable offenders (requires [adversaries] and [prefs]).
 
-    [sim_shards] and [unsafe_lookahead] are forwarded to
-    {!Owp_simnet.Simnet.create}: the former space-partitions the event
-    store ({e bit-identical} for every value — same messages, same
-    coins, same counters), the latter deliberately breaks the dispatch
-    order for the bench gate's self-test leg.
+    [sim_shards] must be [1], its default: the simulator has one event
+    store.  It stays only until the benchmark stops passing it.
 
     [schedule] layers time-varying network weather
     ({!Owp_simnet.Schedule}) on top of the i.i.d. [faults]: partitions,

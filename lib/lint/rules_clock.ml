@@ -28,8 +28,8 @@ let in_serve_layer (ctx : Rule.context) =
 (* The simulator is held to the serve layer's standard: Simnet and its
    event wheel *manufacture* the virtual timestamps every layer above
    replays, so a measured wall-clock duration reaching the delivery
-   loop would silently break the bit-identical determinism the sharded
-   event store is verified against. *)
+   loop would silently break the bit-identical replay every run is
+   verified against. *)
 let in_simnet_layer (ctx : Rule.context) =
   Rule.contains ctx.Rule.file "lib/simnet"
   || Rule.contains ctx.Rule.basename "simnet"

@@ -25,12 +25,8 @@ let mutators =
   ]
 
 (* An event wheel is single-owner mutable state: one captured into a
-   Pool task races exactly like a shared Hashtbl.  The sharded
-   simulator's contract is that each task touches its OWN shard, so
-   add/pop/pop_into on a wheel defined outside the closure is flagged;
-   [prepare] stays legal — it is the one operation prepare_all hands to
-   the pool by design, and it only ripens the shard it is given.
-   Matched by tail (Module.fn) so the alias path Owp_util.Event_wheel
+   Pool task races exactly like a shared Hashtbl, so add/pop/pop_into
+   on a wheel defined outside the closure is flagged.  Matched by tail (Module.fn) so the alias path Owp_util.Event_wheel
    and in-library Event_wheel both hit. *)
 let wheel_mutators =
   [ "Event_wheel.add"; "Event_wheel.pop"; "Event_wheel.pop_into" ]

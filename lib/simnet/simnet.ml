@@ -1,5 +1,4 @@
 module Prng = Owp_util.Prng
-module Pool = Owp_util.Pool
 module Event_wheel = Owp_util.Event_wheel
 
 type delay_model =
@@ -20,8 +19,8 @@ let no_faults =
 let faults ?(drop = 0.0) ?(duplicate = 0.0) ?(reorder = 0.0) () =
   { drop_probability = drop; duplicate_probability = duplicate; reorder_probability = reorder }
 
-(* Events live in per-shard {!Event_wheel}s keyed by (at, seq); the
-   wheel payload is an arena slot.  Slot >= 0 is a message: [m_link]
+(* Events live in one {!Event_wheel} keyed by (at, seq); the wheel
+   payload is an arena slot.  Slot >= 0 is a message: [m_link]
    packs the directed link as src * nodes + dst and [m_pay] holds the
    message itself.  Slot < 0 encodes callback arena index -slot - 1.
    Freed slots chain into a free list through the same int array, so
@@ -33,10 +32,7 @@ type 'm t = {
   fifo : bool;
   faults : faults;
   delay : delay_model;
-  shards : int;
-  block : int; (* nodes per shard (contiguous ranges) *)
-  jobs : int; (* domains available for batched window opening *)
-  wheels : Event_wheel.t array; (* length shards; callbacks go to wheel 0 *)
+  wheel : Event_wheel.t;
   (* message arena *)
   mutable m_link : int array; (* live: packed src * nodes + dst; free: next free slot *)
   mutable m_pay : 'm array; (* [||] until the first message; slot 0 is a permanent dummy *)
@@ -69,24 +65,18 @@ type 'm t = {
 let check_probability name p =
   if p < 0.0 || p > 1.0 then invalid_arg (Printf.sprintf "Simnet.create: %s out of range" name)
 
-let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ?(shards = 1)
-    ?(unsafe_lookahead = false) ~nodes ~delay () =
+let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ~nodes ~delay () =
   if nodes < 0 then invalid_arg "Simnet.create: negative node count";
   check_probability "drop_probability" faults.drop_probability;
   check_probability "duplicate_probability" faults.duplicate_probability;
   check_probability "reorder_probability" faults.reorder_probability;
-  if shards < 1 then invalid_arg "Simnet.create: shards must be positive";
-  let shards = if nodes = 0 then 1 else min shards nodes in
   {
     nodes;
     rng = Prng.create seed;
     fifo;
     faults;
     delay;
-    shards;
-    block = (if nodes = 0 then 1 else (nodes + shards - 1) / shards);
-    jobs = Pool.default_jobs ();
-    wheels = Array.init shards (fun _ -> Event_wheel.create ~unsafe_lookahead ());
+    wheel = Event_wheel.create ();
     m_link = [||];
     m_pay = [||];
     m_free = -1;
@@ -111,7 +101,6 @@ let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ?(shards = 1)
   }
 
 let node_count t = t.nodes
-let shard_count t = t.shards
 let now t = t.clock
 let set_handler t h = t.handler <- Some h
 let set_outage t f = t.outage <- f
@@ -226,19 +215,17 @@ let sample_delay t src dst =
   (* strictly positive so a message never arrives "now" *)
   Float.max d 1e-9
 
-let shard_of t dst = dst / t.block
-
 let push_deliver t at ~src ~dst m =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let slot = slot_alloc t ((src * t.nodes) + dst) m in
-  Event_wheel.add t.wheels.(shard_of t dst) ~at ~seq slot
+  Event_wheel.add t.wheel ~at ~seq slot
 
 let push_callback t at f =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let idx = cb_alloc t f in
-  Event_wheel.add t.wheels.(0) ~at ~seq (-idx - 1)
+  Event_wheel.add t.wheel ~at ~seq (-idx - 1)
 
 (* slot where [key] lives or would be inserted (linear probing) *)
 let lc_probe t key =
@@ -336,55 +323,6 @@ let schedule t ~delay f =
 (* dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* conservative-lookahead window opening: each shard's next window is a
-   pure function of that wheel's own contents, so unopened windows can
-   be collected and sorted concurrently through the domain pool before
-   the sequential (at, seq) merge consumes them *)
-let prepare_all t =
-  let pending = ref 0 in
-  for i = 0 to t.shards - 1 do
-    if Event_wheel.needs_prepare t.wheels.(i) then incr pending
-  done;
-  if !pending > 1 && t.jobs > 1 then
-    ignore
-      (Pool.map ~jobs:(min t.jobs t.shards)
-         (fun wix -> Event_wheel.prepare t.wheels.(wix))
-         (Array.init t.shards (fun i -> i)))
-  else if !pending > 0 then
-    for i = 0 to t.shards - 1 do
-      Event_wheel.prepare t.wheels.(i)
-    done
-
-(* index of the wheel holding the global (at, seq) minimum, or -1.
-   seq values are globally unique, so the argmin is unambiguous and the
-   merge order cannot depend on the shard count. *)
-let select t =
-  prepare_all t;
-  let best = ref (-1) and ba = ref 0.0 and bs = ref 0 in
-  for i = 0 to t.shards - 1 do
-    match Event_wheel.peek_key t.wheels.(i) with
-    | Some (at, seq) ->
-        if !best < 0 || at < !ba || (Float.equal at !ba && seq < !bs) then begin
-          best := i;
-          ba := at;
-          bs := seq
-        end
-    | None -> ()
-  done;
-  !best
-
-let pop_global t =
-  if t.shards = 1 then Event_wheel.pop t.wheels.(0)
-  else
-    let i = select t in
-    if i < 0 then None else Event_wheel.pop t.wheels.(i)
-
-let peek_global t =
-  if t.shards = 1 then Event_wheel.peek_key t.wheels.(0)
-  else
-    let i = select t in
-    if i < 0 then None else Event_wheel.peek_key t.wheels.(i)
-
 (* deliver one message: link weather is evaluated at delivery time, so
    an episode that starts while a message is in flight still swallows
    it; a certain cut (p >= 1) consumes no randomness, keeping cut-only
@@ -426,66 +364,34 @@ let dispatch t at pay =
 
 (* The hot loop batches per-node mailboxes: all deliveries sharing one
    timestamp drain in a single inner pass, in exact (at, seq) order,
-   with per-message coins and handler calls unchanged — the
-   batch only skips the outer loop's re-entry between them.  The
-   single-shard path uses the wheel's allocation-free pop protocol;
-   multi-shard dispatch keeps the option-based merge (correctness path,
-   its per-event cost is dominated by the argmin scan anyway). *)
+   with per-message coins and handler calls unchanged — the batch only
+   skips the outer loop's re-entry between them.  The wheel's
+   allocation-free pop protocol keeps the loop free of options. *)
 let run t =
-  if t.shards = 1 then begin
-    let w = t.wheels.(0) in
-    while Event_wheel.pop_into w do
-      let at = Event_wheel.last_at w in
-      dispatch t at (Event_wheel.last_pay w);
-      while Event_wheel.next_at_equals w at && Event_wheel.pop_into w do
-        dispatch t at (Event_wheel.last_pay w)
-      done
+  let w = t.wheel in
+  while Event_wheel.pop_into w do
+    let at = Event_wheel.last_at w in
+    dispatch t at (Event_wheel.last_pay w);
+    while Event_wheel.next_at_equals w at && Event_wheel.pop_into w do
+      dispatch t at (Event_wheel.last_pay w)
     done
-  end
-  else begin
-    let continue = ref true in
-    while !continue do
-      match pop_global t with
-      | None -> continue := false
-      | Some (at, _seq, pay) ->
-          dispatch t at pay;
-          let same = ref true in
-          while !same do
-            match peek_global t with
-            | Some (at', _) when Float.equal at' at -> (
-                match pop_global t with
-                | Some (_, _, pay') -> dispatch t at pay'
-                | None -> same := false)
-            | _ -> same := false
-          done
-    done
-  end
+  done
 
 let run_until t horizon =
   let continue = ref true in
   while !continue do
-    match peek_global t with
-    | None -> continue := false
-    | Some (at, _) when at > horizon -> continue := false
-    | Some _ -> (
-        match pop_global t with
+    match Event_wheel.peek_key t.wheel with
+    | Some (at, _) when at <= horizon -> (
+        match Event_wheel.pop t.wheel with
         | Some (at, _seq, pay) -> dispatch t at pay
         | None -> continue := false)
+    | _ -> continue := false
   done
 
-let pending_events t =
-  let s = ref 0 in
-  for i = 0 to t.shards - 1 do
-    s := !s + Event_wheel.size t.wheels.(i)
-  done;
-  !s
+let pending_events t = Event_wheel.size t.wheel
 
 let footprint_words t =
-  let words = ref 0 in
-  for i = 0 to t.shards - 1 do
-    words := !words + Event_wheel.footprint_words t.wheels.(i)
-  done;
-  !words
+  Event_wheel.footprint_words t.wheel
   + (2 * Array.length t.m_link)
   + (2 * Array.length t.c_fn)
   + (2 * Array.length t.lc_key)

@@ -37,8 +37,6 @@ val create :
   ?seed:int ->
   ?fifo:bool ->
   ?faults:faults ->
-  ?shards:int ->
-  ?unsafe_lookahead:bool ->
   nodes:int ->
   delay:delay_model ->
   unit ->
@@ -47,30 +45,9 @@ val create :
     clamping delivery times; LID is analysed under reliable channels, and
     FIFO matches a TCP-like overlay link.  [fifo:false] is the non-FIFO
     regime: delivery order is whatever the sampled delays dictate.
-
-    [shards] (default [1]) space-partitions the event store: nodes are
-    split into [shards] contiguous ranges, each owning a bucketed event
-    wheel, and dispatch merges the per-shard queues on the global
-    [(at, seq)] key.  Sequence numbers are globally unique, so the merge
-    order — and therefore every delivery, coin flip and counter — is
-    {e bit-identical} for every shard count.  Sharding only changes
-    which structures can be prepared concurrently (window opening fans
-    out over OCaml domains); it is clamped to [nodes] when larger.
-
-    [unsafe_lookahead] (default [false]) is a {e deliberately wrong}
-    debug mode for gate self-tests: each wheel serves its pre-sorted
-    window to exhaustion before events inserted into that window, which
-    violates the [(at, seq)] order whenever a handler sends back into
-    its own lookahead window (the per-link FIFO clamp does exactly
-    that).  Never enable it outside the bench gate's [--inject
-    lookahead] leg.
-
-    @raise Invalid_argument on negative [nodes] or non-positive
-    [shards]. *)
+    @raise Invalid_argument on negative [nodes]. *)
 
 val node_count : _ t -> int
-val shard_count : _ t -> int
-(** [shard_count] is the effective count after clamping to [nodes]. *)
 
 val now : _ t -> float
 (** Current virtual time. *)
@@ -117,7 +94,7 @@ val pending_events : _ t -> int
 
 val footprint_words : _ t -> int
 (** Words of event-store backing memory currently allocated: the
-    per-shard wheels plus the message/callback arenas and the live
+    event wheel plus the message/callback arenas and the live
     link-clock table.  Proportional to the high-water mark of in-flight
     events, never to the total traffic that ever passed through — the
     quantity the serve-session memory assertions bound. *)

@@ -184,7 +184,6 @@ let rec qsort3 at sq pl lo hi =
 type t = {
   mutable w : float; (* bucket width *)
   mutable inv_w : float; (* 1 / w: an event's epoch is floor (at * inv_w) *)
-  unsafe : bool;
   mutable nb : int; (* a power of two *)
   (* bucketed events live in one slot pool of parallel arrays; each
      bucket is a linked list through [p_next], and free slots chain
@@ -225,18 +224,14 @@ let pow2_at_least n =
   done;
   !p
 
-let create ?(width = 0.25) ?(buckets = 64) ?(unsafe_lookahead = false) () =
+let create ?(width = 0.25) ?(buckets = 64) () =
   if not (Float.is_finite width && width > 0.0) then
     invalid_arg "Event_wheel.create: width must be positive";
   if buckets < 2 then invalid_arg "Event_wheel.create: need at least 2 buckets";
   let buckets = pow2_at_least buckets in
-  (* the deliberately wrong mode needs windows wider than a message
-     delay, or no handler could send into the window it runs in *)
-  let width = if unsafe_lookahead then Float.max width 1.0 else width in
   {
     w = width;
     inv_w = 1.0 /. width;
-    unsafe = unsafe_lookahead;
     nb = buckets;
     p_at = [||];
     p_seq = [||];
@@ -384,12 +379,10 @@ let rebuild t ~width nb' =
    by the ratio and every event re-bucketed, and [retune] returns
    [true] so that [advance] looks for the next window again.  Each
    O(size) rebuild is thus paid for by at least size / 4 events, and
-   the statistics are the wheel's own, so [prepare] stays pure.  Run
-   and aux are empty whenever [advance] runs, so re-bucketing moves no
+   the statistics are the wheel's own.  Run and aux are empty whenever [advance] runs, so re-bucketing moves no
    event past another.  The width stays within [min_width, max_width]:
    any width is correct, but equal-timestamp bursts would otherwise
-   drive it towards zero.  The unsafe_lookahead mode never retunes
-   (see [create]). *)
+   drive it towards zero. *)
 let target = 4.0
 let slack = 4.0
 let min_sample = 256
@@ -399,7 +392,7 @@ let max_width = 1e12
 let retune t next =
   t.seen_events <- t.seen_events + Int.max 1 t.b_len.(bucket_of t next);
   t.seen_epochs <- t.seen_epochs + Int.min (next - t.cur_epoch) t.nb;
-  if t.unsafe || t.seen_events < min_sample || 4 * t.seen_events < t.size then false
+  if t.seen_events < min_sample || 4 * t.seen_events < t.size then false
   else begin
     let mean = float_of_int t.seen_events /. float_of_int t.seen_epochs in
     t.seen_events <- 0;
@@ -484,19 +477,12 @@ let advance t =
   done;
   if t.r_len > 1 then qsort3 t.r_at t.r_seq t.r_pay 0 (t.r_len - 1)
 
-let needs_prepare t = t.size > 0 && t.r_head >= t.r_len && t.aux.h_len = 0
-let prepare t = if needs_prepare t then advance t
-
 (* true when the next event should come from the run rather than the
-   aux heap.  In unsafe_lookahead mode the run always wins while it has
-   entries — the deliberate order violation the gate self-test relies
-   on. *)
+   aux heap *)
 let run_first t =
-  let have_run = t.r_head < t.r_len in
-  if not have_run then false
-  else if t.aux.h_len = 0 || t.unsafe then true
-  else
-    key_le t.r_at.(t.r_head) t.r_seq.(t.r_head) t.aux.h_at.(0) t.aux.h_seq.(0)
+  t.r_head < t.r_len
+  && (t.aux.h_len = 0
+     || key_le t.r_at.(t.r_head) t.r_seq.(t.r_head) t.aux.h_at.(0) t.aux.h_seq.(0))
 
 let rec peek_key t =
   if t.size = 0 then None

@@ -34,28 +34,17 @@
     re-bucketing being paid for by the size / 4 events drained since
     the previous check.  Keys compare as [float]/[int] in registers.
 
-    Not thread-safe: one wheel belongs to one owner.  The sharded
-    simulator gives each domain task its own wheel and only calls
-    {!prepare} from worker tasks (space-partitioned ownership). *)
+    Not thread-safe: one wheel belongs to one owner. *)
 
 type t
 
-val create : ?width:float -> ?buckets:int -> ?unsafe_lookahead:bool -> unit -> t
+val create : ?width:float -> ?buckets:int -> unit -> t
 (** [width] (default [0.25]) is the {e initial} bucket span in
     virtual-time units; the wheel retunes it from the occupancy it
     observes, so it is a warm-up hint only, never a correctness knob.
     [buckets] (default [64], rounded up to a power of two) is the
     initial wheel size; the wheel resizes itself as the population
-    grows or shrinks.  [unsafe_lookahead] (default
-    [false]) is a {e deliberately wrong} debug mode for gate self-tests:
-    events inserted into the epoch currently draining are served only
-    after the pre-sorted run is exhausted instead of interleaved in key
-    order, violating the [(at, seq)] total order whenever a handler
-    sends into its own window.  So that handlers can, this mode never
-    retunes and keeps its windows at least one virtual-time unit wide
-    (wider than a message delay under the default delay model); a
-    window narrower than every delay cannot receive sends from the
-    events it holds, and the error would never show.
+    grows or shrinks.
     @raise Invalid_argument on non-positive [width] or [buckets]. *)
 
 val add : t -> at:float -> seq:int -> int -> unit
@@ -102,20 +91,6 @@ val size : t -> int
 
 val width : t -> float
 (** The current bucket width; it changes as the wheel retunes itself. *)
-
-val needs_prepare : t -> bool
-(** [true] when the wheel is non-empty but no window is open: the next
-    {!pop}/{!peek_key} would pay the collect-and-sort of a new epoch.
-    The sharded dispatch loop uses this to batch window openings across
-    shards through the domain pool. *)
-
-val prepare : t -> unit
-(** Open the next window now (retune if due, collect the next epoch's
-    bucket and sort it) if {!needs_prepare}; otherwise a no-op.
-    Touches only this wheel's state, consumes no randomness, and its
-    result is a pure function of the wheel's contents and its own
-    occupancy statistics — safe to run from a domain task that owns
-    the wheel. *)
 
 val footprint_words : t -> int
 (** Allocated backing-store size in words (slot pool, bucket heads,

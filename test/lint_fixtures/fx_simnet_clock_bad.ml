@@ -1,7 +1,7 @@
 (* A unit with "simnet" in its name: the simulator manufactures the
    virtual timestamps every layer replays, so even the timing shim is
    off limits there — one wall-clock duration in the delivery loop and
-   sharded replay is no longer bit-identical. *)
+   a replay is no longer bit-identical. *)
 
 let origin () = Owp_util.Clock.now ()
 

@@ -325,6 +325,60 @@ let test_exhaustive_unguarded_starves () =
            [ "explore-termination"; "byzantine-termination" ])
        verdict.Explore.violations)
 
+(* ---------------- adversary mixes ---------------- *)
+
+(* the violator's startup PROP goes to a stranger, and a replayer that
+   receives it answers: its claim for a non-edge is the public bound,
+   not an exception.  The instance and seed of `owp run --byzantine
+   equivocator:0.1,flooder:0.1,replayer:0.1,violator:0.1 --nodes 200
+   --quota 3 --seed 5`; the guarded run certifies, the unguarded one
+   starves peers *)
+let test_replayer_answers_stranger () =
+  let module W = Owp_bench.Workloads in
+  let module RC = Owp_core.Run_config in
+  let inst =
+    W.make ~seed:5 ~family:(W.Gnm_avg_deg 8.0) ~pref_model:W.Random_prefs ~n:200 ~quota:3
+  in
+  List.iter
+    (fun guard ->
+      let cfg =
+        RC.make ~engine:RC.Lid ~seed:5
+          ~byzantine:"equivocator:0.1,flooder:0.1,replayer:0.1,violator:0.1" ~guard ()
+      in
+      let out = Owp_core.Pipeline.run_config cfg inst.W.prefs in
+      Alcotest.(check bool)
+        (Printf.sprintf "guard %b: passes iff guarded" guard)
+        guard
+        (List.is_empty out.Owp_core.Pipeline.failures))
+    [ false; true ]
+
+(* every node a random role among the five models or correct (node 0
+   always correct), guard on or off: Stack.run returns a report *)
+let prop_adversary_mixes_never_raise =
+  let models =
+    [|
+      Adversary.Weight_liar 0.5;
+      Adversary.Equivocator;
+      Adversary.Flooder 2;
+      Adversary.Replayer;
+      Adversary.State_violator;
+    |]
+  in
+  QCheck2.Test.make ~count:200 ~name:"Stack.run never raises on adversary mixes"
+    ~print:(fun (seed, n, guard) -> Printf.sprintf "seed %d, n %d, guard %b" seed n guard)
+    QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 6 30) bool)
+    (fun (seed, n, guard) ->
+      let prefs = random_prefs seed n 4 2 in
+      let rng = Prng.create seed in
+      let adversaries =
+        Array.init n (fun i ->
+            let k = Prng.int rng 8 in
+            if i = 0 || k >= Array.length models then None else Some models.(k))
+      in
+      match run_byz ~seed ~guard ~adversaries prefs with
+      | (_ : Stack.report) -> true
+      | exception e -> QCheck2.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let suite =
   [
     Alcotest.test_case "parse_spec" `Quick test_parse_spec;
@@ -353,4 +407,7 @@ let suite =
     Alcotest.test_case "exhaustive guarded n=4" `Quick test_exhaustive_guarded_clean;
     Alcotest.test_case "exhaustive unguarded deadlock" `Quick
       test_exhaustive_unguarded_starves;
+    Alcotest.test_case "replayer answers a stranger's PROP" `Quick
+      test_replayer_answers_stranger;
+    QCheck_alcotest.to_alcotest prop_adversary_mixes_never_raise;
   ]

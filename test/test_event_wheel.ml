@@ -2,10 +2,7 @@
    of timestamps is thrown at it — same-timestamp runs, sub-bucket
    jitter, far-future outliers, adds interleaved with pops — the wheel
    must reproduce the heap's (at, seq) pop order exactly, because
-   Simnet's bit-identical determinism now rests on that order.  The
-   deliberately wrong unsafe_lookahead mode must demonstrably break it
-   (that wrongness is what the bench gate's --inject lookahead leg
-   detects). *)
+   Simnet's bit-identical determinism rests on that order. *)
 
 module Wheel = Owp_util.Event_wheel
 
@@ -108,8 +105,7 @@ let test_empty () =
   let w = Wheel.create () in
   Alcotest.(check int) "empty size" 0 (Wheel.size w);
   Alcotest.(check bool) "no pop" true (Wheel.pop w = None);
-  Alcotest.(check bool) "no peek" true (Wheel.peek_key w = None);
-  Alcotest.(check bool) "nothing to prepare" false (Wheel.needs_prepare w)
+  Alcotest.(check bool) "no peek" true (Wheel.peek_key w = None)
 
 let test_peek_matches_pop () =
   let w = Wheel.create ~width:0.5 () in
@@ -127,21 +123,6 @@ let test_peek_matches_pop () =
   in
   go ()
 
-let test_prepare_is_transparent () =
-  (* prepare opens the window early; the pop order must be unaffected *)
-  let mk () =
-    let w = Wheel.create ~width:1.0 () in
-    List.iteri (fun i at -> Wheel.add w ~at ~seq:i i) [ 4.0; 1.5; 1.25; 8.0 ];
-    w
-  in
-  let a = mk () and b = mk () in
-  Alcotest.(check bool) "needs prepare" true (Wheel.needs_prepare b);
-  Wheel.prepare b;
-  Alcotest.(check bool) "prepared" false (Wheel.needs_prepare b);
-  for _ = 1 to 4 do
-    Alcotest.(check bool) "same pops" true (Wheel.pop a = Wheel.pop b)
-  done
-
 let test_rejections () =
   Alcotest.check_raises "zero width"
     (Invalid_argument "Event_wheel.create: width must be positive") (fun () ->
@@ -153,32 +134,6 @@ let test_rejections () =
   Alcotest.check_raises "negative time"
     (Invalid_argument "Event_wheel.add: time must be finite and non-negative")
     (fun () -> Wheel.add w ~at:(-1.0) ~seq:0 0)
-
-let fst3 (a, _, _) = a
-let snd3 (_, b, _) = b
-let thd3 (_, _, c) = c
-
-let test_unsafe_lookahead_breaks_order () =
-  (* same script, safe vs unsafe: an insertion into the open window is
-     served late in unsafe mode — this wrongness must be observable,
-     or the gate's lookahead-inject self-test could never trip *)
-  let script w =
-    List.iteri (fun i at -> Wheel.add w ~at ~seq:i i) [ 0.5; 0.6 ];
-    let first = Wheel.pop w in
-    Wheel.add w ~at:0.55 ~seq:2 2;
-    let second = Wheel.pop w in
-    let third = Wheel.pop w in
-    (first, second, third)
-  in
-  let safe = script (Wheel.create ~width:1.0 ()) in
-  let unsafe = script (Wheel.create ~width:1.0 ~unsafe_lookahead:true ()) in
-  Alcotest.(check bool) "first pop agrees" true (fst3 safe = fst3 unsafe);
-  Alcotest.(check bool) "safe interleaves the window insert" true
-    (snd3 safe = Some (0.55, 2, 2));
-  Alcotest.(check bool) "unsafe serves the stale run first" true
-    (snd3 unsafe = Some (0.6, 1, 1));
-  Alcotest.(check bool) "unsafe catches up afterwards" true
-    (thd3 unsafe = Some (0.55, 2, 2))
 
 let test_footprint_bounded () =
   (* waves of traffic through one wheel: the backing store must track
@@ -217,8 +172,8 @@ let test_footprint_bounded () =
 
 module Prng = Owp_util.Prng
 
-(* a wheel and the reference heap driven in lockstep; [pop] reports
-   whether the two agreed, so a test can also demand disagreement *)
+(* a wheel and the reference heap driven in lockstep; [pop] counts the
+   pops on which the two disagreed *)
 type lockstep = {
   wheel : Wheel.t;
   heap : Ref_heap.t;
@@ -228,9 +183,9 @@ type lockstep = {
   mutable last : float;
 }
 
-let lockstep ?unsafe_lookahead () =
+let lockstep () =
   {
-    wheel = Wheel.create ?unsafe_lookahead ();
+    wheel = Wheel.create ();
     heap = Ref_heap.create ();
     next_seq = 0;
     diverged = 0;
@@ -342,24 +297,6 @@ let test_retune_aux_inserts () =
          ls_add l (l.last +. 1e-9)));
   Alcotest.(check bool) "at least one retune" true (!retunes >= 1);
   check_agreed l
-
-let test_retune_unsafe_lookahead_still_wrong () =
-  (* the deliberately wrong mode does not retune: its windows stay wide
-     enough for inserts to land in the open one, and serving the stale
-     run first must still show against the heap *)
-  let l = lockstep ~unsafe_lookahead:true () in
-  let g = Prng.create 17 in
-  for _ = 1 to 25_000 do
-    ls_add l (Prng.float g 1.0)
-  done;
-  let w0 = Wheel.width l.wheel in
-  let pops = ref 0 in
-  while ls_pop l do
-    incr pops;
-    if !pops mod 1000 = 0 then ls_add l (l.last +. 1e-9)
-  done;
-  Alcotest.(check (float 0.0)) "width never retuned" w0 (Wheel.width l.wheel);
-  Alcotest.(check bool) "unsafe mode serves the stale run first" true (l.diverged > 0)
 
 let test_retune_equal_timestamps_straddle () =
   (* 1000 events at exactly t = 3 are stored before the first retune
@@ -477,10 +414,7 @@ let suite =
     Alcotest.test_case "reuse after drain" `Quick test_reuse_after_drain;
     Alcotest.test_case "empty wheel" `Quick test_empty;
     Alcotest.test_case "peek matches pop" `Quick test_peek_matches_pop;
-    Alcotest.test_case "prepare is transparent" `Quick test_prepare_is_transparent;
     Alcotest.test_case "rejections" `Quick test_rejections;
-    Alcotest.test_case "unsafe_lookahead breaks the order" `Quick
-      test_unsafe_lookahead_breaks_order;
     Alcotest.test_case "footprint bounded under churn" `Quick
       test_footprint_bounded;
     Alcotest.test_case "retune: dense burst, then sparse tail" `Quick
@@ -489,8 +423,6 @@ let suite =
       test_retune_far_future_timers;
     Alcotest.test_case "retune: aux inserts after a retune" `Quick
       test_retune_aux_inserts;
-    Alcotest.test_case "retune: unsafe_lookahead still breaks the order" `Quick
-      test_retune_unsafe_lookahead_still_wrong;
     Alcotest.test_case "retune: equal timestamps straddle a retune" `Quick
       test_retune_equal_timestamps_straddle;
     QCheck_alcotest.to_alcotest prop_order_equivalence;

@@ -161,6 +161,27 @@ let test_run_config_rejects_inconsistent () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* the simulator has one event store: a config or a Stack.run asking
+   for any other shard count is refused with a reason *)
+let test_sim_shards_rejected () =
+  let prefs = instance 7 in
+  let w = Weights.of_preference prefs in
+  let capacity = Array.init (Graph.node_count (Preference.graph prefs)) (Preference.quota prefs) in
+  Alcotest.(check bool) "sim_shards 1 valid" true (Result.is_ok (RC.validate RC.default));
+  List.iter
+    (fun sim_shards ->
+      (match RC.validate { RC.default with sim_shards } with
+      | Error msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "sim_shards %d: the reason names the field" sim_shards)
+            true (contains msg "sim_shards")
+      | Ok _ -> Alcotest.failf "sim_shards %d must be rejected" sim_shards);
+      Alcotest.check_raises
+        (Printf.sprintf "Stack.run ~sim_shards:%d raises" sim_shards)
+        (Invalid_argument "Stack.run: sim_shards must be 1 (the event store has one shard)")
+        (fun () -> ignore (Owp_core.Stack.run ~sim_shards w ~capacity)))
+    [ 0; 2; 4 ]
+
 (* --- anytime budget validation ------------------------------------ *)
 
 let test_validate_budget () =
@@ -263,5 +284,6 @@ let suite =
     Alcotest.test_case "run_config rejects inconsistent" `Quick test_run_config_rejects_inconsistent;
     Alcotest.test_case "validate budget" `Quick test_validate_budget;
     Alcotest.test_case "non-finite specs rejected" `Quick test_non_finite_specs_rejected;
+    Alcotest.test_case "sim_shards other than 1 rejected" `Quick test_sim_shards_rejected;
   ]
   @ List.map QCheck_alcotest.to_alcotest spec_properties

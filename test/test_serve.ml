@@ -202,32 +202,6 @@ let test_no_nodes_rejected () =
     "n = 0 is an Error" (Error "the instance has no nodes to serve requests for")
     (Result.map ignore (Serve.run ~arrivals:(parse "1") (lid_cfg ()) empty))
 
-let test_shards_serve_identical_sessions () =
-  (* the sharded event store must be invisible to the serving layer:
-     a session run with sim_shards 2 or 4 must reproduce the sequential
-     session byte for byte, seed by seed *)
-  let arrivals = parse "0.5:horizon=40" in
-  List.iter
-    (fun seed ->
-      let prefs = prefs ~seed () in
-      let session sim_shards =
-        let cfg =
-          match RC.validate (RC.make ~engine:RC.Lid ~seed ~sim_shards ()) with
-          | Ok c -> c
-          | Error m -> Alcotest.fail m
-        in
-        SR.summary (report ~arrivals cfg prefs)
-      in
-      let reference = session 1 in
-      List.iter
-        (fun sim_shards ->
-          Alcotest.(check string)
-            (Printf.sprintf "seed %d: sim_shards=%d session byte-identical" seed
-               sim_shards)
-            reference (session sim_shards))
-        [ 2; 4 ])
-    [ 11; 12; 13 ]
-
 let test_session_memory_bounded () =
   (* a serve session builds a fresh pipeline (and so a fresh simulator)
      per mutation, so the long-lived risk is the simulator a session
@@ -266,7 +240,5 @@ let suite =
     Alcotest.test_case "serve x deadline x guard" `Quick test_compose_deadline_guard;
     Alcotest.test_case "rejections" `Quick test_engine_rejections;
     Alcotest.test_case "no nodes rejected" `Quick test_no_nodes_rejected;
-    Alcotest.test_case "shards serve identical sessions" `Quick
-      test_shards_serve_identical_sessions;
     Alcotest.test_case "session memory bounded" `Quick test_session_memory_bounded;
   ]

@@ -176,56 +176,6 @@ let test_per_link_delay () =
   Sim.run net;
   Alcotest.(check (list int)) "shorter link first" [ 2; 1 ] !order
 
-
-(* ------------------------------------------------------------------ *)
-(* sharded event store                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* a traffic pattern with every ingredient that could expose a shard
-   dependence: random fan-out (so messages cross shard boundaries),
-   handlers that send onward (FIFO-clamp inserts into open windows),
-   and timers interleaved with deliveries *)
-let shard_trace ~shards ~seed =
-  let n = 30 in
-  let net = Sim.create ~seed ~shards ~nodes:n ~delay:(Sim.Uniform (0.2, 1.8)) () in
-  let log = ref [] in
-  Sim.set_handler net (fun ~src ~dst m ->
-      log := (Sim.now net, src, dst, m) :: !log;
-      if m > 0 then begin
-        Sim.send net ~src:dst ~dst:((dst + m) mod n) (m - 1);
-        Sim.send net ~src:dst ~dst:src (m / 2)
-      end);
-  for i = 0 to n - 1 do
-    Sim.send net ~src:i ~dst:((i * 7) mod n) 4
-  done;
-  Sim.schedule net ~delay:1.5 (fun () -> Sim.send net ~src:0 ~dst:(n / 2) 3);
-  Sim.run net;
-  ( List.rev !log,
-    Sim.messages_sent net,
-    Sim.messages_delivered net,
-    Sim.now net )
-
-let test_shards_bit_identical () =
-  let reference = shard_trace ~shards:1 ~seed:99 in
-  List.iter
-    (fun shards ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shards=%d reproduces the sequential trace" shards)
-        true
-        (shard_trace ~shards ~seed:99 = reference))
-    [ 2; 3; 4; 7; 30 ]
-
-let test_shard_count_clamped () =
-  let net : int Sim.t = Sim.create ~shards:16 ~nodes:5 ~delay:Sim.Unit () in
-  Alcotest.(check int) "clamped to nodes" 5 (Sim.shard_count net);
-  let net2 : int Sim.t = Sim.create ~nodes:5 ~delay:Sim.Unit () in
-  Alcotest.(check int) "default is one shard" 1 (Sim.shard_count net2)
-
-let test_shard_rejections () =
-  Alcotest.check_raises "zero shards"
-    (Invalid_argument "Simnet.create: shards must be positive") (fun () ->
-      ignore (Sim.create ~shards:0 ~nodes:2 ~delay:Sim.Unit () : int Sim.t))
-
 let test_same_timestamp_batch_order () =
   (* deliveries sharing one timestamp must drain in send (seq) order —
      the mailbox batching must not perturb the (at, seq) total order.
@@ -286,9 +236,6 @@ let suite =
     Alcotest.test_case "no handler fails" `Quick test_no_handler_fails;
     Alcotest.test_case "exponential delay" `Quick test_exponential_delay_positive;
     Alcotest.test_case "per-link delay" `Quick test_per_link_delay;
-    Alcotest.test_case "shards bit-identical" `Quick test_shards_bit_identical;
-    Alcotest.test_case "shard count clamped" `Quick test_shard_count_clamped;
-    Alcotest.test_case "shard rejections" `Quick test_shard_rejections;
     Alcotest.test_case "same-timestamp batch order" `Quick
       test_same_timestamp_batch_order;
     Alcotest.test_case "footprint tracks live events" `Quick

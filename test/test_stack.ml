@@ -242,7 +242,7 @@ let test_full_composition_coherent () =
     [ "lid"; "detector"; "adversary"; "guard"; "dedup"; "transport"; "channel" ]
 
 (* ------------------------------------------------------------------ *)
-(* sharded event store: bit-identity through the full composition      *)
+(* replay: bit-identity through the full composition                   *)
 (* ------------------------------------------------------------------ *)
 
 module Schedule = Owp_simnet.Schedule
@@ -260,14 +260,14 @@ let report_digest (r : Stack.report) =
     | None -> (0.0, -1, -1)),
     List.map (fun { Stack.layer; counters } -> (layer, counters)) r.Stack.layers )
 
-let prop_shards_bit_identical_full_composition =
-  (* space-partitioning the event store must be invisible: with every
-     layer enabled at once (lossy reordering channel + ARQ + scheduled
-     weather + guarded liars + an anytime deadline), shards 2 and 4
-     must replay the sequential run bit for bit — same edge set, same
-     counters in every layer row, same virtual completion time *)
+let prop_full_composition_replays =
+  (* with every layer enabled at once (lossy reordering channel + ARQ
+     + scheduled weather + guarded liars + an anytime deadline), a
+     second run at the same seed must replay the first bit for bit —
+     same edge set, same counters in every layer row, same virtual
+     completion time *)
   QCheck2.Test.make
-    ~name:"full composition is bit-identical for sim_shards 1/2/4" ~count:100
+    ~name:"full composition is bit-identical on replay" ~count:100
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let _, p, w, capacity = random_instance seed 40 6 2 in
@@ -282,15 +282,14 @@ let prop_shards_bit_identical_full_composition =
           { Schedule.from_ = 4.0; until = 7.0; what = Schedule.Link_down [ (0, 1) ] };
         ]
       in
-      let run sim_shards =
+      let run () =
         report_digest
           (Stack.run ~seed ~fifo:false
              ~faults:(Sim.faults ~drop:0.05 ~reorder:0.1 ())
-             ~schedule:weather ~reliable:true ~sim_shards ~deadline:6.0
+             ~schedule:weather ~reliable:true ~deadline:6.0
              ~adversaries ~guard:true ~prefs:p w ~capacity)
       in
-      let reference = run 1 in
-      run 2 = reference && run 4 = reference)
+      run () = run ())
 
 (* ------------------------------------------------------------------ *)
 (* the whole counter table, pinned                                     *)
@@ -298,7 +297,7 @@ let prop_shards_bit_identical_full_composition =
 
 (* row order, counter names and values together, one row a line, at
    one seed: the zero-layer table and the table with all nine layers
-   enabled (the composition of the shard property above).  A row that
+   enabled (the composition of the replay property above).  A row that
    moves, a counter that is renamed and a value that changes all fail
    here. *)
 let table (r : Stack.report) =
@@ -489,7 +488,7 @@ let suite =
     Alcotest.test_case "no second state machine" `Quick
       test_no_second_state_machine_in_tree;
     Alcotest.test_case "full composition coherent" `Quick test_full_composition_coherent;
-    QCheck_alcotest.to_alcotest prop_shards_bit_identical_full_composition;
+    QCheck_alcotest.to_alcotest prop_full_composition_replays;
     Alcotest.test_case "counter table pinned" `Quick test_counter_table_pinned;
     Alcotest.test_case "composed workload table pinned" `Quick test_composed_table_pinned;
     Alcotest.test_case "detector and membership tables pinned" `Quick
