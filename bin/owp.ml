@@ -9,8 +9,8 @@
      owp check       run the invariant checkers / interleaving explorer
      owp chaos       fuzz the stack with random fault schedules, shrink failures
      owp lint        static analysis over the .cmt typedtrees dune emits
-     owp bench       regenerate experiment tables (E0..E28): --quick, --jobs,
-                     --json, --gate
+     owp bench       regenerate experiment tables (E0..E27): --quick, --json,
+                     --gate
      owp list        list available experiments
 
    Every stack-running subcommand (`run`, `serve`, `check`, `chaos`,
@@ -649,7 +649,7 @@ let lint_cmd =
            `P
              "Runs the repo's rule registry (purity of the protocol core, \
               iteration-order determinism, clock hygiene, seeded randomness, \
-              float comparison discipline, domain-safety of pool tasks, the \
+              float and generic comparison discipline, tuple hash keys, the \
               single-state-machine property, and layer conformance) over the \
               typed ASTs produced by $(b,dune build).  Exit status is 1 when \
               unsuppressed findings remain, 2 on usage or scan errors.";
@@ -837,17 +837,15 @@ let bench_anytime_gate d =
    sustained-traffic session against fixed bounds).  --inject plants a
    known regression — extra per-request latency or unguarded liars —
    so CI can check the gate actually trips. *)
-let bench_gate ~jobs ~inject spec =
-  let s = Owp_bench.E23_scale.smoke ~jobs () in
+let bench_gate ~inject spec =
+  let s = Owp_bench.E23_scale.smoke () in
   Printf.printf "scale gate          : reference %.2f ms, indexed %.2f ms (%.1fx)\n"
     s.Owp_bench.E23_scale.reference_ms s.Owp_bench.E23_scale.indexed_ms
     (if s.Owp_bench.E23_scale.indexed_ms <= 0.0 then infinity
      else s.Owp_bench.E23_scale.reference_ms /. s.Owp_bench.E23_scale.indexed_ms);
   Printf.printf "identical edge sets : %b\n" s.Owp_bench.E23_scale.identical;
-  Printf.printf "jobs deterministic  : %b\n" s.Owp_bench.E23_scale.jobs_deterministic;
   let scale_ok =
     s.Owp_bench.E23_scale.identical
-    && s.Owp_bench.E23_scale.jobs_deterministic
     && s.Owp_bench.E23_scale.indexed_ms <= s.Owp_bench.E23_scale.reference_ms
   in
   (* the serve gate's stack comes from the shared bundle (default:
@@ -886,18 +884,16 @@ let bench_gate ~jobs ~inject spec =
             1
           end)
 
-let bench quick jobs json_dir gate inject spec ids =
+let bench quick json_dir gate inject spec ids =
   (* measured walls, so trade memory for GC quiet: a 2M-word minor heap
      keeps the delivery loop's survivors out of repeated minor
      collections, and a relaxed space overhead stops the major GC from
      dominating the matching-extraction phase at the 10^5+ sizes *)
   Gc.set { (Gc.get ()) with minor_heap_size = 2_097_152; space_overhead = 200 };
-  let jobs = if jobs <= 0 then Owp_util.Pool.default_jobs () else jobs in
-  Owp_bench.Exp_common.jobs := jobs;
   match spec.Owp_cli.deadline with
   | Some d -> bench_anytime_gate d
   | None ->
-  if gate then bench_gate ~jobs ~inject spec
+  if gate then bench_gate ~inject spec
   else begin
     Option.iter
       (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
@@ -917,14 +913,6 @@ let bench quick jobs json_dir gate inject spec ids =
 
 let bench_cmd =
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Trimmed sweeps.") in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for trial sweeps (0 = all cores).  Per-trial results \
-             are bit-identical across any N (deterministic per-trial PRNG streams).")
-  in
   let json_dir =
     Arg.(
       value
@@ -938,10 +926,10 @@ let bench_cmd =
       & info [ "gate" ]
           ~doc:
             "CI regression gate: run the small E23 preset (indexed engine must \
-             match the reference edge set, be at least as fast, with a \
-             deterministic worker pool) and the E27 serve preset (p99 latency \
-             and steady-state satisfaction of a short sustained-traffic \
-             session against fixed bounds, byte-identical across repeats).")
+             match the reference edge set and be at least as fast) and the E27 \
+             serve preset (p99 latency and steady-state satisfaction of a short \
+             sustained-traffic session against fixed bounds, byte-identical \
+             across repeats).")
   in
   let inject =
     Arg.(
@@ -963,9 +951,9 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Run experiments with the scale knobs: --jobs, --json, --gate, --deadline")
+       ~doc:"Run experiments with the scale knobs: --json, --gate, --deadline")
     Term.(
-      const bench $ quick $ jobs $ json_dir $ gate $ inject $ Owp_cli.term $ ids)
+      const bench $ quick $ json_dir $ gate $ inject $ Owp_cli.term $ ids)
 
 let list_cmd =
   Cmd.v

@@ -219,23 +219,37 @@ let term =
 (* the instance is rebuilt deterministically from
    (seed, family, n, quota, model) or from an edge-list file, so a
    matching saved by `run` can be re-checked later with the same
-   flags; [Error] when the family cannot build a graph on n nodes or
-   the file is not an edge list *)
+   flags; [Error] when the family cannot build a graph on n nodes,
+   the file is not an edge list, or the adversary spec leaves no
+   correct node among the instance's nodes *)
 let instance t =
-  match t.graph_file with
-  | Some path -> (
-      match Graph_io.read path with
-      | Ok g ->
-          Ok
-            (Owp_bench.Workloads.of_graph ~seed:t.seed ~pref_model:t.model
-               ~quota:t.quota ~label:path g)
-      | Error msg -> Error (path ^ ": " ^ msg))
-  | None ->
-      Result.map
-        (fun () ->
-          Owp_bench.Workloads.make ~seed:t.seed ~family:t.family ~pref_model:t.model
-            ~n:t.n ~quota:t.quota)
-        (Owp_bench.Workloads.fits t.family ~n:t.n)
+  let built =
+    match t.graph_file with
+    | Some path -> (
+        match Graph_io.read path with
+        | Ok g ->
+            Ok
+              (Owp_bench.Workloads.of_graph ~seed:t.seed ~pref_model:t.model
+                 ~quota:t.quota ~label:path g)
+        | Error msg -> Error (path ^ ": " ^ msg))
+    | None ->
+        Result.map
+          (fun () ->
+            Owp_bench.Workloads.make ~seed:t.seed ~family:t.family ~pref_model:t.model
+              ~n:t.n ~quota:t.quota)
+          (Owp_bench.Workloads.fits t.family ~n:t.n)
+  in
+  match (built, t.byzantine) with
+  | Error _, _ | Ok _, None -> built
+  | Ok inst, Some spec -> (
+      let n = Graph.node_count inst.Owp_bench.Workloads.graph in
+      match Owp_simnet.Adversary.count ~n (Owp_simnet.Adversary.parse_spec spec) with
+      | k when k < n -> built
+      | k ->
+          Error
+            (Printf.sprintf "--byzantine %s: %d adversaries leave no correct node among %d"
+               spec k n)
+      | exception Invalid_argument msg -> Error msg)
 
 let config ?(check = false) t =
   RC.validate

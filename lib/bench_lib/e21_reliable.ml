@@ -114,10 +114,8 @@ let run ~quick =
   let faults = Sim.faults ~drop:0.1 () in
   List.iter
     (fun (pct, restart) ->
-      (* each trial is self-contained (own PRNG, own simulator), so the
-         sweep fans out over the worker pool when --jobs allows *)
       let trials =
-        Exp_common.trial_map
+        List.map
           (fun seed ->
             let rng = Prng.create (0xE21 + (997 * seed)) in
             let crashes =

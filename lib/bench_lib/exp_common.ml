@@ -45,13 +45,6 @@ let quiescence_cell (r : Owp_core.Stack.report) =
     Printf.sprintf "NO (%d stuck: %s)" (List.length stragglers)
       (String.concat "," shown)
 
-(* --jobs: how many domains the experiment sweeps may use.  A ref, not
-   a parameter, so the two dozen existing experiment signatures stay
-   unchanged; the harness entry points set it once before running. *)
-let jobs = ref 1
-
-let trial_map f xs = Owp_util.Pool.map_list ~jobs:!jobs f xs
-
 let time f = Owp_util.Clock.time f
 
 type spread = { min : float; median : float; iqr : float }

@@ -24,16 +24,6 @@ val quiescence_cell : Owp_core.Stack.report -> string
 (** ["yes"] when every node quiesced (Lemma 5); otherwise the straggler
     node ids from the report's structured quiescence violations. *)
 
-val jobs : int ref
-(** Domain budget for parallel sweeps (default 1 = sequential).  Set by
-    [owp bench --jobs] and the bench harness before experiments run. *)
-
-val trial_map : ('a -> 'b) -> 'a list -> 'b list
-(** {!Owp_util.Pool.map_list} over the configured {!jobs}: order- and
-    content-deterministic whatever the domain count, so trial loops can
-    switch to it freely.  Each trial must be self-contained (own PRNG
-    stream, no shared mutable state). *)
-
 val time : (unit -> 'a) -> 'a * float
 (** Result plus wall-clock milliseconds. *)
 

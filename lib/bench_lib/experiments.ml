@@ -28,7 +28,6 @@ let all =
     E25_deadline.exp;
     E26_stabilize.exp;
     E27_serve.exp;
-    E28_wheel.exp;
   ]
 
 let find id =
@@ -62,8 +61,7 @@ let print_exp ?json_dir ~quick out (e : Exp_common.exp) =
   Format.fprintf out "%s@." (Exp_common.header e);
   let tables, wall_ms = Exp_common.time (fun () -> e.Exp_common.run ~quick) in
   List.iter (fun t -> Format.fprintf out "%s@." (Owp_util.Tablefmt.render t)) tables;
-  Format.fprintf out "-- %s wall %.2f s (jobs %d)@." e.Exp_common.id (wall_ms /. 1000.0)
-    !Exp_common.jobs;
+  Format.fprintf out "-- %s wall %.2f s@." e.Exp_common.id (wall_ms /. 1000.0);
   Option.iter (fun dir -> write_json dir e tables) json_dir
 
 let run_all ?(quick = false) ?json_dir ~out () =

@@ -7,7 +7,6 @@ let all =
     Rules_float.rule;
     Rules_generic.rule;
     Rules_hashkey.rule;
-    Rules_pool.rule;
     Rules_protocol.state_machine;
     Rules_protocol.layer_conformance;
   ]

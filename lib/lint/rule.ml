@@ -2,7 +2,7 @@
 (* path helpers                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* undo dune's wrapped-library mangling: "Owp_util__Pool" -> two
+(* undo dune's wrapped-library mangling: "Owp_util__Event_wheel" -> two
    components, so name matching is stable whether a value is reached
    through the library alias module or directly *)
 let split_mangled s =

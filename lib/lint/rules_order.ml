@@ -1,7 +1,7 @@
 (* hash-order: Hashtbl.iter/fold and hashtable sequences enumerate
    buckets in an order that depends on the hash function and the
    insertion history — the classic way a refactor silently breaks the
-   bit-identical --jobs guarantee and the replayable-schedule story.
+   stack's bit-identity anchors and the replayable-schedule story.
    An enumeration is fine exactly when its order cannot reach the
    result: either the consumer sorts it (detected for the direct
    List.sort wrappings) or the computation is commutative (which the

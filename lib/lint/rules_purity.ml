@@ -1,7 +1,7 @@
 (* pure-core: modules tagged [(* owp-lint: pure *)] are the protocol
    core — the determinism and replay story (the interleaving explorer,
-   the stack's bit-identity anchors, --jobs reproducibility) rests on
-   their transitions being functions of explicit state only.  Purity
+   the stack's bit-identity anchors) rests on their transitions being
+   functions of explicit state only.  Purity
    here means {e externally} pure: a pure module may mutate the state
    record handed to it (LID's transition relation does exactly that),
    but it may not hold module-level mutable state, perform I/O, read

@@ -59,14 +59,13 @@ let parse_spec s =
   | [] | [ "" ] -> invalid_arg "Adversary.parse_spec: empty spec"
   | items -> List.map parse_one items
 
+(* the one rounding rule: round (frac * n) nodes, at least one *)
+let share ~n frac = max 1 (int_of_float (Float.round (frac *. float_of_int n)))
+let count ~n specs = List.fold_left (fun acc (_, frac) -> acc + share ~n frac) 0 specs
+
 let assign rng ~n specs =
   if n <= 0 then invalid_arg "Adversary.assign: empty network";
-  let wanted =
-    List.map
-      (fun (m, frac) -> (m, max 1 (int_of_float (Float.round (frac *. float_of_int n)))))
-      specs
-  in
-  let total = List.fold_left (fun acc (_, k) -> acc + k) 0 wanted in
+  let total = count ~n specs in
   if total >= n then
     invalid_arg
       (Printf.sprintf
@@ -75,12 +74,12 @@ let assign rng ~n specs =
   let roles = Array.make n None in
   let next = ref 0 in
   List.iter
-    (fun (m, k) ->
-      for _ = 1 to k do
+    (fun (m, frac) ->
+      for _ = 1 to share ~n frac do
         roles.(order.(!next)) <- Some m;
         incr next
       done)
-    wanted;
+    specs;
   roles
 
 type 'm behaviour = {

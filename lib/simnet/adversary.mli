@@ -55,13 +55,17 @@ val parse_spec : string -> (model * float) list
     of nodes (in [(0, 1]]) to corrupt with that model.
     @raise Invalid_argument on malformed specs. *)
 
+val count : n:int -> (model * float) list -> int
+(** How many of [n] nodes {!assign} corrupts: each [(m, frac)] entry
+    takes [round (frac * n)] nodes, at least one.  The spec fits iff
+    the count is below [n]. *)
+
 val assign :
   Owp_util.Prng.t -> n:int -> (model * float) list -> model option array
-(** Randomly assigns adversary roles over [n] nodes.  Each [(m, frac)]
-    entry corrupts [round (frac * n)] nodes (at least one when
-    [frac > 0]); assignments never overlap and at least one node is
-    always left correct.  @raise Invalid_argument if the requested
-    fractions cannot fit. *)
+(** Randomly assigns adversary roles over [n] nodes, {!count} of them
+    in all; assignments never overlap and at least one node is always
+    left correct.  @raise Invalid_argument if the requested fractions
+    cannot fit. *)
 
 (** {2 Behaviour hook}
 

@@ -56,6 +56,11 @@ let test_assign () =
   Alcotest.(check int) "equivocators" 10 (count (( = ) (Some Adversary.Equivocator)));
   Alcotest.(check int) "replayers" 5 (count (( = ) (Some Adversary.Replayer)));
   Alcotest.(check int) "correct remain" 35 (count (( = ) None));
+  (* Adversary.count, which the CLI checks a spec against, is assign's
+     rule: 10 + 5 here, and 4 of 4 below, where assign raises *)
+  Alcotest.(check int) "count" 15 (Adversary.count ~n:50 spec);
+  Alcotest.(check int) "count when over-full" 4
+    (Adversary.count ~n:4 [ (Adversary.Replayer, 1.0) ]);
   Alcotest.check_raises "no correct node left"
     (Invalid_argument "Adversary.assign: 4 adversaries leave no correct node among 4")
     (fun () ->

@@ -78,9 +78,6 @@ let test_float_fires =
 
 let test_float_clean = check_file "fx_float_ok.ml" []
 
-let test_pool_fires = check_file "fx_pool_bad.ml" [ (5, "pool-capture") ]
-let test_pool_local_state_ok = check_file "fx_pool_ok.ml" []
-
 let test_state_machine_fires =
   check_file "fx_state_machine_bad.ml"
     [ (3, "state-machine"); (3, "state-machine"); (5, "state-machine") ]
@@ -116,11 +113,6 @@ let test_simnet_clock_fires =
      layers); line 10 shows the base wall-clock rule still applies *)
   check_file "fx_simnet_clock_bad.ml"
     [ (6, "clock-hygiene"); (8, "clock-hygiene"); (10, "clock-hygiene") ]
-
-let test_wheel_pool_fires =
-  (* Event_wheel.add/pop on a wheel captured from outside the Pool task
-     fire on lines 9 and 10; the prepare-only closure stays clean *)
-  check_file "fx_wheel_pool_bad.ml" [ (9, "pool-capture"); (10, "pool-capture") ]
 
 let test_generic_compare_fires =
   (* line 5's <, = and <= and line 7's compare are instantiated at type
@@ -178,7 +170,7 @@ let test_suppression_moves_finding () =
 
 let test_registry_complete () =
   Alcotest.(check (list string))
-    "ten rules, display order"
+    "nine rules, display order"
     [
       "pure-core";
       "hash-order";
@@ -187,7 +179,6 @@ let test_registry_complete () =
       "float-compare";
       "generic-compare";
       "tuple-hash-key";
-      "pool-capture";
       "state-machine";
       "layer-conformance";
     ]
@@ -220,7 +211,7 @@ let test_json_report_shape () =
   let json = Driver.to_json r in
   List.iter
     (fun affix -> Alcotest.(check bool) affix true (contains ~affix json))
-    [ "\"findings\""; "\"suppressed\""; "\"files\""; "\"rules\""; "pool-capture" ]
+    [ "\"findings\""; "\"suppressed\""; "\"files\""; "\"rules\""; "clock-hygiene" ]
 
 let suite =
   [
@@ -232,8 +223,6 @@ let suite =
     Alcotest.test_case "seeded-random fires" `Quick test_random_fires;
     Alcotest.test_case "float-compare fires" `Quick test_float_fires;
     Alcotest.test_case "float-compare clean twin" `Quick test_float_clean;
-    Alcotest.test_case "pool-capture fires" `Quick test_pool_fires;
-    Alcotest.test_case "pool-capture local state ok" `Quick test_pool_local_state_ok;
     Alcotest.test_case "state-machine fires" `Quick test_state_machine_fires;
     Alcotest.test_case "layer-conformance fires" `Quick test_layer_fires;
     Alcotest.test_case "one builder per layer fires" `Quick test_stack_layers_fire;
@@ -241,7 +230,6 @@ let suite =
     Alcotest.test_case "serve clock-hygiene fires" `Quick test_serve_clock_fires;
     Alcotest.test_case "serve layer-conformance fires" `Quick test_serve_layer_fires;
     Alcotest.test_case "simnet clock-hygiene fires" `Quick test_simnet_clock_fires;
-    Alcotest.test_case "wheel pool-capture fires" `Quick test_wheel_pool_fires;
     Alcotest.test_case "generic-compare fires" `Quick test_generic_compare_fires;
     Alcotest.test_case "tuple-hash-key fires" `Quick test_tuple_hash_key_fires;
     Alcotest.test_case "tuple-hash-key clean twin" `Quick test_tuple_hash_key_clean;

@@ -4,7 +4,6 @@ let () =
   Alcotest.run "owp"
     [
       ("util.prng", Test_prng.suite);
-      ("util.pool", Test_pool.suite);
       ("util.heap", Test_heap.suite);
       ("util.event_wheel", Test_event_wheel.suite);
       ("util.stats", Test_stats.suite);

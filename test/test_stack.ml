@@ -458,21 +458,35 @@ let test_detector_tables_pinned () =
    engine seed Hashtbl.hash of the instance label.  The protocol
    counters and the virtual completion time (printed with six
    decimals there) must be reproduced exactly. *)
+let e23b_report =
+  lazy
+    (let module W = Owp_bench.Workloads in
+     let inst =
+       W.make ~seed:23 ~family:(W.Gnm_avg_deg 16.0) ~pref_model:W.Random_prefs ~n:10_000
+         ~quota:8
+     in
+     Stack.run ~seed:(Hashtbl.hash inst.W.label) inst.W.weights ~capacity:inst.W.capacity)
+
 let test_e23b_anchor () =
-  let module W = Owp_bench.Workloads in
-  let inst =
-    W.make ~seed:23 ~family:(W.Gnm_avg_deg 16.0) ~pref_model:W.Random_prefs ~n:10_000
-      ~quota:8
-  in
-  let r =
-    Stack.run ~seed:(Hashtbl.hash inst.W.label) inst.W.weights ~capacity:inst.W.capacity
-  in
+  let r = Lazy.force e23b_report in
   Alcotest.(check int) "PROP" 92418 r.Stack.prop_count;
   Alcotest.(check int) "REJ" 51428 r.Stack.rej_count;
   Alcotest.(check int) "delivered" 143846 r.Stack.delivered;
   Alcotest.(check string) "v-time" "11.590479"
     (Printf.sprintf "%.6f" r.Stack.completion_time);
   Alcotest.(check bool) "quiesced" true r.Stack.all_terminated
+
+(* E23b's "baseline outputs" column, which CI gates on, must be able to
+   say NO: the real 10^4 report matches its anchor, and the same report
+   with one PROP more does not *)
+let test_e23b_anchor_check_can_fail () =
+  let module E23 = Owp_bench.E23_scale in
+  let r = Lazy.force e23b_report in
+  let a = List.assoc 10_000 E23.anchors in
+  Alcotest.(check bool) "real report" true (E23.matches_anchor a r);
+  Alcotest.(check bool) "PROP off by one" false
+    (E23.matches_anchor a { r with Stack.prop_count = r.Stack.prop_count + 1 });
+  Alcotest.(check string) "no anchor" "-" (E23.baseline_cell 30_000 r)
 
 let suite =
   [
@@ -494,4 +508,5 @@ let suite =
     Alcotest.test_case "detector and membership tables pinned" `Quick
       test_detector_tables_pinned;
     Alcotest.test_case "E23b anchor at n = 10^4" `Quick test_e23b_anchor;
+    Alcotest.test_case "E23b anchor check can fail" `Quick test_e23b_anchor_check_can_fail;
   ]
