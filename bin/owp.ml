@@ -153,7 +153,7 @@ let print_stack_detail prefs (cfg : RC.t) (r : Owp_core.Stack.report) =
       Printf.printf
         "satisfaction        : %.4f retained of %.4f crash-only ideal (%.1f%%)\n"
         retained reference
-        (if reference = 0.0 then 100.0 else 100.0 *. retained /. reference);
+        (if Float.equal reference 0.0 then 100.0 else 100.0 *. retained /. reference);
       Printf.printf "adversarial msgs    : %d\n" (counter ~layer:"adversary" "messages");
       Printf.printf "quarantines         : %d (%d false), %d of %d offenders caught\n"
         r.Stack.quarantine_events
@@ -416,6 +416,10 @@ let print_listing sections =
     sections;
   0
 
+(* what check --explore --byzantine injects, whatever the spec says *)
+let explore_adversary_model =
+  "each node in turn is one generic injector; MODEL:FRAC is not used under --explore"
+
 (* check --list: every diagnostic the suite can run, with one-line docs *)
 let check_list () =
   print_listing
@@ -431,13 +435,18 @@ let check_list () =
           ("explore-truncated", "the state-space bound was hit before exhaustion");
         ] );
       ( "byzantine runs (owp check --byzantine, --explore --byzantine):",
-        [ (Owp_check.Byzantine.name, Owp_check.Byzantine.doc) ] );
+        [
+          (Owp_check.Byzantine.name, Owp_check.Byzantine.doc);
+          ("adversary model", explore_adversary_model);
+        ] );
     ]
 
 (* check --explore --byzantine: model-check the bounded-damage claim
    with one Byzantine node, quantified over every node choice, every
-   injection interleaving, and every delivery order *)
-let check_explore_byzantine inst ~guard max_configs =
+   injection interleaving, and every delivery order.  The spec's models
+   and fractions play no part: the injector covers every wire attack
+   they express, so the report says so before anything else. *)
+let check_explore_byzantine inst ~spec ~guard max_configs =
   let n = Graph.node_count inst.Owp_bench.Workloads.graph in
   if n > 4 then begin
     Printf.eprintf
@@ -447,6 +456,8 @@ let check_explore_byzantine inst ~guard max_configs =
     2
   end
   else begin
+    Printf.printf "adversary model     : %s (got --byzantine %s)\n"
+      explore_adversary_model spec;
     let prefs = inst.Owp_bench.Workloads.prefs in
     let failed = ref 0 in
     for byz = 0 to n - 1 do
@@ -479,10 +490,11 @@ let check_cmdline spec matching_file explore max_configs drops list =
     match Owp_cli.instance spec with
     | Error msg -> usage_error "check" msg
     | Ok inst ->
-      if explore && spec.Owp_cli.byzantine <> None then
-        check_explore_byzantine inst ~guard:spec.Owp_cli.guard max_configs
-      else if explore then check_explore inst max_configs drops
-      else
+      match (explore, spec.Owp_cli.byzantine) with
+      | true, Some byz ->
+          check_explore_byzantine inst ~spec:byz ~guard:spec.Owp_cli.guard max_configs
+      | true, None -> check_explore inst max_configs drops
+      | false, _ ->
         match matching_file with
         | Some path -> (
             (* check a saved (possibly corrupted) matching against the
@@ -578,7 +590,8 @@ let check_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* the typedtree analyzer: reads the .cmt files dune already emitted,
-   so a plain `dune build` is the only prerequisite *)
+   so `dune build @check` (which also types executables' main modules)
+   is the only prerequisite *)
 let default_lint_roots =
   [ "_build/default/lib"; "_build/default/bin" ]
 
@@ -650,14 +663,15 @@ let lint_cmd =
              "Runs the repo's rule registry (purity of the protocol core, \
               iteration-order determinism, clock hygiene, seeded randomness, \
               float and generic comparison discipline, tuple hash keys, the \
-              single-state-machine property, and layer conformance) over the \
-              typed ASTs produced by $(b,dune build).  Exit status is 1 when \
-              unsuppressed findings remain, 2 on usage or scan errors.";
+              single-state-machine property, layer conformance, and dead \
+              exports) over the typed ASTs produced by $(b,dune build @check). \
+              Exit status is 1 when unsuppressed findings remain, 2 on usage or \
+              scan errors.";
            `P
              "Findings are suppressed in source with \
               (* owp-lint: allow RULE — reason *) on the offending line or the \
-              line above; (* owp-lint: pure *) opts a module into the \
-              pure-core rule.";
+              line above (in an .mli, on or above the val); \
+              (* owp-lint: pure *) opts a module into the pure-core rule.";
          ])
     Term.(const lint_cmdline $ json $ list $ rules $ roots)
 
@@ -678,7 +692,7 @@ let chaos spec trials max_episodes horizon from_spec =
       "chaos: generates its own schedules; use --from SPEC to replay one\n";
     2
   end
-  else if spec.Owp_cli.deadline <> None || spec.Owp_cli.max_rounds <> None then begin
+  else if Option.is_some spec.Owp_cli.deadline || Option.is_some spec.Owp_cli.max_rounds then begin
     Printf.eprintf
       "chaos: the self-stabilization certificate needs unbudgeted runs; drop \
        --deadline/--max-rounds\n";

@@ -158,7 +158,9 @@ let byzantine_arg =
           "Hand a random node subset to adversary behaviours: \
            $(i,MODEL:FRAC[,MODEL:FRAC...]) with models liar, equivocator, \
            flooder, replayer, violator (e.g. $(b,liar:0.2)).  Runs LID with \
-           the remaining correct peers and reports the bounded-damage verdict.")
+           the remaining correct peers and reports the bounded-damage verdict. \
+           Under $(b,check --explore) each node in turn is one generic \
+           injector instead; $(i,MODEL:FRAC) is not used there.")
 
 let guard_arg =
   Arg.(

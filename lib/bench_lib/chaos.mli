@@ -29,6 +29,7 @@ val run_one : Owp_core.Run_config.t -> Preference.t -> Owp_simnet.Schedule.t -> 
 (** Run the config's composition with its schedule replaced by the
     given one. *)
 
+(* owp-lint: allow dead-export — test seam: drives run_one with fuzzer input *)
 val generate :
   Owp_util.Prng.t ->
   graph:Graph.t ->

@@ -1,12 +1,10 @@
 (** Shared plumbing for the experiment runners. *)
 
-module Tbl = Owp_util.Tablefmt
-
 type exp = {
   id : string;  (** e.g. "E3" *)
   title : string;
   paper_ref : string;  (** the lemma/theorem/figure being reproduced *)
-  run : quick:bool -> Tbl.t list;
+  run : quick:bool -> Owp_util.Tablefmt.t list;
       (** [quick] trims sweep sizes for CI; full mode regenerates the
           EXPERIMENTS.md numbers *)
 }

@@ -4,6 +4,7 @@
 val all : Exp_common.exp list
 (** E0–E21 in order. *)
 
+(* owp-lint: allow dead-export — test seam: the lookup run_one resolves ids by *)
 val find : string -> Exp_common.exp option
 (** Lookup by case-insensitive id, e.g. "e3". *)
 

@@ -24,12 +24,6 @@ type certificate = {
   budget : float;
 }
 
-let name = "anytime-cutoff"
-
-let doc =
-  "a deadline-bounded run serves a feasible partial matching whose residual \
-   blocking pairs and retained weight/satisfaction are measured, not asserted"
-
 let total_weight w edges = List.fold_left (fun acc e -> acc +. Weights.weight w e) 0.0 edges
 
 let total_satisfaction prefs g edges =

@@ -63,12 +63,6 @@ type certificate = {
   budget : float;
 }
 
-val name : string
-(** ["anytime-cutoff"], the checker name used in listings. *)
-
-val doc : string
-(** One-line description for checker listings. *)
-
 val check : instance -> certificate
 (** Certify one cutoff.  Never raises on a malformed matching — the
     damage is reported in [violations] with [feasible = false]. *)

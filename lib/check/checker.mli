@@ -75,57 +75,39 @@ type t = {
   run : instance -> Violation.t list;
 }
 
-(** {2 Built-in diagnostics} *)
+(** {2 The registry}
 
-val edge_validity : t
-(** Edge ids are in range and not duplicated. *)
+    In reporting order, by name:
+    - [edge-validity]: edge ids are in range and not duplicated;
+    - [quota]: every node is covered at most [capacity.(i)] times (§2);
+    - [weight-symmetry]: eq. 9, [w(i,j) = ΔS̄_i(j) + ΔS̄_j(i)], recomputed
+      from each owner's {!Preference.list} positions, so it reads neither
+      the rank table nor {!Weights.of_preference} (vacuous without
+      [prefs]);
+    - [satisfaction-range]: eq. 1, [S_i ∈ [0, 1]] and finite for every
+      node, from cover counts and rank sums (vacuous without [prefs]);
+    - [blocking-pair]: no unselected edge beats the lightest selected
+      edge at both endpoints (or finds residual capacity there) — the
+      Lemma 4/6 invariant; reports every blocking pair;
+    - [maximality]: no unselected edge has residual capacity at both
+      endpoints;
+    - [theorem2]: [w(M) ≥ ½ · w(OPT)] against the exact optimum up to
+      {!exact_weight_limit} edges, above that the structural premise
+      (maximality + greedy stability);
+    - [theorem3]: [S(M) ≥ ¼(1 + 1/b_max) · S(OPT)] against the exact
+      satisfaction optimum (vacuous without [prefs] or above
+      {!exact_satisfaction_limit} edges). *)
 
-val quota_feasibility : t
-(** Every node is covered at most [capacity.(i)] times (§2 quotas). *)
-
-val weight_symmetry : t
-(** Eq. 9: [w(i,j) = ΔS̄_i(j) + ΔS̄_j(i)], recomputed from the
-    preference lists for both orientations — catches asymmetric or
-    corrupted weight tables.  Each neighbour is ranked by its position
-    in the owner's {!Preference.list}, so the check reads neither the
-    preference system's rank table nor {!Weights.of_preference}.
-    Vacuous without [prefs]. *)
-
-val satisfaction_range : t
-(** Eq. 1: [S_i ∈ [0, 1]] and finite for every node, evaluated on the
-    candidate edge set from each node's cover count and rank sum
-    ({!Satisfaction.of_rank_sum}).  A node listed more often than its
-    quota has no S_i, which is itself a violation.  Vacuous without
-    [prefs]. *)
-
-val no_blocking_pair : t
-(** No unselected edge beats the lightest selected edge at both
-    endpoints (or finds residual capacity there) — the greedy-stability
-    invariant behind Lemmas 4 and 6.  Reports {e every} blocking pair. *)
-
-val maximality : t
-(** No unselected edge has residual capacity at both endpoints. *)
-
-val theorem2_certificate : t
-(** Theorem 2: [w(M) ≥ ½ · w(OPT)].  Measured against the exact
-    maximum-weight matching when the instance is small enough
-    (≤ {!exact_weight_limit} edges); on larger instances falls back to
-    the structural conditions (maximality + greedy stability) under
-    which the charging argument applies. *)
-
-val theorem3_certificate : t
-(** Theorem 3: [S(M) ≥ ¼(1 + 1/b_max) · S(OPT)], measured against the
-    exact satisfaction optimum.  Vacuous without [prefs] or above
-    {!exact_satisfaction_limit} edges. *)
-
+(* owp-lint: allow dead-export — test seam: where theorem2 turns structural *)
 val exact_weight_limit : int
+
+(* owp-lint: allow dead-export — test seam: where theorem3 turns vacuous *)
 val exact_satisfaction_limit : int
 
 val all : t list
 (** The full registry, in reporting order. *)
 
 val names : string list
-val find : string -> t option
 
 (** {2 Running checkers and reporting} *)
 
@@ -139,10 +121,10 @@ val run : ?only:string list -> instance -> report
 val ok : report -> bool
 val violations : report -> Violation.t list
 val violation_count : report -> int
-val pp_report : Format.formatter -> report -> unit
 
 exception Check_failed of report
 (** Raised by {!assert_ok}; the payload carries the full report. *)
 
+(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
 val assert_ok : ?only:string list -> instance -> unit
 val report_to_string : report -> string

@@ -89,9 +89,6 @@ type verdict = {
           and truncation, as structured reports *)
 }
 
-val schedule_cap : int
-(** Saturation bound for the schedule count. *)
-
 val explore :
   ?max_configs:int ->
   ?max_link_failures:int ->

@@ -27,12 +27,6 @@ type certificate = {
   t_heal : float;
 }
 
-let name = "self-stabilization"
-
-let doc =
-  "after the last scheduled episode heals, the run quiesces and converges to \
-   the crash-only LIC reference edge set; recovery time is measured"
-
 (* symmetric difference of two edge-id sets, duplicates collapsed *)
 let diff served reference =
   let served = List.sort_uniq compare served in

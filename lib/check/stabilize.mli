@@ -87,11 +87,6 @@ type certificate = {
   t_heal : float;
 }
 
-val name : string
-(** ["self-stabilization"] — the id used in reports and the CLI. *)
-
-val doc : string
-
 val check : instance -> certificate
 (** Never raises: a malformed instance yields a void certificate with
     the violations recorded. *)

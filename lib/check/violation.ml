@@ -10,15 +10,6 @@ let v ~checker subject ~expected ~actual =
   in
   { checker; subject; expected; actual }
 
-let subject_rank = function Global -> 0 | Node _ -> 1 | Edge _ -> 2
-
-let subject_compare a b =
-  match (a, b) with
-  | Global, Global -> 0
-  | Node i, Node j -> compare i j
-  | Edge (a1, a2), Edge (b1, b2) -> compare (a1, a2) (b1, b2)
-  | _ -> compare (subject_rank a) (subject_rank b)
-
 let pp_subject ppf = function
   | Global -> Format.pp_print_string ppf "instance"
   | Node i -> Format.fprintf ppf "node %d" i

@@ -22,9 +22,6 @@ type t = {
 val v : checker:string -> subject -> expected:string -> actual:string -> t
 (** Build a violation; [Edge] endpoints are normalised to lower-first. *)
 
-val subject_compare : subject -> subject -> int
-
-val pp_subject : Format.formatter -> subject -> unit
 val pp : Format.formatter -> t -> unit
 val pp_list : Format.formatter -> t list -> unit
 val to_string : t -> string

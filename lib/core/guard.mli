@@ -48,8 +48,6 @@ type offence =
   | Claim_mismatch  (** PROP claim contradicts the pinned advertisement *)
   | Flood  (** per-peer message budget exhausted *)
 
-val offence_name : offence -> string
-
 (** Wire format of the guarded protocol.  [Prop] carries the sender's
     claimed half-weight ΔS̄_src(dst) so the receiver can cross-check it;
     [epoch] is the sender's incarnation (always 0 in failure-free
@@ -101,6 +99,7 @@ val quarantined : t -> peer:int -> bool
 val quarantined_peers : t -> int list
 (** Ascending. *)
 
+(* owp-lint: allow dead-export — test seam: a peer's misbehaviour score *)
 val score : t -> peer:int -> float
 val offences : t -> (int * offence) list
 (** Every offence recorded, in order of occurrence: (peer, offence). *)

@@ -24,6 +24,7 @@ val local_search :
 (** [local_search prefs m] returns the improved matching and the number
     of moves applied.  [max_moves] defaults to [10 * m] edges. *)
 
+(* owp-lint: allow dead-export — test seam: the gain local_search ranks by *)
 val move_gain : Preference.t -> Owp_matching.Bmatching.t -> int -> float
 (** Satisfaction gain of applying the add/swap move for the given
     unmatched edge id (0 if the edge is already matched). *)

@@ -68,6 +68,7 @@ val mark_delivery :
     {!deliver} reads, so marking just before delivering costs no extra
     cache miss.  The {!Stack}'s dedup layer keeps its seen set here. *)
 
+(* owp-lint: allow dead-export — test seam: Lemma 5's termination state *)
 val quiesced : state -> bool
 (** Every node reached U_i = ∅ (Lemma 5). *)
 

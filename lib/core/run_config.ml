@@ -191,5 +191,3 @@ let to_string t =
          | Some k -> [ Printf.sprintf "max-rounds=%d" k ]
          | None -> []);
        ])
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

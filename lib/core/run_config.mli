@@ -54,10 +54,6 @@ type t = {
           {!Stack.round_length}; exclusive with [deadline] *)
 }
 
-val default : t
-(** [Lid], seed 42, {!Owp_simnet.Faults.none}, datagram transport, no
-    adversaries, no guard, no checkers. *)
-
 val make :
   ?engine:engine ->
   ?seed:int ->
@@ -82,8 +78,6 @@ val engine_of_string : string -> (engine, string) result
 val engine_name : engine -> string
 (** Canonical CLI name; [engine_of_string (engine_name e) = Ok e]. *)
 
-val all_engines : engine list
-
 val lid_family : engine -> bool
 (** [Lid] or [Lid_reliable]: the engines that execute through the
     layered {!Stack} loop and accept network/adversary knobs. *)
@@ -102,5 +96,3 @@ val validate : t -> (t, string) result
 val to_string : t -> string
 (** One-line summary, e.g. ["engine=lid seed=7 faults=drop=0.2 reliable
     byzantine=liar:0.2 guard"]. *)
-
-val pp : Format.formatter -> t -> unit

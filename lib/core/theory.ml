@@ -31,12 +31,6 @@ let weighted_blocking_pair w m =
 
 let is_greedy_stable w m = weighted_blocking_pair w m = None
 
-let half_approx_certificate w m = Bmatching.is_maximal m && is_greedy_stable w m
-
-let weight_ratio w approx opt =
-  let a = Bmatching.weight approx w and o = Bmatching.weight opt w in
-  if Float.equal o 0.0 then 1.0 else a /. o
-
 let lemma1_bound ~bmax =
   if bmax <= 0 then invalid_arg "Theory.lemma1_bound: bmax must be positive";
   0.5 *. (1.0 +. (1.0 /. float_of_int bmax))
@@ -44,9 +38,3 @@ let lemma1_bound ~bmax =
 let theorem3_bound ~bmax =
   if bmax <= 0 then invalid_arg "Theory.theorem3_bound: bmax must be positive";
   0.25 *. (1.0 +. (1.0 /. float_of_int bmax))
-
-let static_vs_full_ratio prefs m =
-  let conns = Bmatching.connection_lists m in
-  let s_static = Preference.total_static_satisfaction prefs conns in
-  let s_full = Preference.total_satisfaction prefs conns in
-  if Float.equal s_full 0.0 then 1.0 else s_static /. s_full

@@ -239,69 +239,6 @@ let configuration_power_law rng ~n ~exponent ~min_degree =
   done;
   Graph.Builder.build b
 
-let random_regular rng ~n ~d =
-  if d < 0 || d >= n then invalid_arg "Gen.random_regular: need 0 <= d < n";
-  if n * d mod 2 = 1 then invalid_arg "Gen.random_regular: n*d must be even";
-  let attempt () =
-    let stubs = Array.make (n * d) 0 in
-    for v = 0 to n - 1 do
-      for j = 0 to d - 1 do
-        stubs.((v * d) + j) <- v
-      done
-    done;
-    Prng.shuffle_in_place rng stubs;
-    let b = Graph.Builder.create n in
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i + 1 < Array.length stubs do
-      let u = stubs.(!i) and v = stubs.(!i + 1) in
-      if u = v || not (Graph.Builder.add_edge b u v) then ok := false;
-      i := !i + 2
-    done;
-    if !ok then Some (Graph.Builder.build b) else None
-  in
-  let rec retry k best =
-    if k = 0 then best
-    else
-      match attempt () with
-      | Some g -> Some g
-      | None -> retry (k - 1) best
-  in
-  match retry 8 None with
-  | Some g -> g
-  | None ->
-      (* fall back: pair stubs, carrying conflicting stubs over into
-         repeated repair rounds; only the final unpairable leftovers (a
-         handful of stubs at worst) cost regularity *)
-      let b = Graph.Builder.create n in
-      let stubs = ref (Array.make (n * d) 0) in
-      for v = 0 to n - 1 do
-        for j = 0 to d - 1 do
-          !stubs.((v * d) + j) <- v
-        done
-      done;
-      let rounds = ref 0 in
-      let progress = ref true in
-      while Array.length !stubs > 1 && !progress && !rounds < 200 do
-        incr rounds;
-        Prng.shuffle_in_place rng !stubs;
-        let leftover = ref [] in
-        let i = ref 0 in
-        let placed = ref 0 in
-        while !i + 1 < Array.length !stubs do
-          let u = !stubs.(!i) and v = !stubs.(!i + 1) in
-          if u <> v && Graph.Builder.add_edge b u v then incr placed
-          else begin
-            leftover := u :: v :: !leftover
-          end;
-          i := !i + 2
-        done;
-        if !i < Array.length !stubs then leftover := !stubs.(!i) :: !leftover;
-        progress := !placed > 0;
-        stubs := Array.of_list !leftover
-      done;
-      Graph.Builder.build b
-
 let ring n =
   if n < 3 then invalid_arg "Gen.ring: need n >= 3";
   let b = Graph.Builder.create n in

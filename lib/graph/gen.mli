@@ -14,6 +14,7 @@ val gnm : Owp_util.Prng.t -> n:int -> m:int -> Graph.t
 (** Uniform graph with exactly [m] distinct edges.
     @raise Invalid_argument if [m] exceeds [n(n-1)/2]. *)
 
+(* owp-lint: allow dead-export — shared test input *)
 val complete : int -> Graph.t
 
 val barabasi_albert : Owp_util.Prng.t -> n:int -> m:int -> Graph.t
@@ -31,6 +32,7 @@ val random_geometric :
     distance is below [radius].  Also returns the coordinates (used by the
     latency-metric preference generators). *)
 
+(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
 val grid : width:int -> height:int -> Graph.t
 val torus : width:int -> height:int -> Graph.t
 
@@ -43,10 +45,11 @@ val configuration_power_law :
     [P(d) ∝ d^-exponent]; self-loops and parallel edges from the pairing
     are discarded, so realised degrees are close to (at most) targets. *)
 
-val random_regular : Owp_util.Prng.t -> n:int -> d:int -> Graph.t
-(** Random [d]-regular graph by repeated stub pairing; falls back to the
-    best attempt (possibly slightly irregular) after retries. *)
-
+(* owp-lint: allow dead-export — shared test input *)
 val ring : int -> Graph.t
+
+(* owp-lint: allow dead-export — shared test input *)
 val star : int -> Graph.t
+
+(* owp-lint: allow dead-export — shared test input *)
 val path : int -> Graph.t

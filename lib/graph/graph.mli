@@ -85,6 +85,7 @@ val find_edge : t -> int -> int -> int option
 
 val mem_edge : t -> int -> int -> bool
 
+(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
 val other_endpoint : t -> int -> int -> int
 (** [other_endpoint g e u] is the endpoint of [e] distinct from [u].
     @raise Invalid_argument if [u] is not an endpoint of [e]. *)
@@ -92,6 +93,7 @@ val other_endpoint : t -> int -> int -> int
 val iter_edges : t -> (int -> int -> int -> unit) -> unit
 (** [iter_edges g f] calls [f eid u v] for every edge, [u < v]. *)
 
+(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
 val fold_edges : t -> ('a -> int -> int -> int -> 'a) -> 'a -> 'a
 
 val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
@@ -100,9 +102,11 @@ val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 
 val max_degree : t -> int
 
+(* owp-lint: allow dead-export — shared test input *)
 val of_edge_list : int -> (int * int) list -> t
 (** Convenience constructor; duplicates are coalesced. *)
 
+(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
 val complement_degree_sum : t -> int
 (** Sum over nodes of [n - 1 - degree]; used by density reports. *)
 

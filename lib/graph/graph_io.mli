@@ -7,6 +7,7 @@
 val to_string : Graph.t -> string
 val write : string -> Graph.t -> unit
 
+(* owp-lint: allow dead-export — test seam: drives the parser without a file *)
 val of_string : string -> (Graph.t, string) result
 (** [Error "line K: ..."] at the first malformed line: a header that is
     not two counts (or declares more than 2{^24} nodes), an edge line
@@ -26,6 +27,7 @@ val read : string -> (Graph.t, string) result
 
 val matching_to_string : Graph.t -> int list -> string
 
+(* owp-lint: allow dead-export — test seam: drives the parser without a file *)
 val matching_of_string : Graph.t -> string -> (int list, string) result
 (** The edge ids of the ["u v"] lines, in file order (a repeated line
     stays, for the checkers to flag); [Error "line N: ..."] at the first

@@ -21,26 +21,6 @@ let connected_components g =
   done;
   (label, !count)
 
-let largest_component g =
-  let label, count = connected_components g in
-  if count = 0 then [||]
-  else begin
-    let sizes = Array.make count 0 in
-    Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) label;
-    let best = ref 0 in
-    Array.iteri (fun c s -> if s > sizes.(!best) then best := c) sizes;
-    let out = Array.make sizes.(!best) 0 in
-    let k = ref 0 in
-    Array.iteri
-      (fun v c ->
-        if c = !best then begin
-          out.(!k) <- v;
-          incr k
-        end)
-      label;
-    out
-  end
-
 let is_connected g =
   let _, count = connected_components g in
   count <= 1
@@ -83,15 +63,6 @@ let density g =
   let n = Graph.node_count g in
   if n < 2 then 0.0
   else 2.0 *. float_of_int (Graph.edge_count g) /. float_of_int (n * (n - 1))
-
-let degree_histogram g =
-  let maxd = Graph.max_degree g in
-  let h = Array.make (maxd + 1) 0 in
-  for v = 0 to Graph.node_count g - 1 do
-    let d = Graph.degree g v in
-    h.(d) <- h.(d) + 1
-  done;
-  h
 
 let triangle_count g =
   (* for each edge (u,v) count common neighbours w > v using merge on
@@ -143,24 +114,3 @@ let open_triads g =
 let global_clustering g =
   let triads = open_triads g in
   if triads = 0 then 0.0 else 3.0 *. float_of_int (triangle_count g) /. float_of_int triads
-
-let average_local_clustering g =
-  let n = Graph.node_count g in
-  if n = 0 then 0.0
-  else begin
-    let total = ref 0.0 in
-    for v = 0 to n - 1 do
-      let d = Graph.degree g v in
-      if d >= 2 then begin
-        (* count edges among neighbours of v *)
-        let nbrs = Graph.neighbor_nodes g v in
-        let links = ref 0 in
-        Array.iter
-          (fun a ->
-            Array.iter (fun b -> if a < b && Graph.mem_edge g a b then incr links) nbrs)
-          nbrs;
-        total := !total +. (2.0 *. float_of_int !links /. float_of_int (d * (d - 1)))
-      end
-    done;
-    !total /. float_of_int n
-  end

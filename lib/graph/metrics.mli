@@ -4,11 +4,9 @@
 val connected_components : Graph.t -> int array * int
 (** [(label, count)]: per-node component label in [0..count-1]. *)
 
-val largest_component : Graph.t -> int array
-(** Node ids of the largest connected component. *)
-
 val is_connected : Graph.t -> bool
 
+(* owp-lint: allow dead-export — test seam: the BFS the diameter bound sweeps *)
 val bfs_distances : Graph.t -> int -> int array
 (** Hop distances from a source; unreachable nodes get [-1]. *)
 
@@ -18,14 +16,8 @@ val eccentricity_lower_bound : Graph.t -> int
 val average_degree : Graph.t -> float
 val density : Graph.t -> float
 
-val degree_histogram : Graph.t -> int array
-(** Index [d] holds the number of nodes with degree [d]. *)
-
 val global_clustering : Graph.t -> float
 (** Transitivity: 3 × triangles / open triads; 0 for triangle-free. *)
-
-val average_local_clustering : Graph.t -> float
-(** Mean over nodes of the local clustering coefficient (Watts–Strogatz). *)
 
 val triangle_count : Graph.t -> int
 

@@ -1,6 +1,6 @@
 module Keyed = Owp_util.Heap.Keyed
 
-let dijkstra_general g ~length ~allowed src =
+let dijkstra ?(allowed = fun _ -> true) g ~length src =
   let n = Graph.node_count g in
   let dist = Array.make n infinity in
   let heap = Keyed.create n in
@@ -23,10 +23,6 @@ let dijkstra_general g ~length ~allowed src =
   done;
   dist
 
-let dijkstra g ~length src = dijkstra_general g ~length ~allowed:(fun _ -> true) src
-
-let dijkstra_restricted g ~length ~allowed src = dijkstra_general g ~length ~allowed src
-
 let path_stretch g ~length ~subgraph ~samples =
   (* group samples by source so each source costs two Dijkstra runs *)
   let by_src = Hashtbl.create 16 in
@@ -38,7 +34,7 @@ let path_stretch g ~length ~subgraph ~samples =
   List.fold_left
     (fun acc (s, dsts) ->
       let full = dijkstra g ~length s in
-      let sub = dijkstra_restricted g ~length ~allowed:subgraph s in
+      let sub = dijkstra ~allowed:subgraph g ~length s in
       List.fold_left
         (fun acc d ->
           if Float.equal full.(d) infinity || Float.equal full.(d) 0.0 then acc

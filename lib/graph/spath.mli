@@ -4,15 +4,13 @@
     preferred neighbours, how much longer are routes through the overlay
     than through the full potential graph (the {e stretch})? *)
 
-val dijkstra : Graph.t -> length:(int -> float) -> int -> float array
+(* owp-lint: allow dead-export — test seam: the distances path_stretch divides *)
+val dijkstra :
+  ?allowed:(int -> bool) -> Graph.t -> length:(int -> float) -> int -> float array
 (** [dijkstra g ~length src] returns per-node distances from [src],
-    where [length eid] is the non-negative length of an edge.
-    Unreachable nodes get [infinity].
-    @raise Invalid_argument on a negative length. *)
-
-val dijkstra_restricted :
-  Graph.t -> length:(int -> float) -> allowed:(int -> bool) -> int -> float array
-(** Same, using only edges with [allowed eid]. *)
+    where [length eid] is the non-negative length of an edge, using
+    only edges with [allowed eid] (default: all).  Unreachable nodes
+    get [infinity].  @raise Invalid_argument on a negative length. *)
 
 val path_stretch :
   Graph.t ->

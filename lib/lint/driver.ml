@@ -22,26 +22,43 @@ let run ?only ~roots () =
   match select only with
   | Error _ as e -> e
   | Ok rules -> (
-      match Cmt_load.scan roots with
-      | [] ->
+      match (Cmt_load.scan roots, Cmt_load.unbuilt roots) with
+      | [], _ ->
           Error
             (Printf.sprintf
-               "no .cmt files under %s; run `dune build' first"
+               "no .cmt files under %s; run `dune build @check' first"
                (String.concat ", " roots))
-      | units ->
+      | _, cmti :: _ ->
+          Error
+            (Printf.sprintf
+               "%s has no .cmt beside it; run `dune build @check' first" cmti)
+      | units, [] ->
           let univ =
             Rule.universe
               (List.map
                  (fun (u : Cmt_load.unit_info) -> (u.module_name, u.structure))
                  units)
           in
+          let readers =
+            lazy
+              (Rule.readers
+                 (List.map
+                    (fun (u : Cmt_load.unit_info) ->
+                      (u.module_name, u.file, u.structure))
+                    (Cmt_load.scan (Cmt_load.build_root roots))))
+          in
+          let load = function Some src -> Suppress.load src | None -> Suppress.empty in
           let findings = ref [] and suppressed = ref [] in
           List.iter
             (fun (u : Cmt_load.unit_info) ->
-              let sup =
-                match u.Cmt_load.source with
-                | Some src -> Suppress.load src
-                | None -> Suppress.empty
+              let sup = load u.Cmt_load.source in
+              (* findings anchored in the .mli answer to its directives *)
+              let sup_of =
+                match u.Cmt_load.interface with
+                | Some i ->
+                    let isup = load i.Cmt_load.isource in
+                    fun file -> if file = i.Cmt_load.ifile then isup else sup
+                | None -> fun _ -> sup
               in
               let ctx =
                 {
@@ -49,15 +66,19 @@ let run ?only ~roots () =
                   file = u.Cmt_load.file;
                   basename = u.Cmt_load.basename;
                   structure = u.Cmt_load.structure;
+                  interface = u.Cmt_load.interface;
                   pure = Suppress.pure sup;
                   univ;
+                  readers;
                 }
               in
               List.iter
                 (fun r ->
                   List.iter
                     (fun (f : Finding.t) ->
-                      if Suppress.active sup ~rule:f.Finding.rule ~line:f.Finding.line
+                      if
+                        Suppress.active (sup_of f.Finding.file) ~rule:f.Finding.rule
+                          ~line:f.Finding.line
                       then suppressed := f :: !suppressed
                       else findings := f :: !findings)
                     (r.Rule.check ctx))

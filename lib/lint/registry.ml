@@ -9,7 +9,7 @@ let all =
     Rules_hashkey.rule;
     Rules_protocol.state_machine;
     Rules_protocol.layer_conformance;
+    Rules_exports.rule;
   ]
 
-let names = List.map (fun r -> r.Rule.name) all
 let find name = List.find_opt (fun r -> r.Rule.name = name) all

@@ -5,7 +5,4 @@
 val all : Rule.t list
 (** Every rule, in display order. *)
 
-val names : string list
-(** Names of {!all}, in the same order. *)
-
 val find : string -> Rule.t option

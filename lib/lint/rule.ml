@@ -173,6 +173,85 @@ let type_is_mutable univ ~in_module ty =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
+(* the cross-unit reference index                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* every value or module path a unit reads, with local module aliases
+   ([module G = Owp_graph.Graph], [let module ...]) resolved to their
+   targets, keyed by each dotted prefix of two or more components *)
+type readers = (string, string * string) Hashtbl.t
+
+let rec resolve aliases = function
+  | Path.Pident id -> (
+      match Hashtbl.find_opt aliases (Ident.unique_name id) with
+      | Some parts -> parts
+      | None -> split_mangled (Ident.name id))
+  | Path.Pdot (p, s) -> resolve aliases p @ split_mangled s
+  | Path.Papply (f, _) | Path.Pextra_ty (f, _) -> resolve aliases f
+
+let rec alias_target (me : Typedtree.module_expr) =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some p
+  | Typedtree.Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+let readers units =
+  let index = Hashtbl.create 4096 in
+  List.iter
+    (fun (module_name, file, structure) ->
+      let aliases = Hashtbl.create 8 and seen = Hashtbl.create 256 in
+      let alias id me =
+        match (id, alias_target me) with
+        | Some id, Some p ->
+            Hashtbl.replace aliases (Ident.unique_name id) (resolve aliases p)
+        | _ -> ()
+      in
+      let read p =
+        let rec prefixes acc = function
+          | [] -> ()
+          | x :: tl ->
+              let acc = if acc = "" then x else acc ^ "." ^ x in
+              if String.contains acc '.' && not (Hashtbl.mem seen acc) then begin
+                Hashtbl.replace seen acc ();
+                Hashtbl.add index acc (module_name, file)
+              end;
+              prefixes acc tl
+        in
+        prefixes "" (resolve aliases p)
+      in
+      let it = Tast_iterator.default_iterator in
+      let iter =
+        {
+          it with
+          module_binding =
+            (fun sub mb ->
+              alias mb.Typedtree.mb_id mb.Typedtree.mb_expr;
+              it.module_binding sub mb);
+          module_expr =
+            (fun sub me ->
+              (match me.Typedtree.mod_desc with
+              | Typedtree.Tmod_ident (p, _) -> read p
+              | _ -> ());
+              it.module_expr sub me);
+          expr =
+            (fun sub e ->
+              (match e.Typedtree.exp_desc with
+              | Typedtree.Texp_ident (p, _, _) -> read p
+              | Typedtree.Texp_letmodule (id, _, _, me, _) -> alias id me
+              | _ -> ());
+              it.expr sub e);
+        }
+      in
+      iter.structure iter structure)
+    units;
+  index
+
+let readers_of index ~module_name key =
+  Hashtbl.find_all index key
+  |> List.filter (fun (m, _) -> m <> module_name)
+  |> List.map snd |> List.sort_uniq compare
+
+(* ------------------------------------------------------------------ *)
 (* the per-unit context and the rule type                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -181,8 +260,10 @@ type context = {
   file : string;
   basename : string;
   structure : Typedtree.structure;
+  interface : Cmt_load.interface option;
   pure : bool;
   univ : universe;
+  readers : readers Lazy.t;
 }
 
 type t = { name : string; doc : string; check : context -> Finding.t list }

@@ -25,6 +25,20 @@ val type_is_mutable : universe -> in_module:string -> Types.type_expr -> bool
 (** The type is a reference cell, array, hash table, buffer, or a
     scanned record with mutable fields. *)
 
+(** {1 Cross-unit references} *)
+
+type readers
+
+val readers : (string * string * Typedtree.structure) list -> readers
+(** Index every value and module path each [(module_name, file,
+    structure)] unit reads, with local module aliases resolved to their
+    targets and dune's mangling undone. *)
+
+val readers_of : readers -> module_name:string -> string -> string list
+(** [readers_of idx ~module_name "Owp_util.Heap.push"]: the display
+    files of the units other than [module_name] that read the path or
+    anything under it, sorted. *)
+
 (** {1 The per-unit context} *)
 
 type context = {
@@ -32,13 +46,19 @@ type context = {
   file : string;
   basename : string;
   structure : Typedtree.structure;
+  interface : Cmt_load.interface option;  (** the unit's [.mli], if any *)
   pure : bool;  (** source carries the [(* owp-lint: pure *)] tag *)
   univ : universe;
+  readers : readers Lazy.t;  (** every unit of the whole build *)
 }
 
 type t = { name : string; doc : string; check : context -> Finding.t list }
 
 (** {1 Typedtree helpers} *)
+
+val split_mangled : string -> string list
+(** A module name with dune's [Lib__Module] mangling undone
+    (["Owp_util__Heap"] becomes [["Owp_util"; "Heap"]]). *)
 
 val path_parts : Path.t -> string list
 (** Flattened path components with dune's [Lib__Module] mangling undone

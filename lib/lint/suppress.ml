@@ -43,7 +43,6 @@ let parse_line acc lineno line =
         |> List.filter (fun w -> String.trim w <> "")
       in
       match words with
-      | "pure" :: _ -> { acc with pure = true }
       | "allow" :: rest ->
           let rec take acc = function
             | w :: tl -> (
@@ -57,15 +56,23 @@ let parse_line acc lineno line =
           }
       | _ -> acc)
 
+(* the pure tag opens the file, so the syntax quoted in a help string
+   tags nothing *)
+let pure_tag lines =
+  match List.find_opt (fun l -> String.trim l <> "") lines with
+  | Some l -> String.starts_with ~prefix:("(* " ^ magic ^ " pure") (String.trim l)
+  | None -> false
+
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text ->
-      let acc = ref empty and lineno = ref 0 in
+      let lines = String.split_on_char '\n' text in
+      let acc = ref { empty with pure = pure_tag lines } and lineno = ref 0 in
       List.iter
         (fun line ->
           incr lineno;
           acc := parse_line !acc !lineno line)
-        (String.split_on_char '\n' text);
+        lines;
       !acc
   | exception Sys_error _ -> empty
 

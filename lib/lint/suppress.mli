@@ -11,6 +11,10 @@
       (so a directive on its own line covers the next statement).
     - [(* owp-lint: pure *)] — tag the module as part of the pure
       protocol core; the [pure-core] rule runs only on tagged modules.
+      The tag must open the file.
+
+    An [.mli] is read the same way: a directive there covers the
+    [val] line it sits on or precedes.
 
     Everything after the rule names (an em-dash reason, say) is
     ignored, but writing one is the expected style: a suppression is a

@@ -101,7 +101,3 @@ let maximum_matching g =
   Graph.iter_edges g (fun eid a b ->
       if partner.(a) = b && partner.(b) = a then ids := eid :: !ids);
   Bmatching.of_edge_ids g ~capacity:(Array.make n 1) !ids
-
-let matching_number g = Bmatching.size (maximum_matching g)
-
-let is_maximum g m = Bmatching.size m = matching_number g

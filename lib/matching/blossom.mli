@@ -12,10 +12,3 @@
 
 val maximum_matching : Graph.t -> Bmatching.t
 (** A maximum-cardinality matching as a unit-capacity {!Bmatching.t}. *)
-
-val matching_number : Graph.t -> int
-(** Size of a maximum matching. *)
-
-val is_maximum : Graph.t -> Bmatching.t -> bool
-(** Is the given unit-capacity matching of maximum cardinality?
-    (Checks size against {!matching_number}.) *)

@@ -94,7 +94,6 @@ let capacity t i = t.capacity.(i)
 let size t = t.size
 let degree t i = t.deg.(i)
 let residual t i = t.capacity.(i) - t.deg.(i)
-let saturated t i = residual t i <= 0
 
 (* ascending ids in [0, m) for which [keep] holds *)
 let ids_where m keep =
@@ -154,12 +153,3 @@ let symmetric_difference a b =
   ids_where (span a b) (fun eid -> not (Bool.equal (mem a eid) (mem b eid)))
 
 let equal a b = List.is_empty (symmetric_difference a b)
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf eid ->
-         let u, v = Graph.edge_endpoints t.graph eid in
-         Format.fprintf ppf "%d-%d" u v))
-    (edge_ids t)

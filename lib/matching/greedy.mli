@@ -9,6 +9,7 @@
 
 val run : Weights.t -> capacity:int array -> Bmatching.t
 
+(* owp-lint: allow dead-export — reference for Churn's rebuilds *)
 val run_restricted : Weights.t -> capacity:int array -> allowed:(int -> bool) -> Bmatching.t
 (** Same, considering only edges for which [allowed eid] holds (the
     churn tests' reference for a rebuild over the active peers). *)

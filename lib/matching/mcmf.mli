@@ -22,6 +22,7 @@ val min_cost_flow : t -> source:int -> sink:int -> ?max_flow:int -> unit -> int 
     profitable), stopping earlier if [max_flow] units have been pushed.
     Returns (total flow, total cost). *)
 
+(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
 val min_cost_max_flow : t -> source:int -> sink:int -> int * float
 (** Pushes flow along cheapest paths until the sink is unreachable,
     regardless of path cost sign (classic min-cost max-flow). *)

@@ -22,10 +22,7 @@ let preferences g config =
 
 (* seed 7 is the historical Pipeline.run default; keeping it preserves
    every published example's output byte for byte *)
-let build_with ?(seed = 7) ~engine g config =
-  let prefs = preferences g config in
+let build ?(seed = 7) g config =
   Owp_core.Pipeline.run_config
-    (Owp_core.Run_config.make ~engine ~seed ())
-    prefs
-
-let build ?seed g config = build_with ?seed ~engine:Owp_core.Run_config.Lid g config
+    (Owp_core.Run_config.make ~engine:Owp_core.Run_config.Lid ~seed ())
+    (preferences g config)

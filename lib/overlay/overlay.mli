@@ -23,12 +23,3 @@ val preferences : Graph.t -> config -> Preference.t
 
 val build : ?seed:int -> Graph.t -> config -> Owp_core.Pipeline.outcome
 (** Construct the overlay with LID over the simulated network. *)
-
-val build_with :
-  ?seed:int ->
-  engine:Owp_core.Run_config.engine ->
-  Graph.t ->
-  config ->
-  Owp_core.Pipeline.outcome
-(** [build] with an explicit engine (default seed 7, the historical
-    default of the removed [Pipeline.run] wrapper). *)

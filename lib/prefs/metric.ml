@@ -45,8 +45,6 @@ let bandwidth ~seed =
 let transaction_history ~seed =
   { name = "transactions"; score = (fun i j -> hash_float ~seed i j) }
 
-let uniform ~seed = { name = "uniform"; score = (fun i j -> hash_float ~seed i j) }
-
 let symmetric_uniform ~seed =
   let score i j = if i <= j then hash_float ~seed i j else hash_float ~seed j i in
   { name = "symmetric-uniform"; score }

@@ -36,9 +36,7 @@ val transaction_history : seed:int -> t
     [score j i] are independent.  The canonical source of cyclic
     preference systems. *)
 
-val uniform : seed:int -> t
-(** Independent uniform scores per ordered pair (fully adversarial). *)
-
+(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
 val symmetric_uniform : seed:int -> t
 (** Uniform score per unordered pair: both endpoints agree on the edge
     value (the classic symmetric/"global matching" regime). *)

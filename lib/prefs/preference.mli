@@ -56,20 +56,16 @@ val satisfaction : t -> int -> int list -> float
 (** [satisfaction t i conns] — eq. 1 over the connections [conns ⊆ Γ_i].
     Isolated nodes (and quota-0 nodes) yield 0. *)
 
-val static_satisfaction : t -> int -> int list -> float
-(** Eq. 6 (modified satisfaction). *)
-
 val total_satisfaction : t -> int list array -> float
 (** Sum of eq. 1 over all nodes, given per-node connection lists. *)
 
+(* owp-lint: allow dead-export — reference: eq. 6, which eq. 9 weights sum to *)
 val total_static_satisfaction : t -> int list array -> float
 
 (** {2 Structure of the preference system} *)
 
-val find_preference_cycle : t -> int list option
-(** A cyclic sequence [n_0 .. n_{k-1}] (k >= 3) of pairwise-adjacent
-    consecutive nodes where each [n_i] strictly prefers [n_{i+1}] over
-    [n_{i-1}] — the destabilising structure identified by Gai et al.,
-    which acyclic systems exclude.  O(Σ_v deg(v)²) worst case. *)
-
 val is_acyclic : t -> bool
+(** No preference cycle: no cyclic sequence [n_0 .. n_{k-1}] (k >= 3) of
+    pairwise-adjacent consecutive nodes where each [n_i] strictly prefers
+    [n_{i+1}] over [n_{i-1}] — the destabilising structure identified by
+    Gai et al.  O(Σ_v deg(v)²) worst case. *)

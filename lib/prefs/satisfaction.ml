@@ -21,12 +21,6 @@ let static_delta ~quota ~list_len ~rank =
     invalid_arg "Satisfaction.static_delta: rank out of range";
   static_delta_unchecked ~quota ~list_len ~rank
 
-let dynamic_delta ~quota ~list_len ~position =
-  check_basic ~quota ~list_len;
-  if position < 0 || position >= quota then
-    invalid_arg "Satisfaction.dynamic_delta: position out of range";
-  float_of_int position /. (float_of_int quota *. float_of_int list_len)
-
 let checked_ranks ~quota ~list_len ranks =
   check_basic ~quota ~list_len;
   let c = List.length ranks in
@@ -52,11 +46,3 @@ let static_of_ranks ~quota ~list_len ranks =
   let b = float_of_int quota and l = float_of_int list_len and cf = float_of_int c in
   let rank_sum = float_of_int (List.fold_left ( + ) 0 ranks) in
   (cf /. b) -. (rank_sum /. (b *. l))
-
-let perfect ~quota ~list_len =
-  of_ranks ~quota ~list_len (List.init quota (fun r -> r))
-
-(* Figure 1 of the paper: b_i = 4, L_i = 7 and connections occupying
-   preference ranks 0, 1, 3 and 5; the paper reports S_i = 0.893
-   (exactly 25/28). *)
-let figure1_example () = of_ranks ~quota:4 ~list_len:7 [ 0; 1; 3; 5 ]

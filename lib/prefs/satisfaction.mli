@@ -36,9 +36,6 @@ val static_delta_unchecked : quota:int -> list_len:int -> rank:int -> float
     list rather than once per entry; bit-identical to it on valid
     arguments.  Undefined on others. *)
 
-val dynamic_delta : quota:int -> list_len:int -> position:int -> float
-(** The discarded dynamic part, [position/(quota · list_len)]. *)
-
 val of_ranks : quota:int -> list_len:int -> int list -> float
 (** Satisfaction (eq. 1) of a connection set given by the ranks
     [R_i(j)] of its members (any order; duplicates are a programming
@@ -54,11 +51,3 @@ val of_rank_sum : quota:int -> list_len:int -> count:int -> rank_sum:int -> floa
 
 val static_of_ranks : quota:int -> list_len:int -> int list -> float
 (** Modified satisfaction (eq. 6) of a connection set. *)
-
-val perfect : quota:int -> list_len:int -> float
-(** Satisfaction of the top-[quota] connection set (equals 1.0). *)
-
-val figure1_example : unit -> float
-(** The worked example of the paper's Figure 1: [b_i = 4], [L_i = 7],
-    connections at preference ranks 0, 1, 3 and 5 — evaluates to 0.893
-    (to three decimals). *)

@@ -33,17 +33,6 @@ let make ?(rate = default.rate) ?(join = default.join) ?(leave = default.leave)
     ?(oracle = default.oracle) ?(warmup = default.warmup) () =
   { rate; join; leave; repref; query; horizon; queue; oracle; warmup }
 
-let equal a b =
-  Float.equal a.rate b.rate
-  && Float.equal a.join b.join
-  && Float.equal a.leave b.leave
-  && Float.equal a.repref b.repref
-  && Float.equal a.query b.query
-  && Float.equal a.horizon b.horizon
-  && Int.equal a.queue b.queue
-  && Float.equal a.oracle b.oracle
-  && Float.equal a.warmup b.warmup
-
 let validate t =
   (* written so that NaN fails every check *)
   let pos name v =

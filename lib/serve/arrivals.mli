@@ -40,8 +40,6 @@ val make :
   unit ->
   t
 
-val equal : t -> t -> bool
-
 val validate : t -> (t, string) result
 (** Positive rate/horizon/oracle, non-negative mix weights with a
     positive sum, queue >= 1, warmup in [0, 1). *)

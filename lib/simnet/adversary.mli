@@ -39,10 +39,6 @@ type model =
           directed at it (a liveness violation — unguarded peers starve
           waiting for its reply). *)
 
-val default_of_name : string -> model option
-(** Recognises [liar], [equivocator]/[equiv], [flooder]/[flood],
-    [replayer]/[replay], [violator] (with default parameters). *)
-
 val name : model -> string
 (** Short CLI name of the model (parameter-free). *)
 

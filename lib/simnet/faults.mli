@@ -32,6 +32,7 @@ val equal : t -> t -> bool
 (** Field-wise equality via [Float.equal] (the record carries floats,
     so polymorphic [=] is off limits). *)
 
+(* owp-lint: allow dead-export — shared test input, built without the parser *)
 val make :
   ?drop:float ->
   ?duplicate:float ->
@@ -53,19 +54,14 @@ val channel_faulty : t -> bool
 val any : t -> bool
 (** [channel_faulty] or a positive crash fraction. *)
 
-val default_crash_patience : float
-(** The patience {!effective_patience} falls back to when crashes are
-    in play and none was given explicitly: 60.0 virtual seconds —
-    comfortably above the reliable transport's worst-case
-    bounded-retry window (so a live peer behind a lossy channel is
-    answered before the timer fires) while keeping crash runs from
-    waiting on dead peers much longer than that window. *)
-
 val effective_patience : t -> float option
-(** The patience a driver should arm: the explicit one when given,
-    {!default_crash_patience} when crashes are in play (a crashed peer
-    never answers, so some protocol-level timeout is mandatory for
-    liveness), [None] otherwise. *)
+(** The patience a driver should arm: the explicit one when given, 60.0
+    virtual seconds when crashes are in play (a crashed peer never
+    answers, so some protocol-level timeout is mandatory for liveness),
+    [None] otherwise.  The default sits comfortably above the reliable
+    transport's worst-case bounded-retry window (so a live peer behind a
+    lossy channel is answered before the timer fires) while keeping
+    crash runs from waiting on dead peers much longer than that window. *)
 
 val validate : t -> (t, string) result
 (** Range checks: probabilities and the crash fraction in [0, 1],

@@ -11,25 +11,6 @@ type t = episode list
 let empty = []
 let is_empty = function [] -> true | _ -> false
 
-let equal_link (a, b) (c, d) = Int.equal a c && Int.equal b d
-
-let equal_kind a b =
-  match (a, b) with
-  | Partition x, Partition y -> List.equal (List.equal Int.equal) x y
-  | Link_down x, Link_down y -> List.equal equal_link x y
-  | Flap x, Flap y ->
-      List.equal equal_link x.links y.links
-      && Float.equal x.period y.period
-      && Float.equal x.duty y.duty
-  | Burst x, Burst y -> Float.equal x y
-  | Down x, Down y -> List.equal Int.equal x y
-  | _ -> false
-
-let equal_episode a b =
-  Float.equal a.from_ b.from_ && Float.equal a.until b.until && equal_kind a.what b.what
-
-let equal a b = List.equal equal_episode a b
-
 let covers e ~at = e.from_ <= at && at < e.until
 let active t ~at = List.exists (covers ~at) t
 

@@ -42,10 +42,7 @@ type t = episode list
 val empty : t
 val is_empty : t -> bool
 
-val equal : t -> t -> bool
-(** Structural, with [Float.equal] on times and parameters (the type
-    carries floats, so polymorphic [=] is off limits). *)
-
+(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
 val active : t -> at:float -> bool
 (** Some episode covers [at] — the stack is inside an outage it cannot
     distinguish from silence, so give-ups must be suspended, not

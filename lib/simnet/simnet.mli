@@ -92,6 +92,7 @@ val pending_events : _ t -> int
 (** Events (deliveries and timer callbacks) still queued — after
     {!run_until} this is the in-flight work a deadline cut off. *)
 
+(* owp-lint: allow dead-export — test seam: the event store's memory *)
 val footprint_words : _ t -> int
 (** Words of event-store backing memory currently allocated: the
     event wheel plus the message/callback arenas and the live

@@ -108,6 +108,7 @@ val restart_node : 'm t -> int -> unit
     back, and bump its incarnation epoch.  Call after
     {!Simnet.restart}. *)
 
+(* owp-lint: allow dead-export — test seam: a node's give-up state *)
 val peer_dead : 'm t -> node:int -> peer:int -> bool
 (** Has [node] given up on [peer]? *)
 

@@ -16,6 +16,7 @@ val blocking_pairs : Preference.t -> Owp_matching.Bmatching.t -> (int * int) lis
 
 val count_blocking_pairs : Preference.t -> Owp_matching.Bmatching.t -> int
 
+(* owp-lint: allow dead-export — reference for Fixtures' stable verdicts *)
 val is_stable : Preference.t -> Owp_matching.Bmatching.t -> bool
 
 val worst_partner : Preference.t -> Owp_matching.Bmatching.t -> int -> int option

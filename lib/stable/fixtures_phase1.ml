@@ -1,12 +1,5 @@
 module Bmatching = Owp_matching.Bmatching
 
-type table = {
-  holds : int list array;
-  proposals_held : int array;
-  deleted_pairs : int;
-  exhausted : bool array;
-}
-
 let phase1 prefs =
   let g = Preference.graph prefs in
   let n = Graph.node_count g in
@@ -17,13 +10,9 @@ let phase1 prefs =
   let hold_count = Array.make n 0 in
   let proposals_held = Array.make n 0 in
   let next = Array.make n 0 in
-  let deleted_pairs = ref 0 in
   let delete_pair x y =
-    if not (Hashtbl.mem deleted.(x) y) then begin
-      Hashtbl.replace deleted.(x) y ();
-      Hashtbl.replace deleted.(y) x ();
-      incr deleted_pairs
-    end
+    Hashtbl.replace deleted.(x) y ();
+    Hashtbl.replace deleted.(y) x ()
   in
   let queue = Queue.create () in
   for x = 0 to n - 1 do
@@ -64,31 +53,9 @@ let phase1 prefs =
       end
     done
   done;
-  (* final reduction: y holding a full quota rejects everyone it likes
-     less than its worst held proposer *)
-  for y = 0 to n - 1 do
-    if hold_count.(y) >= quota.(y) && quota.(y) > 0 && holds.(y) <> [] then begin
-      let worst =
-        List.fold_left
-          (fun acc z ->
-            if Preference.rank prefs y z > Preference.rank prefs y acc then z else acc)
-          (List.hd holds.(y))
-          (List.tl holds.(y))
-      in
-      let wr = Preference.rank prefs y worst in
-      Array.iter
-        (fun z ->
-          if Preference.rank prefs y z > wr then delete_pair y z)
-        (Preference.list prefs y)
-    end
-  done;
-  let exhausted =
-    Array.init n (fun x ->
-        proposals_held.(x) < quota.(x) && next.(x) >= Preference.list_len prefs x)
-  in
-  { holds; proposals_held; deleted_pairs = !deleted_pairs; exhausted }
+  holds
 
-let mutual_matching prefs table =
+let mutual_matching prefs holds =
   let g = Preference.graph prefs in
   let n = Graph.node_count g in
   let capacity = Array.init n (Preference.quota prefs) in
@@ -96,13 +63,13 @@ let mutual_matching prefs table =
   let held_by = Array.init n (fun _ -> Hashtbl.create 4) in
   Array.iteri
     (fun y proposers -> List.iter (fun x -> Hashtbl.replace held_by.(x) y ()) proposers)
-    table.holds;
+    holds;
   let ids = ref [] in
   Graph.iter_edges g (fun eid a b ->
       if Hashtbl.mem held_by.(a) b && Hashtbl.mem held_by.(b) a then ids := eid :: !ids);
   Bmatching.of_edge_ids g ~capacity !ids
 
+let warm_start prefs = mutual_matching prefs (phase1 prefs)
+
 let warm_solve ?max_rounds ?rng prefs =
-  let table = phase1 prefs in
-  let start = mutual_matching prefs table in
-  Fixtures.satisfy_blocking_pairs ?max_rounds ?rng prefs start
+  Fixtures.satisfy_blocking_pairs ?max_rounds ?rng prefs (warm_start prefs)

@@ -4,31 +4,22 @@
     algorithm [7]: every player proposes down its preference list until
     it has [b_x] proposals held; a player holds its [b_y] best incoming
     proposals and rejects the rest (deleting the pair from both lists).
-    The fixpoint yields the classic phase-1 table: directional
-    semi-engagements plus reduced preference lists that provably contain
-    every stable solution.
+    The fixpoint yields the classic phase-1 table of directional
+    semi-engagements.
 
     Used two ways here:
 
-    - {!mutual_matching}: the pairs engaged in {e both} directions form
+    - {!warm_start}: the pairs engaged in {e both} directions form
       a feasible b-matching — a principled warm start;
     - {!warm_solve}: phase 1 + blocking-pair dynamics from that warm
       start, which converges in far fewer rounds than from scratch on
       solvable instances (measured in E8's companion column). *)
 
-type table = {
-  holds : int list array;  (** [holds.(y)]: proposers y currently holds *)
-  proposals_held : int array;  (** per proposer: how many of its proposals are held *)
-  deleted_pairs : int;  (** pairs removed by rejections *)
-  exhausted : bool array;  (** proposer ran out of list before filling quota *)
-}
-
-val phase1 : Preference.t -> table
-
-val mutual_matching : Preference.t -> table -> Owp_matching.Bmatching.t
-(** Pairs held in both directions (capacity-feasible by construction of
-    the holds). *)
+(* owp-lint: allow dead-export — test seam: the start warm_solve climbs from *)
+val warm_start : Preference.t -> Owp_matching.Bmatching.t
+(** Phase 1's pairs held in both directions (capacity-feasible by
+    construction of the holds). *)
 
 val warm_solve :
   ?max_rounds:int -> ?rng:Owp_util.Prng.t -> Preference.t -> Fixtures.outcome
-(** Blocking-pair dynamics seeded with {!mutual_matching}. *)
+(** Blocking-pair dynamics seeded with {!warm_start}. *)

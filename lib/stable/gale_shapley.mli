@@ -7,12 +7,14 @@
     pairwise-stable; with unit capacities it is the proposer-optimal
     stable marriage. *)
 
+(* owp-lint: allow dead-export — kept until ROADMAP item 7 decides *)
 val run : Preference.t -> proposers:int array -> Owp_matching.Bmatching.t
 (** [run prefs ~proposers] — every edge must join a proposer and a
     non-proposer (bipartiteness is the caller's responsibility and is
     checked).  @raise Invalid_argument if some edge joins two proposers
     or two reviewers. *)
 
+(* owp-lint: allow dead-export — kept until ROADMAP item 7 decides *)
 val marriage :
   Preference.t -> proposers:int array -> (int * int) list
 (** Unit-capacity convenience wrapper returning (proposer, reviewer)

@@ -14,9 +14,11 @@ type result =
   | Stable of int array  (** [partner.(i)] for every agent *)
   | No_stable_matching
 
+(* owp-lint: allow dead-export — kept until ROADMAP item 7 decides *)
 val solve : int array array -> result
 (** @raise Invalid_argument if the lists are not complete permutations. *)
 
+(* owp-lint: allow dead-export — kept until ROADMAP item 7 decides *)
 val is_stable_assignment : int array array -> int array -> bool
 (** Does the involution [partner] admit no blocking pair under the given
     complete lists?  (Diagnostic used by tests.) *)

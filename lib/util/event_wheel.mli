@@ -74,6 +74,7 @@ val pop_into : t -> bool
 
 val last_at : t -> float
 
+(* owp-lint: allow dead-export — test seam: the popped event's sequence *)
 val last_seq : t -> int
 
 val last_pay : t -> int
@@ -89,6 +90,7 @@ val next_at_equals : t -> float -> bool
 val size : t -> int
 (** Events currently stored. *)
 
+(* owp-lint: allow dead-export — test seam: observes the wheel retuning *)
 val width : t -> float
 (** The current bucket width; it changes as the wheel retunes itself. *)
 

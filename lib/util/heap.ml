@@ -92,7 +92,6 @@ module Keyed = struct
   let create n =
     { keys = Array.make (max n 1) 0; prio = Array.make (max n 1) 0.0; pos = Array.make (max n 1) (-1); size = 0 }
 
-  let length h = h.size
   let is_empty h = h.size = 0
   let mem h k = h.pos.(k) >= 0
 
@@ -134,11 +133,6 @@ module Keyed = struct
     h.size <- h.size + 1;
     sift_up h i
 
-  let priority h k =
-    let i = h.pos.(k) in
-    if i < 0 then raise Not_found;
-    h.prio.(i)
-
   let decrease_key h k p =
     let i = h.pos.(k) in
     if i < 0 then raise Not_found;
@@ -162,19 +156,4 @@ module Keyed = struct
       sift_down h 0
     end;
     (k, p)
-
-  let remove h k =
-    let i = h.pos.(k) in
-    if i >= 0 then begin
-      h.size <- h.size - 1;
-      h.pos.(k) <- -1;
-      if i < h.size then begin
-        let last = h.size in
-        h.keys.(i) <- h.keys.(last);
-        h.prio.(i) <- h.prio.(last);
-        h.pos.(h.keys.(i)) <- i;
-        sift_down h i;
-        sift_up h i
-      end
-    end
 end

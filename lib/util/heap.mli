@@ -1,9 +1,9 @@
 (** Array-backed binary min-heaps.
 
     Two flavours are provided: a functorial heap over any ordered element
-    type (used by the matching solvers), and a specialised
-    [Keyed] heap with [decrease_key] support indexed by small integers
-    (used for priority queues over node identifiers). *)
+    type (the reference the event wheel is tested against), and a
+    specialised [Keyed] heap with decrease-key support indexed by small
+    integers (Dijkstra's queue in [Owp_graph.Spath]). *)
 
 module type ORDERED = sig
   type t
@@ -11,6 +11,7 @@ module type ORDERED = sig
   val compare : t -> t -> int
 end
 
+(* owp-lint: allow dead-export — reference for Event_wheel's pop order *)
 module Make (E : ORDERED) : sig
   type t
 
@@ -43,25 +44,15 @@ module Keyed : sig
   val create : int -> t
   (** [create n] supports keys in [\[0, n)]. *)
 
-  val length : t -> int
   val is_empty : t -> bool
-  val mem : t -> int -> bool
 
   val insert : t -> int -> float -> unit
   (** @raise Invalid_argument if the key is already present. *)
 
-  val priority : t -> int -> float
-  (** @raise Not_found if the key is absent. *)
-
-  val decrease_key : t -> int -> float -> unit
-  (** Lowers the priority of a present key; no-op if the new priority is
-      not lower. @raise Not_found if absent. *)
-
   val insert_or_decrease : t -> int -> float -> unit
+  (** Inserts an absent key; lowers the priority of a present one (no-op
+      if the new priority is not lower). *)
 
   val pop_min : t -> int * float
   (** @raise Invalid_argument if empty. *)
-
-  val remove : t -> int -> unit
-  (** Removes a key if present. *)
 end

@@ -47,10 +47,6 @@ let[@inline] next g =
 
 let bits64 g = next g
 
-let split g =
-  let seed = Int64.to_int (bits64 g) in
-  create (seed lxor 0x5851F42D)
-
 (* Lemire-style rejection-free-enough bounded int: take the high bits and
    use rejection sampling to remove modulo bias. *)
 let rec draw_below g bound =
@@ -67,10 +63,6 @@ let int g bound =
     Int64.to_int (Int64.logand (next g) (Int64.of_int (bound - 1)))
   else draw_below g bound
 
-let int_in g lo hi =
-  if hi < lo then invalid_arg "Prng.int_in: empty range";
-  lo + int g (hi - lo + 1)
-
 let[@inline] float g bound =
   (* 53 random bits into [0,1) then scale *)
   let r = Int64.to_float (Int64.shift_right_logical (next g) 11) in
@@ -84,10 +76,6 @@ let exponential g mean =
   if mean <= 0.0 then invalid_arg "Prng.exponential: mean must be positive";
   let u = 1.0 -. float g 1.0 in
   -.mean *. log u
-
-let gaussian g ~mu ~sigma =
-  let u1 = 1.0 -. float g 1.0 and u2 = float g 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
 let shuffle_sub g a ~pos ~len =
   for i = len - 1 downto 1 do

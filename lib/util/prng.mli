@@ -16,21 +16,15 @@ type t
 val create : int -> t
 (** [create seed] builds a generator from a 64-bit seed via SplitMix64. *)
 
-val split : t -> t
-(** [split g] derives an independent generator from [g], advancing [g].
-    Used to hand each simulated node its own stream. *)
-
 val copy : t -> t
 (** [copy g] duplicates the current state (same future outputs). *)
 
+(* owp-lint: allow dead-export — test seam: the raw stream golden vectors pin *)
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
-
-val int_in : t -> int -> int -> int
-(** [int_in g lo hi] is uniform in the inclusive range [\[lo, hi\]]. *)
 
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
@@ -42,9 +36,6 @@ val bernoulli : t -> float -> bool
 
 val exponential : t -> float -> float
 (** [exponential g mean] samples Exp with the given mean ([mean > 0]). *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Box–Muller normal sample. *)
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher–Yates shuffle. *)

@@ -53,22 +53,3 @@ let summarize xs =
     p05 = percentile xs 0.05;
     p95 = percentile xs 0.95;
   }
-
-let histogram xs ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let lo = Array.fold_left Float.min xs.(0) xs and hi = Array.fold_left Float.max xs.(0) xs in
-    let span = if Float.equal hi lo then 1.0 else hi -. lo in
-    let counts = Array.make bins 0 in
-    Array.iter
-      (fun x ->
-        let b = int_of_float (float_of_int bins *. (x -. lo) /. span) in
-        let b = if b >= bins then bins - 1 else b in
-        counts.(b) <- counts.(b) + 1)
-      xs;
-    Array.init bins (fun b ->
-        let w = span /. float_of_int bins in
-        (lo +. (float_of_int b *. w), lo +. (float_of_int (b + 1) *. w), counts.(b)))
-  end

@@ -12,18 +12,9 @@ type summary = {
   p95 : float;
 }
 
-val mean : float array -> float
-val variance : float array -> float
-(** Unbiased sample variance; 0 when fewer than two samples. *)
-
-val stddev : float array -> float
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,1\]], linear interpolation between
     order statistics.  @raise Invalid_argument on an empty array. *)
 
 val summarize : float array -> summary
 (** @raise Invalid_argument on an empty array. *)
-
-val histogram : float array -> bins:int -> (float * float * int) array
-(** [(lo, hi, count)] per bin over the sample range. *)

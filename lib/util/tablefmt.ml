@@ -59,8 +59,6 @@ let render t =
   rule ();
   Buffer.contents buf
 
-let print t = print_string (render t)
-
 (* string cells carry no type information, so JSON values are inferred:
    anything that parses as a number is emitted bare, a trailing '%' is
    stripped back to a ratio, everything else is an escaped string *)

@@ -20,7 +20,6 @@ val add_separator : t -> unit
 (** Inserts a horizontal rule between row groups. *)
 
 val render : t -> string
-val print : t -> unit
 
 val to_json : t -> string
 (** The same table as a JSON object: [{"title", "columns", "rows"}],

@@ -19,7 +19,7 @@ let test_of_edge_ids () =
   Alcotest.(check bool) "mem 1" false (BM.mem m 1);
   Alcotest.(check (list int)) "connections of 0" [ 1 ] (BM.connections m 0);
   Alcotest.(check bool) "maximal" true (BM.is_maximal m);
-  Alcotest.(check bool) "saturated" true (BM.saturated m 0)
+  Alcotest.(check bool) "saturated" true (BM.residual m 0 = 0)
 
 let test_capacity_enforced () =
   let g = square () in

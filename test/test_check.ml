@@ -26,7 +26,7 @@ let flagged report name =
 let flagged_subject report name subject =
   List.exists
     (fun v ->
-      v.Violation.checker = name && Violation.subject_compare v.Violation.subject subject = 0)
+      v.Violation.checker = name && v.Violation.subject = subject)
     (Checker.violations report)
 
 (* ------------------------------------------------------------------ *)
@@ -391,8 +391,9 @@ let prop_blocking_pairs_match_naive =
       let subjects = List.map (fun v -> v.Violation.subject) in
       let checker =
         subjects
-          (Checker.no_blocking_pair.Checker.run
-             (Checker.instance ~prefs:p w ~capacity ~edges))
+          (Checker.violations
+             (Checker.run ~only:[ "blocking-pair" ]
+                (Checker.instance ~prefs:p w ~capacity ~edges)))
       in
       let correct = Array.init n (fun _ -> Prng.bernoulli rng 0.8) in
       let consumed = Array.init n (fun i -> d.(i) + Prng.int rng 2) in

@@ -172,8 +172,7 @@ let prop_robust_terminates_under_silence =
 
 let test_phase1_feasible_and_warm () =
   let _, p, _, cap = random_instance 14 30 6 3 in
-  let table = P1.phase1 p in
-  let mm = P1.mutual_matching p table in
+  let mm = P1.warm_start p in
   Array.iteri (fun v b -> Alcotest.(check bool) "quota" true (BM.degree mm v <= b)) cap;
   let warm = P1.warm_solve ~max_rounds:20000 p in
   let cold = Owp_stable.Fixtures.solve ~max_rounds:20000 p in
@@ -196,7 +195,7 @@ let test_phase1_unit_quota_matches_gs_shape () =
   (* bipartite unit case: mutual holds of phase 1 form a matching *)
   let g = Gen.random_bipartite (Prng.create 16) ~left:6 ~right:6 ~p:0.7 in
   let p = Preference.random (Prng.create 17) g ~quota:(Preference.uniform_quota g 1) in
-  let mm = P1.mutual_matching p (P1.phase1 p) in
+  let mm = P1.warm_start p in
   for v = 0 to 11 do
     Alcotest.(check bool) "unit degree" true (BM.degree mm v <= 1)
   done

@@ -112,15 +112,6 @@ let test_power_law () =
   (* heavy tail: max degree well above the minimum *)
   Alcotest.(check bool) "skewed degrees" true (Graph.max_degree g >= 8)
 
-let test_random_regular () =
-  let g = Gen.random_regular (rng ()) ~n:40 ~d:4 in
-  Alcotest.(check int) "nodes" 40 (Graph.node_count g);
-  let irregular = ref 0 in
-  for v = 0 to 39 do
-    if Graph.degree g v <> 4 then incr irregular
-  done;
-  Alcotest.(check bool) "mostly 4-regular" true (!irregular <= 2)
-
 let test_ring_star_path () =
   let r = Gen.ring 8 in
   Alcotest.(check int) "ring edges" 8 (Graph.edge_count r);
@@ -159,7 +150,6 @@ let suite =
     Alcotest.test_case "torus" `Quick test_torus;
     Alcotest.test_case "bipartite" `Quick test_bipartite;
     Alcotest.test_case "power law" `Quick test_power_law;
-    Alcotest.test_case "random regular" `Quick test_random_regular;
     Alcotest.test_case "ring/star/path" `Quick test_ring_star_path;
     Alcotest.test_case "deterministic" `Quick test_generators_deterministic;
   ]

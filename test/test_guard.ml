@@ -10,7 +10,18 @@ let rej ?(epoch = 0) () = { Guard.epoch; body = Guard.Rej }
 
 let offence =
   Alcotest.testable
-    (fun ppf o -> Format.pp_print_string ppf (Guard.offence_name o))
+    (fun ppf o ->
+      Format.pp_print_string ppf
+        (match o with
+        | Guard.Stranger -> "stranger"
+        | Duplicate_prop -> "duplicate-prop"
+        | Duplicate_rej -> "duplicate-rej"
+        | Prop_after_rej -> "prop-after-rej"
+        | Rej_after_prop -> "rej-after-prop"
+        | Stale_epoch -> "stale-epoch"
+        | Overclaim -> "overclaim"
+        | Claim_mismatch -> "claim-mismatch"
+        | Flood -> "flood"))
     ( = )
 
 let check_verdict name (v : Guard.verdict) ~accept ~offence:o ~quarantine =

@@ -60,39 +60,31 @@ let test_keyed_basic () =
   Heap.Keyed.insert h 3 5.0;
   Heap.Keyed.insert h 7 1.0;
   Heap.Keyed.insert h 1 3.0;
-  Alcotest.(check bool) "mem" true (Heap.Keyed.mem h 7);
-  Alcotest.(check int) "len" 3 (Heap.Keyed.length h);
   let k, p = Heap.Keyed.pop_min h in
   Alcotest.(check int) "min key" 7 k;
   Alcotest.(check (float 1e-9)) "min prio" 1.0 p;
-  Alcotest.(check bool) "gone" false (Heap.Keyed.mem h 7)
+  let rest = List.init 2 (fun _ -> fst (Heap.Keyed.pop_min h)) in
+  Alcotest.(check (list int)) "7 gone, the rest in order" [ 1; 3 ] rest;
+  Alcotest.(check bool) "drained" true (Heap.Keyed.is_empty h)
 
 let test_keyed_decrease () =
   let h = Heap.Keyed.create 10 in
   Heap.Keyed.insert h 0 10.0;
   Heap.Keyed.insert h 1 20.0;
-  Heap.Keyed.decrease_key h 1 5.0;
+  Heap.Keyed.insert_or_decrease h 1 5.0;
   let k, _ = Heap.Keyed.pop_min h in
   Alcotest.(check int) "decreased wins" 1 k;
   (* decrease with a larger value is a no-op *)
-  Heap.Keyed.decrease_key h 0 99.0;
-  Alcotest.(check (float 1e-9)) "unchanged" 10.0 (Heap.Keyed.priority h 0)
+  Heap.Keyed.insert_or_decrease h 0 99.0;
+  Alcotest.(check (float 1e-9)) "unchanged" 10.0 (snd (Heap.Keyed.pop_min h))
 
 let test_keyed_insert_or_decrease () =
   let h = Heap.Keyed.create 4 in
   Heap.Keyed.insert_or_decrease h 2 8.0;
   Heap.Keyed.insert_or_decrease h 2 3.0;
   Heap.Keyed.insert_or_decrease h 2 9.0;
-  Alcotest.(check (float 1e-9)) "min kept" 3.0 (Heap.Keyed.priority h 2)
-
-let test_keyed_remove () =
-  let h = Heap.Keyed.create 8 in
-  List.iter (fun (k, p) -> Heap.Keyed.insert h k p) [ (0, 4.0); (1, 2.0); (2, 6.0) ];
-  Heap.Keyed.remove h 1;
-  Alcotest.(check bool) "removed" false (Heap.Keyed.mem h 1);
-  let k, _ = Heap.Keyed.pop_min h in
-  Alcotest.(check int) "next min" 0 k;
-  Heap.Keyed.remove h 5 (* absent: no-op *)
+  Alcotest.(check (pair int (float 1e-9))) "min kept" (2, 3.0) (Heap.Keyed.pop_min h);
+  Alcotest.(check bool) "one entry per key" true (Heap.Keyed.is_empty h)
 
 let test_keyed_errors () =
   let h = Heap.Keyed.create 4 in
@@ -100,8 +92,9 @@ let test_keyed_errors () =
   Alcotest.check_raises "duplicate insert"
     (Invalid_argument "Heap.Keyed.insert: key already present") (fun () ->
       Heap.Keyed.insert h 0 2.0);
-  Alcotest.check_raises "priority absent" Not_found (fun () ->
-      ignore (Heap.Keyed.priority h 3))
+  ignore (Heap.Keyed.pop_min h);
+  Alcotest.check_raises "pop from empty" (Invalid_argument "Heap.Keyed.pop_min: empty heap")
+    (fun () -> ignore (Heap.Keyed.pop_min h))
 
 let prop_keyed_pops_sorted =
   QCheck2.Test.make ~name:"keyed heap pops ascending priorities" ~count:200
@@ -130,7 +123,6 @@ let suite =
     Alcotest.test_case "keyed basic" `Quick test_keyed_basic;
     Alcotest.test_case "keyed decrease" `Quick test_keyed_decrease;
     Alcotest.test_case "keyed insert_or_decrease" `Quick test_keyed_insert_or_decrease;
-    Alcotest.test_case "keyed remove" `Quick test_keyed_remove;
     Alcotest.test_case "keyed errors" `Quick test_keyed_errors;
     QCheck_alcotest.to_alcotest prop_keyed_pops_sorted;
   ]

@@ -488,16 +488,17 @@ end
    weights from {1, 2, 3} with some neighbours, and some whole nodes,
    left out. *)
 let differential_instance rng =
-  let n = Prng.int_in rng 1 9 in
-  let m = Prng.int_in rng 0 (n * (n - 1) / 2) in
+  let int_in rng lo hi = lo + Prng.int rng (hi - lo + 1) in
+  let n = int_in rng 1 9 in
+  let m = int_in rng 0 (n * (n - 1) / 2) in
   let g = Gen.gnm rng ~n ~m in
   let w =
     if Prng.bool rng then
       Weights.of_preference
-        (Preference.random rng g ~quota:(Preference.uniform_quota g (Prng.int_in rng 1 3)))
-    else Weights.of_array g (Array.init m (fun _ -> float_of_int (Prng.int_in rng 1 3)))
+        (Preference.random rng g ~quota:(Preference.uniform_quota g (int_in rng 1 3)))
+    else Weights.of_array g (Array.init m (fun _ -> float_of_int (int_in rng 1 3)))
   in
-  let capacity = Array.init n (fun i -> Prng.int_in rng 0 (Graph.degree g i + 1)) in
+  let capacity = Array.init n (fun i -> int_in rng 0 (Graph.degree g i + 1)) in
   let perceived =
     if Prng.bool rng then None
     else begin
@@ -505,7 +506,7 @@ let differential_instance rng =
       for i = 0 to n - 1 do
         if not (Prng.bernoulli rng 0.15) then
           for s = g.Graph.off.(i) to g.Graph.off.(i + 1) - 1 do
-            if not (Prng.bernoulli rng 0.25) then pw.(s) <- float_of_int (Prng.int_in rng 1 3)
+            if not (Prng.bernoulli rng 0.25) then pw.(s) <- float_of_int (int_in rng 1 3)
           done
       done;
       Some pw

@@ -154,6 +154,37 @@ let test_exact_position () =
   in
   Alcotest.(check (pair int int)) "line/col" (1, 15) (f.Finding.line, f.Finding.col)
 
+(* dead-export: an unread export (line 3) and one only this file reads
+   (line 5) are findings at their val lines; the allowed twin (line 8)
+   is suppressed by the directive above it in the .mli *)
+let test_dead_export_fires () =
+  Alcotest.(check int) "this file reads Fx_exports.tested" 42
+    (Lint_fixtures.Fx_exports.tested 21);
+  let r = Lazy.force result in
+  let messages file =
+    List.filter_map
+      (fun f ->
+        if Filename.basename f.Finding.file = file then
+          Some (f.Finding.line, f.Finding.message)
+        else None)
+  in
+  Alcotest.(check (list (pair int string)))
+    "findings"
+    [
+      ( 3,
+        "`Fx_exports.unread' has no reader outside fx_exports.ml; drop it from \
+         the interface, or delete it" );
+      ( 5,
+        "`Fx_exports.tested' is read only by tests (test_lint.ml); delete it \
+         with them, or allow it as a reference, shared test input or test seam" );
+    ]
+    (messages "fx_exports.mli" r.Driver.findings);
+  Alcotest.(check (list (pair int string)))
+    "suppressed"
+    [ (8, "`Fx_exports.allowed' has no reader outside fx_exports.ml; drop it from \
+           the interface, or delete it") ]
+    (messages "fx_exports.mli" r.Driver.suppressed)
+
 (* --- suppression --------------------------------------------------- *)
 
 let test_suppression_moves_finding () =
@@ -169,8 +200,9 @@ let test_suppression_moves_finding () =
 (* --- registry and driver plumbing ---------------------------------- *)
 
 let test_registry_complete () =
+  let names = List.map (fun r -> r.Owp_lint.Rule.name) Registry.all in
   Alcotest.(check (list string))
-    "nine rules, display order"
+    "ten rules, display order"
     [
       "pure-core";
       "hash-order";
@@ -181,11 +213,10 @@ let test_registry_complete () =
       "tuple-hash-key";
       "state-machine";
       "layer-conformance";
+      "dead-export";
     ]
-    Registry.names;
-  List.iter
-    (fun n -> Alcotest.(check bool) n true (Registry.find n <> None))
-    Registry.names
+    names;
+  List.iter (fun n -> Alcotest.(check bool) n true (Registry.find n <> None)) names
 
 let test_rule_filter () =
   match Driver.run ~only:[ "clock-hygiene" ] ~roots:[ fixtures_root () ] () with
@@ -235,6 +266,7 @@ let suite =
     Alcotest.test_case "tuple-hash-key clean twin" `Quick test_tuple_hash_key_clean;
     Alcotest.test_case "exact position" `Quick test_exact_position;
     Alcotest.test_case "suppression" `Quick test_suppression_moves_finding;
+    Alcotest.test_case "dead-export fires" `Quick test_dead_export_fires;
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
     Alcotest.test_case "rule filter" `Quick test_rule_filter;
     Alcotest.test_case "unknown rule rejected" `Quick test_unknown_rule_rejected;

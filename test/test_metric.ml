@@ -1,7 +1,7 @@
 module M = Metric
 
 let test_determinism () =
-  let m1 = M.uniform ~seed:5 and m2 = M.uniform ~seed:5 in
+  let m1 = M.transaction_history ~seed:5 and m2 = M.transaction_history ~seed:5 in
   for i = 0 to 10 do
     for j = 0 to 10 do
       Alcotest.(check (float 0.0)) "same seed same score" (M.score m1 i j) (M.score m2 i j)
@@ -9,7 +9,7 @@ let test_determinism () =
   done
 
 let test_seed_changes_scores () =
-  let m1 = M.uniform ~seed:5 and m2 = M.uniform ~seed:6 in
+  let m1 = M.transaction_history ~seed:5 and m2 = M.transaction_history ~seed:6 in
   let diff = ref 0 in
   for i = 0 to 9 do
     for j = 0 to 9 do
@@ -63,7 +63,7 @@ let test_interest_invalid () =
     (fun () -> ignore (M.interest ~seed:1 ~dims:0))
 
 let test_combine () =
-  let a = M.bandwidth ~seed:1 and b = M.uniform ~seed:2 in
+  let a = M.bandwidth ~seed:1 and b = M.transaction_history ~seed:2 in
   let c = M.combine "mixed" [ (0.5, a); (0.5, b) ] in
   Alcotest.(check string) "name" "mixed" (M.name c);
   Alcotest.(check (float 1e-12)) "linear"
@@ -73,7 +73,7 @@ let test_combine () =
     (fun () -> ignore (M.combine "x" []))
 
 let test_scores_in_unit_interval () =
-  let m = M.uniform ~seed:4 in
+  let m = M.transaction_history ~seed:4 in
   for i = 0 to 20 do
     for j = 0 to 20 do
       let s = M.score m i j in

@@ -6,7 +6,7 @@ module Prng = Owp_util.Prng
 
 let test_homogeneous_build () =
   let g = Gen.gnm (Prng.create 1) ~n:80 ~m:300 in
-  let cfg = Overlay.homogeneous ~quota:3 (Metric.uniform ~seed:4) in
+  let cfg = Overlay.homogeneous ~quota:3 (Metric.transaction_history ~seed:4) in
   let out = Overlay.build ~seed:2 g cfg in
   Alcotest.(check bool) "some satisfaction" true (out.Pipeline.total_satisfaction > 0.0);
   Alcotest.(check bool) "mean in [0,1]" true
@@ -17,11 +17,11 @@ let test_homogeneous_build () =
 let test_heterogeneous_metrics () =
   let g = Gen.gnm (Prng.create 5) ~n:60 ~m:200 in
   let metrics =
-    [| Metric.uniform ~seed:1; Metric.bandwidth ~seed:2; Metric.transaction_history ~seed:3 |]
+    [| Metric.transaction_history ~seed:1; Metric.bandwidth ~seed:2; Metric.transaction_history ~seed:3 |]
   in
   let cfg = Overlay.heterogeneous ~quota:2 metrics ~pick:(fun i -> i mod 3) in
   let prefs = Overlay.preferences g cfg in
-  (* node 0 uses uniform(seed 1), node 1 uses bandwidth(seed 2): their
+  (* node 0 uses transactions(seed 1), node 1 uses bandwidth(seed 2): their
      rankings must match the respective metrics *)
   let check_node i metric =
     let list = Preference.list prefs i in
@@ -36,7 +36,7 @@ let test_heterogeneous_metrics () =
 
 let test_heterogeneous_pick_validation () =
   let g = Gen.ring 6 in
-  let cfg = Overlay.heterogeneous ~quota:1 [| Metric.uniform ~seed:1 |] ~pick:(fun _ -> 7) in
+  let cfg = Overlay.heterogeneous ~quota:1 [| Metric.transaction_history ~seed:1 |] ~pick:(fun _ -> 7) in
   Alcotest.(check bool) "bad pick raises" true
     (try
        ignore (Overlay.preferences g cfg);
@@ -45,14 +45,19 @@ let test_heterogeneous_pick_validation () =
 
 let test_build_with_algorithms () =
   let g = Gen.gnm (Prng.create 9) ~n:50 ~m:150 in
-  let cfg = Overlay.homogeneous ~quota:2 (Metric.uniform ~seed:6) in
-  let lid = Overlay.build_with ~engine:Pipeline.Lid g cfg in
-  let lic = Overlay.build_with ~engine:Pipeline.Lic_indexed g cfg in
+  let cfg = Overlay.homogeneous ~quota:2 (Metric.transaction_history ~seed:6) in
+  let build_with ~engine =
+    Pipeline.run_config
+      (Owp_core.Run_config.make ~engine ~seed:7 ())
+      (Overlay.preferences g cfg)
+  in
+  let lid = build_with ~engine:Pipeline.Lid in
+  let lic = build_with ~engine:Pipeline.Lic_indexed in
   Alcotest.(check bool) "lid = lic matching" true
     (BM.equal lid.Pipeline.matching lic.Pipeline.matching);
   Alcotest.(check (float 1e-9)) "lid = lic weight" lic.Pipeline.total_weight
     lid.Pipeline.total_weight;
-  let dyn = Overlay.build_with ~engine:Pipeline.Dynamics g cfg in
+  let dyn = build_with ~engine:Pipeline.Dynamics in
   Alcotest.(check bool) "dynamics produced a matching" true (BM.size dyn.Pipeline.matching > 0)
 
 let test_quality_bounds () =

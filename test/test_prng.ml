@@ -24,15 +24,6 @@ let test_copy_preserves_stream () =
     Alcotest.(check int64) "copy replays" (Prng.bits64 a) (Prng.bits64 b)
   done
 
-let test_split_diverges () =
-  let a = Prng.create 7 in
-  let b = Prng.split a in
-  let same = ref 0 in
-  for _ = 1 to 64 do
-    if Int64.equal (Prng.bits64 a) (Prng.bits64 b) then incr same
-  done;
-  check "split streams differ" true (!same < 4)
-
 let test_int_bounds () =
   let g = Prng.create 3 in
   for _ = 1 to 10_000 do
@@ -45,13 +36,6 @@ let test_int_rejects_bad_bound () =
   let g = Prng.create 3 in
   Alcotest.check_raises "zero bound" (Invalid_argument "Prng.int: bound must be positive")
     (fun () -> ignore (Prng.int g 0))
-
-let test_int_in_range () =
-  let g = Prng.create 5 in
-  for _ = 1 to 1000 do
-    let v = Prng.int_in g (-5) 5 in
-    check "in [-5,5]" true (v >= -5 && v <= 5)
-  done
 
 let test_int_covers_values () =
   let g = Prng.create 11 in
@@ -101,20 +85,6 @@ let test_exponential_positive () =
   for _ = 1 to 1000 do
     check "positive" true (Prng.exponential g 1.0 >= 0.0)
   done
-
-let test_gaussian_moments () =
-  let g = Prng.create 31 in
-  let n = 30_000 in
-  let acc = ref 0.0 and acc2 = ref 0.0 in
-  for _ = 1 to n do
-    let x = Prng.gaussian g ~mu:1.0 ~sigma:2.0 in
-    acc := !acc +. x;
-    acc2 := !acc2 +. (x *. x)
-  done;
-  let mean = !acc /. float_of_int n in
-  let var = (!acc2 /. float_of_int n) -. (mean *. mean) in
-  check "mu" true (Float.abs (mean -. 1.0) < 0.05);
-  check "sigma^2" true (Float.abs (var -. 4.0) < 0.2)
 
 let test_shuffle_is_permutation () =
   let g = Prng.create 37 in
@@ -182,8 +152,6 @@ type golden = {
   ints : int list;  (** [int g 1000] *)
   exps : float list;  (** [exponential g 1.0] *)
   copied : int64 list;  (** [copy] after 5 draws, next 4 outputs *)
-  split_child : int64 list;  (** [split] after 5 draws, child's first 4 *)
-  split_parent : int64 list;  (** the parent's next 4 after that split *)
 }
 
 let goldens =
@@ -227,16 +195,6 @@ let goldens =
           0xffef8375d9ebcacaL; 0x6c160deed2f54c98L; 0x8920ad648fc30a3fL;
           0xdb032c0ba7539731L;
         ];
-      split_child =
-        [
-          0x462b9a3d0170c398L; 0x15e692dbbc59186cL; 0x0ea870c68b5f35c8L;
-          0xda93cb28ac18436eL;
-        ];
-      split_parent =
-        [
-          0x6c160deed2f54c98L; 0x8920ad648fc30a3fL; 0xdb032c0ba7539731L;
-          0xeb3a475a3e749a3dL;
-        ];
     };
     {
       seed = 23;
@@ -276,16 +234,6 @@ let goldens =
         [
           0xe5bb9941a9ef0a68L; 0xd833389026506638L; 0xab9effc65d5a83f0L;
           0xded415e306dcc8fcL;
-        ];
-      split_child =
-        [
-          0x8aedede7289073a6L; 0x4cb17a8161ae7616L; 0xeadaacc2d9d6a707L;
-          0xf84a4f010955c58cL;
-        ];
-      split_parent =
-        [
-          0xd833389026506638L; 0xab9effc65d5a83f0L; 0xded415e306dcc8fcL;
-          0xecd6728bfb423d76L;
         ];
     };
     {
@@ -327,16 +275,6 @@ let goldens =
           0x4eca86e0293e9b6cL; 0x534afa30daeeca16L; 0xfbcc18b345689622L;
           0x1794f3f570e31d45L;
         ];
-      split_child =
-        [
-          0x6368f69012d81e9fL; 0xcc6d19c44ff831e1L; 0x7c8d1ebdf16a43a9L;
-          0xc3e466225ad0c0f9L;
-        ];
-      split_parent =
-        [
-          0x534afa30daeeca16L; 0xfbcc18b345689622L; 0x1794f3f570e31d45L;
-          0x4f1e8a580d4cdf33L;
-        ];
     };
   ]
 
@@ -373,13 +311,8 @@ let test_golden_streams () =
         ignore (Prng.bits64 g)
       done;
       let c = Prng.copy g in
-      let s = Prng.split g in
       check (label "copy after 5 draws") true
-        (bits_equal gd.copied (draws 4 (fun () -> Prng.bits64 c)));
-      check (label "split child") true
-        (bits_equal gd.split_child (draws 4 (fun () -> Prng.bits64 s)));
-      check (label "parent after split") true
-        (bits_equal gd.split_parent (draws 4 (fun () -> Prng.bits64 g))))
+        (bits_equal gd.copied (draws 4 (fun () -> Prng.bits64 c))))
     goldens
 
 let suite =
@@ -387,17 +320,14 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
     Alcotest.test_case "copy preserves stream" `Quick test_copy_preserves_stream;
-    Alcotest.test_case "split diverges" `Quick test_split_diverges;
     Alcotest.test_case "int bounds" `Quick test_int_bounds;
     Alcotest.test_case "int rejects bad bound" `Quick test_int_rejects_bad_bound;
-    Alcotest.test_case "int_in range" `Quick test_int_in_range;
     Alcotest.test_case "int covers values" `Quick test_int_covers_values;
     Alcotest.test_case "float bounds" `Quick test_float_bounds;
     Alcotest.test_case "float mean" `Quick test_float_mean;
     Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "exponential positive" `Quick test_exponential_positive;
-    Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
     Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "permutation uniform spot" `Quick test_permutation_uniform_spot;
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;

@@ -58,7 +58,7 @@ let test_engine_names_round_trip () =
       match RC.engine_of_string (RC.engine_name e) with
       | Ok e' -> Alcotest.(check bool) (RC.engine_name e) true (e = e')
       | Error msg -> Alcotest.fail msg)
-    RC.all_engines
+    [ RC.Lic_indexed; RC.Lid; RC.Lid_reliable; RC.Dynamics ]
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -98,7 +98,7 @@ let test_engine_aliases () =
 
 let test_validate () =
   let ok c = Result.is_ok (RC.validate c) in
-  Alcotest.(check bool) "default valid" true (ok RC.default);
+  Alcotest.(check bool) "default valid" true (ok (RC.make ()));
   (* the layers compose: every former "mutually exclusive" pair is a
      legal selection of middleware now *)
   Alcotest.(check bool) "faults ride plain lid" true
@@ -167,10 +167,10 @@ let test_sim_shards_rejected () =
   let prefs = instance 7 in
   let w = Weights.of_preference prefs in
   let capacity = Array.init (Graph.node_count (Preference.graph prefs)) (Preference.quota prefs) in
-  Alcotest.(check bool) "sim_shards 1 valid" true (Result.is_ok (RC.validate RC.default));
+  Alcotest.(check bool) "sim_shards 1 valid" true (Result.is_ok (RC.validate (RC.make ())));
   List.iter
     (fun sim_shards ->
-      (match RC.validate { RC.default with sim_shards } with
+      (match RC.validate { (RC.make ()) with sim_shards } with
       | Error msg ->
           Alcotest.(check bool)
             (Printf.sprintf "sim_shards %d: the reason names the field" sim_shards)
@@ -198,7 +198,7 @@ let test_validate_budget () =
   Alcotest.(check bool) "budgeted reported" true
     (RC.budgeted (RC.make ~deadline:1.0 ())
     && RC.budgeted (RC.make ~max_rounds:3 ())
-    && not (RC.budgeted RC.default));
+    && not (RC.budgeted (RC.make ())));
   Alcotest.(check bool) "both spellings rejected" false
     (ok (RC.make ~engine:RC.Lid ~deadline:5.0 ~max_rounds:4 ()));
   Alcotest.(check bool) "non-positive deadline rejected" false

@@ -3,14 +3,17 @@ module S = Satisfaction
 let feq = Alcotest.(check (float 1e-9))
 
 let test_figure1 () =
-  feq "paper value 25/28" (25.0 /. 28.0) (S.figure1_example ());
-  Alcotest.(check bool) "rounds to 0.893" true
-    (Float.abs (S.figure1_example () -. 0.893) < 5e-4)
+  (* the paper's Figure 1: b_i = 4, L_i = 7, connections at preference
+     ranks 0, 1, 3 and 5; the paper reports S_i = 0.893 *)
+  let s = S.of_ranks ~quota:4 ~list_len:7 [ 0; 1; 3; 5 ] in
+  feq "paper value 25/28" (25.0 /. 28.0) s;
+  Alcotest.(check bool) "rounds to 0.893" true (Float.abs (s -. 0.893) < 5e-4)
 
 let test_perfect () =
-  feq "top-b is 1" 1.0 (S.perfect ~quota:4 ~list_len:7);
-  feq "b=1" 1.0 (S.perfect ~quota:1 ~list_len:10);
-  feq "b=L" 1.0 (S.perfect ~quota:5 ~list_len:5)
+  let perfect ~quota ~list_len = S.of_ranks ~quota ~list_len (List.init quota Fun.id) in
+  feq "top-b is 1" 1.0 (perfect ~quota:4 ~list_len:7);
+  feq "b=1" 1.0 (perfect ~quota:1 ~list_len:10);
+  feq "b=L" 1.0 (perfect ~quota:5 ~list_len:5)
 
 let test_empty_connections () = feq "no connections" 0.0 (S.of_ranks ~quota:3 ~list_len:5 [])
 
@@ -33,14 +36,14 @@ let test_of_ranks_errors () =
     (fun () -> ignore (S.of_ranks ~quota:0 ~list_len:5 []))
 
 let test_delta_matches_parts () =
-  (* eq. 4 = static + dynamic decomposition *)
+  (* eq. 4 = static + the discarded dynamic part q/(b·L) *)
   for b = 1 to 6 do
     for l = b to 10 do
       for r = 0 to l - 1 do
         for q = 0 to b - 1 do
           let full = S.delta ~quota:b ~list_len:l ~rank:r ~position:q in
           let s = S.static_delta ~quota:b ~list_len:l ~rank:r in
-          let d = S.dynamic_delta ~quota:b ~list_len:l ~position:q in
+          let d = float_of_int q /. (float_of_int b *. float_of_int l) in
           feq "decomposition" full (s +. d)
         done
       done

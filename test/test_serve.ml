@@ -44,7 +44,7 @@ let test_parse_examples () =
   let t = parse "4" in
   Alcotest.(check (float 1e-9)) "bare rate" 4.0 t.Arrivals.rate;
   Alcotest.(check bool) "bare rate keeps defaults" true
-    (Arrivals.equal t (Arrivals.make ~rate:4.0 ()));
+    (t = Arrivals.make ~rate:4.0 ());
   let t = parse "2.5:query=3" in
   Alcotest.(check (float 1e-9)) "rate" 2.5 t.Arrivals.rate;
   Alcotest.(check (float 1e-9)) "query weight" 3.0 t.Arrivals.query;
@@ -94,7 +94,7 @@ let prop_round_trip =
       | Error _ -> QCheck2.assume_fail ()
       | Ok a -> (
           match Arrivals.of_string (Arrivals.to_string a) with
-          | Ok a' -> Arrivals.equal a a'
+          | Ok a' -> a = a'
           | Error e -> QCheck2.Test.fail_reportf "re-parse failed: %s" e))
 
 (* ------------------------------------------------------------------ *)

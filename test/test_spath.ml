@@ -36,7 +36,7 @@ let test_negative_length_rejected () =
 
 let test_restricted () =
   let g, length = weighted_path () in
-  let d = Spath.dijkstra_restricted g ~length ~allowed:(fun e -> e <> 1) 0 in
+  let d = Spath.dijkstra ~allowed:(fun e -> e <> 1) g ~length 0 in
   feq "reachable part" 1.0 d.(1);
   Alcotest.(check bool) "cut off" true (d.(2) = infinity)
 

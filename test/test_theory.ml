@@ -1,4 +1,5 @@
 module Theory = Owp_core.Theory
+module Checker = Owp_check.Checker
 module Lic = Owp_core.Lic
 module BM = Owp_matching.Bmatching
 module Prng = Owp_util.Prng
@@ -19,10 +20,13 @@ let test_weighted_blocking_pair_detects () =
   let w = Weights.of_array g [| 1.0; 5.0; 1.0 |] in
   (* matching the two light edges leaves the heavy middle edge blocking *)
   let bad = BM.of_edge_ids g ~capacity:[| 1; 1; 1; 1 |] [ 0; 2 ] in
-  (match Theory.weighted_blocking_pair w bad with
-  | Some (1, 2) -> ()
-  | Some _ -> Alcotest.fail "wrong pair"
-  | None -> Alcotest.fail "should detect the heavy unmatched edge");
+  Alcotest.(check bool) "heavy unmatched edge blocks" false (Theory.is_greedy_stable w bad);
+  Alcotest.(check bool) "the blocking pair is the middle edge" true
+    (List.map
+       (fun v -> v.Owp_check.Violation.subject)
+       (Checker.violations
+          (Checker.run ~only:[ "blocking-pair" ] (Checker.of_matching w bad)))
+    = [ Owp_check.Violation.Edge (1, 2) ]);
   let good = BM.of_edge_ids g ~capacity:[| 1; 1; 1; 1 |] [ 1 ] in
   Alcotest.(check bool) "greedy choice is stable" true (Theory.is_greedy_stable w good)
 
@@ -31,16 +35,7 @@ let test_empty_matching_not_stable () =
   let w = Weights.of_array g [| 1.0 |] in
   let empty = BM.empty g ~capacity:[| 1; 1 |] in
   Alcotest.(check bool) "free edge blocks" false (Theory.is_greedy_stable w empty);
-  Alcotest.(check bool) "certificate fails" false (Theory.half_approx_certificate w empty)
-
-let test_ratios () =
-  let g = Graph.of_edge_list 4 [ (0, 1); (2, 3) ] in
-  let w = Weights.of_array g [| 1.0; 3.0 |] in
-  let a = BM.of_edge_ids g ~capacity:[| 1; 1; 1; 1 |] [ 0 ] in
-  let b = BM.of_edge_ids g ~capacity:[| 1; 1; 1; 1 |] [ 0; 1 ] in
-  feq "weight ratio" 0.25 (Theory.weight_ratio w a b);
-  let empty = BM.empty g ~capacity:[| 1; 1; 1; 1 |] in
-  feq "0/0 ratio" 1.0 (Theory.weight_ratio w empty empty)
+  Alcotest.(check bool) "not maximal" false (BM.is_maximal empty)
 
 let prop_lemma1_on_lic_matchings =
   QCheck2.Test.make ~name:"static/full ratio of LIC matchings >= lemma 1 bound" ~count:50
@@ -51,7 +46,12 @@ let prop_lemma1_on_lic_matchings =
       let p = Preference.random rng g ~quota:(Preference.uniform_quota g 3) in
       let w = Weights.of_preference p in
       let m = Lic.run w ~capacity:(Array.init 30 (Preference.quota p)) in
-      let ratio = Theory.static_vs_full_ratio p m in
+      let conns = BM.connection_lists m in
+      let s_full = Preference.total_satisfaction p conns in
+      let ratio =
+        if Float.equal s_full 0.0 then 1.0
+        else Preference.total_static_satisfaction p conns /. s_full
+      in
       ratio >= Theory.lemma1_bound ~bmax:(Preference.max_quota p) -. 1e-9)
 
 let prop_certificate_on_lic =
@@ -63,14 +63,13 @@ let prop_certificate_on_lic =
       let p = Preference.random rng g ~quota:(Preference.uniform_quota g 2) in
       let w = Weights.of_preference p in
       let m = Lic.run w ~capacity:(Array.init 25 (Preference.quota p)) in
-      Theory.half_approx_certificate w m)
+      BM.is_maximal m && Theory.is_greedy_stable w m)
 
 let suite =
   [
     Alcotest.test_case "bound formulas" `Quick test_bound_formulas;
     Alcotest.test_case "weighted blocking pair" `Quick test_weighted_blocking_pair_detects;
     Alcotest.test_case "empty matching unstable" `Quick test_empty_matching_not_stable;
-    Alcotest.test_case "ratios" `Quick test_ratios;
     QCheck_alcotest.to_alcotest prop_lemma1_on_lic_matchings;
     QCheck_alcotest.to_alcotest prop_certificate_on_lic;
   ]
