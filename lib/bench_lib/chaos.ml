@@ -175,8 +175,11 @@ let candidates sched =
   in
   drops @ halvings @ thinned
 
-let shrink ?(budget = 200) ~fails sched =
-  let left = ref budget in
+(* re-runs one shrink may spend *)
+let shrink_budget = 200
+
+let shrink ~fails sched =
+  let left = ref shrink_budget in
   let still_fails s =
     (not (Schedule.is_empty s))
     && !left > 0

@@ -43,14 +43,11 @@ val generate :
     validates. *)
 
 val shrink :
-  ?budget:int ->
-  fails:(Owp_simnet.Schedule.t -> bool) ->
-  Owp_simnet.Schedule.t ->
-  Owp_simnet.Schedule.t
+  fails:(Owp_simnet.Schedule.t -> bool) -> Owp_simnet.Schedule.t -> Owp_simnet.Schedule.t
 (** Precondition: [fails s].  Returns a schedule that still fails and
     from which no single episode drop, duration halving, block merge or
-    list thinning yields a failing schedule (or the re-run [budget],
-    default 200, ran out).  Every candidate is checked with [fails]
+    list thinning yields a failing schedule (or the budget of 200
+    re-runs ran out).  Every candidate is checked with [fails]
     before being adopted, so the result is always a true reproducer. *)
 
 type fuzz_report = {

@@ -450,18 +450,4 @@ let pp_report ppf r =
           List.iter (fun v -> Format.fprintf ppf "  %a@." Violation.pp v) vs)
     r.entries
 
-exception Check_failed of report
-
-let () =
-  Printexc.register_printer (function
-    | Check_failed r ->
-        Some
-          (Format.asprintf "Check_failed: %d invariant violation(s)@.%a"
-             (violation_count r) pp_report r)
-    | _ -> None)
-
-let assert_ok ?only inst =
-  let r = run ?only inst in
-  if not (ok r) then raise (Check_failed r)
-
 let report_to_string r = Format.asprintf "%a" pp_report r

@@ -122,9 +122,4 @@ val ok : report -> bool
 val violations : report -> Violation.t list
 val violation_count : report -> int
 
-exception Check_failed of report
-(** Raised by {!assert_ok}; the payload carries the full report. *)
-
-(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
-val assert_ok : ?only:string list -> instance -> unit
 val report_to_string : report -> string

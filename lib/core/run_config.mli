@@ -18,7 +18,7 @@
 
     The instance itself (graph, preferences, quotas) stays out of the
     record on purpose: a config is reusable across a sweep of instances,
-    which is exactly what the multicore runner needs. *)
+    which is what the bench experiments do. *)
 
 type engine =
   | Lic_indexed

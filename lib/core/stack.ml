@@ -65,7 +65,6 @@ let round_length = function
   | Simnet.Unit -> 1.0
   | Simnet.Uniform (_, hi) -> hi
   | Simnet.Exponential mean -> 2.0 *. mean
-  | Simnet.PerLink _ -> 1.0
 
 (* ------------------------------------------------------------------ *)
 (* eq. 9 halves                                                        *)
@@ -329,8 +328,8 @@ let stragglers c =
    at delivery time; [weather_touched c window] is the "did scheduled
    weather intersect my last waiting window" predicate the detector
    and transport consult before declaring anyone dead.  The window
-   matters: a give-up that merely checked {!Schedule.active} at its
-   own fire instant would fire falsely just after the heal, while the
+   matters: a give-up that merely checked whether an episode covers
+   its own fire instant would fire falsely just after the heal, while the
    healed link's answer is still in flight — and the window is padded
    by a round trip for the same reason, since a reply prompted at the
    heal instant needs that long to land. *)

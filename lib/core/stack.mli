@@ -141,7 +141,7 @@ val overhead : report -> float
 val round_length : Owp_simnet.Simnet.delay_model -> float
 (** Virtual time one propose–answer round takes under a delay model —
     the conversion behind [max_rounds] ([Unit]: 1.0; [Uniform]: the
-    upper bound; [Exponential]: twice the mean; [PerLink]: 1.0).  A
+    upper bound; [Exponential]: twice the mean).  A
     representative per-hop figure, not a worst case. *)
 
 (** {1 The run loop} *)

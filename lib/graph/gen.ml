@@ -168,18 +168,6 @@ let random_geometric rng ~n ~radius =
     pts;
   (Graph.Builder.build b, pts)
 
-let grid ~width ~height =
-  let n = width * height in
-  let b = Graph.Builder.create n in
-  let id x y = (y * width) + x in
-  for y = 0 to height - 1 do
-    for x = 0 to width - 1 do
-      if x + 1 < width then ignore (Graph.Builder.add_edge b (id x y) (id (x + 1) y));
-      if y + 1 < height then ignore (Graph.Builder.add_edge b (id x y) (id x (y + 1)))
-    done
-  done;
-  Graph.Builder.build b
-
 let torus ~width ~height =
   if width < 3 || height < 3 then invalid_arg "Gen.torus: dimensions must be >= 3";
   let n = width * height in

@@ -32,8 +32,6 @@ val random_geometric :
     distance is below [radius].  Also returns the coordinates (used by the
     latency-metric preference generators). *)
 
-(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
-val grid : width:int -> height:int -> Graph.t
 val torus : width:int -> height:int -> Graph.t
 
 val random_bipartite : Owp_util.Prng.t -> left:int -> right:int -> p:float -> Graph.t

@@ -177,21 +177,10 @@ let find_edge g u v =
 
 let mem_edge g u v = find_slot g u v >= 0
 
-let other_endpoint g e u =
-  let a = g.eu.(e) and b = g.ev.(e) in
-  if a = u then b
-  else if b = u then a
-  else invalid_arg "Graph.other_endpoint: node is not an endpoint"
-
 let iter_edges g f =
   for e = 0 to edge_count g - 1 do
     f e g.eu.(e) g.ev.(e)
   done
-
-let fold_edges g f init =
-  let acc = ref init in
-  iter_edges g (fun eid u v -> acc := f !acc eid u v);
-  !acc
 
 let iter_neighbors g u f =
   for s = g.off.(u) to g.off.(u + 1) - 1 do
@@ -209,13 +198,6 @@ let of_edge_list n pairs =
   let b = Builder.create n in
   List.iter (fun (u, v) -> ignore (Builder.add_edge b u v)) pairs;
   Builder.build b
-
-let complement_degree_sum g =
-  let acc = ref 0 in
-  for i = 0 to g.n - 1 do
-    acc := !acc + (g.n - 1 - degree g i)
-  done;
-  !acc
 
 let induced_subgraph g nodes =
   let k = Array.length nodes in

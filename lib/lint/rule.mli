@@ -62,7 +62,7 @@ val split_mangled : string -> string list
 
 val path_parts : Path.t -> string list
 (** Flattened path components with dune's [Lib__Module] mangling undone
-    (["Owp_util__Pool"; "map"] becomes ["Owp_util"; "Pool"; "map"]). *)
+    (["Owp_util__Prng"; "int"] becomes ["Owp_util"; "Prng"; "int"]). *)
 
 val stdlib_head : string list -> string list
 (** Drop a leading ["Stdlib"] component. *)

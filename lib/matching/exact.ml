@@ -185,7 +185,7 @@ let max_weight_bipartite w ~capacity ~left =
       let u, v = if u < left then (u, v) else (v, u) in
       handles.(eid) <-
         Mcmf.add_edge net ~src:u ~dst:v ~capacity:1 ~cost:(-.Weights.weight w eid));
-  let _flow, _cost = Mcmf.min_cost_flow net ~source ~sink () in
+  let _flow, _cost = Mcmf.min_cost_flow net ~source ~sink in
   let ids = ref [] in
   Array.iteri (fun eid h -> if Mcmf.flow_on net h > 0 then ids := eid :: !ids) handles;
   Bmatching.of_edge_ids g ~capacity !ids

@@ -86,10 +86,9 @@ let cheapest_path t ~source ~sink =
   done;
   if Float.equal dist.(sink) inf then None else Some (dist.(sink), pred)
 
-let augment t ~source ~sink ~limit pred =
-  (* bottleneck capacity along the predecessor chain, capped by the
-     caller's remaining flow allowance *)
-  let bottleneck = ref limit in
+let augment t ~source ~sink pred =
+  (* bottleneck capacity along the predecessor chain *)
+  let bottleneck = ref max_int in
   let v = ref sink in
   while !v <> source do
     let a = pred.(!v) in
@@ -105,34 +104,19 @@ let augment t ~source ~sink ~limit pred =
   done;
   !bottleneck
 
-let run t ~source ~sink ~stop_when_nonnegative ~max_flow =
+let min_cost_flow t ~source ~sink =
   if source = sink then invalid_arg "Mcmf: source equals sink";
   let flow = ref 0 and cost = ref 0.0 in
   let continue = ref true in
   while !continue do
     match cheapest_path t ~source ~sink with
-    | None -> continue := false
-    | Some (path_cost, pred) ->
-        if stop_when_nonnegative && path_cost >= -1e-12 then continue := false
-        else begin
-          let allowance =
-            match max_flow with Some limit -> limit - !flow | None -> max_int
-          in
-          let pushed = augment t ~source ~sink ~limit:allowance pred in
-          flow := !flow + pushed;
-          cost := !cost +. (float_of_int pushed *. path_cost);
-          match max_flow with
-          | Some limit when !flow >= limit -> continue := false
-          | _ -> ()
-        end
+    | Some (path_cost, pred) when path_cost < -1e-12 ->
+        let pushed = augment t ~source ~sink pred in
+        flow := !flow + pushed;
+        cost := !cost +. (float_of_int pushed *. path_cost)
+    | _ -> continue := false
   done;
   (!flow, !cost)
-
-let min_cost_flow t ~source ~sink ?max_flow () =
-  run t ~source ~sink ~stop_when_nonnegative:true ~max_flow
-
-let min_cost_max_flow t ~source ~sink =
-  run t ~source ~sink ~stop_when_nonnegative:false ~max_flow:None
 
 let flow_on t fwd =
   if fwd < 0 || fwd >= t.arcs then invalid_arg "Mcmf.flow_on: bad handle";

@@ -16,16 +16,10 @@ val create : int -> t
 val add_edge : t -> src:int -> dst:int -> capacity:int -> cost:float -> int
 (** Adds a directed edge; returns a handle usable with {!flow_on}. *)
 
-val min_cost_flow : t -> source:int -> sink:int -> ?max_flow:int -> unit -> int * float
+val min_cost_flow : t -> source:int -> sink:int -> int * float
 (** Pushes flow along successive cheapest source→sink paths for as long
     as the cheapest path has strictly negative cost (i.e. it is
-    profitable), stopping earlier if [max_flow] units have been pushed.
-    Returns (total flow, total cost). *)
-
-(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
-val min_cost_max_flow : t -> source:int -> sink:int -> int * float
-(** Pushes flow along cheapest paths until the sink is unreachable,
-    regardless of path cost sign (classic min-cost max-flow). *)
+    profitable).  Returns (total flow, total cost). *)
 
 val flow_on : t -> int -> int
 (** Current flow on an edge handle. *)

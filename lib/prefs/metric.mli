@@ -36,10 +36,5 @@ val transaction_history : seed:int -> t
     [score j i] are independent.  The canonical source of cyclic
     preference systems. *)
 
-(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
-val symmetric_uniform : seed:int -> t
-(** Uniform score per unordered pair: both endpoints agree on the edge
-    value (the classic symmetric/"global matching" regime). *)
-
 val combine : string -> (float * t) list -> t
 (** Weighted linear combination of metrics, e.g. 0.7·latency + 0.3·interest. *)

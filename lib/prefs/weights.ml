@@ -58,11 +58,6 @@ let graph t = t.graph
 let weight t e = t.w.(e)
 let unsafe_weights t = t.w
 
-let weight_uv t u v =
-  match Graph.find_edge t.graph u v with
-  | Some e -> t.w.(e)
-  | None -> raise Not_found
-
 let compare_edges t e f =
   if e = f then 0
   else begin
@@ -82,20 +77,7 @@ let compare_edges t e f =
 
 let heavier t e f = compare_edges t e f > 0
 
-let total t edges = Array.fold_left (fun acc e -> acc +. t.w.(e)) 0.0 edges
-
 let distinct_weights t =
   let tbl = Hashtbl.create (Array.length t.w) in
   Array.iter (fun x -> Hashtbl.replace tbl x ()) t.w;
   Hashtbl.length tbl
-
-let max_weight_edge t =
-  let m = Array.length t.w in
-  if m = 0 then None
-  else begin
-    let best = ref 0 in
-    for e = 1 to m - 1 do
-      if heavier t e !best then best := e
-    done;
-    Some !best
-  end

@@ -46,10 +46,6 @@ val unsafe_weights : t -> float array
     inner loops cannot afford a closure call (or an O(m) snapshot) per
     comparison; everything else should go through {!weight}. *)
 
-(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
-val weight_uv : t -> int -> int -> float
-(** @raise Not_found when the nodes are not adjacent. *)
-
 val compare_edges : t -> int -> int -> int
 (** Strict total order on edge ids: by weight, ties by lower endpoint,
     then upper endpoint, then id.  [compare_edges t e f = 0] iff [e = f]. *)
@@ -57,13 +53,5 @@ val compare_edges : t -> int -> int -> int
 val heavier : t -> int -> int -> bool
 (** [heavier t e f] iff [e] beats [f] in the total order. *)
 
-(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
-val total : t -> int array -> float
-(** Sum of weights of a set of edge ids. *)
-
 val distinct_weights : t -> int
 (** Number of distinct raw float weights (diagnostic for E12). *)
-
-(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
-val max_weight_edge : t -> int option
-(** Heaviest edge id in the whole graph (None on empty). *)

@@ -33,6 +33,15 @@ let make ?(rate = default.rate) ?(join = default.join) ?(leave = default.leave)
     ?(oracle = default.oracle) ?(warmup = default.warmup) () =
   { rate; join; leave; repref; query; horizon; queue; oracle; warmup }
 
+(* Bounds on the work one session may ask for.  The session draws its
+   whole request list before it starts, and the oracle solves LIC once
+   per sample, so a spec past either bound would exhaust memory or time
+   instead of failing (at rate 1e308 the arrival clock stops advancing:
+   t + 1e-308 = t).  The benchmark's serve preset, E27, CI and the
+   README stay orders of magnitude below both. *)
+let max_expected_arrivals = 1e6
+let max_oracle_samples = 1e4
+
 let validate t =
   (* written so that NaN fails every check *)
   let pos name v =
@@ -56,9 +65,23 @@ let validate t =
   in
   let* () = pos "horizon" t.horizon in
   let* () =
+    if t.rate *. t.horizon <= max_expected_arrivals then Ok ()
+    else
+      Error
+        (Printf.sprintf "rate x horizon = %g expected arrivals, above the limit of %g"
+           (t.rate *. t.horizon) max_expected_arrivals)
+  in
+  let* () =
     if t.queue < 1 then Error "queue must be >= 1" else Ok ()
   in
   let* () = pos "oracle" t.oracle in
+  let* () =
+    if t.horizon /. t.oracle <= max_oracle_samples then Ok ()
+    else
+      Error
+        (Printf.sprintf "horizon / oracle = %g oracle samples, above the limit of %g"
+           (t.horizon /. t.oracle) max_oracle_samples)
+  in
   if t.warmup >= 0.0 && t.warmup < 1.0 then Ok t else Error "warmup must be in [0, 1)"
 
 let of_string s =

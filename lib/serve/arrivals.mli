@@ -42,7 +42,11 @@ val make :
 
 val validate : t -> (t, string) result
 (** Positive rate/horizon/oracle, non-negative mix weights with a
-    positive sum, queue >= 1, warmup in [0, 1). *)
+    positive sum, queue >= 1, warmup in [0, 1).  The session's size is
+    bounded too, since its request list is drawn up front and every
+    oracle sample solves LIC: at most 10{^6} expected arrivals
+    ([rate × horizon]) and at most 10{^4} oracle samples
+    ([horizon / oracle]). *)
 
 val of_string : string -> (t, string) result
 (** Parse `RATE[:field,...]`, [validate]d; fields are [k=v] pairs named

@@ -12,7 +12,6 @@ let empty = []
 let is_empty = function [] -> true | _ -> false
 
 let covers e ~at = e.from_ <= at && at < e.until
-let active t ~at = List.exists (covers ~at) t
 
 let overlaps t ~from_ ~until =
   List.exists (fun e -> e.from_ < until && from_ < e.until) t

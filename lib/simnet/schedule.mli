@@ -42,19 +42,13 @@ type t = episode list
 val empty : t
 val is_empty : t -> bool
 
-(* owp-lint: allow dead-export — held: only its test reads it; item 9b *)
-val active : t -> at:float -> bool
-(** Some episode covers [at] — the stack is inside an outage it cannot
-    distinguish from silence, so give-ups must be suspended, not
-    fired. *)
-
 val overlaps : t -> from_:float -> until:float -> bool
 (** Some episode intersects the half-open window [[from_, until)].
     This is the give-up suppression test: a peer silent over a window
     the weather touched is not evidence of death — a timer that fires
     just {e after} the heal, while the healed link's answer is still in
-    flight, must wait one more clean window ({!active} at the fire
-    instant alone would let it fire falsely). *)
+    flight, must wait one more clean window (testing only the fire
+    instant would let it fire falsely). *)
 
 val end_time : t -> float
 (** [T_heal]: the supremum of episode ends ([0.] for {!empty}).  After

@@ -5,7 +5,6 @@ type delay_model =
   | Unit
   | Uniform of float * float
   | Exponential of float
-  | PerLink of (int -> int -> float)
 
 type faults = {
   drop_probability : float;
@@ -201,7 +200,7 @@ let cb_release t s =
 (* enqueue                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let sample_delay t src dst =
+let sample_delay t =
   let d =
     match t.delay with
     | Unit -> 1.0
@@ -209,7 +208,6 @@ let sample_delay t src dst =
         if hi < lo then invalid_arg "Simnet: bad uniform delay bounds";
         lo +. Prng.float t.rng (hi -. lo)
     | Exponential mean -> Prng.exponential t.rng mean
-    | PerLink f -> f src dst
   in
   if d < 0.0 then invalid_arg "Simnet: negative delay";
   (* strictly positive so a message never arrives "now" *)
@@ -267,7 +265,7 @@ let lc_compact t =
     ok
 
 let enqueue_delivery t ~src ~dst m =
-  let base = t.clock +. sample_delay t src dst in
+  let base = t.clock +. sample_delay t in
   let reorder =
     t.faults.reorder_probability > 0.0
     && Prng.bernoulli t.rng t.faults.reorder_probability
@@ -277,7 +275,7 @@ let enqueue_delivery t ~src ~dst m =
       (* the message straggles: extra delay, and it bypasses the FIFO
          clamp so it overtakes (or is overtaken by) later traffic *)
       t.reordered <- t.reordered + 1;
-      base +. sample_delay t src dst +. (2.0 *. sample_delay t src dst)
+      base +. sample_delay t +. (2.0 *. sample_delay t)
     end
     else if t.fifo then begin
       if 2 * (t.lc_n + 1) > Array.length t.lc_key then lc_compact t;
@@ -362,31 +360,16 @@ let dispatch t at pay =
     deliver_one t at ~src:(link / t.nodes) ~dst:(link mod t.nodes) m
   end
 
-(* The hot loop batches per-node mailboxes: all deliveries sharing one
-   timestamp drain in a single inner pass, in exact (at, seq) order,
-   with per-message coins and handler calls unchanged — the batch only
-   skips the outer loop's re-entry between them.  The wheel's
-   allocation-free pop protocol keeps the loop free of options. *)
-let run t =
+(* The one dispatch loop: events leave the wheel in (at, seq) order
+   until the next one lies past the horizon; the wheel's out-params
+   keep the loop free of options and tuples. *)
+let run_until t horizon =
   let w = t.wheel in
-  while Event_wheel.pop_into w do
-    let at = Event_wheel.last_at w in
-    dispatch t at (Event_wheel.last_pay w);
-    while Event_wheel.next_at_equals w at && Event_wheel.pop_into w do
-      dispatch t at (Event_wheel.last_pay w)
-    done
+  while Event_wheel.pop_until w horizon do
+    dispatch t (Event_wheel.last_at w) (Event_wheel.last_pay w)
   done
 
-let run_until t horizon =
-  let continue = ref true in
-  while !continue do
-    match Event_wheel.peek_key t.wheel with
-    | Some (at, _) when at <= horizon -> (
-        match Event_wheel.pop t.wheel with
-        | Some (at, _seq, pay) -> dispatch t at pay
-        | None -> continue := false)
-    | _ -> continue := false
-  done
+let run t = run_until t infinity
 
 let pending_events t = Event_wheel.size t.wheel
 

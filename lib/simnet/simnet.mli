@@ -17,7 +17,6 @@ type delay_model =
   | Unit  (** every message takes exactly 1 time unit *)
   | Uniform of float * float  (** iid uniform in [lo, hi] *)
   | Exponential of float  (** iid exponential with the given mean *)
-  | PerLink of (int -> int -> float)  (** deterministic function of (src, dst) *)
 
 type faults = {
   drop_probability : float;  (** each message lost independently *)

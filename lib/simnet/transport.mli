@@ -75,7 +75,6 @@ type 'm t
 
 val create :
   ?config:config ->
-  ?jitter_seed:int ->
   ?hold:(node:int -> peer:int -> bool) ->
   'm frame Simnet.t ->
   on_deliver:(src:int -> dst:int -> 'm -> unit) ->

@@ -11,9 +11,6 @@ val blocks : Preference.t -> Owp_matching.Bmatching.t -> int -> int -> bool
 (** [blocks prefs m i j] — does the (adjacent, unmatched) pair block?
     Returns [false] for matched or non-adjacent pairs. *)
 
-val blocking_pairs : Preference.t -> Owp_matching.Bmatching.t -> (int * int) list
-(** All blocking pairs, as (u, v) with u < v. *)
-
 val count_blocking_pairs : Preference.t -> Owp_matching.Bmatching.t -> int
 
 (* owp-lint: allow dead-export — reference for Fixtures' stable verdicts *)

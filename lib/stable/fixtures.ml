@@ -22,32 +22,24 @@ let satisfy prefs m i j =
   | Some eid -> Bmatching.add m eid
   | None -> invalid_arg "Fixtures.satisfy: nodes are not adjacent"
 
-let satisfy_blocking_pairs ?max_rounds ?rng prefs start =
+let satisfy_blocking_pairs ?max_rounds prefs start =
   let g = Bmatching.graph start in
   let m_edges = Graph.edge_count g in
   let cap = Option.value max_rounds ~default:(max 1000 (50 * m_edges)) in
   let matching = ref start in
   let rounds = ref 0 in
+  (* first found, deterministic *)
   let pick_blocking () =
-    match rng with
-    | None ->
-        (* first found, deterministic *)
-        let found = ref None in
-        (try
-           Graph.iter_edges g (fun eid u v ->
-               if
-                 (not (Bmatching.mem !matching eid))
-                 && Blocking.blocks prefs !matching u v
-               then begin
-                 found := Some (u, v);
-                 raise Exit
-               end)
-         with Exit -> ());
-        !found
-    | Some rng -> (
-        match Blocking.blocking_pairs prefs !matching with
-        | [] -> None
-        | pairs -> Some (Owp_util.Prng.pick rng (Array.of_list pairs)))
+    let found = ref None in
+    (try
+       Graph.iter_edges g (fun eid u v ->
+           if (not (Bmatching.mem !matching eid)) && Blocking.blocks prefs !matching u v
+           then begin
+             found := Some (u, v);
+             raise Exit
+           end)
+     with Exit -> ());
+    !found
   in
   let stable = ref false in
   let continue = ref true in
@@ -64,7 +56,7 @@ let satisfy_blocking_pairs ?max_rounds ?rng prefs start =
   done;
   { matching = !matching; stable = !stable; rounds = !rounds }
 
-let solve ?max_rounds ?rng prefs =
+let solve ?max_rounds prefs =
   let g = Preference.graph prefs in
   let capacity = Array.init (Graph.node_count g) (Preference.quota prefs) in
-  satisfy_blocking_pairs ?max_rounds ?rng prefs (Bmatching.empty g ~capacity)
+  satisfy_blocking_pairs ?max_rounds prefs (Bmatching.empty g ~capacity)

@@ -20,14 +20,10 @@ type outcome = {
 }
 
 val satisfy_blocking_pairs :
-  ?max_rounds:int ->
-  ?rng:Owp_util.Prng.t ->
-  Preference.t ->
-  Owp_matching.Bmatching.t ->
-  outcome
-(** Run the dynamics from a given matching.  [max_rounds] defaults to
-    [50 · m]; [rng], when provided, randomises the choice of blocking
-    pair (first-found otherwise). *)
+  ?max_rounds:int -> Preference.t -> Owp_matching.Bmatching.t -> outcome
+(** Run the dynamics from a given matching, each round satisfying the
+    first blocking pair in edge-id order.  [max_rounds] defaults to
+    [50 · m]. *)
 
-val solve : ?max_rounds:int -> ?rng:Owp_util.Prng.t -> Preference.t -> outcome
+val solve : ?max_rounds:int -> Preference.t -> outcome
 (** Dynamics from the empty matching using the preference quotas. *)

@@ -71,5 +71,5 @@ let mutual_matching prefs holds =
 
 let warm_start prefs = mutual_matching prefs (phase1 prefs)
 
-let warm_solve ?max_rounds ?rng prefs =
-  Fixtures.satisfy_blocking_pairs ?max_rounds ?rng prefs (warm_start prefs)
+let warm_solve ?max_rounds prefs =
+  Fixtures.satisfy_blocking_pairs ?max_rounds prefs (warm_start prefs)

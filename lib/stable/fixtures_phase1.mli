@@ -20,6 +20,5 @@ val warm_start : Preference.t -> Owp_matching.Bmatching.t
 (** Phase 1's pairs held in both directions (capacity-feasible by
     construction of the holds). *)
 
-val warm_solve :
-  ?max_rounds:int -> ?rng:Owp_util.Prng.t -> Preference.t -> Fixtures.outcome
+val warm_solve : ?max_rounds:int -> Preference.t -> Fixtures.outcome
 (** Blocking-pair dynamics seeded with {!warm_start}. *)

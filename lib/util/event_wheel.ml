@@ -20,9 +20,9 @@
 
    Draining sorts one bucket into a flat run (three parallel arrays)
    and walks it with a head index; insertions that land at or before
-   the draining epoch go to the aux heap, and pop takes the smaller of
-   the run head and the aux minimum, so the pop order is exactly the
-   (at, seq) order a binary heap would produce.
+   the draining epoch go to the aux heap, and [pop_until] takes the
+   smaller of the run head and the aux minimum, so the pop order is
+   exactly the (at, seq) order a binary heap would produce.
 
    The width retunes itself (see [retune]): a window that holds
    thousands of events costs a quicksort of thousands, one that holds
@@ -210,7 +210,7 @@ type t = {
      window, so one jump to a far-future timer cannot swamp the mean) *)
   mutable seen_events : int;
   mutable seen_epochs : int;
-  (* out-params of [pop_into]; the timestamp lives in a 1-element float
+  (* out-params of [pop_until]; the timestamp lives in a 1-element float
      array so storing it never allocates a box *)
   last_at_cell : float array;
   mutable last_seq : int;
@@ -484,77 +484,43 @@ let run_first t =
   && (t.aux.h_len = 0
      || key_le t.r_at.(t.r_head) t.r_seq.(t.r_head) t.aux.h_at.(0) t.aux.h_seq.(0))
 
-let rec peek_key t =
-  if t.size = 0 then None
-  else if t.r_head >= t.r_len && t.aux.h_len = 0 then begin
-    advance t;
-    peek_key t
-  end
-  else if run_first t then Some (t.r_at.(t.r_head), t.r_seq.(t.r_head))
-  else Some (t.aux.h_at.(0), t.aux.h_seq.(0))
-
-let rec pop t =
-  if t.size = 0 then None
-  else if t.r_head >= t.r_len && t.aux.h_len = 0 then begin
-    advance t;
-    pop t
-  end
-  else begin
-    t.size <- t.size - 1;
-    if run_first t then begin
-      let i = t.r_head in
-      t.r_head <- i + 1;
-      Some (t.r_at.(i), t.r_seq.(i), t.r_pay.(i))
-    end
-    else begin
-      let at = t.aux.h_at.(0) and seq = t.aux.h_seq.(0) and pay = t.aux.h_pay.(0) in
-      heap_drop t.aux;
-      Some (at, seq, pay)
-    end
-  end
-
-(* allocation-free pop: [false] on empty, else the event is readable
-   through [last_at]/[last_seq]/[last_pay] until the next [pop_into].
-   Same selection logic as [pop], shared invariants argued there. *)
-let rec pop_into t =
+(* The one pop: the minimum is the run head or the aux root, whichever
+   [run_first] picks; it leaves only when its time is within
+   [horizon].  Out-params instead of a returned tuple keep the pop
+   allocation-free.  A refused pop may still have opened the next
+   window, which moves no event past another. *)
+let rec pop_until t horizon =
   if t.size = 0 then false
   else if t.r_head >= t.r_len && t.aux.h_len = 0 then begin
     advance t;
-    pop_into t
+    pop_until t horizon
   end
+  else if run_first t then begin
+    let i = t.r_head in
+    if t.r_at.(i) > horizon then false
+    else begin
+      t.size <- t.size - 1;
+      t.r_head <- i + 1;
+      t.last_at_cell.(0) <- t.r_at.(i);
+      t.last_seq <- t.r_seq.(i);
+      t.last_pay <- t.r_pay.(i);
+      true
+    end
+  end
+  else if t.aux.h_at.(0) > horizon then false
   else begin
     t.size <- t.size - 1;
-    (if run_first t then begin
-       let i = t.r_head in
-       t.r_head <- i + 1;
-       t.last_at_cell.(0) <- t.r_at.(i);
-       t.last_seq <- t.r_seq.(i);
-       t.last_pay <- t.r_pay.(i)
-     end
-     else begin
-       t.last_at_cell.(0) <- t.aux.h_at.(0);
-       t.last_seq <- t.aux.h_seq.(0);
-       t.last_pay <- t.aux.h_pay.(0);
-       heap_drop t.aux
-     end);
+    t.last_at_cell.(0) <- t.aux.h_at.(0);
+    t.last_seq <- t.aux.h_seq.(0);
+    t.last_pay <- t.aux.h_pay.(0);
+    heap_drop t.aux;
     true
   end
 
+let pop_into t = pop_until t infinity
 let last_at t = t.last_at_cell.(0)
 let last_seq t = t.last_seq
 let last_pay t = t.last_pay
-
-(* allocation-free "does the head fire at exactly [at]?" — the mailbox
-   batching probe.  One [advance] always suffices: when size > 0 and
-   both run and aux are spent, the next populated epoch lands at least
-   one event in the run (argued in [advance]). *)
-let next_at_equals t at =
-  if t.size = 0 then false
-  else begin
-    if t.r_head >= t.r_len && t.aux.h_len = 0 then advance t;
-    if run_first t then Float.equal t.r_at.(t.r_head) at
-    else Float.equal t.aux.h_at.(0) at
-  end
 
 let footprint_words t =
   let tri len = 3 * len in

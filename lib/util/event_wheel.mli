@@ -11,7 +11,7 @@
     before the epoch currently draining (handlers send with tiny delays
     — the per-link FIFO clamp lands 1e-9 ahead of now), and an
     {e overflow} heap for events beyond the wheel horizon (stragglers,
-    far-future timers).  {!pop} always returns the exact global
+    far-future timers).  {!pop_until} always removes the exact global
     [(at, seq)] minimum — the same total order as a binary heap over
     the same keys, which is what the QCheck equivalence suite asserts.
 
@@ -52,25 +52,22 @@ val add : t -> at:float -> seq:int -> int -> unit
     particular order; [seq] values must be unique for the order to be
     total.  @raise Invalid_argument on negative or non-finite [at]. *)
 
-val pop : t -> (float * int * int) option
-(** Remove and return the minimum-key event as [(at, seq, payload)]. *)
+(** {2 Popping}
 
-val peek_key : t -> (float * int) option
-(** The key {!pop} would return, without removing it.  Like {!pop} this
-    may open (collect + sort) the next window. *)
+    A pop publishes the removed event through out-params rather than a
+    returned tuple, so the simulator's hot loop allocates nothing per
+    event. *)
 
-(** {2 Allocation-free pop protocol}
-
-    [pop] allocates an option and a tuple per event — measurable at
-    millions of events on the simulator's hot path.  [pop_into] removes
-    the same minimum-key event but publishes it through out-params
-    instead: *)
+val pop_until : t -> float -> bool
+(** [pop_until t horizon] removes the minimum-key event if its time is
+    [<= horizon], exposing it via {!last_at} / {!last_seq} /
+    {!last_pay}; [false] when the wheel is empty or its minimum lies
+    past [horizon] (the event then stays queued and the out-params keep
+    their previous values). *)
 
 val pop_into : t -> bool
-(** Remove the minimum-key event, exposing it via {!last_at} /
-    {!last_seq} / {!last_pay}; [false] when the wheel is empty (the
-    out-params then keep their previous values).  Identical pop order
-    to {!pop}. *)
+(** [pop_until t infinity]: remove the minimum-key event, [false] only
+    when the wheel is empty. *)
 
 val last_at : t -> float
 
@@ -78,14 +75,8 @@ val last_at : t -> float
 val last_seq : t -> int
 
 val last_pay : t -> int
-(** Components of the event most recently removed by {!pop_into};
+(** Components of the event most recently removed by {!pop_until};
     overwritten by the next call. *)
-
-val next_at_equals : t -> float -> bool
-(** Does the head event fire at exactly the given time?  Equivalent to
-    matching {!peek_key} against [Some (at, _)] but allocation-free —
-    the same-timestamp batching probe of the simulator's dispatch
-    loop. *)
 
 val size : t -> int
 (** Events currently stored. *)

@@ -169,14 +169,16 @@ let agrees g capacity w ids m =
        (List.init (Graph.node_count g) Fun.id)
   && Float.equal (BM.weight m w)
        (List.fold_left (fun acc e -> acc +. Weights.weight w e) 0.0 ids)
-  && Bool.equal (BM.is_maximal m)
-       (Graph.fold_edges g
-          (fun ok e u v ->
-            ok
-            && (List.mem e ids
-               || model_degree g ids u >= capacity.(u)
-               || model_degree g ids v >= capacity.(v)))
-          true)
+  &&
+  let maximal = ref true in
+  Graph.iter_edges g (fun e u v ->
+      if
+        not
+          (List.mem e ids
+          || model_degree g ids u >= capacity.(u)
+          || model_degree g ids v >= capacity.(v))
+      then maximal := false);
+  Bool.equal (BM.is_maximal m) !maximal
 
 let prop_flat_matches_model =
   QCheck2.Test.make ~name:"flat matching agrees with a sorted-list model" ~count:300

@@ -18,6 +18,11 @@ end)
    Script entries: [Add at] (seq assigned in script order) or [Pop]. *)
 type op = Add of float | Pop
 
+(* one pop through the allocation-free protocol, read back as a tuple *)
+let wheel_pop w =
+  if Wheel.pop_into w then Some (Wheel.last_at w, Wheel.last_seq w, Wheel.last_pay w)
+  else None
+
 let run_script ?width ?buckets ops =
   let wheel = Wheel.create ?width ?buckets () in
   let heap = Ref_heap.create () in
@@ -31,7 +36,7 @@ let run_script ?width ?buckets ops =
           Ref_heap.add heap (at, !seq, !seq);
           incr seq
       | Pop ->
-          (match Wheel.pop wheel with
+          (match wheel_pop wheel with
           | Some (at, sq, pay) -> wl := (at, sq, pay) :: !wl
           | None -> ());
           (match Ref_heap.pop_min_opt heap with
@@ -40,7 +45,7 @@ let run_script ?width ?buckets ops =
     ops;
   (* drain both *)
   let rec drain () =
-    match (Wheel.pop wheel, Ref_heap.pop_min_opt heap) with
+    match (wheel_pop wheel, Ref_heap.pop_min_opt heap) with
     | Some w, Some h ->
         wl := w :: !wl;
         hl := h :: !hl;
@@ -104,24 +109,8 @@ let test_reuse_after_drain () =
 let test_empty () =
   let w = Wheel.create () in
   Alcotest.(check int) "empty size" 0 (Wheel.size w);
-  Alcotest.(check bool) "no pop" true (Wheel.pop w = None);
-  Alcotest.(check bool) "no peek" true (Wheel.peek_key w = None)
-
-let test_peek_matches_pop () =
-  let w = Wheel.create ~width:0.5 () in
-  List.iteri (fun i at -> Wheel.add w ~at ~seq:i i) [ 2.0; 0.5; 7.0; 0.5; 3.25 ];
-  let rec go () =
-    match Wheel.peek_key w with
-    | None -> Alcotest.(check bool) "drained" true (Wheel.pop w = None)
-    | Some (pa, ps) -> (
-        match Wheel.pop w with
-        | Some (at, seq, _) ->
-            Alcotest.(check (float 0.0)) "peek at" pa at;
-            Alcotest.(check int) "peek seq" ps seq;
-            go ()
-        | None -> Alcotest.fail "peek promised an event")
-  in
-  go ()
+  Alcotest.(check bool) "no pop" false (Wheel.pop_into w);
+  Alcotest.(check bool) "no pop within any horizon" false (Wheel.pop_until w infinity)
 
 let test_rejections () =
   Alcotest.check_raises "zero width"
@@ -146,7 +135,7 @@ let test_footprint_bounded () =
       incr seq
     done;
     for _ = 1 to 1000 do
-      ignore (Wheel.pop w)
+      ignore (Wheel.pop_into w)
     done
   in
   (* warm-up waves let the wheel settle its bucket count and per-bucket
@@ -201,7 +190,7 @@ let ls_add l at =
 
 (* one pop from each; [false] once both are empty *)
 let ls_pop l =
-  match (Wheel.pop l.wheel, Ref_heap.pop_min_opt l.heap) with
+  match (wheel_pop l.wheel, Ref_heap.pop_min_opt l.heap) with
   | None, None -> false
   | Some (wa, ws, wp), Some (ha, hs, hp) ->
       if not (Float.equal wa ha && ws = hs && wp = hp) then l.diverged <- l.diverged + 1;
@@ -325,19 +314,20 @@ let test_retune_equal_timestamps_straddle () =
 (* the QCheck property: random scripts, three timestamp regimes         *)
 (* ------------------------------------------------------------------ *)
 
+let gen_at =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (* clustered: many equal timestamps, exercises seq tie-breaks *)
+      (4, int_range 0 40 >|= fun k -> float_of_int k /. 8.0);
+      (* smooth: generic positions inside and across buckets *)
+      (4, float_bound_exclusive 50.0);
+      (* far-future outliers straight into the overflow heap *)
+      (1, float_bound_exclusive 5.0 >|= fun f -> (f +. 1.0) *. 1e10);
+    ]
+
 let gen_script =
   let open QCheck2.Gen in
-  let gen_at =
-    frequency
-      [
-        (* clustered: many equal timestamps, exercises seq tie-breaks *)
-        (4, int_range 0 40 >|= fun k -> float_of_int k /. 8.0);
-        (* smooth: generic positions inside and across buckets *)
-        (4, float_bound_exclusive 50.0);
-        (* far-future outliers straight into the overflow heap *)
-        (1, float_bound_exclusive 5.0 >|= fun f -> (f +. 1.0) *. 1e10);
-      ]
-  in
   let gen_op = frequency [ (3, gen_at >|= fun at -> Add at); (2, pure Pop) ] in
   list_size (int_range 1 400) gen_op
 
@@ -363,44 +353,52 @@ let prop_order_equivalence_wide =
           wl = hl)
         [ 0.03125; 1.0; 64.0 ])
 
-let prop_pop_into_agrees_with_pop =
-  QCheck2.Test.make ~count:200 ~print:print_script
-    ~name:"allocation-free pop_into replays pop exactly" gen_script (fun ops ->
-      let a = Wheel.create ~width:0.5 ~buckets:4 () in
-      let b = Wheel.create ~width:0.5 ~buckets:4 () in
+(* the horizon rule Simnet.run_until relies on: [pop_until w h] takes
+   the reference heap's head exactly when its time is [<= h] and
+   otherwise refuses, leaving every event queued.  Horizons come from
+   the timestamp generator, so ties with the head are common. *)
+type bounded = Badd of float | Bpop of float
+
+let prop_pop_until_horizon =
+  QCheck2.Test.make ~count:300
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Badd at -> Printf.sprintf "Add %h" at | Bpop h -> Printf.sprintf "Pop_until %h" h)
+           ops))
+    ~name:"pop_until refuses exactly when the heap's head is past the horizon"
+    QCheck2.Gen.(
+      list_size (int_range 1 400)
+        (frequency [ (3, gen_at >|= fun at -> Badd at); (2, gen_at >|= fun h -> Bpop h) ]))
+    (fun ops ->
+      let w = Wheel.create ~width:0.5 ~buckets:4 () in
+      let heap = Ref_heap.create () in
       let seq = ref 0 in
       let ok = ref true in
-      let pop_both () =
-        (match (Wheel.pop a, Wheel.pop_into b) with
-        | Some (at, sq, pay), true ->
-            if
-              not
-                (Float.equal at (Wheel.last_at b)
-                && sq = Wheel.last_seq b
-                && pay = Wheel.last_pay b)
+      let pop_until h =
+        let took = Wheel.pop_until w h in
+        (match Ref_heap.peek_min_opt heap with
+        | Some ((at, _, _) as head) when at <= h ->
+            ignore (Ref_heap.pop_min heap);
+            if not (took && (Wheel.last_at w, Wheel.last_seq w, Wheel.last_pay w) = head)
             then ok := false
-        | None, false -> ()
-        | _ -> ok := false);
-        (* the batching probe must agree with the boxed peek *)
-        match Wheel.peek_key a with
-        | Some (at, _) ->
-            if not (Wheel.next_at_equals b at) then ok := false;
-            if Wheel.next_at_equals b (at +. 1e6) then ok := false
-        | None -> if Wheel.next_at_equals b 0.0 then ok := false
+        | _ -> if took then ok := false);
+        if Wheel.size w <> Ref_heap.length heap then ok := false;
+        took
       in
       List.iter
-        (fun op ->
-          match op with
-          | Add at ->
-              Wheel.add a ~at ~seq:!seq !seq;
-              Wheel.add b ~at ~seq:!seq !seq;
+        (function
+          | Badd at ->
+              Wheel.add w ~at ~seq:!seq !seq;
+              Ref_heap.add heap (at, !seq, !seq);
               incr seq
-          | Pop -> pop_both ())
+          | Bpop h -> ignore (pop_until h))
         ops;
-      while Wheel.size a > 0 do
-        pop_both ()
+      while pop_until infinity do
+        ()
       done;
-      !ok && Wheel.size b = 0)
+      !ok && Wheel.size w = 0)
 
 let suite =
   [
@@ -413,7 +411,6 @@ let suite =
       test_past_insert_after_advance;
     Alcotest.test_case "reuse after drain" `Quick test_reuse_after_drain;
     Alcotest.test_case "empty wheel" `Quick test_empty;
-    Alcotest.test_case "peek matches pop" `Quick test_peek_matches_pop;
     Alcotest.test_case "rejections" `Quick test_rejections;
     Alcotest.test_case "footprint bounded under churn" `Quick
       test_footprint_bounded;
@@ -427,5 +424,5 @@ let suite =
       test_retune_equal_timestamps_straddle;
     QCheck_alcotest.to_alcotest prop_order_equivalence;
     QCheck_alcotest.to_alcotest prop_order_equivalence_wide;
-    QCheck_alcotest.to_alcotest prop_pop_into_agrees_with_pop;
+    QCheck_alcotest.to_alcotest prop_pop_until_horizon;
   ]

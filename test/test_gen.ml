@@ -85,13 +85,6 @@ let test_random_geometric () =
   done;
   Alcotest.(check int) "edges match brute force" !expected (Graph.edge_count g)
 
-let test_grid () =
-  let g = Gen.grid ~width:4 ~height:3 in
-  Alcotest.(check int) "nodes" 12 (Graph.node_count g);
-  (* horizontal 3*3 + vertical 4*2 *)
-  Alcotest.(check int) "edges" 17 (Graph.edge_count g);
-  Alcotest.(check bool) "connected" true (Metrics.is_connected g)
-
 let test_torus () =
   let g = Gen.torus ~width:5 ~height:4 in
   Alcotest.(check int) "nodes" 20 (Graph.node_count g);
@@ -146,7 +139,6 @@ let suite =
     Alcotest.test_case "watts-strogatz lattice" `Quick test_watts_strogatz_lattice;
     Alcotest.test_case "watts-strogatz rewired" `Quick test_watts_strogatz_rewired;
     Alcotest.test_case "random geometric" `Quick test_random_geometric;
-    Alcotest.test_case "grid" `Quick test_grid;
     Alcotest.test_case "torus" `Quick test_torus;
     Alcotest.test_case "bipartite" `Quick test_bipartite;
     Alcotest.test_case "power law" `Quick test_power_law;

@@ -51,15 +51,6 @@ let test_find_edge () =
   | Some eid -> Alcotest.(check (pair int int)) "right edge" (1, 2) (Graph.edge_endpoints g eid)
   | None -> Alcotest.fail "edge 1-2 not found")
 
-let test_other_endpoint () =
-  let g = build [ (0, 1) ] 2 in
-  Alcotest.(check int) "other" 1 (Graph.other_endpoint g 0 0);
-  Alcotest.(check int) "other rev" 0 (Graph.other_endpoint g 0 1);
-  Alcotest.check_raises "not endpoint"
-    (Invalid_argument "Graph.other_endpoint: node is not an endpoint") (fun () ->
-      let g = build [ (0, 1) ] 3 in
-      ignore (Graph.other_endpoint g 0 2))
-
 let test_iter_edges () =
   let g = build [ (0, 1); (1, 2) ] 3 in
   let seen = ref [] in
@@ -67,15 +58,10 @@ let test_iter_edges () =
   Alcotest.(check int) "two edges" 2 (List.length !seen);
   List.iter (fun (_, u, v) -> Alcotest.(check bool) "normalized" true (u < v)) !seen
 
-let test_fold_edges () =
-  let g = build [ (0, 1); (1, 2); (2, 3) ] 4 in
-  let total = Graph.fold_edges g (fun acc _ u v -> acc + u + v) 0 in
-  Alcotest.(check int) "fold sum" 9 total
-
 let test_iter_neighbors_edge_ids () =
   let g = build [ (0, 1); (0, 2) ] 3 in
   Graph.iter_neighbors g 0 (fun v eid ->
-      Alcotest.(check int) "eid consistent" v (Graph.other_endpoint g eid 0))
+      Alcotest.(check (pair int int)) "eid consistent" (0, v) (Graph.edge_endpoints g eid))
 
 let test_max_degree () =
   let g = build [ (0, 1); (0, 2); (0, 3); (1, 2) ] 4 in
@@ -91,11 +77,6 @@ let test_induced_subgraph () =
   Alcotest.(check int) "nodes" 3 (Graph.node_count sub);
   Alcotest.(check int) "edges kept" 3 (Graph.edge_count sub);
   Alcotest.(check (array int)) "mapping" [| 0; 1; 2 |] mapping
-
-let test_complement_degree_sum () =
-  let g = build [ (0, 1) ] 3 in
-  (* degrees 1,1,0 -> complement degrees 1,1,2 *)
-  Alcotest.(check int) "complement" 4 (Graph.complement_degree_sum g)
 
 let prop_adjacency_consistent =
   QCheck2.Test.make ~name:"adjacency mirrors edge list" ~count:100
@@ -249,14 +230,11 @@ let suite =
     Alcotest.test_case "neighbors sorted" `Quick test_neighbors_sorted;
     Alcotest.test_case "endpoints normalized" `Quick test_endpoints_normalized;
     Alcotest.test_case "find_edge" `Quick test_find_edge;
-    Alcotest.test_case "other_endpoint" `Quick test_other_endpoint;
     Alcotest.test_case "iter_edges" `Quick test_iter_edges;
-    Alcotest.test_case "fold_edges" `Quick test_fold_edges;
     Alcotest.test_case "iter_neighbors edge ids" `Quick test_iter_neighbors_edge_ids;
     Alcotest.test_case "max_degree" `Quick test_max_degree;
     Alcotest.test_case "of_edge_list" `Quick test_of_edge_list;
     Alcotest.test_case "induced subgraph" `Quick test_induced_subgraph;
-    Alcotest.test_case "complement degree sum" `Quick test_complement_degree_sum;
     QCheck_alcotest.to_alcotest prop_adjacency_consistent;
     QCheck_alcotest.to_alcotest prop_builder_matches_reference;
     Alcotest.test_case "golden digests of every family" `Quick test_golden_digests;

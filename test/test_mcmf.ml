@@ -4,7 +4,7 @@ let test_single_path () =
   let n = Mcmf.create 3 in
   let e0 = Mcmf.add_edge n ~src:0 ~dst:1 ~capacity:5 ~cost:(-2.0) in
   let e1 = Mcmf.add_edge n ~src:1 ~dst:2 ~capacity:3 ~cost:(-1.0) in
-  let flow, cost = Mcmf.min_cost_flow n ~source:0 ~sink:2 () in
+  let flow, cost = Mcmf.min_cost_flow n ~source:0 ~sink:2 in
   Alcotest.(check int) "bottleneck flow" 3 flow;
   Alcotest.(check (float 1e-9)) "cost" (-9.0) cost;
   Alcotest.(check int) "flow on e0" 3 (Mcmf.flow_on n e0);
@@ -13,16 +13,9 @@ let test_single_path () =
 let test_stops_at_nonnegative () =
   let n = Mcmf.create 2 in
   ignore (Mcmf.add_edge n ~src:0 ~dst:1 ~capacity:5 ~cost:1.0);
-  let flow, cost = Mcmf.min_cost_flow n ~source:0 ~sink:1 () in
+  let flow, cost = Mcmf.min_cost_flow n ~source:0 ~sink:1 in
   Alcotest.(check int) "no profitable path" 0 flow;
   Alcotest.(check (float 1e-9)) "zero cost" 0.0 cost
-
-let test_max_flow_ignores_sign () =
-  let n = Mcmf.create 2 in
-  ignore (Mcmf.add_edge n ~src:0 ~dst:1 ~capacity:5 ~cost:1.0);
-  let flow, cost = Mcmf.min_cost_max_flow n ~source:0 ~sink:1 in
-  Alcotest.(check int) "pushes anyway" 5 flow;
-  Alcotest.(check (float 1e-9)) "positive cost" 5.0 cost
 
 let test_chooses_cheaper_path () =
   (* two parallel 0->1->3 / 0->2->3 paths; cheaper one used first *)
@@ -31,15 +24,9 @@ let test_chooses_cheaper_path () =
   ignore (Mcmf.add_edge n ~src:1 ~dst:3 ~capacity:1 ~cost:0.0);
   ignore (Mcmf.add_edge n ~src:0 ~dst:2 ~capacity:1 ~cost:(-1.0));
   ignore (Mcmf.add_edge n ~src:2 ~dst:3 ~capacity:1 ~cost:0.0);
-  let flow, cost = Mcmf.min_cost_flow n ~source:0 ~sink:3 () in
+  let flow, cost = Mcmf.min_cost_flow n ~source:0 ~sink:3 in
   Alcotest.(check int) "both profitable" 2 flow;
   Alcotest.(check (float 1e-9)) "total" (-6.0) cost
-
-let test_max_flow_cap () =
-  let n = Mcmf.create 2 in
-  ignore (Mcmf.add_edge n ~src:0 ~dst:1 ~capacity:10 ~cost:(-1.0));
-  let flow, _ = Mcmf.min_cost_flow n ~source:0 ~sink:1 ~max_flow:4 () in
-  Alcotest.(check int) "respects cap" 4 flow
 
 let test_residual_rerouting () =
   (* classic rerouting: augmenting a second unit must use the residual
@@ -50,14 +37,14 @@ let test_residual_rerouting () =
   ignore (Mcmf.add_edge n ~src:0 ~dst:2 ~capacity:1 ~cost:(-1.0));
   ignore (Mcmf.add_edge n ~src:2 ~dst:1 ~capacity:1 ~cost:(-1.0));
   ignore (Mcmf.add_edge n ~src:1 ~dst:2 ~capacity:0 ~cost:0.0);
-  let flow, cost = Mcmf.min_cost_flow n ~source:0 ~sink:3 () in
+  let flow, cost = Mcmf.min_cost_flow n ~source:0 ~sink:3 in
   Alcotest.(check int) "single unit (1->3 is the only sink arc)" 1 flow;
   Alcotest.(check (float 1e-9)) "best path" (-20.0) cost
 
 let test_disconnected () =
   let n = Mcmf.create 3 in
   ignore (Mcmf.add_edge n ~src:0 ~dst:1 ~capacity:1 ~cost:(-1.0));
-  let flow, _ = Mcmf.min_cost_flow n ~source:0 ~sink:2 () in
+  let flow, _ = Mcmf.min_cost_flow n ~source:0 ~sink:2 in
   Alcotest.(check int) "unreachable sink" 0 flow
 
 let test_add_edge_validation () =
@@ -71,9 +58,7 @@ let suite =
   [
     Alcotest.test_case "single path" `Quick test_single_path;
     Alcotest.test_case "stops at nonnegative" `Quick test_stops_at_nonnegative;
-    Alcotest.test_case "max flow ignores sign" `Quick test_max_flow_ignores_sign;
     Alcotest.test_case "chooses cheaper path" `Quick test_chooses_cheaper_path;
-    Alcotest.test_case "max flow cap" `Quick test_max_flow_cap;
     Alcotest.test_case "residual rerouting" `Quick test_residual_rerouting;
     Alcotest.test_case "disconnected" `Quick test_disconnected;
     Alcotest.test_case "add_edge validation" `Quick test_add_edge_validation;

@@ -44,15 +44,6 @@ let test_transactions_asymmetric () =
   done;
   Alcotest.(check bool) "mostly asymmetric" true (!asym > 40)
 
-let test_symmetric_uniform () =
-  let m = M.symmetric_uniform ~seed:9 in
-  for i = 0 to 8 do
-    for j = 0 to 8 do
-      if i <> j then
-        Alcotest.(check (float 0.0)) "pairwise symmetric" (M.score m i j) (M.score m j i)
-    done
-  done
-
 let test_interest_positive_and_symmetric () =
   let m = M.interest ~seed:2 ~dims:6 in
   Alcotest.(check bool) "positive dot" true (M.score m 1 2 >= 0.0);
@@ -88,7 +79,6 @@ let suite =
     Alcotest.test_case "latency prefers closer" `Quick test_latency_prefers_closer;
     Alcotest.test_case "bandwidth is global" `Quick test_bandwidth_is_global;
     Alcotest.test_case "transactions asymmetric" `Quick test_transactions_asymmetric;
-    Alcotest.test_case "symmetric uniform" `Quick test_symmetric_uniform;
     Alcotest.test_case "interest metric" `Quick test_interest_positive_and_symmetric;
     Alcotest.test_case "interest invalid" `Quick test_interest_invalid;
     Alcotest.test_case "combine" `Quick test_combine;

@@ -179,13 +179,8 @@ let test_default_crash_patience () =
 (* semantics                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_active_and_end_time () =
+let test_end_time () =
   let sched = parse "part:0.1@2-6;burst:0.5@7-8" in
-  Alcotest.(check bool) "inactive before" false (Schedule.active sched ~at:1.9);
-  Alcotest.(check bool) "active inside" true (Schedule.active sched ~at:2.0);
-  Alcotest.(check bool) "half-open at until" false (Schedule.active sched ~at:6.0);
-  Alcotest.(check bool) "gap between episodes" false (Schedule.active sched ~at:6.5);
-  Alcotest.(check bool) "second episode" true (Schedule.active sched ~at:7.5);
   Alcotest.(check (float 1e-9)) "t_heal is the last until" 8.0
     (Schedule.end_time sched);
   Alcotest.(check (float 1e-9)) "empty heals at 0" 0.0 (Schedule.end_time [])
@@ -246,7 +241,7 @@ let suite =
     Alcotest.test_case "dup/duplicate spellings" `Quick test_faults_dup_spellings;
     Alcotest.test_case "default crash patience is named" `Quick
       test_default_crash_patience;
-    Alcotest.test_case "active windows and end_time" `Quick test_active_and_end_time;
+    Alcotest.test_case "end_time" `Quick test_end_time;
     Alcotest.test_case "partition outage" `Quick test_partition_outage;
     Alcotest.test_case "link + burst outage" `Quick test_link_and_burst_outage;
     Alcotest.test_case "flap duty cycle" `Quick test_flap_outage;

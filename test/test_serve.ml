@@ -71,6 +71,9 @@ let test_parse_rejections () =
       "1:join=0,leave=0,repref=0,query=0";  (* mix sums to zero *)
       "1:burst=2";                          (* unknown field *)
       "1:horizon=0";                        (* horizon must be positive *)
+      "1e308";                              (* rate x horizon overflows to inf *)
+      "1:horizon=1e300";                    (* rate x horizon past 10^6 *)
+      "1:oracle=0.000001";                  (* 10^8 oracle samples *)
     ]
 
 (* %.12g round-trips exactly on quarters, like the schedule spec's 64ths *)

@@ -56,12 +56,17 @@ let test_schedule () =
 let test_run_until () =
   let net : unit Sim.t = Sim.create ~nodes:1 ~delay:Sim.Unit () in
   let fired = ref 0 in
-  List.iter (fun d -> Sim.schedule net ~delay:d (fun () -> incr fired)) [ 1.0; 2.0; 5.0 ];
+  List.iter
+    (fun d -> Sim.schedule net ~delay:d (fun () -> incr fired))
+    [ 1.0; 2.0; 2.5; 5.0 ];
   Sim.run_until net 2.5;
-  Alcotest.(check int) "only early" 2 !fired;
-  Alcotest.(check bool) "clock <= horizon" true (Sim.now net <= 2.5);
+  (* the horizon is inclusive: the event exactly at 2.5 fires *)
+  Alcotest.(check int) "up to the horizon" 3 !fired;
+  Alcotest.(check (float 0.0)) "clock at the horizon" 2.5 (Sim.now net);
+  Alcotest.(check int) "later event still queued" 1 (Sim.pending_events net);
   Sim.run net;
-  Alcotest.(check int) "rest delivered" 3 !fired
+  Alcotest.(check int) "rest delivered" 4 !fired;
+  Alcotest.(check int) "nothing queued" 0 (Sim.pending_events net)
 
 let test_drop_faults () =
   let faults = Sim.faults ~drop:1.0 () in
@@ -165,20 +170,8 @@ let test_exponential_delay_positive () =
   Sim.run net;
   Alcotest.(check bool) "clock advanced" true (Sim.now net > 0.0)
 
-let test_per_link_delay () =
-  let net = Sim.create ~fifo:false ~nodes:3 ~delay:(Sim.PerLink (fun s d -> float_of_int (s + d))) () in
-  let order = ref [] in
-  Sim.set_handler net (fun ~src ~dst:_ _ -> order := src :: !order);
-  Sim.send net ~src:2 ~dst:0 ();
-  (* delay 2 *)
-  Sim.send net ~src:1 ~dst:0 ();
-  (* delay 1 *)
-  Sim.run net;
-  Alcotest.(check (list int)) "shorter link first" [ 2; 1 ] !order
-
 let test_same_timestamp_batch_order () =
-  (* deliveries sharing one timestamp must drain in send (seq) order —
-     the mailbox batching must not perturb the (at, seq) total order.
+  (* deliveries sharing one timestamp must drain in send (seq) order.
      Distinct links, so the FIFO clamp leaves all arrivals at exactly
      the unit delay and the whole burst is one timestamp *)
   let net = Sim.create ~nodes:21 ~delay:Sim.Unit () in
@@ -235,7 +228,6 @@ let suite =
     Alcotest.test_case "send range check" `Quick test_send_range_check;
     Alcotest.test_case "no handler fails" `Quick test_no_handler_fails;
     Alcotest.test_case "exponential delay" `Quick test_exponential_delay_positive;
-    Alcotest.test_case "per-link delay" `Quick test_per_link_delay;
     Alcotest.test_case "same-timestamp batch order" `Quick
       test_same_timestamp_batch_order;
     Alcotest.test_case "footprint tracks live events" `Quick

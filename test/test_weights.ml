@@ -19,21 +19,15 @@ let test_eq9_value () =
   | Some e -> Alcotest.(check (float 1e-9)) "w(1,2)" 1.5 (W.weight w e)
   | None -> Alcotest.fail "edge"
 
-let test_weight_uv () =
-  let _, p = tiny () in
-  let w = W.of_preference p in
-  Alcotest.(check (float 1e-9)) "weight_uv symmetric lookup" (W.weight_uv w 0 1)
-    (W.weight_uv w 1 0);
-  Alcotest.check_raises "not adjacent" Not_found (fun () -> ignore (W.weight_uv w 0 2))
-
 let test_combiners () =
-  let _, p = tiny () in
+  let g, p = tiny () in
+  let e01 = Option.get (Graph.find_edge g 0 1) in
   let sum = W.of_preference ~combiner:W.Sum p in
   let wmin = W.of_preference ~combiner:W.Min p in
   let prod = W.of_preference ~combiner:W.Product p in
-  Alcotest.(check (float 1e-9)) "min(0,1)" 0.25 (W.weight_uv wmin 0 1);
-  Alcotest.(check (float 1e-9)) "prod(0,1)" 0.25 (W.weight_uv prod 0 1);
-  Alcotest.(check (float 1e-9)) "sum(0,1)" 1.25 (W.weight_uv sum 0 1)
+  Alcotest.(check (float 1e-9)) "min(0,1)" 0.25 (W.weight wmin e01);
+  Alcotest.(check (float 1e-9)) "prod(0,1)" 0.25 (W.weight prod e01);
+  Alcotest.(check (float 1e-9)) "sum(0,1)" 1.25 (W.weight sum e01)
 
 let test_of_array_arity () =
   let g = Gen.ring 4 in
@@ -102,16 +96,6 @@ let test_heavier_consistent () =
   Alcotest.(check bool) "1.5 beats 1.25" true (W.heavier w e12 e01);
   Alcotest.(check bool) "asym" false (W.heavier w e01 e12)
 
-let test_total_and_max () =
-  let _, p = tiny () in
-  let w = W.of_preference p in
-  Alcotest.(check (float 1e-9)) "total" 2.75 (W.total w [| 0; 1 |]);
-  (match W.max_weight_edge w with
-  | Some e -> Alcotest.(check (float 1e-9)) "max is 1.5" 1.5 (W.weight w e)
-  | None -> Alcotest.fail "nonempty");
-  let empty = W.of_array (Graph.of_edge_list 2 []) [||] in
-  Alcotest.(check bool) "empty max" true (W.max_weight_edge empty = None)
-
 let test_positive_on_quota_graphs () =
   let g = Gen.gnm (Prng.create 13) ~n:50 ~m:150 in
   let p = P.random (Prng.create 14) g ~quota:(P.uniform_quota g 3) in
@@ -141,26 +125,26 @@ let prop_of_preference_by_slot =
       List.for_all
         (fun (combiner, combine) ->
           let w = W.of_preference ~combiner p in
-          Graph.fold_edges g
-            (fun ok e u v ->
-              ok
-              && Float.equal (W.weight w e)
-                   (combine (reference_half p u v) (reference_half p v u))
-              && Float.equal (W.half p u v) (reference_half p u v)
-              && Float.equal (W.half p v u) (reference_half p v u))
-            true)
+          let ok = ref true in
+          Graph.iter_edges g (fun e u v ->
+              if
+                not
+                  (Float.equal (W.weight w e)
+                     (combine (reference_half p u v) (reference_half p v u))
+                  && Float.equal (W.half p u v) (reference_half p u v)
+                  && Float.equal (W.half p v u) (reference_half p v u))
+              then ok := false);
+          !ok)
         [ (W.Sum, ( +. )); (W.Min, Float.min); (W.Product, ( *. )) ])
 
 let suite =
   [
     Alcotest.test_case "eq. 9 value" `Quick test_eq9_value;
-    Alcotest.test_case "weight_uv" `Quick test_weight_uv;
     Alcotest.test_case "combiners" `Quick test_combiners;
     Alcotest.test_case "of_array arity" `Quick test_of_array_arity;
     Alcotest.test_case "total order" `Quick test_total_order;
     Alcotest.test_case "order transitive spot" `Quick test_order_transitive_spot;
     Alcotest.test_case "heavier consistent" `Quick test_heavier_consistent;
-    Alcotest.test_case "total and max" `Quick test_total_and_max;
     Alcotest.test_case "positive on quota graphs" `Quick test_positive_on_quota_graphs;
     QCheck_alcotest.to_alcotest prop_of_preference_by_slot;
     Alcotest.test_case "of_array rejects non-finite" `Quick test_of_array_non_finite;
