@@ -267,12 +267,12 @@ let arrivals_conv =
    as `run`, plus the arrival-process spec; the exit code is the
    session verdict, which covers every engine run of the session (the
    bootstrap and each mutation), one line per failing run *)
-let serve_session spec arrivals handicap =
+let serve_session spec arrivals =
   match setup spec with
   | Error msg -> usage_error "serve" msg
   | Ok (cfg, inst) -> (
       match
-        Owp_serve.Serve.run ~handicap ~arrivals cfg inst.Owp_bench.Workloads.prefs
+        Owp_serve.Serve.run ~arrivals cfg inst.Owp_bench.Workloads.prefs
       with
       | Error msg -> usage_error "serve" msg
       | Ok out ->
@@ -296,14 +296,6 @@ let serve_cmd =
              $(i,oracle) (LIC sampling period) and $(i,warmup); e.g. \
              $(b,4:query=3,horizon=300).  All times are virtual.")
   in
-  let handicap =
-    Arg.(
-      value & opt float 0.0
-      & info [ "handicap" ] ~docv:"T"
-          ~doc:
-            "Add T virtual-time units to every request's service time — a \
-             synthetic latency regression for exercising the serve gate.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Drive the composed stack with a sustained request stream"
@@ -326,7 +318,7 @@ let serve_cmd =
               — and 1 otherwise, with one $(i,failed engine run) line per \
               failing run.";
          ])
-    Term.(const serve_session $ Owp_cli.term $ arrivals $ handicap)
+    Term.(const serve_session $ Owp_cli.term $ arrivals)
 
 (* ------------------------------------------------------------------ *)
 (* verify                                                               *)
@@ -484,9 +476,24 @@ let print_check_report inst report =
   if Checker.ok report then print_endline "all invariants hold"
   else Printf.printf "%d invariant violation(s)\n" (Checker.violation_count report)
 
+(* --drops and --max-configs steer the explorer only, and the Byzantine
+   explorer arms no link failures: a flag that would be ignored, or
+   that is out of range, is a usage error *)
 let check_cmdline spec matching_file explore max_configs drops list =
+  let flag_error flag k why = usage_error "check" (Printf.sprintf "--%s %d: %s" flag k why) in
   if list then check_list ()
   else
+    match (drops, max_configs) with
+    | Some k, _ when not explore -> flag_error "drops" k "needs --explore"
+    | _, Some k when not explore -> flag_error "max-configs" k "needs --explore"
+    | Some k, _ when k < 0 -> flag_error "drops" k "must be >= 0"
+    | _, Some k when k < 1 -> flag_error "max-configs" k "must be >= 1"
+    | Some k, _ when k > 0 && Option.is_some spec.Owp_cli.byzantine ->
+        flag_error "drops" k
+          "the Byzantine explorer arms no link failures; drop --drops or --byzantine"
+    | _ ->
+    let max_configs = Option.value max_configs ~default:2_000_000
+    and drops = Option.value drops ~default:0 in
     match Owp_cli.instance spec with
     | Error msg -> usage_error "check" msg
     | Ok inst ->
@@ -557,16 +564,21 @@ let check_cmd =
   in
   let max_configs =
     Arg.(
-      value & opt int 2_000_000
+      value
+      & opt (some int) None
       & info [ "max-configs" ] ~docv:"K"
-          ~doc:"State-space bound for --explore; the search reports truncation.")
+          ~doc:
+            "With --explore: state-space bound (default 2000000); the search \
+             reports truncation.")
   in
   let drops =
     Arg.(
-      value & opt int 0
+      value
+      & opt (some int) None
       & info [ "drops" ] ~docv:"K"
           ~doc:
-            "With --explore: adversarial link-failure budget.  The explorer \
+            "With --explore and without $(b,--byzantine): adversarial \
+             link-failure budget (default 0).  The explorer \
              interleaves up to K permanent link failures (in-flight messages die, \
              both endpoints run the transport's give-up recovery) with every \
              delivery order, and demands termination on all of them (Lemma 5 under \
@@ -687,7 +699,17 @@ let lint_cmd =
 let chaos spec trials max_episodes horizon from_spec =
   let module Chaos = Owp_bench.Chaos in
   let seed = spec.Owp_cli.seed in
-  if not (Schedule.is_empty spec.Owp_cli.schedule) then begin
+  let flag_error flag v why = usage_error "chaos" (Printf.sprintf "--%s %s: %s" flag v why) in
+  if not (Float.is_finite horizon && horizon > 0.0) then
+    flag_error "horizon" (Printf.sprintf "%g" horizon) "must be finite and positive"
+  else if 64.0 *. horizon >= 0x1p53 then
+    (* Chaos.generate draws episode bounds on a 1/64 grid *)
+    flag_error "horizon" (Printf.sprintf "%g" horizon)
+      "the 1/64 schedule grid is exact only below 2^47"
+  else if max_episodes < 1 then
+    flag_error "max-episodes" (string_of_int max_episodes) "must be >= 1"
+  else if trials < 1 then flag_error "trials" (string_of_int trials) "must be >= 1"
+  else if not (Schedule.is_empty spec.Owp_cli.schedule) then begin
     Printf.eprintf
       "chaos: generates its own schedules; use --from SPEC to replay one\n";
     2
@@ -810,44 +832,11 @@ let chaos_cmd =
 (* bench                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* bench --deadline T: the anytime smoke gate.  A trimmed E25 preset —
-   budgeted runs up to T must all certify (feasible + prefix of the
-   full run) and satisfaction must be monotone in the budget on the
-   fixed seed. *)
-let bench_anytime_gate d =
-  if d <= 0.0 then begin
-    Printf.eprintf "bench: --deadline %g: the budget is a positive virtual-time horizon\n" d;
-    2
-  end
-  else begin
-    let module E25 = Owp_bench.E25_deadline in
-    let s = E25.smoke ~deadline:d () in
-    List.iter
-      (fun (p : Owp_bench.Anytime_curves.point) ->
-        Printf.printf
-          "  budget %6.2f     : %5.1f%% of full-run satisfaction, %d blocking \
-           pair(s), %d link(s)%s\n"
-          p.Owp_bench.Anytime_curves.budget
-          (100.0 *. p.Owp_bench.Anytime_curves.retained)
-          p.Owp_bench.Anytime_curves.blocking_pairs
-          p.Owp_bench.Anytime_curves.served_edges
-          (if p.Owp_bench.Anytime_curves.certified then "" else "  [VOID]"))
-      s.E25.curve;
-    Printf.printf "anytime gate        : certified %b, monotone %b\n" s.E25.certified
-      s.E25.monotone;
-    if s.E25.certified && s.E25.monotone then begin
-      print_endline "anytime gate        : PASS";
-      0
-    end
-    else begin
-      print_endline "anytime gate        : FAIL";
-      1
-    end
-  end
-
-(* bench --gate: the CI regression gate.  Two presets back to back: the
-   E23 scale smoke (indexed engine vs reference) and the E27 serve
-   smoke (latency percentiles and steady satisfaction of a short
+(* bench --gate: the CI regression gate.  Three presets back to back:
+   the E23 scale smoke (indexed engine vs reference), the E25 anytime
+   smoke (budgets up to 8 must all certify — feasible + prefix of the
+   full run — with satisfaction monotone in the budget) and the E27
+   serve smoke (latency percentiles and steady satisfaction of a short
    sustained-traffic session against fixed bounds).  --inject plants a
    known regression — extra per-request latency or unguarded liars —
    so CI can check the gate actually trips. *)
@@ -862,6 +851,18 @@ let bench_gate ~inject spec =
     s.Owp_bench.E23_scale.identical
     && s.Owp_bench.E23_scale.indexed_ms <= s.Owp_bench.E23_scale.reference_ms
   in
+  let module E25 = Owp_bench.E25_deadline in
+  let curve = E25.smoke () in
+  List.iter
+    (fun (p : E25.point) ->
+      Printf.printf
+        "  budget %6.2f     : %5.1f%% of full-run satisfaction, %d blocking \
+         pair(s), %d link(s)%s\n"
+        p.E25.budget (100.0 *. p.E25.retained) p.E25.blocking_pairs p.E25.served_edges
+        (if p.E25.certified then "" else "  [VOID]"))
+    curve;
+  let certified = E25.all_certified curve and monotone = E25.monotone curve in
+  Printf.printf "anytime gate        : certified %b, monotone %b\n" certified monotone;
   (* the serve gate's stack comes from the shared bundle (default:
      plain LID), so a CI job can gate any composition *)
   let spec =
@@ -889,7 +890,7 @@ let bench_gate ~inject spec =
              (bound %.4f)\n"
             g.E27.p50 g.E27.p99 g.E27.p99_bound g.E27.steady g.E27.steady_bound;
           Printf.printf "serve deterministic : %b\n" g.E27.deterministic;
-          if scale_ok && g.E27.passed then begin
+          if scale_ok && certified && monotone && g.E27.passed then begin
             print_endline "bench gate          : PASS";
             0
           end
@@ -904,10 +905,11 @@ let bench quick json_dir gate inject spec ids =
      collections, and a relaxed space overhead stops the major GC from
      dominating the matching-extraction phase at the 10^5+ sizes *)
   Gc.set { (Gc.get ()) with minor_heap_size = 2_097_152; space_overhead = 200 };
-  match spec.Owp_cli.deadline with
-  | Some d -> bench_anytime_gate d
-  | None ->
-  if gate then bench_gate ~inject spec
+  if Option.is_some spec.Owp_cli.deadline || Option.is_some spec.Owp_cli.max_rounds then
+    usage_error "bench"
+      "--deadline/--max-rounds: not bench flags; the anytime gate runs inside `owp \
+       bench --gate`"
+  else if gate then bench_gate ~inject spec
   else begin
     Option.iter
       (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
@@ -940,10 +942,11 @@ let bench_cmd =
       & info [ "gate" ]
           ~doc:
             "CI regression gate: run the small E23 preset (indexed engine must \
-             match the reference edge set and be at least as fast) and the E27 \
-             serve preset (p99 latency and steady-state satisfaction of a short \
-             sustained-traffic session against fixed bounds, byte-identical \
-             across repeats).")
+             match the reference edge set and be at least as fast), the E25 \
+             anytime preset (every budget up to 8 certified, satisfaction \
+             monotone in the budget) and the E27 serve preset (p99 latency \
+             and steady-state satisfaction of a short sustained-traffic \
+             session against fixed bounds, byte-identical across repeats).")
   in
   let inject =
     Arg.(
@@ -965,7 +968,7 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Run experiments with the scale knobs: --json, --gate, --deadline")
+       ~doc:"Run experiments with the scale knobs: --json, --gate")
     Term.(
       const bench $ quick $ json_dir $ gate $ inject $ Owp_cli.term $ ids)
 

@@ -136,8 +136,8 @@ let deadline_arg =
            proposals released on both sides) and report a certified anytime \
            outcome instead of running to quiescence.  Composes with every \
            other layer flag; give either this or $(b,--max-rounds), not both.  \
-           ($(b,owp bench) reads it as the anytime smoke-gate budget; \
-           $(b,owp serve) applies it per request.)")
+           ($(b,owp serve) applies it per request; $(b,owp bench) and \
+           $(b,owp chaos) reject it.)")
 
 let max_rounds_arg =
   Arg.(

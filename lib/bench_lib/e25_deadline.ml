@@ -6,20 +6,89 @@
    against the unbudgeted reference grows monotonically, residual
    blocking pairs shrink, and there is no cliff where the protocol is
    worthless below some threshold (Floréen et al. 0812.4893: truncated
-   local matching still carries most of the payoff).
+   local matching still carries most of the payoff).  LID locks its
+   heaviest connections early (locally heaviest edges need no
+   coordination), so most of the final satisfaction is in place after a
+   couple of message round-trips.
+
+   Every point is a budgeted Stack.run whose frozen matching goes
+   through the Anytime certificate checker — the same path `owp run
+   --deadline` serves.  Points count mutually locked links only: a
+   half-lock whose completing PROP is still in flight at the cutoff is
+   not served.
 
    Three tables: E25a sweeps budgets across the graph families on the
-   clean stack; E25b replays the sweep under a lossy reordering channel
-   masked by the ARQ transport and under guarded 20% weight-liars (the
-   reference of each curve is the unbudgeted run of the SAME stack, so
-   the comparison is relativized exactly like E22/E24); E25c is the
-   acceptance table the CI anytime gate mirrors. *)
+   clean stack, with the virtual time the unbudgeted run quiesces at;
+   E25b replays the sweep under a lossy reordering channel masked by
+   the ARQ transport and under guarded 20% weight-liars (the reference
+   of each curve is the unbudgeted run of the SAME stack, so the
+   comparison is relativized exactly like E22/E24); E25c is the
+   acceptance table.  [smoke] is the anytime leg of `owp bench
+   --gate`. *)
 
 module Tbl = Owp_util.Tablefmt
 module Sim = Owp_simnet.Simnet
 module Adversary = Owp_simnet.Adversary
 module Stack = Owp_core.Stack
-module AC = Anytime_curves
+module A = Owp_check.Anytime
+module BM = Owp_matching.Bmatching
+
+type point = {
+  budget : float;
+  retained : float;  (* satisfaction ratio vs the full run, in [0,1] *)
+  weight_retained : float;
+  blocking_pairs : int;
+  served_edges : int;
+  certified : bool;  (* feasible and a prefix of the full run *)
+}
+
+(* [curve inst ~budgets run] calls [run None] once for the unbudgeted
+   reference (returned alongside the points so callers can report its
+   completion time) and [run (Some b)] per budget; the closure owns
+   every layer flag so one helper serves plain, faulty, reliable and
+   guarded-Byzantine stacks alike. *)
+let curve (inst : Workloads.instance) ~budgets (run : float option -> Stack.report) =
+  let full = run None in
+  let reference = BM.edge_ids full.Stack.matching in
+  ( full,
+    List.map
+      (fun budget ->
+        let r = run (Some budget) in
+        let cert =
+          A.check
+            (A.instance ~prefs:inst.Workloads.prefs ~reference inst.Workloads.weights
+               ~capacity:inst.Workloads.capacity ~budget
+               ~edges:(BM.edge_ids r.Stack.matching))
+        in
+        {
+          budget;
+          retained = Option.value cert.A.satisfaction_retained ~default:1.0;
+          weight_retained = Option.value cert.A.weight_retained ~default:1.0;
+          blocking_pairs = cert.A.blocking_pairs;
+          served_edges = cert.A.matched_edges;
+          certified = A.certified cert;
+        })
+      budgets )
+
+(* satisfaction non-decreasing along the budget axis, up to float noise:
+   the graceful-degradation claim E25c and the bench gate check *)
+let monotone points =
+  let rec go = function
+    | a :: (b :: _ as rest) -> a.retained <= b.retained +. 1e-9 && go rest
+    | _ -> true
+  in
+  go points
+
+let all_certified points = List.for_all (fun p -> p.certified) points
+
+(* largest satisfaction jump between adjacent budgets — the "cliff"
+   statistic: graceful curves keep it well below the whole payoff *)
+let max_step points =
+  let rec go acc = function
+    | a :: (b :: _ as rest) -> go (Float.max acc (b.retained -. a.retained)) rest
+    | _ -> acc
+  in
+  go 0.0 points
 
 let budgets = [ 1.0; 2.0; 3.0; 5.0; 8.0 ]
 
@@ -27,63 +96,66 @@ let budgets = [ 1.0; 2.0; 3.0; 5.0; 8.0 ]
    proportionally longer axis *)
 let fault_budgets = [ 2.0; 4.0; 6.0; 10.0; 16.0 ]
 
-let curve_rows t ~label (points : AC.point list) =
+let columns first =
+  [
+    (first, Tbl.Left);
+    ("budget", Tbl.Right);
+    ("S retained", Tbl.Right);
+    ("W retained", Tbl.Right);
+    ("blocking", Tbl.Right);
+    ("links", Tbl.Right);
+    ("certified", Tbl.Left);
+  ]
+
+let curve_rows t ~label ?(extra = []) points =
   List.iter
-    (fun (p : AC.point) ->
+    (fun p ->
       Tbl.add_row t
-        [
-          label;
-          Tbl.fcell2 p.AC.budget;
-          Tbl.pct p.AC.retained;
-          Tbl.pct p.AC.weight_retained;
-          Tbl.icell p.AC.blocking_pairs;
-          Tbl.icell p.AC.served_edges;
-          Exp_common.yn p.AC.certified;
-        ])
+        ([
+           label;
+           Tbl.fcell2 p.budget;
+           Tbl.pct p.retained;
+           Tbl.pct p.weight_retained;
+           Tbl.icell p.blocking_pairs;
+           Tbl.icell p.served_edges;
+           Exp_common.yn p.certified;
+         ]
+        @ extra))
     points
 
 let run ~quick =
-  let n = if quick then 80 else 300 in
-  let mk family = Workloads.make ~seed:25 ~family ~pref_model:Workloads.Random_prefs ~n ~quota:3 in
-  let sweep inst run_budget ~budgets =
-    AC.curve ~prefs:inst.Workloads.prefs ~weights:inst.Workloads.weights
-      ~capacity:inst.Workloads.capacity ~budgets run_budget
-  in
   (* E25a: clean stack, one curve per family *)
+  let n = if quick then 400 else 2000 in
   let t1 =
     Tbl.create
       ~title:
         (Printf.sprintf
            "E25a: satisfaction/blocking pairs vs deadline budget (LID frozen at \
-            cutoff, n = %d, b = 3; retained vs the unbudgeted run)"
+            cutoff, n = %d, b = 3; retained vs the unbudgeted run, which quiesces \
+            at the final time)"
            n)
-      [
-        ("family", Tbl.Left);
-        ("budget", Tbl.Right);
-        ("S retained", Tbl.Right);
-        ("W retained", Tbl.Right);
-        ("blocking", Tbl.Right);
-        ("links", Tbl.Right);
-        ("certified", Tbl.Left);
-      ]
+      (columns "family" @ [ ("final time", Tbl.Right) ])
   in
   let family_curves =
     List.map
       (fun family ->
-        let inst = mk family in
-        let _, points =
-          sweep inst ~budgets (fun d ->
-              Stack.run ~seed:25 ?deadline:d inst.Workloads.weights
+        let inst =
+          Workloads.make ~seed:19 ~family ~pref_model:Workloads.Random_prefs ~n ~quota:3
+        in
+        let full, points =
+          curve inst ~budgets (fun d ->
+              Stack.run ~seed:20 ?deadline:d inst.Workloads.weights
                 ~capacity:inst.Workloads.capacity)
         in
-        (Workloads.family_name family, points))
+        (Workloads.family_name family, full, points))
       Workloads.standard_families
   in
   List.iteri
-    (fun i (name, points) ->
+    (fun i (name, full, points) ->
       if i > 0 then Tbl.add_separator t1;
-      curve_rows t1 ~label:name points)
+      curve_rows t1 ~label:name ~extra:[ Tbl.fcell2 full.Stack.completion_time ] points)
     family_curves;
+  let family_curves = List.map (fun (_, _, points) -> points) family_curves in
   (* E25b: the same sweep under adverse layers — each curve relative to
      the unbudgeted run of its own stack *)
   let t2 =
@@ -91,20 +163,16 @@ let run ~quick =
       ~title:
         "E25b: the sweep under adverse layers (drop = 0.1 + reorder = 0.3 with \
          ARQ; guarded 20% weight-liars), Gnm avg deg 8"
-      [
-        ("stack", Tbl.Left);
-        ("budget", Tbl.Right);
-        ("S retained", Tbl.Right);
-        ("W retained", Tbl.Right);
-        ("blocking", Tbl.Right);
-        ("links", Tbl.Right);
-        ("certified", Tbl.Left);
-      ]
+      (columns "stack")
   in
-  let inst = mk (Workloads.Gnm_avg_deg 8.0) in
+  let n = if quick then 80 else 300 in
+  let inst =
+    Workloads.make ~seed:25 ~family:(Workloads.Gnm_avg_deg 8.0)
+      ~pref_model:Workloads.Random_prefs ~n ~quota:3
+  in
   let faults = Sim.faults ~drop:0.1 ~reorder:0.3 () in
   let _, faulty =
-    sweep inst ~budgets:fault_budgets (fun d ->
+    curve inst ~budgets:fault_budgets (fun d ->
         Stack.run ~seed:25 ~fifo:false ~faults ~reliable:true ?deadline:d
           inst.Workloads.weights ~capacity:inst.Workloads.capacity)
   in
@@ -112,31 +180,27 @@ let run ~quick =
     Adversary.assign (Owp_util.Prng.create 0xE25) ~n (Adversary.parse_spec "liar:0.2")
   in
   let _, guarded =
-    sweep inst ~budgets (fun d ->
+    curve inst ~budgets (fun d ->
         Stack.run ~seed:25 ~adversaries ~guard:true ~prefs:inst.Workloads.prefs
           ?deadline:d inst.Workloads.weights ~capacity:inst.Workloads.capacity)
   in
   curve_rows t2 ~label:"drop+reorder, ARQ" faulty;
   Tbl.add_separator t2;
   curve_rows t2 ~label:"liar:0.2, guard" guarded;
-  (* E25c: acceptance — the claims the CI anytime gate re-checks *)
-  let all_points =
-    List.concat_map snd family_curves @ faulty @ guarded
-  in
-  let plain_monotone = List.for_all (fun (_, ps) -> AC.monotone ps) family_curves in
+  (* E25c: acceptance *)
+  let all_points = List.concat family_curves @ faulty @ guarded in
   let mid_payoff =
     List.for_all
-      (fun (_, ps) ->
-        match List.find_opt (fun (p : AC.point) -> Float.equal p.AC.budget 3.0) ps with
-        | Some p -> p.AC.retained >= 0.5
+      (fun ps ->
+        match List.find_opt (fun p -> Float.equal p.budget 3.0) ps with
+        | Some p -> p.retained >= 0.5
         | None -> false)
       family_curves
   in
   let worst_step =
     List.fold_left
-      (fun acc ps -> Float.max acc (AC.max_step ps))
-      (AC.max_step faulty)
-      (guarded :: List.map snd family_curves)
+      (fun acc ps -> Float.max acc (max_step ps))
+      (max_step faulty) (guarded :: family_curves)
   in
   let t3 =
     Tbl.create ~title:"E25c: acceptance" [ ("claim", Tbl.Left); ("holds", Tbl.Left) ]
@@ -145,15 +209,15 @@ let run ~quick =
     [
       [
         "every budgeted run certifies (feasible + prefix of its full run)";
-        Exp_common.yn (AC.all_certified all_points);
+        Exp_common.yn (all_certified all_points);
       ];
       [
         "satisfaction monotone in the budget on every family (fixed seed)";
-        Exp_common.yn plain_monotone;
+        Exp_common.yn (List.for_all monotone family_curves);
       ];
       [
         "adverse sweeps stay monotone (ARQ channel, guarded liars)";
-        Exp_common.yn (AC.monotone faulty && AC.monotone guarded);
+        Exp_common.yn (monotone faulty && monotone guarded);
       ];
       [ "half the payoff is served by t = 3 on every family"; Exp_common.yn mid_payoff ];
       [
@@ -165,30 +229,18 @@ let run ~quick =
     ];
   [ t1; t2; t3 ]
 
-(* the trimmed preset behind `owp bench --deadline T`: budgets climbing
-   to T on one small instance; the gate demands certification at every
-   budget and monotone satisfaction *)
-type smoke_result = {
-  curve : AC.point list;
-  certified : bool;
-  monotone : bool;
-}
-
-let smoke ?(deadline = 8.0) () =
+(* the anytime leg of `owp bench --gate`: budgets climbing to 8 on one
+   small instance; the gate demands certification at every budget and
+   monotone satisfaction *)
+let smoke () =
   let inst =
     Workloads.make ~seed:25 ~family:(Workloads.Gnm_avg_deg 6.0)
       ~pref_model:Workloads.Random_prefs ~n:60 ~quota:2
   in
-  let budgets =
-    List.map (fun f -> f *. deadline) [ 0.25; 0.5; 0.75; 1.0 ]
-  in
-  let _, points =
-    AC.curve ~prefs:inst.Workloads.prefs ~weights:inst.Workloads.weights
-      ~capacity:inst.Workloads.capacity ~budgets (fun d ->
-        Stack.run ~seed:25 ?deadline:d inst.Workloads.weights
-          ~capacity:inst.Workloads.capacity)
-  in
-  { curve = points; certified = AC.all_certified points; monotone = AC.monotone points }
+  snd
+    (curve inst ~budgets:[ 2.0; 4.0; 6.0; 8.0 ] (fun d ->
+         Stack.run ~seed:25 ?deadline:d inst.Workloads.weights
+           ~capacity:inst.Workloads.capacity))
 
 let exp =
   {

@@ -19,7 +19,6 @@ let all =
     E16_dynamic.exp;
     E17_floors.exp;
     E18_bipartite.exp;
-    E19_anytime.exp;
     E20_coverage.exp;
     E21_reliable.exp;
     E22_byzantine.exp;

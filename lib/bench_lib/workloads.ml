@@ -33,8 +33,10 @@ let family_problem = function
   | Geometric r ->
       if r >= 0.0 && Float.is_finite r then None else Some "R must be finite and >= 0"
   | Torus -> None
-  | Power_law (e, _) ->
-      if e > 1.0 && Float.is_finite e then None else Some "EXP must be finite and > 1"
+  | Power_law (e, d) ->
+      if not (e > 1.0 && Float.is_finite e) then Some "EXP must be finite and > 1"
+      else if d < 1 then Some "MINDEG must be >= 1"
+      else None
 
 let family_syntax = "gnp:P | deg:D | ba:M | ws:K:BETA | geo:R | torus | pl:EXP:MINDEG"
 
@@ -67,6 +69,7 @@ let fits family ~n =
   match family with
   | Ba m when n <= m -> need (Printf.sprintf "n > m = %d" m)
   | Ws (k, _) when n <= 2 * k -> need (Printf.sprintf "n > 2k = %d" (2 * k))
+  | Power_law (_, d) when n <= d -> need (Printf.sprintf "n > mindeg = %d" d)
   | _ -> Ok ()
 
 let standard_families = [ Gnm_avg_deg 8.0; Ba 4; Ws (4, 0.1); Geometric 0.08 ]
@@ -111,7 +114,12 @@ let build_graph rng family n =
   match family with
   | Gnp p -> (Gen.gnp rng ~n ~p, None)
   | Gnm_avg_deg d ->
-      let m = min (n * (n - 1) / 2) (int_of_float (float_of_int n *. d /. 2.0)) in
+      (* clamped in floats: n * D / 2 may not fit an int, and D >= n - 1
+         means the complete graph *)
+      let m =
+        int_of_float
+          (Float.min (float_of_int (n * (n - 1) / 2)) (float_of_int n *. d /. 2.0))
+      in
       (Gen.gnm rng ~n ~m, None)
   | Ba m -> (Gen.barabasi_albert rng ~n ~m, None)
   | Ws (k, beta) -> (Gen.watts_strogatz rng ~n ~k ~beta, None)

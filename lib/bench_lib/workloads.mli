@@ -16,12 +16,13 @@ val family_of_string : string -> (family, string) result
 (** Parse the [--family] syntax: [gnp:P | deg:D | ba:M | ws:K:BETA |
     geo:R | torus | pl:EXP:MINDEG].  [Error] on malformed input and on
     any value the generator would reject whatever [n] is, on a
-    non-finite number, and on a negative radius or degree. *)
+    non-finite number, on a negative radius or degree, and on a
+    power-law MINDEG below 1. *)
 
 val fits : family -> n:int -> (unit, string) result
 (** Does the family build a graph on [n] nodes?  [Error] for the
     values only this [n] rules out: [ba:M] needs [n > M], [ws:K:BETA]
-    needs [n > 2K]. *)
+    needs [n > 2K], [pl:EXP:MINDEG] needs [n > MINDEG]. *)
 
 val standard_families : family list
 (** The four families the experiment tables sweep by default. *)

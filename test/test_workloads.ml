@@ -36,10 +36,11 @@ let test_small_instances () =
     insts
 
 let test_registry () =
-  Alcotest.(check int) "twenty-eight experiments" 28 (List.length E.all);
+  Alcotest.(check int) "twenty-seven experiments" 27 (List.length E.all);
   Alcotest.(check bool) "find e3" true (E.find "e3" <> None);
   Alcotest.(check bool) "find e27" true (E.find "e27" <> None);
   Alcotest.(check bool) "e28 folded into e23" true (E.find "e28" = None);
+  Alcotest.(check bool) "e19 folded into e25" true (E.find "e19" = None);
   Alcotest.(check bool) "find E10" true (E.find "E10" <> None);
   Alcotest.(check bool) "find e16" true (E.find "e16" <> None);
   Alcotest.(check bool) "unknown" true (E.find "e99" = None)
@@ -70,7 +71,7 @@ let test_bad_instance_flags () =
     [
       "gnp:2"; "deg:-3"; "ws:0:0.1"; "ba:0"; "ba:-1"; "ws:1:1.5"; "pl:0.5:2";
       "gnp:nan"; "ws:4:nan"; "geo:nan"; "geo:inf"; "geo:-1"; "pl:nan:2";
-      "deg:inf"; "pl:inf:2"; "ba:x"; "ws:2"; "nope";
+      "deg:inf"; "pl:inf:2"; "pl:2.5:0"; "pl:2.5:-3"; "ba:x"; "ws:2"; "nope";
     ];
   List.iter
     (fun s ->
@@ -84,7 +85,7 @@ let test_bad_instance_flags () =
       | Ok f ->
           Alcotest.(check bool) (Printf.sprintf "%s on n = %d" s n) true
             (Result.is_error (W.fits f ~n)))
-    [ ("ba:5", 4); ("ws:3:0.1", 4) ]
+    [ ("ba:5", 4); ("ws:3:0.1", 4); ("pl:2.5:20", 20); ("pl:2.5:1000000000", 1000) ]
 
 let test_good_instance_flags () =
   List.iter
@@ -107,7 +108,9 @@ let test_good_instance_flags () =
       ("interest:4", W.Interest_prefs 4); ("bandwidth", W.Bandwidth_prefs);
       ("transactions", W.Transaction_prefs);
     ];
-  Alcotest.(check bool) "ba:4 fits n = 5" true (W.fits (W.Ba 4) ~n:5 = Ok ())
+  Alcotest.(check bool) "ba:4 fits n = 5" true (W.fits (W.Ba 4) ~n:5 = Ok ());
+  Alcotest.(check bool) "pl:2.5:9 fits n = 10" true
+    (W.fits (W.Power_law (2.5, 9)) ~n:10 = Ok ())
 
 (* the torus generator draws nothing from the PRNG, so its graph given
    to [of_graph] must get the same preference lists as [make] built on
