@@ -735,13 +735,14 @@ let chaos spec trials max_episodes horizon from_spec =
       Printf.printf "instance            : %s\n" inst.Owp_bench.Workloads.label;
       Printf.printf "stack               : %s\n" (RC.to_string cfg);
       let fails s = not (Chaos.run_one cfg prefs s).Chaos.passed in
+      let print_certificate c = print_string (Owp_check.Stabilize.to_string c) in
       let report_failure ~origin ~sched ~shrunk =
         let r = Chaos.run_one cfg prefs shrunk in
         Printf.printf "chaos               : FAIL (%s)\n" origin;
         Printf.printf "failing schedule    : %s\n" (Schedule.to_string sched);
         Printf.printf "shrunk reproducer   : %s (%d episode(s))\n"
           (Schedule.to_string shrunk) (List.length shrunk);
-        Option.iter print_string r.Chaos.certificate;
+        Option.iter print_certificate r.Chaos.certificate;
         Printf.printf
           "reproduce with      : owp run <same instance/stack flags> --schedule '%s'\n"
           (Schedule.to_string shrunk);
@@ -757,7 +758,7 @@ let chaos spec trials max_episodes horizon from_spec =
             let r = Chaos.run_one cfg prefs sched in
             Printf.printf "schedule            : %s\n" r.Chaos.summary;
             if r.Chaos.passed then begin
-              Option.iter print_string r.Chaos.certificate;
+              Option.iter print_certificate r.Chaos.certificate;
               print_endline "chaos               : PASS (schedule certifies)";
               0
             end
@@ -767,9 +768,19 @@ let chaos spec trials max_episodes horizon from_spec =
           let rep = Chaos.fuzz ~trials ~max_episodes ~horizon ~seed cfg prefs in
           match rep.Chaos.failure with
           | None ->
-              Printf.printf "chaos               : PASS (%d seeded trial(s) certified)\n"
-                rep.Chaos.trials_run;
-              0
+              Printf.printf "weather bit         : %d of %d trial(s) cut a message\n"
+                rep.Chaos.bitten rep.Chaos.trials_run;
+              if rep.Chaos.bitten = 0 then begin
+                print_endline
+                  "chaos               : VACUOUS (no trial's weather cut a message, so \
+                   nothing was tested; lower --horizon)";
+                1
+              end
+              else begin
+                Printf.printf "chaos               : PASS (%d seeded trial(s) certified)\n"
+                  rep.Chaos.trials_run;
+                0
+              end
           | Some (i, sched, shrunk) ->
               report_failure
                 ~origin:(Printf.sprintf "trial %d of %d, seed %d" (i + 1) trials seed)
@@ -819,7 +830,8 @@ let chaos_cmd =
               merging partition blocks, thinning link lists — to a minimal \
               reproducer that still fails, printed as a $(b,--schedule) spec.  \
               Exit status 0 when every trial certifies, 1 with a reproducer \
-              otherwise.";
+              otherwise, and 1 when no trial's weather cut a single message \
+              (the batch tested nothing).";
            `P
              "Note that a partition heals but a datagram loses what it dropped: \
               without $(b,--reliable) most non-trivial schedules genuinely break \
@@ -841,16 +853,12 @@ let chaos_cmd =
    known regression — extra per-request latency or unguarded liars —
    so CI can check the gate actually trips. *)
 let bench_gate ~inject spec =
-  let s = Owp_bench.E23_scale.smoke () in
+  let module E23 = Owp_bench.E23_scale in
+  let s = E23.smoke () in
   Printf.printf "scale gate          : reference %.2f ms, indexed %.2f ms (%.1fx)\n"
-    s.Owp_bench.E23_scale.reference_ms s.Owp_bench.E23_scale.indexed_ms
-    (if s.Owp_bench.E23_scale.indexed_ms <= 0.0 then infinity
-     else s.Owp_bench.E23_scale.reference_ms /. s.Owp_bench.E23_scale.indexed_ms);
-  Printf.printf "identical edge sets : %b\n" s.Owp_bench.E23_scale.identical;
-  let scale_ok =
-    s.Owp_bench.E23_scale.identical
-    && s.Owp_bench.E23_scale.indexed_ms <= s.Owp_bench.E23_scale.reference_ms
-  in
+    s.E23.reference_ms s.E23.indexed_ms (E23.speedup s);
+  Printf.printf "identical edge sets : %b\n" s.E23.identical;
+  let scale_ok = s.E23.identical && s.E23.indexed_ms <= s.E23.reference_ms in
   let module E25 = Owp_bench.E25_deadline in
   let curve = E25.smoke () in
   List.iter
@@ -909,23 +917,41 @@ let bench quick json_dir gate inject spec ids =
     usage_error "bench"
       "--deadline/--max-rounds: not bench flags; the anytime gate runs inside `owp \
        bench --gate`"
+  else if gate && (ids <> [] || Option.is_some json_dir) then
+    usage_error "bench" "--gate runs its own presets; drop the experiment ids and --json"
   else if gate then bench_gate ~inject spec
-  else begin
-    Option.iter
-      (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
-      json_dir;
-    let out = Format.std_formatter in
-    match ids with
-    | [] ->
-        Owp_bench.Experiments.run_all ~quick ?json_dir ~out ();
-        0
-    | ids ->
-        if List.for_all (Owp_bench.Experiments.run_one ~quick ?json_dir ~out) ids then 0
-        else begin
-          prerr_endline "unknown experiment id (see `owp list`)";
-          2
-        end
-  end
+  else if Option.is_some inject then usage_error "bench" "--inject needs --gate"
+  else
+    (* every argument is checked before the first experiment runs *)
+    let module E = Owp_bench.Experiments in
+    let unknown = List.filter (fun id -> Option.is_none (E.find id)) ids in
+    let json_error dir =
+      if Sys.file_exists dir then
+        if Sys.is_directory dir then None
+        else Some (Printf.sprintf "--json %s: not a directory" dir)
+      else
+        match Sys.mkdir dir 0o755 with
+        | () -> None
+        | exception Sys_error msg -> Some ("--json: cannot create " ^ msg)
+    in
+    if unknown <> [] then begin
+      List.iter
+        (fun id -> Printf.eprintf "bench: unknown experiment id %s (see `owp list`)\n" id)
+        unknown;
+      2
+    end
+    else
+      match Option.bind json_dir json_error with
+      | Some msg -> usage_error "bench" msg
+      | None -> (
+          let exps = if ids = [] then E.all else List.filter_map E.find ids in
+          match E.run ~quick ?json_dir ~out:Format.std_formatter exps with
+          | [] -> 0
+          | failed ->
+              List.iter
+                (fun (id, claim) -> Printf.eprintf "bench: %s claim does not hold: %s\n" id claim)
+                failed;
+              1)
 
 let bench_cmd =
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Trimmed sweeps.") in

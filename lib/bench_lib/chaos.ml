@@ -4,7 +4,12 @@ module Run_config = Owp_core.Run_config
 module Pipeline = Owp_core.Pipeline
 module Stabilize = Owp_check.Stabilize
 
-type result = { passed : bool; summary : string; certificate : string option }
+type result = {
+  passed : bool;
+  summary : string;
+  certificate : Stabilize.certificate option;
+  cut : int;
+}
 
 let run_one cfg prefs sched =
   let cfg = { cfg with Run_config.schedule = sched } in
@@ -21,7 +26,12 @@ let run_one cfg prefs sched =
             c.Stabilize.quiesced c.Stabilize.converged c.Stabilize.recovery_time
       | None -> "")
   in
-  { passed; summary; certificate = Option.map Stabilize.to_string stab }
+  let cut =
+    match out.Pipeline.detail with
+    | Pipeline.Stack r -> Owp_core.Stack.counter r ~layer:"schedule" "cut"
+    | Pipeline.Plain -> 0
+  in
+  { passed; summary; certificate = stab; cut }
 
 (* ------------------------------------------------------------------ *)
 (* generation                                                          *)
@@ -202,6 +212,7 @@ let shrink ~fails sched =
 
 type fuzz_report = {
   trials_run : int;
+  bitten : int;
   failure : (int * Schedule.t * Schedule.t) option;
 }
 
@@ -209,13 +220,16 @@ let fuzz ?(trials = 20) ?(max_episodes = 4) ?(horizon = 12.0) ~seed cfg prefs =
   let rng = Prng.create (seed lxor 0xC4A05) in
   let graph = Preference.graph prefs in
   let fails s = Schedule.is_empty s = false && not (run_one cfg prefs s).passed in
-  let rec go i =
-    if i >= trials then { trials_run = trials; failure = None }
+  let rec go i bitten =
+    if i >= trials then { trials_run = trials; bitten; failure = None }
     else begin
       let sched = generate rng ~graph ~horizon ~max_episodes in
-      if fails sched then
-        { trials_run = i + 1; failure = Some (i, sched, shrink ~fails sched) }
-      else go (i + 1)
+      let r = if Schedule.is_empty sched then None else Some (run_one cfg prefs sched) in
+      let bitten = match r with Some r when r.cut > 0 -> bitten + 1 | _ -> bitten in
+      match r with
+      | Some r when not r.passed ->
+          { trials_run = i + 1; bitten; failure = Some (i, sched, shrink ~fails sched) }
+      | _ -> go (i + 1) bitten
     end
   in
-  go 0
+  go 0 0

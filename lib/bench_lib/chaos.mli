@@ -21,8 +21,11 @@ type result = {
           stabilization certificate gates adversary-free, unbudgeted
           configs, and the damage audit gates adversarial ones) *)
   summary : string;  (** one line: gate verdicts and recovery time *)
-  certificate : string option;
-      (** rendered stabilization certificate, when the run produced one *)
+  certificate : Owp_check.Stabilize.certificate option;
+      (** the stabilization certificate, when the run produced one *)
+  cut : int;
+      (** messages the schedule cut on the wire (the stack's
+          [schedule]/[cut] counter); 0 without a protocol run *)
 }
 
 val run_one : Owp_core.Run_config.t -> Preference.t -> Owp_simnet.Schedule.t -> result
@@ -52,6 +55,9 @@ val shrink :
 
 type fuzz_report = {
   trials_run : int;
+  bitten : int;
+      (** trials whose weather cut at least one message: with none, the
+          episodes all missed the run and the fuzz tested nothing *)
   failure : (int * Owp_simnet.Schedule.t * Owp_simnet.Schedule.t) option;
       (** [(trial index, original schedule, shrunk reproducer)] of the
           first failing trial; [None] when every trial certified *)

@@ -49,6 +49,7 @@ let run ~quick =
         ("weights distinct", Tbl.Right);
       ]
   in
+  let as_expected = ref true in
   List.iter
     (fun model ->
       let acyclic = ref 0 and distinct = ref 0 and edges = ref 0 in
@@ -61,6 +62,8 @@ let run ~quick =
         distinct := !distinct + Weights.distinct_weights inst.Workloads.weights;
         edges := !edges + Graph.edge_count inst.Workloads.graph
       done;
+      let cyclic = model = Workloads.Random_prefs || model = Workloads.Transaction_prefs in
+      as_expected := !as_expected && !acyclic = if cyclic then 0 else 5;
       Tbl.add_row t2
         [
           Workloads.pref_model_name model;
@@ -74,7 +77,12 @@ let run ~quick =
       Workloads.Bandwidth_prefs;
       Workloads.Transaction_prefs;
     ];
-  [ t; t2 ]
+  ( [ t; t2 ],
+    [
+      ( "latency, interest and bandwidth preferences are acyclic on every sample, \
+         random and transaction ones on none",
+        !as_expected );
+    ] )
 
 let exp =
   {

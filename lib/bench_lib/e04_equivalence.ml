@@ -29,6 +29,7 @@ let run ~quick =
         ("max |w diff|", Tbl.Right);
       ]
   in
+  let all_equal = ref true in
   List.iter
     (fun family ->
       List.iter
@@ -58,6 +59,7 @@ let run ~quick =
                     Float.max !maxdiff
                       (Float.abs (BM.weight m inst.weights -. BM.weight lic inst.weights)))
                 seeds;
+              all_equal := !all_equal && !equal = !runs;
               Tbl.add_row t
                 [
                   Workloads.family_name family;
@@ -70,7 +72,8 @@ let run ~quick =
             delay_models)
         ns)
     Workloads.standard_families;
-  [ t ]
+  ( [ t ],
+    [ ("LID, indexed LIC and climbing LIC lock one edge set on every run (Lemmas 4/6)", !all_equal) ] )
 
 let exp =
   {

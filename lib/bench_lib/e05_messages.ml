@@ -6,6 +6,12 @@
 
 module Tbl = Owp_util.Tablefmt
 
+(* the columns of E5a and E5b, one row per run *)
+let columns =
+  List.map (fun c -> (c, Tbl.Right))
+    [ "n"; "m"; "b"; "PROP"; "REJ"; "msgs/node"; "msgs/edge"; "dropped"; "v-time" ]
+  @ [ ("terminated", Tbl.Left) ]
+
 let row t (inst : Workloads.instance) b =
   let r = Exp_common.run_lid inst in
   let n = Graph.node_count inst.graph and m = Graph.edge_count inst.graph in
@@ -22,7 +28,8 @@ let row t (inst : Workloads.instance) b =
       Tbl.icell r.Owp_core.Stack.dropped;
       Tbl.fcell2 r.Owp_core.Stack.completion_time;
       Exp_common.quiescence_cell r;
-    ]
+    ];
+  r.Owp_core.Stack.all_terminated
 
 let run ~quick =
   let ns = if quick then [ 200; 1000 ] else [ 200; 1000; 5000; 20000 ] in
@@ -30,55 +37,27 @@ let run ~quick =
     Tbl.create
       ~title:
         "E5a (Lemma 5): LID termination and message complexity vs n (avg deg 8, b = 3)"
-      [
-        ("n", Tbl.Right);
-        ("m", Tbl.Right);
-        ("b", Tbl.Right);
-        ("PROP", Tbl.Right);
-        ("REJ", Tbl.Right);
-        ("msgs/node", Tbl.Right);
-        ("msgs/edge", Tbl.Right);
-        ("dropped", Tbl.Right);
-        ("v-time", Tbl.Right);
-        ("terminated", Tbl.Left);
-      ]
+      columns
   in
+  let clean = ref true in
   List.iter
     (fun n ->
-      let inst =
-        Workloads.make ~seed:n ~family:(Workloads.Gnm_avg_deg 8.0)
-          ~pref_model:Workloads.Random_prefs ~n ~quota:3
-      in
-      row t1 inst 3)
+      let inst = Exp_common.gnm ~seed:n ~deg:8.0 ~n ~quota:3 in
+      clean := row t1 inst 3 && !clean)
     ns;
   let t2 =
-    Tbl.create
-      ~title:"E5b: message complexity vs quota b (G(n,m) avg deg 12, n = 2000)"
-      [
-        ("n", Tbl.Right);
-        ("m", Tbl.Right);
-        ("b", Tbl.Right);
-        ("PROP", Tbl.Right);
-        ("REJ", Tbl.Right);
-        ("msgs/node", Tbl.Right);
-        ("msgs/edge", Tbl.Right);
-        ("dropped", Tbl.Right);
-        ("v-time", Tbl.Right);
-        ("terminated", Tbl.Left);
-      ]
+    Tbl.create ~title:"E5b: message complexity vs quota b (G(n,m) avg deg 12, n = 2000)"
+      columns
   in
   let bs = if quick then [ 1; 4 ] else [ 1; 2; 4; 8; 12 ] in
   List.iter
     (fun b ->
-      let inst =
-        Workloads.make ~seed:(100 + b) ~family:(Workloads.Gnm_avg_deg 12.0)
-          ~pref_model:Workloads.Random_prefs ~n:2000 ~quota:b
-      in
-      row t2 inst b)
+      let inst = Exp_common.gnm ~seed:(100 + b) ~deg:12.0 ~n:2000 ~quota:b in
+      clean := row t2 inst b && !clean)
     bs;
   (* E5c: the dropped column above is always 0 on a clean channel; under
      loss it shows exactly how much of the conversation went missing and
-     why termination fails (the gap E21 closes with the transport) *)
+     why termination fails (the gap E24f closes with the transport) *)
   let t3 =
     Tbl.create
       ~title:"E5c: LID on a lossy channel (n = 500, avg deg 8, b = 3) — no recovery"
@@ -90,17 +69,16 @@ let run ~quick =
         ("terminated", Tbl.Left);
       ]
   in
+  let stuck = ref true in
   List.iter
     (fun drop ->
-      let inst =
-        Workloads.make ~seed:55 ~family:(Workloads.Gnm_avg_deg 8.0)
-          ~pref_model:Workloads.Random_prefs ~n:500 ~quota:3
-      in
+      let inst = Exp_common.gnm ~seed:55 ~deg:8.0 ~n:500 ~quota:3 in
       let faults = Owp_simnet.Simnet.faults ~drop () in
       let r =
         Owp_core.Stack.run ~seed:7 ~faults inst.Workloads.weights
           ~capacity:inst.Workloads.capacity
       in
+      if drop > 0.0 then stuck := !stuck && not r.Owp_core.Stack.all_terminated;
       Tbl.add_row t3
         [
           Tbl.fcell2 drop;
@@ -110,7 +88,11 @@ let run ~quick =
           Exp_common.quiescence_cell r;
         ])
     [ 0.0; 0.05; 0.2; 0.5 ];
-  [ t1; t2; t3 ]
+  ( [ t1; t2; t3 ],
+    [
+      ("LID terminates on every clean channel (Lemma 5)", !clean);
+      ("without recovery, every lossy channel leaves nodes stuck", !stuck);
+    ] )
 
 let exp =
   {

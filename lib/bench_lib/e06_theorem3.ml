@@ -22,7 +22,7 @@ let run ~quick =
         ("holds", Tbl.Left);
       ]
   in
-  let ratios = ref [] in
+  let ratios = ref [] and holds = ref true in
   List.iter
     (fun quota ->
       List.iter
@@ -42,6 +42,7 @@ let run ~quick =
             let bmax = Preference.max_quota inst.prefs in
             let bound = Owp_core.Theory.theorem3_bound ~bmax in
             ratios := ratio :: !ratios;
+            holds := !holds && ratio >= bound -. 1e-9;
             Tbl.add_row t
               [
                 inst.label;
@@ -60,7 +61,8 @@ let run ~quick =
   Tbl.add_row summary [ "instances"; Tbl.icell (List.length !ratios) ];
   Tbl.add_row summary [ "mean satisfaction ratio"; Tbl.fcell (Exp_common.mean !ratios) ];
   Tbl.add_row summary [ "min satisfaction ratio"; Tbl.fcell (Exp_common.minimum !ratios) ];
-  [ t; summary ]
+  ( [ t; summary ],
+    [ ("S(LID) >= 1/4(1+1/b_max) S(OPT) on every small instance (Theorem 3)", !holds) ] )
 
 let exp =
   {

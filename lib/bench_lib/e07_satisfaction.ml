@@ -24,9 +24,10 @@ let run ~quick =
         ("b=8", Tbl.Right);
       ]
   in
+  let quiesced = ref true and grows = ref true in
   List.iter
     (fun family ->
-      let cells =
+      let means =
         List.map
           (fun quota ->
             let inst =
@@ -34,11 +35,12 @@ let run ~quick =
                 ~pref_model:Workloads.Random_prefs ~n ~quota
             in
             let lid = Exp_common.run_lid inst in
-            let q = quality inst lid in
-            Tbl.fcell q.Owp_overlay.Quality.mean)
+            quiesced := !quiesced && lid.Owp_core.Stack.all_terminated;
+            (quality inst lid).Owp_overlay.Quality.mean)
           [ 1; 2; 4; 8 ]
       in
-      Tbl.add_row t1 (Workloads.family_name family :: cells))
+      grows := !grows && List.nth means 3 > List.hd means;
+      Tbl.add_row t1 (Workloads.family_name family :: List.map Tbl.fcell means))
     Workloads.standard_families;
   let t2 =
     Tbl.create
@@ -61,6 +63,7 @@ let run ~quick =
         Workloads.make ~seed:23 ~family:(Workloads.Ba 4) ~pref_model:model ~n ~quota:4
       in
       let lid = Exp_common.run_lid inst in
+      quiesced := !quiesced && lid.Owp_core.Stack.all_terminated;
       let q = quality inst lid in
       Tbl.add_row t2
         [
@@ -79,7 +82,11 @@ let run ~quick =
       Workloads.Bandwidth_prefs;
       Workloads.Transaction_prefs;
     ];
-  [ t1; t2 ]
+  ( [ t1; t2 ],
+    [
+      ("every LID run quiesces (Lemma 5)", !quiesced);
+      ("quota b = 8 serves a higher mean satisfaction than b = 1 on every family", !grows);
+    ] )
 
 let exp =
   {

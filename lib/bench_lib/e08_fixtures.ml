@@ -27,6 +27,7 @@ let run ~quick =
         ("warm rounds", Tbl.Right);
       ]
   in
+  let acyclic_stable = ref true and lid_wins = ref true in
   List.iter
     (fun model ->
       let inst =
@@ -59,6 +60,10 @@ let run ~quick =
           inst.prefs
       in
       let s_dyn = Exp_common.total_satisfaction inst.prefs dyn.Fixtures.matching in
+      (match model with
+      | Workloads.Bandwidth_prefs | Workloads.Latency_prefs ->
+          acyclic_stable := !acyclic_stable && dyn.Fixtures.stable
+      | _ -> lid_wins := !lid_wins && s_lid > s_dyn);
       Tbl.add_row t
         [
           Workloads.pref_model_name model;
@@ -77,7 +82,11 @@ let run ~quick =
       Workloads.Random_prefs;
       Workloads.Transaction_prefs;
     ];
-  [ t ]
+  ( [ t ],
+    [
+      ("blocking-pair dynamics stabilize on both acyclic systems", !acyclic_stable);
+      ("LID serves more satisfaction than the dynamics on both cyclic systems", !lid_wins);
+    ] )
 
 let exp =
   {

@@ -29,6 +29,7 @@ let run ~quick =
         ("disruption rebuild", Tbl.Right);
       ]
   in
+  let retains = ref true and calmer = ref true in
   List.iter
     (fun family ->
       let inst =
@@ -52,17 +53,24 @@ let run ~quick =
       in
       let s_incr, d_incr = aggregate incr_steps in
       let s_full, d_full = aggregate full_steps in
+      let retention = if Float.equal s_full 0.0 then 1.0 else s_incr /. s_full in
+      retains := !retains && retention >= 0.9;
+      calmer := !calmer && d_incr < d_full;
       Tbl.add_row t
         [
           Workloads.family_name family;
           Tbl.fcell s_incr;
           Tbl.fcell s_full;
-          Tbl.pct (if Float.equal s_full 0.0 then 1.0 else s_incr /. s_full);
+          Tbl.pct retention;
           Tbl.fcell2 d_incr;
           Tbl.fcell2 d_full;
         ])
     Workloads.standard_families;
-  [ t ]
+  ( [ t ],
+    [
+      ("incremental repair retains at least 90% of the rebuild's satisfaction", !retains);
+      ("incremental repair changes fewer edges per event than a rebuild", !calmer);
+    ] )
 
 let exp =
   {

@@ -22,6 +22,7 @@ let run ~quick =
         ("greedy/opt", Tbl.Right);
       ]
   in
+  let lic_is_preis = ref true and hoepman = ref true in
   List.iter
     (fun seed ->
       let inst =
@@ -38,6 +39,7 @@ let run ~quick =
         let lid = (Exp_common.run_lid inst).Owp_core.Stack.matching in
         let lic = Exp_common.run_lic inst in
         let preis = One.preis inst.weights in
+        lic_is_preis := !lic_is_preis && BM.equal lic preis;
         let pg = One.path_growing inst.weights in
         let greedy = One.global_greedy inst.weights in
         Tbl.add_row t
@@ -69,18 +71,16 @@ let run ~quick =
   let sizes = if quick then [ 200 ] else [ 200; 1000; 4000 ] in
   List.iter
     (fun n ->
-      let inst =
-        Workloads.make ~seed:n ~family:(Workloads.Gnm_avg_deg 8.0)
-          ~pref_model:Workloads.Random_prefs ~n ~quota:1
-      in
+      let inst = Exp_common.gnm ~seed:n ~deg:8.0 ~n ~quota:1 in
       let lid = Exp_common.run_lid inst in
       let hoep = Owp_core.Hoepman.run ~seed:(n + 1) inst.weights in
+      let same = BM.equal lid.Owp_core.Stack.matching hoep.Owp_core.Hoepman.matching in
+      hoepman := !hoepman && same;
       Tbl.add_row t2
         [
           Tbl.icell n;
           Tbl.icell (Graph.edge_count inst.graph);
-          (if BM.equal lid.Owp_core.Stack.matching hoep.Owp_core.Hoepman.matching then "yes"
-           else "no");
+          (if same then "yes" else "no");
           Tbl.icell (lid.Owp_core.Stack.prop_count + lid.Owp_core.Stack.rej_count);
           Tbl.icell
             (hoep.Owp_core.Hoepman.req_count + hoep.Owp_core.Hoepman.drop_count);
@@ -88,7 +88,11 @@ let run ~quick =
           Tbl.fcell2 hoep.Owp_core.Hoepman.completion_time;
         ])
     sizes;
-  [ t; t2 ]
+  ( [ t; t2 ],
+    [
+      ("LIC = Preis on every b = 1 instance", !lic_is_preis);
+      ("LID and Hoepman lock the same edge set at every n", !hoepman);
+    ] )
 
 let exp =
   {

@@ -35,22 +35,22 @@ let run ~quick =
         ("LID = LIC", Tbl.Left);
       ]
   in
-  let inst =
-    Workloads.make ~seed:3 ~family:(Workloads.Gnm_avg_deg 8.0)
-      ~pref_model:Workloads.Random_prefs ~n ~quota:3
-  in
+  let inst = Exp_common.gnm ~seed:3 ~deg:8.0 ~n ~quota:3 in
+  let exact = ref true in
   List.iter
     (fun levels ->
       let wq = quantize inst.weights levels in
       let lic = Owp_core.Lic_indexed.run wq ~capacity:inst.capacity in
       let lid = Owp_core.Stack.run ~seed:11 wq ~capacity:inst.capacity in
+      let same = BM.equal lid.Owp_core.Stack.matching lic in
+      exact := !exact && lid.Owp_core.Stack.all_terminated && same;
       Tbl.add_row t1
         [
           Tbl.icell levels;
           Tbl.icell (Weights.distinct_weights wq);
           Tbl.icell (Graph.edge_count inst.graph);
           Exp_common.quiescence_cell lid;
-          (if BM.equal lid.Owp_core.Stack.matching lic then "yes" else "NO");
+          Exp_common.yn same;
         ])
     [ 1000; 100; 10; 2; 1 ];
   let t2 =
@@ -68,13 +68,19 @@ let run ~quick =
     Exp_common.total_satisfaction inst.prefs m
   in
   let s_sum = sat_of Weights.Sum in
+  let sum_best = ref true in
   List.iter
     (fun (name, combiner) ->
       let s = sat_of combiner in
+      sum_best := !sum_best && s <= s_sum;
       Tbl.add_row t2
         [ name; Tbl.fcell s; Tbl.pct (if Float.equal s_sum 0.0 then 1.0 else s /. s_sum) ])
     [ ("Sum (eq. 9)", Weights.Sum); ("Min", Weights.Min); ("Product", Weights.Product) ];
-  [ t1; t2 ]
+  ( [ t1; t2 ],
+    [
+      ("LID terminates on LIC's edge set at every quantisation level", !exact);
+      ("eq. 9's Sum serves the most satisfaction of the three combiners", !sum_best);
+    ] )
 
 let exp =
   {

@@ -20,6 +20,7 @@ let run ~quick =
         ("moves", Tbl.Right);
       ]
   in
+  let never_worse = ref true and below_opt = ref true in
   List.iter
     (fun seed ->
       let inst =
@@ -36,6 +37,8 @@ let run ~quick =
         let _, s_opt =
           Owp_matching.Exact.max_satisfaction_bmatching ~max_edges:20 inst.Workloads.prefs
         in
+        never_worse := !never_worse && s1 >= s0 -. 1e-9;
+        below_opt := !below_opt && s1 <= s_opt +. 1e-9;
         let gap_closed =
           if s_opt -. s0 < 1e-9 then 1.0 else (s1 -. s0) /. (s_opt -. s0)
         in
@@ -75,6 +78,7 @@ let run ~quick =
           lid.Owp_core.Stack.matching
       in
       let s1 = Exp_common.total_satisfaction inst.Workloads.prefs improved in
+      never_worse := !never_worse && s1 >= s0 -. 1e-9;
       Tbl.add_row t2
         [
           Workloads.family_name family;
@@ -85,7 +89,11 @@ let run ~quick =
           Tbl.icell moves;
         ])
     Workloads.standard_families;
-  [ t; t2 ]
+  ( [ t; t2 ],
+    [
+      ("local search never lowers LID's satisfaction", !never_worse);
+      ("local search stays at or below the exact optimum", !below_opt);
+    ] )
 
 let exp =
   {

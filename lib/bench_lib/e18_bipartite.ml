@@ -31,6 +31,7 @@ let run ~quick =
         (">= 0.5", Tbl.Left);
       ]
   in
+  let half = ref true in
   List.iter
     (fun (left, right) ->
       let g, prefs, w, capacity =
@@ -47,6 +48,7 @@ let run ~quick =
         if Float.equal so 0.0 then 1.0
         else Exp_common.total_satisfaction prefs lid.Owp_core.Stack.matching /. so
       in
+      half := !half && wr >= 0.5 -. 1e-9;
       Tbl.add_row t
         [
           Printf.sprintf "%d+%d" left right;
@@ -56,7 +58,7 @@ let run ~quick =
           (if wr >= 0.5 -. 1e-9 then "yes" else "VIOLATED");
         ])
     sizes;
-  [ t ]
+  ([ t ], [ ("w(LID) >= w(OPT)/2 at every size (Theorem 2)", !half) ])
 
 let exp =
   {

@@ -23,6 +23,7 @@ let run ~quick =
         ("max-card satisfaction", Tbl.Right);
       ]
   in
+  let covers = ref true and happier = ref true in
   List.iter
     (fun family ->
       let inst =
@@ -32,6 +33,8 @@ let run ~quick =
       let lid = (Exp_common.run_lid inst).Owp_core.Stack.matching in
       let card = Owp_matching.Blossom.maximum_matching g in
       let s m = Exp_common.total_satisfaction inst.Workloads.prefs m in
+      covers := !covers && 4 * BM.size lid >= 3 * BM.size card;
+      happier := !happier && s lid > s card;
       Tbl.add_row t
         [
           Workloads.family_name family;
@@ -42,7 +45,11 @@ let run ~quick =
           Tbl.fcell (s card);
         ])
     Workloads.standard_families;
-  [ t ]
+  ( [ t ],
+    [
+      ("LID pairs at least 3/4 of a maximum matching on every family", !covers);
+      ("LID serves more satisfaction than a maximum matching on every family", !happier);
+    ] )
 
 let exp =
   {

@@ -37,10 +37,6 @@ module Stack = Owp_core.Stack
 module Lid = Owp_core.Lid
 module Simnet = Owp_simnet.Simnet
 
-let instance ~seed ~n ~deg ~quota =
-  Workloads.make ~seed ~family:(Workloads.Gnm_avg_deg deg)
-    ~pref_model:Workloads.Random_prefs ~n ~quota
-
 type lic_row = {
   n : int;
   m : int;
@@ -57,7 +53,7 @@ let speedup r = if r.indexed_ms <= 0.0 then infinity else r.reference_ms /. r.in
    collection between engines keeps one engine from paying the other's
    allocation debt and reports the repeatable floor, not the noise. *)
 let measure_lic ~seed ~n ~deg ~quota =
-  let inst = instance ~seed ~n ~deg ~quota in
+  let inst = Exp_common.gnm ~seed ~n ~deg ~quota in
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
   let best_of_two f = Exp_common.sample ~k:2 (fun () -> f) in
   let reference, reference_t =
@@ -144,7 +140,7 @@ let measure_build ~seed ~n ~deg ~quota =
    the timer, so each checker pays for the shared accounting it forces,
    as it would running alone. *)
 let measure_check ~seed ~n ~deg ~quota =
-  let inst = instance ~seed ~n ~deg ~quota in
+  let inst = Exp_common.gnm ~seed ~n ~deg ~quota in
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
   let prefs = inst.Workloads.prefs in
   let matching = Lic_indexed.run w ~capacity in
@@ -207,7 +203,7 @@ let check_table ~quota sizes =
    edges into the served matching.  [bare loop] times the four in one
    go, and Stack.run on the same instance must lock the same edges. *)
 let measure_lid ~seed ~n ~quota =
-  let inst = instance ~seed ~n ~deg:16.0 ~quota in
+  let inst = Exp_common.gnm ~seed ~n ~deg:16.0 ~quota in
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
   let g = inst.Workloads.graph and engine_seed = Hashtbl.hash inst.Workloads.label in
   let sample setup = Exp_common.sample ~k:build_samples setup in
@@ -277,9 +273,11 @@ let lid_table ~quota sizes =
         ("same edges", Tbl.Left);
       ]
   in
+  let all_same = ref true in
   List.iter
     (fun n ->
       let m, same, phases = measure_lid ~seed:23 ~n ~quota in
+      all_same := !all_same && same;
       let bare = (List.assoc "bare loop" phases).Exp_common.min in
       List.iter
         (fun (name, (x : Exp_common.spread)) ->
@@ -296,7 +294,7 @@ let lid_table ~quota sizes =
             ])
         phases)
     sizes;
-  t
+  (t, !all_same)
 
 let run ~quick =
   (* avg degree 48, quota 8: wide neighbour lists and a realistic
@@ -325,13 +323,14 @@ let run ~quick =
         ("same edges", Tbl.Left);
       ]
   in
-  let lid_rows = ref [] in
+  let lid_rows = ref [] and engines_agree = ref true in
   List.iter
     (fun n ->
       (* the 10^6-node point keeps the edge count (not the density)
          growing: deg 8 halves memory pressure at that size *)
       let big = n >= 1_000_000 in
       let r = measure_lic ~seed:23 ~n ~deg:(if big then 8.0 else deg) ~quota in
+      engines_agree := !engines_agree && r.identical;
       Tbl.add_row t1
         [
           Tbl.icell r.n;
@@ -345,7 +344,7 @@ let run ~quick =
       (* E23b tracks protocol cost vs n, not density: moderate degree
          keeps the simulated network affordable at 10^5 nodes, and the
          10^6 point runs E23a's deg-8 instance *)
-      let inst = instance ~seed:23 ~n ~deg:(if big then 8.0 else 16.0) ~quota in
+      let inst = Exp_common.gnm ~seed:23 ~n ~deg:(if big then 8.0 else 16.0) ~quota in
       let lid, wall = Exp_common.time (fun () -> Exp_common.run_lid inst) in
       lid_rows := (n, lid, wall) :: !lid_rows)
     sizes;
@@ -415,20 +414,22 @@ let run ~quick =
         @ [ Printf.sprintf "%.2fx" (build /. lic.X.min) ]))
     [ 10_000; 100_000 ];
   let t4 = check_table ~quota (if quick then [ 10_000 ] else [ 10_000; 100_000 ]) in
-  let t5 = lid_table ~quota (if quick then [ 10_000 ] else [ 10_000; 100_000 ]) in
-  [ t1; t2; t3; t4; t5 ]
+  let t5, bare_same = lid_table ~quota (if quick then [ 10_000 ] else [ 10_000; 100_000 ]) in
+  let replays (n, r, _) = Option.map (fun a -> matches_anchor a r) (List.assoc_opt n anchors) in
+  let anchored = List.filter_map replays !lid_rows in
+  ( [ t1; t2; t3; t4; t5 ],
+    [
+      ("the three LIC engines lock the same edge set at every size (Lemma 6)", !engines_agree);
+      ( "LID quiesces at every E23b size (Lemma 5)",
+        List.for_all (fun (_, (r : Stack.report), _) -> r.Stack.all_terminated) !lid_rows );
+      ( "every anchored E23b row replays its anchors (at least one row)",
+        anchored <> [] && List.for_all Fun.id anchored );
+      ("the bare LID loop and Stack.run lock the same edges", bare_same);
+    ] )
 
 (* CI bench-smoke entry: small enough for a PR gate, large enough that
    the asymptotics (not constant factors) decide *)
-type smoke = {
-  reference_ms : float;
-  indexed_ms : float;
-  identical : bool;
-}
-
-let smoke ?(n = 20_000) () =
-  let r = measure_lic ~seed:23 ~n ~deg:48.0 ~quota:8 in
-  { reference_ms = r.reference_ms; indexed_ms = r.indexed_ms; identical = r.identical }
+let smoke () = measure_lic ~seed:23 ~n:20_000 ~deg:48.0 ~quota:8
 
 let exp =
   {

@@ -10,39 +10,26 @@
    what make this true: a datagram run would lose the partitioned
    proposals forever.
 
-   Three tables: E26a sweeps partition duration across graph families;
-   E26b sweeps flap frequency on one family; E26c is the acceptance
-   table the CI chaos gate mirrors. *)
+   Two tables: E26a sweeps partition duration across graph families;
+   E26b sweeps flap frequency on one family; the claims are what the
+   CI chaos gate mirrors. *)
 
 module Tbl = Owp_util.Tablefmt
 module Schedule = Owp_simnet.Schedule
 module Run_config = Owp_core.Run_config
-module Pipeline = Owp_core.Pipeline
-module Stack = Owp_core.Stack
 module Stabilize = Owp_check.Stabilize
 
 let durations = [ 1.0; 2.0; 4.0; 8.0 ]
 let flap_periods = [ 0.5; 1.0; 2.0; 4.0 ]
 
 (* one scheduled run -> its stabilization certificate (present by
-   construction: the schedule is non-empty) plus the schedule row of the
-   layer table for the cut count *)
+   construction: the schedule is non-empty) and the messages it cut *)
 let scheduled_run inst sched =
-  let cfg =
-    Run_config.make ~engine:Run_config.Lid_reliable ~seed:26 ~schedule:sched ()
-  in
-  let out = Pipeline.run_config cfg inst.Workloads.prefs in
-  let cert =
-    match out.Pipeline.stabilize with
-    | Some c -> c
-    | None -> failwith "E26: scheduled run produced no certificate"
-  in
-  let cut =
-    match out.Pipeline.detail with
-    | Pipeline.Stack r -> Stack.counter r ~layer:"schedule" "cut"
-    | Pipeline.Plain -> 0
-  in
-  (cert, cut)
+  let cfg = Run_config.make ~engine:Run_config.Lid_reliable ~seed:26 () in
+  let r = Chaos.run_one cfg inst.Workloads.prefs sched in
+  match r.Chaos.certificate with
+  | Some cert -> (cert, r.Chaos.cut)
+  | None -> failwith "E26: scheduled run produced no certificate"
 
 let cert_row t ~label ~axis (cert : Stabilize.certificate) cut =
   Tbl.add_row t
@@ -57,6 +44,19 @@ let cert_row t ~label ~axis (cert : Stabilize.certificate) cut =
       Exp_common.yn (Stabilize.certified cert);
     ]
 
+let cert_table title axis =
+  Tbl.create ~title
+    [
+      ("family", Tbl.Left);
+      (axis, Tbl.Right);
+      ("T_heal", Tbl.Right);
+      ("recovery", Tbl.Right);
+      ("cut", Tbl.Right);
+      ("quiesced", Tbl.Left);
+      ("converged", Tbl.Left);
+      ("certified", Tbl.Left);
+    ]
+
 let run ~quick =
   let n = if quick then 60 else 200 in
   let mk family =
@@ -65,22 +65,12 @@ let run ~quick =
   (* E26a: one partition episode, block = first quarter of the nodes,
      starting at t = 2, of growing duration *)
   let t1 =
-    Tbl.create
-      ~title:
-        (Printf.sprintf
-           "E26a: recovery time vs partition duration (LID + ARQ, n = %d, b = 3; \
-            block = n/4 nodes partitioned from t = 2)"
-           n)
-      [
-        ("family", Tbl.Left);
-        ("partition", Tbl.Right);
-        ("T_heal", Tbl.Right);
-        ("recovery", Tbl.Right);
-        ("cut", Tbl.Right);
-        ("quiesced", Tbl.Left);
-        ("converged", Tbl.Left);
-        ("certified", Tbl.Left);
-      ]
+    cert_table
+      (Printf.sprintf
+         "E26a: recovery time vs partition duration (LID + ARQ, n = %d, b = 3; \
+          block = n/4 nodes partitioned from t = 2)"
+         n)
+      "partition"
   in
   let block = List.init (n / 4) (fun i -> i) in
   let partition_certs =
@@ -114,20 +104,10 @@ let run ~quick =
   (* E26b: a flapping backbone — every edge of the first node flaps over
      a fixed [2, 8] window, duty 50%, at growing frequency *)
   let t2 =
-    Tbl.create
-      ~title:
-        "E26b: recovery time vs flap period (Gnm avg deg 8; node 0's links flap \
-         over [2, 8], duty 0.5)"
-      [
-        ("family", Tbl.Left);
-        ("period", Tbl.Right);
-        ("T_heal", Tbl.Right);
-        ("recovery", Tbl.Right);
-        ("cut", Tbl.Right);
-        ("quiesced", Tbl.Left);
-        ("converged", Tbl.Left);
-        ("certified", Tbl.Left);
-      ]
+    cert_table
+      "E26b: recovery time vs flap period (Gnm avg deg 8; node 0's links flap \
+       over [2, 8], duty 0.5)"
+      "period"
   in
   let inst = mk (Workloads.Gnm_avg_deg 8.0) in
   let flap_links =
@@ -154,7 +134,7 @@ let run ~quick =
     (fun (period, (cert, cut)) ->
       cert_row t2 ~label:"Gnm avg deg 8" ~axis:(Tbl.fcell2 period) cert cut)
     flap_certs;
-  (* E26c: acceptance — what the CI chaos gate re-checks *)
+  (* the claims: what the CI chaos gate re-checks *)
   let all_certs =
     List.concat_map (fun (_, rows) -> List.map (fun (_, (c, _)) -> c) rows)
       partition_certs
@@ -171,26 +151,14 @@ let run ~quick =
       (fun (_, rows) -> List.exists (fun (_, (_, cut)) -> cut > 0) rows)
       partition_certs
   in
-  let t3 =
-    Tbl.create ~title:"E26c: acceptance" [ ("claim", Tbl.Left); ("holds", Tbl.Left) ]
-  in
-  Tbl.add_rows t3
+  ( [ t1; t2 ],
     [
-      [
-        "every scheduled run certifies (quiesced + converged to crash-only LIC)";
-        Exp_common.yn all_certified;
-      ];
-      [
-        "partitions actually bite (messages cut on the wire)";
-        Exp_common.yn cuts_bite;
-      ];
-      [
-        Printf.sprintf "recovery is bounded: worst over all sweeps is %.2f"
-          max_recovery;
-        Exp_common.yn (max_recovery < 1000.0);
-      ];
-    ];
-  [ t1; t2; t3 ]
+      ( "every scheduled run certifies (quiesced + converged to crash-only LIC)",
+        all_certified );
+      ("partitions actually bite (messages cut on the wire)", cuts_bite);
+      ( Printf.sprintf "recovery is bounded: worst over all sweeps is %.2f" max_recovery,
+        max_recovery < 1000.0 );
+    ] )
 
 let exp =
   {

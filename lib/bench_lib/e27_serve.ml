@@ -9,14 +9,14 @@
    configured engine on the current membership, queries costing one
    propose-answer round, everything in virtual time.
 
-   Three tables: E27a sweeps the arrival rate on the plain LID stack
+   Two tables: E27a sweeps the arrival rate on the plain LID stack
    and shows the queueing transition (latency percentiles, backlog
    peak, shedding once the engine can't keep up); E27b replays one
    moderate stream across the layer compositions — ARQ over a lossy
    channel, guarded liars, a per-request deadline, and all three at
-   once — each paying its own service-time premium; E27c is the
-   acceptance table the `owp bench --gate` serve preset mirrors,
-   including the two injected-regression self-tests. *)
+   once — each paying its own service-time premium; the claims are
+   what the `owp bench --gate` serve preset mirrors, including the two
+   injected-regression self-tests. *)
 
 module Tbl = Owp_util.Tablefmt
 module RC = Owp_core.Run_config
@@ -85,8 +85,7 @@ let latency_injection = 2.0 *. p99_bound
 let gate_arrivals = Arrivals.make ~rate:0.25 ~horizon:160.0 ()
 
 let gate_instance () =
-  Workloads.make ~seed:27 ~family:(Workloads.Gnm_avg_deg 6.0)
-    ~pref_model:Workloads.Random_prefs ~n:40 ~quota:3
+  Exp_common.gnm ~seed:27 ~deg:6.0 ~n:40 ~quota:3
 
 let gate ?(handicap = 0.0) ~cfg () =
   let prefs = (gate_instance ()).Workloads.prefs in
@@ -118,10 +117,7 @@ let gate ?(handicap = 0.0) ~cfg () =
 
 let run ~quick =
   let n = if quick then 40 else 80 in
-  let inst =
-    Workloads.make ~seed:27 ~family:(Workloads.Gnm_avg_deg 6.0)
-      ~pref_model:Workloads.Random_prefs ~n ~quota:3
-  in
+  let inst = Exp_common.gnm ~seed:27 ~deg:6.0 ~n ~quota:3 in
   let prefs = inst.Workloads.prefs in
   let lid = cfg_of (RC.make ~engine:RC.Lid ~seed:27 ()) in
   (* E27a: the queueing transition along the arrival-rate axis *)
@@ -195,7 +191,7 @@ let run ~quick =
           Tbl.pct r.SR.steady_satisfaction;
         ])
     stacks;
-  (* E27c: acceptance — the claims the CI serve gate re-checks *)
+  (* the claims: what the CI serve gate re-checks *)
   let replay =
     let arrivals = Arrivals.make ~rate:0.5 ~horizon:100.0 () in
     let a = serve_report ~arrivals lid prefs in
@@ -214,33 +210,19 @@ let run ~quick =
     let byz = cfg_of (RC.make ~engine:RC.Lid ~seed:lid.RC.seed ~byzantine:"liar:0.3" ()) in
     Result.get_ok (gate ~cfg:byz ())
   in
-  let t3 =
-    Tbl.create ~title:"E27c: acceptance" [ ("claim", Tbl.Left); ("holds", Tbl.Left) ]
-  in
-  Tbl.add_rows t3
+  ( [ t1; t2 ],
     [
-      [ "identical reports across repeated runs at the same seed"; Exp_common.yn replay ];
-      [
-        Printf.sprintf
+      ("identical reports across repeated runs at the same seed", replay);
+      ( Printf.sprintf
           "backlog bounded by the queue knob under a burst (peak %d <= 4, shed %d)"
-          burst.SR.max_queue burst.SR.shed;
-        Exp_common.yn (burst.SR.max_queue <= 4 && burst.SR.shed > 0);
-      ];
-      [
-        Printf.sprintf "gate passes on the clean preset (p99 %.2f <= %.2f, steady %.4f >= %.2f)"
-          clean.p99 clean.p99_bound clean.steady clean.steady_bound;
-        Exp_common.yn clean.passed;
-      ];
-      [
-        "gate trips on an injected latency regression";
-        Exp_common.yn (not injected_latency.passed);
-      ];
-      [
-        "gate trips on injected unguarded liars";
-        Exp_common.yn (not injected_quality.passed);
-      ];
-    ];
-  [ t1; t2; t3 ]
+          burst.SR.max_queue burst.SR.shed,
+        burst.SR.max_queue <= 4 && burst.SR.shed > 0 );
+      ( Printf.sprintf "gate passes on the clean preset (p99 %.2f <= %.2f, steady %.4f >= %.2f)"
+          clean.p99 clean.p99_bound clean.steady clean.steady_bound,
+        clean.passed );
+      ("gate trips on an injected latency regression", not injected_latency.passed);
+      ("gate trips on injected unguarded liars", not injected_quality.passed);
+    ] )
 
 let exp =
   {

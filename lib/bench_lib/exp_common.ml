@@ -4,7 +4,7 @@ type exp = {
   id : string;
   title : string;
   paper_ref : string;
-  run : quick:bool -> Tbl.t list;
+  run : quick:bool -> Tbl.t list * (string * bool) list;
 }
 
 let total_satisfaction prefs m =
@@ -13,6 +13,10 @@ let total_satisfaction prefs m =
     total := !total +. Owp_matching.Bmatching.satisfaction prefs m i
   done;
   !total
+
+let gnm ~seed ~deg ~n ~quota =
+  Workloads.make ~seed ~family:(Workloads.Gnm_avg_deg deg) ~pref_model:Workloads.Random_prefs ~n
+    ~quota
 
 let run_lid (inst : Workloads.instance) =
   Owp_core.Stack.run ~seed:(Hashtbl.hash inst.Workloads.label) inst.Workloads.weights

@@ -4,12 +4,18 @@ type exp = {
   id : string;  (** e.g. "E3" *)
   title : string;
   paper_ref : string;  (** the lemma/theorem/figure being reproduced *)
-  run : quick:bool -> Owp_util.Tablefmt.t list;
-      (** [quick] trims sweep sizes for CI; full mode regenerates the
-          EXPERIMENTS.md numbers *)
+  run : quick:bool -> Owp_util.Tablefmt.t list * (string * bool) list;
+      (** the tables and the named claims they back, each with whether
+          it holds; [quick] trims sweep sizes for CI, full mode
+          regenerates the EXPERIMENTS.md numbers.  A claim never reads
+          a wall time. *)
 }
 
 val total_satisfaction : Owp_prefs.Preference.t -> Owp_matching.Bmatching.t -> float
+
+val gnm : seed:int -> deg:float -> n:int -> quota:int -> Workloads.instance
+(** [Workloads.make] on G(n, m) with average degree [deg] and random
+    preference lists: the instance most experiments sweep. *)
 
 val run_lid : Workloads.instance -> Owp_core.Stack.report
 val run_lic : Workloads.instance -> Owp_matching.Bmatching.t

@@ -15,13 +15,10 @@ let all =
     E12_ties.exp;
     E13_stretch.exp;
     E14_localsearch.exp;
-    E15_robust.exp;
     E16_dynamic.exp;
     E17_floors.exp;
     E18_bipartite.exp;
     E20_coverage.exp;
-    E21_reliable.exp;
-    E22_byzantine.exp;
     E23_scale.exp;
     E24_composition.exp;
     E25_deadline.exp;
@@ -56,19 +53,21 @@ let write_json dir (e : Exp_common.exp) tables =
   output_string oc "\n  ]\n}\n";
   close_out oc
 
+(* the claims as the experiment's last table, "claim | holds" *)
+let claims_table (e : Exp_common.exp) claims =
+  let module Tbl = Owp_util.Tablefmt in
+  let t = Tbl.create ~title:(e.id ^ ": claims") [ ("claim", Tbl.Left); ("holds", Tbl.Left) ] in
+  Tbl.add_rows t (List.map (fun (claim, holds) -> [ claim; Exp_common.yn holds ]) claims);
+  t
+
 let print_exp ?json_dir ~quick out (e : Exp_common.exp) =
   Format.fprintf out "%s@." (Exp_common.header e);
-  let tables, wall_ms = Exp_common.time (fun () -> e.Exp_common.run ~quick) in
+  let (tables, claims), wall_ms = Exp_common.time (fun () -> e.Exp_common.run ~quick) in
+  let tables = tables @ [ claims_table e claims ] in
   List.iter (fun t -> Format.fprintf out "%s@." (Owp_util.Tablefmt.render t)) tables;
   Format.fprintf out "-- %s wall %.2f s@." e.Exp_common.id (wall_ms /. 1000.0);
-  Option.iter (fun dir -> write_json dir e tables) json_dir
+  Option.iter (fun dir -> write_json dir e tables) json_dir;
+  List.filter_map (fun (claim, holds) -> if holds then None else Some (e.id, claim)) claims
 
-let run_all ?(quick = false) ?json_dir ~out () =
-  List.iter (print_exp ?json_dir ~quick out) all
-
-let run_one ?(quick = false) ?json_dir ~out id =
-  match find id with
-  | None -> false
-  | Some e ->
-      print_exp ?json_dir ~quick out e;
-      true
+let run ?(quick = false) ?json_dir ~out exps =
+  List.concat_map (print_exp ?json_dir ~quick out) exps

@@ -2,16 +2,16 @@
     per-experiment index and EXPERIMENTS.md for paper-vs-measured). *)
 
 val all : Exp_common.exp list
-(** E0–E21 in order. *)
+(** Every experiment, in id order. *)
 
-(* owp-lint: allow dead-export — test seam: the lookup run_one resolves ids by *)
 val find : string -> Exp_common.exp option
 (** Lookup by case-insensitive id, e.g. "e3". *)
 
-val run_all : ?quick:bool -> ?json_dir:string -> out:Format.formatter -> unit -> unit
-(** Execute every experiment and print its tables.  With [json_dir],
-    additionally write one machine-readable [BENCH_<id>.json] per
-    experiment into that (existing) directory. *)
-
-val run_one : ?quick:bool -> ?json_dir:string -> out:Format.formatter -> string -> bool
-(** Execute a single experiment by id; [false] if the id is unknown. *)
+val run :
+  ?quick:bool -> ?json_dir:string -> out:Format.formatter -> Exp_common.exp list ->
+  (string * string) list
+(** Execute the experiments in order and print each one's tables, then
+    its claims as a last [claim | holds] table.  With [json_dir], also
+    write one machine-readable [BENCH_<id>.json] per experiment, claims
+    table included, into that (existing) directory.  Returns the claims
+    that do not hold, as (experiment id, claim). *)

@@ -119,7 +119,7 @@ let test_guarded_bounded_damage_all_models () =
 let test_unguarded_violator_starves () =
   (* the liveness-violating adversary never answers proposals; without
      the guard's quiet rounds the correct proposers starve, which is
-     exactly the violation E22's baseline column shows *)
+     exactly the violation E24i's baseline column shows *)
   let starved = ref false in
   for seed = 1 to 5 do
     let prefs = random_prefs seed 30 6 2 in

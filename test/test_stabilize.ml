@@ -201,7 +201,19 @@ let test_chaos_reliable_passes () =
   let report = Chaos.fuzz ~trials:4 ~seed:7 cfg prefs in
   Alcotest.(check int) "all trials ran" 4 report.Chaos.trials_run;
   Alcotest.(check bool) "heal-aware composition certifies" true
-    (report.Chaos.failure = None)
+    (report.Chaos.failure = None);
+  Alcotest.(check bool) "the weather bit" true (report.Chaos.bitten > 0)
+
+let test_chaos_vacuous_at_huge_horizon () =
+  (* one episode per schedule, starting somewhere in [0.5, 5.5e11]:
+     the run has long quiesced, so no trial's weather cuts a message
+     and the report says the fuzz tested nothing, even on the
+     known-bad datagram stack *)
+  let prefs = chaos_instance () in
+  let cfg = RC.make ~engine:RC.Lid ~seed:7 () in
+  let report = Chaos.fuzz ~trials:5 ~max_episodes:1 ~horizon:1e12 ~seed:7 cfg prefs in
+  Alcotest.(check bool) "no failure found" true (report.Chaos.failure = None);
+  Alcotest.(check int) "no trial bit" 0 report.Chaos.bitten
 
 let test_chaos_finds_and_shrinks () =
   let prefs = chaos_instance () in
@@ -245,4 +257,6 @@ let suite =
       test_chaos_reliable_passes;
     Alcotest.test_case "chaos: datagram stack fails and shrinks" `Quick
       test_chaos_finds_and_shrinks;
+    Alcotest.test_case "chaos: a huge horizon tests nothing" `Quick
+      test_chaos_vacuous_at_huge_horizon;
   ]

@@ -71,7 +71,7 @@ let prop_zero_middleware_bit_identical =
       reference_run ~seed w ~capacity = stack_digest (Stack.run ~seed w ~capacity))
 
 (* (fifo, faults): the channel regimes the experiments run plain LID
-   under — E05c's loss, E21a's loss over non-FIFO links, and
+   under — E05c's loss, E24f's loss over non-FIFO links, and
    duplication plus stragglers mixed with loss *)
 let fault_regimes =
   [
@@ -146,11 +146,11 @@ let test_dedup_row_pinned () =
        ~capacity)
 
 (* ------------------------------------------------------------------ *)
-(* transport-only = the reliable configuration's E21a convergence rows *)
+(* transport-only = the reliable configuration's E24f convergence rows *)
 (* ------------------------------------------------------------------ *)
 
-let test_transport_only_reproduces_e21_rows () =
-  (* the E21a acceptance grid (loss x delivery order): every row must
+let test_transport_only_reproduces_e24f_rows () =
+  (* the E24f grid (loss x delivery order): every row must
      terminate with exactly LIC's edge set when the only middleware is
      the ARQ transport *)
   let _, _, w, capacity = random_instance 21 20 6 2 in
@@ -476,9 +476,9 @@ let test_e23b_anchor () =
     (Printf.sprintf "%.6f" r.Stack.completion_time);
   Alcotest.(check bool) "quiesced" true r.Stack.all_terminated
 
-(* E23b's "baseline outputs" column, which CI gates on, must be able to
-   say NO: the real 10^4 report matches its anchor, and the same report
-   with one PROP more does not *)
+(* E23b's "baseline outputs" column, which E23's anchor claim reads,
+   must be able to say NO: the real 10^4 report matches its anchor, and
+   the same report with one PROP more does not *)
 let test_e23b_anchor_check_can_fail () =
   let module E23 = Owp_bench.E23_scale in
   let r = Lazy.force e23b_report in
@@ -495,8 +495,8 @@ let suite =
     Alcotest.test_case "zero-middleware layer table" `Quick
       test_zero_middleware_layer_table;
     Alcotest.test_case "dedup row pinned at fixed seeds" `Quick test_dedup_row_pinned;
-    Alcotest.test_case "transport-only = E21a grid" `Quick
-      test_transport_only_reproduces_e21_rows;
+    Alcotest.test_case "transport-only = E24f grid" `Quick
+      test_transport_only_reproduces_e24f_rows;
     Alcotest.test_case "robust config = plain LID" `Quick
       test_robust_config_is_plain_lid_behaviour;
     Alcotest.test_case "no second state machine" `Quick

@@ -36,11 +36,14 @@ let test_small_instances () =
     insts
 
 let test_registry () =
-  Alcotest.(check int) "twenty-seven experiments" 27 (List.length E.all);
+  Alcotest.(check int) "twenty-four experiments" 24 (List.length E.all);
   Alcotest.(check bool) "find e3" true (E.find "e3" <> None);
   Alcotest.(check bool) "find e27" true (E.find "e27" <> None);
   Alcotest.(check bool) "e28 folded into e23" true (E.find "e28" = None);
   Alcotest.(check bool) "e19 folded into e25" true (E.find "e19" = None);
+  Alcotest.(check bool) "e15 folded into e24" true (E.find "e15" = None);
+  Alcotest.(check bool) "e21 folded into e24" true (E.find "e21" = None);
+  Alcotest.(check bool) "e22 folded into e24" true (E.find "e22" = None);
   Alcotest.(check bool) "find E10" true (E.find "E10" <> None);
   Alcotest.(check bool) "find e16" true (E.find "e16" <> None);
   Alcotest.(check bool) "unknown" true (E.find "e99" = None)
@@ -52,7 +55,7 @@ let test_experiment_tables_nonempty () =
       match E.find id with
       | None -> Alcotest.fail ("missing " ^ id)
       | Some e ->
-          let tables = e.Owp_bench.Exp_common.run ~quick:true in
+          let tables, _ = e.Owp_bench.Exp_common.run ~quick:true in
           Alcotest.(check bool) (id ^ " has tables") true (List.length tables > 0);
           List.iter
             (fun t ->
@@ -60,6 +63,83 @@ let test_experiment_tables_nonempty () =
                 (String.length (Owp_util.Tablefmt.render t) > 0))
             tables)
     [ "e1"; "e2" ]
+
+(* Every experiment but E23 (whose smallest sizes take tens of seconds)
+   in quick mode: each claim holds, and the "ID: claim" list is pinned,
+   so a claim can neither fail nor vanish silently.  Claims with a
+   figure in their text pin the quick-mode figure. *)
+let pinned_claims =
+  [
+    "E0: latency, interest and bandwidth preferences are acyclic on every \
+     sample, random and transaction ones on none";
+    "E1: S_i = 25/28, the paper's 0.893";
+    "E1: the eq. 4 terms sum to S_i";
+    "E2: static/full ratio >= 1/2(1+1/b) on every connection set (Lemma 1)";
+    "E2: the proof's bottom-of-list connection set attains the bound";
+    "E3: w(LIC) >= w(OPT)/2 on every small instance (Theorem 2)";
+    "E3: LIC is maximal and greedy-stable on every family at scale";
+    "E3: the path gadgets give LIC/OPT = (1 + eps)/2: the bound 1/2 is tight";
+    "E4: LID, indexed LIC and climbing LIC lock one edge set on every run (Lemmas 4/6)";
+    "E5: LID terminates on every clean channel (Lemma 5)";
+    "E5: without recovery, every lossy channel leaves nodes stuck";
+    "E6: S(LID) >= 1/4(1+1/b_max) S(OPT) on every small instance (Theorem 3)";
+    "E7: every LID run quiesces (Lemma 5)";
+    "E7: quota b = 8 serves a higher mean satisfaction than b = 1 on every family";
+    "E8: blocking-pair dynamics stabilize on both acyclic systems";
+    "E8: LID serves more satisfaction than the dynamics on both cyclic systems";
+    "E9: LID discloses fewer entries per node than neighbour gossip at every n";
+    "E10: incremental repair retains at least 90% of the rebuild's satisfaction";
+    "E10: incremental repair changes fewer edges per event than a rebuild";
+    "E11: LIC = Preis on every b = 1 instance";
+    "E11: LID and Hoepman lock the same edge set at every n";
+    "E12: LID terminates on LIC's edge set at every quantisation level";
+    "E12: eq. 9's Sum serves the most satisfaction of the three combiners";
+    "E13: the LID overlay at b = 5 connects every sampled pair, mean stretch < 1.5";
+    "E14: local search never lowers LID's satisfaction";
+    "E14: local search stays at or below the exact optimum";
+    "E16: dynamic LID quiesces on every family";
+    "E16: dynamic LID sends fewer messages per event than a static re-run";
+    "E17: LID's matching is global greedy's (Lemma 6)";
+    "E17: LID serves more satisfaction than the blocking-pair dynamics";
+    "E18: w(LID) >= w(OPT)/2 at every size (Theorem 2)";
+    "E20: LID pairs at least 3/4 of a maximum matching on every family";
+    "E20: LID serves more satisfaction than a maximum matching on every family";
+    "E24: guarded composition converges and certifies on every seed";
+    "E24: correct peers terminate at every silent fraction, timeout and drop rate";
+    "E24: plain LID gets stuck on every lossy channel";
+    "E24: ARQ terminates on exactly LIC's edge set under loss, duplication and reordering";
+    "E24: crash survivors converge on every seed";
+    "E24: the guard certifies every adversary row: correct peers done, no damage";
+    "E24: unguarded violators leave the correct peers stuck on every seed";
+    "E24: no false quarantine in any adversary row";
+    "E25: every budgeted run certifies (feasible + prefix of its full run)";
+    "E25: satisfaction monotone in the budget on every family (fixed seed)";
+    "E25: adverse sweeps stay monotone (ARQ channel, guarded liars)";
+    "E25: half the payoff is served by t = 3 on every family";
+    "E25: no cliff: largest per-step jump is 67.6% of the full payoff";
+    "E26: every scheduled run certifies (quiesced + converged to crash-only LIC)";
+    "E26: partitions actually bite (messages cut on the wire)";
+    "E26: recovery is bounded: worst over all sweeps is 19.21";
+    "E27: identical reports across repeated runs at the same seed";
+    "E27: backlog bounded by the queue knob under a burst (peak 4 <= 4, shed 221)";
+    "E27: gate passes on the clean preset (p99 12.44 <= 30.00, steady 1.0000 >= 0.80)";
+    "E27: gate trips on an injected latency regression";
+    "E27: gate trips on injected unguarded liars";
+  ]
+
+let test_claims_hold () =
+  let claims =
+    List.concat_map
+      (fun (e : Owp_bench.Exp_common.exp) ->
+        if String.equal e.id "E23" then []
+        else
+          List.map
+            (fun (claim, holds) -> (e.id ^ ": " ^ claim, holds))
+            (snd (e.run ~quick:true)))
+      E.all
+  in
+  List.iter (fun (claim, holds) -> Alcotest.(check bool) claim true holds) claims;
+  Alcotest.(check (list string)) "claim names" pinned_claims (List.map fst claims)
 
 (* --family / --prefs: every value a generator or metric would reject,
    every non-finite number and every negative radius is an [Error] at
@@ -137,4 +217,5 @@ let suite =
     Alcotest.test_case "small instances" `Quick test_small_instances;
     Alcotest.test_case "experiment registry" `Quick test_registry;
     Alcotest.test_case "experiment tables nonempty" `Quick test_experiment_tables_nonempty;
+    Alcotest.test_case "experiment claims hold" `Quick test_claims_hold;
   ]
