@@ -9,12 +9,12 @@
      owp check       run the invariant checkers / interleaving explorer
      owp chaos       fuzz the stack with random fault schedules, shrink failures
      owp lint        static analysis over the .cmt typedtrees dune emits
-     owp bench       regenerate experiment tables (E0..E27): --quick, --json,
-                     --gate
+     owp bench       regenerate experiment tables (E0..E27) and judge their
+                     claims: --quick, --json
      owp list        list available experiments
 
-   Every stack-running subcommand (`run`, `serve`, `check`, `chaos`,
-   `bench`) shares the one Owp_cli term bundle: the same instance and
+   Every stack-running subcommand (`run`, `serve`, `check`, `chaos`)
+   shares the one Owp_cli term bundle: the same instance and
    composition flags everywhere, funnelled into one validated
    Owp_core.Run_config.t and handed to Pipeline.run_config (or the
    serving engine).  This file only keeps the per-subcommand verbs and
@@ -476,11 +476,37 @@ let print_check_report inst report =
   if Checker.ok report then print_endline "all invariants hold"
   else Printf.printf "%d invariant violation(s)\n" (Checker.violation_count report)
 
+(* the stack flags that --matching (no engine runs) or --explore (the
+   bare protocol model, one generic injector under --byzantine) would
+   ignore, one usage line each *)
+let check_unused_flags (spec : Owp_cli.t) ~explore =
+  let unused flag =
+    Printf.sprintf "%s: not used with %s" flag (if explore then "--explore" else "--matching")
+  in
+  let byz = Option.is_some spec.byzantine in
+  List.filter_map
+    (fun (set, msg) -> if set then Some msg else None)
+    [
+      ((match spec.engine with RC.Lid -> false | _ -> true), unused "--engine");
+      (spec.reliable, unused "--reliable");
+      (not (Faults.equal spec.faults Faults.none), unused "--faults");
+      (not (Schedule.is_empty spec.schedule), unused "--schedule");
+      (Option.is_some spec.deadline, unused "--deadline");
+      (Option.is_some spec.max_rounds, unused "--max-rounds");
+      (byz && not explore, unused "--byzantine");
+      ( spec.guard && not (explore && byz),
+        if explore then "--guard: needs --byzantine under --explore" else unused "--guard" );
+    ]
+
 (* --drops and --max-configs steer the explorer only, and the Byzantine
    explorer arms no link failures: a flag that would be ignored, or
    that is out of range, is a usage error *)
 let check_cmdline spec matching_file explore max_configs drops list =
   let flag_error flag k why = usage_error "check" (Printf.sprintf "--%s %d: %s" flag k why) in
+  let unused =
+    if explore || Option.is_some matching_file then check_unused_flags spec ~explore
+    else []
+  in
   if list then check_list ()
   else
     match (drops, max_configs) with
@@ -491,6 +517,9 @@ let check_cmdline spec matching_file explore max_configs drops list =
     | Some k, _ when k > 0 && Option.is_some spec.Owp_cli.byzantine ->
         flag_error "drops" k
           "the Byzantine explorer arms no link failures; drop --drops or --byzantine"
+    | _ when unused <> [] ->
+        List.iter (Printf.eprintf "check: %s\n") unused;
+        2
     | _ ->
     let max_configs = Option.value max_configs ~default:2_000_000
     and drops = Option.value drops ~default:0 in
@@ -844,114 +873,42 @@ let chaos_cmd =
 (* bench                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* bench --gate: the CI regression gate.  Three presets back to back:
-   the E23 scale smoke (indexed engine vs reference), the E25 anytime
-   smoke (budgets up to 8 must all certify — feasible + prefix of the
-   full run — with satisfaction monotone in the budget) and the E27
-   serve smoke (latency percentiles and steady satisfaction of a short
-   sustained-traffic session against fixed bounds).  --inject plants a
-   known regression — extra per-request latency or unguarded liars —
-   so CI can check the gate actually trips. *)
-let bench_gate ~inject spec =
-  let module E23 = Owp_bench.E23_scale in
-  let s = E23.smoke () in
-  Printf.printf "scale gate          : reference %.2f ms, indexed %.2f ms (%.1fx)\n"
-    s.E23.reference_ms s.E23.indexed_ms (E23.speedup s);
-  Printf.printf "identical edge sets : %b\n" s.E23.identical;
-  let scale_ok = s.E23.identical && s.E23.indexed_ms <= s.E23.reference_ms in
-  let module E25 = Owp_bench.E25_deadline in
-  let curve = E25.smoke () in
-  List.iter
-    (fun (p : E25.point) ->
-      Printf.printf
-        "  budget %6.2f     : %5.1f%% of full-run satisfaction, %d blocking \
-         pair(s), %d link(s)%s\n"
-        p.E25.budget (100.0 *. p.E25.retained) p.E25.blocking_pairs p.E25.served_edges
-        (if p.E25.certified then "" else "  [VOID]"))
-    curve;
-  let certified = E25.all_certified curve and monotone = E25.monotone curve in
-  Printf.printf "anytime gate        : certified %b, monotone %b\n" certified monotone;
-  (* the serve gate's stack comes from the shared bundle (default:
-     plain LID), so a CI job can gate any composition *)
-  let spec =
-    match inject with
-    | Some `Quality ->
-        { spec with Owp_cli.byzantine = Some "liar:0.3"; guard = false }
-    | _ -> spec
-  in
-  let handicap =
-    match inject with Some `Latency -> Owp_bench.E27_serve.latency_injection | _ -> 0.0
-  in
-  match Owp_cli.config spec with
-  | Error msg ->
-      Printf.eprintf "bench: %s\n" msg;
-      2
-  | Ok cfg -> (
-      match Owp_bench.E27_serve.gate ~handicap ~cfg () with
-      | Error msg ->
-          Printf.eprintf "bench: serve gate: %s\n" msg;
-          2
-      | Ok g ->
-          let module E27 = Owp_bench.E27_serve in
-          Printf.printf
-            "serve gate          : p50 %.2f, p99 %.2f (bound %.2f), steady %.4f \
-             (bound %.4f)\n"
-            g.E27.p50 g.E27.p99 g.E27.p99_bound g.E27.steady g.E27.steady_bound;
-          Printf.printf "serve deterministic : %b\n" g.E27.deterministic;
-          if scale_ok && certified && monotone && g.E27.passed then begin
-            print_endline "bench gate          : PASS";
-            0
-          end
-          else begin
-            print_endline "bench gate          : FAIL";
-            1
-          end)
-
-let bench quick json_dir gate inject spec ids =
+let bench quick json_dir ids =
   (* measured walls, so trade memory for GC quiet: a 2M-word minor heap
      keeps the delivery loop's survivors out of repeated minor
      collections, and a relaxed space overhead stops the major GC from
      dominating the matching-extraction phase at the 10^5+ sizes *)
   Gc.set { (Gc.get ()) with minor_heap_size = 2_097_152; space_overhead = 200 };
-  if Option.is_some spec.Owp_cli.deadline || Option.is_some spec.Owp_cli.max_rounds then
-    usage_error "bench"
-      "--deadline/--max-rounds: not bench flags; the anytime gate runs inside `owp \
-       bench --gate`"
-  else if gate && (ids <> [] || Option.is_some json_dir) then
-    usage_error "bench" "--gate runs its own presets; drop the experiment ids and --json"
-  else if gate then bench_gate ~inject spec
-  else if Option.is_some inject then usage_error "bench" "--inject needs --gate"
-  else
-    (* every argument is checked before the first experiment runs *)
-    let module E = Owp_bench.Experiments in
-    let unknown = List.filter (fun id -> Option.is_none (E.find id)) ids in
-    let json_error dir =
-      if Sys.file_exists dir then
-        if Sys.is_directory dir then None
-        else Some (Printf.sprintf "--json %s: not a directory" dir)
-      else
-        match Sys.mkdir dir 0o755 with
-        | () -> None
-        | exception Sys_error msg -> Some ("--json: cannot create " ^ msg)
-    in
-    if unknown <> [] then begin
-      List.iter
-        (fun id -> Printf.eprintf "bench: unknown experiment id %s (see `owp list`)\n" id)
-        unknown;
-      2
-    end
+  (* every argument is checked before the first experiment runs *)
+  let module E = Owp_bench.Experiments in
+  let unknown = List.filter (fun id -> Option.is_none (E.find id)) ids in
+  let json_error dir =
+    if Sys.file_exists dir then
+      if Sys.is_directory dir then None
+      else Some (Printf.sprintf "--json %s: not a directory" dir)
     else
-      match Option.bind json_dir json_error with
-      | Some msg -> usage_error "bench" msg
-      | None -> (
-          let exps = if ids = [] then E.all else List.filter_map E.find ids in
-          match E.run ~quick ?json_dir ~out:Format.std_formatter exps with
-          | [] -> 0
-          | failed ->
-              List.iter
-                (fun (id, claim) -> Printf.eprintf "bench: %s claim does not hold: %s\n" id claim)
-                failed;
-              1)
+      match Sys.mkdir dir 0o755 with
+      | () -> None
+      | exception Sys_error msg -> Some ("--json: cannot create " ^ msg)
+  in
+  if unknown <> [] then begin
+    List.iter
+      (fun id -> Printf.eprintf "bench: unknown experiment id %s (see `owp list`)\n" id)
+      unknown;
+    2
+  end
+  else
+    match Option.bind json_dir json_error with
+    | Some msg -> usage_error "bench" msg
+    | None -> (
+        let exps = if ids = [] then E.all else List.filter_map E.find ids in
+        match E.run ~quick ?json_dir ~out:Format.std_formatter exps with
+        | [] -> 0
+        | failed ->
+            List.iter
+              (fun (id, claim) -> Printf.eprintf "bench: %s claim does not hold: %s\n" id claim)
+              failed;
+            1)
 
 let bench_cmd =
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Trimmed sweeps.") in
@@ -962,41 +919,13 @@ let bench_cmd =
       & info [ "json" ] ~docv:"DIR"
           ~doc:"Also write each experiment's tables as DIR/BENCH_<id>.json.")
   in
-  let gate =
-    Arg.(
-      value & flag
-      & info [ "gate" ]
-          ~doc:
-            "CI regression gate: run the small E23 preset (indexed engine must \
-             match the reference edge set and be at least as fast), the E25 \
-             anytime preset (every budget up to 8 certified, satisfaction \
-             monotone in the budget) and the E27 serve preset (p99 latency \
-             and steady-state satisfaction of a short sustained-traffic \
-             session against fixed bounds, byte-identical across repeats).")
-  in
-  let inject =
-    Arg.(
-      value
-      & opt
-          (some
-             (enum
-                [ ("latency", `Latency); ("quality", `Quality) ]))
-          None
-      & info [ "inject" ] ~docv:"KIND"
-          ~doc:
-            "With $(b,--gate): plant a known regression and expect the gate \
-             to FAIL (the CI self-test that the gate can trip) — $(i,latency) \
-             adds a per-request service handicap, $(i,quality) swaps in \
-             unguarded liars.")
-  in
   let ids =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids; all when omitted.")
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Run experiments with the scale knobs: --json, --gate")
-    Term.(
-      const bench $ quick $ json_dir $ gate $ inject $ Owp_cli.term $ ids)
+       ~doc:"Run experiments; exit 1 when a claim does not hold")
+    Term.(const bench $ quick $ json_dir $ ids)
 
 let list_cmd =
   Cmd.v

@@ -1,6 +1,6 @@
 (* The one term bundle behind every owp subcommand that runs the stack.
 
-   `run`, `check`, `chaos`, `bench` and `serve` all face the same
+   `run`, `check`, `chaos` and `serve` all face the same
    composition surface: an instance (seed/family/n/quota/prefs or an
    edge-list file) and a stack selection (engine, faults, schedule,
    ARQ, Byzantine spec, guard, anytime budget).  Before this module
@@ -136,8 +136,8 @@ let deadline_arg =
            proposals released on both sides) and report a certified anytime \
            outcome instead of running to quiescence.  Composes with every \
            other layer flag; give either this or $(b,--max-rounds), not both.  \
-           ($(b,owp serve) applies it per request; $(b,owp bench) and \
-           $(b,owp chaos) reject it.)")
+           ($(b,owp serve) applies it per request; $(b,owp chaos) and \
+           $(b,owp check --matching)/$(b,--explore) reject it.)")
 
 let max_rounds_arg =
   Arg.(

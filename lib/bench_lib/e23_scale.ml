@@ -11,8 +11,7 @@
      Owp_matching.Greedy.run (one sort, then one pass); "indexed" is
      Lic_indexed over per-node lazy-deletion heaps, the lic engine of
      Run_config.  All three must lock the exact same edge set (Lemma 6);
-     the speedup column is reference / indexed, the quantity the CI
-     bench-smoke gates on.
+     the speedup column is reference / indexed.
    - E23b: LID at size — protocol messages, virtual completion time and
      simulator wall-clock, for the rounds/messages trajectory.  The
      "baseline outputs" column compares the protocol results with the
@@ -48,10 +47,10 @@ type lic_row = {
 
 let speedup r = if r.indexed_ms <= 0.0 then infinity else r.reference_ms /. r.indexed_ms
 
-(* One size point of E23a; also the measurement behind the CI gate.
-   Wall timings on shared CI boxes are noisy; best-of-two with a major
-   collection between engines keeps one engine from paying the other's
-   allocation debt and reports the repeatable floor, not the noise. *)
+(* One size point of E23a.  Wall timings on shared CI boxes are noisy;
+   best-of-two with a major collection between engines keeps one engine
+   from paying the other's allocation debt and reports the repeatable
+   floor, not the noise. *)
 let measure_lic ~seed ~n ~deg ~quota =
   let inst = Exp_common.gnm ~seed ~n ~deg ~quota in
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
@@ -426,10 +425,6 @@ let run ~quick =
         anchored <> [] && List.for_all Fun.id anchored );
       ("the bare LID loop and Stack.run lock the same edges", bare_same);
     ] )
-
-(* CI bench-smoke entry: small enough for a PR gate, large enough that
-   the asymptotics (not constant factors) decide *)
-let smoke () = measure_lic ~seed:23 ~n:20_000 ~deg:48.0 ~quota:8
 
 let exp =
   {

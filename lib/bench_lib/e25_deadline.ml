@@ -23,8 +23,7 @@
    the ARQ transport and under guarded 20% weight-liars (the reference
    of each curve is the unbudgeted run of the SAME stack, so the
    comparison is relativized exactly like E24's adversary rows); the
-   claims judge both.  [smoke] is the anytime leg of `owp bench
-   --gate`. *)
+   claims judge both. *)
 
 module Tbl = Owp_util.Tablefmt
 module Sim = Owp_simnet.Simnet
@@ -71,7 +70,7 @@ let curve (inst : Workloads.instance) ~budgets (run : float option -> Stack.repo
       budgets )
 
 (* satisfaction non-decreasing along the budget axis, up to float noise:
-   the graceful-degradation claims and the bench gate check *)
+   what the graceful-degradation claims check *)
 let monotone points =
   let rec go = function
     | a :: (b :: _ as rest) -> a.retained <= b.retained +. 1e-9 && go rest
@@ -212,16 +211,6 @@ let run ~quick =
           (100.0 *. worst_step),
         worst_step < 1.0 );
     ] )
-
-(* the anytime leg of `owp bench --gate`: budgets climbing to 8 on one
-   small instance; the gate demands certification at every budget and
-   monotone satisfaction *)
-let smoke () =
-  let inst = Exp_common.gnm ~seed:25 ~deg:6.0 ~n:60 ~quota:2 in
-  snd
-    (curve inst ~budgets:[ 2.0; 4.0; 6.0; 8.0 ] (fun d ->
-         Stack.run ~seed:25 ?deadline:d inst.Workloads.weights
-           ~capacity:inst.Workloads.capacity))
 
 let exp =
   {

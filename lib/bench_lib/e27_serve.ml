@@ -14,9 +14,9 @@
    peak, shedding once the engine can't keep up); E27b replays one
    moderate stream across the layer compositions — ARQ over a lossy
    channel, guarded liars, a per-request deadline, and all three at
-   once — each paying its own service-time premium; the claims are
-   what the `owp bench --gate` serve preset mirrors, including the two
-   injected-regression self-tests. *)
+   once — each paying its own service-time premium.  The claims include
+   a serve gate on a fixed preset and two injected-regression
+   self-tests proving that gate can trip. *)
 
 module Tbl = Owp_util.Tablefmt
 module RC = Owp_core.Run_config
@@ -52,64 +52,40 @@ let stacks =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* the CI serve gate                                                    *)
+(* the serve gate                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* `owp bench --gate` preset: a short underloaded session on a fixed
-   instance, run twice.  Fixed bounds, tuned with slack against the
+(* The gate's preset: a short underloaded session on a fixed instance,
+   run twice.  Fixed bounds, tuned with slack against the
    committed preset: p99 under the bound (a latency regression in any
    layer the session exercises pushes it over), steady-state
    satisfaction over the bound (a quality regression — engine or guard
    — pulls it under), and the two reports byte-identical. *)
 
-type gate_result = {
-  p50 : float;
-  p99 : float;
-  steady : float;
-  throughput : float;
-  max_queue : int;
-  deterministic : bool;
-  p99_bound : float;
-  steady_bound : float;
-  passed : bool;
-}
+type gate_result = { p99 : float; steady : float; passed : bool }
 
 let p99_bound = 30.0
 let steady_bound = 0.80
 
-(* the --inject latency handicap: comfortably larger than the slack
+(* the injected latency handicap: comfortably larger than the slack
    between the clean preset's p99 and the bound, so the planted
    regression always trips the gate *)
 let latency_injection = 2.0 *. p99_bound
 
-let gate_arrivals = Arrivals.make ~rate:0.25 ~horizon:160.0 ()
-
-let gate_instance () =
-  Exp_common.gnm ~seed:27 ~deg:6.0 ~n:40 ~quota:3
-
-let gate ?(handicap = 0.0) ~cfg () =
-  let prefs = (gate_instance ()).Workloads.prefs in
-  let once () = Serve.run ~handicap ~arrivals:gate_arrivals cfg prefs in
-  match (once (), once ()) with
-  | Error m, _ | _, Error m -> Error m
-  | Ok a, Ok b ->
-      let ra = Option.get a.Owp_core.Pipeline.serve in
-      let rb = Option.get b.Owp_core.Pipeline.serve in
-      let deterministic = String.equal (SR.summary ra) (SR.summary rb) in
-      Ok
-        {
-          p50 = ra.SR.p50;
-          p99 = ra.SR.p99;
-          steady = ra.SR.steady_satisfaction;
-          throughput = ra.SR.throughput;
-          max_queue = ra.SR.max_queue;
-          deterministic;
-          p99_bound;
-          steady_bound;
-          passed =
-            deterministic && ra.SR.p99 <= p99_bound
-            && ra.SR.steady_satisfaction >= steady_bound;
-        }
+let gate ?handicap ~cfg () =
+  let prefs = (Exp_common.gnm ~seed:27 ~deg:6.0 ~n:40 ~quota:3).Workloads.prefs in
+  let arrivals = Arrivals.make ~rate:0.25 ~horizon:160.0 () in
+  let once () = serve_report ?handicap ~arrivals cfg prefs in
+  let a = once () in
+  let b = once () in
+  {
+    p99 = a.SR.p99;
+    steady = a.SR.steady_satisfaction;
+    passed =
+      String.equal (SR.summary a) (SR.summary b)
+      && a.SR.p99 <= p99_bound
+      && a.SR.steady_satisfaction >= steady_bound;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* the experiment tables                                                *)
@@ -202,13 +178,11 @@ let run ~quick =
     let arrivals = Arrivals.make ~rate:4.0 ~horizon:60.0 ~queue:4 () in
     serve_report ~arrivals lid prefs
   in
-  let clean = Result.get_ok (gate ~cfg:lid ()) in
-  let injected_latency =
-    Result.get_ok (gate ~handicap:latency_injection ~cfg:lid ())
-  in
+  let clean = gate ~cfg:lid () in
+  let injected_latency = gate ~handicap:latency_injection ~cfg:lid () in
   let injected_quality =
     let byz = cfg_of (RC.make ~engine:RC.Lid ~seed:lid.RC.seed ~byzantine:"liar:0.3" ()) in
-    Result.get_ok (gate ~cfg:byz ())
+    gate ~cfg:byz ()
   in
   ( [ t1; t2 ],
     [
@@ -218,7 +192,7 @@ let run ~quick =
           burst.SR.max_queue burst.SR.shed,
         burst.SR.max_queue <= 4 && burst.SR.shed > 0 );
       ( Printf.sprintf "gate passes on the clean preset (p99 %.2f <= %.2f, steady %.4f >= %.2f)"
-          clean.p99 clean.p99_bound clean.steady clean.steady_bound,
+          clean.p99 p99_bound clean.steady steady_bound,
         clean.passed );
       ("gate trips on an injected latency regression", not injected_latency.passed);
       ("gate trips on injected unguarded liars", not injected_quality.passed);

@@ -233,7 +233,8 @@ val run :
 
 val satisfaction_of_correct : Preference.t -> report -> float
 (** Total satisfaction (eq. 4/5) of the correct peers under the
-    restricted matching — the quantity E22 reports as "retained". *)
+    restricted matching — the numerator of the "S retained" column of
+    E24i/E24j. *)
 
 val lic_reference :
   Preference.t ->

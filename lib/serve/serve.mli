@@ -40,8 +40,8 @@ val run :
     verdict: one line per failing engine run, bootstrap (run 0) and
     mutations alike, as ["run K: ..."] with that run's failures joined
     by ["; "].  LIC oracle runs never fail.  [handicap] (default 0) adds the
-    given virtual time to every request's service — the knob the gated
-    benchmark uses to prove its latency regression gate fires.
+    given virtual time to every request's service — the planted latency
+    regression E27's claims use to prove its serve gate can trip.
     Errors on an invalid config or arrival spec, a negative handicap,
     a non-LID-family engine (centralized engines have no protocol run
     to serve), or an instance with no nodes (requests target a node). *)
