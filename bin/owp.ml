@@ -9,8 +9,8 @@
      owp check       run the invariant checkers / interleaving explorer
      owp chaos       fuzz the stack with random fault schedules, shrink failures
      owp lint        static analysis over the .cmt typedtrees dune emits
-     owp bench       regenerate experiment tables (E0..E27) and judge their
-                     claims: --quick, --json
+     owp bench       regenerate experiment tables (the 20 in `owp list`)
+                     and judge their claims: --quick, --json
      owp list        list available experiments
 
    Every stack-running subcommand (`run`, `serve`, `check`, `chaos`)
@@ -479,7 +479,7 @@ let print_check_report inst report =
 (* the stack flags that --matching (no engine runs) or --explore (the
    bare protocol model, one generic injector under --byzantine) would
    ignore, one usage line each *)
-let check_unused_flags (spec : Owp_cli.t) ~explore =
+let check_unused_flags (spec : Owp_cli.t) ~explore ~matching =
   let unused flag =
     Printf.sprintf "%s: not used with %s" flag (if explore then "--explore" else "--matching")
   in
@@ -496,6 +496,7 @@ let check_unused_flags (spec : Owp_cli.t) ~explore =
       (byz && not explore, unused "--byzantine");
       ( spec.guard && not (explore && byz),
         if explore then "--guard: needs --byzantine under --explore" else unused "--guard" );
+      (explore && matching, unused "--matching");
     ]
 
 (* --drops and --max-configs steer the explorer only, and the Byzantine
@@ -504,8 +505,8 @@ let check_unused_flags (spec : Owp_cli.t) ~explore =
 let check_cmdline spec matching_file explore max_configs drops list =
   let flag_error flag k why = usage_error "check" (Printf.sprintf "--%s %d: %s" flag k why) in
   let unused =
-    if explore || Option.is_some matching_file then check_unused_flags spec ~explore
-    else []
+    let matching = Option.is_some matching_file in
+    if explore || matching then check_unused_flags spec ~explore ~matching else []
   in
   if list then check_list ()
   else

@@ -88,6 +88,6 @@ let exp =
   {
     Exp_common.id = "E0";
     title = "Workload characterization";
-    paper_ref = "setup for E2–E17";
+    paper_ref = "setup for E2–E16";
     run;
   }

@@ -55,44 +55,7 @@ let run ~quick =
       let inst = Exp_common.gnm ~seed:(100 + b) ~deg:12.0 ~n:2000 ~quota:b in
       clean := row t2 inst b && !clean)
     bs;
-  (* E5c: the dropped column above is always 0 on a clean channel; under
-     loss it shows exactly how much of the conversation went missing and
-     why termination fails (the gap E24f closes with the transport) *)
-  let t3 =
-    Tbl.create
-      ~title:"E5c: LID on a lossy channel (n = 500, avg deg 8, b = 3) — no recovery"
-      [
-        ("drop", Tbl.Right);
-        ("PROP", Tbl.Right);
-        ("REJ", Tbl.Right);
-        ("dropped", Tbl.Right);
-        ("terminated", Tbl.Left);
-      ]
-  in
-  let stuck = ref true in
-  List.iter
-    (fun drop ->
-      let inst = Exp_common.gnm ~seed:55 ~deg:8.0 ~n:500 ~quota:3 in
-      let faults = Owp_simnet.Simnet.faults ~drop () in
-      let r =
-        Owp_core.Stack.run ~seed:7 ~faults inst.Workloads.weights
-          ~capacity:inst.Workloads.capacity
-      in
-      if drop > 0.0 then stuck := !stuck && not r.Owp_core.Stack.all_terminated;
-      Tbl.add_row t3
-        [
-          Tbl.fcell2 drop;
-          Tbl.icell r.Owp_core.Stack.prop_count;
-          Tbl.icell r.Owp_core.Stack.rej_count;
-          Tbl.icell r.Owp_core.Stack.dropped;
-          Exp_common.quiescence_cell r;
-        ])
-    [ 0.0; 0.05; 0.2; 0.5 ];
-  ( [ t1; t2; t3 ],
-    [
-      ("LID terminates on every clean channel (Lemma 5)", !clean);
-      ("without recovery, every lossy channel leaves nodes stuck", !stuck);
-    ] )
+  ([ t1; t2 ], [ ("LID terminates on every clean channel (Lemma 5)", !clean) ])
 
 let exp =
   {

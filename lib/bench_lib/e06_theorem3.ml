@@ -38,7 +38,7 @@ let run ~quick =
             let _opt, s_opt =
               Owp_matching.Exact.max_satisfaction_bmatching ~max_edges:22 inst.prefs
             in
-            let ratio = if Float.equal s_opt 0.0 then 1.0 else s_lid /. s_opt in
+            let ratio = Exp_common.ratio s_lid s_opt in
             let bmax = Preference.max_quota inst.prefs in
             let bound = Owp_core.Theory.theorem3_bound ~bmax in
             ratios := ratio :: !ratios;

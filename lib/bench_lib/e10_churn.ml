@@ -53,7 +53,7 @@ let run ~quick =
       in
       let s_incr, d_incr = aggregate incr_steps in
       let s_full, d_full = aggregate full_steps in
-      let retention = if Float.equal s_full 0.0 then 1.0 else s_incr /. s_full in
+      let retention = Exp_common.ratio s_incr s_full in
       retains := !retains && retention >= 0.9;
       calmer := !calmer && d_incr < d_full;
       Tbl.add_row t

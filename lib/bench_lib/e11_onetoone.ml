@@ -2,11 +2,56 @@
    maximum weighted matching and LIC/LID coincide with the locally
    heaviest edge algorithms from the literature (Preis; Hoepman's
    distributed variant).  Compare against path-growing and the exact
-   optimum on small graphs. *)
+   optimum on small graphs.  E11c prices the satisfaction objective in
+   coverage: preferring heavy edges can leave peers unmatched that
+   Edmonds' maximum cardinality matching (ref [2]) would serve. *)
 
 module Tbl = Owp_util.Tablefmt
 module BM = Owp_matching.Bmatching
 module One = Owp_matching.Onetoone
+
+let coverage_table ~quick =
+  let n = if quick then 300 else 1500 in
+  let t =
+    Tbl.create
+      ~title:
+        (Printf.sprintf
+           "E11c: pairings made vs maximum possible (b = 1, n = %d, random prefs)" n)
+      [
+        ("family", Tbl.Left);
+        ("max matching", Tbl.Right);
+        ("LID pairs", Tbl.Right);
+        ("coverage", Tbl.Right);
+        ("LID satisfaction", Tbl.Right);
+        ("max-card satisfaction", Tbl.Right);
+      ]
+  in
+  let covers = ref true and happier = ref true in
+  List.iter
+    (fun family ->
+      let inst =
+        Workloads.make ~seed:20 ~family ~pref_model:Workloads.Random_prefs ~n ~quota:1
+      in
+      let lid = (Exp_common.run_lid inst).Owp_core.Stack.matching in
+      let card = Owp_matching.Blossom.maximum_matching inst.graph in
+      let s m = Exp_common.total_satisfaction inst.prefs m in
+      covers := !covers && 4 * BM.size lid >= 3 * BM.size card;
+      happier := !happier && s lid > s card;
+      Tbl.add_row t
+        [
+          Workloads.family_name family;
+          Tbl.icell (BM.size card);
+          Tbl.icell (BM.size lid);
+          Tbl.pct (float_of_int (BM.size lid) /. float_of_int (max 1 (BM.size card)));
+          Tbl.fcell (s lid);
+          Tbl.fcell (s card);
+        ])
+    Workloads.standard_families;
+  ( t,
+    [
+      ("LID pairs at least 3/4 of a maximum matching on every family", !covers);
+      ("LID serves more satisfaction than a maximum matching on every family", !happier);
+    ] )
 
 let run ~quick =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4; 5 ] in
@@ -35,7 +80,7 @@ let run ~quick =
             ~capacity:inst.capacity
         in
         let wopt = BM.weight opt inst.weights in
-        let ratio m = if Float.equal wopt 0.0 then 1.0 else BM.weight m inst.weights /. wopt in
+        let ratio m = Exp_common.ratio (BM.weight m inst.weights) wopt in
         let lid = (Exp_common.run_lid inst).Owp_core.Stack.matching in
         let lic = Exp_common.run_lic inst in
         let preis = One.preis inst.weights in
@@ -88,16 +133,18 @@ let run ~quick =
           Tbl.fcell2 hoep.Owp_core.Hoepman.completion_time;
         ])
     sizes;
-  ( [ t; t2 ],
+  let t3, coverage_claims = coverage_table ~quick in
+  ( [ t; t2; t3 ],
     [
       ("LIC = Preis on every b = 1 instance", !lic_is_preis);
       ("LID and Hoepman lock the same edge set at every n", !hoepman);
-    ] )
+    ]
+    @ coverage_claims )
 
 let exp =
   {
     Exp_common.id = "E11";
     title = "One-to-one baselines";
-    paper_ref = "§1 related work [6,14,16]";
+    paper_ref = "§1 related work [2,6,14,16]";
     run;
   }

@@ -72,7 +72,7 @@ let run ~quick =
           Exp_common.yn r.Dyn.quiescent;
           Tbl.fcell s_dyn;
           Tbl.fcell s_rerun;
-          Tbl.pct (if Float.equal s_rerun 0.0 then 1.0 else s_dyn /. s_rerun);
+          Tbl.pct (Exp_common.ratio s_dyn s_rerun);
           Tbl.fcell2 (float_of_int dyn_msgs /. float_of_int (List.length events));
           Tbl.fcell2 (float_of_int !rerun_msgs /. float_of_int (List.length events));
         ])

@@ -28,6 +28,8 @@ let run_lic (inst : Workloads.instance) =
 let run_greedy (inst : Workloads.instance) =
   Owp_matching.Greedy.run inst.Workloads.weights ~capacity:inst.Workloads.capacity
 
+let ratio a b = if Float.equal b 0.0 then 1.0 else a /. b
+
 let yn b = if b then "yes" else "NO"
 
 let quiescence_cell (r : Owp_core.Stack.report) =

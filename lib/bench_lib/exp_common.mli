@@ -21,6 +21,10 @@ val run_lid : Workloads.instance -> Owp_core.Stack.report
 val run_lic : Workloads.instance -> Owp_matching.Bmatching.t
 val run_greedy : Workloads.instance -> Owp_matching.Bmatching.t
 
+val ratio : float -> float -> float
+(** [ratio a b] is [a /. b], counting a zero denominator as 1: the
+    ratio cell of every engine-vs-reference table. *)
+
 val yn : bool -> string
 (** ["yes"] or ["NO"]: the verdict cell of the experiment tables. *)
 

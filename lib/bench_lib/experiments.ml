@@ -12,13 +12,9 @@ let all =
     E09_privacy.exp;
     E10_churn.exp;
     E11_onetoone.exp;
-    E12_ties.exp;
     E13_stretch.exp;
     E14_localsearch.exp;
     E16_dynamic.exp;
-    E17_floors.exp;
-    E18_bipartite.exp;
-    E20_coverage.exp;
     E23_scale.exp;
     E24_composition.exp;
     E25_deadline.exp;

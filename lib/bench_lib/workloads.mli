@@ -1,5 +1,5 @@
 (** Workload generation for the experiment harness: named graph
-    families × preference-list models, as used across E2–E12. *)
+    families × preference-list models, as used across E2–E11. *)
 
 type family =
   | Gnp of float  (** Erdős–Rényi with the given edge probability *)

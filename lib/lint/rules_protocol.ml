@@ -87,9 +87,7 @@ let state_machine =
    update ({ base with ... }) silently inherits another layer's
    callbacks, and a counters function that is literally (fun () -> [])
    registers no row, so the layer becomes invisible in every report and
-   the conformance tests downstream of the table stop seeing it.  The
-   serving layer's request handlers follow the same record discipline
-   (on_request + counters), so the rule covers both shapes. *)
+   the conformance tests downstream of the table stop seeing it. *)
 
 let lc_name = "layer-conformance"
 
@@ -97,8 +95,7 @@ let is_layer_shape (fields : (Types.label_description * 'a) array) =
   let names =
     Array.to_list (Array.map (fun (ld, _) -> ld.Types.lbl_name) fields)
   in
-  (List.mem "on_send" names && List.mem "on_deliver" names)
-  || List.mem "on_request" names
+  List.mem "on_send" names && List.mem "on_deliver" names
 
 let rec function_body (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
@@ -191,7 +188,7 @@ let layer_conformance =
   {
     Rule.name = lc_name;
     doc =
-      "every Stack layer (and serve request handler) spells out its full \
+      "every Stack layer spells out its full \
        signature (no record-update construction) and registers a counter \
        row; in the stack, each top-level binding builds at most one layer";
     check = lc_check;

@@ -8,7 +8,7 @@
 
     Used as the {e coverage} baseline: the maximum number of pairings
     possible at all (quota 1), against which the satisfaction-driven
-    algorithms' match counts are compared (experiment E20). *)
+    algorithms' match counts are compared (experiment E11c). *)
 
 val maximum_matching : Graph.t -> Bmatching.t
 (** A maximum-cardinality matching as a unit-capacity {!Bmatching.t}. *)

@@ -15,7 +15,7 @@
 
 type combiner = Sum | Min | Product
 (** [Sum] is the paper's eq. 9.  [Min] and [Product] are ablation
-    combiners (E12/DESIGN §"design choices"): they also yield symmetric
+    combiners (E7c/DESIGN §"design choices"): they also yield symmetric
     weights but lose the additive decomposition Lemma 2 relies on. *)
 
 type t
@@ -54,4 +54,4 @@ val heavier : t -> int -> int -> bool
 (** [heavier t e f] iff [e] beats [f] in the total order. *)
 
 val distinct_weights : t -> int
-(** Number of distinct raw float weights (diagnostic for E12). *)
+(** Number of distinct raw float weights (diagnostic for E4b). *)

@@ -26,14 +26,6 @@ type kind = Join | Leave | Repref | Query
 
 type request = { at : float; kind : kind; target : int }
 
-(* per-kind request handlers share the stack layers' record discipline:
-   the full shape spelled out, a real counter row each (the
-   layer-conformance rule checks both) *)
-type handler = {
-  on_request : request -> float;  (** service time, virtual units *)
-  counters : unit -> (string * int) list;
-}
-
 (* one propose-answer round under the stack's default delay model: the
    service cost of a read-only query *)
 let query_service = Stack.round_length (Owp_simnet.Simnet.Uniform (0.5, 1.5))
@@ -125,61 +117,35 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
         service_of_run out
       in
       let joins = ref 0 and leaves = ref 0 and reprefs = ref 0 and queries = ref 0 in
-      let join_handler =
-        {
-          on_request =
-            (fun r ->
-              incr joins;
-              if active.(r.target) then query_service (* no-op join *)
-              else begin
-                active.(r.target) <- true;
-                mutate ()
-              end);
-          counters = (fun () -> [ ("join", !joins) ]);
-        }
-      in
-      let leave_handler =
-        {
-          on_request =
-            (fun r ->
-              incr leaves;
-              let live = Array.fold_left (fun a b -> if b then a + 1 else a) 0 active in
-              if (not active.(r.target)) || live <= 1 then query_service
-              else begin
-                active.(r.target) <- false;
-                mutate ()
-              end);
-          counters = (fun () -> [ ("leave", !leaves) ]);
-        }
-      in
-      let repref_handler =
-        {
-          on_request =
-            (fun r ->
-              incr reprefs;
-              if Array.length lists.(r.target) < 2 then query_service
-              else begin
-                Prng.shuffle_in_place shuffle_rng lists.(r.target);
-                cur := Preference.create g ~quota ~lists;
-                mutate ()
-              end);
-          counters = (fun () -> [ ("repref", !reprefs) ]);
-        }
-      in
-      let query_handler =
-        {
-          on_request =
-            (fun _ ->
-              incr queries;
-              query_service);
-          counters = (fun () -> [ ("query", !queries) ]);
-        }
-      in
-      let handler_of = function
-        | Join -> join_handler
-        | Leave -> leave_handler
-        | Repref -> repref_handler
-        | Query -> query_handler
+      (* the service time of one request, in virtual units *)
+      let handle r =
+        match r.kind with
+        | Join ->
+            incr joins;
+            if active.(r.target) then query_service (* no-op join *)
+            else begin
+              active.(r.target) <- true;
+              mutate ()
+            end
+        | Leave ->
+            incr leaves;
+            let live = Array.fold_left (fun a b -> if b then a + 1 else a) 0 active in
+            if (not active.(r.target)) || live <= 1 then query_service
+            else begin
+              active.(r.target) <- false;
+              mutate ()
+            end
+        | Repref ->
+            incr reprefs;
+            if Array.length lists.(r.target) < 2 then query_service
+            else begin
+              Prng.shuffle_in_place shuffle_rng lists.(r.target);
+              cur := Preference.create g ~quota ~lists;
+              mutate ()
+            end
+        | Query ->
+            incr queries;
+            query_service
       in
       (* the LIC oracle: from-scratch centralized ideal on the current
          membership, compared on total satisfaction *)
@@ -220,7 +186,7 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
           if Queue.length backlog >= arrivals.Arrivals.queue then incr shed
           else begin
             let start = Float.max r.at !server_free in
-            let service = (handler_of r.kind).on_request r +. handicap in
+            let service = handle r +. handicap in
             let completion = start +. service in
             server_free := completion;
             busy := !busy +. service;
@@ -241,14 +207,6 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
         if !served = 0 then 0.0
         else List.fold_left ( +. ) 0.0 !services /. float_of_int !served
       in
-      (* the per-kind table is read through the handlers' counter rows,
-         like a stack layer's *)
-      let table =
-        List.concat_map
-          (fun h -> h.counters ())
-          [ join_handler; leave_handler; repref_handler; query_handler ]
-      in
-      let count k = try List.assoc k table with Not_found -> 0 in
       let report =
         {
           Owp_core.Serve_report.arrivals = Arrivals.to_string arrivals;
@@ -256,10 +214,10 @@ let run ?(handicap = 0.0) ~arrivals cfg prefs =
           offered;
           served = !served;
           shed = !shed;
-          joins = count "join";
-          leaves = count "leave";
-          reprefs = count "repref";
-          queries = count "query";
+          joins = !joins;
+          leaves = !leaves;
+          reprefs = !reprefs;
+          queries = !queries;
           p50 = percentile lat 0.50;
           p99 = percentile lat 0.99;
           max_latency = (if Array.length lat = 0 then 0.0 else lat.(Array.length lat - 1));

@@ -138,12 +138,6 @@ let test_tuple_hash_key_fires =
 
 let test_tuple_hash_key_clean = check_file "fx_simnet_tuple_key_ok.ml" []
 
-let test_serve_layer_fires =
-  (* on_request-shaped records obey the same construction discipline
-     as on_send/on_deliver middleware *)
-  check_file "fx_serve_layer_bad.ml"
-    [ (17, "layer-conformance"); (23, "layer-conformance") ]
-
 let test_exact_position () =
   (* one full-position anchor: the Unix.gettimeofday ident itself *)
   let r = Lazy.force result in
@@ -259,7 +253,6 @@ let suite =
     Alcotest.test_case "one builder per layer fires" `Quick test_stack_layers_fire;
     Alcotest.test_case "one builder per layer clean twin" `Quick test_stack_layers_clean;
     Alcotest.test_case "serve clock-hygiene fires" `Quick test_serve_clock_fires;
-    Alcotest.test_case "serve layer-conformance fires" `Quick test_serve_layer_fires;
     Alcotest.test_case "simnet clock-hygiene fires" `Quick test_simnet_clock_fires;
     Alcotest.test_case "generic-compare fires" `Quick test_generic_compare_fires;
     Alcotest.test_case "tuple-hash-key fires" `Quick test_tuple_hash_key_fires;

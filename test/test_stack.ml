@@ -71,7 +71,7 @@ let prop_zero_middleware_bit_identical =
       reference_run ~seed w ~capacity = stack_digest (Stack.run ~seed w ~capacity))
 
 (* (fifo, faults): the channel regimes the experiments run plain LID
-   under — E05c's loss, E24f's loss over non-FIFO links, and
+   under — E24f's loss over FIFO and over non-FIFO links, and
    duplication plus stragglers mixed with loss *)
 let fault_regimes =
   [
