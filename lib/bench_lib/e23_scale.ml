@@ -195,12 +195,13 @@ let check_table ~quota sizes =
 (* E23f: one size point.  LID runs on the E23b instance in a bare
    loop, Lid over Simnet with nothing in between, at Stack.run's
    defaults (engine seed = hash of the label, uniform delays in
-   [0.5, 1.5], FIFO links).  Each phase is sampled alone, on a state
-   brought up to it off the clock: [init] builds the weight lists,
-   [start] sends the bootstrap burst into the simulator, [simnet run]
-   delivers every message to Lid.deliver, [read-out] turns the locked
-   edges into the served matching.  [bare loop] times the four in one
-   go, and Stack.run on the same instance must lock the same edges. *)
+   [0.5, 1.5], FIFO links, the simulator sized by [Lid.burst]).  Each
+   phase is sampled alone, on a state brought up to it off the clock:
+   [init] builds the weight lists, [start] sends the bootstrap burst
+   into the simulator, [simnet run] delivers every message to
+   Lid.deliver, [read-out] turns the locked edges into the served
+   matching.  [bare loop] times the four in one go, and Stack.run on
+   the same instance must lock the same edges. *)
 let measure_lid ~seed ~n ~quota =
   let inst = Exp_common.gnm ~seed ~n ~deg:16.0 ~quota in
   let w = inst.Workloads.weights and capacity = inst.Workloads.capacity in
@@ -209,7 +210,8 @@ let measure_lid ~seed ~n ~quota =
   let init () =
     let st = Lid.init w ~capacity in
     let net =
-      Simnet.create ~seed:engine_seed ~nodes:(max n 1) ~delay:(Simnet.Uniform (0.5, 1.5)) ()
+      Simnet.create ~seed:engine_seed ~burst:(Lid.burst st) ~nodes:(max n 1)
+        ~delay:(Simnet.Uniform (0.5, 1.5)) ()
     in
     let emit src dst m = Simnet.send net ~src ~dst m in
     Simnet.set_handler net (fun ~src ~dst m -> Lid.deliver st ~src ~dst m ~emit);

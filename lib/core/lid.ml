@@ -195,6 +195,8 @@ let start st ~emit =
     check_done st emit i
   done
 
+let burst st = Array.fold_left ( + ) 0 st.quota
+
 (* the transition itself, parameterised on the send sink [emit src dst
    m]: the Stack runtime passes one closure for the whole run (the hot
    path allocates nothing per send), the explorer a list builder *)

@@ -52,6 +52,12 @@ val start : state -> emit:(int -> int -> message -> unit) -> unit
     once, on a fresh state, before any {!deliver}; [emit] must not
     re-enter the state machine. *)
 
+val burst : state -> int
+(** Σ min(b_i, deg_i): the most messages {!start} sends, all at once
+    and on distinct links — the largest population a simulator running
+    this state ever holds in flight from the bootstrap, and the hint
+    its {!Owp_simnet.Simnet.create} takes as [burst]. *)
+
 val deliver :
   state -> src:int -> dst:int -> message -> emit:(int -> int -> message -> unit) -> unit
 (** Process one delivery at [dst] (lines 4–16 of Alg. 1), mutating the

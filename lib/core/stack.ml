@@ -819,9 +819,7 @@ let run ?(seed = 0x57C) ?(delay = Simnet.Uniform (0.5, 1.5)) ?(fifo = true)
     | _ -> None
   in
   let st = Lid.init ?perceived w ~capacity in
-  let net =
-    Simnet.create ~seed ~fifo ~faults ~nodes:(max n 1) ~delay ()
-  in
+  let net = Simnet.create ~seed ~fifo ~faults ~burst:(Lid.burst st) ~nodes:(max n 1) ~delay () in
   let retired = Array.make (max n 1) false in
   let c = { net; g; st; correct; retired; delay; schedule } in
   let up = ref { dispatch = (fun ~src:_ ~dst:_ _ -> ()); emit = (fun _ _ _ -> ()) } in

@@ -23,7 +23,13 @@ let faults ?(drop = 0.0) ?(duplicate = 0.0) ?(reorder = 0.0) () =
    packs the directed link as src * nodes + dst and [m_pay] holds the
    message itself.  Slot < 0 encodes callback arena index -slot - 1.
    Freed slots chain into a free list through the same int array, so
-   steady-state traffic allocates nothing per event. *)
+   steady-state traffic allocates nothing per event.
+
+   [burst] is the caller's estimate of the largest in-flight
+   population (LID's bootstrap, every proposal sent at t = 0).  The
+   arenas, the wheel's slot pool and the link-clock table start at
+   that size instead of doubling up to it; past it they double as
+   before.  Sizes never change the (at, seq) pop order. *)
 
 type 'm t = {
   nodes : int;
@@ -31,6 +37,7 @@ type 'm t = {
   fifo : bool;
   faults : faults;
   delay : delay_model;
+  burst : int;
   wheel : Event_wheel.t;
   (* message arena *)
   mutable m_link : int array; (* live: packed src * nodes + dst; free: next free slot *)
@@ -64,8 +71,19 @@ type 'm t = {
 let check_probability name p =
   if p < 0.0 || p > 1.0 then invalid_arg (Printf.sprintf "Simnet.create: %s out of range" name)
 
-let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ~nodes ~delay () =
+(* link-clock capacity for [live] entries, a power of two at least
+   1024 and 3 * live: under half full until live grows by half again *)
+let lc_capacity live =
+  let cap = ref 1024 in
+  while !cap < 3 * live do
+    cap := 2 * !cap
+  done;
+  !cap
+
+let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ?(burst = 0) ~nodes ~delay
+    () =
   if nodes < 0 then invalid_arg "Simnet.create: negative node count";
+  if burst < 0 then invalid_arg "Simnet.create: negative burst";
   check_probability "drop_probability" faults.drop_probability;
   check_probability "duplicate_probability" faults.duplicate_probability;
   check_probability "reorder_probability" faults.reorder_probability;
@@ -75,15 +93,17 @@ let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ~nodes ~delay
     fifo;
     faults;
     delay;
-    wheel = Event_wheel.create ();
+    burst;
+    wheel = Event_wheel.create ~capacity:burst ();
     m_link = [||];
     m_pay = [||];
     m_free = -1;
     c_fn = [||];
     c_next = [||];
     c_free = -1;
-    lc_key = Array.make 1024 (-1);
-    lc_val = Array.make 1024 0.0;
+    (* the burst's links stay below the half-full compaction trigger *)
+    lc_key = Array.make (lc_capacity burst) (-1);
+    lc_val = Array.make (lc_capacity burst) 0.0;
     lc_n = 0;
     up = Array.make (max nodes 1) true;
     handler = None;
@@ -100,6 +120,7 @@ let create ?(seed = 0xC0FFEE) ?(fifo = true) ?(faults = no_faults) ~nodes ~delay
   }
 
 let node_count t = t.nodes
+let burst t = t.burst
 let now t = t.clock
 let set_handler t h = t.handler <- Some h
 let set_outage t f = t.outage <- f
@@ -133,7 +154,7 @@ let slot_alloc t link m =
   if t.m_free < 0 then begin
     let old = Array.length t.m_pay in
     if old = 0 then begin
-      let cap = 16 in
+      let cap = Int.max 16 (t.burst + 1) in
       t.m_pay <- Array.make cap m;
       t.m_link <- Array.make cap (-1);
       for i = 1 to cap - 2 do
@@ -173,7 +194,7 @@ let noop () = ()
 let cb_alloc t f =
   if t.c_free < 0 then begin
     let old = Array.length t.c_fn in
-    let cap = max 16 (2 * old) in
+    let cap = if old = 0 then Int.max 16 t.burst else 2 * old in
     let fn = Array.make cap noop in
     Array.blit t.c_fn 0 fn 0 old;
     let nx = Array.make cap (-1) in
@@ -247,12 +268,9 @@ let lc_compact t =
   let ok = t.lc_key and ov = t.lc_val in
   let live = ref 0 in
   Array.iteri (fun i k -> if k >= 0 && ov.(i) > t.clock then incr live) ok;
-  let cap = ref 1024 in
-  while !cap < 3 * !live do
-    cap := 2 * !cap
-  done;
-  t.lc_key <- Array.make !cap (-1);
-  t.lc_val <- Array.make !cap 0.0;
+  let cap = lc_capacity !live in
+  t.lc_key <- Array.make cap (-1);
+  t.lc_val <- Array.make cap 0.0;
   t.lc_n <- 0;
   Array.iteri
     (fun i k ->

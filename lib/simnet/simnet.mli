@@ -36,6 +36,7 @@ val create :
   ?seed:int ->
   ?fifo:bool ->
   ?faults:faults ->
+  ?burst:int ->
   nodes:int ->
   delay:delay_model ->
   unit ->
@@ -44,9 +45,19 @@ val create :
     clamping delivery times; LID is analysed under reliable channels, and
     FIFO matches a TCP-like overlay link.  [fifo:false] is the non-FIFO
     regime: delivery order is whatever the sampled delays dictate.
-    @raise Invalid_argument on negative [nodes]. *)
+    [burst] (default [0]) is a sizing hint: the number of messages the
+    caller expects in flight at once, on that many distinct links (LID's
+    bootstrap, Σ min(b_i, deg_i)).  The message arena, the event wheel's
+    slot pool, the callback arena and the FIFO link-clock table start at
+    that size instead of doubling up to it.  It changes no delivery:
+    any hint gives the same trace.
+    @raise Invalid_argument on negative [nodes] or [burst]. *)
 
 val node_count : _ t -> int
+
+val burst : _ t -> int
+(** The [burst] hint given to {!create}, for layers that size their
+    own per-link state from it (see {!Transport.create}). *)
 
 val now : _ t -> float
 (** Current virtual time. *)

@@ -360,6 +360,14 @@ let create ?(config = default_config) ?(hold = fun ~node:_ ~peer:_ -> false) net
   let no_sender = new_sender ~epoch:(-1) ~rto:0.0 in
   let no_receiver = new_receiver ~owner:(-1) ~epoch:(-1) in
   let nodes = max (Simnet.node_count net) 1 in
+  (* the burst's links stay below the half-full growth trigger *)
+  let links =
+    let cap = ref 64 in
+    while !cap < (2 * Simnet.burst net) + 2 do
+      cap := 2 * !cap
+    done;
+    !cap
+  in
   let t =
     {
       net;
@@ -367,9 +375,9 @@ let create ?(config = default_config) ?(hold = fun ~node:_ ~peer:_ -> false) net
       jitter_rng = Prng.create jitter_seed;
       nodes;
       epochs = Array.make nodes 0;
-      lk_key = Array.make 64 (-1);
-      lk_snd = Array.make 64 no_sender;
-      lk_rcv = Array.make 64 no_receiver;
+      lk_key = Array.make links (-1);
+      lk_snd = Array.make links no_sender;
+      lk_rcv = Array.make links no_receiver;
       lk_n = 0;
       no_sender;
       no_receiver;

@@ -37,12 +37,15 @@
     key [src * nodes + dst] in one open-addressed table (linear probing,
     the probe of {!Simnet}'s link clock), which holds both halves of the
     link: no tuple is built and nothing is hashed structurally per
-    frame.  Go-back-N with cumulative ACKs keeps the unacked seqs
-    contiguous, so the sender's window is a ring over [[base,
-    next_seq)]: an ACK advances [base], a give-up sets [base :=
-    next_seq], and a retransmission walks [base .. next_seq - 1] in
-    ascending order.  The ring starts at 2 slots, enough for the one
-    PROP and one REJ a correct LID link carries, and doubles when full.
+    frame.  The table starts at a power of two of at least 64 and
+    [2 * Simnet.burst net + 2] slots, so a burst on that many links
+    stays under the half-full mark at which it doubles.  Go-back-N
+    with cumulative ACKs keeps the unacked seqs contiguous, so the
+    sender's window is a ring over [[base, next_seq)]: an ACK advances
+    [base], a give-up sets [base := next_seq], and a retransmission
+    walks [base .. next_seq - 1] in ascending order.  The ring starts
+    at 2 slots, enough for the one PROP and one REJ a correct LID link
+    carries, and doubles when full.
     The receiver keeps out-of-order frames in a small seq-sorted buffer;
     an in-order frame on an empty buffer is delivered without touching
     it.  {!restart_node} only bumps the node's epoch: the node's

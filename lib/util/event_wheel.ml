@@ -224,52 +224,9 @@ let pow2_at_least n =
   done;
   !p
 
-let create ?(width = 0.25) ?(buckets = 64) () =
-  if not (Float.is_finite width && width > 0.0) then
-    invalid_arg "Event_wheel.create: width must be positive";
-  if buckets < 2 then invalid_arg "Event_wheel.create: need at least 2 buckets";
-  let buckets = pow2_at_least buckets in
-  {
-    w = width;
-    inv_w = 1.0 /. width;
-    nb = buckets;
-    p_at = [||];
-    p_seq = [||];
-    p_pay = [||];
-    p_next = [||];
-    p_free = -1;
-    b_head = Array.make buckets (-1);
-    b_len = Array.make buckets 0;
-    bucketed = 0;
-    cur_epoch = -1;
-    r_at = [||];
-    r_seq = [||];
-    r_pay = [||];
-    r_len = 0;
-    r_head = 0;
-    aux = heap_create ();
-    over = heap_create ();
-    size = 0;
-    seen_events = 0;
-    seen_epochs = 0;
-    last_at_cell = Array.make 1 0.0;
-    last_seq = 0;
-    last_pay = 0;
-  }
-
-let size t = t.size
-let width t = t.w
-
-(* epoch of a timestamp, saturating far enough below max_int that
-   [epoch - cur_epoch] and [epoch + nb] never overflow.  Multiplying by
-   the reciprocal is monotone in [at], which is all the order needs. *)
-let epoch t at =
-  let q = at *. t.inv_w in
-  if q >= 1e18 then 0x3FFFFFFFFFFFFF else int_of_float q
-
-let pool_grow t =
+(* grow the full pool to [cap] slots, chaining the new ones free *)
+let pool_grow t cap =
   let old = Array.length t.p_at in
-  let cap = Int.max 64 (2 * old) in
   let grow a fill =
     let a' = Array.make cap fill in
     Array.blit a 0 a' 0 old;
@@ -283,6 +240,54 @@ let pool_grow t =
     t.p_next.(i) <- i + 1
   done;
   t.p_free <- old
+
+let create ?(width = 0.25) ?(buckets = 64) ?(capacity = 0) () =
+  if not (Float.is_finite width && width > 0.0) then
+    invalid_arg "Event_wheel.create: width must be positive";
+  if buckets < 2 then invalid_arg "Event_wheel.create: need at least 2 buckets";
+  if capacity < 0 then invalid_arg "Event_wheel.create: negative capacity";
+  let buckets = pow2_at_least buckets in
+  let t =
+    {
+      w = width;
+      inv_w = 1.0 /. width;
+      nb = buckets;
+      p_at = [||];
+      p_seq = [||];
+      p_pay = [||];
+      p_next = [||];
+      p_free = -1;
+      b_head = Array.make buckets (-1);
+      b_len = Array.make buckets 0;
+      bucketed = 0;
+      cur_epoch = -1;
+      r_at = [||];
+      r_seq = [||];
+      r_pay = [||];
+      r_len = 0;
+      r_head = 0;
+      aux = heap_create ();
+      over = heap_create ();
+      size = 0;
+      seen_events = 0;
+      seen_epochs = 0;
+      last_at_cell = Array.make 1 0.0;
+      last_seq = 0;
+      last_pay = 0;
+    }
+  in
+  if capacity > 0 then pool_grow t capacity;
+  t
+
+let size t = t.size
+let width t = t.w
+
+(* epoch of a timestamp, saturating far enough below max_int that
+   [epoch - cur_epoch] and [epoch + nb] never overflow.  Multiplying by
+   the reciprocal is monotone in [at], which is all the order needs. *)
+let epoch t at =
+  let q = at *. t.inv_w in
+  if q >= 1e18 then 0x3FFFFFFFFFFFFF else int_of_float q
 
 (* link slot [s] into bucket [b] *)
 let[@inline] bucket_link t b s =
@@ -299,7 +304,7 @@ let[@inline] slot_free t s =
 let[@inline] bucket_of t e = e land (t.nb - 1)
 
 let bucket_push t b at seq pay =
-  if t.p_free < 0 then pool_grow t;
+  if t.p_free < 0 then pool_grow t (Int.max 64 (2 * Array.length t.p_at));
   let s = t.p_free in
   t.p_free <- t.p_next.(s);
   t.p_at.(s) <- at;

@@ -38,14 +38,17 @@
 
 type t
 
-val create : ?width:float -> ?buckets:int -> unit -> t
+val create : ?width:float -> ?buckets:int -> ?capacity:int -> unit -> t
 (** [width] (default [0.25]) is the {e initial} bucket span in
     virtual-time units; the wheel retunes it from the occupancy it
     observes, so it is a warm-up hint only, never a correctness knob.
     [buckets] (default [64], rounded up to a power of two) is the
     initial wheel size; the wheel resizes itself as the population
-    grows or shrinks.
-    @raise Invalid_argument on non-positive [width] or [buckets]. *)
+    grows or shrinks.  [capacity] (default [0]) presizes the slot pool
+    for that many bucketed events; past it the pool doubles as usual.
+    Like [width], it moves no event: the pop order is the same.
+    @raise Invalid_argument on non-positive [width] or [buckets], or
+    negative [capacity]. *)
 
 val add : t -> at:float -> seq:int -> int -> unit
 (** Insert a payload at key [(at, seq)].  Keys need not arrive in any

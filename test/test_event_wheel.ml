@@ -23,8 +23,8 @@ let wheel_pop w =
   if Wheel.pop_into w then Some (Wheel.last_at w, Wheel.last_seq w, Wheel.last_pay w)
   else None
 
-let run_script ?width ?buckets ops =
-  let wheel = Wheel.create ?width ?buckets () in
+let run_script ?width ?buckets ?capacity ops =
+  let wheel = Wheel.create ?width ?buckets ?capacity () in
   let heap = Ref_heap.create () in
   let seq = ref 0 in
   let wl = ref [] and hl = ref [] in
@@ -119,6 +119,9 @@ let test_rejections () =
   Alcotest.check_raises "one bucket"
     (Invalid_argument "Event_wheel.create: need at least 2 buckets") (fun () ->
       ignore (Wheel.create ~buckets:1 ()));
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Event_wheel.create: negative capacity") (fun () ->
+      ignore (Wheel.create ~capacity:(-1) ()));
   let w = Wheel.create () in
   Alcotest.check_raises "negative time"
     (Invalid_argument "Event_wheel.add: time must be finite and non-negative")
@@ -154,6 +157,22 @@ let test_footprint_bounded () =
        after_many)
     true
     (after_many <= warm)
+
+let test_capacity_presizes_pool () =
+  (* a burst of k bucketed events into a wheel presized for k: the slot
+     pool is in place before the first add and never grows during the
+     burst; one event more and the pool doubles as without the hint *)
+  let k = 1000 in
+  let w = Wheel.create ~capacity:k () in
+  let add i = Wheel.add w ~at:(0.5 +. (0.001 *. float_of_int i)) ~seq:i i in
+  add 0;
+  let first = Wheel.footprint_words w in
+  for i = 1 to k - 1 do
+    add i
+  done;
+  Alcotest.(check int) "no growth during the burst" first (Wheel.footprint_words w);
+  add k;
+  Alcotest.(check bool) "grows past the capacity" true (Wheel.footprint_words w > first)
 
 (* ------------------------------------------------------------------ *)
 (* width retuning: the wheel rescales its own buckets both ways         *)
@@ -341,8 +360,12 @@ let prop_order_equivalence =
   QCheck2.Test.make ~count:300 ~print:print_script
     ~name:"wheel pops in the reference heap's exact (at, seq) order" gen_script
     (fun ops ->
-      let wl, hl = run_script ~width:0.5 ~buckets:4 ops in
-      wl = hl)
+      (* a presized slot pool, outgrown or not, moves no event *)
+      List.for_all
+        (fun capacity ->
+          let wl, hl = run_script ~width:0.5 ~buckets:4 ~capacity ops in
+          wl = hl)
+        [ 0; 1; 1000 ])
 
 let prop_order_equivalence_wide =
   QCheck2.Test.make ~count:200 ~print:print_script
@@ -414,6 +437,8 @@ let suite =
     Alcotest.test_case "rejections" `Quick test_rejections;
     Alcotest.test_case "footprint bounded under churn" `Quick
       test_footprint_bounded;
+    Alcotest.test_case "capacity presizes the slot pool" `Quick
+      test_capacity_presizes_pool;
     Alcotest.test_case "retune: dense burst, then sparse tail" `Quick
       test_retune_burst_then_sparse;
     Alcotest.test_case "retune: far-future timers" `Quick

@@ -211,6 +211,79 @@ let test_footprint_tracks_live_events () =
        warm after)
     true (after <= 2 * warm)
 
+(* One seeded script through a simulator sized by [burst]: a t = 0
+   burst on distinct links, then handlers that forward, and timers, all
+   over a channel that drops, duplicates and reorders.  The log lists
+   every delivery and callback with its virtual time. *)
+let burst_nodes = 30
+let burst_k = burst_nodes * 8
+
+let scripted_trace ~fifo ~burst =
+  let n = burst_nodes in
+  let faults = Sim.faults ~drop:0.1 ~duplicate:0.1 ~reorder:0.2 () in
+  let net =
+    Sim.create ~seed:17 ~fifo ~faults ~burst ~nodes:n ~delay:(Sim.Uniform (0.5, 1.5)) ()
+  in
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let timer m () = note "timer %d at %h" m (Sim.now net) in
+  Sim.set_handler net (fun ~src ~dst m ->
+      note "%d -> %d: %d at %h" src dst m (Sim.now net);
+      if m < 2_000 then Sim.send net ~src:dst ~dst:((dst + 1 + (m mod 7)) mod n) (m + 300);
+      if m mod 5 = 0 then Sim.schedule net ~delay:(0.7 *. float_of_int (m mod 3)) (timer m));
+  for i = 0 to burst_k - 1 do
+    let src = i mod n in
+    Sim.send net ~src ~dst:((src + 1 + (i / n)) mod n) i
+  done;
+  Sim.schedule net ~delay:2.0 (timer (-1));
+  Sim.run net;
+  let counts =
+    (Sim.messages_dropped net, Sim.messages_reordered net, Sim.messages_delivered net)
+  in
+  (List.rev !log, counts)
+
+let test_burst_hint_keeps_trace () =
+  List.iter
+    (fun fifo ->
+      let reference, (dropped, reordered, delivered) = scripted_trace ~fifo ~burst:0 in
+      Alcotest.(check bool)
+        "the script drops, reorders and delivers more than it sends" true
+        (dropped > 0 && reordered > 0 && delivered > burst_k);
+      List.iter
+        (fun burst ->
+          let trace, _ = scripted_trace ~fifo ~burst in
+          Alcotest.(check (list string))
+            (Printf.sprintf "fifo %b, hint %d: same trace as no hint" fifo burst)
+            reference trace)
+        [ burst_k / 2; burst_k; 4 * burst_k ])
+    [ true; false ]
+
+let test_burst_hint_no_growth () =
+  (* k messages on k distinct links at t = 0: under [~burst:k] every
+     store is in place after the first send; without the hint the same
+     burst grows them *)
+  let k = 2_000 and n = 101 in
+  let burst_footprints burst =
+    let net = Sim.create ~burst ~nodes:n ~delay:(Sim.Uniform (0.5, 1.5)) () in
+    let send i = Sim.send net ~src:(i mod n) ~dst:((i + 1 + (i / n)) mod n) i in
+    send 0;
+    let first = Sim.footprint_words net in
+    for i = 1 to k - 1 do
+      send i
+    done;
+    (first, Sim.footprint_words net)
+  in
+  let first, after = burst_footprints k in
+  Alcotest.(check int) "no growth during the hinted burst" first after;
+  let first, after = burst_footprints 0 in
+  Alcotest.(check bool) "the unhinted burst grows" true (after > first)
+
+let test_negative_sizes () =
+  Alcotest.check_raises "negative nodes" (Invalid_argument "Simnet.create: negative node count")
+    (fun () -> ignore (Sim.create ~nodes:(-1) ~delay:Sim.Unit ()));
+  Alcotest.check_raises "negative burst" (Invalid_argument "Simnet.create: negative burst")
+    (fun () -> ignore (Sim.create ~burst:(-1) ~nodes:2 ~delay:Sim.Unit ()))
+
 let suite =
   [
     Alcotest.test_case "single delivery" `Quick test_single_delivery;
@@ -232,4 +305,8 @@ let suite =
       test_same_timestamp_batch_order;
     Alcotest.test_case "footprint tracks live events" `Quick
       test_footprint_tracks_live_events;
+    Alcotest.test_case "burst hint keeps the trace" `Quick test_burst_hint_keeps_trace;
+    Alcotest.test_case "burst hint: no growth in the burst" `Quick
+      test_burst_hint_no_growth;
+    Alcotest.test_case "negative sizes" `Quick test_negative_sizes;
   ]
